@@ -51,8 +51,7 @@ type Config struct {
 	Parallelism int
 	// BatchSize is the engine batch-size override (urm-bench -batch): 0 runs
 	// the engine's default vectorized batch size, a positive value overrides
-	// the rows per batch, and a negative value measures the tuple-at-a-time
-	// fallback pipeline.
+	// the rows per batch.
 	BatchSize int
 }
 

@@ -140,19 +140,21 @@ type Options struct {
 	Parallelism int
 	// BatchSize tunes the engine's vectorized batch pipeline: 0 (the default)
 	// uses the engine's own batch size, a positive value sets the rows per
-	// batch, and a negative value falls back to the tuple-at-a-time pipeline.
-	// Like Parallelism it is purely a performance knob — answers and operator
-	// statistics are identical at every setting.
+	// batch.  Like Parallelism it is purely a performance knob — answers and
+	// operator statistics are identical at every setting.
 	BatchSize int
 }
 
 // Validate checks the options for values no evaluation can honour: a negative
 // parallelism (0 means GOMAXPROCS, 1 sequential; below that is a caller bug,
-// not a request for "less than sequential"), an unknown method or an unknown
-// strategy.  Returned errors wrap ErrBadOptions.
+// not a request for "less than sequential"), a negative batch size, an unknown
+// method or an unknown strategy.  Returned errors wrap ErrBadOptions.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism %d", ErrBadOptions, o.Parallelism)
+	}
+	if o.BatchSize < 0 {
+		return fmt.Errorf("%w: negative batch size %d", ErrBadOptions, o.BatchSize)
 	}
 	switch o.Method {
 	case MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing:
@@ -204,10 +206,7 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, q *query.Query, opts Op
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	ec := exec.NewContext(ctx, opts.Parallelism)
-	if opts.BatchSize != 0 {
-		ec = ec.WithBatch(opts.BatchSize)
-	}
+	ec := exec.NewContext(ctx, opts.Parallelism).WithBatch(opts.BatchSize)
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}
@@ -247,10 +246,7 @@ func (e *Evaluator) EvaluateTopKContext(ctx context.Context, q *query.Query, k i
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
 	}
-	ec := exec.NewContext(ctx, 1)
-	if opts.BatchSize != 0 {
-		ec = ec.WithBatch(opts.BatchSize)
-	}
+	ec := exec.NewContext(ctx, 1).WithBatch(opts.BatchSize)
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}

@@ -233,7 +233,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator,
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
-	ec := exec.NewContext(ctx, opts.Parallelism)
+	ec := exec.NewContext(ctx, opts.Parallelism).WithBatch(opts.BatchSize)
 	if err := ec.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -352,7 +352,7 @@ func (p *Prepared) runTopK(ctx context.Context, k int, opts Options) (*Result, *
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
 	}
-	ec := exec.NewContext(ctx, 1)
+	ec := exec.NewContext(ctx, 1).WithBatch(opts.BatchSize)
 	if err := ec.Err(); err != nil {
 		return nil, nil, err
 	}

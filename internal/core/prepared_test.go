@@ -207,8 +207,9 @@ func TestPreparedSeesAppendedRows(t *testing.T) {
 }
 
 // TestOptionsValidate exercises the option-validation satellite: negative
-// parallelism, unknown methods/strategies and non-positive k are rejected with
-// errors wrapping ErrBadOptions, on both the cold and the prepared paths.
+// parallelism or batch size, unknown methods/strategies and non-positive k are
+// rejected with errors wrapping ErrBadOptions, on both the cold and the
+// prepared paths.
 func TestOptionsValidate(t *testing.T) {
 	db := paperInstance()
 	maps := paperMappings()
@@ -224,6 +225,7 @@ func TestOptionsValidate(t *testing.T) {
 		opts Options
 	}{
 		{"negative parallelism", Options{Method: MethodBasic, Parallelism: -1}},
+		{"negative batch size", Options{Method: MethodEBasic, BatchSize: -1}},
 		{"unknown method", Options{Method: Method(42)}},
 		{"unknown strategy", Options{Method: MethodOSharing, Strategy: Strategy(9)}},
 	}

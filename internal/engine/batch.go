@@ -5,15 +5,14 @@ import (
 	"fmt"
 )
 
-// This file is the vectorized batch pipeline, the batch-at-a-time counterpart
-// of the RowSource pipeline in source.go.  Operators exchange ~1024-row
-// batches — a window of row tuples plus a selection vector — instead of one
-// tuple per interface call, so the hot per-row work (predicate comparisons,
-// key hashing, column gathers) runs in tight loops with no per-row dispatch.
-// Output tuples are carved from the same flat value arenas as the tuple
-// pipeline, and every operator records the same logical statistics and
-// produces rows in the same order, so results are bit-identical to both the
-// RowSource pipeline and the naive reference at any batch size.
+// This file is the vectorized batch pipeline, the engine's one streaming
+// executor.  Operators exchange ~1024-row batches — a window of row tuples
+// plus a selection vector — instead of one tuple per interface call, so the
+// hot per-row work (predicate comparisons, key hashing, column gathers) runs
+// in tight loops with no per-row dispatch.  Output tuples are carved from the
+// same flat value arenas as the materialized operators', and every operator
+// records the same logical statistics and produces rows in the same order, so
+// results are bit-identical to the naive reference at any batch size.
 
 // DefaultBatchSize is the number of rows per vector batch when the executor
 // does not override it.  Large enough to amortize per-batch bookkeeping to
@@ -77,9 +76,9 @@ func MaterializeBatches(src BatchSource) (*Relation, error) {
 
 // batchScan windows a materialized row list into batches — the leaf of every
 // batch pipeline, serving both base-relation scans (record=true, one "scan"
-// recorded at exhaustion, exactly like scanSource) and already-materialized
-// inputs (record=false, like matSource).  Row windows alias the backing
-// slice; nothing is copied.
+// recorded at exhaustion) and already-materialized inputs (record=false,
+// which record nothing).  Row windows alias the backing slice; nothing is
+// copied.
 type batchScan struct {
 	ctx    context.Context
 	name   string
@@ -173,6 +172,125 @@ func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 		s.outb = Batch{Rows: b.Rows, Sel: sel}
 		return &s.outb, true, nil
 	}
+}
+
+// indexLevel is one selection of the constant-filter stack an index scan
+// serves, with its rows-in/rows-out accounting.
+type indexLevel struct {
+	full     vecPredicate // the level's whole predicate, for the scan+filter fallback
+	residual vecPredicate // what the probe leaves to evaluate; nil when it answers the level exactly
+	in, out  int
+}
+
+// batchIndexScan serves a stack of constant selections directly above a base
+// relation scan from the shared per-column hash index: instead of streaming
+// every base row through the filters, it probes the index once for the rows
+// whose probe column equals the constant and emits them size matches at a
+// time as selections over the base rows, compacted through each level's
+// residual.  Matches are in base row order, so the output is bit-identical to
+// the scan+filter pipeline it replaces, and one "select" is recorded per level
+// with the same row counts a filter chain fed the matches would record.  When
+// the column's content makes the constant unanswerable from the index
+// (mixed-kind columns whose Compare-equality is wider than hash equality), it
+// runs exactly that pipeline instead.
+type batchIndexScan struct {
+	ctx   context.Context
+	cache *IndexCache
+	base  *Relation
+	alias string
+	cols  []string
+	size  int
+	stats *Stats
+
+	probeCol int
+	probeVal Value
+	levels   []indexLevel
+
+	started  bool
+	fallback BatchSource
+	rows     []Tuple
+	matches  []int32 // private to this scan: compacted in place, chunk by chunk
+	mi       int
+	nbat     int
+	done     bool
+	outb     Batch
+}
+
+func (s *batchIndexScan) Name() string      { return s.alias }
+func (s *batchIndexScan) Columns() []string { return s.cols }
+
+func (s *batchIndexScan) start() error {
+	idx, err := s.cache.columnIndex(s.ctx, s.base, s.probeCol, s.stats)
+	if err != nil {
+		return err
+	}
+	probes, ok := probeValuesForEq(s.probeVal, idx.kinds, idx.hasNaN)
+	if !ok {
+		// The probe set cannot cover the predicate on this column's content:
+		// run the pipeline the compiler would have built without an index.
+		src := BatchSource(&batchScan{
+			ctx: s.ctx, name: s.alias, cols: s.cols,
+			rows: s.base.Rows, size: s.size, stats: s.stats, record: true,
+		})
+		for i := range s.levels {
+			src = &batchFilter{ctx: s.ctx, src: src, pred: s.levels[i].full, stats: s.stats}
+		}
+		s.fallback = src
+		return nil
+	}
+	s.stats.recordIndexLookup()
+	s.matches, _, err = idx.probeMatches(s.ctx, probes)
+	s.rows = idx.rows
+	return err
+}
+
+func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
+	if !s.started {
+		s.started = true
+		if err := s.start(); err != nil {
+			return nil, false, err
+		}
+	}
+	if s.fallback != nil {
+		return s.fallback.NextBatch()
+	}
+	for s.mi < len(s.matches) {
+		if err := canceled(s.ctx); err != nil {
+			return nil, false, err
+		}
+		hi := s.mi + s.size
+		if hi > len(s.matches) {
+			hi = len(s.matches)
+		}
+		sel := s.matches[s.mi:hi:hi]
+		s.mi = hi
+		for i := range s.levels {
+			l := &s.levels[i]
+			l.in += len(sel)
+			if l.residual != nil && len(sel) > 0 {
+				kept, err := l.residual.filterSel(s.rows, sel, sel[:0])
+				if err != nil {
+					return nil, false, err
+				}
+				sel = kept
+			}
+			l.out += len(sel)
+		}
+		if len(sel) == 0 {
+			continue // every match of this chunk was filtered out
+		}
+		s.nbat++
+		s.outb = Batch{Rows: s.rows, Sel: sel}
+		return &s.outb, true, nil
+	}
+	if !s.done {
+		s.done = true
+		for i := range s.levels {
+			s.stats.record(OpKindSelect, s.levels[i].in, s.levels[i].out)
+		}
+		s.stats.recordBatches(s.nbat)
+	}
+	return nil, false, nil
 }
 
 // batchProject gathers the projected columns of each batch into fresh tuples
@@ -415,7 +533,7 @@ func drainBatches(src BatchSource, rows *[]Tuple) error {
 // built partitioned across the worker pool when the build side is large
 // enough — and left batches probe it with their key hashes precomputed in one
 // tight loop per batch.  Chains preserve build-row order, so output order is
-// identical to the tuple pipeline's.
+// identical to the materialized hash join's.
 type batchJoin struct {
 	ctx         context.Context
 	left, right BatchSource
@@ -532,10 +650,37 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 	return &s.outb, true, nil
 }
 
+// selectLevel is one bound selection of the constant-filter stack on the build
+// side of an index-served join, with its rows-in/rows-out accounting.
+type selectLevel struct {
+	pred    boundPredicate
+	in, out int
+}
+
+// evalLevels runs the row through the levels bottom-to-top, counting per-level
+// input and output rows exactly as a chain of filters would.
+func evalLevels(levels []selectLevel, row Tuple) (bool, error) {
+	for i := range levels {
+		l := &levels[i]
+		l.in++
+		ok, err := l.pred.eval(row)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return false, nil
+		}
+		l.out++
+	}
+	return true, nil
+}
+
 // batchSharedJoin is batchJoin with the instance's shared per-column index as
 // the build table: the build side is a bare or constant-filtered base scan,
-// its filters evaluated per probed candidate (the levels), exactly like
-// sharedJoinSource — one shared build instead of one per query.
+// its filters evaluated per probed candidate (the levels) — h reformulated
+// queries probing the same join pay one shared build instead of h.  Chain
+// order is base row order, so the joined output is bit-identical to the
+// drain-and-build join it replaces.
 type batchSharedJoin struct {
 	ctx    context.Context
 	cache  *IndexCache
@@ -634,7 +779,11 @@ func (s *batchSharedJoin) NextBatch() (*Batch, bool, error) {
 				if len(out) == 0 {
 					if !s.done {
 						s.done = true
-						recordLevels(s.levels, s.stats)
+						// One executed selection per level, as the scan+filter
+						// build side the index replaced would have recorded.
+						for i := range s.levels {
+							s.stats.record(OpKindSelect, s.levels[i].in, s.levels[i].out)
+						}
 						// The build side was never read: only probe rows count.
 						s.stats.record(OpKindJoin, s.leftIn, s.out)
 						s.stats.recordBatches(s.nbat)
@@ -800,94 +949,4 @@ func (s *batchAgg) NextBatch() (*Batch, bool, error) {
 	s.stats.record(OpKindAggregate, s.acc.n, 1)
 	s.outb = Batch{Rows: []Tuple{s.acc.result()}}
 	return &s.outb, true, nil
-}
-
-// rowsToBatches adapts a RowSource into the batch pipeline — the retained
-// incremental-migration path.  Index-served sources (indexScanSource) stay
-// row-at-a-time behind this adapter; the wrapped source records its own
-// operator statistics.
-type rowsToBatches struct {
-	src   RowSource
-	size  int
-	stats *Stats
-
-	buf  []Tuple
-	nbat int
-	done bool
-	outb Batch
-}
-
-func (s *rowsToBatches) Name() string      { return s.src.Name() }
-func (s *rowsToBatches) Columns() []string { return s.src.Columns() }
-
-func (s *rowsToBatches) NextBatch() (*Batch, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	if s.buf == nil {
-		s.buf = make([]Tuple, 0, s.size)
-	}
-	buf := s.buf[:0]
-	for len(buf) < s.size {
-		row, ok, err := s.src.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			s.done = true
-			break
-		}
-		buf = append(buf, row)
-	}
-	s.buf = buf
-	if len(buf) == 0 {
-		s.stats.recordBatches(s.nbat)
-		return nil, false, nil
-	}
-	s.nbat++
-	if s.done {
-		// Exhausted mid-batch: the final recordBatches must still happen.
-		s.stats.recordBatches(s.nbat)
-		s.nbat = 0
-	}
-	s.outb = Batch{Rows: buf}
-	return &s.outb, true, nil
-}
-
-// batchesToRows adapts a BatchSource into a RowSource for consumers that still
-// iterate row at a time (tests, external integrations).  Row headers are
-// served straight from the current batch, which stays valid until the next
-// batch is pulled.
-type batchesToRows struct {
-	src BatchSource
-
-	b    *Batch
-	i    int // dense position within b
-	done bool
-}
-
-func (s *batchesToRows) Name() string      { return s.src.Name() }
-func (s *batchesToRows) Columns() []string { return s.src.Columns() }
-
-func (s *batchesToRows) Next() (Tuple, bool, error) {
-	for {
-		if s.b != nil && s.i < s.b.NumRows() {
-			row := liveRow(s.b, s.i)
-			s.i++
-			return row, true, nil
-		}
-		if s.done {
-			return nil, false, nil
-		}
-		b, ok, err := s.src.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			s.done = true
-			s.b = nil
-			return nil, false, nil
-		}
-		s.b, s.i = b, 0
-	}
 }

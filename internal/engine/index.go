@@ -99,6 +99,15 @@ func (x *hashIndex) grow() {
 	x.heads, x.mask = heads, mask
 }
 
+// canceledEvery reports the context error on the first call and then once per
+// checkInterval calls, keeping cancellation prompt at negligible per-row cost.
+func canceledEvery(ctx context.Context, n int) error {
+	if n%checkInterval == 0 {
+		return canceled(ctx)
+	}
+	return nil
+}
+
 // buildColumnHashIndex builds a hash index over the rows keyed by the given
 // column, recording the column's kind mask as it hashes.  The rows slice is
 // shared, not copied.

@@ -121,34 +121,51 @@ func randIndexedPlan(rng *rand.Rand) Plan {
 // TestIndexedExecutorMatchesNaive drives randomized index-shaped plans through
 // the index-aware executor and requires results bit-identical to the naive
 // reference: same rows, same order, same columns.  (Statistics legitimately
-// differ — fewer scans — so only relations are compared.)
+// differ — fewer scans — so only relations are compared.)  Batch sizes 1 and 7
+// make index-served selections cross batch boundaries over these ≤50-row
+// relations, and randValue's mixed-kind columns must drive both the probed
+// path and the scan+filter fallback a column's content forces at runtime.
 func TestIndexedExecutorMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
+	probed, fellBack := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		db := NewInstance("D")
 		db.AddRelation(randRelation(rng, "L", []string{"a", "b", "c"}, rng.Intn(50)))
 		db.AddRelation(randRelation(rng, "R", []string{"x", "y"}, rng.Intn(40)))
 		plan := randIndexedPlan(rng)
-		label := fmt.Sprintf("trial %d plan %s", trial, plan.Signature())
 
 		want, err1 := NaiveExecute(bgCtx, db, plan, NewStats())
-		ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes()}
-		got, err2 := ex.ExecuteContext(bgCtx, plan)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s: naive err=%v, indexed err=%v", label, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		requireSameRelation(t, label, want, got)
+		for _, bs := range []int{0, 1, 7} {
+			label := fmt.Sprintf("trial %d batch %d plan %s", trial, bs, plan.Signature())
+			ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Batch: bs}
+			got, err2 := ex.ExecuteContext(bgCtx, plan)
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("%s: naive err=%v, indexed err=%v", label, err1, err2)
+			}
+			if err1 != nil {
+				continue
+			}
+			requireSameRelation(t, label, want, got)
+			if _, _, ok := constFilterStack(plan); ok {
+				// A bare constant-selection stack: the only index use is the scan.
+				if ex.Stats.IndexLookups() > 0 {
+					probed++
+				} else if ex.Stats.Count(OpKindScan) > 0 {
+					fellBack++
+				}
+			}
 
-		// The cached (materialized, MQO-style) executor must agree too.
-		exc := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Cache: NewPlanCache()}
-		gotc, err3 := exc.ExecuteContext(bgCtx, plan)
-		if err3 != nil {
-			t.Fatalf("%s: cached indexed executor: %v", label, err3)
+			// The cached (materialized, MQO-style) executor must agree too.
+			exc := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Cache: NewPlanCache(), Batch: bs}
+			gotc, err3 := exc.ExecuteContext(bgCtx, plan)
+			if err3 != nil {
+				t.Fatalf("%s: cached indexed executor: %v", label, err3)
+			}
+			requireSameRelation(t, label+" (cached)", want, gotc)
 		}
-		requireSameRelation(t, label+" (cached)", want, gotc)
+	}
+	if probed == 0 || fellBack == 0 {
+		t.Fatalf("index-served selections: %d probed, %d fell back to scan+filter; want both paths exercised", probed, fellBack)
 	}
 }
 

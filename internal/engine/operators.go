@@ -24,14 +24,60 @@ func canceled(ctx context.Context) error {
 	}
 }
 
+// arenaChunkValues is the flat allocation unit for output tuples: operators
+// that build new tuples (project, product, join), materialized or batch, carve
+// them out of []Value chunks of this size instead of calling make once per row.
+const arenaChunkValues = 8192
+
+// valueArena bulk-allocates tuples from flat []Value chunks.
+type valueArena struct {
+	buf []Value
+}
+
+// tuple returns a zero-length-capped slice of n fresh values.
+func (a *valueArena) tuple(n int) Tuple {
+	if n == 0 {
+		return Tuple{}
+	}
+	if len(a.buf) < n {
+		c := arenaChunkValues
+		if c < n {
+			c = n
+		}
+		a.buf = make([]Value, c)
+	}
+	t := Tuple(a.buf[:n:n])
+	a.buf = a.buf[n:]
+	return t
+}
+
+// concat appends lr and rr into one arena-backed tuple.
+func (a *valueArena) concat(lr, rr Tuple) Tuple {
+	t := a.tuple(len(lr) + len(rr))
+	copy(t, lr)
+	copy(t[len(lr):], rr)
+	return t
+}
+
+// reserve sizes the arena's current chunk for at least n more values when the
+// caller can estimate its total output up front: an exact estimate means one
+// slab and no partially used chunk left behind as dead weight.
+func (a *valueArena) reserve(n int) {
+	if len(a.buf) < n {
+		a.buf = make([]Value, n)
+	}
+}
+
 // The functions below are the materialized operator API: each consumes
 // materialized relations and produces a materialized relation, recording one
-// operator execution.  The o-sharing evaluator uses them directly — its
-// fragments must stay materialized so partially executed state can be shared
-// across e-units — while the plan executor streams through the RowSource
-// pipeline in source.go instead.  Both paths share the same hashing, predicate
-// binding and tuple-arena machinery, and produce identical results and
-// statistics.
+// operator execution.  They are the engine's deliberate second execution mode,
+// for callers that need every intermediate to exist: the o-sharing evaluator
+// uses them directly — its fragments must stay materialized so partially
+// executed state can be shared across e-units — and cached (MQO) executors
+// run plans through them node by node.  Uncached plans stream through the
+// batch pipeline in batch.go instead.  Both modes share the same hashing,
+// vectorized predicate, aggregate and tuple-arena machinery, and produce
+// identical results and statistics.
 
 // Select returns the rows of rel satisfying the predicate.  The predicate is
 // bound once — column references resolve to positions before the scan — so
@@ -442,6 +488,181 @@ func (f AggFunc) String() string {
 		return "MAX"
 	default:
 		return fmt.Sprintf("AggFunc(%d)", int(f))
+	}
+}
+
+// validAggFunc rejects aggregate functions outside the supported set.
+func validAggFunc(fn AggFunc) error {
+	switch fn {
+	case AggCount, AggSum, AggAvg, AggMin, AggMax:
+		return nil
+	default:
+		return fmt.Errorf("aggregate: unsupported function %v", fn)
+	}
+}
+
+// aggOutputColumn names the single result column of an aggregate.
+func aggOutputColumn(fn AggFunc, column string) string {
+	if column != "" {
+		return fn.String() + "(" + column + ")"
+	}
+	return fn.String()
+}
+
+// aggAccumulator folds rows into a single aggregate value.  Both the
+// materialized Aggregate and the batch pipeline's batchAgg drive it, so the
+// COUNT/SUM/AVG/MIN/MAX semantics — accumulation order, error strings, the
+// NULL-on-empty rules — exist exactly once.
+type aggAccumulator struct {
+	fn     AggFunc
+	idx    int    // value column position; -1 for COUNT
+	column string // display name, for error messages
+	n      int
+	sum    float64
+	numIn  int
+	best   Value
+}
+
+// addAll folds a materialized row slice in row order with per-function loops,
+// so no row pays a dispatch on the aggregate function.  The materialized
+// Aggregate and the batch pipeline's full batches drive it.  The hot loops
+// accumulate into locals, read values through a pointer and run in
+// checkInterval blocks so the inner loop carries no per-row cancellation
+// arithmetic: a per-row field store, a 48-byte Value copy or a modulo per row
+// are all measurable at scan speed.
+func (a *aggAccumulator) addAll(ctx context.Context, rows []Tuple) error {
+	switch a.fn {
+	case AggCount:
+		a.n += len(rows)
+	case AggSum, AggAvg:
+		idx := a.idx
+		sum := a.sum
+		for lo := 0; lo < len(rows); lo += checkInterval {
+			if lo > 0 {
+				if err := canceled(ctx); err != nil {
+					a.sum = sum
+					return err
+				}
+			}
+			hi := lo + checkInterval
+			if hi > len(rows) {
+				hi = len(rows)
+			}
+			for i := lo; i < hi; i++ {
+				v := &rows[i][idx]
+				switch v.Kind {
+				case KindFloat:
+					sum += v.Float
+				case KindInt:
+					sum += float64(v.Int)
+				default:
+					f, ok := v.AsFloat()
+					if !ok {
+						a.sum = sum
+						a.n += i + 1
+						return fmt.Errorf("aggregate %s: non-numeric value %v in column %q", a.fn, *v, a.column)
+					}
+					sum += f
+				}
+			}
+		}
+		a.sum = sum
+		a.n += len(rows)
+		a.numIn += len(rows)
+	case AggMin, AggMax:
+		idx := a.idx
+		for lo := 0; lo < len(rows); lo += checkInterval {
+			if lo > 0 {
+				if err := canceled(ctx); err != nil {
+					return err
+				}
+			}
+			hi := lo + checkInterval
+			if hi > len(rows) {
+				hi = len(rows)
+			}
+			for i := lo; i < hi; i++ {
+				v := rows[i][idx]
+				if a.n == 0 && i == 0 {
+					a.best = v
+				} else if cmp := v.Compare(a.best); (a.fn == AggMin && cmp < 0) || (a.fn == AggMax && cmp > 0) {
+					a.best = v
+				}
+			}
+		}
+		a.n += len(rows)
+	}
+	return nil
+}
+
+// addSel folds the live rows of one batch: the selection vector indexes into
+// rows exactly as the batch operators produced it, so accumulation order —
+// and therefore float summation — is identical to feeding the selected rows
+// one at a time.  A nil selection is the full batch (addAll).  Selection
+// vectors are bounded by the batch size, so the caller's per-batch
+// cancellation check keeps the selected path prompt; the full-batch path
+// re-checks per block in case the configured batch size is huge.
+func (a *aggAccumulator) addSel(ctx context.Context, rows []Tuple, sel []int32) error {
+	if sel == nil {
+		return a.addAll(ctx, rows)
+	}
+	switch a.fn {
+	case AggCount:
+		a.n += len(sel)
+	case AggSum, AggAvg:
+		idx := a.idx
+		sum := a.sum
+		for k, i := range sel {
+			v := &rows[i][idx]
+			switch v.Kind {
+			case KindFloat:
+				sum += v.Float
+			case KindInt:
+				sum += float64(v.Int)
+			default:
+				f, ok := v.AsFloat()
+				if !ok {
+					a.sum = sum
+					a.n += k + 1
+					return fmt.Errorf("aggregate %s: non-numeric value %v in column %q", a.fn, *v, a.column)
+				}
+				sum += f
+			}
+		}
+		a.sum = sum
+		a.n += len(sel)
+		a.numIn += len(sel)
+	case AggMin, AggMax:
+		idx := a.idx
+		for k, i := range sel {
+			v := rows[i][idx]
+			if a.n == 0 && k == 0 {
+				a.best = v
+			} else if cmp := v.Compare(a.best); (a.fn == AggMin && cmp < 0) || (a.fn == AggMax && cmp > 0) {
+				a.best = v
+			}
+		}
+		a.n += len(sel)
+	}
+	return nil
+}
+
+func (a *aggAccumulator) result() Tuple {
+	switch a.fn {
+	case AggCount:
+		return Tuple{I(int64(a.n))}
+	case AggSum:
+		return Tuple{F(a.sum)}
+	case AggAvg:
+		if a.numIn == 0 {
+			return Tuple{Null()}
+		}
+		return Tuple{F(a.sum / float64(a.numIn))}
+	default: // AggMin, AggMax
+		if a.n == 0 {
+			return Tuple{Null()}
+		}
+		return Tuple{a.best}
 	}
 }
 

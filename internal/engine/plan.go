@@ -174,11 +174,10 @@ type Executor struct {
 	// the build side is a bare or constant-filtered scan.  Answers are
 	// bit-identical with or without it.  nil disables index use.
 	Indexes *IndexCache
-	// Batch selects the execution pipeline for uncached plans: 0 runs the
-	// vectorized batch pipeline at DefaultBatchSize, a positive value runs it
-	// at that many rows per batch, and a negative value falls back to the
-	// tuple-at-a-time RowSource pipeline.  Purely a physical knob — answers
-	// and logical operator statistics are identical across all settings.
+	// Batch is the batch pipeline's rows per batch; zero (or any non-positive
+	// value) means DefaultBatchSize.  Purely a physical knob — answers and
+	// logical operator statistics are identical at every size, which is what
+	// the property tests use it for: tiny sizes straddle every batch boundary.
 	Batch int
 	// Workers caps the parallelism of partitioned hash-join builds in the
 	// batch pipeline.  Values below 2 (including 0, the default) build
@@ -212,14 +211,14 @@ func (e *Executor) Execute(p Plan) (*Relation, error) {
 // periodically and the execution stops promptly with the context's error once
 // it is cancelled or its deadline passes.
 //
-// Without a cache the plan is compiled into a streaming pipeline — the
-// vectorized batch pipeline by default (see Batch), or the tuple-at-a-time
-// RowSource pipeline when Batch is negative.  Either way, scan→select→project
-// chains are fused and produce no intermediate Relations; only pipeline
-// breakers (join build side, product inner side, distinct, aggregate) buffer
-// rows, and the root materializes the result.  With a cache every node still
-// materializes — the MQO substrate shares results per sub-plan signature,
-// which requires each signature's Relation to exist.
+// There are exactly two modes, chosen by whether the executor has a Cache.
+// Without one the plan is compiled into the vectorized batch pipeline:
+// scan→select→project chains are fused and produce no intermediate Relations;
+// only pipeline breakers (join build side, product inner side, distinct,
+// aggregate) buffer rows, and the root materializes the result.  With a cache
+// every node materializes through the operator API — the MQO substrate shares
+// results per sub-plan signature, which requires each signature's Relation to
+// exist.
 func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("execute: nil plan")
@@ -236,13 +235,6 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 		}
 		return n.Rel, nil
 	}
-	if e.Batch < 0 {
-		src, err := e.compile(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		return Materialize(src)
-	}
 	if n, ok := p.(*ProjectPlan); ok {
 		// Root projection — the shape every reformulated query ends in —
 		// materializes fused: the child pipeline is drained to row headers and
@@ -250,7 +242,7 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 		// carving per-batch tuples that the root would copy again.
 		return e.executeBatchProjectRoot(ctx, n)
 	}
-	src, err := e.compileBatch(ctx, p)
+	src, err := e.compile(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +254,7 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 // resolution, error messages and recorded statistics are identical to the
 // batchProject operator's.
 func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) (*Relation, error) {
-	child, err := e.compileBatch(ctx, n.Child)
+	child, err := e.compile(ctx, n.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +307,8 @@ func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) 
 	return out, nil
 }
 
-// batchSize resolves the executor's configured batch size.
+// batchSize resolves the executor's configured batch size: any non-positive
+// value is the default.
 func (e *Executor) batchSize() int {
 	if e.Batch > 0 {
 		return e.Batch
@@ -323,122 +316,9 @@ func (e *Executor) batchSize() int {
 	return DefaultBatchSize
 }
 
-// compile lowers a plan node into a streaming row source.  Column references
-// are resolved once here, so the per-row path does no name lookups.
-func (e *Executor) compile(ctx context.Context, p Plan) (RowSource, error) {
-	switch n := p.(type) {
-	case *ScanPlan:
-		base := e.DB.Relation(n.Relation)
-		if base == nil {
-			return nil, fmt.Errorf("scan: unknown relation %q", n.Relation)
-		}
-		alias := n.Alias
-		if alias == "" {
-			alias = n.Relation
-		}
-		return newScanSource(ctx, base, alias, e.Stats), nil
-	case *MaterialPlan:
-		if n.Rel == nil {
-			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
-		}
-		return newMatSource(ctx, n.Rel.Name, n.Rel.Columns, n.Rel.Rows), nil
-	case *SelectPlan:
-		if e.Indexes != nil {
-			src, ok, err := e.compileIndexedSelect(ctx, n)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return src, nil
-			}
-		}
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		cols := child.Columns()
-		bp, err := bindPredicate(n.Pred, func(name string) int { return lookupColumn(cols, name) }, cols)
-		if err != nil {
-			return nil, err
-		}
-		return &filterSource{ctx: ctx, src: child, pred: bp, stats: e.Stats}, nil
-	case *ProjectPlan:
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		cols := child.Columns()
-		idx := make([]int, len(n.Columns))
-		outCols := make([]string, len(n.Columns))
-		for i, c := range n.Columns {
-			j := lookupColumn(cols, c)
-			if j < 0 {
-				return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
-			}
-			idx[i] = j
-			outCols[i] = cols[j]
-		}
-		return &projectSource{ctx: ctx, src: child, name: child.Name(), cols: outCols, idx: idx, stats: e.Stats}, nil
-	case *ProductPlan:
-		left, err := e.compile(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.compile(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		return newProductSource(ctx, left, right, e.Stats), nil
-	case *JoinPlan:
-		left, err := e.compile(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		if e.Indexes != nil {
-			src, ok, err := e.compileSharedJoin(ctx, n, left)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return src, nil
-			}
-		}
-		right, err := e.compile(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		li := lookupColumn(left.Columns(), n.LeftCol)
-		if li < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.LeftCol, left.Columns())
-		}
-		ri := lookupColumn(right.Columns(), n.RightCol)
-		if ri < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.RightCol, right.Columns())
-		}
-		return newJoinSource(ctx, left, right, li, ri, e.Stats), nil
-	case *AggregatePlan:
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return newAggSource(ctx, child, n.Func, n.Column, e.Stats)
-	case *DistinctPlan:
-		child, err := e.compile(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return newDistinctSource(ctx, child, e.Stats), nil
-	default:
-		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
-	}
-}
-
-// compileBatch lowers a plan node into the vectorized batch pipeline.  It
-// mirrors compile node for node — same column resolution order, same error
-// messages, same index-serving decisions — so the two pipelines accept exactly
-// the same plans and produce bit-identical results and operator statistics.
-// Index-served selections stay row-at-a-time behind the rowsToBatches adapter.
-func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error) {
+// compile lowers a plan node into the vectorized batch pipeline.  Column
+// references are resolved once here, so the per-row path does no name lookups.
+func (e *Executor) compile(ctx context.Context, p Plan) (BatchSource, error) {
 	switch n := p.(type) {
 	case *ScanPlan:
 		base := e.DB.Relation(n.Relation)
@@ -468,10 +348,10 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 				return nil, err
 			}
 			if ok {
-				return &rowsToBatches{src: src, size: e.batchSize(), stats: e.Stats}, nil
+				return src, nil
 			}
 		}
-		child, err := e.compileBatch(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -482,7 +362,7 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		}
 		return &batchFilter{ctx: ctx, src: child, pred: vp, stats: e.Stats}, nil
 	case *ProjectPlan:
-		child, err := e.compileBatch(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -499,11 +379,11 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 		}
 		return &batchProject{ctx: ctx, src: child, name: child.Name(), cols: outCols, idx: idx, stats: e.Stats}, nil
 	case *ProductPlan:
-		left, err := e.compileBatch(ctx, n.Left)
+		left, err := e.compile(ctx, n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.compileBatch(ctx, n.Right)
+		right, err := e.compile(ctx, n.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -516,12 +396,12 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 			size: e.batchSize(), stats: e.Stats,
 		}, nil
 	case *JoinPlan:
-		left, err := e.compileBatch(ctx, n.Left)
+		left, err := e.compile(ctx, n.Left)
 		if err != nil {
 			return nil, err
 		}
 		if e.Indexes != nil {
-			src, ok, err := e.compileBatchSharedJoin(ctx, n, left)
+			src, ok, err := e.compileSharedJoin(ctx, n, left)
 			if err != nil {
 				return nil, err
 			}
@@ -529,7 +409,7 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 				return src, nil
 			}
 		}
-		right, err := e.compileBatch(ctx, n.Right)
+		right, err := e.compile(ctx, n.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -550,13 +430,13 @@ func (e *Executor) compileBatch(ctx context.Context, p Plan) (BatchSource, error
 			size: e.batchSize(), workers: e.Workers, stats: e.Stats,
 		}, nil
 	case *AggregatePlan:
-		child, err := e.compileBatch(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
 		return newBatchAgg(ctx, child, n.Func, n.Column, e.Stats)
 	case *DistinctPlan:
-		child, err := e.compileBatch(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -661,7 +541,7 @@ func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, 
 }
 
 // qualifiedScanColumns returns the alias-qualified output columns of a scan,
-// exactly as newScanSource and QualifyColumns name them.
+// exactly as QualifyColumns names them.
 func qualifiedScanColumns(base *Relation, alias string) []string {
 	cols := make([]string, len(base.Columns))
 	for i, c := range base.Columns {
@@ -698,11 +578,11 @@ func constFilterStack(p Plan) (*ScanPlan, []Predicate, bool) {
 // compileIndexedSelect lowers a stack of constant selections directly above a
 // scan into an index probe: the bottom-most constant equality whose column
 // resolves becomes the probe, and every other comparison is evaluated as a
-// residual per matched row.  ok=false hands the plan back to the plain
+// residual over the matched rows.  ok=false hands the plan back to the plain
 // compiler (wrong shape, or no equality to probe with).  Whether the probe is
 // actually answerable from the index depends on the column's content and is
 // decided when the source starts; if not, it runs the plain pipeline itself.
-func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (RowSource, bool, error) {
+func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (BatchSource, bool, error) {
 	scan, stack, ok := constFilterStack(top)
 	if !ok {
 		return nil, false, nil
@@ -741,54 +621,42 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (R
 		return nil, false, nil
 	}
 
-	levels := make([]selectLevel, len(stack))
-	fulls := make([]boundPredicate, len(stack))
+	levels := make([]indexLevel, len(stack))
 	var probeVal Value
 	for li, pred := range stack {
-		full, err := bindPredicate(pred, resolve, cols)
+		full, err := compileVecPredicate(pred, resolve, cols)
 		if err != nil {
 			return nil, false, err
 		}
-		fulls[li] = full
-		residual := pred
-		if li == probeLevel {
-			consts, _ := constPreds(pred)
-			probeVal = consts[probeAt].Value
-			residual = residualConsts(consts, probeAt)
+		levels[li] = indexLevel{full: full, residual: full}
+		if li != probeLevel {
+			continue
 		}
-		if residual != nil {
-			bp, err := bindPredicate(residual, resolve, cols)
-			if err != nil {
+		// The probe answers its equality exactly; what remains of the level is
+		// a sub-conjunction of a predicate that just compiled.
+		consts, _ := constPreds(pred)
+		probeVal = consts[probeAt].Value
+		levels[li].residual = nil
+		if rest := residualConsts(consts, probeAt); rest != nil {
+			if levels[li].residual, err = compileVecPredicate(rest, resolve, cols); err != nil {
 				return nil, false, err
 			}
-			levels[li].residual = bp
 		}
 	}
-	return &indexScanSource{
+	return &batchIndexScan{
 		ctx: ctx, cache: e.Indexes, base: base, alias: alias, cols: cols,
-		stats: e.Stats, probeCol: probeCol, probeVal: probeVal,
-		levels: levels, fulls: fulls,
+		size: e.batchSize(), stats: e.Stats, probeCol: probeCol, probeVal: probeVal,
+		levels: levels,
 	}, true, nil
 }
 
-// sharedJoinParts is the bound shape of an index-served equi-join, shared by
-// the row and batch compilers.  The levels are freshly constructed per bind —
-// they carry per-execution row counts and must never be shared between
-// pipelines.
-type sharedJoinParts struct {
-	base   *Relation
-	alias  string
-	levels []selectLevel
-	li, ri int
-	cols   []string
-}
-
-// bindSharedJoin recognizes an equi-join whose build (right) side is a bare or
-// constant-filtered scan of a base relation and binds everything an
-// index-served join needs: the build-side constant filters as per-candidate
-// levels, the key column positions, and the joined column layout.  ok=false
-// hands the join back to the plain compiler.
-func (e *Executor) bindSharedJoin(n *JoinPlan, lcols []string) (*sharedJoinParts, bool, error) {
+// compileSharedJoin lowers an equi-join whose build (right) side is a bare or
+// constant-filtered scan of a base relation into a join over the shared
+// per-column index: the build table is the instance's index and the build-side
+// constant filters run per probed candidate, as levels.  The levels carry
+// per-execution row counts, so they are constructed fresh per compile.
+// ok=false hands the join back to the plain compiler.
+func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource) (BatchSource, bool, error) {
 	scan, stack, ok := constFilterStack(n.Right)
 	if !ok {
 		return nil, false, nil
@@ -801,14 +669,14 @@ func (e *Executor) bindSharedJoin(n *JoinPlan, lcols []string) (*sharedJoinParts
 	if alias == "" {
 		alias = scan.Relation
 	}
-	rcols := qualifiedScanColumns(base, alias)
+	lcols, rcols := left.Columns(), qualifiedScanColumns(base, alias)
 	levels := make([]selectLevel, len(stack))
 	for i, pred := range stack {
 		bp, err := bindPredicate(pred, func(name string) int { return lookupColumn(rcols, name) }, rcols)
 		if err != nil {
 			return nil, false, err
 		}
-		levels[i].residual = bp
+		levels[i].pred = bp
 	}
 	li := lookupColumn(lcols, n.LeftCol)
 	if li < 0 {
@@ -821,39 +689,14 @@ func (e *Executor) bindSharedJoin(n *JoinPlan, lcols []string) (*sharedJoinParts
 	cols := make([]string, 0, len(lcols)+len(rcols))
 	cols = append(cols, lcols...)
 	cols = append(cols, rcols...)
-	return &sharedJoinParts{base: base, alias: alias, levels: levels, li: li, ri: ri, cols: cols}, true, nil
-}
-
-// compileSharedJoin lowers an equi-join whose build (right) side is a bare or
-// constant-filtered scan of a base relation into a join over the shared
-// per-column index: the build table is the instance's index and the build-side
-// constant filters run per probed candidate.  ok=false hands the join back to
-// the plain compiler.
-func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left RowSource) (RowSource, bool, error) {
-	parts, ok, err := e.bindSharedJoin(n, left.Columns())
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	return &sharedJoinSource{
-		ctx: ctx, cache: e.Indexes, left: left, li: parts.li, base: parts.base, ri: parts.ri,
-		name: left.Name() + "⋈" + parts.alias, cols: parts.cols, stats: e.Stats, levels: parts.levels,
-	}, true, nil
-}
-
-// compileBatchSharedJoin is compileSharedJoin's batch-pipeline twin.
-func (e *Executor) compileBatchSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource) (BatchSource, bool, error) {
-	parts, ok, err := e.bindSharedJoin(n, left.Columns())
-	if !ok || err != nil {
-		return nil, false, err
-	}
 	return &batchSharedJoin{
-		ctx: ctx, cache: e.Indexes, left: left, li: parts.li, base: parts.base, ri: parts.ri,
-		name: left.Name() + "⋈" + parts.alias, cols: parts.cols, size: e.batchSize(),
-		stats: e.Stats, levels: parts.levels,
+		ctx: ctx, cache: e.Indexes, left: left, li: li, base: base, ri: ri,
+		name: left.Name() + "⋈" + alias, cols: cols, size: e.batchSize(),
+		stats: e.Stats, levels: levels,
 	}, true, nil
 }
 
-// indexedSelectRel is the materialized-path twin of compileIndexedSelect, used
+// indexedSelectRel is the materialized-mode counterpart of compileIndexedSelect, used
 // by cached (MQO) executors, which materialize per node: a constant selection
 // directly above a scan is served from the shared index without materializing
 // the scan.  served=false falls back to the plain node-by-node execution.

@@ -71,7 +71,7 @@ func NewStats() *Stats { return &Stats{} }
 
 // record counts one executed operator with its input/output row counts.
 // Selections additionally feed the selectivity counters, so every path that
-// records a logical selection — naive, tuple-at-a-time, batch, index-served —
+// records a logical selection — naive, materialized, batch, index-served —
 // contributes to the same average.
 func (s *Stats) record(op OpKind, in, out int) {
 	if s == nil {
@@ -153,7 +153,7 @@ func (s *Stats) IndexLookups() int {
 }
 
 // Batches returns the number of vector batches produced by batch-pipeline
-// operators.  Zero under the tuple-at-a-time fallback.
+// operators.  Zero when only the materialized operators ran.
 func (s *Stats) Batches() int {
 	if s == nil {
 		return 0

@@ -227,14 +227,12 @@ func randPlan(rng *rand.Rand) Plan {
 }
 
 // TestStreamingExecutorMatchesNaiveExecute compiles random plans through the
-// streaming pipeline — the vectorized batch pipeline at its default and at
-// adversarial batch sizes (1: every batch is a single row; 7: batches straddle
-// every operator boundary; 1024: one batch per small input), and the
-// tuple-at-a-time fallback (-1) — and requires results and statistics
-// identical to the retained materialize-per-operator executor at every
-// setting.
+// batch pipeline at its default and at adversarial batch sizes (1: every batch
+// is a single row; 7: batches straddle every operator boundary; 1024: one
+// batch per small input) and requires results and statistics identical to the
+// retained materialize-per-operator executor at every setting.
 func TestStreamingExecutorMatchesNaiveExecute(t *testing.T) {
-	batchSizes := []int{0, -1, 1, 7, 1024}
+	batchSizes := []int{0, 1, 7, 1024}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 80; trial++ {
 		db := NewInstance("D")
@@ -283,14 +281,29 @@ func TestPipelineCancellation(t *testing.T) {
 		},
 	}
 
-	// Batch 0 = default vectorized pipeline, -1 = tuple-at-a-time fallback,
-	// 64 = cancellation must surface between small batches.
-	for _, bs := range []int{0, -1, 64} {
+	// The index-served shape: the probe and the index build behind it must
+	// honour an expired context like any scan.
+	indexed := &SelectPlan{Pred: Eq("Big.v", I(7)), Child: &ScanPlan{Relation: "Big"}}
+
+	// Batch 0 = default batch size, 64 = cancellation must surface between
+	// small batches.
+	for _, bs := range []int{0, 64} {
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
 		ex := &Executor{DB: db, Stats: NewStats(), Batch: bs}
 		if _, err := ex.ExecuteContext(cancelled, plan); !errors.Is(err, context.Canceled) {
 			t.Fatalf("batch %d: pre-cancelled execute err = %v, want context.Canceled", bs, err)
+		}
+		ex = &Executor{DB: db, Stats: NewStats(), Batch: bs, Indexes: db.Indexes()}
+		if _, err := ex.ExecuteContext(cancelled, indexed); !errors.Is(err, context.Canceled) {
+			t.Fatalf("batch %d: pre-cancelled index scan err = %v, want context.Canceled", bs, err)
+		}
+		// ...and the aborted run must leave the index usable.
+		ex = &Executor{DB: db, Stats: NewStats(), Batch: bs, Indexes: db.Indexes()}
+		if got, err := ex.ExecuteContext(context.Background(), indexed); err != nil {
+			t.Fatalf("batch %d: index scan after a cancelled one: %v", bs, err)
+		} else if got.NumRows() != 1 || ex.Stats.IndexLookups() != 1 {
+			t.Fatalf("batch %d: index scan = %d rows from %d lookups, want 1 from 1", bs, got.NumRows(), ex.Stats.IndexLookups())
 		}
 
 		ctx, cancelDeadline := context.WithTimeout(context.Background(), 5*time.Millisecond)

@@ -30,8 +30,8 @@ type vecPredicate interface {
 
 // compileVecPredicate compiles the predicate into a vectorized kernel against
 // the column list.  It resolves columns in the same order and fails with the
-// same messages as bindPredicate, so the batch compiler and the tuple
-// compiler reject exactly the same plans.
+// same messages as bindPredicate, so a predicate is rejected identically
+// whether a plan binds it vectorized or row by row.
 func compileVecPredicate(p Predicate, resolve func(string) int, cols []string) (vecPredicate, error) {
 	switch n := p.(type) {
 	case *ConstPredicate:

@@ -75,7 +75,7 @@ func (c *Context) WithParallelism(parallelism int) *Context {
 
 // Batch returns the engine batch size the run's executors should use: 0 (the
 // default) selects the engine's own default, a positive value overrides the
-// rows-per-batch, and a negative value selects the tuple-at-a-time pipeline.
+// rows-per-batch.
 func (c *Context) Batch() int {
 	if c == nil {
 		return 0

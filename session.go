@@ -180,7 +180,7 @@ func NewSession(target *Schema, db *Instance, maps MappingSet, defaults ...Optio
 }
 
 // NewSession builds a session over the scenario's target schema, instance and
-// mappings — the session-API successor of Scenario.Evaluator.
+// mappings.
 func (s *Scenario) NewSession(defaults ...Option) (*Session, error) {
 	return NewSession(s.TargetSchema, s.DB, s.Matching.Mappings, defaults...)
 }

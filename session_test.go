@@ -3,7 +3,10 @@ package urm
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
+
+	"github.com/probdb/urm/internal/core"
 )
 
 // sessionFixture builds the running-example session through the public API.
@@ -22,11 +25,12 @@ func sessionFixture(t *testing.T) (*Session, MappingSet, *Instance) {
 	return sess, matching.Mappings, db
 }
 
-// TestSessionMatchesDeprecatedEvaluate pins the migration contract: the
-// session API returns answers bit-identical to the deprecated free functions,
-// for every method, with and without top-k.
-func TestSessionMatchesDeprecatedEvaluate(t *testing.T) {
+// TestSessionMatchesColdEvaluate pins the session contract: the session API
+// (prepare once, execute many) returns answers bit-identical to the cold
+// one-shot evaluator, for every method, with and without top-k.
+func TestSessionMatchesColdEvaluate(t *testing.T) {
 	sess, maps, db := sessionFixture(t)
+	cold := core.NewEvaluator(db, maps)
 	ctx := context.Background()
 	const text = "SELECT addr FROM Person WHERE phone = '123'"
 	q, err := ParseQuery("q0", sess.Target(), text)
@@ -39,9 +43,9 @@ func TestSessionMatchesDeprecatedEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{Basic, EBasic, EMQO, QSharing, OSharing} {
-		want, err := Evaluate(q, maps, db, Options{Method: method})
+		want, err := cold.Evaluate(q, core.Options{Method: method})
 		if err != nil {
-			t.Fatalf("%v deprecated: %v", method, err)
+			t.Fatalf("%v cold: %v", method, err)
 		}
 		got, err := pq.Execute(ctx, WithMethod(method))
 		if err != nil {
@@ -61,7 +65,7 @@ func TestSessionMatchesDeprecatedEvaluate(t *testing.T) {
 	}
 
 	// Top-k through options.
-	wantTop, err := EvaluateTopK(q, maps, db, 1, Options{})
+	wantTop, err := cold.EvaluateTopK(q, 1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +217,12 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := pq.Execute(cancelled); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled execute: err = %v, want context.Canceled", err)
 	}
+	if _, err := pq.Execute(cancelled, WithMethod(QSharing)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled q-sharing execute: err = %v, want context.Canceled", err)
+	}
+	if _, err := pq.Execute(cancelled, WithTopK(1)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled top-k execute: err = %v, want context.Canceled", err)
+	}
 }
 
 // TestSessionWithShards pins the facade sharding contract: executing with
@@ -325,7 +335,7 @@ func TestScenarioNewSession(t *testing.T) {
 	for _, a := range res.Answers {
 		mass += a.Prob
 	}
-	if mass <= 0 || mass > 1+1e-6 {
-		t.Errorf("probability mass = %g", mass)
+	if math.Abs(mass-1) > 1e-6 {
+		t.Errorf("probability mass = %g, want 1", mass)
 	}
 }

@@ -66,10 +66,6 @@
 // setting.  Execute and Stream take a context.Context whose cancellation or
 // deadline aborts the evaluation promptly.
 //
-// The pre-session entry points (NewEvaluator, Evaluate, EvaluateContext,
-// EvaluateTopK, EvaluateTopKContext) remain as deprecated wrappers for one
-// release; see the README migration table.
-//
 // See the examples directory for complete programs and DESIGN.md for the
 // layer map (schema → match → query → engine → core) and where the evaluation
 // runtime sits.
@@ -135,10 +131,6 @@ type (
 	Method = core.Method
 	// Strategy selects an o-sharing operator-selection strategy.
 	Strategy = core.Strategy
-	// Options tunes evaluation.
-	Options = core.Options
-	// Evaluator evaluates probabilistic queries.
-	Evaluator = core.Evaluator
 )
 
 // Evaluation methods (Section III-B, IV and V of the paper).
@@ -239,49 +231,6 @@ func ParseQuery(name string, target *Schema, text string) (*Query, error) {
 	return query.Parse(name, target, text)
 }
 
-// NewEvaluator builds an evaluator over a source instance and a mapping set.
-//
-// Deprecated: use NewSession, which additionally owns the prepared-query
-// cache so repeated queries skip reformulation and plan compilation.
-func NewEvaluator(db *Instance, maps MappingSet) *Evaluator { return core.NewEvaluator(db, maps) }
-
-// Evaluate is a convenience for one-off evaluation: it runs the query over the
-// mappings and instance with the given options.
-//
-// Deprecated: use Session.Execute (or Prepare + PreparedQuery.Execute when the
-// query runs more than once).  Evaluate pays the full front half — parse-time
-// validation, reformulation through every mapping, plan compilation — on
-// every call.
-func Evaluate(q *Query, maps MappingSet, db *Instance, opts Options) (*Result, error) {
-	return core.NewEvaluator(db, maps).Evaluate(q, opts)
-}
-
-// EvaluateContext is Evaluate under a context: cancelling the context (or
-// letting its deadline pass) aborts the evaluation promptly with the context's
-// error.  Work fans out over opts.Parallelism worker goroutines; the answers
-// do not depend on the setting.
-//
-// Deprecated: use Session.Execute, which takes a context directly.
-func EvaluateContext(ctx context.Context, q *Query, maps MappingSet, db *Instance, opts Options) (*Result, error) {
-	return core.NewEvaluator(db, maps).EvaluateContext(ctx, q, opts)
-}
-
-// EvaluateTopK runs the probabilistic top-k algorithm of Section VII.
-//
-// Deprecated: use Session.Execute with WithTopK(k).
-func EvaluateTopK(q *Query, maps MappingSet, db *Instance, k int, opts Options) (*Result, error) {
-	return core.NewEvaluator(db, maps).EvaluateTopK(q, k, opts)
-}
-
-// EvaluateTopKContext is EvaluateTopK under a context.  The top-k traversal is
-// inherently sequential, so opts.Parallelism is ignored, but cancellation and
-// deadlines are honoured.
-//
-// Deprecated: use Session.Execute with WithTopK(k).
-func EvaluateTopKContext(ctx context.Context, q *Query, maps MappingSet, db *Instance, k int, opts Options) (*Result, error) {
-	return core.NewEvaluator(db, maps).EvaluateTopKContext(ctx, q, k, opts)
-}
-
 // ParseMethod converts a method name ("basic", "e-basic", "e-mqo",
 // "q-sharing", "o-sharing") into a Method.
 func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
@@ -371,11 +320,6 @@ func (s *Scenario) WorkloadQuery(id int) (*Query, error) {
 func (s *Scenario) Query(name, text string) (*Query, error) {
 	return query.Parse(name, s.TargetSchema, text)
 }
-
-// Evaluator returns an evaluator over the scenario's instance and mappings.
-//
-// Deprecated: use Scenario.NewSession, which caches prepared queries.
-func (s *Scenario) Evaluator() *Evaluator { return core.NewEvaluator(s.DB, s.Matching.Mappings) }
 
 // Query service types re-exported from the server layer.  The service turns
 // the library into a long-lived system: scenarios register once (paying index

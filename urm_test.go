@@ -2,8 +2,6 @@ package urm
 
 import (
 	"context"
-	"errors"
-	"math"
 	"testing"
 )
 
@@ -33,24 +31,21 @@ func buildPeopleInstance() *Instance {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	source, target := buildPeopleSchemas()
-	matching, err := Match(source, target, MatchOptions{Mappings: 6, Threshold: 0.4})
+	sess, maps, _ := sessionFixture(t)
+	ctx := context.Background()
+	if r := ORatio(maps); r <= 0 || r > 1 {
+		t.Errorf("o-ratio out of range: %g", r)
+	}
+	q, err := ParseQuery("q0", sess.Target(), "SELECT addr FROM Person WHERE phone = '123'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(matching.Mappings) == 0 {
-		t.Fatal("no mappings derived")
-	}
-	if r := ORatio(matching.Mappings); r <= 0 || r > 1 {
-		t.Errorf("o-ratio out of range: %g", r)
-	}
-	db := buildPeopleInstance()
-	q, err := ParseQuery("q0", target, "SELECT addr FROM Person WHERE phone = '123'")
+	pq, err := sess.PrepareQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{Basic, EBasic, EMQO, QSharing, OSharing} {
-		res, err := Evaluate(q, matching.Mappings, db, Options{Method: method, Strategy: SEF})
+		res, err := pq.Execute(ctx, WithMethod(method), WithStrategy(SEF))
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -66,12 +61,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 	// Top-k through the facade.
-	full, err := Evaluate(q, matching.Mappings, db, Options{Method: OSharing})
+	full, err := pq.Execute(ctx, WithMethod(OSharing))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Answers) > 0 {
-		top, err := EvaluateTopK(q, matching.Mappings, db, 1, Options{})
+		top, err := pq.Execute(ctx, WithTopK(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,27 +80,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeEvaluateContext exercises the context-aware entry points through
-// the public API: parallel evaluation matches sequential exactly, and a
-// cancelled context aborts with context.Canceled.
-func TestFacadeEvaluateContext(t *testing.T) {
-	source, target := buildPeopleSchemas()
-	matching, err := Match(source, target, MatchOptions{Mappings: 6, Threshold: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := buildPeopleInstance()
-	q, err := ParseQuery("q0", target, "SELECT addr FROM Person WHERE phone = '123'")
+// TestFacadeParallelMatchesSequential: through the public API, parallel
+// evaluation matches sequential exactly for every method.  (Cancellation is
+// TestSessionErrors' case.)
+func TestFacadeParallelMatchesSequential(t *testing.T) {
+	sess, _, _ := sessionFixture(t)
+	ctx := context.Background()
+	pq, err := sess.Prepare("SELECT addr FROM Person WHERE phone = '123'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{Basic, EBasic, EMQO, QSharing, OSharing} {
-		seq, err := Evaluate(q, matching.Mappings, db, Options{Method: method, Parallelism: 1})
+		seq, err := pq.Execute(ctx, WithMethod(method), WithParallelism(1))
 		if err != nil {
 			t.Fatalf("%v sequential: %v", method, err)
 		}
-		par, err := EvaluateContext(context.Background(), q, matching.Mappings, db,
-			Options{Method: method, Parallelism: 4})
+		par, err := pq.Execute(ctx, WithMethod(method), WithParallelism(4))
 		if err != nil {
 			t.Fatalf("%v parallel: %v", method, err)
 		}
@@ -117,15 +107,6 @@ func TestFacadeEvaluateContext(t *testing.T) {
 				t.Errorf("%v: answer[%d] = %v, want %v", method, i, par.Answers[i], seq.Answers[i])
 			}
 		}
-	}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := EvaluateContext(cancelled, q, matching.Mappings, db, Options{Method: QSharing}); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateContext with cancelled context: err = %v, want context.Canceled", err)
-	}
-	if _, err := EvaluateTopKContext(cancelled, q, matching.Mappings, db, 1, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateTopKContext with cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -158,7 +139,15 @@ func TestFacadeManualMappings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(q, maps, db, Options{Method: OSharing})
+	sess, err := NewSession(target, db, maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := sess.PrepareQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pq.Execute(context.Background(), WithMethod(OSharing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,22 +191,11 @@ func TestScenario(t *testing.T) {
 	if len(s.Mappings()) == 0 {
 		t.Fatal("scenario has no mappings")
 	}
-	q, err := s.WorkloadQuery(1)
-	if err != nil {
+	if _, err := s.WorkloadQuery(1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Evaluator().Evaluate(q, Options{Method: OSharing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mass := res.EmptyProb
-	for _, a := range res.Answers {
-		mass += a.Prob
-	}
-	if math.Abs(mass-1) > 1e-6 {
-		t.Errorf("probability mass = %g, want 1", mass)
-	}
-	// Q6 belongs to Noris, not Excel.
+	// Q6 belongs to Noris, not Excel.  (Evaluating a workload query over the
+	// scenario is TestScenarioNewSession's case.)
 	if _, err := s.WorkloadQuery(6); err == nil {
 		t.Error("cross-target workload query should be rejected")
 	}
