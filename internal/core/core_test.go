@@ -534,31 +534,7 @@ func TestTopKMatchesOSharingOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", text, k, err)
 			}
-			wantLen := k
-			if wantLen > len(full.Answers) {
-				wantLen = len(full.Answers)
-			}
-			if len(topk.Answers) != wantLen {
-				t.Errorf("%s k=%d: got %d answers, want %d", text, k, len(topk.Answers), wantLen)
-				continue
-			}
-			// The returned tuple set must be a valid top-k set: every returned
-			// tuple's exact probability must be >= the (k+1)-th exact
-			// probability.
-			threshold := 0.0
-			if wantLen < len(full.Answers) {
-				threshold = full.Answers[wantLen].Prob
-			}
-			for _, a := range topk.Answers {
-				exact := full.Lookup(a.Tuple)
-				if exact+1e-9 < threshold {
-					t.Errorf("%s k=%d: returned tuple %v with exact prob %g below threshold %g",
-						text, k, a.Tuple, exact, threshold)
-				}
-				if a.Prob > exact+1e-9 {
-					t.Errorf("%s k=%d: reported bound %g exceeds exact %g", text, k, a.Prob, exact)
-				}
-			}
+			requireValidTopK(t, text, full, topk, k)
 		}
 	}
 }

@@ -221,6 +221,17 @@ type targetOp struct {
 	// final is the root projection/aggregation node, or nil when the query has
 	// neither (the final op then only merges and materializes fragments).
 	final query.Node
+
+	// refs are the attribute references the operator reads, alias-qualified
+	// and resolved to target attributes.
+	refs []opRef
+}
+
+// opRef is one attribute reference of a target operator: the relation
+// occurrence it goes through and the target attribute it denotes.
+type opRef struct {
+	alias  string
+	target schema.Attribute
 }
 
 // normalizedQuery is the target query decomposed into relation occurrences,
@@ -284,6 +295,25 @@ func normalizeQuery(q *query.Query) (*normalizedQuery, error) {
 	nq.ops = append(nq.ops, &targetOp{kind: opFinal, final: final})
 	for i, op := range nq.ops {
 		op.id = i
+		var node query.Node
+		switch op.kind {
+		case opSelect:
+			node = op.sel
+		case opJoinSelect:
+			node = op.jsel
+		case opFinal:
+			node = op.final
+		}
+		if node == nil {
+			continue
+		}
+		for _, ref := range query.NodeRefs(node) {
+			r, err := nq.resolveRef(ref)
+			if err != nil {
+				return nil, err
+			}
+			op.refs = append(op.refs, r)
+		}
 	}
 	// Cache per-alias attribute lists.
 	for _, alias := range nq.aliases {
@@ -299,6 +329,27 @@ func normalizeQuery(q *query.Query) (*normalizedQuery, error) {
 		nq.aliasAttrs[alias] = attrs
 	}
 	return nq, nil
+}
+
+// resolveRef resolves the reference to its target attribute and relation
+// occurrence.  An unqualified reference resolves only when exactly one
+// occurrence has the attribute, so that occurrence is the one over the
+// attribute's relation.
+func (nq *normalizedQuery) resolveRef(ref query.AttrRef) (opRef, error) {
+	target, err := nq.q.ResolveRef(ref)
+	if err != nil {
+		return opRef{}, err
+	}
+	if ref.Alias != "" {
+		return opRef{alias: ref.Alias, target: target}, nil
+	}
+	rels := nq.q.Aliases()
+	for _, alias := range nq.aliases {
+		if rels[alias] == target.Relation {
+			return opRef{alias: alias, target: target}, nil
+		}
+	}
+	return opRef{}, fmt.Errorf("o-sharing: no relation occurrence for %s", target)
 }
 
 func subtreeAliases(n query.Node) []string {
@@ -760,24 +811,87 @@ func (os *osharer) chooseNext(u *eUnit, seed int64) (*targetOp, []*Partition, er
 	return cands[best].op, cands[best].parts, nil
 }
 
-// ensureIncluded guarantees that the fragment's materialization contains the
-// given source relation for the alias, scanning (and, if the fragment is
-// already materialized, extending it with a Cartesian product — Case 2 of the
-// reformulate_op rules) as needed.
-func (os *osharer) ensureIncluded(frag *fragment, alias, srcRel string) error {
-	if frag.included[alias] != nil && frag.included[alias][srcRel] {
-		return nil
+// liveSet is the set of engine columns a product or join has to carry.
+type liveSet struct {
+	all  bool
+	cols map[string]bool
+}
+
+// keep returns the positions of rel's columns that are in the set, in order.
+func (l liveSet) keep(rel *engine.Relation) []int {
+	idx := make([]int, 0, len(rel.Columns))
+	for i, c := range rel.Columns {
+		if l.all || l.cols[c] {
+			idx = append(idx, i)
+		}
 	}
+	return idx
+}
+
+// liveColumns returns the columns that tuples built while running executes in
+// e-unit u still have to carry: those an operator not yet executed in u — and
+// running itself, which reads its columns after the products that bring them
+// in (nil when it does not) — references under some mapping of u.  Every other
+// column of a product or join output is dead: no later operator of the u-trace
+// below u can name it, because descending the trace only removes mappings and
+// pending operators.  A query without a root projection or aggregate outputs
+// whole rows, so everything stays live.
+func (os *osharer) liveColumns(u *eUnit, running *targetOp) liveSet {
+	if os.nq.ops[len(os.nq.ops)-1].final == nil {
+		return liveSet{all: true}
+	}
+	type sourceCol struct {
+		alias string
+		src   schema.Attribute
+	}
+	seen := make(map[sourceCol]bool)
+	live := liveSet{cols: make(map[string]bool)}
+	for _, op := range os.nq.ops {
+		if u.done[op.id] && op != running {
+			continue
+		}
+		for _, ref := range op.refs {
+			for _, m := range u.maps {
+				src, ok := m.SourceFor(ref.target)
+				if !ok || seen[sourceCol{ref.alias, src}] {
+					continue
+				}
+				seen[sourceCol{ref.alias, src}] = true
+				live.cols[columnName(ref.alias, src)] = true
+			}
+		}
+	}
+	return live
+}
+
+// columnName is the engine column of a source attribute scanned in for a
+// relation occurrence: "<alias>.<source relation>.<source attribute>".
+func columnName(alias string, src schema.Attribute) string {
+	return alias + "." + src.Relation + "." + src.Name
+}
+
+// scan records and returns the alias-qualified scan of a source relation.  The
+// scan shares the base relation's rows, so selections and join builds over it
+// can be served from the shared index cache.
+func (os *osharer) scan(alias, srcRel string) (*engine.Relation, error) {
 	base := os.db.Relation(srcRel)
 	if base == nil {
-		return fmt.Errorf("o-sharing: unknown source relation %q", srcRel)
+		return nil, fmt.Errorf("o-sharing: unknown source relation %q", srcRel)
 	}
 	os.stats.RecordOp(engine.OpKindScan)
-	scanned := base.QualifyColumns(alias + "." + srcRel)
+	return base.QualifyColumns(alias + "." + srcRel), nil
+}
+
+// attach brings rel — the scan of srcRel for the alias, or a selection of it —
+// into the fragment: it becomes the fragment's materialization if there is
+// none yet, and otherwise extends it by a Cartesian product (the reformulation
+// of one relation occurrence is the product of its covering source relations)
+// that carries only the live columns.
+func (os *osharer) attach(frag *fragment, alias, srcRel string, rel *engine.Relation, live liveSet) error {
 	if frag.rel == nil {
-		frag.rel = scanned
+		frag.rel = rel
 	} else {
-		prod, err := engine.Product(os.ec.Ctx(), frag.rel, scanned, os.stats)
+		prod, err := engine.ProductKeep(os.ec.Ctx(), frag.rel, rel, live.keep(frag.rel), live.keep(rel), os.stats)
 		if err != nil {
 			return err
 		}
@@ -790,71 +904,71 @@ func (os *osharer) ensureIncluded(frag *fragment, alias, srcRel string) error {
 	return nil
 }
 
+// ensureIncluded guarantees that the fragment's materialization contains the
+// given source relation for the alias, scanning it in whole if it does not.
+func (os *osharer) ensureIncluded(frag *fragment, alias, srcRel string, live liveSet) error {
+	if frag.included[alias][srcRel] {
+		return nil
+	}
+	scanned, err := os.scan(alias, srcRel)
+	if err != nil {
+		return err
+	}
+	return os.attach(frag, alias, srcRel, scanned, live)
+}
+
 // materializeAlias brings every source relation needed to cover the query's
 // attributes of the alias (under mapping m) into the fragment.
-func (os *osharer) materializeAlias(frag *fragment, alias string, m *schema.Mapping) error {
+func (os *osharer) materializeAlias(frag *fragment, alias string, m *schema.Mapping, live liveSet) error {
 	rels, err := os.nq.ref.SourceRelationsForAlias(m, alias)
 	if err != nil {
 		return err
 	}
 	for _, r := range rels {
-		if err := os.ensureIncluded(frag, alias, r); err != nil {
+		if err := os.ensureIncluded(frag, alias, r, live); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sourceColumnIn resolves the target attribute reference to its engine column
-// name under the mapping, making sure the owning fragment includes the needed
-// source relation.
-func (os *osharer) sourceColumnIn(u *eUnit, m *schema.Mapping, ref query.AttrRef) (string, *fragment, error) {
-	target, err := os.nq.q.ResolveRef(ref)
+// sourceColumn resolves the reference to the source attribute the mapping
+// assigns it and the fragment that owns its relation occurrence.
+func (os *osharer) sourceColumn(u *eUnit, m *schema.Mapping, ref opRef) (schema.Attribute, *fragment, error) {
+	src, ok := m.SourceFor(ref.target)
+	if !ok {
+		return schema.Attribute{}, nil, fmt.Errorf("%w: %s under mapping %s", query.ErrNotCovered, ref.target, m.ID)
+	}
+	frag := u.fragmentOf(ref.alias)
+	if frag == nil {
+		return schema.Attribute{}, nil, fmt.Errorf("o-sharing: no fragment for alias %q", ref.alias)
+	}
+	return src, frag, nil
+}
+
+// sourceColumnIn resolves the reference to its engine column name under the
+// mapping, making sure the owning fragment includes the needed source
+// relation.
+func (os *osharer) sourceColumnIn(u *eUnit, m *schema.Mapping, ref opRef, live liveSet) (string, *fragment, error) {
+	src, frag, err := os.sourceColumn(u, m, ref)
 	if err != nil {
 		return "", nil, err
 	}
-	alias := ref.Alias
-	if alias == "" {
-		// Resolve the alias the same way the reformulator does.
-		col, err := os.nq.ref.SourceColumn(m, ref)
-		if err != nil {
-			return "", nil, err
-		}
-		// Column is "<alias>.<rel>.<attr>"; recover the alias prefix.
-		alias = col[:indexByte(col, '.')]
-	}
-	src, ok := m.SourceFor(target)
-	if !ok {
-		return "", nil, fmt.Errorf("%w: %s under mapping %s", query.ErrNotCovered, target, m.ID)
-	}
-	frag := u.fragmentOf(alias)
-	if frag == nil {
-		return "", nil, fmt.Errorf("o-sharing: no fragment for alias %q", alias)
-	}
-	if err := os.ensureIncluded(frag, alias, src.Relation); err != nil {
+	if err := os.ensureIncluded(frag, ref.alias, src.Relation, live); err != nil {
 		return "", nil, err
 	}
-	return alias + "." + src.Relation + "." + src.Name, frag, nil
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return len(s)
+	return columnName(ref.alias, src), frag, nil
 }
 
 // mergeFragments materializes and products the given fragments into one.
-func (os *osharer) mergeFragments(u *eUnit, frags []*fragment, m *schema.Mapping) (*fragment, error) {
+func (os *osharer) mergeFragments(frags []*fragment, m *schema.Mapping, live liveSet) (*fragment, error) {
 	merged := &fragment{aliases: make(map[string]bool), included: make(map[string]map[string]bool)}
 	for _, f := range frags {
 		if f.rel == nil {
 			// Materialize untouched single-alias fragments with their covering
 			// source relations.
 			for a := range f.aliases {
-				if err := os.materializeAlias(f, a, m); err != nil {
+				if err := os.materializeAlias(f, a, m, live); err != nil {
 					return nil, err
 				}
 			}
@@ -862,7 +976,7 @@ func (os *osharer) mergeFragments(u *eUnit, frags []*fragment, m *schema.Mapping
 		if merged.rel == nil {
 			merged.rel = f.rel
 		} else {
-			prod, err := engine.Product(os.ec.Ctx(), merged.rel, f.rel, os.stats)
+			prod, err := engine.ProductKeep(os.ec.Ctx(), merged.rel, f.rel, live.keep(merged.rel), live.keep(f.rel), os.stats)
 			if err != nil {
 				return nil, err
 			}
@@ -896,23 +1010,48 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 
 	switch op.kind {
 	case opSelect:
-		col, frag, err := os.sourceColumnIn(child, m, op.sel.Ref)
+		ref := op.refs[0]
+		src, frag, err := os.sourceColumn(child, m, ref)
 		if err != nil {
 			return nil, err
 		}
-		out, err := engine.IndexedSelect(os.ec.Ctx(), frag.rel, &engine.ConstPredicate{Column: col, Op: op.sel.Op, Value: op.sel.Value}, os.stats, os.indexes)
+		pred := &engine.ConstPredicate{Column: columnName(ref.alias, src), Op: op.sel.Op, Value: op.sel.Value}
+		if frag.included[ref.alias][src.Relation] {
+			out, err := engine.IndexedSelect(os.ec.Ctx(), frag.rel, pred, os.stats, os.indexes)
+			if err != nil {
+				return nil, err
+			}
+			frag.rel = out
+			return child, nil
+		}
+		// The fragment does not hold the relation yet: filter the base scan —
+		// from the shared index when it serves the predicate — and bring in
+		// only what survives.  The product is left-major and selection keeps
+		// order, so frag × σ(R) is row for row σ(frag × R).
+		scanned, err := os.scan(ref.alias, src.Relation)
 		if err != nil {
 			return nil, err
 		}
-		frag.rel = out
+		filtered, err := engine.IndexedSelect(os.ec.Ctx(), scanned, pred, os.stats, os.indexes)
+		if err != nil {
+			return nil, err
+		}
+		var live liveSet
+		if frag.rel != nil {
+			live = os.liveColumns(child, nil)
+		}
+		if err := os.attach(frag, ref.alias, src.Relation, filtered, live); err != nil {
+			return nil, err
+		}
 		return child, nil
 
 	case opJoinSelect:
-		leftCol, leftFrag, err := os.sourceColumnIn(child, m, op.jsel.Left)
+		live := os.liveColumns(child, op)
+		leftCol, leftFrag, err := os.sourceColumnIn(child, m, op.refs[0], live)
 		if err != nil {
 			return nil, err
 		}
-		rightCol, rightFrag, err := os.sourceColumnIn(child, m, op.jsel.Right)
+		rightCol, rightFrag, err := os.sourceColumnIn(child, m, op.refs[1], live)
 		if err != nil {
 			return nil, err
 		}
@@ -931,9 +1070,13 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 			}
 			var joined *engine.Relation
 			if op.jsel.Op == engine.OpEq {
-				joined, err = engine.IndexedHashJoin(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, leftCol, rightCol, os.stats, os.indexes)
+				// The hash join reads its keys from the inputs, so its output
+				// carries only what the operators after this one need.
+				after := os.liveColumns(child, nil)
+				joined, err = engine.IndexedHashJoinKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, leftCol, rightCol,
+					after.keep(leftFrag.rel), after.keep(rightFrag.rel), os.stats, os.indexes)
 			} else {
-				joined, err = engine.Product(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, os.stats)
+				joined, err = engine.ProductKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, live.keep(leftFrag.rel), live.keep(rightFrag.rel), os.stats)
 				if err == nil {
 					joined, err = engine.Select(os.ec.Ctx(), joined, &engine.ColPredicate{Left: leftCol, Op: op.jsel.Op, Right: rightCol}, os.stats)
 				}
@@ -962,7 +1105,7 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 			// Another operator (a join condition) already merged the operands.
 			return child, nil
 		}
-		merged, err := os.mergeFragments(child, []*fragment{left, right}, m)
+		merged, err := os.mergeFragments([]*fragment{left, right}, m, os.liveColumns(child, nil))
 		if err != nil {
 			return nil, err
 		}
@@ -971,8 +1114,9 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 
 	case opFinal:
 		// Merge whatever fragments remain into one relation.
+		live := os.liveColumns(child, op)
 		frags := append([]*fragment(nil), child.fragments...)
-		merged, err := os.mergeFragments(child, frags, m)
+		merged, err := os.mergeFragments(frags, m, live)
 		if err != nil {
 			return nil, err
 		}
@@ -981,9 +1125,9 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 		case nil:
 			return child, nil
 		case *query.Project:
-			cols := make([]string, len(final.Refs))
-			for i, ref := range final.Refs {
-				col, _, err := os.sourceColumnIn(child, m, ref)
+			cols := make([]string, len(op.refs))
+			for i, ref := range op.refs {
+				col, _, err := os.sourceColumnIn(child, m, ref, live)
 				if err != nil {
 					return nil, err
 				}
@@ -997,8 +1141,8 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 			return child, nil
 		case *query.Aggregate:
 			col := ""
-			if final.Func != engine.AggCount && !final.Ref.IsZero() {
-				c, _, err := os.sourceColumnIn(child, m, final.Ref)
+			if len(op.refs) > 0 {
+				c, _, err := os.sourceColumnIn(child, m, op.refs[0], live)
 				if err != nil {
 					return nil, err
 				}

@@ -74,8 +74,8 @@ func NaiveProject(ctx context.Context, rel *Relation, columns []string, stats *S
 }
 
 // NaiveProduct is the reference Cartesian product, including its original
-// rows(left)·rows(right) pre-allocation (callers beware: that product can
-// overflow — the live Product grows geometrically instead).
+// unguarded rows(left)·rows(right) pre-allocation (callers beware: that
+// product can overflow — the live kernel checks the multiplication).
 func NaiveProduct(ctx context.Context, left, right *Relation, stats *Stats) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err

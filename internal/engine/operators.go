@@ -24,14 +24,26 @@ func canceled(ctx context.Context) error {
 	}
 }
 
-// arenaChunkValues is the flat allocation unit for output tuples: operators
-// that build new tuples (project, product, join), materialized or batch, carve
-// them out of []Value chunks of this size instead of calling make once per row.
-const arenaChunkValues = 8192
+// arenaChunkValues is the steady-state allocation unit for output tuples:
+// operators that build new tuples (project, product, join), materialized or
+// batch, carve them out of flat []Value chunks instead of calling make once
+// per row.  arenaFirstChunk is the first chunk of an arena nobody reserved:
+// most operator outputs are a handful of rows, and zeroing a full chunk for
+// five of them costs more than the operator itself.
+const (
+	arenaChunkValues = 8192
+	arenaFirstChunk  = 256
+)
 
-// valueArena bulk-allocates tuples from flat []Value chunks.
+// valueArena bulk-allocates tuples from flat []Value chunks.  It has one
+// sizing rule, for the materialized operators and the batch pipeline alike:
+// a caller that knows its output reserves it exactly (one slab, nothing left
+// over); otherwise chunks start at arenaFirstChunk and quadruple up to
+// arenaChunkValues, so a small output stays small and a large one costs at
+// most three chunks more than fixed-size chunking would.
 type valueArena struct {
-	buf []Value
+	buf  []Value
+	next int // size of the next unreserved chunk; 0 before the first
 }
 
 // tuple returns a zero-length-capped slice of n fresh values.
@@ -40,7 +52,11 @@ func (a *valueArena) tuple(n int) Tuple {
 		return Tuple{}
 	}
 	if len(a.buf) < n {
-		c := arenaChunkValues
+		c := a.next
+		if c == 0 {
+			c = arenaFirstChunk
+		}
+		a.next = min(c*4, arenaChunkValues)
 		if c < n {
 			c = n
 		}
@@ -66,6 +82,77 @@ func (a *valueArena) reserve(n int) {
 	if len(a.buf) < n {
 		a.buf = make([]Value, n)
 	}
+}
+
+// pairShape describes the output rows of a product or join: the kept columns
+// of a left row followed by the kept columns of a right row, as positions in
+// the input rows.  A keep list that is a contiguous ascending run — the
+// all-columns list always is — is copied rather than gathered.
+type pairShape struct {
+	left, right       []int
+	leftRun, rightRun bool
+}
+
+// newPairShape validates the keep lists against the input widths and returns
+// the shape with the output column names.
+func newPairShape(op string, left, right *Relation, leftKeep, rightKeep []int) (pairShape, []string, error) {
+	cols := make([]string, 0, len(leftKeep)+len(rightKeep))
+	for _, j := range leftKeep {
+		if j < 0 || j >= len(left.Columns) {
+			return pairShape{}, nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, left.Columns)
+		}
+		cols = append(cols, left.Columns[j])
+	}
+	for _, j := range rightKeep {
+		if j < 0 || j >= len(right.Columns) {
+			return pairShape{}, nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, right.Columns)
+		}
+		cols = append(cols, right.Columns[j])
+	}
+	return pairShape{
+		left: leftKeep, right: rightKeep,
+		leftRun: contiguousIdx(leftKeep), rightRun: contiguousIdx(rightKeep),
+	}, cols, nil
+}
+
+func (p *pairShape) width() int { return len(p.left) + len(p.right) }
+
+// build returns the arena-backed output row for the pair (lr, rr).
+func (p *pairShape) build(a *valueArena, lr, rr Tuple) Tuple {
+	t := a.tuple(p.width())
+	gatherColumns(t[:len(p.left)], lr, p.left, p.leftRun)
+	gatherColumns(t[len(p.left):], rr, p.right, p.rightRun)
+	return t
+}
+
+func gatherColumns(dst, src Tuple, keep []int, run bool) {
+	if run {
+		copy(dst, src[keep[0]:])
+		return
+	}
+	for c, j := range keep {
+		dst[c] = src[j]
+	}
+}
+
+// allColumns is the keep list that keeps every column of rel in order.
+func allColumns(rel *Relation) []int {
+	idx := make([]int, len(rel.Columns))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// mulFits returns a·b when the product stays within limit.
+func mulFits(a, b, limit int) (int, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	if a > limit/b {
+		return 0, false
+	}
+	return a * b, true
 }
 
 // The functions below are the materialized operator API: each consumes
@@ -262,19 +349,40 @@ func projectRows(ctx context.Context, rows []Tuple, idx []int, out *[]Tuple) err
 	return nil
 }
 
+// maxPresizeValues bounds the output an operator sizes up front: beyond it
+// (or when rows·width overflows int) the output grows as rows arrive instead.
+const maxPresizeValues = 1 << 31
+
 // Product returns the Cartesian product of two relations.  Column names are
 // kept as-is, so callers should qualify them beforehand when they may collide.
-// The output grows geometrically: pre-sizing it to rows(left)·rows(right)
-// could overflow int or demand absurd memory before the first row exists.
 func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relation, error) {
+	return ProductKeep(ctx, left, right, allColumns(left), allColumns(right), stats)
+}
+
+// ProductKeep is the product kernel: the Cartesian product of left and right,
+// left-major, emitting only the columns at positions leftKeep of each left row
+// followed by those at rightKeep of each right row — row for row what a
+// projection of the full product onto those columns would yield, without ever
+// building the dropped columns.  The row list and the value arena are sized
+// exactly from rows(left)·rows(right)·width; a product too large to size up
+// front (the count overflows, or exceeds maxPresizeValues) grows geometrically
+// instead, so it stays cancellable before it exhausts memory.
+func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep []int, stats *Stats) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	cols := make([]string, 0, len(left.Columns)+len(right.Columns))
-	cols = append(cols, left.Columns...)
-	cols = append(cols, right.Columns...)
+	shape, cols, err := newPairShape("product", left, right, leftKeep, rightKeep)
+	if err != nil {
+		return nil, err
+	}
 	out := NewRelation(left.Name+"x"+right.Name, cols)
 	var arena valueArena
+	if n, ok := mulFits(len(left.Rows), len(right.Rows), maxPresizeValues); ok && n > 0 {
+		if values, ok := mulFits(n, shape.width(), maxPresizeValues); ok {
+			out.Rows = make([]Tuple, 0, n)
+			arena.reserve(values)
+		}
+	}
 	produced := 0
 	for _, lr := range left.Rows {
 		for _, rr := range right.Rows {
@@ -284,7 +392,7 @@ func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relatio
 					return nil, err
 				}
 			}
-			out.Rows = append(out.Rows, arena.concat(lr, rr))
+			out.Rows = append(out.Rows, shape.build(&arena, lr, rr))
 		}
 	}
 	stats.record(OpKindProduct, len(left.Rows)+len(right.Rows), len(out.Rows))
@@ -296,15 +404,18 @@ func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relatio
 // probes compare candidate rows with EqualKey, so no key strings are ever
 // formatted.
 func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, stats, nil, 0)
+	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, nil, 0)
 }
 
-// hashJoin is the equi-join shared by HashJoin and IndexedHashJoin: when the
-// cache identifies the right side as an untouched base scan, the build table
-// is the instance's shared per-column index; otherwise it is built here from
-// the right rows — partitioned across workers when the build side is large
-// enough (the built structure is byte-identical either way).
-func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache, workers int) (*Relation, error) {
+// hashJoin is the equi-join behind HashJoin, IndexedHashJoin and
+// IndexedHashJoinKeep, emitting the leftKeep columns of each matching left row
+// followed by the rightKeep columns of its right row (the join columns
+// themselves need not be kept).  When the cache identifies the right side as
+// an untouched base scan, the build table is the instance's shared per-column
+// index; otherwise it is built here from the right rows — partitioned across
+// workers when the build side is large enough (the built structure is
+// byte-identical either way).
+func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache, workers int) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
@@ -316,9 +427,10 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 	if ri < 0 {
 		return nil, fmt.Errorf("join: column %q not found in %v", rightCol, right.Columns)
 	}
-	cols := make([]string, 0, len(left.Columns)+len(right.Columns))
-	cols = append(cols, left.Columns...)
-	cols = append(cols, right.Columns...)
+	shape, cols, err := newPairShape("join", left, right, leftKeep, rightKeep)
+	if err != nil {
+		return nil, err
+	}
 	out := NewRelation(left.Name+"⋈"+right.Name, cols)
 
 	var build *hashIndex
@@ -340,7 +452,7 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 			return nil, err
 		}
 	}
-	if err := probeJoin(ctx, left.Rows, li, ri, build, out); err != nil {
+	if err := probeJoin(ctx, left.Rows, li, ri, build, &shape, out); err != nil {
 		return nil, err
 	}
 	if shared {
@@ -353,12 +465,12 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 }
 
 // probeJoin streams the left rows against the build index, appending joined
-// rows to out.  Probe-key hashes are precomputed one block at a time — the
-// same batch FNV-1a pass the batch pipeline's join runs — and chain entries
-// whose stored hash differs are rejected without touching the candidate row.
-// Chains preserve build-row order, so output order is identical whether the
-// index was built here or shared.
-func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, out *Relation) error {
+// rows of the given shape to out.  Probe-key hashes are precomputed one block
+// at a time — the same batch FNV-1a pass the batch pipeline's join runs — and
+// chain entries whose stored hash differs are rejected without touching the
+// candidate row.  Chains preserve build-row order, so output order is
+// identical whether the index was built here or shared.
+func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, shape *pairShape, out *Relation) error {
 	var arena valueArena
 	// Seed the output at the no-duplicate-keys estimate: at most one match per
 	// probe and at most one per build row, so the smaller side bounds the
@@ -367,13 +479,10 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 	// same estimate, so the common foreign-key shape fills exactly one value
 	// slab instead of leaving a partially used chunk behind.
 	if len(lrows) > 0 && len(build.rows) > 0 {
-		seed := len(lrows)
-		if len(build.rows) < seed {
-			seed = len(build.rows)
-		}
+		seed := min(len(lrows), len(build.rows))
 		out.Rows = make([]Tuple, 0, seed)
-		if w := len(lrows[0]) + len(build.rows[0]); w > 0 && seed <= (1<<31)/w {
-			arena.reserve(seed * w)
+		if values, ok := mulFits(seed, shape.width(), maxPresizeValues); ok {
+			arena.reserve(values)
 		}
 	}
 	hashes := make([]uint64, DefaultBatchSize)
@@ -418,7 +527,7 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 				if !rr[ri].EqualKey(v) {
 					continue // hash collision, not an actual match
 				}
-				out.Rows = append(out.Rows, arena.concat(lr, rr))
+				out.Rows = append(out.Rows, shape.build(&arena, lr, rr))
 			}
 		}
 	}

@@ -522,7 +522,7 @@ func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, 
 		if err != nil {
 			return nil, err
 		}
-		return hashJoin(ctx, left, right, n.LeftCol, n.RightCol, e.Stats, nil, e.Workers)
+		return hashJoin(ctx, left, right, n.LeftCol, n.RightCol, allColumns(left), allColumns(right), e.Stats, nil, e.Workers)
 	case *AggregatePlan:
 		child, err := e.ExecuteContext(ctx, n.Child)
 		if err != nil {
