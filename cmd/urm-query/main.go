@@ -250,8 +250,7 @@ func printStats(res *urm.Result) {
 		if in := res.Stats.SelectRowsIn(); in > 0 {
 			sel = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.SelectRowsOut())/float64(in))
 		}
-		fmt.Printf("batch engine: %d batches, avg select selectivity %s, %d partitioned builds (max %d partitions)\n",
-			b, sel, res.Stats.PartitionedBuilds(), res.Stats.MaxBuildPartitions())
+		fmt.Printf("batch engine: %d batches, avg select selectivity %s\n", b, sel)
 	}
 	fmt.Printf("phases: rewrite %.3fs, execute %.3fs, aggregate %.3fs\n",
 		res.RewriteTime.Seconds(), res.ExecTime.Seconds(), res.AggregateTime.Seconds())

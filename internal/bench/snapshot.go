@@ -56,47 +56,6 @@ type EngineSnapshot struct {
 	BenchRows  int                      `json:"bench_rows"`
 	Operators  map[string]OperatorBench `json:"operators"`
 	Methods    map[string]MethodBench   `json:"methods"`
-	// Serve is the query-service benchmark (`urm-bench -serve`): cold versus
-	// cached latency and throughput through the HTTP layer.  Omitted until a
-	// serve run has been merged into the snapshot.
-	Serve *ServeBench `json:"serve,omitempty"`
-	// QoS is the tenant-isolation benchmark (also `urm-bench -serve`): the
-	// compliant tenant's latency and success rate under a hostile flood,
-	// relative to its solo baseline.
-	QoS *QoSBench `json:"qos,omitempty"`
-	// Store is the durable-store benchmark (`urm-bench -store`): registration,
-	// WAL append (fsync on/off versus the in-memory registry), snapshot and
-	// recovery costs on real disk.
-	Store *StoreBench `json:"store,omitempty"`
-	// Delta is the incremental-maintenance benchmark (`urm-bench -delta`):
-	// query latency under a high-churn append stream with cached answers
-	// maintained by the delta reconciler versus invalidated every epoch.
-	Delta *DeltaBench `json:"delta,omitempty"`
-	// Shards is the scatter-gather scaling curve (`urm-bench -shards`):
-	// the join-heavy workload at shards ∈ {1,2,4,8} in-process plus a 2-node
-	// HTTP deployment behind a coordinator.  The regression gate enforces the
-	// 4-shard speedup only when the recording machine had at least 4 CPUs
-	// (one core per shard worker).
-	Shards *ShardsBench `json:"shards,omitempty"`
-	// Multicore is the partitioned hash-join build measurement, taken with
-	// GOMAXPROCS forced to 4: a large-build join executed with Workers=4
-	// versus Workers=1.  The regression gate enforces its speedup only when
-	// the recording machine actually had multiple CPUs (NumCPU >= 2), so
-	// snapshots taken on single-core boxes stay valid while CI's multi-core
-	// runners gate the parallel build.
-	Multicore *MulticoreBench `json:"gomaxprocs_4,omitempty"`
-}
-
-// MulticoreBench records the partitioned-build join pair: the same plan with
-// the build split across 4 workers versus built sequentially.
-type MulticoreBench struct {
-	NumCPU       int     `json:"num_cpu"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	BuildRows    int     `json:"build_rows"`
-	Workers      int     `json:"workers"`
-	SequentialNs int64   `json:"sequential_ns_per_op"`
-	ParallelNs   int64   `json:"parallel_ns_per_op"`
-	Speedup      float64 `json:"speedup"`
 }
 
 // snapshotRows is the input size for the operator measurements.
@@ -343,55 +302,7 @@ func Snapshot() (*EngineSnapshot, error) {
 		snap.Methods[m.String()] = mb
 	}
 
-	mc, err := measureMulticore(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot multicore: %w", err)
-	}
-	snap.Multicore = mc
 	return snap, nil
-}
-
-// multicoreBuildRows sizes the partitioned-build pair's build side: large
-// enough to clear the engine's partitioned-build threshold several times over,
-// so the measurement is dominated by the build phase the workers split.
-const multicoreBuildRows = 200000
-
-// measureMulticore benchmarks the partitioned hash-join build with GOMAXPROCS
-// forced to 4 (restored afterwards): one join whose build side is
-// multicoreBuildRows rows, executed with Workers=4 versus Workers=1.  On a
-// single-core machine the numbers are still recorded — the regression gate
-// skips the speedup floor when NumCPU < 2.
-func measureMulticore(ctx context.Context) (*MulticoreBench, error) {
-	const workers = 4
-	prev := runtime.GOMAXPROCS(workers)
-	defer runtime.GOMAXPROCS(prev)
-
-	db := engine.NewInstance("DM")
-	db.AddRelation(snapshotKeyedRelation("P", 2000, 1))
-	db.AddRelation(snapshotKeyedRelation("B", multicoreBuildRows, 3))
-	plan := &engine.JoinPlan{
-		LeftCol: "P.id", RightCol: "B.id",
-		Left:  &engine.ScanPlan{Relation: "P"},
-		Right: &engine.ScanPlan{Relation: "B"},
-	}
-	exec := func(w int) error {
-		ex := &engine.Executor{DB: db, Stats: engine.NewStats(), Workers: w}
-		_, err := ex.ExecuteContext(ctx, plan)
-		return err
-	}
-	ob, err := measurePair(multicoreBuildRows, func() error { return exec(1) }, func() error { return exec(workers) })
-	if err != nil {
-		return nil, err
-	}
-	return &MulticoreBench{
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   workers,
-		BuildRows:    multicoreBuildRows,
-		Workers:      workers,
-		SequentialNs: ob.NaiveNsOp,
-		ParallelNs:   ob.EngineNsOp,
-		Speedup:      ob.Speedup,
-	}, nil
 }
 
 // The prepared-versus-cold pair runs the paper's Q1 — a selection chain the

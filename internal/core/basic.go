@@ -60,9 +60,9 @@ type mappingRun struct {
 // runMapping reformulates the target query through the mapping, optimizes the
 // plan and executes it.  A mapping that does not cover the query returns a run
 // with a nil relation rather than an error, so callers can assign its
-// probability mass to the empty answer.  batch and workers carry the runtime's
-// engine tuning (exec.Context.Batch and Parallelism) into the executor.
-func runMapping(ctx context.Context, q *query.Query, m *schema.Mapping, db *engine.Instance, batch, workers int) (*mappingRun, error) {
+// probability mass to the empty answer.  batch carries the runtime's engine
+// tuning (exec.Context.Batch) into the executor.
+func runMapping(ctx context.Context, q *query.Query, m *schema.Mapping, db *engine.Instance, batch int) (*mappingRun, error) {
 	run := &mappingRun{stats: engine.NewStats()}
 	rewriteStart := time.Now()
 	plan, err := query.NewReformulator(q).Reformulate(m)
@@ -77,7 +77,7 @@ func runMapping(ctx context.Context, q *query.Query, m *schema.Mapping, db *engi
 	run.rewrite = time.Since(rewriteStart)
 
 	execStart := time.Now()
-	ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: batch, Workers: workers}
+	ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: batch}
 	rel, err := ex.ExecuteContext(ctx, plan)
 	run.exec = time.Since(execStart)
 	if err != nil {
@@ -95,7 +95,7 @@ func runMapping(ctx context.Context, q *query.Query, m *schema.Mapping, db *engi
 func basicOver(ec *exec.Context, q *query.Query, reps []weightedMapping, db *engine.Instance, res *Result, agg *aggregator) error {
 	return exec.Map(ec, len(reps),
 		func(ctx context.Context, i int) (*mappingRun, error) {
-			return runMapping(ctx, q, reps[i].mapping, db, ec.Batch(), ec.Parallelism())
+			return runMapping(ctx, q, reps[i].mapping, db, ec.Batch())
 		},
 		func(i int, run *mappingRun) error {
 			res.RewriteTime += run.rewrite
@@ -182,7 +182,7 @@ func executeClusters(ec *exec.Context, db *engine.Instance, clusters map[string]
 		func(ctx context.Context, i int) (*mappingRun, error) {
 			run := &mappingRun{stats: engine.NewStats()}
 			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: ec.Batch(), Workers: ec.Parallelism()}
+			ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
 			rel, err := ex.ExecuteContext(ctx, clusters[order[i]].plan)
 			run.exec = time.Since(execStart)
 			if err != nil {

@@ -381,7 +381,7 @@ func executePlans(ec *exec.Context, db *engine.Instance, plans []engine.Plan, pr
 				return run, nil
 			}
 			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: ec.Batch(), Workers: ec.Parallelism()}
+			ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
 			rel, err := ex.ExecuteContext(ctx, plans[i])
 			run.exec = time.Since(execStart)
 			if err != nil {

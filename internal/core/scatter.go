@@ -172,7 +172,7 @@ func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardR
 				return mr, nil
 			}
 			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: mr.stats, Indexes: db.Indexes(), Batch: ec.Batch(), Workers: ec.Parallelism()}
+			ex := &engine.Executor{DB: db, Stats: mr.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
 			rel, err := ex.ExecuteContext(ctx, sp.Groups[i].Plan)
 			mr.exec = time.Since(execStart)
 			if err != nil {

@@ -529,10 +529,9 @@ func drainBatches(src BatchSource, rows *[]Tuple) error {
 	}
 }
 
-// batchJoin is the equi-join: the right input is drained into a hash index —
-// built partitioned across the worker pool when the build side is large
-// enough — and left batches probe it with their key hashes precomputed in one
-// tight loop per batch.  Chains preserve build-row order, so output order is
+// batchJoin is the equi-join: the right input is drained into a hash index
+// and left batches probe it with their key hashes precomputed in one tight
+// loop per batch.  Chains preserve build-row order, so output order is
 // identical to the materialized hash join's.
 type batchJoin struct {
 	ctx         context.Context
@@ -541,7 +540,6 @@ type batchJoin struct {
 	name        string
 	cols        []string
 	size        int
-	workers     int
 	stats       *Stats
 	arena       valueArena
 
@@ -593,7 +591,7 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 		if err := drainBatches(s.right, &rrows); err != nil {
 			return nil, false, err
 		}
-		build, err := buildColumnHashIndexPar(s.ctx, rrows, s.ri, s.workers, s.stats)
+		build, err := buildColumnHashIndex(s.ctx, rrows, s.ri)
 		if err != nil {
 			return nil, false, err
 		}

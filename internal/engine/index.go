@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-
-	"github.com/probdb/urm/internal/exec"
 )
 
 // This file is the engine's shared base-relation index subsystem.  The
@@ -167,113 +165,6 @@ func hashRangeMeta(ctx context.Context, rows []Tuple, col, lo, hi int, hashes []
 		}
 	}
 	return kinds, hasNaN, nil
-}
-
-// parallelBuildMinRows is the build-side size below which a partitioned build
-// is not worth the fan-out overhead and the sequential build runs instead.
-const parallelBuildMinRows = 32768
-
-// buildColumnHashIndexPar is buildColumnHashIndex with the build side split
-// across the worker pool: each worker hashes a contiguous row range and
-// threads local bucket chains for it, then the per-partition chains are
-// merged bucket by bucket in partition order.  Partitions cover ascending row
-// ranges and chains are threaded back to front within each, so the merged
-// chains are in ascending row order — the structure is identical to the
-// sequential build's, and probes cannot tell them apart.
-func buildColumnHashIndexPar(ctx context.Context, rows []Tuple, col, workers int, stats *Stats) (*hashIndex, error) {
-	if workers <= 1 || len(rows) < parallelBuildMinRows {
-		return buildColumnHashIndex(ctx, rows, col)
-	}
-	nparts := workers
-	x := &hashIndex{
-		heads:  newBuckets(len(rows)),
-		hashes: make([]uint64, len(rows)),
-		next:   make([]int32, len(rows)),
-		rows:   rows,
-		col:    col,
-	}
-	x.mask = uint64(len(x.heads) - 1)
-	nbuckets := len(x.heads)
-
-	// Phase 1: per-partition hash + local chains.  heads/tails are 1-based row
-	// indices into the shared arrays; next is written only at this partition's
-	// own row positions, so partitions never race.
-	partHeads := make([][]int32, nparts)
-	partTails := make([][]int32, nparts)
-	partKinds := make([]kindMask, nparts)
-	partNaN := make([]bool, nparts)
-	chunk := (len(rows) + nparts - 1) / nparts
-	ec := exec.NewContext(ctx, workers)
-	err := exec.ForEach(ec, nparts, func(ctx context.Context, p int) error {
-		lo, hi := p*chunk, (p+1)*chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		if lo >= hi {
-			return nil
-		}
-		heads := make([]int32, nbuckets)
-		tails := make([]int32, nbuckets)
-		kinds, nan, err := hashRangeMeta(ctx, rows, col, lo, hi, x.hashes)
-		if err != nil {
-			return err
-		}
-		for i := hi - 1; i >= lo; i-- {
-			if err := canceledEvery(ctx, hi-1-i); err != nil {
-				return err
-			}
-			b := x.hashes[i] & x.mask
-			x.next[i] = heads[b]
-			heads[b] = int32(i + 1)
-			if tails[b] == 0 {
-				tails[b] = int32(i + 1)
-			}
-		}
-		partHeads[p], partTails[p] = heads, tails
-		partKinds[p], partNaN[p] = kinds, nan
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < nparts; p++ {
-		x.kinds |= partKinds[p]
-		x.hasNaN = x.hasNaN || partNaN[p]
-	}
-
-	// Phase 2: splice the per-partition chains.  Workers own disjoint bucket
-	// ranges, so the shared heads/next writes never race either.
-	bucketsPer := (nbuckets + nparts - 1) / nparts
-	err = exec.ForEach(ec, nparts, func(ctx context.Context, p int) error {
-		lo, hi := p*bucketsPer, (p+1)*bucketsPer
-		if hi > nbuckets {
-			hi = nbuckets
-		}
-		for b := lo; b < hi; b++ {
-			if err := canceledEvery(ctx, b-lo); err != nil {
-				return err
-			}
-			var head, tail int32
-			for q := 0; q < nparts; q++ {
-				if partHeads[q] == nil || partHeads[q][b] == 0 {
-					continue
-				}
-				if head == 0 {
-					head = partHeads[q][b]
-				} else {
-					x.next[tail-1] = partHeads[q][b]
-				}
-				tail = partTails[q][b]
-			}
-			x.heads[b] = head
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats.recordPartitionedBuild(nparts)
-	return x, nil
 }
 
 // probeMatches collects the 0-based indices of rows whose keyed column is
@@ -741,7 +632,7 @@ func IndexedSelect(ctx context.Context, rel *Relation, pred Predicate, stats *St
 // both paths, so the output is bit-identical to HashJoin.  A nil cache is the
 // plain HashJoin.
 func IndexedHashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, cache, 0)
+	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, cache)
 }
 
 // IndexedHashJoinKeep is IndexedHashJoin emitting only the columns at
@@ -750,5 +641,5 @@ func IndexedHashJoin(ctx context.Context, left, right *Relation, leftCol, rightC
 // same order.  The join columns are read from the inputs, so they need not be
 // kept.
 func IndexedHashJoinKeep(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, leftKeep, rightKeep, stats, cache, 0)
+	return hashJoin(ctx, left, right, leftCol, rightCol, leftKeep, rightKeep, stats, cache)
 }

@@ -404,7 +404,7 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 // probes compare candidate rows with EqualKey, so no key strings are ever
 // formatted.
 func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, nil, 0)
+	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, nil)
 }
 
 // hashJoin is the equi-join behind HashJoin, IndexedHashJoin and
@@ -412,10 +412,8 @@ func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 // followed by the rightKeep columns of its right row (the join columns
 // themselves need not be kept).  When the cache identifies the right side as
 // an untouched base scan, the build table is the instance's shared per-column
-// index; otherwise it is built here from the right rows — partitioned across
-// workers when the build side is large enough (the built structure is
-// byte-identical either way).
-func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache, workers int) (*Relation, error) {
+// index; otherwise it is built here from the right rows.
+func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
@@ -447,7 +445,7 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 	}
 	if build == nil {
 		var err error
-		build, err = buildColumnHashIndexPar(ctx, right.Rows, ri, workers, stats)
+		build, err = buildColumnHashIndex(ctx, right.Rows, ri)
 		if err != nil {
 			return nil, err
 		}

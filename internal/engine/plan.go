@@ -179,12 +179,6 @@ type Executor struct {
 	// logical operator statistics are identical at every size, which is what
 	// the property tests use it for: tiny sizes straddle every batch boundary.
 	Batch int
-	// Workers caps the parallelism of partitioned hash-join builds in the
-	// batch pipeline.  Values below 2 (including 0, the default) build
-	// sequentially; builds are partitioned only when the build side is large
-	// enough to amortize the fan-out.  The built structure — and therefore
-	// every answer — is byte-identical to a sequential build.
-	Workers int
 }
 
 // NewExecutor returns an executor over the instance with a fresh Stats.
@@ -427,7 +421,7 @@ func (e *Executor) compile(ctx context.Context, p Plan) (BatchSource, error) {
 		return &batchJoin{
 			ctx: ctx, left: left, right: right, li: li, ri: ri,
 			name: left.Name() + "⋈" + right.Name(), cols: cols,
-			size: e.batchSize(), workers: e.Workers, stats: e.Stats,
+			size: e.batchSize(), stats: e.Stats,
 		}, nil
 	case *AggregatePlan:
 		child, err := e.compile(ctx, n.Child)
@@ -522,7 +516,7 @@ func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, 
 		if err != nil {
 			return nil, err
 		}
-		return hashJoin(ctx, left, right, n.LeftCol, n.RightCol, allColumns(left), allColumns(right), e.Stats, nil, e.Workers)
+		return hashJoin(ctx, left, right, n.LeftCol, n.RightCol, allColumns(left), allColumns(right), e.Stats, nil)
 	case *AggregatePlan:
 		child, err := e.ExecuteContext(ctx, n.Child)
 		if err != nil {

@@ -55,15 +55,12 @@ type Stats struct {
 	indexLookups atomic.Int64
 
 	// Batch-engine counters.  They describe physical execution shape — how
-	// many vector batches flowed, how selective the selections were, how many
-	// hash-join builds ran partitioned — and are deliberately outside the
-	// logical operator totals, which stay identical across batch sizes and
-	// parallelism levels.
+	// many vector batches flowed, how selective the selections were — and are
+	// deliberately outside the logical operator totals, which stay identical
+	// across batch sizes and parallelism levels.
 	batches       atomic.Int64
 	selectRowsIn  atomic.Int64
 	selectRowsOut atomic.Int64
-	partBuilds    atomic.Int64
-	maxBuildParts atomic.Int64
 }
 
 // NewStats returns an empty statistics collector.
@@ -92,21 +89,6 @@ func (s *Stats) recordBatches(n int) {
 		return
 	}
 	s.batches.Add(int64(n))
-}
-
-// recordPartitionedBuild counts one hash-join build that ran partitioned
-// across workers, remembering the largest partition count seen.
-func (s *Stats) recordPartitionedBuild(parts int) {
-	if s == nil {
-		return
-	}
-	s.partBuilds.Add(1)
-	for {
-		cur := s.maxBuildParts.Load()
-		if int64(parts) <= cur || s.maxBuildParts.CompareAndSwap(cur, int64(parts)) {
-			return
-		}
-	}
 }
 
 // RecordOp counts one executed operator of the given kind without row
@@ -176,24 +158,6 @@ func (s *Stats) SelectRowsOut() int {
 		return 0
 	}
 	return int(s.selectRowsOut.Load())
-}
-
-// PartitionedBuilds returns the number of hash-join builds that ran
-// partitioned across workers.
-func (s *Stats) PartitionedBuilds() int {
-	if s == nil {
-		return 0
-	}
-	return int(s.partBuilds.Load())
-}
-
-// MaxBuildPartitions returns the largest partition count used by any
-// partitioned hash-join build, 0 when every build ran sequentially.
-func (s *Stats) MaxBuildPartitions() int {
-	if s == nil {
-		return 0
-	}
-	return int(s.maxBuildParts.Load())
 }
 
 // Count returns the number of executed operators of the given kind.
@@ -266,15 +230,6 @@ func (s *Stats) Add(o *Stats) {
 	s.batches.Add(o.batches.Load())
 	s.selectRowsIn.Add(o.selectRowsIn.Load())
 	s.selectRowsOut.Add(o.selectRowsOut.Load())
-	s.partBuilds.Add(o.partBuilds.Load())
-	if m := o.maxBuildParts.Load(); m > 0 {
-		for {
-			cur := s.maxBuildParts.Load()
-			if m <= cur || s.maxBuildParts.CompareAndSwap(cur, m) {
-				break
-			}
-		}
-	}
 }
 
 // Reset clears the collector.
@@ -292,6 +247,4 @@ func (s *Stats) Reset() {
 	s.batches.Store(0)
 	s.selectRowsIn.Store(0)
 	s.selectRowsOut.Store(0)
-	s.partBuilds.Store(0)
-	s.maxBuildParts.Store(0)
 }

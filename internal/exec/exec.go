@@ -246,11 +246,3 @@ func Map[T any](ec *Context, n int, produce func(ctx context.Context, i int) (T,
 	}
 	return ec.Err()
 }
-
-// ForEach is Map without a produced value: it runs fn(ctx, i) for every i in
-// [0, n) on the worker pool and returns the first error.
-func ForEach(ec *Context, n int, fn func(ctx context.Context, i int) error) error {
-	return Map(ec, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	}, nil)
-}

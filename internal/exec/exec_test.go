@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -211,24 +210,5 @@ func TestMapZeroItems(t *testing.T) {
 		return 0, nil
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(NewContext(context.Background(), 8), 100, func(ctx context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != 4950 {
-		t.Errorf("sum = %d, want 4950", got)
-	}
-	wantErr := fmt.Errorf("nope")
-	if err := ForEach(Sequential(), 3, func(ctx context.Context, i int) error {
-		return wantErr
-	}); !errors.Is(err, wantErr) {
-		t.Errorf("ForEach err = %v, want %v", err, wantErr)
 	}
 }

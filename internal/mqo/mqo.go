@@ -176,7 +176,7 @@ func (p *Plan) ExecuteParallel(ec *exec.Context, db *engine.Instance, stats *eng
 		stats *engine.Stats
 	}
 	err := exec.Map(ec, len(p.Queries), func(ctx context.Context, i int) (queryRun, error) {
-		ex := &engine.Executor{DB: db, Stats: engine.NewStats(), Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch(), Workers: ec.Parallelism()}
+		ex := &engine.Executor{DB: db, Stats: engine.NewStats(), Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()}
 		rel, err := ex.ExecuteContext(ctx, p.Queries[i])
 		return queryRun{rel: rel, stats: ex.Stats}, err
 	}, func(i int, r queryRun) error {
