@@ -245,12 +245,12 @@ func printStats(res *urm.Result) {
 		res.RewrittenQueries, res.ExecutedQueries, res.Partitions)
 	fmt.Printf("operators: %v\n", res.Stats.Operators())
 	fmt.Printf("index: %d builds, %d lookups\n", res.Stats.IndexBuilds(), res.Stats.IndexLookups())
-	if b := res.Stats.Batches(); b > 0 {
+	if b, built := res.Stats.Batches(), res.Stats.ValuesBuilt(); b > 0 || built > 0 {
 		sel := "n/a"
 		if in := res.Stats.SelectRowsIn(); in > 0 {
 			sel = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.SelectRowsOut())/float64(in))
 		}
-		fmt.Printf("batch engine: %d batches, avg select selectivity %s\n", b, sel)
+		fmt.Printf("batch engine: %d batches, avg select selectivity %s, %d values built\n", b, sel, built)
 	}
 	fmt.Printf("phases: rewrite %.3fs, execute %.3fs, aggregate %.3fs\n",
 		res.RewriteTime.Seconds(), res.ExecTime.Seconds(), res.AggregateTime.Seconds())

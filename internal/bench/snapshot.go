@@ -78,6 +78,33 @@ func snapshotRelation(name string, n int) *engine.Relation {
 	return r
 }
 
+// snapshotWideKeyedRelation is snapshotKeyedRelation with width columns: the
+// key, then padding of the kinds a source row carries.  The reformulated join
+// queries pair 19–25-column rows and keep one column; this is that shape.
+func snapshotWideKeyedRelation(name string, n, stride, width int) *engine.Relation {
+	cols := []string{name + ".id"}
+	for c := 1; c < width; c++ {
+		cols = append(cols, fmt.Sprintf("%s.c%d", name, c))
+	}
+	r := engine.NewRelation(name, cols)
+	for i := 0; i < n; i++ {
+		t := make(engine.Tuple, width)
+		t[0] = engine.I(int64((i*stride + 1) % snapshotRows))
+		for c := 1; c < width; c++ {
+			switch c % 3 {
+			case 0:
+				t[c] = engine.I(int64(i + c))
+			case 1:
+				t[c] = engine.S(fmt.Sprintf("tag-%d", (i+c)%97))
+			default:
+				t[c] = engine.F(float64((i+c)%1000) / 3)
+			}
+		}
+		r.Rows = append(r.Rows, t)
+	}
+	return r
+}
+
 func snapshotKeyedRelation(name string, n, stride int) *engine.Relation {
 	r := engine.NewRelation(name, []string{name + ".id", name + ".tag"})
 	for i := 0; i < n; i++ {
@@ -89,21 +116,33 @@ func snapshotKeyedRelation(name string, n, stride int) *engine.Relation {
 	return r
 }
 
+// measureRuns is how many times each side of a pair runs under the benchmark
+// harness; the fastest counts.  On a shared box noise only ever adds time
+// (benchmark/README.md), so the least of a few runs is the repeatable figure
+// and a single run is what made `project`'s 1.2 floor flaky.
+const measureRuns = 3
+
 // measurePair benchmarks the naive and live implementations of one operator.
 func measurePair(rows int, naive, live func() error) (OperatorBench, error) {
 	var firstErr error
 	run := func(fn func() error) int64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := fn(); err != nil {
-					if firstErr == nil {
-						firstErr = err
+		best := int64(0)
+		for r := 0; r < measureRuns && firstErr == nil; r++ {
+			res := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := fn(); err != nil {
+						if firstErr == nil {
+							firstErr = err
+						}
+						b.Fatal(err)
 					}
-					b.Fatal(err)
 				}
+			})
+			if ns := res.NsPerOp(); best == 0 || ns < best {
+				best = ns
 			}
-		})
-		return res.NsPerOp()
+		}
+		return best
 	}
 	nb := run(naive)
 	eb := run(live)
@@ -118,9 +157,9 @@ func measurePair(rows int, naive, live func() error) (OperatorBench, error) {
 }
 
 // Snapshot measures the engine's operator throughput against the naive
-// reference and times every evaluation method end to end.  It takes on the
-// order of ten seconds: each operator pair runs under the standard Go
-// benchmark harness until timings stabilise.
+// reference and times every evaluation method end to end.  It takes about a
+// minute and a half: each side of each operator pair runs measureRuns times
+// under the standard Go benchmark harness.
 func Snapshot() (*EngineSnapshot, error) {
 	ctx := context.Background()
 	snap := &EngineSnapshot{
@@ -207,6 +246,30 @@ func Snapshot() (*EngineSnapshot, error) {
 					_, err := ex.ExecuteContext(ctx, pipelinePlan)
 					return err
 				}, nil
+		}},
+		// Keeping 1 of the 14 columns of a join: the reference builds every
+		// joined row whole and projects it; the plan's join builds only the
+		// column the projection reads.
+		{"project-join", snapshotRows + snapshotRows/4, func() (func() error, func() error, error) {
+			db := engine.NewInstance("DW")
+			left := snapshotWideKeyedRelation("L", snapshotRows, 1, 8)
+			right := snapshotWideKeyedRelation("R", snapshotRows/4, 4, 6)
+			db.AddRelation(left)
+			db.AddRelation(right)
+			cols := []string{"R.c3"}
+			plan := &engine.ProjectPlan{Columns: cols, Child: &engine.JoinPlan{
+				LeftCol: "L.id", RightCol: "R.id",
+				Left:  &engine.ScanPlan{Relation: "L"},
+				Right: &engine.ScanPlan{Relation: "R"},
+			}}
+			return func() error {
+				joined, err := engine.NaiveHashJoin(ctx, left, right, "L.id", "R.id", nil)
+				if err != nil {
+					return err
+				}
+				_, err = engine.NaiveProject(ctx, joined, cols, nil)
+				return err
+			}, func() error { return execPlan(db, plan, nil) }, nil
 		}},
 		// Index subsystem pairs: a selective (~0.5%) constant-equality
 		// selection served from the shared per-column index versus the full

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // This file is the vectorized batch pipeline, the engine's one streaming
 // executor.  Operators exchange ~1024-row batches — a window of row tuples
@@ -46,8 +43,11 @@ func (b *Batch) NumRows() int {
 type BatchSource interface {
 	// Name is the relation name a materialization of this source carries.
 	Name() string
-	// Columns is the output column layout, fixed for the stream's life.
-	Columns() []string
+	// layout is the source's logical output columns and where its tuples
+	// carry them, fixed for the stream's life.  Only products and joins build
+	// fewer columns than they name; every other source passes its input's
+	// layout through or builds exactly its own columns.
+	layout() colLayout
 	// NextBatch pulls the next batch of live rows.
 	NextBatch() (*Batch, bool, error)
 }
@@ -55,7 +55,7 @@ type BatchSource interface {
 // MaterializeBatches drains the source into a Relation, copying the live row
 // headers out of each batch before pulling the next.
 func MaterializeBatches(src BatchSource) (*Relation, error) {
-	out := &Relation{Name: src.Name(), Columns: src.Columns()}
+	out := &Relation{Name: src.Name(), Columns: src.layout().built()}
 	for {
 		b, ok, err := src.NextBatch()
 		if err != nil {
@@ -95,7 +95,7 @@ type batchScan struct {
 }
 
 func (s *batchScan) Name() string      { return s.name }
-func (s *batchScan) Columns() []string { return s.cols }
+func (s *batchScan) layout() colLayout { return colLayout{cols: s.cols} }
 
 func (s *batchScan) NextBatch() (*Batch, bool, error) {
 	if err := canceled(s.ctx); err != nil {
@@ -139,7 +139,7 @@ type batchFilter struct {
 }
 
 func (s *batchFilter) Name() string      { return s.src.Name() }
-func (s *batchFilter) Columns() []string { return s.src.Columns() }
+func (s *batchFilter) layout() colLayout { return s.src.layout() }
 
 func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 	for {
@@ -217,7 +217,7 @@ type batchIndexScan struct {
 }
 
 func (s *batchIndexScan) Name() string      { return s.alias }
-func (s *batchIndexScan) Columns() []string { return s.cols }
+func (s *batchIndexScan) layout() colLayout { return colLayout{cols: s.cols} }
 
 func (s *batchIndexScan) start() error {
 	idx, err := s.cache.columnIndex(s.ctx, s.base, s.probeCol, s.stats)
@@ -313,7 +313,7 @@ type batchProject struct {
 }
 
 func (s *batchProject) Name() string      { return s.name }
-func (s *batchProject) Columns() []string { return s.cols }
+func (s *batchProject) layout() colLayout { return colLayout{cols: s.cols} }
 
 func (s *batchProject) NextBatch() (*Batch, bool, error) {
 	b, ok, err := s.src.NextBatch()
@@ -325,6 +325,7 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 			s.recorded = true
 			s.stats.record(OpKindProject, s.n, s.n)
 			s.stats.recordBatches(s.nbat)
+			s.stats.recordValues(projectCopied(s.idx) * s.n)
 		}
 		return nil, false, nil
 	}
@@ -396,7 +397,8 @@ type batchProduct struct {
 	ctx         context.Context
 	left, right BatchSource
 	name        string
-	cols        []string
+	lay         colLayout
+	shape       pairShape
 	size        int
 	stats       *Stats
 	arena       valueArena
@@ -415,13 +417,14 @@ type batchProduct struct {
 }
 
 func (s *batchProduct) Name() string      { return s.name }
-func (s *batchProduct) Columns() []string { return s.cols }
+func (s *batchProduct) layout() colLayout { return s.lay }
 
 func (s *batchProduct) finish() (*Batch, bool, error) {
 	if !s.done {
 		s.done = true
 		s.stats.record(OpKindProduct, s.leftIn+len(s.rrows), s.out)
 		s.stats.recordBatches(s.nbat)
+		s.stats.recordValues(s.shape.copied() * s.out)
 	}
 	return nil, false, nil
 }
@@ -469,7 +472,7 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 			}
 			s.lb, s.li, s.ri = b, 0, 0
 		}
-		out = append(out, s.arena.concat(liveRow(s.lb, s.li), s.rrows[s.ri]))
+		out = append(out, s.shape.build(&s.arena, liveRow(s.lb, s.li), s.rrows[s.ri]))
 		s.ri++
 		if s.ri == len(s.rrows) {
 			s.ri = 0
@@ -538,7 +541,8 @@ type batchJoin struct {
 	left, right BatchSource
 	li, ri      int
 	name        string
-	cols        []string
+	lay         colLayout
+	shape       pairShape
 	size        int
 	stats       *Stats
 	arena       valueArena
@@ -560,7 +564,7 @@ type batchJoin struct {
 }
 
 func (s *batchJoin) Name() string      { return s.name }
-func (s *batchJoin) Columns() []string { return s.cols }
+func (s *batchJoin) layout() colLayout { return s.lay }
 
 // hashLeftBatch precomputes the probe-key hashes of the batch's live rows —
 // the interleaved batch FNV-1a pass feeding the shared bucket chains.
@@ -613,7 +617,7 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 			if !rr[s.ri].EqualKey(s.cur[s.li]) {
 				continue // hash collision, not an actual match
 			}
-			out = append(out, s.arena.concat(s.cur, rr))
+			out = append(out, s.shape.build(&s.arena, s.cur, rr))
 			continue
 		}
 		if s.lb == nil || s.pi >= s.lb.NumRows() {
@@ -627,6 +631,7 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 						s.done = true
 						s.stats.record(OpKindJoin, s.leftIn+len(build.rows), s.out)
 						s.stats.recordBatches(s.nbat)
+						s.stats.recordValues(s.shape.copied() * s.out)
 					}
 					return nil, false, nil
 				}
@@ -687,7 +692,8 @@ type batchSharedJoin struct {
 	base   *Relation
 	ri     int
 	name   string
-	cols   []string
+	lay    colLayout
+	shape  pairShape
 	size   int
 	stats  *Stats
 	arena  valueArena
@@ -710,7 +716,7 @@ type batchSharedJoin struct {
 }
 
 func (s *batchSharedJoin) Name() string      { return s.name }
-func (s *batchSharedJoin) Columns() []string { return s.cols }
+func (s *batchSharedJoin) layout() colLayout { return s.lay }
 
 func (s *batchSharedJoin) hashLeftBatch(b *Batch) {
 	m := b.NumRows()
@@ -765,7 +771,7 @@ func (s *batchSharedJoin) NextBatch() (*Batch, bool, error) {
 			if !keep {
 				continue // filtered out of the build side
 			}
-			out = append(out, s.arena.concat(s.cur, rr))
+			out = append(out, s.shape.build(&s.arena, s.cur, rr))
 			continue
 		}
 		if s.lb == nil || s.pi >= s.lb.NumRows() {
@@ -785,6 +791,7 @@ func (s *batchSharedJoin) NextBatch() (*Batch, bool, error) {
 						// The build side was never read: only probe rows count.
 						s.stats.record(OpKindJoin, s.leftIn, s.out)
 						s.stats.recordBatches(s.nbat)
+						s.stats.recordValues(s.shape.copied() * s.out)
 					}
 					return nil, false, nil
 				}
@@ -825,7 +832,7 @@ type batchDistinct struct {
 }
 
 func (s *batchDistinct) Name() string      { return s.src.Name() }
-func (s *batchDistinct) Columns() []string { return s.src.Columns() }
+func (s *batchDistinct) layout() colLayout { return s.src.layout() }
 
 func (s *batchDistinct) NextBatch() (*Batch, bool, error) {
 	for {
@@ -899,26 +906,17 @@ type batchAgg struct {
 }
 
 func newBatchAgg(ctx context.Context, src BatchSource, fn AggFunc, column string, stats *Stats) (*batchAgg, error) {
-	if err := validAggFunc(fn); err != nil {
+	acc, err := newAggAccumulator(src.layout(), fn, column)
+	if err != nil {
 		return nil, err
 	}
-	idx := -1
-	if fn != AggCount {
-		idx = lookupColumn(src.Columns(), column)
-		if idx < 0 {
-			return nil, fmt.Errorf("aggregate %s: column %q not found in %v", fn, column, src.Columns())
-		}
-	}
-	return &batchAgg{
-		ctx: ctx, src: src, stats: stats,
-		acc: aggAccumulator{fn: fn, idx: idx, column: column},
-	}, nil
+	return &batchAgg{ctx: ctx, src: src, stats: stats, acc: acc}, nil
 }
 
 func (s *batchAgg) Name() string { return s.src.Name() }
 
-func (s *batchAgg) Columns() []string {
-	return []string{aggOutputColumn(s.acc.fn, s.acc.column)}
+func (s *batchAgg) layout() colLayout {
+	return colLayout{cols: []string{aggOutputColumn(s.acc.fn, s.acc.column)}}
 }
 
 func (s *batchAgg) NextBatch() (*Batch, bool, error) {

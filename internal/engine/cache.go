@@ -12,28 +12,41 @@ import (
 // exactly one computes it and the others block until the result is ready
 // (singleflight), so every distinct subexpression is executed exactly once no
 // matter how the queries sharing it are scheduled across workers.
+//
+// One materialization serves every consumer of a signature, so it has to carry
+// the union of the columns they read: a cache made by LiveColumns.NewPlanCache
+// builds exactly that, and may only run the plans that analysis covered; a
+// cache made by NewPlanCache knows nothing about its consumers and keeps every
+// column.
 type PlanCache struct {
+	live    *LiveColumns
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 }
 
 type cacheEntry struct {
 	once sync.Once
-	rel  *Relation
+	res  *planResult
 	err  error
 }
 
-// NewPlanCache returns an empty cache.
+// NewPlanCache returns an empty cache whose results keep every column.
 func NewPlanCache() *PlanCache {
 	return &PlanCache{entries: make(map[string]*cacheEntry)}
 }
 
-// GetOrCompute returns the cached result for the signature, computing it with
+// NewPlanCache returns an empty cache for executing the analysed plans: each
+// signature materializes the columns some analysed plan reads from it.
+func (l *LiveColumns) NewPlanCache() *PlanCache {
+	return &PlanCache{live: l, entries: make(map[string]*cacheEntry)}
+}
+
+// getOrCompute returns the cached result for the signature, computing it with
 // compute on first request.  A compute error is cached too, so a failing
 // subexpression fails every query sharing it without being retried — except
 // context cancellation/deadline errors, whose entry is evicted so a later run
 // with a live context can recompute the subexpression.
-func (c *PlanCache) GetOrCompute(sig string, compute func() (*Relation, error)) (*Relation, error) {
+func (c *PlanCache) getOrCompute(sig string, compute func() (*planResult, error)) (*planResult, error) {
 	c.mu.Lock()
 	e, ok := c.entries[sig]
 	if !ok {
@@ -42,7 +55,7 @@ func (c *PlanCache) GetOrCompute(sig string, compute func() (*Relation, error)) 
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.rel, e.err = compute()
+		e.res, e.err = compute()
 		if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
 			c.mu.Lock()
 			if c.entries[sig] == e {
@@ -51,7 +64,7 @@ func (c *PlanCache) GetOrCompute(sig string, compute func() (*Relation, error)) 
 			c.mu.Unlock()
 		}
 	})
-	return e.rel, e.err
+	return e.res, e.err
 }
 
 // Len returns the number of cached signatures.

@@ -128,14 +128,17 @@ func randIndexedPlan(rng *rand.Rand) Plan {
 func TestIndexedExecutorMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	probed, fellBack := 0, 0
-	for trial := 0; trial < 400; trial++ {
-		db := NewInstance("D")
-		db.AddRelation(randRelation(rng, "L", []string{"a", "b", "c"}, rng.Intn(50)))
-		db.AddRelation(randRelation(rng, "R", []string{"x", "y"}, rng.Intn(40)))
+	for trial := 0; trial < 600; trial++ {
+		db := randDB(rng, 50, 40)
+		// Two in three trials draw the index-shaped plans; the rest run the
+		// composable generator's join chains through the index-aware drivers.
 		plan := randIndexedPlan(rng)
+		if trial%3 == 2 {
+			plan = randPlan(rng)
+		}
 
 		want, err1 := NaiveExecute(bgCtx, db, plan, NewStats())
-		for _, bs := range []int{0, 1, 7} {
+		for _, bs := range []int{0, 1, 7, 1024} {
 			label := fmt.Sprintf("trial %d batch %d plan %s", trial, bs, plan.Signature())
 			ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes(), Batch: bs}
 			got, err2 := ex.ExecuteContext(bgCtx, plan)

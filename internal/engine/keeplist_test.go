@@ -259,3 +259,60 @@ func TestSmallOutputsAllocateLittle(t *testing.T) {
 		}
 	}
 }
+
+// TestPrunedProductAllocatesRowHeadersOnly projects one left column out of a
+// 200 × 100 product of 12-column relations: the product's rows are windows of
+// its left rows, so both drivers allocate row headers and nothing else — no
+// value is built, where the all-columns product built 20,000 × 24 of them
+// (23 MB).
+func TestPrunedProductAllocatesRowHeadersOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cols := func(rel string) []string {
+		out := make([]string, 12)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s.c%d", rel, i)
+		}
+		return out
+	}
+	db := NewInstance("D")
+	db.AddRelation(randRelation(rng, "L", cols("L"), 200))
+	db.AddRelation(randRelation(rng, "R", cols("R"), 100))
+	plan := &ProjectPlan{
+		Columns: []string{"L.c7"},
+		Child:   &ProductPlan{Left: &ScanPlan{Relation: "L"}, Right: &ScanPlan{Relation: "R"}},
+	}
+	const rows = 200 * 100
+	headers := uint64(rows * 24) // one slice header per output row
+	for _, c := range []struct {
+		name   string
+		limit  uint64
+		cached bool
+	}{
+		// The root drains a product of unknown size, so its row list grows
+		// geometrically: under five times the final list in all.
+		{"batch", 6 * headers, false},
+		// The product sizes its row list exactly; the projection holds a second.
+		{"cached", 3 * headers, true},
+	} {
+		var stats *Stats
+		var got *Relation
+		var err error
+		bytes := allocatedBytes(func() {
+			ex := &Executor{DB: db, Stats: NewStats()}
+			if c.cached {
+				ex.Cache = AnalyzeLiveColumns([]Plan{plan}).NewPlanCache()
+			}
+			got, err = ex.Execute(plan)
+			stats = ex.Stats
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got.NumRows() != rows || stats.ValuesBuilt() != 0 {
+			t.Fatalf("%s: %d rows with %d values built, want %d rows and no value built", c.name, got.NumRows(), stats.ValuesBuilt(), rows)
+		}
+		if bytes >= c.limit {
+			t.Errorf("%s allocated %d bytes for %d one-column rows, want under %d (row headers only)", c.name, bytes, rows, c.limit)
+		}
+	}
+}

@@ -1,0 +1,258 @@
+package engine
+
+// This file is the required-columns analysis over plans.  Products and joins
+// are the operators that build new tuples, and every reformulated query keeps a
+// handful of the 19–25 columns their inputs carry, so both plan drivers ask,
+// for every node, which of its output columns some ancestor reads, and the
+// pair-building operators emit only those.  The analysis is by name and needs
+// no instance: a node hands each child the names its ancestors read plus the
+// names it reads itself, and the child keeps whichever of them resolve against
+// its own columns.  A name an ancestor resolves always resolves to the same
+// column in the child that provides it (an exact match is the first exact
+// match on its side; an unambiguous suffix is unambiguous on its side too), so
+// a column that is read is never dropped; a name that resolves nowhere keeps
+// nothing and the operator that reads it reports the error against the full
+// column list, as it always did.
+
+// colNeed is the set of a plan node's output columns that an ancestor reads,
+// by name as the ancestors spell them.  The zero value needs nothing.
+type colNeed struct {
+	all   bool
+	names []string
+}
+
+// needAll is the need of a plan root and of every operator that reads whole
+// rows.
+var needAll = colNeed{all: true}
+
+// with returns the need extended by the names.
+func (n colNeed) with(names ...string) colNeed {
+	if n.all {
+		return n
+	}
+	out := n.names[:len(n.names):len(n.names)]
+	for _, name := range names {
+		if !containsName(out, name) {
+			out = append(out, name)
+		}
+	}
+	return colNeed{names: out}
+}
+
+func containsName(names []string, name string) bool {
+	for _, c := range names {
+		if c == name {
+			return true
+		}
+	}
+	return false
+}
+
+// childNeeds is the per-operator rule: given the columns read from p's output,
+// the columns p's children must supply (second is meaningful for products and
+// joins only).  A selection adds its predicate's columns and a join its key on
+// each side; a projection and an aggregate replace the need by their own
+// columns; a distinct, a predicate implementation the engine cannot look into
+// and an unknown node read whole rows.
+func childNeeds(p Plan, need colNeed) (first, second colNeed) {
+	switch n := p.(type) {
+	case *SelectPlan:
+		cols, ok := predicateColumns(n.Pred, nil)
+		if !ok {
+			return needAll, colNeed{}
+		}
+		return need.with(cols...), colNeed{}
+	case *ProjectPlan:
+		return colNeed{names: n.Columns}, colNeed{}
+	case *ProductPlan:
+		return need, need
+	case *JoinPlan:
+		return need.with(n.LeftCol), need.with(n.RightCol)
+	case *AggregatePlan:
+		if n.Func == AggCount {
+			return colNeed{}, colNeed{}
+		}
+		return colNeed{names: []string{n.Column}}, colNeed{}
+	default:
+		return needAll, needAll
+	}
+}
+
+// predicateColumns appends the columns the predicate reads to dst.  ok=false
+// for a Predicate implementation from outside the engine, which evaluates
+// against whole rows (boundFallback).
+func predicateColumns(p Predicate, dst []string) ([]string, bool) {
+	switch n := p.(type) {
+	case *ConstPredicate:
+		return append(dst, n.Column), true
+	case *ColPredicate:
+		return append(dst, n.Left, n.Right), true
+	case *AndPredicate:
+		return predicateListColumns(n.Children, dst)
+	case *OrPredicate:
+		return predicateListColumns(n.Children, dst)
+	case *NotPredicate:
+		return predicateColumns(n.Child, dst)
+	default:
+		return nil, false
+	}
+}
+
+func predicateListColumns(children []Predicate, dst []string) ([]string, bool) {
+	for _, c := range children {
+		var ok bool
+		if dst, ok = predicateColumns(c, dst); !ok {
+			return nil, false
+		}
+	}
+	return dst, true
+}
+
+// LiveColumns is the analysis of a set of plans whose node results are shared
+// by signature (the MQO substrate): a signature's need is the union over every
+// occurrence in every plan, so one materialization serves all its consumers.
+// It depends on the plans alone and is immutable once built — compute it once
+// per plan set, not per execution.
+type LiveColumns struct {
+	need map[string]colNeed
+}
+
+// AnalyzeLiveColumns runs the analysis over plans that will execute against
+// one shared PlanCache.
+func AnalyzeLiveColumns(plans []Plan) *LiveColumns {
+	l := &LiveColumns{need: make(map[string]colNeed)}
+	for _, p := range plans {
+		l.add(p, needAll)
+	}
+	return l
+}
+
+func (l *LiveColumns) add(p Plan, need colNeed) {
+	if p == nil {
+		return
+	}
+	sig := p.Signature()
+	merged := need
+	if prev, ok := l.need[sig]; ok && !need.all {
+		merged = prev.with(need.names...)
+	}
+	l.need[sig] = merged
+	// Children are walked with this occurrence's need: the rule distributes
+	// over union, so unioning per signature on the way down gives the same
+	// sets as deriving them from the merged need.
+	first, second := childNeeds(p, need)
+	for i, c := range p.Children() {
+		if i == 0 {
+			l.add(c, first)
+		} else {
+			l.add(c, second)
+		}
+	}
+}
+
+// needOf returns the columns read from the signature's result.  Without an
+// analysis, or for a signature it never saw, that is every column.
+func (l *LiveColumns) needOf(sig string) colNeed {
+	if l == nil {
+		return needAll
+	}
+	if need, ok := l.need[sig]; ok {
+		return need
+	}
+	return needAll
+}
+
+// colLayout locates a plan node's logical output columns — the full list the
+// node produces by name, against which every reference is resolved and which
+// error messages print — in the tuples actually built for it.
+type colLayout struct {
+	cols []string // logical columns
+	pos  []int    // tuple position of each logical column, -1 when not built; nil when the tuples carry every column in order
+}
+
+// resolve returns the tuple position of the named column, or -1 when the name
+// does not resolve against the logical columns.
+func (l colLayout) resolve(name string) int {
+	j := lookupColumn(l.cols, name)
+	if j < 0 {
+		return -1
+	}
+	return l.mustAt(j)
+}
+
+// mustAt returns the tuple position of logical column j, which some operator
+// is about to read.
+func (l colLayout) mustAt(j int) int {
+	p := l.at(j)
+	if p < 0 {
+		// Only a disagreement between childNeeds and the operator that reads
+		// the column can get here.
+		panic("engine: column " + l.cols[j] + " is read above the operator that dropped it")
+	}
+	return p
+}
+
+// built returns the names of the columns the tuples carry, in tuple order.
+func (l colLayout) built() []string {
+	if l.pos == nil {
+		return l.cols
+	}
+	out := make([]string, 0, len(l.cols))
+	for j, p := range l.pos {
+		if p >= 0 {
+			out = append(out, l.cols[j])
+		}
+	}
+	return out
+}
+
+func (l colLayout) at(j int) int {
+	if l.pos == nil {
+		return j
+	}
+	return l.pos[j]
+}
+
+// pairLayout lays out the rows of a product or join of left and right whose
+// output must supply need: the logical columns are the two sides' in order, a
+// column is built when a needed name resolves to it against that full list,
+// and the shape gathers exactly the built columns from the two input tuples.
+func pairLayout(left, right colLayout, need colNeed) (pairShape, colLayout) {
+	cols := make([]string, 0, len(left.cols)+len(right.cols))
+	cols = append(cols, left.cols...)
+	cols = append(cols, right.cols...)
+	live := make([]bool, len(cols))
+	if need.all {
+		for j := range live {
+			live[j] = true
+		}
+	} else {
+		for _, name := range need.names {
+			if j := lookupColumn(cols, name); j >= 0 {
+				live[j] = true
+			}
+		}
+	}
+	nl := len(left.cols)
+	var leftKeep, rightKeep []int
+	pos := make([]int, len(cols))
+	identity := left.pos == nil && right.pos == nil
+	for j := range cols {
+		side, keep, k := left, &leftKeep, j
+		if j >= nl {
+			side, keep, k = right, &rightKeep, j-nl
+		}
+		at := side.at(k)
+		if !live[j] || at < 0 {
+			pos[j] = -1
+			identity = false
+			continue
+		}
+		pos[j] = len(leftKeep) + len(rightKeep)
+		*keep = append(*keep, at)
+	}
+	if identity {
+		pos = nil
+	}
+	return newPairShape(leftKeep, rightKeep), colLayout{cols: cols, pos: pos}
+}

@@ -67,14 +67,6 @@ func (a *valueArena) tuple(n int) Tuple {
 	return t
 }
 
-// concat appends lr and rr into one arena-backed tuple.
-func (a *valueArena) concat(lr, rr Tuple) Tuple {
-	t := a.tuple(len(lr) + len(rr))
-	copy(t, lr)
-	copy(t[len(lr):], rr)
-	return t
-}
-
 // reserve sizes the arena's current chunk for at least n more values when the
 // caller can estimate its total output up front: an exact estimate means one
 // slab and no partially used chunk left behind as dead weight.
@@ -87,39 +79,67 @@ func (a *valueArena) reserve(n int) {
 // pairShape describes the output rows of a product or join: the kept columns
 // of a left row followed by the kept columns of a right row, as positions in
 // the input rows.  A keep list that is a contiguous ascending run — the
-// all-columns list always is — is copied rather than gathered.
+// all-columns list always is — is copied rather than gathered, and when one
+// side keeps nothing and the other a run (or nothing either) the output row is
+// a capacity-clamped window of the input row: nothing is copied or allocated,
+// on the immutable-tuple contract projectRows documents.
 type pairShape struct {
 	left, right       []int
 	leftRun, rightRun bool
+	window            bool
 }
 
-// newPairShape validates the keep lists against the input widths and returns
-// the shape with the output column names.
-func newPairShape(op string, left, right *Relation, leftKeep, rightKeep []int) (pairShape, []string, error) {
+func newPairShape(leftKeep, rightKeep []int) pairShape {
+	p := pairShape{
+		left: leftKeep, right: rightKeep,
+		leftRun: contiguousIdx(leftKeep), rightRun: contiguousIdx(rightKeep),
+	}
+	p.window = (len(rightKeep) == 0 && (p.leftRun || len(leftKeep) == 0)) || (len(leftKeep) == 0 && p.rightRun)
+	return p
+}
+
+// keptColumns validates the keep lists against the input widths and returns
+// the output column names.
+func keptColumns(op string, left, right *Relation, leftKeep, rightKeep []int) ([]string, error) {
 	cols := make([]string, 0, len(leftKeep)+len(rightKeep))
 	for _, j := range leftKeep {
 		if j < 0 || j >= len(left.Columns) {
-			return pairShape{}, nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, left.Columns)
+			return nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, left.Columns)
 		}
 		cols = append(cols, left.Columns[j])
 	}
 	for _, j := range rightKeep {
 		if j < 0 || j >= len(right.Columns) {
-			return pairShape{}, nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, right.Columns)
+			return nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, right.Columns)
 		}
 		cols = append(cols, right.Columns[j])
 	}
-	return pairShape{
-		left: leftKeep, right: rightKeep,
-		leftRun: contiguousIdx(leftKeep), rightRun: contiguousIdx(rightKeep),
-	}, cols, nil
+	return cols, nil
 }
 
-func (p *pairShape) width() int { return len(p.left) + len(p.right) }
+// copied returns the number of values build copies per output row.
+func (p *pairShape) copied() int {
+	if p.window {
+		return 0
+	}
+	return len(p.left) + len(p.right)
+}
 
-// build returns the arena-backed output row for the pair (lr, rr).
+// build returns the output row for the pair (lr, rr).
 func (p *pairShape) build(a *valueArena, lr, rr Tuple) Tuple {
-	t := a.tuple(p.width())
+	if p.window {
+		switch {
+		case len(p.left) > 0:
+			j0, j1 := p.left[0], p.left[0]+len(p.left)
+			return lr[j0:j1:j1]
+		case len(p.right) > 0:
+			j0, j1 := p.right[0], p.right[0]+len(p.right)
+			return rr[j0:j1:j1]
+		default:
+			return Tuple{}
+		}
+	}
+	t := a.tuple(len(p.left) + len(p.right))
 	gatherColumns(t[:len(p.left)], lr, p.left, p.leftRun)
 	gatherColumns(t[len(p.left):], rr, p.right, p.rightRun)
 	return t
@@ -177,6 +197,12 @@ func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*
 	if err != nil {
 		return nil, err
 	}
+	return selectRows(ctx, rel, vp, stats)
+}
+
+// selectRows is Select with the predicate already compiled against the
+// positions of rel's tuples.
+func selectRows(ctx context.Context, rel *Relation, vp vecPredicate, stats *Stats) (*Relation, error) {
 	out := NewRelation(rel.Name, rel.Columns)
 	rows := rel.Rows
 	// Filter the whole relation into one selection vector first (pointer-free,
@@ -220,22 +246,48 @@ func Project(ctx context.Context, rel *Relation, columns []string, stats *Stats)
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(columns))
-	outCols := make([]string, len(columns))
-	for i, c := range columns {
-		j := rel.ColumnIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("project: column %q not found in %v", c, rel.Columns)
-		}
-		idx[i] = j
-		outCols[i] = rel.Columns[j]
+	idx, outCols, err := resolveProjection(colLayout{cols: rel.Columns}, columns)
+	if err != nil {
+		return nil, err
 	}
+	return projectColumns(ctx, rel, idx, outCols, stats)
+}
+
+// resolveProjection resolves a projection's columns against its input: the
+// tuple position of each and the name it carries in the output.
+func resolveProjection(in colLayout, columns []string) (idx []int, outCols []string, err error) {
+	idx = make([]int, len(columns))
+	outCols = make([]string, len(columns))
+	for i, c := range columns {
+		j := lookupColumn(in.cols, c)
+		if j < 0 {
+			return nil, nil, fmt.Errorf("project: column %q not found in %v", c, in.cols)
+		}
+		idx[i] = in.mustAt(j)
+		outCols[i] = in.cols[j]
+	}
+	return idx, outCols, nil
+}
+
+// projectColumns is Project with the columns already resolved to positions in
+// rel's tuples.
+func projectColumns(ctx context.Context, rel *Relation, idx []int, outCols []string, stats *Stats) (*Relation, error) {
 	out := NewRelation(rel.Name, outCols)
 	if err := projectRows(ctx, rel.Rows, idx, &out.Rows); err != nil {
 		return nil, err
 	}
 	stats.record(OpKindProject, len(rel.Rows), len(out.Rows))
+	stats.recordValues(projectCopied(idx) * len(out.Rows))
 	return out, nil
+}
+
+// projectCopied returns the number of values a projection onto idx copies per
+// row: none when the columns are one window of the input row.
+func projectCopied(idx []int) int {
+	if contiguousIdx(idx) {
+		return 0
+	}
+	return len(idx)
 }
 
 // projectRows gathers the idx columns of every input row into *out, sized
@@ -359,26 +411,31 @@ func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relatio
 	return ProductKeep(ctx, left, right, allColumns(left), allColumns(right), stats)
 }
 
-// ProductKeep is the product kernel: the Cartesian product of left and right,
-// left-major, emitting only the columns at positions leftKeep of each left row
-// followed by those at rightKeep of each right row — row for row what a
-// projection of the full product onto those columns would yield, without ever
-// building the dropped columns.  The row list and the value arena are sized
-// exactly from rows(left)·rows(right)·width; a product too large to size up
-// front (the count overflows, or exceeds maxPresizeValues) grows geometrically
-// instead, so it stays cancellable before it exhausts memory.
+// ProductKeep is the Cartesian product of left and right, left-major, emitting
+// only the columns at positions leftKeep of each left row followed by those at
+// rightKeep of each right row — row for row what a projection of the full
+// product onto those columns would yield, without ever building the dropped
+// columns.
 func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep []int, stats *Stats) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	shape, cols, err := newPairShape("product", left, right, leftKeep, rightKeep)
+	cols, err := keptColumns("product", left, right, leftKeep, rightKeep)
 	if err != nil {
 		return nil, err
 	}
+	return productRows(ctx, left, right, newPairShape(leftKeep, rightKeep), cols, stats)
+}
+
+// productRows is the product kernel.  The row list and the value arena are
+// sized exactly from rows(left)·rows(right)·copied values; a product too large
+// to size up front (the count overflows, or exceeds maxPresizeValues) grows
+// geometrically instead, so it stays cancellable before it exhausts memory.
+func productRows(ctx context.Context, left, right *Relation, shape pairShape, cols []string, stats *Stats) (*Relation, error) {
 	out := NewRelation(left.Name+"x"+right.Name, cols)
 	var arena valueArena
 	if n, ok := mulFits(len(left.Rows), len(right.Rows), maxPresizeValues); ok && n > 0 {
-		if values, ok := mulFits(n, shape.width(), maxPresizeValues); ok {
+		if values, ok := mulFits(n, shape.copied(), maxPresizeValues); ok {
 			out.Rows = make([]Tuple, 0, n)
 			arena.reserve(values)
 		}
@@ -396,6 +453,7 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 		}
 	}
 	stats.record(OpKindProduct, len(left.Rows)+len(right.Rows), len(out.Rows))
+	stats.recordValues(shape.copied() * len(out.Rows))
 	return out, nil
 }
 
@@ -410,25 +468,39 @@ func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 // hashJoin is the equi-join behind HashJoin, IndexedHashJoin and
 // IndexedHashJoinKeep, emitting the leftKeep columns of each matching left row
 // followed by the rightKeep columns of its right row (the join columns
-// themselves need not be kept).  When the cache identifies the right side as
-// an untouched base scan, the build table is the instance's shared per-column
-// index; otherwise it is built here from the right rows.
+// themselves need not be kept).
 func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	li := left.ColumnIndex(leftCol)
-	if li < 0 {
-		return nil, fmt.Errorf("join: column %q not found in %v", leftCol, left.Columns)
-	}
-	ri := right.ColumnIndex(rightCol)
-	if ri < 0 {
-		return nil, fmt.Errorf("join: column %q not found in %v", rightCol, right.Columns)
-	}
-	shape, cols, err := newPairShape("join", left, right, leftKeep, rightKeep)
+	li, ri, err := resolveJoinKeys(colLayout{cols: left.Columns}, colLayout{cols: right.Columns}, leftCol, rightCol)
 	if err != nil {
 		return nil, err
 	}
+	cols, err := keptColumns("join", left, right, leftKeep, rightKeep)
+	if err != nil {
+		return nil, err
+	}
+	return joinRows(ctx, left, right, li, ri, newPairShape(leftKeep, rightKeep), cols, stats, cache)
+}
+
+// resolveJoinKeys resolves a join's key columns to tuple positions in its two
+// inputs.
+func resolveJoinKeys(left, right colLayout, leftCol, rightCol string) (li, ri int, err error) {
+	if li = left.resolve(leftCol); li < 0 {
+		return 0, 0, fmt.Errorf("join: column %q not found in %v", leftCol, left.cols)
+	}
+	if ri = right.resolve(rightCol); ri < 0 {
+		return 0, 0, fmt.Errorf("join: column %q not found in %v", rightCol, right.cols)
+	}
+	return li, ri, nil
+}
+
+// joinRows is the materialized equi-join on left[li] = right[ri].  When the
+// cache identifies the right side as an untouched base scan, the build table
+// is the instance's shared per-column index; otherwise it is built here from
+// the right rows.
+func joinRows(ctx context.Context, left, right *Relation, li, ri int, shape pairShape, cols []string, stats *Stats, cache *IndexCache) (*Relation, error) {
 	out := NewRelation(left.Name+"⋈"+right.Name, cols)
 
 	var build *hashIndex
@@ -459,6 +531,7 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 	} else {
 		stats.record(OpKindJoin, len(left.Rows)+len(right.Rows), len(out.Rows))
 	}
+	stats.recordValues(shape.copied() * len(out.Rows))
 	return out, nil
 }
 
@@ -479,7 +552,7 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 	if len(lrows) > 0 && len(build.rows) > 0 {
 		seed := min(len(lrows), len(build.rows))
 		out.Rows = make([]Tuple, 0, seed)
-		if values, ok := mulFits(seed, shape.width(), maxPresizeValues); ok {
+		if values, ok := mulFits(seed, shape.copied(), maxPresizeValues); ok {
 			arena.reserve(values)
 		}
 	}
@@ -781,21 +854,34 @@ func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, st
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	if err := validAggFunc(fn); err != nil {
+	acc, err := newAggAccumulator(colLayout{cols: rel.Columns}, fn, column)
+	if err != nil {
 		return nil, err
+	}
+	return aggregateRows(ctx, rel, acc, stats)
+}
+
+// newAggAccumulator validates the aggregate and resolves its column against
+// the input.
+func newAggAccumulator(in colLayout, fn AggFunc, column string) (aggAccumulator, error) {
+	if err := validAggFunc(fn); err != nil {
+		return aggAccumulator{}, err
 	}
 	idx := -1
 	if fn != AggCount {
-		idx = rel.ColumnIndex(column)
-		if idx < 0 {
-			return nil, fmt.Errorf("aggregate %s: column %q not found in %v", fn, column, rel.Columns)
+		if idx = in.resolve(column); idx < 0 {
+			return aggAccumulator{}, fmt.Errorf("aggregate %s: column %q not found in %v", fn, column, in.cols)
 		}
 	}
-	acc := aggAccumulator{fn: fn, idx: idx, column: column}
+	return aggAccumulator{fn: fn, idx: idx, column: column}, nil
+}
+
+// aggregateRows folds rel through an accumulator bound to its tuples.
+func aggregateRows(ctx context.Context, rel *Relation, acc aggAccumulator, stats *Stats) (*Relation, error) {
 	if err := acc.addAll(ctx, rel.Rows); err != nil {
 		return nil, err
 	}
-	out := NewRelation(rel.Name, []string{aggOutputColumn(fn, column)})
+	out := NewRelation(rel.Name, []string{aggOutputColumn(acc.fn, acc.column)})
 	out.Rows = append(out.Rows, acc.result())
 	stats.record(OpKindAggregate, len(rel.Rows), 1)
 	return out, nil

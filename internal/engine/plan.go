@@ -165,7 +165,9 @@ type Executor struct {
 	// Execute reuses results for identical sub-plans instead of recomputing
 	// them; cache hits do not count as executed operators.  A PlanCache may be
 	// shared by several executors running concurrently — each shared
-	// subexpression is still computed exactly once.
+	// subexpression is still computed exactly once.  A cache made from a
+	// live-column analysis (LiveColumns.NewPlanCache) may only run the plans
+	// that analysis covered: its results carry the columns those plans read.
 	Cache *PlanCache
 	// Indexes is the shared base-relation index subsystem (usually the
 	// instance's own, DB.Indexes()).  When non-nil, plan compilation serves
@@ -212,15 +214,19 @@ func (e *Executor) Execute(p Plan) (*Relation, error) {
 // aggregate) buffer rows, and the root materializes the result.  With a cache
 // every node materializes through the operator API — the MQO substrate shares
 // results per sub-plan signature, which requires each signature's Relation to
-// exist.
+// exist.  In both modes products and joins build only the columns an ancestor
+// reads (live.go); the root's own columns are all read, so the result always
+// carries every column the plan names.
 func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("execute: nil plan")
 	}
 	if e.Cache != nil {
-		return e.Cache.GetOrCompute(p.Signature(), func() (*Relation, error) {
-			return e.executeMaterialized(ctx, p)
-		})
+		res, err := e.executeShared(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		return res.rel, nil
 	}
 	if n, ok := p.(*MaterialPlan); ok {
 		// Identity at the root: hand back the producer's relation unchanged.
@@ -236,7 +242,7 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 		// carving per-batch tuples that the root would copy again.
 		return e.executeBatchProjectRoot(ctx, n)
 	}
-	src, err := e.compile(ctx, p)
+	src, err := e.compile(ctx, p, needAll)
 	if err != nil {
 		return nil, err
 	}
@@ -248,56 +254,30 @@ func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error
 // resolution, error messages and recorded statistics are identical to the
 // batchProject operator's.
 func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) (*Relation, error) {
-	child, err := e.compile(ctx, n.Child)
+	need, _ := childNeeds(n, needAll)
+	child, err := e.compile(ctx, n.Child, need)
 	if err != nil {
 		return nil, err
 	}
-	cols := child.Columns()
-	idx := make([]int, len(n.Columns))
-	outCols := make([]string, len(n.Columns))
-	for i, c := range n.Columns {
-		j := lookupColumn(cols, c)
-		if j < 0 {
-			return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
-		}
-		idx[i] = j
-		outCols[i] = cols[j]
+	idx, outCols, err := resolveProjection(child.layout(), n.Columns)
+	if err != nil {
+		return nil, err
 	}
 	var rows []Tuple
 	if err := drainBatches(child, &rows); err != nil {
 		return nil, err
 	}
+	// The drained headers are private to this call, so they are the
+	// destination too: projectRows rewrites each header in place — into its
+	// capacity-clamped column window when the columns are contiguous, after
+	// gathering its values into one slab otherwise.
 	out := NewRelation(child.Name(), outCols)
-	if len(rows) > 0 && contiguousIdx(idx) {
-		// The drained headers are private to this call, so a contiguous
-		// projection allocates nothing at all: each header is rewritten in
-		// place into its capacity-clamped column window.
-		j0, j1 := idx[0], idx[0]+len(idx)
-		for lo := 0; lo < len(rows); lo += checkInterval {
-			if lo > 0 {
-				if err := canceled(ctx); err != nil {
-					return nil, err
-				}
-			}
-			hi := lo + checkInterval
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			for i := lo; i < hi; i++ {
-				rows[i] = rows[i][j0:j1:j1]
-			}
-		}
-		out.Rows = rows
-	} else {
-		// Non-contiguous projections still reuse the drained header slice as
-		// the destination: projectRows rewrites each header in place after
-		// gathering its values, so only the value slab is allocated.
-		out.Rows = rows
-		if err := projectRows(ctx, rows, idx, &out.Rows); err != nil {
-			return nil, err
-		}
+	out.Rows = rows
+	if err := projectRows(ctx, rows, idx, &out.Rows); err != nil {
+		return nil, err
 	}
 	e.Stats.record(OpKindProject, len(rows), len(out.Rows))
+	e.Stats.recordValues(projectCopied(idx) * len(out.Rows))
 	return out, nil
 }
 
@@ -310,9 +290,14 @@ func (e *Executor) batchSize() int {
 	return DefaultBatchSize
 }
 
-// compile lowers a plan node into the vectorized batch pipeline.  Column
-// references are resolved once here, so the per-row path does no name lookups.
-func (e *Executor) compile(ctx context.Context, p Plan) (BatchSource, error) {
+// compile lowers a plan node into the vectorized batch pipeline.  need is the
+// set of the node's output columns an ancestor reads; childNeeds threads it
+// down, and the products and joins build only those.  Column references are
+// resolved once here, against each input's full logical column list, so the
+// per-row path does no name lookups and a pruned plan binds — and fails to
+// bind — exactly as the unpruned one.
+func (e *Executor) compile(ctx context.Context, p Plan, need colNeed) (BatchSource, error) {
+	first, second := childNeeds(p, need)
 	switch n := p.(type) {
 	case *ScanPlan:
 		base := e.DB.Relation(n.Relation)
@@ -345,57 +330,48 @@ func (e *Executor) compile(ctx context.Context, p Plan) (BatchSource, error) {
 				return src, nil
 			}
 		}
-		child, err := e.compile(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child, first)
 		if err != nil {
 			return nil, err
 		}
-		cols := child.Columns()
-		vp, err := compileVecPredicate(n.Pred, func(name string) int { return lookupColumn(cols, name) }, cols)
+		in := child.layout()
+		vp, err := compileVecPredicate(n.Pred, in.resolve, in.cols)
 		if err != nil {
 			return nil, err
 		}
 		return &batchFilter{ctx: ctx, src: child, pred: vp, stats: e.Stats}, nil
 	case *ProjectPlan:
-		child, err := e.compile(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child, first)
 		if err != nil {
 			return nil, err
 		}
-		cols := child.Columns()
-		idx := make([]int, len(n.Columns))
-		outCols := make([]string, len(n.Columns))
-		for i, c := range n.Columns {
-			j := lookupColumn(cols, c)
-			if j < 0 {
-				return nil, fmt.Errorf("project: column %q not found in %v", c, cols)
-			}
-			idx[i] = j
-			outCols[i] = cols[j]
+		idx, outCols, err := resolveProjection(child.layout(), n.Columns)
+		if err != nil {
+			return nil, err
 		}
 		return &batchProject{ctx: ctx, src: child, name: child.Name(), cols: outCols, idx: idx, stats: e.Stats}, nil
 	case *ProductPlan:
-		left, err := e.compile(ctx, n.Left)
+		left, err := e.compile(ctx, n.Left, first)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.compile(ctx, n.Right)
+		right, err := e.compile(ctx, n.Right, second)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]string, 0, len(left.Columns())+len(right.Columns()))
-		cols = append(cols, left.Columns()...)
-		cols = append(cols, right.Columns()...)
+		shape, lay := pairLayout(left.layout(), right.layout(), need)
 		return &batchProduct{
 			ctx: ctx, left: left, right: right,
-			name: left.Name() + "x" + right.Name(), cols: cols,
+			name: left.Name() + "x" + right.Name(), lay: lay, shape: shape,
 			size: e.batchSize(), stats: e.Stats,
 		}, nil
 	case *JoinPlan:
-		left, err := e.compile(ctx, n.Left)
+		left, err := e.compile(ctx, n.Left, first)
 		if err != nil {
 			return nil, err
 		}
 		if e.Indexes != nil {
-			src, ok, err := e.compileSharedJoin(ctx, n, left)
+			src, ok, err := e.compileSharedJoin(ctx, n, left, need)
 			if err != nil {
 				return nil, err
 			}
@@ -403,34 +379,28 @@ func (e *Executor) compile(ctx context.Context, p Plan) (BatchSource, error) {
 				return src, nil
 			}
 		}
-		right, err := e.compile(ctx, n.Right)
+		right, err := e.compile(ctx, n.Right, second)
 		if err != nil {
 			return nil, err
 		}
-		li := lookupColumn(left.Columns(), n.LeftCol)
-		if li < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.LeftCol, left.Columns())
+		li, ri, err := resolveJoinKeys(left.layout(), right.layout(), n.LeftCol, n.RightCol)
+		if err != nil {
+			return nil, err
 		}
-		ri := lookupColumn(right.Columns(), n.RightCol)
-		if ri < 0 {
-			return nil, fmt.Errorf("join: column %q not found in %v", n.RightCol, right.Columns())
-		}
-		cols := make([]string, 0, len(left.Columns())+len(right.Columns()))
-		cols = append(cols, left.Columns()...)
-		cols = append(cols, right.Columns()...)
+		shape, lay := pairLayout(left.layout(), right.layout(), need)
 		return &batchJoin{
 			ctx: ctx, left: left, right: right, li: li, ri: ri,
-			name: left.Name() + "⋈" + right.Name(), cols: cols,
+			name: left.Name() + "⋈" + right.Name(), lay: lay, shape: shape,
 			size: e.batchSize(), stats: e.Stats,
 		}, nil
 	case *AggregatePlan:
-		child, err := e.compile(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child, first)
 		if err != nil {
 			return nil, err
 		}
 		return newBatchAgg(ctx, child, n.Func, n.Column, e.Stats)
 	case *DistinctPlan:
-		child, err := e.compile(ctx, n.Child)
+		child, err := e.compile(ctx, n.Child, first)
 		if err != nil {
 			return nil, err
 		}
@@ -440,10 +410,34 @@ func (e *Executor) compile(ctx context.Context, p Plan) (BatchSource, error) {
 	}
 }
 
+// planResult is one materialized plan node of a cached executor: the relation
+// built for it, which carries the columns its consumers read, and the node's
+// logical columns located in that relation's tuples.
+type planResult struct {
+	rel *Relation
+	lay colLayout
+}
+
+func fullResult(rel *Relation) *planResult {
+	return &planResult{rel: rel, lay: colLayout{cols: rel.Columns}}
+}
+
+// executeShared returns the node's result from the cache, materializing it on
+// first request with the columns the cache's analysis says its consumers read.
+func (e *Executor) executeShared(ctx context.Context, p Plan) (*planResult, error) {
+	sig := p.Signature()
+	return e.Cache.getOrCompute(sig, func() (*planResult, error) {
+		return e.executeMaterialized(ctx, p, e.Cache.live.needOf(sig))
+	})
+}
+
 // executeMaterialized evaluates the plan node by node, materializing every
 // intermediate result.  It is the execution mode of cached (MQO) executors,
 // where each sub-plan signature's result must exist to be shared.
-func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, error) {
+func (e *Executor) executeMaterialized(ctx context.Context, p Plan, need colNeed) (*planResult, error) {
+	if err := canceled(ctx); err != nil {
+		return nil, err
+	}
 	switch n := p.(type) {
 	case *ScanPlan:
 		base := e.DB.Relation(n.Relation)
@@ -455,12 +449,12 @@ func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, 
 			alias = n.Relation
 		}
 		e.Stats.record(OpKindScan, 0, len(base.Rows))
-		return base.QualifyColumns(alias), nil
+		return fullResult(base.QualifyColumns(alias)), nil
 	case *MaterialPlan:
 		if n.Rel == nil {
 			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
 		}
-		return n.Rel, nil
+		return fullResult(n.Rel), nil
 	case *SelectPlan:
 		if e.Indexes != nil {
 			if scan, ok := n.Child.(*ScanPlan); ok {
@@ -469,66 +463,104 @@ func (e *Executor) executeMaterialized(ctx context.Context, p Plan) (*Relation, 
 					return nil, err
 				}
 				if served {
-					return rel, nil
+					return fullResult(rel), nil
 				}
 			}
 		}
-		child, err := e.ExecuteContext(ctx, n.Child)
+		child, err := e.executeShared(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
-		return Select(ctx, child, n.Pred, e.Stats)
+		vp, err := compileVecPredicate(n.Pred, child.lay.resolve, child.lay.cols)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := selectRows(ctx, child.rel, vp, e.Stats)
+		if err != nil {
+			return nil, err
+		}
+		return &planResult{rel: rel, lay: child.lay}, nil
 	case *ProjectPlan:
-		child, err := e.ExecuteContext(ctx, n.Child)
+		child, err := e.executeShared(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
-		return Project(ctx, child, n.Columns, e.Stats)
+		idx, outCols, err := resolveProjection(child.lay, n.Columns)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := projectColumns(ctx, child.rel, idx, outCols, e.Stats)
+		if err != nil {
+			return nil, err
+		}
+		return fullResult(rel), nil
 	case *ProductPlan:
-		left, err := e.ExecuteContext(ctx, n.Left)
+		left, err := e.executeShared(ctx, n.Left)
 		if err != nil {
 			return nil, err
 		}
-		right, err := e.ExecuteContext(ctx, n.Right)
+		right, err := e.executeShared(ctx, n.Right)
 		if err != nil {
 			return nil, err
 		}
-		return Product(ctx, left, right, e.Stats)
+		shape, lay := pairLayout(left.lay, right.lay, need)
+		rel, err := productRows(ctx, left.rel, right.rel, shape, lay.built(), e.Stats)
+		if err != nil {
+			return nil, err
+		}
+		return &planResult{rel: rel, lay: lay}, nil
 	case *JoinPlan:
-		left, err := e.ExecuteContext(ctx, n.Left)
+		left, err := e.executeShared(ctx, n.Left)
 		if err != nil {
 			return nil, err
 		}
-		if e.Indexes != nil {
-			if scan, ok := n.Right.(*ScanPlan); ok {
-				if base := e.DB.Relation(scan.Relation); base != nil {
-					// The build side is a bare scan: attach the shared index
-					// instead of materializing and hashing the scan.
-					alias := scan.Alias
-					if alias == "" {
-						alias = scan.Relation
-					}
-					return IndexedHashJoin(ctx, left, base.QualifyColumns(alias), n.LeftCol, n.RightCol, e.Stats, e.Indexes)
-				}
+		var right *planResult
+		var shared *IndexCache
+		if scan, ok := n.Right.(*ScanPlan); ok && e.Indexes != nil && e.DB.Relation(scan.Relation) != nil {
+			// The build side is a bare scan: attach the shared index instead
+			// of materializing and hashing the scan.
+			alias := scan.Alias
+			if alias == "" {
+				alias = scan.Relation
 			}
+			right, shared = fullResult(e.DB.Relation(scan.Relation).QualifyColumns(alias)), e.Indexes
+		} else if right, err = e.executeShared(ctx, n.Right); err != nil {
+			return nil, err
 		}
-		right, err := e.ExecuteContext(ctx, n.Right)
+		li, ri, err := resolveJoinKeys(left.lay, right.lay, n.LeftCol, n.RightCol)
 		if err != nil {
 			return nil, err
 		}
-		return hashJoin(ctx, left, right, n.LeftCol, n.RightCol, allColumns(left), allColumns(right), e.Stats, nil)
+		shape, lay := pairLayout(left.lay, right.lay, need)
+		rel, err := joinRows(ctx, left.rel, right.rel, li, ri, shape, lay.built(), e.Stats, shared)
+		if err != nil {
+			return nil, err
+		}
+		return &planResult{rel: rel, lay: lay}, nil
 	case *AggregatePlan:
-		child, err := e.ExecuteContext(ctx, n.Child)
+		child, err := e.executeShared(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
-		return Aggregate(ctx, child, n.Func, n.Column, e.Stats)
+		acc, err := newAggAccumulator(child.lay, n.Func, n.Column)
+		if err != nil {
+			return nil, err
+		}
+		rel, err := aggregateRows(ctx, child.rel, acc, e.Stats)
+		if err != nil {
+			return nil, err
+		}
+		return fullResult(rel), nil
 	case *DistinctPlan:
-		child, err := e.ExecuteContext(ctx, n.Child)
+		child, err := e.executeShared(ctx, n.Child)
 		if err != nil {
 			return nil, err
 		}
-		return Distinct(ctx, child, e.Stats)
+		rel, err := Distinct(ctx, child.rel, e.Stats)
+		if err != nil {
+			return nil, err
+		}
+		return &planResult{rel: rel, lay: child.lay}, nil
 	default:
 		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
 	}
@@ -650,7 +682,7 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (B
 // constant filters run per probed candidate, as levels.  The levels carry
 // per-execution row counts, so they are constructed fresh per compile.
 // ok=false hands the join back to the plain compiler.
-func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource) (BatchSource, bool, error) {
+func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource, need colNeed) (BatchSource, bool, error) {
 	scan, stack, ok := constFilterStack(n.Right)
 	if !ok {
 		return nil, false, nil
@@ -663,29 +695,23 @@ func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left Batc
 	if alias == "" {
 		alias = scan.Relation
 	}
-	lcols, rcols := left.Columns(), qualifiedScanColumns(base, alias)
+	right := colLayout{cols: qualifiedScanColumns(base, alias)}
 	levels := make([]selectLevel, len(stack))
 	for i, pred := range stack {
-		bp, err := bindPredicate(pred, func(name string) int { return lookupColumn(rcols, name) }, rcols)
+		bp, err := bindPredicate(pred, right.resolve, right.cols)
 		if err != nil {
 			return nil, false, err
 		}
 		levels[i].pred = bp
 	}
-	li := lookupColumn(lcols, n.LeftCol)
-	if li < 0 {
-		return nil, false, fmt.Errorf("join: column %q not found in %v", n.LeftCol, lcols)
+	li, ri, err := resolveJoinKeys(left.layout(), right, n.LeftCol, n.RightCol)
+	if err != nil {
+		return nil, false, err
 	}
-	ri := lookupColumn(rcols, n.RightCol)
-	if ri < 0 {
-		return nil, false, fmt.Errorf("join: column %q not found in %v", n.RightCol, rcols)
-	}
-	cols := make([]string, 0, len(lcols)+len(rcols))
-	cols = append(cols, lcols...)
-	cols = append(cols, rcols...)
+	shape, lay := pairLayout(left.layout(), right, need)
 	return &batchSharedJoin{
 		ctx: ctx, cache: e.Indexes, left: left, li: li, base: base, ri: ri,
-		name: left.Name() + "⋈" + alias, cols: cols, size: e.batchSize(),
+		name: left.Name() + "⋈" + alias, lay: lay, shape: shape, size: e.batchSize(),
 		stats: e.Stats, levels: levels,
 	}, true, nil
 }

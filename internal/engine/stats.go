@@ -61,6 +61,13 @@ type Stats struct {
 	batches       atomic.Int64
 	selectRowsIn  atomic.Int64
 	selectRowsOut atomic.Int64
+
+	// valuesBuilt counts the values operators copied into tuples they built —
+	// a projection's gather, a product's or join's pair — in either execution
+	// mode.  A tuple that is a window of its input row copies nothing.  Like
+	// the batch counters it is physical: it measures tuple width, which the
+	// logical totals never see, and repeats exactly from run to run.
+	valuesBuilt atomic.Int64
 }
 
 // NewStats returns an empty statistics collector.
@@ -89,6 +96,15 @@ func (s *Stats) recordBatches(n int) {
 		return
 	}
 	s.batches.Add(int64(n))
+}
+
+// recordValues counts values copied into operator-built tuples; operators call
+// it once per execution, next to recordBatches, never per row.
+func (s *Stats) recordValues(n int) {
+	if s == nil || n == 0 {
+		return
+	}
+	s.valuesBuilt.Add(int64(n))
 }
 
 // RecordOp counts one executed operator of the given kind without row
@@ -141,6 +157,15 @@ func (s *Stats) Batches() int {
 		return 0
 	}
 	return int(s.batches.Load())
+}
+
+// ValuesBuilt returns the number of values operators copied into the tuples
+// they built (projection gathers, product and join pairs).
+func (s *Stats) ValuesBuilt() int {
+	if s == nil {
+		return 0
+	}
+	return int(s.valuesBuilt.Load())
 }
 
 // SelectRowsIn returns the total rows that entered selection operators.
@@ -230,6 +255,7 @@ func (s *Stats) Add(o *Stats) {
 	s.batches.Add(o.batches.Load())
 	s.selectRowsIn.Add(o.selectRowsIn.Load())
 	s.selectRowsOut.Add(o.selectRowsOut.Load())
+	s.valuesBuilt.Add(o.valuesBuilt.Load())
 }
 
 // Reset clears the collector.
@@ -247,4 +273,5 @@ func (s *Stats) Reset() {
 	s.batches.Store(0)
 	s.selectRowsIn.Store(0)
 	s.selectRowsOut.Store(0)
+	s.valuesBuilt.Store(0)
 }

@@ -194,38 +194,6 @@ func TestSumAvgMatchNaiveBitIdentical(t *testing.T) {
 	}
 }
 
-// randPlan builds a random plan over relations L (columns L.a,L.b,L.c) and
-// R (columns R.x,R.y), exercising every node type the compiler lowers.
-func randPlan(rng *rand.Rand) Plan {
-	scanL := &ScanPlan{Relation: "L"}
-	scanR := &ScanPlan{Relation: "R"}
-	sel := func(child Plan, col string) Plan {
-		return &SelectPlan{Pred: &ConstPredicate{Column: col, Op: CompareOp(rng.Intn(6)), Value: randValue(rng)}, Child: child}
-	}
-	switch rng.Intn(8) {
-	case 0:
-		return sel(scanL, "L.a")
-	case 1:
-		return &ProjectPlan{Columns: []string{"L.b", "L.a"}, Child: sel(scanL, "L.c")}
-	case 2:
-		return &JoinPlan{LeftCol: "L.a", RightCol: "R.x", Left: sel(scanL, "L.b"), Right: scanR}
-	case 3:
-		return &DistinctPlan{Child: &ProjectPlan{Columns: []string{"L.a"}, Child: scanL}}
-	case 4:
-		return &AggregatePlan{Func: AggCount, Child: sel(scanL, "L.a")}
-	case 5:
-		return &ProductPlan{Left: sel(scanL, "L.a"), Right: sel(scanR, "R.y")}
-	case 6:
-		return &SelectPlan{
-			Pred:  &ColPredicate{Left: "L.a", Op: OpEq, Right: "R.x"},
-			Child: &ProductPlan{Left: scanL, Right: scanR},
-		}
-	default:
-		return &DistinctPlan{Child: &ProjectPlan{Columns: []string{"L.a", "R.y"},
-			Child: &JoinPlan{LeftCol: "L.c", RightCol: "R.y", Left: scanL, Right: scanR}}}
-	}
-}
-
 // TestStreamingExecutorMatchesNaiveExecute compiles random plans through the
 // batch pipeline at its default and at adversarial batch sizes (1: every batch
 // is a single row; 7: batches straddle every operator boundary; 1024: one
@@ -234,10 +202,8 @@ func randPlan(rng *rand.Rand) Plan {
 func TestStreamingExecutorMatchesNaiveExecute(t *testing.T) {
 	batchSizes := []int{0, 1, 7, 1024}
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 80; trial++ {
-		db := NewInstance("D")
-		db.AddRelation(randRelation(rng, "L", []string{"a", "b", "c"}, rng.Intn(30)))
-		db.AddRelation(randRelation(rng, "R", []string{"x", "y"}, rng.Intn(30)))
+	for trial := 0; trial < 300; trial++ {
+		db := randDB(rng, 30, 30)
 		plan := randPlan(rng)
 
 		naiveStats := NewStats()
@@ -257,6 +223,109 @@ func TestStreamingExecutorMatchesNaiveExecute(t *testing.T) {
 			requireSameRelation(t, label, want, got)
 			requireSameStats(t, label, naiveStats, ex.Stats)
 		}
+	}
+}
+
+// naiveShared is the reference for executors sharing one PlanCache: every
+// distinct signature among the plans' nodes runs once through the naive
+// operators, in the order a sequential cached execution reaches it.
+type naiveShared struct {
+	db    *Instance
+	stats *Stats
+	memo  map[string]*Relation
+}
+
+func (n *naiveShared) execute(p Plan) (*Relation, error) {
+	sig := p.Signature()
+	if rel, ok := n.memo[sig]; ok {
+		return rel, nil
+	}
+	children := p.Children()
+	mats := make([]Plan, len(children))
+	for i, c := range children {
+		rel, err := n.execute(c)
+		if err != nil {
+			return nil, err
+		}
+		mats[i] = &MaterialPlan{Rel: rel, Label: c.Signature()}
+	}
+	var node Plan
+	switch t := p.(type) {
+	case *SelectPlan:
+		node = &SelectPlan{Pred: t.Pred, Child: mats[0]}
+	case *ProjectPlan:
+		node = &ProjectPlan{Columns: t.Columns, Child: mats[0]}
+	case *ProductPlan:
+		node = &ProductPlan{Left: mats[0], Right: mats[1]}
+	case *JoinPlan:
+		node = &JoinPlan{LeftCol: t.LeftCol, RightCol: t.RightCol, Left: mats[0], Right: mats[1]}
+	case *AggregatePlan:
+		node = &AggregatePlan{Func: t.Func, Column: t.Column, Child: mats[0]}
+	case *DistinctPlan:
+		node = &DistinctPlan{Child: mats[0]}
+	default:
+		node = p
+	}
+	rel, err := NaiveExecute(bgCtx, n.db, node, n.stats)
+	if err != nil {
+		return nil, err
+	}
+	n.memo[sig] = rel
+	return rel, nil
+}
+
+// TestSharedCacheMatchesNaive runs families of plans — different roots over
+// one join chain, so their consumers read different columns of the same join
+// signatures — through cached executors sharing one PlanCache built from the
+// family's live-column analysis.  Every plan's result must be identical to the
+// naive reference, and the family's statistics identical to running each
+// distinct signature once through the naive operators.  With indexes the
+// statistics legitimately differ, so only the relations are compared.
+func TestSharedCacheMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	pruned := 0
+	for trial := 0; trial < 200; trial++ {
+		db := randDB(rng, 24, 24)
+		plans := randPlanFamily(rng, 1+rng.Intn(4))
+		ref := &naiveShared{db: db, stats: NewStats(), memo: make(map[string]*Relation)}
+		for _, indexes := range []*IndexCache{nil, db.Indexes()} {
+			cache := AnalyzeLiveColumns(plans).NewPlanCache()
+			stats := NewStats()
+			failed := false
+			for pi, plan := range plans {
+				label := fmt.Sprintf("trial %d plan %d/%d indexes %v %s", trial, pi, len(plans), indexes != nil, plan.Signature())
+				want, err1 := ref.execute(plan)
+				ex := &Executor{DB: db, Stats: stats, Cache: cache, Indexes: indexes}
+				got, err2 := ex.ExecuteContext(bgCtx, plan)
+				if (err1 == nil) != (err2 == nil) {
+					t.Fatalf("%s: naive err=%v, cached err=%v", label, err1, err2)
+				}
+				if err1 != nil {
+					failed = true
+					break
+				}
+				requireSameRelation(t, label, want, got)
+			}
+			if failed {
+				break
+			}
+			if indexes == nil {
+				requireSameStats(t, fmt.Sprintf("trial %d family of %d", trial, len(plans)), ref.stats, stats)
+				all := NewStats()
+				for _, plan := range plans {
+					ex := &Executor{DB: db, Stats: all, Cache: NewPlanCache()}
+					if _, err := ex.ExecuteContext(bgCtx, plan); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if stats.ValuesBuilt() < all.ValuesBuilt() {
+					pruned++
+				}
+			}
+		}
+	}
+	if pruned < 20 {
+		t.Fatalf("only %d of 200 families built fewer values than all-columns materialization; the analysis is not pruning", pruned)
 	}
 }
 
@@ -281,6 +350,11 @@ func TestPipelineCancellation(t *testing.T) {
 		},
 	}
 
+	// The pruned shape: the projection reads one column, so the product emits
+	// windows of its left rows and never touches the arena — it must still
+	// notice the context between batches.
+	pruned := &ProjectPlan{Columns: []string{"A.v"}, Child: plan.Child}
+
 	// The index-served shape: the probe and the index build behind it must
 	// honour an expired context like any scan.
 	indexed := &SelectPlan{Pred: Eq("Big.v", I(7)), Child: &ScanPlan{Relation: "Big"}}
@@ -294,6 +368,9 @@ func TestPipelineCancellation(t *testing.T) {
 		if _, err := ex.ExecuteContext(cancelled, plan); !errors.Is(err, context.Canceled) {
 			t.Fatalf("batch %d: pre-cancelled execute err = %v, want context.Canceled", bs, err)
 		}
+		if _, err := ex.ExecuteContext(cancelled, pruned); !errors.Is(err, context.Canceled) {
+			t.Fatalf("batch %d: pre-cancelled pruned product err = %v, want context.Canceled", bs, err)
+		}
 		ex = &Executor{DB: db, Stats: NewStats(), Batch: bs, Indexes: db.Indexes()}
 		if _, err := ex.ExecuteContext(cancelled, indexed); !errors.Is(err, context.Canceled) {
 			t.Fatalf("batch %d: pre-cancelled index scan err = %v, want context.Canceled", bs, err)
@@ -306,15 +383,17 @@ func TestPipelineCancellation(t *testing.T) {
 			t.Fatalf("batch %d: index scan = %d rows from %d lookups, want 1 from 1", bs, got.NumRows(), ex.Stats.IndexLookups())
 		}
 
-		ctx, cancelDeadline := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		start := time.Now()
-		_, err := (&Executor{DB: db, Stats: NewStats(), Batch: bs}).ExecuteContext(ctx, plan)
-		cancelDeadline()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("batch %d: mid-stream deadline err = %v, want context.DeadlineExceeded", bs, err)
-		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Errorf("batch %d: cancellation took %v, want prompt abort", bs, elapsed)
+		for _, p := range []Plan{plan, pruned} {
+			ctx, cancelDeadline := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			start := time.Now()
+			_, err := (&Executor{DB: db, Stats: NewStats(), Batch: bs}).ExecuteContext(ctx, p)
+			cancelDeadline()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("batch %d: mid-stream deadline err = %v, want context.DeadlineExceeded (%s)", bs, err, p.Signature())
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("batch %d: cancellation took %v, want prompt abort (%s)", bs, elapsed, p.Signature())
+			}
 		}
 	}
 }

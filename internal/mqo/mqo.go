@@ -37,6 +37,12 @@ type Plan struct {
 	// PlanningSteps counts the pairwise comparisons performed during plan
 	// search; it grows roughly cubically with the number of queries.
 	PlanningSteps int
+
+	// live is, per subexpression signature, the union of the columns the
+	// queries read from it — what its one shared materialization has to
+	// carry.  It depends on the plans alone, so Optimize computes it once and
+	// every execution reuses it.
+	live *engine.LiveColumns
 }
 
 // Optimize builds a shared global plan for the given source-query plans.
@@ -152,6 +158,7 @@ func Optimize(plans []engine.Plan) (*Plan, error) {
 			res.OptimalOperators++
 		}
 	}
+	res.live = engine.AnalyzeLiveColumns(res.Queries)
 	return res, nil
 }
 
@@ -169,7 +176,7 @@ func (p *Plan) Execute(db *engine.Instance, stats *engine.Stats) ([]*engine.Rela
 // Per-query statistics are merged into stats in query order, keeping the
 // reported operator counts identical to a sequential run.
 func (p *Plan) ExecuteParallel(ec *exec.Context, db *engine.Instance, stats *engine.Stats) ([]*engine.Relation, error) {
-	cache := engine.NewPlanCache()
+	cache := p.live.NewPlanCache()
 	out := make([]*engine.Relation, len(p.Queries))
 	type queryRun struct {
 		rel   *engine.Relation

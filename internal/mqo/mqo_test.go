@@ -1,6 +1,7 @@
 package mqo
 
 import (
+	"context"
 	"testing"
 
 	"github.com/probdb/urm/internal/engine"
@@ -116,4 +117,62 @@ func TestPlanningCostGrowsSuperLinearly(t *testing.T) {
 		t.Error("planning cost should grow with the number of queries")
 	}
 	_ = engine.CountOperators(small.Queries[0])
+}
+
+// TestSharedJoinCarriesEveryConsumersColumns shares one join between queries
+// that read different columns of it: the join runs once and its one
+// materialization carries the union of what they read — fewer values than the
+// whole join row, none of them missing.  The live-column analysis behind it is
+// the plan's own: Optimize computes it once and executions only read it.
+func TestSharedJoinCarriesEveryConsumersColumns(t *testing.T) {
+	db := testDB()
+	s := engine.NewRelation("S", []string{"b", "c", "d", "e"})
+	for i := 1; i <= 3; i++ {
+		s.MustAppend(engine.Tuple{engine.I(int64(i)), engine.S("c"), engine.S("d"), engine.I(int64(10 * i))})
+	}
+	db.AddRelation(s)
+	join := func() engine.Plan {
+		return &engine.JoinPlan{LeftCol: "R.b", RightCol: "S.b",
+			Left:  &engine.ScanPlan{Relation: "R"},
+			Right: &engine.SelectPlan{Pred: engine.Eq("S.c", engine.S("c")), Child: &engine.ScanPlan{Relation: "S"}}}
+	}
+	plan, err := Optimize([]engine.Plan{
+		&engine.ProjectPlan{Columns: []string{"R.a"}, Child: join()},
+		&engine.ProjectPlan{Columns: []string{"S.e", "R.a"}, Child: join()},
+		&engine.AggregatePlan{Func: engine.AggCount, Child: join()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := plan.live
+	if live == nil {
+		t.Fatal("Optimize left the plan without its live-column analysis")
+	}
+	for run := 0; run < 3; run++ {
+		stats := engine.NewStats()
+		rels, err := plan.Execute(db, stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.live != live {
+			t.Fatalf("run %d recomputed the plan's live columns", run)
+		}
+		if n := stats.Count(engine.OpKindJoin); n != 1 {
+			t.Fatalf("run %d executed the shared join %d times, want 1", run, n)
+		}
+		// The join keeps R.a and S.e of its 6 columns for 3 rows; the
+		// two-column projection gathers 2 × 3 more.
+		if n := stats.ValuesBuilt(); n != 12 {
+			t.Fatalf("run %d built %d values, want 12", run, n)
+		}
+		for i, q := range plan.Queries {
+			want, err := engine.NaiveExecute(context.Background(), db, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rels[i]; got.String() != want.String() {
+				t.Fatalf("run %d query %s:\n%s\nwant\n%s", run, q.Signature(), got, want)
+			}
+		}
+	}
 }

@@ -137,6 +137,49 @@ func TestDeltaFallbackPaths(t *testing.T) {
 	}
 }
 
+// TestCacheOffMaintainsNothing: a server with the answer cache disabled has
+// nowhere to republish a maintained answer, so its misses take the plain
+// evaluator — nothing enrolls, nothing counts as a delta fallback (not even
+// o-sharing, which a caching server counts), appends reconcile nothing — and
+// every answer is bit-identical to the caching server's.
+func TestCacheOffMaintainsNothing(t *testing.T) {
+	off, sc := newTestServer(t, 40, Config{CacheBytes: -1})
+	on, _ := newTestServer(t, 40, Config{})
+	for _, method := range []string{"basic", "e-basic", "e-mqo", "q-sharing", "o-sharing"} {
+		req := Request{Scenario: "test", Query: deltaQuery, Method: method}
+		for round := 0; round < 2; round++ {
+			got, err := off.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: %v", method, err)
+			}
+			if got.Cached {
+				t.Fatalf("%s: a cache-less server served a cached answer", method)
+			}
+			want, err := on.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: %v", method, err)
+			}
+			sameResult(t, method+" cache off vs on", want.Result, got.Result)
+		}
+	}
+	if err := sc.AppendRow("S", tuple("fresh", 7, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if n := off.ConvergeDelta("test"); n != 0 {
+		t.Fatalf("cache-less server republished %d answers", n)
+	}
+	m := off.Metrics()
+	if n := off.DeltaEntries("test"); n != 0 || m.DeltaFallbacks != 0 || m.DeltaApplied != 0 {
+		t.Fatalf("cache-less server: %d maintained entries, %d fallbacks, %d applied, want none", n, m.DeltaFallbacks, m.DeltaApplied)
+	}
+	if m.Evaluations != 10 {
+		t.Fatalf("cache-less server ran %d evaluations for 10 requests", m.Evaluations)
+	}
+	if n := on.DeltaEntries("test"); n == 0 {
+		t.Fatal("caching server enrolled nothing: the comparison no longer exercises the delta path")
+	}
+}
+
 // TestBatchAppendEndpoint: the rows form of POST /v1/append applies the whole
 // batch as one epoch step, and exactly one of values/rows is required.
 func TestBatchAppendEndpoint(t *testing.T) {

@@ -59,7 +59,8 @@ type Config struct {
 	DisableStaleServe bool
 	// DisableDelta turns off incremental maintenance: appends then invalidate
 	// cached answers by epoch (the pre-delta behavior) instead of refreshing
-	// them through delta passes.
+	// them through delta passes.  A server whose answer cache is disabled
+	// (CacheBytes < 0) maintains nothing either way.
 	DisableDelta bool
 	// DeltaMaxEntries caps maintained (query, method, strategy) entries per
 	// scenario; evaluations past the cap fall back to epoch invalidation.
@@ -121,7 +122,8 @@ type Server struct {
 	tenants *tenantTable
 
 	// maintainer is the incremental-maintenance reconciler (nil when
-	// Config.DisableDelta): appends mark scenarios dirty through the Observer
+	// Config.DisableDelta is set or the answer cache is disabled, which leaves
+	// nowhere to publish): appends mark scenarios dirty through the Observer
 	// hooks, and its background pass republishes each enrolled answer at the
 	// new epoch instead of letting the epoch-keyed cache entry go stale.
 	maintainer *delta.Maintainer
@@ -172,7 +174,10 @@ func New(reg *Registry, cfg Config) *Server {
 			Clock:   clock,
 		})
 	}
-	if !cfg.DisableDelta {
+	// A maintained answer exists to be republished into the answer cache;
+	// with the cache off every publish is discarded, so nothing is enrolled,
+	// retained or reconciled.
+	if !cfg.DisableDelta && cfg.CacheBytes > 0 {
 		s.maintainer = delta.New(delta.Config{
 			MaxEntries:  cfg.DeltaMaxEntries,
 			Parallelism: cfg.Parallelism,
