@@ -152,22 +152,36 @@ func (g *aggregator) addHashed(h uint64, t engine.Tuple, prob float64) {
 	g.order = append(g.order, e)
 }
 
-// addRelation records every tuple of the relation under the probability mass;
-// duplicate rows within the relation are first collapsed so the mass is not
-// double-counted (the paper aggregates distinct answers per mapping).  Each
-// row is hashed once, shared by the per-relation dedup and the merge.
-func (g *aggregator) addRelation(rel *engine.Relation, prob float64) {
-	seen := engine.NewTupleSet(len(rel.Rows))
-	for _, row := range rel.Rows {
+// firstSeen is the package's one first-seen dedup loop: it folds rows into
+// seen and calls fresh, in row order, for each tuple the set did not hold yet,
+// handing over the hash it computed so no row is hashed twice.  It reads rows
+// and never writes them — callers pass relations they do not own.
+func firstSeen(seen *engine.TupleSet, rows []engine.Tuple, fresh func(h uint64, row engine.Tuple)) {
+	for _, row := range rows {
 		h := row.Hash64()
-		if !seen.AddHashed(h, row) {
-			continue
+		if seen.AddHashed(h, row) {
+			fresh(h, row)
 		}
-		g.addHashed(h, row, prob)
 	}
-	if len(rel.Rows) == 0 {
+}
+
+// addRows records every tuple of rows under the probability mass; duplicate
+// rows are first collapsed so the mass is not double-counted (the paper
+// aggregates distinct answers per mapping).  No rows at all send the mass to
+// the empty answer.
+func (g *aggregator) addRows(rows []engine.Tuple, prob float64) {
+	if len(rows) == 0 {
 		g.addEmpty(prob)
+		return
 	}
+	firstSeen(engine.NewTupleSet(len(rows)), rows, func(h uint64, row engine.Tuple) {
+		g.addHashed(h, row, prob)
+	})
+}
+
+// addRelation is addRows over a relation's rows.
+func (g *aggregator) addRelation(rel *engine.Relation, prob float64) {
+	g.addRows(rel.Rows, prob)
 }
 
 // addEmpty records probability mass for the empty (θ) answer.

@@ -125,16 +125,6 @@ func scanSet(p engine.Plan) (map[string]bool, error) {
 	return out, nil
 }
 
-// deltaGroup accumulates one scatter group's distinct answer tuples: the seen
-// set answers membership, rows keeps first-seen order for deterministic
-// replay.  (Replay order does not affect answer bits — GroupMerge accumulates
-// per distinct tuple and the final sort is a total order — but determinism
-// keeps runs comparable.)
-type deltaGroup struct {
-	seen *engine.TupleSet
-	rows []engine.Tuple
-}
-
 // DeltaState is the maintained evaluation state of one (query, method) pair
 // against one instance: the per-group distinct-tuple sets plus the row counts
 // the state covers.  It is not safe for concurrent use; the reconciler
@@ -142,13 +132,15 @@ type deltaGroup struct {
 // lock that excludes appends (the data and the lens must describe the same
 // moment).
 type DeltaState struct {
-	plan   *DeltaPlan
-	groups []deltaGroup
+	plan *DeltaPlan
+	// run is the full evaluation's ShardRun, kept and extended: its per-group
+	// distinct tuples are the maintained sets (first-seen order only keeps
+	// replays comparable — GroupMerge accumulates per distinct tuple and the
+	// final sort is a total order), its statistics and CPU time add up over
+	// the delta passes.
+	run    *ShardRun
 	lens   map[string]int
-
-	stats    *engine.Stats
-	execTime time.Duration
-	passes   int
+	passes int
 }
 
 // Plan returns the immutable plan the state maintains.
@@ -164,30 +156,7 @@ func (dp *DeltaPlan) EvaluateFull(ec *exec.Context, db *engine.Instance) (*Delta
 	if err != nil {
 		return nil, err
 	}
-	st := &DeltaState{
-		plan:     dp,
-		groups:   make([]deltaGroup, len(dp.sp.Groups)),
-		lens:     make(map[string]int, len(dp.rels)),
-		stats:    engine.NewStats(),
-		execTime: run.ExecTime,
-	}
-	st.stats.Add(run.Stats)
-	for i := range dp.sp.Groups {
-		if dp.sp.Groups[i].Plan == nil {
-			continue
-		}
-		g := &st.groups[i]
-		var rows []engine.Tuple
-		if run.Rels[i] != nil {
-			rows = run.Rels[i].Rows
-		}
-		g.seen = engine.NewTupleSet(len(rows))
-		for _, row := range rows {
-			if g.seen.Add(row) {
-				g.rows = append(g.rows, row)
-			}
-		}
-	}
+	st := &DeltaState{plan: dp, run: run, lens: make(map[string]int, len(dp.rels))}
 	for _, name := range dp.rels {
 		rel := db.Relation(name)
 		if rel == nil {
@@ -263,22 +232,8 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 		pass := &ScatterPlan{Method: dp.sp.Method, Groups: groups}
 		deltaDB := db.WithRelations(db.Name, replace)
 		deltaDB.AdoptIndexes(db)
-		run, err := pass.ExecuteOn(ec, deltaDB)
-		if err != nil {
+		if err := pass.executeInto(ec, deltaDB, st.run); err != nil {
 			return passes, err
-		}
-		st.stats.Add(run.Stats)
-		st.execTime += run.ExecTime
-		for gi := range groups {
-			if groups[gi].Plan == nil || run.Rels[gi] == nil {
-				continue
-			}
-			g := &st.groups[gi]
-			for _, row := range run.Rels[gi].Rows {
-				if g.seen.Add(row) {
-					g.rows = append(g.rows, row)
-				}
-			}
 		}
 		passes++
 	}
@@ -301,16 +256,16 @@ func (st *DeltaState) Result() *Result {
 		Stats:            engine.NewStats(),
 		RewrittenQueries: dp.sp.Rewritten,
 		Partitions:       dp.sp.Partitions,
-		ExecTime:         st.execTime,
+		ExecTime:         st.run.ExecTime,
 	}
-	res.Stats.Add(st.stats)
+	res.Stats.Add(st.run.Stats)
 	merge := NewGroupMerge(dp.sp.PreEmptyProb)
 	for gi, g := range dp.sp.Groups {
 		if g.Plan == nil {
 			merge.AddEmpty(g.Prob)
 			continue
 		}
-		merge.Add(g.Prob, st.groups[gi].rows)
+		merge.Add(g.Prob, st.run.Groups[gi].Rows)
 		res.ExecutedQueries++
 	}
 	res.Answers, res.EmptyProb = merge.Finalize()

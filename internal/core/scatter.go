@@ -138,68 +138,112 @@ func (p *Prepared) Scatter(ec *exec.Context, opts Options) (*ScatterPlan, error)
 	}
 }
 
-// ShardRun is the outcome of executing a scatter plan against one shard:
-// the per-group answer relations (index-aligned with Groups, nil for
+// GroupRows is one scatter group's answer on one instance, as the set the
+// by-table semantics make it: an answer's probability sums the masses of the
+// groups that produce it — presence per group, never multiplicity — so only
+// the distinct tuples matter.  Rows holds them in first-seen order; seen
+// answers membership when later rows are folded in.  The zero value is an
+// empty set.
+type GroupRows struct {
+	seen *engine.TupleSet
+	Rows []engine.Tuple
+}
+
+// extend folds rows into the set, appending each tuple not seen before.  The
+// distinct list is built beside rows, never by compacting them: a bare scan,
+// a window of input rows or a shared e-MQO materialization hands over rows the
+// group does not own.
+func (g *GroupRows) extend(rows []engine.Tuple) {
+	if g.seen == nil {
+		g.seen = engine.NewTupleSet(len(rows))
+	}
+	firstSeen(g.seen, rows, func(_ uint64, row engine.Tuple) {
+		g.Rows = append(g.Rows, row)
+	})
+}
+
+// ShardRun is the outcome of executing a scatter plan against one shard: the
+// per-group distinct answer tuples (index-aligned with Groups, empty for
 // non-covering groups) plus the shard's operator statistics and CPU time.
+// Rows are deduplicated here, where they are produced, within one group on
+// one shard; a tuple the same group produces on several shards is the
+// merge's to collapse (GroupMerge.Add).
 type ShardRun struct {
-	Rels     []*engine.Relation
+	Groups   []GroupRows
 	Stats    *engine.Stats
 	ExecTime time.Duration
 }
 
 // ExecuteOn runs every group of the scatter plan against one instance —
 // normally a shard holding one partition of the base relations — and returns
-// the per-group answer relations.  e-MQO plans execute through the MQO global
-// plan with a fresh shared-subexpression cache, exactly as the unsharded
-// phase 3 does; other methods execute the group plans individually on the
-// runtime's worker pool.
+// the per-group distinct answer tuples.  e-MQO plans execute through the MQO
+// global plan with a fresh shared-subexpression cache, exactly as the
+// unsharded phase 3 does; other methods execute the group plans individually
+// on the runtime's worker pool.
 func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardRun, error) {
-	run := &ShardRun{Rels: make([]*engine.Relation, len(sp.Groups)), Stats: engine.NewStats()}
-	if sp.Global != nil {
-		execStart := time.Now()
-		rels, err := sp.Global.ExecuteParallel(ec, db, run.Stats)
-		if err != nil {
-			return nil, fmt.Errorf("scatter %s: %w", sp.Method, err)
-		}
-		run.ExecTime = time.Since(execStart)
-		copy(run.Rels, rels)
-		return run, nil
-	}
-	err := exec.Map(ec, len(sp.Groups),
-		func(ctx context.Context, i int) (*mappingRun, error) {
-			mr := &mappingRun{stats: engine.NewStats()}
-			if sp.Groups[i].Plan == nil {
-				return mr, nil
-			}
-			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: mr.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
-			rel, err := ex.ExecuteContext(ctx, sp.Groups[i].Plan)
-			mr.exec = time.Since(execStart)
-			if err != nil {
-				return nil, fmt.Errorf("scatter %s: executing source query: %w", sp.Method, err)
-			}
-			mr.rel = rel
-			return mr, nil
-		},
-		func(i int, mr *mappingRun) error {
-			run.ExecTime += mr.exec
-			run.Stats.Add(mr.stats)
-			run.Rels[i] = mr.rel
-			return nil
-		})
-	if err != nil {
+	run := &ShardRun{Groups: make([]GroupRows, len(sp.Groups)), Stats: engine.NewStats()}
+	if err := sp.executeInto(ec, db, run); err != nil {
 		return nil, err
 	}
 	return run, nil
 }
 
+// executeInto is ExecuteOn accumulating into an existing run: each covering
+// group's rows extend run.Groups[i], statistics and CPU time add up.  The
+// delta passes fold appended rows into the maintained state this way, with
+// the same dedup pass the full run used.  On error the run is left partly
+// extended and must be discarded.
+func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun) error {
+	if sp.Global != nil {
+		execStart := time.Now()
+		rels, err := sp.Global.ExecuteParallel(ec, db, run.Stats)
+		if err != nil {
+			return fmt.Errorf("scatter %s: %w", sp.Method, err)
+		}
+		run.ExecTime += time.Since(execStart)
+		for i, rel := range rels {
+			run.Groups[i].extend(rel.Rows)
+		}
+		return nil
+	}
+	type groupRun struct {
+		stats *engine.Stats
+		exec  time.Duration
+	}
+	return exec.Map(ec, len(sp.Groups),
+		func(ctx context.Context, i int) (groupRun, error) {
+			gr := groupRun{stats: engine.NewStats()}
+			if sp.Groups[i].Plan == nil {
+				return gr, nil
+			}
+			execStart := time.Now()
+			ex := &engine.Executor{DB: db, Stats: gr.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
+			rel, err := ex.ExecuteContext(ctx, sp.Groups[i].Plan)
+			gr.exec = time.Since(execStart)
+			if err != nil {
+				return gr, fmt.Errorf("scatter %s: executing source query: %w", sp.Method, err)
+			}
+			// Each worker extends only its own group's set.
+			run.Groups[i].extend(rel.Rows)
+			return gr, nil
+		},
+		func(i int, gr groupRun) error {
+			run.ExecTime += gr.exec
+			run.Stats.Add(gr.stats)
+			return nil
+		})
+}
+
 // GroupMerge re-aggregates per-shard answer streams into the canonical answer
 // distribution.  It replays exactly the unsharded aggregation: one Add call
 // per covering group in group order (rows being the concatenation of that
-// group's per-shard relations in shard order), one AddEmpty per non-covering
-// group.  Because Add collapses duplicate rows before accumulating — the same
-// per-call dedup addRelation performs — and the final sort is the canonical
-// (probability desc, tuple key asc) total order, the merged answers are
+// group's per-shard rows in shard order), one AddEmpty per non-covering
+// group.  A shard deduplicates within a group before it hands rows over
+// (GroupRows); Add still collapses duplicates itself — the same per-call
+// dedup addRelation performs — because the same tuple arrives from several
+// shards when a group reads only replicated relations, and because a remote
+// shard's rows are outside input.  The final sort is the canonical
+// (probability desc, tuple key asc) total order, so the merged answers are
 // bit-identical to evaluating the unpartitioned instance: each distinct tuple
 // receives `prob` exactly once per group that produced it, in the same
 // float-addition sequence.
@@ -221,40 +265,23 @@ func (m *GroupMerge) AddEmpty(prob float64) { m.agg.addEmpty(prob) }
 // Add merges one group's unioned rows under the group's probability.  Rows
 // are deduplicated within the call; an empty union sends the mass to the
 // empty answer, as addRelation does for an empty relation.
-func (m *GroupMerge) Add(prob float64, rows []engine.Tuple) {
-	seen := engine.NewTupleSet(len(rows))
-	for _, row := range rows {
-		h := row.Hash64()
-		if !seen.AddHashed(h, row) {
-			continue
-		}
-		m.agg.addHashed(h, row, prob)
-	}
-	if len(rows) == 0 {
-		m.agg.addEmpty(prob)
-	}
-}
+func (m *GroupMerge) Add(prob float64, rows []engine.Tuple) { m.agg.addRows(rows, prob) }
 
-// AddGroup merges one scatter group given its per-shard relations in shard
-// order: nil-plan groups go to the empty answer, covering groups concatenate
-// their shard relations into one union.  A nil relation (a shard that
-// produced nothing for the group) contributes no rows.
-func (m *GroupMerge) AddGroup(g ScatterGroup, rels []*engine.Relation) {
+// AddGroup merges scatter group gi given every shard's run in shard order:
+// nil-plan groups go to the empty answer, covering groups concatenate their
+// per-shard distinct rows into one union.
+func (m *GroupMerge) AddGroup(g ScatterGroup, gi int, runs []*ShardRun) {
 	if g.Plan == nil {
 		m.agg.addEmpty(g.Prob)
 		return
 	}
 	n := 0
-	for _, rel := range rels {
-		if rel != nil {
-			n += len(rel.Rows)
-		}
+	for _, run := range runs {
+		n += len(run.Groups[gi].Rows)
 	}
 	rows := make([]engine.Tuple, 0, n)
-	for _, rel := range rels {
-		if rel != nil {
-			rows = append(rows, rel.Rows...)
-		}
+	for _, run := range runs {
+		rows = append(rows, run.Groups[gi].Rows...)
 	}
 	m.Add(g.Prob, rows)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +34,8 @@ type CoordinatorConfig struct {
 	// RequestTimeout caps one coordinated query end to end, fan-out retries
 	// included (0 = 30s).
 	RequestTimeout time.Duration
-	// Client issues the shard HTTP requests (nil = http.DefaultClient).
+	// Client issues the shard HTTP requests (nil = a client of the
+	// coordinator's own, keeping shardIdleConns idle connections per node).
 	Client *http.Client
 	// Retry shapes the per-shard retry loop.  Its zero value gets the qos
 	// defaults (4 attempts, 50ms base, 2s cap).
@@ -72,7 +74,21 @@ type Coordinator struct {
 	upstreamErrors atomic.Int64 // shard responses that failed or were 5xx
 	mismatches     atomic.Int64 // 502: shards disagreed on the front half
 	heartbeats     atomic.Int64
+
+	trafficMu sync.Mutex
+	traffic   ScatterTraffic
 }
+
+// shardIdleConns is how many idle connections the coordinator's own client
+// keeps per shard node.  Every coordinated query holds one connection to each
+// shard for its whole fan-out, so the pool has to cover the concurrent
+// queries or each burst dials afresh: net/http's default of 2 made 8
+// concurrent callers open three times the connections they needed.
+const shardIdleConns = 64
+
+// maxScatterBody caps one shard's scatter response; a larger body fails the
+// query with 502 instead of being cut short.
+const maxScatterBody = 16 << 20
 
 // NewCoordinator builds a coordinator, restoring persisted leases when the
 // config carries a store.
@@ -92,7 +108,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = &http.Client{Transport: &http.Transport{
+			Proxy:               http.ProxyFromEnvironment,
+			MaxIdleConnsPerHost: shardIdleConns,
+			IdleConnTimeout:     90 * time.Second,
+		}}
 	}
 	if cfg.Retry.Clock == nil {
 		cfg.Retry.Clock = cfg.Clock
@@ -129,11 +149,25 @@ type CoordinatorMetrics struct {
 	Heartbeats         int64         `json:"heartbeats"`
 	LeasePersistErrors int64         `json:"lease_persist_errors"`
 	Leases             LeaseSnapshot `json:"leases"`
+	ScatterTraffic
+}
+
+// ScatterTraffic counts what the scatter hop moved: rows and body bytes the
+// coordinator received from shard nodes on successful attempts.  Each counter
+// is declared here and nowhere else — the coordinator stores this struct and
+// Metrics copies it whole.
+type ScatterTraffic struct {
+	ScatterRows  int64 `json:"scatter_rows"`
+	ScatterBytes int64 `json:"scatter_bytes"`
 }
 
 // Metrics returns a snapshot of the coordinator counters.
 func (c *Coordinator) Metrics() CoordinatorMetrics {
+	c.trafficMu.Lock()
+	traffic := c.traffic
+	c.trafficMu.Unlock()
 	return CoordinatorMetrics{
+		ScatterTraffic:     traffic,
 		Requests:           c.requests.Load(),
 		Merged:             c.merged.Load(),
 		Unowned:            c.unowned.Load(),
@@ -293,7 +327,11 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	sreq := ScatterRequest{Scenario: req.Scenario, Query: req.Query, Method: method.String()}
+	// One body serves every shard and every retry.
+	body, err := json.Marshal(ScatterRequest{Scenario: req.Scenario, Query: req.Query, Method: method.String()})
+	if err != nil {
+		return nil, err
+	}
 	parts := make([]*ScatterResponse, c.cfg.Shards)
 	errs := make([]error, c.cfg.Shards)
 	var wg sync.WaitGroup
@@ -301,7 +339,7 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = c.scatterShard(ctx, i, sreq)
+			parts[i], errs[i] = c.scatterShard(ctx, i, body)
 		}(i)
 	}
 	wg.Wait()
@@ -332,7 +370,7 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 // the lease table is consulted on every retry, so a lease expiring mid-query
 // re-routes the next attempt to the promoted standby instead of hammering the
 // dead owner.
-func (c *Coordinator) scatterShard(ctx context.Context, index int, req ScatterRequest) (*ScatterResponse, error) {
+func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) (*ScatterResponse, error) {
 	var resp *ScatterResponse
 	err := qos.Retry(ctx, c.cfg.Retry, func(ctx context.Context) (time.Duration, bool, error) {
 		owner, ok := c.leases.Owner(index)
@@ -342,7 +380,7 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, req ScatterRe
 			return c.leases.Interval(), true, coordErr(http.StatusServiceUnavailable, c.leases.Interval(),
 				fmt.Errorf("%w: shard %d", ErrShardUnowned, index))
 		}
-		r, retryAfter, retryable, err := c.scatterOnce(ctx, owner, req)
+		r, retryAfter, retryable, err := c.scatterOnce(ctx, owner, body)
 		if err != nil {
 			return retryAfter, retryable, err
 		}
@@ -372,12 +410,9 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, req ScatterRe
 // scatterOnce issues one POST /v1/scatter to a shard owner and classifies the
 // outcome: network errors and 429/503/504 are retryable (with the server's
 // Retry-After hint when it sent one), 422 propagates as not-distributable,
-// other statuses fail the query.
-func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, req ScatterRequest) (*ScatterResponse, time.Duration, bool, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, 0, false, err
-	}
+// other statuses, an undecodable body and a body over maxScatterBody fail the
+// query.
+func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []byte) (*ScatterResponse, time.Duration, bool, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+"/v1/scatter", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, false, err
@@ -392,9 +427,12 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, req Sca
 		return nil, 0, true, fmt.Errorf("node %q: %w", owner.Node, err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, 16<<20))
+	data, err := readScatterBody(hresp)
 	if err != nil {
 		c.upstreamErrors.Add(1)
+		if errors.Is(err, errScatterBodyTooLarge) {
+			return nil, 0, false, coordErr(http.StatusBadGateway, 0, fmt.Errorf("node %q: %w", owner.Node, err))
+		}
 		return nil, 0, true, fmt.Errorf("node %q: reading response: %w", owner.Node, err)
 	}
 	switch hresp.StatusCode {
@@ -404,6 +442,14 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, req Sca
 			c.upstreamErrors.Add(1)
 			return nil, 0, false, coordErr(http.StatusBadGateway, 0, fmt.Errorf("node %q: undecodable scatter response: %w", owner.Node, err))
 		}
+		rows := 0
+		for _, g := range sr.Groups {
+			rows += len(g.Rows)
+		}
+		c.trafficMu.Lock()
+		c.traffic.ScatterRows += int64(rows)
+		c.traffic.ScatterBytes += int64(len(data))
+		c.trafficMu.Unlock()
 		return &sr, 0, false, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		c.upstreamErrors.Add(1)
@@ -412,13 +458,43 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, req Sca
 			coordErr(hresp.StatusCode, hint, fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
 	case http.StatusUnprocessableEntity:
 		c.notShardable.Add(1)
+		// The node's message already opens with the sentinel's sentence (and
+		// upstreamMessage with the status); wrap the sentinel around what
+		// follows it, so the sentence is said once.
+		detail := strings.TrimPrefix(upstreamMessage(hresp.StatusCode, data),
+			fmt.Sprintf("%d: %v: ", hresp.StatusCode, ErrNotDistributable))
 		return nil, 0, false, coordErr(http.StatusUnprocessableEntity, 0,
-			fmt.Errorf("%w: node %q: %s", ErrNotDistributable, owner.Node, upstreamMessage(hresp.StatusCode, data)))
+			fmt.Errorf("%w: node %q: %s", ErrNotDistributable, owner.Node, detail))
 	default:
 		c.upstreamErrors.Add(1)
 		return nil, 0, false, coordErr(http.StatusBadGateway, 0,
 			fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
 	}
+}
+
+// errScatterBodyTooLarge marks a scatter response over maxScatterBody.
+var errScatterBodyTooLarge = fmt.Errorf("scatter response exceeds the %d MiB limit", maxScatterBody>>20)
+
+// readScatterBody reads a shard's response whole.  A node that declares its
+// Content-Length (every successful scatter does) is read into a buffer of
+// exactly that size; a body of undeclared length is read one byte past the
+// limit, so that an oversized one is reported as such instead of surfacing
+// as truncated JSON.
+func readScatterBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > maxScatterBody {
+		return nil, errScatterBodyTooLarge
+	}
+	if n >= 0 {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxScatterBody+1))
+	if err == nil && len(data) > maxScatterBody {
+		return nil, errScatterBodyTooLarge
+	}
+	return data, err
 }
 
 // retryAfterHint extracts the server's wait hint from a shard error response:

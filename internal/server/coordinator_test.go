@@ -25,7 +25,14 @@ func testShardSpec(count int) shard.Spec {
 // only slice `index` of the fixture instance, declared via Config.Shard.
 func newShardNode(t *testing.T, rows, index, count int) *Server {
 	t.Helper()
-	full := serveInstance(rows)
+	return newShardNodeOn(t, serveFixture, Config{}, rows, index, count)
+}
+
+// newShardNodeOn is newShardNode over any fixture whose S is partitioned, on
+// a server configured by cfg.
+func newShardNodeOn(t *testing.T, fx testFixture, cfg Config, rows, index, count int) *Server {
+	t.Helper()
+	full := fx.instance(rows)
 	p, err := shard.NewPartitioner(full, testShardSpec(count))
 	if err != nil {
 		t.Fatal(err)
@@ -35,18 +42,19 @@ func newShardNode(t *testing.T, rows, index, count int) *Server {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	if _, err := reg.Register(context.Background(), "test", serveTargetSchema(), slice, serveMappings(),
+	if _, err := reg.Register(context.Background(), "test", fx.target(), slice, fx.mappings(),
 		RegisterOptions{TargetLabel: "Test"}); err != nil {
 		t.Fatal(err)
 	}
-	return New(reg, Config{Shard: &ShardIdentity{
+	cfg.Shard = &ShardIdentity{
 		Node:     nodeNameFor(index),
 		Index:    index,
 		Count:    count,
 		Relation: "S",
 		Column:   "x",
 		Kind:     "hash",
-	}})
+	}
+	return New(reg, cfg)
 }
 
 func nodeNameFor(index int) string { return "node-" + string(rune('a'+index)) }
@@ -60,6 +68,12 @@ type cluster struct {
 
 func newCluster(t *testing.T, rows, count int, cfg CoordinatorConfig) *cluster {
 	t.Helper()
+	return newClusterOn(t, serveFixture, rows, count, cfg)
+}
+
+// newClusterOn is newCluster over any fixture whose S is partitioned.
+func newClusterOn(t *testing.T, fx testFixture, rows, count int, cfg CoordinatorConfig) *cluster {
+	t.Helper()
 	cfg.Shards = count
 	coord, err := NewCoordinator(cfg)
 	if err != nil {
@@ -68,7 +82,7 @@ func newCluster(t *testing.T, rows, count int, cfg CoordinatorConfig) *cluster {
 	cl := &cluster{coord: coord, http: httptest.NewServer(coord)}
 	t.Cleanup(cl.http.Close)
 	for i := 0; i < count; i++ {
-		node := httptest.NewServer(newShardNode(t, rows, i, count))
+		node := httptest.NewServer(newShardNodeOn(t, fx, Config{}, rows, i, count))
 		t.Cleanup(node.Close)
 		cl.nodes = append(cl.nodes, node)
 		if err := coord.Leases().Heartbeat(nodeNameFor(i), node.URL, []int{i}); err != nil {
@@ -103,9 +117,17 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	const rows = 300
 	ref, _ := newTestServer(t, rows, Config{})
 	cl := newCluster(t, rows, 2, CoordinatorConfig{})
+	// The join fixture's query is the one whose groups emit hundreds of rows
+	// and a handful of distinct tuples — what the shards deduplicate.
+	joinRef, _ := newTestServerOn(t, joinFixture, rows, Config{})
+	joinCl := newClusterOn(t, joinFixture, rows, 2, CoordinatorConfig{})
 
 	for _, method := range []string{"basic", "e-basic", "e-mqo", "q-sharing"} {
-		for _, q := range []string{fastQueryText, "SELECT a, b FROM T", "SELECT a FROM T WHERE b = 3"} {
+		for _, q := range []string{fastQueryText, "SELECT a, b FROM T", "SELECT a FROM T WHERE b = 3", joinQueryText} {
+			ref, cl := ref, cl
+			if q == joinQueryText {
+				ref, cl = joinRef, joinCl
+			}
 			req := Request{Scenario: "test", Query: q, Method: method}
 			want, err := ref.Do(context.Background(), req)
 			if err != nil {

@@ -61,7 +61,64 @@ func serveMappings() schema.MappingSet {
 	return schema.MappingSet{m1, m2}
 }
 
+// The join fixture adds a second source relation G(k, label, tier) behind a
+// second target relation U(c, d): 23 rows, one per value S.y and S.z take, so
+// T.b = U.c joins every S row to exactly one G row, while label and tier have
+// 3 and 2 distinct values.  Projecting U.d over that join is what a scatter
+// group's answer looks like at its worst: hundreds of rows, a handful of
+// distinct tuples.  The three mappings disagree on T.b (y, z, y) and on U.d
+// (label, label, tier), so m1 and m3 share their join and differ only in the
+// projection above it — the subexpression e-MQO materializes once.  S stays
+// the partitioned relation; G is replicated.
+
+func joinTargetSchema() *schema.Schema {
+	t := serveTargetSchema()
+	t.MustAddRelation(&schema.RelationSchema{Name: "U", Columns: []schema.Column{
+		{Name: "c", Type: schema.TypeInt}, {Name: "d"},
+	}})
+	return t
+}
+
+func joinInstance(n int) *engine.Instance {
+	db := serveInstance(n)
+	rel := engine.NewRelation("G", []string{"k", "label", "tier"})
+	for k := 0; k < 23; k++ {
+		rel.MustAppend(engine.Tuple{engine.I(int64(k)), engine.S(fmt.Sprintf("g%d", k%3)), engine.I(int64(k % 2))})
+	}
+	db.AddRelation(rel)
+	return db
+}
+
+func joinMappings() schema.MappingSet {
+	attr := func(rel, name string) schema.Attribute { return schema.Attribute{Relation: rel, Name: name} }
+	mapping := func(id, b, d string, prob float64) *schema.Mapping {
+		return schema.MustNewMapping(id, []schema.Correspondence{
+			{Source: attr("S", "x"), Target: attr("T", "a"), Score: 0.9},
+			{Source: attr("S", b), Target: attr("T", "b"), Score: 0.8},
+			{Source: attr("G", "k"), Target: attr("U", "c"), Score: 0.9},
+			{Source: attr("G", d), Target: attr("U", "d"), Score: 0.7},
+		}, prob)
+	}
+	return schema.MappingSet{mapping("m1", "y", "label", 0.5), mapping("m2", "z", "label", 0.3), mapping("m3", "y", "tier", 0.2)}
+}
+
+// testFixture is what a test scenario is registered from.
+type testFixture struct {
+	target   func() *schema.Schema
+	instance func(n int) *engine.Instance
+	mappings func() schema.MappingSet
+}
+
+var (
+	serveFixture = testFixture{serveTargetSchema, serveInstance, serveMappings}
+	joinFixture  = testFixture{joinTargetSchema, joinInstance, joinMappings}
+)
+
 const (
+	// joinQueryText projects a low-cardinality column over the join fixture's
+	// join: every group plan emits one row per S row and at most three
+	// distinct tuples.
+	joinQueryText = "SELECT U.d FROM T, U WHERE T.b = U.c"
 	// fastQueryText evaluates in microseconds (index probe over S).
 	fastQueryText = "SELECT a FROM T WHERE b = 7"
 	// slowQueryText forces a Cartesian self-product with a non-equi condition
@@ -79,8 +136,14 @@ func tuple(x string, y, z int64) engine.Tuple {
 // registry and returns the server and scenario.
 func newTestServer(t *testing.T, n int, cfg Config) (*Server, *Scenario) {
 	t.Helper()
+	return newTestServerOn(t, serveFixture, n, cfg)
+}
+
+// newTestServerOn is newTestServer over any fixture.
+func newTestServerOn(t *testing.T, fx testFixture, n int, cfg Config) (*Server, *Scenario) {
+	t.Helper()
 	reg := NewRegistry()
-	sc, err := reg.Register(context.Background(), "test", serveTargetSchema(), serveInstance(n), serveMappings(),
+	sc, err := reg.Register(context.Background(), "test", fx.target(), fx.instance(n), fx.mappings(),
 		RegisterOptions{TargetLabel: "Test", WarmIndexes: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"github.com/probdb/urm/internal/core"
@@ -72,7 +74,11 @@ type WireValue struct {
 // ScatterGroupJSON is one scatter group's slice of the answer stream on this
 // shard: the group's probability mass, whether its mappings cover the query
 // (uncovered groups carry mass for the empty answer and no rows), and the
-// distinct rows this shard produced for it.
+// distinct rows this shard produced for it, in first-seen order —
+// core.ScatterPlan.ExecuteOn deduplicates within the group before anything
+// reaches the wire.  Across shards nothing is deduplicated here: the same
+// tuple may arrive from several nodes, and the coordinator, which trusts no
+// node to have sent a set, collapses both in core.GroupMerge.Add.
 type ScatterGroupJSON struct {
 	Prob    float64       `json:"prob"`
 	Covered bool          `json:"covered"`
@@ -246,9 +252,9 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 	}
 	for i, g := range sp.Groups {
 		gj := ScatterGroupJSON{Prob: g.Prob, Covered: g.Plan != nil}
-		if rel := run.Rels[i]; rel != nil {
-			gj.Rows = make([][]WireValue, len(rel.Rows))
-			for ri, row := range rel.Rows {
+		if rows := run.Groups[i].Rows; len(rows) > 0 {
+			gj.Rows = make([][]WireValue, len(rows))
+			for ri, row := range rows {
 				gj.Rows[ri] = wireValues(row)
 			}
 		}
@@ -288,5 +294,16 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// Only another node reads a successful scatter body, so it is one
+	// unindented line, encoded whole so that it carries the Content-Length
+	// the coordinator sizes its read buffer by.
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(resp); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes()) // a failed write means the coordinator went away
 }

@@ -182,15 +182,11 @@ func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core
 	}
 	aggStart := time.Now()
 	merge := core.NewGroupMerge(sp.PreEmptyProb)
-	rels := make([]*engine.Relation, len(runs))
 	for gi, g := range sp.Groups {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for si, run := range runs {
-			rels[si] = run.Rels[gi]
-		}
-		merge.AddGroup(g, rels)
+		merge.AddGroup(g, gi, runs)
 		if g.Plan != nil {
 			res.ExecutedQueries += len(runs)
 		}

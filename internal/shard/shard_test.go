@@ -9,6 +9,7 @@ import (
 	"github.com/probdb/urm/internal/datagen"
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
+	"github.com/probdb/urm/internal/query"
 )
 
 // testSpec partitions the generated source's Orders relation, which most
@@ -66,9 +67,19 @@ func TestShardedBitIdentical(t *testing.T) {
 	ctx := context.Background()
 
 	// Q1 select chain, Q2 join, Q3/Q4 self-joins (exercise the
-	// non-distributable fallback), Q5 aggregate (ditto).
-	for _, qid := range []int{1, 2, 3, 5} {
-		q := datagen.MustWorkloadQuery(qid)
+	// non-distributable fallback), Q5 aggregate (ditto); query 0 projects a
+	// low-cardinality column over a join, so its groups emit more rows than
+	// distinct tuples and every shard deduplicates before the merge does.
+	lowCardinality, err := query.Parse("Q0", datagen.TargetSchema(datagen.TargetExcel),
+		"SELECT PO.priority FROM PO, Item WHERE PO.orderNum = Item.orderNum")
+	if err != nil {
+		t.Fatalf("Q0 parse: %v", err)
+	}
+	for _, qid := range []int{1, 2, 3, 5, 0} {
+		q := lowCardinality
+		if qid != 0 {
+			q = datagen.MustWorkloadQuery(qid)
+		}
 		prep, err := eval.Prepare(q)
 		if err != nil {
 			t.Fatalf("Q%d prepare: %v", qid, err)
