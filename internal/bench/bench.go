@@ -14,14 +14,12 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/datagen"
-	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/schema"
 )
 
@@ -180,16 +178,6 @@ func NewRunner(cfg Config) *Runner {
 
 // Config returns the runner's effective configuration.
 func (r *Runner) Config() Config { return r.cfg }
-
-// execContext returns the evaluation runtime context used by experiments that
-// call the core algorithms directly.
-func (r *Runner) execContext() *exec.Context {
-	ec := exec.NewContext(context.Background(), r.cfg.Parallelism)
-	if r.cfg.BatchSize != 0 {
-		ec = ec.WithBatch(r.cfg.BatchSize)
-	}
-	return ec
-}
 
 // options returns the core evaluation options for the given method under the
 // runner's configuration.

@@ -301,6 +301,14 @@ func (r *Runner) Figure11e() (*Table, error) {
 // strategies compared by Figure 11(f) and Table IV.
 var strategies = []core.Strategy{core.StrategyRandom, core.StrategySNF, core.StrategySEF}
 
+// osharing returns the options for o-sharing under the strategy, Random
+// seeded with the runner's seed.
+func (r *Runner) osharing(s core.Strategy) core.Options {
+	opts := r.options(core.MethodOSharing)
+	opts.Strategy, opts.RandomSeed = s, int64(r.cfg.Seed)
+	return opts
+}
+
 // Figure11f reproduces Figure 11(f): o-sharing under Random, SNF and SEF on
 // the Excel queries Q1-Q5.
 func (r *Runner) Figure11f() (*Table, error) {
@@ -319,7 +327,7 @@ func (r *Runner) Figure11f() (*Table, error) {
 				return nil, err
 			}
 			d, err := r.timed(func() (time.Duration, error) {
-				res, err := core.OSharing(r.execContext(), q, maps, ds.DB, core.OSharingOptions{Strategy: s, RandomSeed: int64(r.cfg.Seed)})
+				res, err := core.NewEvaluator(ds.DB, maps).Evaluate(q, r.osharing(s))
 				if err != nil {
 					return 0, err
 				}
@@ -354,13 +362,13 @@ func (r *Runner) TableIV() (*Table, error) {
 		return total - res.Stats.Count(engine.OpKindScan)
 	}
 	for _, s := range strategies {
-		res, err := core.OSharing(r.execContext(), q, maps, ds.DB, core.OSharingOptions{Strategy: s, RandomSeed: int64(r.cfg.Seed)})
+		res, err := core.NewEvaluator(ds.DB, maps).Evaluate(q, r.osharing(s))
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(s.String(), seconds(res.TotalTime), fmt.Sprintf("%d", operatorCount(res)))
 	}
-	emqo, err := core.EMQO(r.execContext(), q, maps, ds.DB)
+	emqo, err := core.NewEvaluator(ds.DB, maps).Evaluate(q, r.options(core.MethodEMQO))
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +394,7 @@ func (r *Runner) figure12(id string, queryID int) (*Table, error) {
 		return nil, err
 	}
 	full, err := r.timed(func() (time.Duration, error) {
-		res, err := core.OSharing(r.execContext(), q, maps, ds.DB, core.OSharingOptions{})
+		res, err := core.NewEvaluator(ds.DB, maps).Evaluate(q, r.options(core.MethodOSharing))
 		if err != nil {
 			return 0, err
 		}
@@ -398,7 +406,7 @@ func (r *Runner) figure12(id string, queryID int) (*Table, error) {
 	for _, k := range r.cfg.KSweep {
 		k := k
 		d, err := r.timed(func() (time.Duration, error) {
-			res, err := core.TopK(r.execContext(), q, maps, ds.DB, k, core.OSharingOptions{})
+			res, err := core.NewEvaluator(ds.DB, maps).EvaluateTopK(q, k, r.options(core.MethodOSharing))
 			if err != nil {
 				return 0, err
 			}

@@ -381,9 +381,11 @@ const (
 	preparedBenchSizeMB   = 4
 )
 
-// preparedPair measures one workload query under the method twice: cold
-// (a fresh one-shot Evaluate per iteration) and prepared (re-executing one
-// prepared query), returning ns/op for each.
+// preparedPair measures one workload query under the method twice, returning
+// ns/op for each: prepared re-executes one core.Prepared, cold makes a fresh
+// one per iteration (Evaluator.Evaluate is Prepare + Execute), so it pays the
+// front half — the method's group list — and the execution every time.  The
+// two sides run the same code; the ratio is what the front half costs.
 func (r *Runner) preparedPair(queryID int, m core.Method, h int, sizeMB float64) (coldNs, preparedNs int64, err error) {
 	target, err := datagen.QueryTarget(queryID)
 	if err != nil {

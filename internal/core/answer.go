@@ -58,12 +58,15 @@ type Result struct {
 	Partitions int
 
 	// RewriteTime, ExecTime and AggregateTime break the evaluation down into
-	// the phases reported in Figure 10(a).  Phases that fan out over the
-	// worker pool (per-mapping rewrite+execution in basic/q-sharing, source
-	// query execution in e-basic) sum the per-worker durations, so with
-	// Options.Parallelism > 1 those fields report CPU time per phase and
-	// their sum can exceed TotalTime; at Parallelism 1 every field is the
-	// wall-clock phase time as in the paper.
+	// the phases reported in Figure 10(a).  RewriteTime is the wall time of
+	// the front half — reformulating through the mappings, clustering, the
+	// MQO pass, partitioning — and is reported by the one execution whose
+	// call built it: zero whenever a Prepared's memoized front half was
+	// reused.  Source-query execution that fans out over the worker pool
+	// (the group plans of basic, e-basic and q-sharing) sums the per-worker
+	// durations, so with Options.Parallelism > 1 ExecTime is CPU time and
+	// the phases' sum can exceed TotalTime; at Parallelism 1 every field is
+	// the wall-clock phase time as in the paper.
 	RewriteTime   time.Duration
 	ExecTime      time.Duration
 	AggregateTime time.Duration

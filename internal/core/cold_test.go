@@ -1,0 +1,36 @@
+package core
+
+import (
+	"github.com/probdb/urm/internal/engine"
+	"github.com/probdb/urm/internal/exec"
+	"github.com/probdb/urm/internal/query"
+	"github.com/probdb/urm/internal/schema"
+)
+
+// The paper's methods by name, for the tests written against the one-shot
+// drivers these used to be: each is Evaluator.EvaluateContext — Prepare, then
+// one execution — under the runtime context's settings.
+
+func Basic(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodBasic, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+}
+
+func EBasic(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodEBasic, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+}
+
+func EMQO(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodEMQO, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+}
+
+func QSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodQSharing, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+}
+
+func OSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, oo OSharingOptions) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodOSharing, Strategy: oo.Strategy, RandomSeed: oo.RandomSeed, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+}
+
+func TopK(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, k int, oo OSharingOptions) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateTopKContext(ec.Ctx(), q, k, Options{Strategy: oo.Strategy, RandomSeed: oo.RandomSeed, BatchSize: ec.Batch()})
+}

@@ -1,0 +1,211 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+)
+
+// sameWork asserts that got did want's work once per instance it ran on: every
+// operator kind, the index lookups and the executed queries scale with the
+// instance count; what the front half decided does not.
+func sameWork(t *testing.T, label string, want, got *Result, instances int) {
+	t.Helper()
+	w, g := want.Stats.Operators(), got.Stats.Operators()
+	if len(w) != len(g) {
+		t.Errorf("%s: operator kinds %v, want %v", label, g, w)
+	}
+	for kind, n := range w {
+		if g[kind] != n*instances {
+			t.Errorf("%s: %s operators = %d, want %d", label, kind, g[kind], n*instances)
+		}
+	}
+	if n := want.Stats.IndexLookups() * instances; got.Stats.IndexLookups() != n {
+		t.Errorf("%s: index lookups = %d, want %d", label, got.Stats.IndexLookups(), n)
+	}
+	if n := want.ExecutedQueries * instances; got.ExecutedQueries != n {
+		t.Errorf("%s: executed queries = %d, want %d", label, got.ExecutedQueries, n)
+	}
+	if want.RewrittenQueries != got.RewrittenQueries {
+		t.Errorf("%s: rewritten queries = %d, want %d", label, got.RewrittenQueries, want.RewrittenQueries)
+	}
+	if want.Partitions != got.Partitions {
+		t.Errorf("%s: partitions = %d, want %d", label, got.Partitions, want.Partitions)
+	}
+}
+
+// TestEveryConsumerOfAGroupListAgrees runs each plan method's group list
+// through everything that consumes one — the one-shot evaluator, a prepared
+// execution building the front half and one reusing it, a drained stream, the
+// delta evaluator's full run, and two runs of the plan merged by
+// ScatterPlan.Result (on the same instance twice, the replicated-relation case:
+// every group's rows arrive once per run and the merge collapses them) — and
+// holds all of them, bit for bit, to the method's own plans run through the
+// naive executor.  Between themselves they must also have done the same work.
+func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
+	db := paperInstance()
+	maps := mappingSetTimes8(t)
+	ctx := context.Background()
+	maintained := 0
+
+	for _, qc := range runtimeQueries {
+		q := mustParse(t, qc.name, qc.text)
+		ev := NewEvaluator(db, maps)
+		for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing} {
+			var oracle *Result
+			for _, parallelism := range []int{1, 8} {
+				for _, batch := range []int{0, 1, 7} {
+					opts := Options{Method: m, Parallelism: parallelism, BatchSize: batch}
+					label := fmt.Sprintf("%s/%s/p%d/b%d", qc.name, m, parallelism, batch)
+					must := func(res *Result, err error) *Result {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						return res
+					}
+					prep, err := ev.Prepare(q)
+					if err != nil {
+						t.Fatalf("%s prepare: %v", label, err)
+					}
+					if oracle == nil {
+						oracle = naiveOracle(t, prep, m)
+					}
+					cold := must(ev.Evaluate(q, opts))
+					forms := map[string]*Result{
+						"cold":           cold,
+						"first execute":  must(prep.Execute(opts)),
+						"second execute": must(prep.Execute(opts)),
+					}
+					cur, err := prep.StreamContext(ctx, opts)
+					if err != nil {
+						t.Fatalf("%s stream: %v", label, err)
+					}
+					forms["stream"] = collectCursor(t, cur)
+
+					ec := opts.Context(ctx)
+					sp, err := prep.Scatter(ec, opts)
+					if err != nil {
+						t.Fatalf("%s scatter: %v", label, err)
+					}
+					switch dp, err := PrepareDelta(prep, ec, opts); {
+					case err == nil:
+						if dp.sp != sp {
+							t.Errorf("%s: PrepareDelta holds a group list of its own, not the memoized one", label)
+						}
+						st, err := dp.EvaluateFull(ec, db)
+						if err != nil {
+							t.Fatalf("%s full run: %v", label, err)
+						}
+						forms["maintained"] = st.Result()
+						maintained++
+					case !errors.Is(err, ErrNotDeltaMaintainable):
+						t.Fatalf("%s prepare delta: %v", label, err)
+					}
+					for name, res := range forms {
+						bitIdenticalResults(t, label+" "+name, oracle, res)
+						sameWork(t, label+" "+name, cold, res, 1)
+					}
+
+					var runs []*ShardRun
+					for i := 0; i < 2; i++ {
+						run, err := sp.ExecuteOn(ec, db)
+						if err != nil {
+							t.Fatalf("%s run %d: %v", label, i, err)
+						}
+						runs = append(runs, run)
+					}
+					merged := sp.Result(q, 0, runs...)
+					bitIdenticalResults(t, label+" two runs", oracle, merged)
+					sameWork(t, label+" two runs", cold, merged, 2)
+				}
+			}
+		}
+	}
+	if maintained == 0 {
+		t.Fatal("no query was delta-maintainable: the maintained consumer was never compared")
+	}
+}
+
+// TestFrontHalfIsBuiltAndReportedOnce pins what a Prepared memoizes.  The
+// group list is one object per (query, method) — Scatter, a shard's run and
+// PrepareDelta share it, none reshapes it per call — and of all the executions
+// that use a front half exactly the one whose call built it reports a rewrite
+// phase, on every path that returns a Result.
+func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
+	db := paperInstance()
+	maps := mappingSetTimes8(t)
+	ctx := context.Background()
+	q := mustParse(t, "q", "SELECT phone FROM Person WHERE addr = 'aaa'")
+	ev := NewEvaluator(db, maps)
+	fresh := func() *Prepared {
+		t.Helper()
+		prep, err := ev.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep
+	}
+	// paths are the ways to a Result; each is called twice on one Prepared.
+	paths := map[string]func(*Prepared, Options) (*Result, error){
+		"execute": func(p *Prepared, o Options) (*Result, error) { return p.ExecuteContext(ctx, o) },
+		"stream": func(p *Prepared, o Options) (*Result, error) {
+			cur, err := p.StreamContext(ctx, o)
+			if err != nil {
+				return nil, err
+			}
+			return cur.Result(), nil
+		},
+		"top-k": func(p *Prepared, o Options) (*Result, error) { return p.ExecuteTopKContext(ctx, 2, o) },
+		"maintained": func(p *Prepared, o Options) (*Result, error) {
+			dp, err := PrepareDelta(p, o.Context(ctx), o)
+			if err != nil {
+				return nil, err
+			}
+			st, err := dp.EvaluateFull(o.Context(ctx), db)
+			if err != nil {
+				return nil, err
+			}
+			return st.Result(), nil
+		},
+	}
+	for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing} {
+		opts := Options{Method: m}
+		for name, run := range paths {
+			if m == MethodOSharing && name == "maintained" {
+				continue // no group list to maintain
+			}
+			prep := fresh()
+			for call, built := range []bool{true, false} {
+				res, err := run(prep, opts)
+				if err != nil {
+					t.Fatalf("%s/%s call %d: %v", m, name, call, err)
+				}
+				if built != (res.RewriteTime > 0) {
+					t.Errorf("%s/%s call %d: RewriteTime = %v, want > 0 only when the call built the front half (%v)",
+						m, name, call, res.RewriteTime, built)
+				}
+			}
+		}
+		if m == MethodOSharing {
+			continue
+		}
+		prep := fresh()
+		ec := opts.Context(ctx)
+		first, err := prep.Scatter(ec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second, _ := prep.Scatter(ec, opts); second != first {
+			t.Errorf("%s: two Scatter calls returned different plans", m)
+		}
+		res, err := prep.ExecuteContext(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RewriteTime != 0 {
+			t.Errorf("%s: an execution after Scatter built the plan reports RewriteTime %v", m, res.RewriteTime)
+		}
+	}
+}

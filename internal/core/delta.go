@@ -36,13 +36,15 @@ import (
 // invalidation — today's behavior.
 var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 
-// DeltaPlan is a prepared query's scatter form plus the per-group scan sets
-// the delta passes need.  It is immutable after PrepareDelta and may back any
+// DeltaPlan is a prepared query's group list plus the per-group scan sets the
+// delta passes need.  It is immutable after PrepareDelta and may back any
 // number of DeltaStates.
 type DeltaPlan struct {
-	sp   *ScatterPlan
-	qry  *Prepared
-	cols []string
+	sp  *ScatterPlan
+	qry *Prepared
+	// rewrite is the wall time the group list took to build when PrepareDelta's
+	// call built it, zero when it was memoized already.
+	rewrite time.Duration
 
 	// scans[i] holds the base-relation names group i's plan scans (nil for
 	// non-covering groups); rels is their union in sorted order — the fixed
@@ -56,14 +58,14 @@ type DeltaPlan struct {
 // options' method, or ErrNotDeltaMaintainable when the plan shape or method
 // cannot be maintained under appends.
 func PrepareDelta(p *Prepared, ec *exec.Context, opts Options) (*DeltaPlan, error) {
-	sp, err := p.Scatter(ec, opts)
+	sp, rewrite, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		if errors.Is(err, ErrNotShardable) {
 			return nil, fmt.Errorf("%w: %v", ErrNotDeltaMaintainable, err)
 		}
 		return nil, err
 	}
-	dp := &DeltaPlan{sp: sp, qry: p, cols: OutputColumns(p.Query())}
+	dp := &DeltaPlan{sp: sp, qry: p, rewrite: rewrite}
 	seen := make(map[string]bool)
 	for _, g := range sp.Groups {
 		if g.Plan == nil {
@@ -232,7 +234,7 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 		pass := &ScatterPlan{Method: dp.sp.Method, Groups: groups}
 		deltaDB := db.WithRelations(db.Name, replace)
 		deltaDB.AdoptIndexes(db)
-		if err := pass.executeInto(ec, deltaDB, st.run); err != nil {
+		if err := pass.executeInto(ec, deltaDB, st.run, st.run.keepSets()); err != nil {
 			return passes, err
 		}
 		passes++
@@ -243,33 +245,14 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 }
 
 // Result re-aggregates the maintained tuple sets into the canonical answer
-// distribution through GroupMerge — the same replay the shard gatherer uses —
-// so the result is bit-identical to cold evaluation of the same method over
-// the same instance state.
+// distribution — the maintained run through the function that merges the
+// shards' runs — so the result is bit-identical to cold evaluation of the same
+// method over the same instance state.  Its phases are those of the work that
+// produced the state: the front half when PrepareDelta built it, the CPU time
+// of the full run and every pass since, and this merge.
 func (st *DeltaState) Result() *Result {
-	start := time.Now()
 	dp := st.plan
-	res := &Result{
-		Query:            dp.qry.Query(),
-		Method:           dp.sp.Method,
-		Columns:          dp.cols,
-		Stats:            engine.NewStats(),
-		RewrittenQueries: dp.sp.Rewritten,
-		Partitions:       dp.sp.Partitions,
-		ExecTime:         st.run.ExecTime,
-	}
-	res.Stats.Add(st.run.Stats)
-	merge := NewGroupMerge(dp.sp.PreEmptyProb)
-	for gi, g := range dp.sp.Groups {
-		if g.Plan == nil {
-			merge.AddEmpty(g.Prob)
-			continue
-		}
-		merge.Add(g.Prob, st.run.Groups[gi].Rows)
-		res.ExecutedQueries++
-	}
-	res.Answers, res.EmptyProb = merge.Finalize()
-	res.AggregateTime = time.Since(start)
-	res.TotalTime = time.Since(start)
+	res := dp.sp.Result(dp.qry.Query(), dp.rewrite, st.run)
+	res.TotalTime = res.AggregateTime
 	return res
 }

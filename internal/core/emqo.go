@@ -2,97 +2,48 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/mqo"
-	"github.com/probdb/urm/internal/query"
-	"github.com/probdb/urm/internal/schema"
 )
 
-// EMQO evaluates the target query with the e-MQO baseline (Section III-B):
-// like e-basic it first rewrites one source query per mapping and keeps the
-// distinct ones, but before executing them it runs a multiple-query
-// optimisation pass that builds a global plan in which every common
-// subexpression is executed exactly once.
+// globalGroups is the group list of e-MQO (Section III-B), derived from
+// e-basic's: the same distinct source queries with the same probabilities, in
+// the order a multiple-query optimisation pass puts them (most-shared first),
+// together with the global plan in which every common subexpression is
+// executed exactly once.  The runner executes the global plan instead of the
+// group plans one by one.
 //
 // The optimisation pass minimises the number of executed source operators, but
 // constructing the global plan is expensive and grows super-linearly with the
 // number of distinct source queries — the behaviour the paper reports in
-// Figure 10(c), where e-MQO eventually becomes slower than basic.
-//
-// The rewrite phase and the execution of the global plan's independent
-// subtrees run on the runtime's worker pool; the shared-subexpression cache is
-// concurrency-safe with singleflight semantics, so each common subexpression
-// is still executed exactly once.
-func EMQO(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
-	if err := validateInputs(q, maps, db); err != nil {
-		return nil, err
+// Figure 10(c), where e-MQO eventually becomes slower than basic.  When no
+// mapping covers the query there is nothing to optimise: no groups, no global
+// plan, all mass already in PreEmptyProb.
+func globalGroups(ebasic *ScatterPlan) (*ScatterPlan, error) {
+	sp := &ScatterPlan{
+		Method:       MethodEMQO,
+		PreEmptyProb: ebasic.PreEmptyProb,
+		Rewritten:    ebasic.Rewritten,
+		Partitions:   ebasic.Partitions,
 	}
-	start := time.Now()
-	res := &Result{Query: q, Method: MethodEMQO, Columns: OutputColumns(q), Stats: engine.NewStats()}
-	agg := newAggregator()
-
-	// Phase 1 (same as e-basic): rewrite every mapping, cluster identical
-	// source queries.
-	rewriteStart := time.Now()
-	rawPlans, err := rewriteAll(ec, q, maps, "e-MQO")
-	if err != nil {
-		return nil, err
+	if len(ebasic.Groups) == 0 {
+		return sp, nil
 	}
-	clusters, order, emptyProb, rewritten := clusterPlans(rawPlans, maps)
-	agg.addEmpty(emptyProb)
-	res.RewrittenQueries = rewritten
-	res.Partitions = len(order)
-
-	// Phase 2: multiple-query optimisation over the distinct plans.  The
-	// planning cost is part of the rewrite/plan phase timing.
-	plans := make([]engine.Plan, 0, len(order))
-	probs := make(map[string]float64, len(order))
-	for _, sig := range order {
-		plans = append(plans, clusters[sig].plan)
-		probs[sig] = clusters[sig].prob
-	}
-	if len(plans) == 0 {
-		agg.finalize(res)
-		res.RewriteTime = time.Since(rewriteStart)
-		res.TotalTime = time.Since(start)
-		return res, nil
+	plans := make([]engine.Plan, len(ebasic.Groups))
+	probs := make(map[string]float64, len(ebasic.Groups))
+	for i, g := range ebasic.Groups {
+		plans[i] = g.Plan
+		probs[g.Plan.Signature()] = g.Prob
 	}
 	global, err := mqo.Optimize(plans)
 	if err != nil {
 		return nil, fmt.Errorf("e-MQO: %w", err)
 	}
-	res.RewriteTime = time.Since(rewriteStart)
-
-	// Phase 3: execute the global plan.
-	if err := executeGlobal(ec, db, global, probs, res, agg); err != nil {
-		return nil, err
+	sp.Global = global
+	sp.Groups = make([]ScatterGroup, len(global.Queries))
+	for i, q := range global.Queries {
+		sp.Groups[i] = ScatterGroup{Prob: probs[q.Signature()], Plan: q}
 	}
-	agg.finalize(res)
-	res.TotalTime = time.Since(start)
-	return res, nil
-}
-
-// executeGlobal executes the MQO global plan on the worker pool with a fresh
-// shared-subexpression cache and aggregates each query's answers under its
-// cluster probability (e-MQO's phase 3, shared by the prepared re-execution
-// path — ExecuteParallel builds a new cache per call, so re-executions repeat
-// the exact same operator work).
-func executeGlobal(ec *exec.Context, db *engine.Instance, global *mqo.Plan, probs map[string]float64, res *Result, agg *aggregator) error {
-	execStart := time.Now()
-	rels, err := global.ExecuteParallel(ec, db, res.Stats)
-	if err != nil {
-		return fmt.Errorf("e-MQO: %w", err)
-	}
-	res.ExecTime = time.Since(execStart)
-	res.ExecutedQueries = len(rels)
-
-	aggStart := time.Now()
-	for i, rel := range rels {
-		agg.addRelation(rel, probs[global.Queries[i].Signature()])
-	}
-	res.AggregateTime = time.Since(aggStart)
-	return nil
+	return sp, nil
 }

@@ -169,8 +169,18 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Evaluator evaluates probabilistic target queries over a set of possible
-// mappings and a source instance.
+// Context returns the evaluation runtime context for the options: the caller's
+// context with the options' worker bound and engine batch size.  Every entry
+// point that executes under Options builds its runtime here, so a tuning field
+// cannot be applied on one path and dropped on another.
+func (o Options) Context(ctx context.Context) *exec.Context {
+	return exec.NewContext(ctx, o.Parallelism).WithBatch(o.BatchSize)
+}
+
+// Evaluator binds a source instance to a set of possible mappings; Prepare
+// binds a target query to the pair, and the Prepared is what evaluates.  The
+// Evaluate methods are the one-shot form — Prepare followed by one execution,
+// the paper's cold evaluation: front half and back half, every time.
 //
 // All evaluation methods (and top-k) share the instance's base-relation index
 // cache (engine.Instance.Indexes): constant-equality selections and equi-join
@@ -200,30 +210,11 @@ func (e *Evaluator) Evaluate(q *query.Query, opts Options) (*Result, error) {
 // evaluation promptly with the context's error.  Work fans out over
 // opts.Parallelism worker goroutines; answers do not depend on the setting.
 func (e *Evaluator) EvaluateContext(ctx context.Context, q *query.Query, opts Options) (*Result, error) {
-	if err := validateInputs(q, e.Maps, e.DB); err != nil {
+	p, err := e.Prepare(q)
+	if err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ec := exec.NewContext(ctx, opts.Parallelism).WithBatch(opts.BatchSize)
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	switch opts.Method {
-	case MethodBasic:
-		return Basic(ec, q, e.Maps, e.DB)
-	case MethodEBasic:
-		return EBasic(ec, q, e.Maps, e.DB)
-	case MethodEMQO:
-		return EMQO(ec, q, e.Maps, e.DB)
-	case MethodQSharing:
-		return QSharing(ec, q, e.Maps, e.DB)
-	case MethodOSharing:
-		return OSharing(ec, q, e.Maps, e.DB, OSharingOptions{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed})
-	default:
-		return nil, fmt.Errorf("evaluate: unknown method %v", opts.Method)
-	}
+	return p.ExecuteContext(ctx, opts)
 }
 
 // EvaluateTopK runs the probabilistic top-k algorithm of Section VII and
@@ -237,18 +228,9 @@ func (e *Evaluator) EvaluateTopK(q *query.Query, k int, opts Options) (*Result, 
 // order of the u-trace — so opts.Parallelism is ignored, but cancellation and
 // deadlines are honoured.
 func (e *Evaluator) EvaluateTopKContext(ctx context.Context, q *query.Query, k int, opts Options) (*Result, error) {
-	if err := validateInputs(q, e.Maps, e.DB); err != nil {
+	p, err := e.Prepare(q)
+	if err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
-	}
-	ec := exec.NewContext(ctx, 1).WithBatch(opts.BatchSize)
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	return TopK(ec, q, e.Maps, e.DB, k, OSharingOptions{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed})
+	return p.ExecuteTopKContext(ctx, k, opts)
 }

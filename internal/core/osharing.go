@@ -23,39 +23,6 @@ type OSharingOptions struct {
 	RandomSeed int64
 }
 
-// OSharing evaluates the target query with operator-level sharing
-// (Algorithm 2): query rewriting and execution are interleaved over a u-trace
-// of e-units, so that the result of executing one source operator is shared by
-// every mapping that translates the corresponding target operator identically,
-// even when the mappings differ elsewhere.
-//
-// The subtrees below the first branching node of the u-trace are independent,
-// so they run on the runtime's worker pool; each branch buffers its leaf
-// results, which are then replayed into the aggregator in branch order,
-// reproducing the sequential depth-first visit exactly.  Operator selection
-// (SEF/SNF/Random) stays deterministic at any parallelism: every u-trace node
-// derives its Random seed from its position in the trace rather than from a
-// shared generator.
-func OSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, opts OSharingOptions) (*Result, error) {
-	if err := validateInputs(q, maps, db); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{Query: q, Method: MethodOSharing, Columns: OutputColumns(q), Stats: engine.NewStats()}
-
-	agg := newAggregator()
-	sink := &collectSink{agg: agg}
-	if err := runOSharing(ec, q, maps, db, opts, res, sink); err != nil {
-		return nil, err
-	}
-	aggStart := time.Now()
-	res.Answers = agg.answers()
-	res.EmptyProb = agg.emptyProb
-	res.AggregateTime = time.Since(aggStart)
-	res.TotalTime = time.Since(start)
-	return res, nil
-}
-
 // resultSink receives leaf e-unit results as the u-trace is explored.  The
 // plain o-sharing sink aggregates them; the top-k sink maintains probability
 // bounds and can stop the traversal early.
@@ -107,36 +74,26 @@ func prepareOSharing(q *query.Query, maps schema.MappingSet) (*osharingPrep, err
 	if err != nil {
 		return nil, err
 	}
-	reps := make(schema.MappingSet, 0, len(parts))
-	for _, p := range parts {
-		if p.Representative == nil {
-			continue
-		}
-		rep := p.Representative.Clone()
-		rep.Prob = p.Prob
-		reps = append(reps, rep)
-	}
-	return &osharingPrep{nq: nq, reps: reps}, nil
+	return &osharingPrep{nq: nq, reps: Represent(parts)}, nil
 }
 
-// runOSharing drives Algorithm 2 for either o-sharing or top-k (which differ
-// only in the sink).  It fills the rewrite/exec timing and partition fields of
-// res.  Top-k callers pass a sequential context: early termination depends on
-// the visit order, so only the plain collecting sink may run parallel.
-func runOSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, opts OSharingOptions, res *Result, sink resultSink) error {
-	// Steps 1–2: normalization and representative mappings M'.
-	rewriteStart := time.Now()
-	prep, err := prepareOSharing(q, maps)
-	if err != nil {
-		return fmt.Errorf("o-sharing: %w", err)
-	}
-	res.RewriteTime = time.Since(rewriteStart)
-	return runOSharingPrepared(ec, prep, db, opts, res, sink)
-}
-
-// runOSharingPrepared is runOSharing with the front half already computed: it
-// only explores the u-trace (Steps 3–4).  Prepared re-executions enter here,
-// paying no normalization or partitioning cost.
+// runOSharingPrepared drives Algorithm 2 over a computed front half for
+// either o-sharing or top-k, which differ only in the sink: query rewriting
+// and execution are interleaved over a u-trace of e-units (Steps 3–4), so that
+// the result of executing one source operator is shared by every mapping that
+// translates the corresponding target operator identically, even when the
+// mappings differ elsewhere.  It fills the execution timing and partition
+// fields of res.
+//
+// The subtrees below the first branching node of the u-trace are independent,
+// so they run on the runtime's worker pool; each branch buffers its leaf
+// results, which are then replayed into the sink in branch order, reproducing
+// the sequential depth-first visit exactly.  Operator selection
+// (SEF/SNF/Random) stays deterministic at any parallelism: every u-trace node
+// derives its Random seed from its position in the trace rather than from a
+// shared generator.  Top-k callers pass a sequential context: early
+// termination depends on the visit order, so only the plain collecting sink
+// may run parallel.
 func runOSharingPrepared(ec *exec.Context, prep *osharingPrep, db *engine.Instance, opts OSharingOptions, res *Result, sink resultSink) error {
 	res.Partitions = len(prep.reps)
 

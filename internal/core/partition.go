@@ -146,16 +146,18 @@ func PartitionByAttributes(attrs []schema.Attribute, maps schema.MappingSet) []*
 	return tree.Partitions()
 }
 
-// Represent extracts the representative weighted mappings from the partitions
-// (the represent routine of Algorithm 1): one mapping per partition whose
-// probability is the partition's total probability.
-func Represent(parts []*Partition) []weightedMapping {
-	out := make([]weightedMapping, 0, len(parts))
+// Represent extracts the representative mappings from the partitions (the
+// represent routine of Algorithm 1): one clone per partition whose probability
+// is the partition's total probability, in partition order.
+func Represent(parts []*Partition) schema.MappingSet {
+	out := make(schema.MappingSet, 0, len(parts))
 	for _, p := range parts {
 		if p.Representative == nil {
 			continue
 		}
-		out = append(out, weightedMapping{mapping: p.Representative, prob: p.Prob})
+		rep := p.Representative.Clone()
+		rep.Prob = p.Prob
+		out = append(out, rep)
 	}
 	return out
 }

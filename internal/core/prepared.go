@@ -8,7 +8,6 @@ import (
 
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
-	"github.com/probdb/urm/internal/mqo"
 	"github.com/probdb/urm/internal/query"
 	"github.com/probdb/urm/internal/schema"
 )
@@ -17,20 +16,18 @@ import (
 // work that depends only on the query and the mapping set, not on the data —
 // is computed once and reused across executions:
 //
-//   - basic/e-basic/e-MQO: the per-mapping reformulated and optimized source
-//     plans (and, for e-basic/e-MQO, their signature clusters and the MQO
-//     global plan);
-//   - q-sharing: the partition tree's representative mappings and their
-//     reformulated plans;
+//   - basic, e-basic, e-MQO, q-sharing: the method's group list (ScatterPlan),
+//     which is the method;
 //   - o-sharing/top-k: the normalized query and the top-level representative
 //     mappings.
 //
 // Each method's front half is built lazily on first use (under the chosen
-// method) and memoized; every subsequent Execute/Stream with that method pays
-// only the execution and aggregation phases.  Answers are bit-identical to an
-// unprepared evaluation — same tuples, probabilities, order and operator
-// counts — because the prepared state is exactly what the cold path would
-// recompute.
+// method) and memoized; the execution whose call built it reports the build's
+// wall time as Result.RewriteTime, and every other execution with that method
+// pays — and reports — only the execution and aggregation phases.  There is no
+// other evaluation path: Evaluator.Evaluate is Prepare followed by Execute, a
+// shard's run and a delta-maintained answer run the same memoized group list
+// through the same runner.
 //
 // The prepared state references base relations by name, so executions always
 // see the instance's current rows; only changes to the mapping set or the
@@ -40,40 +37,10 @@ type Prepared struct {
 	maps schema.MappingSet
 	q    *query.Query
 
-	// mu guards the lazily built per-method front halves below.  Builds are
-	// memoized on success only, so a build aborted by cancellation retries.
+	// mu guards the lazily built per-method front halves below.
 	mu       sync.Mutex
-	plans    []engine.Plan // per-mapping optimized plans, index-aligned with maps (nil = not covered)
-	ebasic   *clusterPrep
-	emqo     *emqoPrep
-	qsharing *qsharingPrep
+	plans    [MethodQSharing + 1]*ScatterPlan // indexed by Method
 	osharing *osharingPrep
-}
-
-// clusterPrep is the e-basic front half: distinct source plans clustered by
-// signature, plus the bookkeeping clusterPlans derived from the per-mapping
-// plans.
-type clusterPrep struct {
-	clusters  map[string]*planCluster
-	order     []string
-	emptyProb float64
-	rewritten int
-}
-
-// emqoPrep extends the cluster front half with the MQO global plan.  global
-// is nil when no mapping covers the query.
-type emqoPrep struct {
-	clusterPrep
-	global *mqo.Plan
-	probs  map[string]float64
-}
-
-// qsharingPrep is the q-sharing front half: one representative mapping per
-// partition with the partition's probability, and its reformulated plan.
-type qsharingPrep struct {
-	reps       []weightedMapping
-	plans      []engine.Plan // index-aligned with reps (nil = not covered)
-	partitions int
 }
 
 // Prepare binds the query to the evaluator's instance and mapping set and
@@ -89,102 +56,75 @@ func (e *Evaluator) Prepare(q *query.Query) (*Prepared, error) {
 // Query returns the prepared target query.
 func (p *Prepared) Query() *query.Query { return p.q }
 
-// basicPlans returns (building once) the per-mapping optimized source plans.
-func (p *Prepared) basicPlans(ec *exec.Context) ([]engine.Plan, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.plans == nil {
-		plans, err := rewriteAll(ec, p.q, p.maps, "prepare")
-		if err != nil {
-			return nil, err
-		}
-		p.plans = plans
+// memoized returns *slot, building it first when it is unset, and the wall
+// time the build took — zero for every call that found the front half there,
+// including one that waited on p.mu while another call built it, so exactly
+// one execution reports a front half's rewrite phase.  The caller holds p.mu.
+// Builds are memoized on success only, so a build aborted by cancellation
+// retries.
+func memoized[T any](slot **T, build func() (*T, error)) (*T, time.Duration, error) {
+	if *slot != nil {
+		return *slot, 0, nil
 	}
-	return p.plans, nil
+	start := time.Now()
+	v, err := build()
+	if err != nil {
+		return nil, 0, err
+	}
+	*slot = v
+	return v, time.Since(start), nil
 }
 
-// ebasicPrep returns (building once) the signature clusters of the
-// per-mapping plans.
-func (p *Prepared) ebasicPrep(ec *exec.Context) (*clusterPrep, error) {
-	plans, err := p.basicPlans(ec)
-	if err != nil {
-		return nil, err
+// FrontHalf returns the group list of the options' method, memoized, together
+// with the wall time this call spent building it (zero when it was there
+// already).  MethodOSharing returns ErrNotShardable: o-sharing has no group
+// list.
+func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if err := ec.Err(); err != nil {
+		return nil, 0, err
+	}
+	if opts.Method == MethodOSharing {
+		return nil, 0, fmt.Errorf("%w: %s", ErrNotShardable, opts.Method)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ebasic == nil {
-		clusters, order, emptyProb, rewritten := clusterPlans(plans, p.maps)
-		p.ebasic = &clusterPrep{clusters: clusters, order: order, emptyProb: emptyProb, rewritten: rewritten}
-	}
-	return p.ebasic, nil
+	return p.groupList(ec, opts.Method)
 }
 
-// emqoPrep returns (building once) the MQO global plan over the distinct
-// source plans.
-func (p *Prepared) emqoPrep(ec *exec.Context) (*emqoPrep, error) {
-	cp, err := p.ebasicPrep(ec)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.emqo == nil {
-		ep := &emqoPrep{clusterPrep: *cp}
-		if len(cp.order) > 0 {
-			plans := make([]engine.Plan, 0, len(cp.order))
-			probs := make(map[string]float64, len(cp.order))
-			for _, sig := range cp.order {
-				plans = append(plans, cp.clusters[sig].plan)
-				probs[sig] = cp.clusters[sig].prob
-			}
-			global, err := mqo.Optimize(plans)
+// Scatter is FrontHalf for callers that report no rewrite phase: two calls
+// for one method return the same plan.
+func (p *Prepared) Scatter(ec *exec.Context, opts Options) (*ScatterPlan, error) {
+	sp, _, err := p.FrontHalf(ec, opts)
+	return sp, err
+}
+
+// groupList is FrontHalf with p.mu held.  e-basic clusters basic's list and
+// e-MQO optimises e-basic's, so a list another is derived from is built — and
+// memoized for its own method — on the way.
+func (p *Prepared) groupList(ec *exec.Context, m Method) (*ScatterPlan, time.Duration, error) {
+	return memoized(&p.plans[m], func() (*ScatterPlan, error) {
+		switch m {
+		case MethodBasic:
+			return mappingGroups(ec, m, p.q, p.maps)
+		case MethodEBasic:
+			basic, _, err := p.groupList(ec, MethodBasic)
 			if err != nil {
-				return nil, fmt.Errorf("e-MQO: %w", err)
+				return nil, err
 			}
-			ep.global = global
-			ep.probs = probs
+			return clusterGroups(basic), nil
+		case MethodEMQO:
+			ebasic, _, err := p.groupList(ec, MethodEBasic)
+			if err != nil {
+				return nil, err
+			}
+			return globalGroups(ebasic)
+		default:
+			return representativeGroups(ec, p.q, p.maps)
 		}
-		p.emqo = ep
-	}
-	return p.emqo, nil
-}
-
-// qsharingFront returns (building once) the q-sharing representatives and
-// their reformulated plans.
-func (p *Prepared) qsharingFront(ec *exec.Context) (*qsharingPrep, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.qsharing == nil {
-		parts, err := PartitionMappings(p.q, p.maps)
-		if err != nil {
-			return nil, fmt.Errorf("q-sharing: %w", err)
-		}
-		reps := Represent(parts)
-		repMaps := make(schema.MappingSet, len(reps))
-		for i := range reps {
-			repMaps[i] = reps[i].mapping
-		}
-		plans, err := rewriteAll(ec, p.q, repMaps, "q-sharing")
-		if err != nil {
-			return nil, err
-		}
-		p.qsharing = &qsharingPrep{reps: reps, plans: plans, partitions: len(parts)}
-	}
-	return p.qsharing, nil
-}
-
-// osharingFront returns (building once) the o-sharing/top-k front half.
-func (p *Prepared) osharingFront() (*osharingPrep, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.osharing == nil {
-		prep, err := prepareOSharing(p.q, p.maps)
-		if err != nil {
-			return nil, fmt.Errorf("o-sharing: %w", err)
-		}
-		p.osharing = prep
-	}
-	return p.osharing, nil
+	})
 }
 
 // Execute runs the prepared query with the given options and returns the
@@ -227,83 +167,61 @@ func (p *Prepared) StreamContext(ctx context.Context, opts Options) (*Cursor, er
 	return newCursor(res, entries), nil
 }
 
-// run executes the prepared query's back half under the chosen method,
-// returning the result skeleton and the loaded aggregator.
+// run executes the prepared query under the chosen method, returning the
+// result skeleton and the loaded aggregator.  A plan method runs its group
+// list on the instance with the aggregating consumer: each group's relation is
+// deduplicated and added under the group's probability on this goroutine, in
+// group order, as the workers deliver it — one hash pass per row, no per-group
+// set built, which is why an unsharded execution is not the one-shard case of
+// ExecuteOn followed by Result (DESIGN.md "Prepared queries" has the numbers).
 func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
-	ec := exec.NewContext(ctx, opts.Parallelism).WithBatch(opts.BatchSize)
+	ec := opts.Context(ctx)
 	if err := ec.Err(); err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Query: p.q, Method: opts.Method, Columns: OutputColumns(p.q), Stats: engine.NewStats()}
 	agg := newAggregator()
-
-	switch opts.Method {
-	case MethodBasic:
-		plans, err := p.basicPlans(ec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("basic: %w", err)
-		}
-		probs := make([]float64, len(p.maps))
-		for i, m := range p.maps {
-			probs[i] = m.Prob
-		}
-		if err := executePlans(ec, p.db, plans, probs, "basic", res, agg); err != nil {
-			return nil, nil, fmt.Errorf("basic: %w", err)
-		}
-	case MethodEBasic:
-		cp, err := p.ebasicPrep(ec)
-		if err != nil {
-			return nil, nil, err
-		}
-		agg.addEmpty(cp.emptyProb)
-		res.RewrittenQueries = cp.rewritten
-		res.Partitions = len(cp.order)
-		if err := executeClusters(ec, p.db, cp.clusters, cp.order, "e-basic", res, agg); err != nil {
-			return nil, nil, err
-		}
-	case MethodEMQO:
-		ep, err := p.emqoPrep(ec)
-		if err != nil {
-			return nil, nil, err
-		}
-		agg.addEmpty(ep.emptyProb)
-		res.RewrittenQueries = ep.rewritten
-		res.Partitions = len(ep.order)
-		if ep.global != nil {
-			if err := executeGlobal(ec, p.db, ep.global, ep.probs, res, agg); err != nil {
-				return nil, nil, err
-			}
-		}
-	case MethodQSharing:
-		qp, err := p.qsharingFront(ec)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Partitions = qp.partitions
-		probs := make([]float64, len(qp.reps))
-		for i := range qp.reps {
-			probs[i] = qp.reps[i].prob
-		}
-		if err := executePlans(ec, p.db, qp.plans, probs, "q-sharing", res, agg); err != nil {
-			return nil, nil, fmt.Errorf("q-sharing: %w", err)
-		}
-	case MethodOSharing:
-		prep, err := p.osharingFront()
-		if err != nil {
-			return nil, nil, err
-		}
-		sink := &collectSink{agg: agg}
-		oo := OSharingOptions{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed}
-		if err := runOSharingPrepared(ec, prep, p.db, oo, res, sink); err != nil {
-			return nil, nil, err
-		}
-	default:
-		return nil, nil, fmt.Errorf("prepared execute: unknown method %v", opts.Method)
+	if opts.Method == MethodOSharing {
+		res, err := p.explore(ec, MethodOSharing, opts, &collectSink{agg: agg})
+		return res, agg, err
 	}
+	sp, rewrite, err := p.FrontHalf(ec, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	agg.addEmpty(sp.PreEmptyProb)
+	var aggTime time.Duration
+	aggregate := groupConsumer{inOrder: true, take: func(gi int, rows []engine.Tuple) {
+		start := time.Now()
+		agg.addRows(rows, sp.Groups[gi].Prob)
+		aggTime += time.Since(start)
+	}}
+	run := &ShardRun{Stats: engine.NewStats()}
+	if err := sp.executeInto(ec, p.db, run, aggregate); err != nil {
+		return nil, nil, err
+	}
+	res := sp.newResult(p.q, rewrite, []*ShardRun{run})
+	res.AggregateTime = aggTime
 	return res, agg, nil
+}
+
+// explore runs the u-trace traversal o-sharing and top-k share into the sink,
+// over the memoized o-sharing front half.
+func (p *Prepared) explore(ec *exec.Context, m Method, opts Options, sink resultSink) (*Result, error) {
+	p.mu.Lock()
+	prep, rewrite, err := memoized(&p.osharing, func() (*osharingPrep, error) { return prepareOSharing(p.q, p.maps) })
+	p.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("o-sharing: %w", err)
+	}
+	res := &Result{Query: p.q, Method: m, Columns: OutputColumns(p.q), Stats: engine.NewStats(), RewriteTime: rewrite}
+	oo := OSharingOptions{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed}
+	if err := runOSharingPrepared(ec, prep, p.db, oo, res, sink); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ExecuteTopK runs the probabilistic top-k algorithm over the prepared query.
@@ -352,56 +270,14 @@ func (p *Prepared) runTopK(ctx context.Context, k int, opts Options) (*Result, *
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
 	}
-	ec := exec.NewContext(ctx, 1).WithBatch(opts.BatchSize)
+	ec := opts.Context(ctx).WithParallelism(1)
 	if err := ec.Err(); err != nil {
 		return nil, nil, err
 	}
-	prep, err := p.osharingFront()
+	sink := newTopkSink(k)
+	res, err := p.explore(ec, MethodTopK, opts, sink)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &Result{Query: p.q, Method: MethodTopK, Columns: OutputColumns(p.q), Stats: engine.NewStats()}
-	sink := newTopkSink(k)
-	oo := OSharingOptions{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed}
-	if err := runOSharingPrepared(ec, prep, p.db, oo, res, sink); err != nil {
-		return nil, nil, err
-	}
 	return res, sink, nil
-}
-
-// executePlans executes one precompiled plan per (mapping, probability) pair
-// on the worker pool and aggregates in index order — the prepared twin of
-// basicOver, minus the rewriting that Prepare already paid.  A nil plan marks
-// a mapping that does not cover the query; its mass goes to the empty answer.
-func executePlans(ec *exec.Context, db *engine.Instance, plans []engine.Plan, probs []float64, label string, res *Result, agg *aggregator) error {
-	return exec.Map(ec, len(plans),
-		func(ctx context.Context, i int) (*mappingRun, error) {
-			run := &mappingRun{stats: engine.NewStats()}
-			if plans[i] == nil {
-				return run, nil
-			}
-			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: run.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
-			rel, err := ex.ExecuteContext(ctx, plans[i])
-			run.exec = time.Since(execStart)
-			if err != nil {
-				return nil, fmt.Errorf("%s: executing source query: %w", label, err)
-			}
-			run.rel = rel
-			return run, nil
-		},
-		func(i int, run *mappingRun) error {
-			res.ExecTime += run.exec
-			res.Stats.Add(run.stats)
-			if run.rel == nil {
-				agg.addEmpty(probs[i])
-				return nil
-			}
-			res.RewrittenQueries++
-			res.ExecutedQueries++
-			aggStart := time.Now()
-			agg.addRelation(run.rel, probs[i])
-			res.AggregateTime += time.Since(aggStart)
-			return nil
-		})
 }

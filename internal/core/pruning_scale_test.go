@@ -143,18 +143,18 @@ func TestPlanMethodsAtBenchmarkScale(t *testing.T) {
 // e-basic, one shared cache for e-MQO, whose common subexpressions run once.
 func allColumnsValues(t *testing.T, prep *Prepared, m Method) int {
 	t.Helper()
-	cp, err := prep.ebasicPrep(exec.Sequential())
+	cp, err := prep.Scatter(exec.Sequential(), Options{Method: MethodEBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats := engine.NewStats()
 	cache := engine.NewPlanCache()
-	for _, sig := range cp.order {
+	for _, g := range cp.Groups {
 		if m != MethodEMQO {
 			cache = engine.NewPlanCache()
 		}
 		ex := &engine.Executor{DB: prep.db, Stats: stats, Cache: cache, Indexes: prep.db.Indexes()}
-		if _, err := ex.Execute(cp.clusters[sig].plan); err != nil {
+		if _, err := ex.Execute(g.Plan); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,53 +3,30 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
-	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/query"
 	"github.com/probdb/urm/internal/schema"
 )
 
-// QSharing evaluates the target query with query-level sharing (Algorithm 1):
-// the mapping set is partitioned with the partition tree so that each group of
-// mappings producing the same source query is rewritten and executed exactly
-// once, with the group's total probability.
-//
-// Compared with e-basic, q-sharing avoids rewriting one source query per
-// mapping: the partition tree works directly on the mappings' correspondences
-// for the query's target attributes.
-//
-// The per-partition evaluations are independent and run on the runtime's
-// worker pool; answers are aggregated in partition order, so the result is
-// identical at any parallelism.
-func QSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
-	if err := validateInputs(q, maps, db); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{Query: q, Method: MethodQSharing, Columns: OutputColumns(q), Stats: engine.NewStats()}
-	agg := newAggregator()
-
-	// Step 1: partition the mappings with the partition tree.
-	rewriteStart := time.Now()
+// representativeGroups is the group list of q-sharing (Algorithm 1): the
+// partition tree groups the mappings that reformulate the target query to the
+// same source query, working directly on their correspondences for the query's
+// target attributes, and one representative per partition — carrying the
+// partition's total probability — is reformulated.  Compared with e-basic,
+// q-sharing never rewrites one source query per mapping; what it then executes
+// is basic over the representatives.
+func representativeGroups(ec *exec.Context, q *query.Query, maps schema.MappingSet) (*ScatterPlan, error) {
 	parts, err := PartitionMappings(q, maps)
 	if err != nil {
 		return nil, fmt.Errorf("q-sharing: %w", err)
 	}
-	// Step 2: pick representative mappings with summed probabilities.
-	reps := Represent(parts)
-	res.Partitions = len(parts)
-	res.RewriteTime = time.Since(rewriteStart)
-
-	// Step 3: run basic over the representatives (one evaluation per partition
-	// leaf, fanned out over the pool).
-	if err := basicOver(ec, q, reps, db, res, agg); err != nil {
-		return nil, fmt.Errorf("q-sharing: %w", err)
+	sp, err := mappingGroups(ec, MethodQSharing, q, Represent(parts))
+	if err != nil {
+		return nil, err
 	}
-	agg.finalize(res)
-	res.TotalTime = time.Since(start)
-	return res, nil
+	sp.Partitions = len(parts)
+	return sp, nil
 }
 
 // Entropy computes the entropy of a mapping set with respect to a partition of

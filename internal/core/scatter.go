@@ -9,6 +9,7 @@ import (
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/mqo"
+	"github.com/probdb/urm/internal/query"
 )
 
 // ErrNotShardable marks a (query, method) pair whose evaluation cannot be
@@ -20,122 +21,49 @@ import (
 // (coordinator mode).
 var ErrNotShardable = errors.New("core: method not shardable")
 
-// ScatterGroup is one unit of scatter work: a source plan together with the
-// probability mass its answers carry.  A nil Plan marks a group whose
+// ScatterGroup is one group of a method's group list: a source plan together
+// with the probability mass its answers carry.  A nil Plan marks a group whose
 // mappings do not cover the query — its mass goes to the empty answer exactly
-// once, on the merge side, never per shard.
+// once, where the group's turn comes in the aggregation, never per shard.
 type ScatterGroup struct {
 	Prob float64
 	Plan engine.Plan
 }
 
-// ScatterPlan is a prepared query's front half reshaped for scatter-gather
-// evaluation: an ordered list of groups whose per-shard answer relations are
-// unioned and re-aggregated group by group.  The group order is exactly the
-// aggregation order of the corresponding unsharded method — mapping order for
-// basic, first-seen cluster order for e-basic, the MQO global plan's query
-// order for e-MQO, representative order for q-sharing — so the merged
-// probabilities accumulate in the same float-addition sequence and answers
-// stay bit-identical to unsharded evaluation.
+// ScatterPlan is one of the four plan methods, as the paper defines them:
+// basic, e-basic, e-MQO (Section III-B) and q-sharing (Algorithm 1) are one
+// computation over four partitions of the mapping set — run one source query
+// per group, add the group's probability to each distinct answer it returns,
+// in group order.  The group list is the method's whole front half; a Prepared
+// builds it once per method and every execution, sharded or not, runs it
+// through the one runner (executeInto) and turns the runs into a Result
+// through the one function (newResult).  The group order is the aggregation
+// order — mapping order for basic, first-seen cluster order for e-basic, the
+// MQO global plan's query order for e-MQO, representative order for q-sharing
+// — so probabilities accumulate in one float-addition sequence however the
+// runs are made, and answers stay bit-identical across them.
+//
+// A ScatterPlan is immutable once its Prepared has memoized it: executions on
+// any number of goroutines share it, and a caller that needs a variant
+// (ApplyDelta's per-pass plans) copies Groups.
 type ScatterPlan struct {
-	// Method is the evaluation method the plan was built for.
+	// Method is the evaluation method the plan is.
 	Method Method
 	// PreEmptyProb is probability mass added to the empty answer before any
-	// group is merged (e-basic/e-MQO account non-covering mappings up front).
+	// group is aggregated (e-basic/e-MQO account non-covering mappings up
+	// front; basic and q-sharing carry them as nil-plan groups).
 	PreEmptyProb float64
-	// Groups are the scatter units in aggregation order.
+	// Groups are the units of work in aggregation order.
 	Groups []ScatterGroup
-	// Global is the e-MQO global plan; when non-nil, ExecuteOn runs it once
-	// per shard (with a fresh shared-subexpression cache) instead of the
-	// group plans individually.  Groups are aligned with Global.Queries.
+	// Global is the e-MQO global plan; when non-nil, the runner executes it
+	// once per instance (with a fresh shared-subexpression cache) instead of
+	// the group plans individually.  Groups are aligned with Global.Queries.
 	Global *mqo.Plan
-	// Rewritten and Partitions carry the front half's bookkeeping into the
-	// merged Result.
+	// Rewritten is the number of complete source queries the front half
+	// rewrote and Partitions the number of mapping partitions it formed; both
+	// go into every Result as they are.
 	Rewritten  int
 	Partitions int
-}
-
-// Scatter builds the scatter form of the prepared query's front half for the
-// options' method.  MethodOSharing and MethodTopK return ErrNotShardable.
-func (p *Prepared) Scatter(ec *exec.Context, opts Options) (*ScatterPlan, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	switch opts.Method {
-	case MethodBasic:
-		plans, err := p.basicPlans(ec)
-		if err != nil {
-			return nil, fmt.Errorf("basic: %w", err)
-		}
-		sp := &ScatterPlan{Method: MethodBasic, Groups: make([]ScatterGroup, len(plans))}
-		for i, plan := range plans {
-			sp.Groups[i] = ScatterGroup{Prob: p.maps[i].Prob, Plan: plan}
-			if plan != nil {
-				sp.Rewritten++
-			}
-		}
-		return sp, nil
-	case MethodEBasic:
-		cp, err := p.ebasicPrep(ec)
-		if err != nil {
-			return nil, err
-		}
-		sp := &ScatterPlan{
-			Method:       MethodEBasic,
-			PreEmptyProb: cp.emptyProb,
-			Groups:       make([]ScatterGroup, 0, len(cp.order)),
-			Rewritten:    cp.rewritten,
-			Partitions:   len(cp.order),
-		}
-		for _, sig := range cp.order {
-			c := cp.clusters[sig]
-			sp.Groups = append(sp.Groups, ScatterGroup{Prob: c.prob, Plan: c.plan})
-		}
-		return sp, nil
-	case MethodEMQO:
-		ep, err := p.emqoPrep(ec)
-		if err != nil {
-			return nil, err
-		}
-		sp := &ScatterPlan{
-			Method:       MethodEMQO,
-			PreEmptyProb: ep.emptyProb,
-			Global:       ep.global,
-			Rewritten:    ep.rewritten,
-			Partitions:   len(ep.order),
-		}
-		if ep.global != nil {
-			sp.Groups = make([]ScatterGroup, len(ep.global.Queries))
-			for i, q := range ep.global.Queries {
-				sp.Groups[i] = ScatterGroup{Prob: ep.probs[q.Signature()], Plan: q}
-			}
-		}
-		return sp, nil
-	case MethodQSharing:
-		qp, err := p.qsharingFront(ec)
-		if err != nil {
-			return nil, err
-		}
-		sp := &ScatterPlan{
-			Method:     MethodQSharing,
-			Groups:     make([]ScatterGroup, len(qp.plans)),
-			Partitions: qp.partitions,
-		}
-		for i, plan := range qp.plans {
-			sp.Groups[i] = ScatterGroup{Prob: qp.reps[i].prob, Plan: plan}
-			if plan != nil {
-				sp.Rewritten++
-			}
-		}
-		return sp, nil
-	case MethodOSharing, MethodTopK:
-		return nil, fmt.Errorf("%w: %s", ErrNotShardable, opts.Method)
-	default:
-		return nil, fmt.Errorf("scatter: unknown method %v", opts.Method)
-	}
 }
 
 // GroupRows is one scatter group's answer on one instance, as the set the
@@ -162,51 +90,72 @@ func (g *GroupRows) extend(rows []engine.Tuple) {
 	})
 }
 
-// ShardRun is the outcome of executing a scatter plan against one shard: the
+// ShardRun is the outcome of running a group list on one instance — a shard
+// holding one partition of the base relations, or the whole instance: the
+// operator statistics and CPU time, and, for the consumers that keep sets, the
 // per-group distinct answer tuples (index-aligned with Groups, empty for
-// non-covering groups) plus the shard's operator statistics and CPU time.
-// Rows are deduplicated here, where they are produced, within one group on
-// one shard; a tuple the same group produces on several shards is the
-// merge's to collapse (GroupMerge.Add).
+// non-covering groups).  Rows are deduplicated where they are produced, within
+// one group on one instance; a tuple the same group produces on several shards
+// is the merge's to collapse.
 type ShardRun struct {
 	Groups   []GroupRows
 	Stats    *engine.Stats
 	ExecTime time.Duration
 }
 
-// ExecuteOn runs every group of the scatter plan against one instance —
-// normally a shard holding one partition of the base relations — and returns
-// the per-group distinct answer tuples.  e-MQO plans execute through the MQO
-// global plan with a fresh shared-subexpression cache, exactly as the
-// unsharded phase 3 does; other methods execute the group plans individually
-// on the runtime's worker pool.
+// groupConsumer is what the runner hands each group's answer rows to; nothing
+// else differs between an unsharded execution, a shard's run and a delta pass.
+// take is called once per group and never concurrently for the same group.
+// With inOrder it runs on the calling goroutine for every group in group
+// order (nil rows for a non-covering group) — the placement aggregation needs,
+// since probability bits depend on the order masses are added in.  Without, it
+// runs on the worker that produced the rows, for covering groups only.
+type groupConsumer struct {
+	inOrder bool
+	take    func(gi int, rows []engine.Tuple)
+}
+
+// keepSets is the consumer that folds each group's rows into the run's
+// per-group sets on the producing worker: a shard's run ships them, a
+// DeltaState keeps them and extends them pass by pass.  Each worker extends
+// only its own group's set.
+func (run *ShardRun) keepSets() groupConsumer {
+	return groupConsumer{take: func(gi int, rows []engine.Tuple) { run.Groups[gi].extend(rows) }}
+}
+
+// ExecuteOn runs every group of the plan against one instance — normally a
+// shard holding one partition of the base relations — and returns the
+// per-group distinct answer tuples.
 func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardRun, error) {
 	run := &ShardRun{Groups: make([]GroupRows, len(sp.Groups)), Stats: engine.NewStats()}
-	if err := sp.executeInto(ec, db, run); err != nil {
+	if err := sp.executeInto(ec, db, run, run.keepSets()); err != nil {
 		return nil, err
 	}
 	return run, nil
 }
 
-// executeInto is ExecuteOn accumulating into an existing run: each covering
-// group's rows extend run.Groups[i], statistics and CPU time add up.  The
-// delta passes fold appended rows into the maintained state this way, with
-// the same dedup pass the full run used.  On error the run is left partly
-// extended and must be discarded.
-func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun) error {
+// executeInto is the one runner of a group list: it executes the plan's
+// groups against the instance — an e-MQO plan through its global plan with a
+// fresh shared-subexpression cache, so each common subexpression still runs
+// exactly once; any other method's group plans individually on the runtime's
+// worker pool — hands each group's rows to the consumer and adds the operator
+// statistics and CPU time to run.  Group order is kept at any parallelism.  On
+// error whatever the consumer holds is partly filled and must be discarded.
+func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
 	if sp.Global != nil {
 		execStart := time.Now()
 		rels, err := sp.Global.ExecuteParallel(ec, db, run.Stats)
 		if err != nil {
-			return fmt.Errorf("scatter %s: %w", sp.Method, err)
+			return fmt.Errorf("%s: %w", sp.Method, err)
 		}
 		run.ExecTime += time.Since(execStart)
 		for i, rel := range rels {
-			run.Groups[i].extend(rel.Rows)
+			c.take(i, rel.Rows)
 		}
 		return nil
 	}
 	type groupRun struct {
+		rows  []engine.Tuple
 		stats *engine.Stats
 		exec  time.Duration
 	}
@@ -221,17 +170,87 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 			rel, err := ex.ExecuteContext(ctx, sp.Groups[i].Plan)
 			gr.exec = time.Since(execStart)
 			if err != nil {
-				return gr, fmt.Errorf("scatter %s: executing source query: %w", sp.Method, err)
+				return gr, fmt.Errorf("%s: executing source query: %w", sp.Method, err)
 			}
-			// Each worker extends only its own group's set.
-			run.Groups[i].extend(rel.Rows)
+			if c.inOrder {
+				gr.rows = rel.Rows
+			} else {
+				c.take(i, rel.Rows)
+			}
 			return gr, nil
 		},
 		func(i int, gr groupRun) error {
 			run.ExecTime += gr.exec
 			run.Stats.Add(gr.stats)
+			if c.inOrder {
+				c.take(i, gr.rows)
+			}
 			return nil
 		})
+}
+
+// newResult is the one place a Result is assembled from runs of a group
+// list: the front half's bookkeeping, one executed query per covering group
+// and run, the runs' statistics and CPU time, and the wall time the front half
+// took when this evaluation's call built it.  Answers are the caller's to add
+// — from its aggregator, or through Result.
+func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, runs []*ShardRun) *Result {
+	res := &Result{
+		Query:            q,
+		Method:           sp.Method,
+		Columns:          OutputColumns(q),
+		Stats:            engine.NewStats(),
+		RewrittenQueries: sp.Rewritten,
+		Partitions:       sp.Partitions,
+		RewriteTime:      rewrite,
+	}
+	for _, g := range sp.Groups {
+		if g.Plan != nil {
+			res.ExecutedQueries += len(runs)
+		}
+	}
+	for _, run := range runs {
+		res.ExecTime += run.ExecTime
+		res.Stats.Add(run.Stats)
+	}
+	return res
+}
+
+// Result turns runs that kept sets — every shard's in shard order, or a
+// DeltaState's maintained one — into the method's Result: group by group, in
+// group order, the union of the runs' distinct rows receives the group's
+// probability.  That replays the unsharded aggregation exactly — a tuple the
+// same group produced on several instances is collapsed again, a group
+// without rows anywhere sends its mass to the empty answer — so the answers
+// are bit-identical to an unsharded execution of the whole instance.
+// TotalTime is the caller's to set.
+func (sp *ScatterPlan) Result(q *query.Query, rewrite time.Duration, runs ...*ShardRun) *Result {
+	start := time.Now()
+	res := sp.newResult(q, rewrite, runs)
+	merge := NewGroupMerge(sp.PreEmptyProb)
+	for gi, g := range sp.Groups {
+		merge.Add(g.Prob, unionRows(runs, gi))
+	}
+	res.Answers, res.EmptyProb = merge.Finalize()
+	res.AggregateTime = time.Since(start)
+	return res
+}
+
+// unionRows concatenates group gi's distinct rows over the runs, in run
+// order; a single run's list is handed over as it is.
+func unionRows(runs []*ShardRun, gi int) []engine.Tuple {
+	if len(runs) == 1 {
+		return runs[0].Groups[gi].Rows
+	}
+	n := 0
+	for _, run := range runs {
+		n += len(run.Groups[gi].Rows)
+	}
+	rows := make([]engine.Tuple, 0, n)
+	for _, run := range runs {
+		rows = append(rows, run.Groups[gi].Rows...)
+	}
+	return rows
 }
 
 // GroupMerge re-aggregates per-shard answer streams into the canonical answer
@@ -266,25 +285,6 @@ func (m *GroupMerge) AddEmpty(prob float64) { m.agg.addEmpty(prob) }
 // are deduplicated within the call; an empty union sends the mass to the
 // empty answer, as addRelation does for an empty relation.
 func (m *GroupMerge) Add(prob float64, rows []engine.Tuple) { m.agg.addRows(rows, prob) }
-
-// AddGroup merges scatter group gi given every shard's run in shard order:
-// nil-plan groups go to the empty answer, covering groups concatenate their
-// per-shard distinct rows into one union.
-func (m *GroupMerge) AddGroup(g ScatterGroup, gi int, runs []*ShardRun) {
-	if g.Plan == nil {
-		m.agg.addEmpty(g.Prob)
-		return
-	}
-	n := 0
-	for _, run := range runs {
-		n += len(run.Groups[gi].Rows)
-	}
-	rows := make([]engine.Tuple, 0, n)
-	for _, run := range runs {
-		rows = append(rows, run.Groups[gi].Rows...)
-	}
-	m.Add(g.Prob, rows)
-}
 
 // Finalize returns the merged answers in canonical order together with the
 // empty-answer probability.

@@ -1,53 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/exec"
-	"github.com/probdb/urm/internal/query"
-	"github.com/probdb/urm/internal/schema"
 )
 
 // MethodTopK labels results produced by the probabilistic top-k algorithm of
 // Section VII.  It is reported through Result.Method but is not a value for
 // Options.Method (use Evaluator.EvaluateTopK).
 const MethodTopK Method = 100
-
-// TopK evaluates a probabilistic top-k query (Algorithm 4): it explores the
-// same u-trace as o-sharing but maintains lower and upper probability bounds
-// for the candidate answers, stopping as soon as the k answers with the
-// highest probabilities are determined.  The reported probabilities are the
-// lower bounds accumulated so far — the algorithm deliberately avoids
-// computing exact probabilities.
-//
-// The traversal runs sequentially regardless of the runtime's parallelism:
-// the early-termination bounds depend on the order e-units are visited, so a
-// concurrent exploration would change which leaves are executed.  The
-// context's cancellation and deadline are still honoured.
-func TopK(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, k int, opts OSharingOptions) (*Result, error) {
-	if err := validateInputs(q, maps, db); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("top-k: k must be positive, got %d", k)
-	}
-	start := time.Now()
-	res := &Result{Query: q, Method: MethodTopK, Columns: OutputColumns(q), Stats: engine.NewStats()}
-
-	sink := newTopkSink(k)
-	if err := runOSharing(ec.WithParallelism(1), q, maps, db, opts, res, sink); err != nil {
-		return nil, err
-	}
-	aggStart := time.Now()
-	res.Answers = sink.topK()
-	res.EmptyProb = sink.emptyProb
-	res.AggregateTime = time.Since(aggStart)
-	res.TotalTime = time.Since(start)
-	return res, nil
-}
 
 // tkEntry is one candidate answer with its probability bounds.
 type tkEntry struct {
@@ -56,7 +18,12 @@ type tkEntry struct {
 	ub    float64
 }
 
-// topkSink implements the decide_result bookkeeping of Algorithm 4.
+// topkSink implements the decide_result bookkeeping of Algorithm 4: a
+// probabilistic top-k query explores the same u-trace as o-sharing but
+// maintains lower and upper probability bounds for the candidate answers,
+// stopping as soon as the k answers with the highest probabilities are
+// determined.  The reported probabilities are the lower bounds accumulated so
+// far — the algorithm deliberately avoids computing exact probabilities.
 // Candidates are looked up by 64-bit tuple hash with EqualKey bucket
 // resolution, so the per-leaf bookkeeping never formats key strings.
 type topkSink struct {

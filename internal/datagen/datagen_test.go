@@ -5,7 +5,6 @@ import (
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/query"
 	"github.com/probdb/urm/internal/schema"
 )
@@ -233,7 +232,7 @@ func TestWorkloadEndToEnd(t *testing.T) {
 		tgt, _ := QueryTarget(id)
 		ds := datasets[tgt]
 		q := MustWorkloadQuery(id)
-		want, err := core.Basic(exec.Sequential(), q, ds.Mappings(), ds.DB)
+		want, err := core.NewEvaluator(ds.DB, ds.Mappings()).Evaluate(q, core.Options{Method: core.MethodBasic, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("Q%d basic: %v", id, err)
 		}

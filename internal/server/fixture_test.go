@@ -7,6 +7,7 @@ import (
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/engine"
+	"github.com/probdb/urm/internal/query"
 	"github.com/probdb/urm/internal/schema"
 )
 
@@ -176,4 +177,16 @@ func sameResult(t *testing.T, label string, want, got *core.Result) {
 			t.Fatalf("%s: columns %v, want %v", label, got.Columns, want.Columns)
 		}
 	}
+}
+
+// evaluateFresh is the reference evaluation the server tests compare against:
+// a core.Prepared of its own — sharing nothing with the server's prepared,
+// answer or delta state — executed once under the scenario's evaluation lock,
+// so a concurrent AppendRow cannot mutate relation data mid-scan.
+func evaluateFresh(ctx context.Context, sc *Scenario, q *query.Query, topK int, opts core.Options) (*core.Result, error) {
+	prep, err := core.NewEvaluator(sc.DB(), sc.Mappings()).Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return sc.EvaluatePrepared(ctx, prep, topK, opts)
 }

@@ -44,6 +44,12 @@ func TestHooksStagesAndSlowQueries(t *testing.T) {
 			t.Fatalf("stage %q count = %d, want 1 (one built prepared query, one evaluation)", stage, m.Stages[stage].Count)
 		}
 	}
+	// The evaluation built the method's front half (here through the
+	// delta-first path), so the stage recorded time, not just an observation.
+	reformulate := m.Stages["reformulate"].SumMS
+	if reformulate <= 0 {
+		t.Fatalf("stage reformulate sum = %v ms after the evaluation that built the front half, want > 0", reformulate)
+	}
 	// A second identical request reuses the prepared query and the answer
 	// cache: no new parse, no new evaluation stages.
 	if _, err := srv.Do(context.Background(), Request{Scenario: "test", Query: fastQueryText, Method: "e-basic"}); err != nil {
@@ -54,5 +60,31 @@ func TestHooksStagesAndSlowQueries(t *testing.T) {
 		if m.Stages[stage].Count != 1 {
 			t.Fatalf("stage %q count after cache hit = %d, want still 1", stage, m.Stages[stage].Count)
 		}
+	}
+	if got := m.Stages["reformulate"].SumMS; got != reformulate {
+		t.Fatalf("stage reformulate sum moved from %v to %v ms on a cache hit", reformulate, got)
+	}
+}
+
+// TestReformulateStageWithoutCache is the same observation on a server with
+// the answer cache off, where no maintainer runs and every request evaluates
+// through EvaluatePrepared: the first evaluation builds the front half and
+// records its time, the second reuses the memoized plan and records none.
+func TestReformulateStageWithoutCache(t *testing.T) {
+	srv, _ := newTestServer(t, 60, Config{CacheBytes: -1})
+	req := Request{Scenario: "test", Query: fastQueryText, Method: "e-basic"}
+	if _, err := srv.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	first := srv.Metrics().Stages["reformulate"]
+	if first.Count != 1 || first.SumMS <= 0 {
+		t.Fatalf("stage reformulate after the first evaluation: count %d sum %v ms, want 1 and > 0", first.Count, first.SumMS)
+	}
+	if _, err := srv.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	second := srv.Metrics().Stages["reformulate"]
+	if second.Count != 2 || second.SumMS != first.SumMS {
+		t.Fatalf("stage reformulate after a second evaluation: count %d sum %v ms, want 2 and still %v", second.Count, second.SumMS, first.SumMS)
 	}
 }

@@ -55,21 +55,21 @@ func sameScenarioAnswers(t *testing.T, label string, q *query.Query, want, got *
 	t.Helper()
 	ctx := context.Background()
 	for _, m := range allMethods {
-		w, err := want.Evaluate(ctx, q, 0, core.Options{Method: m})
+		w, err := evaluateFresh(ctx, want, q, 0, core.Options{Method: m})
 		if err != nil {
 			t.Fatalf("%s/%v: reference eval: %v", label, m, err)
 		}
-		g, err := got.Evaluate(ctx, q, 0, core.Options{Method: m})
+		g, err := evaluateFresh(ctx, got, q, 0, core.Options{Method: m})
 		if err != nil {
 			t.Fatalf("%s/%v: recovered eval: %v", label, m, err)
 		}
 		sameResult(t, fmt.Sprintf("%s/%v", label, m), w, g)
 	}
-	w, err := want.Evaluate(ctx, q, 3, core.Options{})
+	w, err := evaluateFresh(ctx, want, q, 3, core.Options{})
 	if err != nil {
 		t.Fatalf("%s/topk: reference eval: %v", label, err)
 	}
-	g, err := got.Evaluate(ctx, q, 3, core.Options{})
+	g, err := evaluateFresh(ctx, got, q, 3, core.Options{})
 	if err != nil {
 		t.Fatalf("%s/topk: recovered eval: %v", label, err)
 	}
@@ -239,7 +239,7 @@ func TestAppendRowSnapshotRace(t *testing.T) {
 			return
 		}
 		for i := 0; i < 8; i++ {
-			if _, err := sc.Evaluate(ctx, q, 0, core.Options{}); err != nil {
+			if _, err := evaluateFresh(ctx, sc, q, 0, core.Options{}); err != nil {
 				t.Errorf("eval %d: %v", i, err)
 				return
 			}

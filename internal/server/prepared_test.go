@@ -91,7 +91,7 @@ func TestPreparedCacheEpochInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sc.Evaluate(ctx, q, 0, core.Options{Method: core.MethodOSharing})
+	want, err := evaluateFresh(ctx, sc, q, 0, core.Options{Method: core.MethodOSharing})
 	if err != nil {
 		t.Fatal(err)
 	}

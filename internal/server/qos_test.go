@@ -67,7 +67,7 @@ func TestTenantIsolationUnderFlood(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := sc.Evaluate(ctx, pq, 0, core.Options{Parallelism: parallelism})
+				want, err := evaluateFresh(ctx, sc, pq, 0, core.Options{Parallelism: parallelism})
 				if err != nil {
 					t.Fatal(err)
 				}

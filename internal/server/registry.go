@@ -26,7 +26,6 @@ import (
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/query"
 	"github.com/probdb/urm/internal/schema"
 	"github.com/probdb/urm/internal/store"
@@ -321,19 +320,6 @@ func (s *Scenario) captureStateLocked() *store.ScenarioState {
 	return st
 }
 
-// Evaluate runs one evaluation while holding the scenario's evaluation lock
-// as a reader, so AppendRow cannot mutate relation data mid-scan.  Evaluator()
-// remains available for callers that manage mutation exclusion themselves.
-func (s *Scenario) Evaluate(ctx context.Context, q *query.Query, topK int, opts core.Options) (*core.Result, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ev := core.NewEvaluator(s.db, s.maps)
-	if topK > 0 {
-		return ev.EvaluateTopKContext(ctx, q, topK, opts)
-	}
-	return ev.EvaluateContext(ctx, q, opts)
-}
-
 // Prepare returns the compiled form of the query text at the current epoch,
 // parsing, reformulating through every mapping and compiling plans only on
 // first sight of the text.  reused reports whether a cached entry was served
@@ -386,7 +372,10 @@ func (s *Scenario) rememberLocked(text string, e *preparedEntry) {
 
 // EvaluatePrepared runs a prepared query while holding the scenario's
 // evaluation lock as a reader, so AppendRow cannot mutate relation data
-// mid-scan.  This is the evaluation path the server uses.
+// mid-scan.  It is the aggregating consumer of the method's group list (or
+// the o-sharing/top-k traversal): answers are aggregated as the groups
+// finish and nothing is kept.  The server evaluates this way when no
+// maintainer runs or the delta cannot maintain the plan.
 func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, topK int, opts core.Options) (*core.Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -396,20 +385,18 @@ func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, to
 	return prep.ExecuteContext(ctx, opts)
 }
 
-// EvaluateDelta evaluates a prepared query through the delta-maintainable
-// path: it builds the delta plan (failing fast with
+// EvaluateDelta evaluates a prepared query as the maintaining consumer of the
+// same group list: it builds the delta plan (failing fast with
 // core.ErrNotDeltaMaintainable for plan shapes and methods the delta cannot
-// maintain), runs the full evaluation once, and returns the result together
-// with the maintained state and the epoch the evaluation saw — everything the
-// reconciler needs to enroll the entry.  Answers are bit-identical to
-// EvaluatePrepared's for the same options.
+// maintain), runs the full evaluation once keeping each group's distinct
+// tuples, and returns the result together with that maintained state and the
+// epoch the evaluation saw — everything the reconciler needs to enroll the
+// entry.  Answers are bit-identical to EvaluatePrepared's for the same
+// options.
 func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, *core.DeltaState, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ec := exec.NewContext(ctx, opts.Parallelism)
-	if opts.BatchSize != 0 {
-		ec = ec.WithBatch(opts.BatchSize)
-	}
+	ec := opts.Context(ctx)
 	dp, err := core.PrepareDelta(prep, ec, opts)
 	if err != nil {
 		return nil, nil, 0, err
@@ -427,12 +414,6 @@ func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts 
 // Parse parses an ad-hoc query against the scenario's target schema.
 func (s *Scenario) Parse(name, text string) (*query.Query, error) {
 	return query.Parse(name, s.target, text)
-}
-
-// Evaluator returns a fresh evaluator over the scenario's instance and
-// mappings; evaluators are stateless, so one per request is free.
-func (s *Scenario) Evaluator() *core.Evaluator {
-	return core.NewEvaluator(s.db, s.maps)
 }
 
 // WarmIndexBuilds reports how many base-relation indexes registration built.

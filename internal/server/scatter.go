@@ -12,7 +12,6 @@ import (
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/qos"
 	"github.com/probdb/urm/internal/shard"
 )
@@ -212,8 +211,9 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 	defer s.queue.Release()
 
 	epoch := sc.Epoch()
-	ec := exec.NewContext(ctx, s.cfg.Parallelism)
-	sp, err := prep.Scatter(ec, core.Options{Method: method, Parallelism: s.cfg.Parallelism})
+	opts := core.Options{Method: method, Parallelism: s.cfg.Parallelism}
+	ec := opts.Context(ctx)
+	sp, err := prep.Scatter(ec, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrNotShardable) {
 			return nil, apiErr(http.StatusUnprocessableEntity, fmt.Errorf("%w: %v", ErrNotDistributable, err))

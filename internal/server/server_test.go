@@ -23,7 +23,7 @@ func directEvaluate(t *testing.T, sc *Scenario, text string, method core.Method)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Evaluator().Evaluate(q, core.Options{Method: method})
+	res, err := evaluateFresh(context.Background(), sc, q, 0, core.Options{Method: method})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestTopKRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sc.Evaluator().EvaluateTopK(q, 2, core.Options{})
+	want, err := evaluateFresh(context.Background(), sc, q, 2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,27 +137,27 @@ func (ev *Evaluator) noteFallback() {
 // mass.  Non-distributable (query, method) pairs fall back to unsharded
 // evaluation.
 func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, error) {
-	if opts.Method == core.MethodOSharing {
-		ev.noteFallback()
-		return prep.ExecuteContext(ctx, opts)
-	}
 	start := time.Now()
-	ec := exec.NewContext(ctx, opts.Parallelism)
-	if opts.BatchSize != 0 {
-		ec = ec.WithBatch(opts.BatchSize)
-	}
-	sp, err := prep.Scatter(ec, opts)
-	if err != nil {
-		if errors.Is(err, core.ErrNotShardable) {
-			ev.noteFallback()
-			return prep.ExecuteContext(ctx, opts)
+	ec := opts.Context(ctx)
+	sp, rewrite, err := prep.FrontHalf(ec, opts)
+	// fallback evaluates unsharded, reporting the front half this call built.
+	fallback := func() (*core.Result, error) {
+		ev.noteFallback()
+		res, err := prep.ExecuteContext(ctx, opts)
+		if err == nil {
+			res.RewriteTime += rewrite
 		}
+		return res, err
+	}
+	if errors.Is(err, core.ErrNotShardable) {
+		return fallback()
+	}
+	if err != nil {
 		return nil, err
 	}
 	for _, g := range sp.Groups {
 		if g.Plan != nil && !Distributable(g.Plan, ev.part.Spec().Relation) {
-			ev.noteFallback()
-			return prep.ExecuteContext(ctx, opts)
+			return fallback()
 		}
 	}
 	shards, err := ev.instances()
@@ -168,31 +168,7 @@ func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{
-		Query:            prep.Query(),
-		Method:           opts.Method,
-		Columns:          core.OutputColumns(prep.Query()),
-		Stats:            engine.NewStats(),
-		RewrittenQueries: sp.Rewritten,
-		Partitions:       sp.Partitions,
-	}
-	for _, run := range runs {
-		res.ExecTime += run.ExecTime
-		res.Stats.Add(run.Stats)
-	}
-	aggStart := time.Now()
-	merge := core.NewGroupMerge(sp.PreEmptyProb)
-	for gi, g := range sp.Groups {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		merge.AddGroup(g, gi, runs)
-		if g.Plan != nil {
-			res.ExecutedQueries += len(runs)
-		}
-	}
-	res.Answers, res.EmptyProb = merge.Finalize()
-	res.AggregateTime = time.Since(aggStart)
+	res := sp.Result(prep.Query(), rewrite, runs...)
 	res.TotalTime = time.Since(start)
 	return res, nil
 }
