@@ -63,10 +63,11 @@ type Result struct {
 	// MQO pass, partitioning — and is reported by the one execution whose
 	// call built it: zero whenever a Prepared's memoized front half was
 	// reused.  Source-query execution that fans out over the worker pool
-	// (the group plans of basic, e-basic and q-sharing) sums the per-worker
-	// durations, so with Options.Parallelism > 1 ExecTime is CPU time and
-	// the phases' sum can exceed TotalTime; at Parallelism 1 every field is
-	// the wall-clock phase time as in the paper.
+	// (the group plans of basic, e-basic, e-MQO and q-sharing) sums the
+	// per-group durations, so with Options.Parallelism > 1 ExecTime is CPU
+	// time — for e-MQO including the time a worker waits for a subexpression
+	// another is computing — and the phases' sum can exceed TotalTime; at
+	// Parallelism 1 every field is the wall-clock phase time as in the paper.
 	RewriteTime   time.Duration
 	ExecTime      time.Duration
 	AggregateTime time.Duration

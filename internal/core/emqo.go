@@ -11,8 +11,8 @@ import (
 // e-basic's: the same distinct source queries with the same probabilities, in
 // the order a multiple-query optimisation pass puts them (most-shared first),
 // together with the global plan in which every common subexpression is
-// executed exactly once.  The runner executes the global plan instead of the
-// group plans one by one.
+// executed exactly once.  The runner executes the group plans like any other
+// method's, with one cache of the global plan between their executors.
 //
 // The optimisation pass minimises the number of executed source operators, but
 // constructing the global plan is expensive and grows super-linearly with the

@@ -55,9 +55,9 @@ type ScatterPlan struct {
 	PreEmptyProb float64
 	// Groups are the units of work in aggregation order.
 	Groups []ScatterGroup
-	// Global is the e-MQO global plan; when non-nil, the runner executes it
-	// once per instance (with a fresh shared-subexpression cache) instead of
-	// the group plans individually.  Groups are aligned with Global.Queries.
+	// Global is the e-MQO global plan; when non-nil, the executors of one run
+	// carry one fresh cache of it, so every subexpression the group plans have
+	// in common runs once per instance.  Groups are Global.Queries in order.
 	Global *mqo.Plan
 	// Rewritten is the number of complete source queries the front half
 	// rewrote and Partitions the number of mapping partitions it formed; both
@@ -134,26 +134,15 @@ func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardR
 	return run, nil
 }
 
-// executeInto is the one runner of a group list: it executes the plan's
-// groups against the instance — an e-MQO plan through its global plan with a
-// fresh shared-subexpression cache, so each common subexpression still runs
-// exactly once; any other method's group plans individually on the runtime's
-// worker pool — hands each group's rows to the consumer and adds the operator
-// statistics and CPU time to run.  Group order is kept at any parallelism.  On
-// error whatever the consumer holds is partly filled and must be discarded.
+// executeInto is the one runner of a group list: it executes the plan's group
+// plans against the instance on the runtime's worker pool — an e-MQO plan's
+// with one fresh shared-subexpression cache between them, so each common
+// subexpression still runs exactly once — hands each group's rows to the
+// consumer and adds the operator statistics and CPU time to run.  Group order
+// is kept at any parallelism.  On error whatever the consumer holds is partly
+// filled and must be discarded.
 func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
-	if sp.Global != nil {
-		execStart := time.Now()
-		rels, err := sp.Global.ExecuteParallel(ec, db, run.Stats)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sp.Method, err)
-		}
-		run.ExecTime += time.Since(execStart)
-		for i, rel := range rels {
-			c.take(i, rel.Rows)
-		}
-		return nil
-	}
+	cache := sp.Global.NewCache()
 	type groupRun struct {
 		rows  []engine.Tuple
 		stats *engine.Stats
@@ -166,7 +155,7 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 				return gr, nil
 			}
 			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: gr.stats, Indexes: db.Indexes(), Batch: ec.Batch()}
+			ex := &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()}
 			rel, err := ex.ExecuteContext(ctx, sp.Groups[i].Plan)
 			gr.exec = time.Since(execStart)
 			if err != nil {

@@ -76,13 +76,14 @@ func MaterializeBatches(src BatchSource) (*Relation, error) {
 
 // batchScan windows a materialized row list into batches — the leaf of every
 // batch pipeline, serving both base-relation scans (record=true, one "scan"
-// recorded at exhaustion) and already-materialized inputs (record=false,
-// which record nothing).  Row windows alias the backing slice; nothing is
+// recorded at exhaustion) and already-materialized inputs — a MaterialPlan's
+// relation, a sharing point's cached result with the layout it was built in —
+// which record nothing.  Row windows alias the backing slice; nothing is
 // copied.
 type batchScan struct {
 	ctx    context.Context
 	name   string
-	cols   []string
+	lay    colLayout
 	rows   []Tuple
 	size   int
 	stats  *Stats
@@ -95,7 +96,7 @@ type batchScan struct {
 }
 
 func (s *batchScan) Name() string      { return s.name }
-func (s *batchScan) layout() colLayout { return colLayout{cols: s.cols} }
+func (s *batchScan) layout() colLayout { return s.lay }
 
 func (s *batchScan) NextBatch() (*Batch, bool, error) {
 	if err := canceled(s.ctx); err != nil {
@@ -229,7 +230,7 @@ func (s *batchIndexScan) start() error {
 		// The probe set cannot cover the predicate on this column's content:
 		// run the pipeline the compiler would have built without an index.
 		src := BatchSource(&batchScan{
-			ctx: s.ctx, name: s.alias, cols: s.cols,
+			ctx: s.ctx, name: s.alias, lay: s.layout(),
 			rows: s.base.Rows, size: s.size, stats: s.stats, record: true,
 		})
 		for i := range s.levels {
@@ -450,9 +451,8 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	if cap(s.outRows) < s.size {
-		s.outRows = make([]Tuple, 0, s.size)
-	}
+	// The header list grows with the largest batch emitted, not to size up
+	// front: most operator instances emit a handful of rows.
 	out := s.outRows[:0]
 	for len(out) < s.size {
 		if s.lb == nil {
@@ -482,6 +482,7 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 			}
 		}
 	}
+	s.outRows = out
 	s.out += len(out)
 	s.nbat++
 	s.outb = Batch{Rows: out}
@@ -532,14 +533,22 @@ func drainBatches(src BatchSource, rows *[]Tuple) error {
 	}
 }
 
-// batchJoin is the equi-join: the right input is drained into a hash index
-// and left batches probe it with their key hashes precomputed in one tight
-// loop per batch.  Chains preserve build-row order, so output order is
-// identical to the materialized hash join's.
+// batchJoin is the equi-join: left batches probe a hash index over the build
+// side with their key hashes precomputed in one tight loop per batch.  The
+// index is built here from the drained right input, or — right nil: the build
+// side is a bare or constant-filtered scan of base — it is the instance's
+// shared per-column index, so h reformulated queries probing the same join pay
+// one shared build instead of h; the build side's filters then run per probed
+// candidate (the levels).  Chains preserve build-row order, which for the
+// shared index is base row order, so the output is identical either way and to
+// the materialized hash join's.
 type batchJoin struct {
 	ctx         context.Context
 	left, right BatchSource
 	li, ri      int
+	cache       *IndexCache   // shared build side only
+	base        *Relation     // shared build side only
+	levels      []selectLevel // shared build side only
 	name        string
 	lay         colLayout
 	shape       pairShape
@@ -582,6 +591,39 @@ func (s *batchJoin) hashLeftBatch(b *Batch) {
 	s.hashes = h
 }
 
+// start obtains the build index.
+func (s *batchJoin) start() (err error) {
+	if s.right == nil {
+		if s.build, err = s.cache.columnIndex(s.ctx, s.base, s.ri, s.stats); err == nil {
+			s.stats.recordIndexLookup()
+		}
+		return err
+	}
+	var rrows []Tuple
+	if err := drainBatches(s.right, &rrows); err != nil {
+		return err
+	}
+	s.build, err = buildColumnHashIndex(s.ctx, rrows, s.ri)
+	return err
+}
+
+// finish records the join once its probe side is exhausted.
+func (s *batchJoin) finish() {
+	in := s.leftIn
+	if s.right != nil {
+		in += len(s.build.rows)
+	}
+	// A shared build side was never read — only probe rows count as join input
+	// — and records one executed selection per level, as the scan+filter build
+	// side the index replaced would have.
+	for i := range s.levels {
+		s.stats.record(OpKindSelect, s.levels[i].in, s.levels[i].out)
+	}
+	s.stats.record(OpKindJoin, in, s.out)
+	s.stats.recordBatches(s.nbat)
+	s.stats.recordValues(s.shape.copied() * s.out)
+}
+
 func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 	if err := canceled(s.ctx); err != nil {
 		return nil, false, err
@@ -591,19 +633,11 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 	}
 	if !s.started {
 		s.started = true
-		var rrows []Tuple
-		if err := drainBatches(s.right, &rrows); err != nil {
+		if err := s.start(); err != nil {
 			return nil, false, err
 		}
-		build, err := buildColumnHashIndex(s.ctx, rrows, s.ri)
-		if err != nil {
-			return nil, false, err
-		}
-		s.build = build
 	}
-	if cap(s.outRows) < s.size {
-		s.outRows = make([]Tuple, 0, s.size)
-	}
+	// As in batchProduct, the header list grows with the largest batch emitted.
 	out := s.outRows[:0]
 	build := s.build
 	for len(out) < s.size {
@@ -617,6 +651,15 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 			if !rr[s.ri].EqualKey(s.cur[s.li]) {
 				continue // hash collision, not an actual match
 			}
+			if len(s.levels) > 0 {
+				keep, err := evalLevels(s.levels, rr)
+				if err != nil {
+					return nil, false, err
+				}
+				if !keep {
+					continue // filtered out of the build side
+				}
+			}
 			out = append(out, s.shape.build(&s.arena, s.cur, rr))
 			continue
 		}
@@ -627,12 +670,8 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 			}
 			if !ok {
 				if len(out) == 0 {
-					if !s.done {
-						s.done = true
-						s.stats.record(OpKindJoin, s.leftIn+len(build.rows), s.out)
-						s.stats.recordBatches(s.nbat)
-						s.stats.recordValues(s.shape.copied() * s.out)
-					}
+					s.done = true
+					s.finish()
 					return nil, false, nil
 				}
 				s.lb = nil
@@ -647,6 +686,7 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 		s.pi++
 		s.chain = build.lookup(s.curHash)
 	}
+	s.outRows = out
 	s.out += len(out)
 	s.nbat++
 	s.outb = Batch{Rows: out}
@@ -676,141 +716,6 @@ func evalLevels(levels []selectLevel, row Tuple) (bool, error) {
 		l.out++
 	}
 	return true, nil
-}
-
-// batchSharedJoin is batchJoin with the instance's shared per-column index as
-// the build table: the build side is a bare or constant-filtered base scan,
-// its filters evaluated per probed candidate (the levels) — h reformulated
-// queries probing the same join pay one shared build instead of h.  Chain
-// order is base row order, so the joined output is bit-identical to the
-// drain-and-build join it replaces.
-type batchSharedJoin struct {
-	ctx    context.Context
-	cache  *IndexCache
-	left   BatchSource
-	li     int
-	base   *Relation
-	ri     int
-	name   string
-	lay    colLayout
-	shape  pairShape
-	size   int
-	stats  *Stats
-	arena  valueArena
-	levels []selectLevel
-
-	started bool
-	build   *hashIndex
-	lb      *Batch
-	pi      int
-	hashes  []uint64
-	cur     Tuple
-	curHash uint64
-	chain   int32
-	leftIn  int
-	out     int
-	nbat    int
-	outRows []Tuple
-	outb    Batch
-	done    bool
-}
-
-func (s *batchSharedJoin) Name() string      { return s.name }
-func (s *batchSharedJoin) layout() colLayout { return s.lay }
-
-func (s *batchSharedJoin) hashLeftBatch(b *Batch) {
-	m := b.NumRows()
-	if cap(s.hashes) < m {
-		s.hashes = make([]uint64, m)
-	}
-	h := s.hashes[:m]
-	if b.Sel == nil {
-		hashColumn(b.Rows, s.li, h)
-	} else {
-		hashColumnSel(b.Rows, s.li, b.Sel, h)
-	}
-	s.hashes = h
-}
-
-func (s *batchSharedJoin) NextBatch() (*Batch, bool, error) {
-	if err := canceled(s.ctx); err != nil {
-		return nil, false, err
-	}
-	if s.done {
-		return nil, false, nil
-	}
-	if !s.started {
-		s.started = true
-		build, err := s.cache.columnIndex(s.ctx, s.base, s.ri, s.stats)
-		if err != nil {
-			return nil, false, err
-		}
-		s.stats.recordIndexLookup()
-		s.build = build
-	}
-	if cap(s.outRows) < s.size {
-		s.outRows = make([]Tuple, 0, s.size)
-	}
-	out := s.outRows[:0]
-	build := s.build
-	for len(out) < s.size {
-		if s.chain != 0 {
-			j := s.chain
-			s.chain = build.next[j-1]
-			if build.hashes[j-1] != s.curHash {
-				continue // bucket collision: different hash entirely
-			}
-			rr := build.rows[j-1]
-			if !rr[s.ri].EqualKey(s.cur[s.li]) {
-				continue // hash collision: not an actual match
-			}
-			keep, err := evalLevels(s.levels, rr)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue // filtered out of the build side
-			}
-			out = append(out, s.shape.build(&s.arena, s.cur, rr))
-			continue
-		}
-		if s.lb == nil || s.pi >= s.lb.NumRows() {
-			b, ok, err := s.left.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				if len(out) == 0 {
-					if !s.done {
-						s.done = true
-						// One executed selection per level, as the scan+filter
-						// build side the index replaced would have recorded.
-						for i := range s.levels {
-							s.stats.record(OpKindSelect, s.levels[i].in, s.levels[i].out)
-						}
-						// The build side was never read: only probe rows count.
-						s.stats.record(OpKindJoin, s.leftIn, s.out)
-						s.stats.recordBatches(s.nbat)
-						s.stats.recordValues(s.shape.copied() * s.out)
-					}
-					return nil, false, nil
-				}
-				s.lb = nil
-				break
-			}
-			s.leftIn += b.NumRows()
-			s.hashLeftBatch(b)
-			s.lb, s.pi = b, 0
-		}
-		s.cur = liveRow(s.lb, s.pi)
-		s.curHash = s.hashes[s.pi]
-		s.pi++
-		s.chain = build.lookup(s.curHash)
-	}
-	s.out += len(out)
-	s.nbat++
-	s.outb = Batch{Rows: out}
-	return &s.outb, true, nil
 }
 
 // batchDistinct hashes each batch's live tuples in one pass and keeps

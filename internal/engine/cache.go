@@ -6,22 +6,32 @@ import (
 	"sync"
 )
 
-// PlanCache memoizes materialized plan results by canonical signature.  It is
-// the shared-subexpression store of the MQO substrate and is safe for
-// concurrent use: when several executors request the same signature at once,
-// exactly one computes it and the others block until the result is ready
-// (singleflight), so every distinct subexpression is executed exactly once no
-// matter how the queries sharing it are scheduled across workers.
+// PlanCache memoizes the materialized results of sharing points — plan nodes
+// whose result has more than one consumer — by canonical signature.  It is the
+// shared-subexpression store of the MQO substrate and is safe for concurrent
+// use: when several executors request the same signature at once, exactly one
+// computes it and the others block until the result is ready (singleflight),
+// so every distinct subexpression is executed exactly once no matter how the
+// queries sharing it are scheduled across workers.
 //
 // One materialization serves every consumer of a signature, so it has to carry
 // the union of the columns they read: a cache made by LiveColumns.NewPlanCache
-// builds exactly that, and may only run the plans that analysis covered; a
-// cache made by NewPlanCache knows nothing about its consumers and keeps every
-// column.
+// builds exactly that, materializes only the analysed sharing points, and may
+// only run the plans that analysis covered; a cache made by NewPlanCache knows
+// nothing about its consumers, so every node is a sharing point and keeps
+// every column.
 type PlanCache struct {
 	live    *LiveColumns
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+}
+
+// planResult is one materialized sharing point: the relation built for it,
+// which carries the columns its consumers read, and the node's logical columns
+// located in that relation's tuples.
+type planResult struct {
+	rel *Relation
+	lay colLayout
 }
 
 type cacheEntry struct {
@@ -30,15 +40,32 @@ type cacheEntry struct {
 	err  error
 }
 
-// NewPlanCache returns an empty cache whose results keep every column.
+// NewPlanCache returns an empty cache that shares every node's result and
+// keeps every column.
 func NewPlanCache() *PlanCache {
 	return &PlanCache{entries: make(map[string]*cacheEntry)}
 }
 
 // NewPlanCache returns an empty cache for executing the analysed plans: each
-// signature materializes the columns some analysed plan reads from it.
+// sharing point materializes the columns some analysed plan reads from it.
 func (l *LiveColumns) NewPlanCache() *PlanCache {
 	return &PlanCache{live: l, entries: make(map[string]*cacheEntry)}
+}
+
+// sharingPoint reports whether the node's result is shared, and if so under
+// which signature and carrying which columns.  With an analysis that is one
+// lookup by node identity, and a node it never saw fuses into its consumer like
+// any unshared one; without, the signature is formatted here and every column
+// kept.
+func (c *PlanCache) sharingPoint(p Plan) (sig string, need colNeed, ok bool) {
+	if c.live == nil {
+		return p.Signature(), needAll, true
+	}
+	info := c.live.nodes[p]
+	if info == nil || len(info.consumers) < 2 {
+		return "", colNeed{}, false
+	}
+	return info.sig, info.need, true
 }
 
 // getOrCompute returns the cached result for the signature, computing it with

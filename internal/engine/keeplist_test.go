@@ -291,25 +291,34 @@ func TestPrunedProductAllocatesRowHeadersOnly(t *testing.T) {
 		// The root drains a product of unknown size, so its row list grows
 		// geometrically: under five times the final list in all.
 		{"batch", 6 * headers, false},
-		// The product sizes its row list exactly; the projection holds a second.
-		{"cached", 3 * headers, true},
+		// π[L.c7] and π[L.c8] over the one product through one analysed cache:
+		// the product is their sharing point, so it runs once and keeps both
+		// columns as one window of its left rows.  Its stored list grows as the
+		// batch row's does; each projection adds one exactly sized list.
+		{"cached", 7 * headers, true},
 	} {
 		var stats *Stats
 		var got *Relation
 		var err error
 		bytes := allocatedBytes(func() {
 			ex := &Executor{DB: db, Stats: NewStats()}
+			plans := []Plan{plan}
 			if c.cached {
-				ex.Cache = AnalyzeLiveColumns([]Plan{plan}).NewPlanCache()
+				plans = append(plans, &ProjectPlan{Columns: []string{"L.c8"}, Child: plan.Child})
+				ex.Cache = AnalyzeLiveColumns(plans).NewPlanCache()
 			}
-			got, err = ex.Execute(plan)
+			for _, p := range plans {
+				if got, err = ex.Execute(p); err != nil {
+					break
+				}
+			}
 			stats = ex.Stats
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got.NumRows() != rows || stats.ValuesBuilt() != 0 {
-			t.Fatalf("%s: %d rows with %d values built, want %d rows and no value built", c.name, got.NumRows(), stats.ValuesBuilt(), rows)
+		if got.NumRows() != rows || stats.ValuesBuilt() != 0 || stats.Count(OpKindProduct) != 1 {
+			t.Fatalf("%s: %d rows with %d values built by %d products, want %d rows, no value built, one product", c.name, got.NumRows(), stats.ValuesBuilt(), stats.Count(OpKindProduct), rows)
 		}
 		if bytes >= c.limit {
 			t.Errorf("%s allocated %d bytes for %d one-column rows, want under %d (row headers only)", c.name, bytes, rows, c.limit)

@@ -2,7 +2,7 @@ package engine
 
 // This file is the required-columns analysis over plans.  Products and joins
 // are the operators that build new tuples, and every reformulated query keeps a
-// handful of the 19–25 columns their inputs carry, so both plan drivers ask,
+// handful of the 19–25 columns their inputs carry, so the plan driver asks,
 // for every node, which of its output columns some ancestor reads, and the
 // pair-building operators emit only those.  The analysis is by name and needs
 // no instance: a node hands each child the names its ancestors read plus the
@@ -109,57 +109,75 @@ func predicateListColumns(children []Predicate, dst []string) ([]string, bool) {
 }
 
 // LiveColumns is the analysis of a set of plans whose node results are shared
-// by signature (the MQO substrate): a signature's need is the union over every
-// occurrence in every plan, so one materialization serves all its consumers.
+// by signature (the MQO substrate).  Per signature it holds the union of the
+// columns every occurrence's ancestors read, so one materialization serves all
+// its consumers, and who those consumers are: a signature with more than one
+// is a sharing point, the only place a cached executor materializes (plan.go).
 // It depends on the plans alone and is immutable once built — compute it once
 // per plan set, not per execution.
 type LiveColumns struct {
-	need map[string]colNeed
+	sigs map[string]*sigInfo
+	// nodes finds a node's signature by identity (plan nodes are pointers), so
+	// an execution does one lookup per node and formats no signature.
+	nodes map[Plan]*sigInfo
+}
+
+// sigInfo is what the analysis knows of one signature.
+type sigInfo struct {
+	sig       string
+	need      colNeed
+	consumers map[consumer]struct{}
+}
+
+// consumer is one reader of a signature's result: child slot `slot` of the
+// nodes with signature parent, or — parent nil — the root of analysed plan
+// number slot.  Occurrences under one parent signature are one consumer,
+// because that parent runs once; two plans with the same root are two.
+type consumer struct {
+	parent *sigInfo
+	slot   int
 }
 
 // AnalyzeLiveColumns runs the analysis over plans that will execute against
 // one shared PlanCache.
 func AnalyzeLiveColumns(plans []Plan) *LiveColumns {
-	l := &LiveColumns{need: make(map[string]colNeed)}
-	for _, p := range plans {
-		l.add(p, needAll)
+	l := &LiveColumns{sigs: make(map[string]*sigInfo), nodes: make(map[Plan]*sigInfo)}
+	for i, p := range plans {
+		l.add(p, needAll, consumer{slot: i})
 	}
 	return l
 }
 
-func (l *LiveColumns) add(p Plan, need colNeed) {
+func (l *LiveColumns) add(p Plan, need colNeed, by consumer) {
 	if p == nil {
 		return
 	}
-	sig := p.Signature()
-	merged := need
-	if prev, ok := l.need[sig]; ok && !need.all {
-		merged = prev.with(need.names...)
+	info := l.nodes[p]
+	if info == nil {
+		sig := p.Signature()
+		if info = l.sigs[sig]; info == nil {
+			info = &sigInfo{sig: sig, consumers: make(map[consumer]struct{})}
+			l.sigs[sig] = info
+		}
+		l.nodes[p] = info
 	}
-	l.need[sig] = merged
+	if need.all {
+		info.need = needAll
+	} else {
+		info.need = info.need.with(need.names...)
+	}
+	info.consumers[by] = struct{}{}
 	// Children are walked with this occurrence's need: the rule distributes
 	// over union, so unioning per signature on the way down gives the same
 	// sets as deriving them from the merged need.
 	first, second := childNeeds(p, need)
 	for i, c := range p.Children() {
-		if i == 0 {
-			l.add(c, first)
-		} else {
-			l.add(c, second)
+		childNeed := first
+		if i > 0 {
+			childNeed = second
 		}
+		l.add(c, childNeed, consumer{parent: info, slot: i})
 	}
-}
-
-// needOf returns the columns read from the signature's result.  Without an
-// analysis, or for a signature it never saw, that is every column.
-func (l *LiveColumns) needOf(sig string) colNeed {
-	if l == nil {
-		return needAll
-	}
-	if need, ok := l.need[sig]; ok {
-		return need
-	}
-	return needAll
 }
 
 // colLayout locates a plan node's logical output columns — the full list the

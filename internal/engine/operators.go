@@ -177,14 +177,13 @@ func mulFits(a, b, limit int) (int, bool) {
 
 // The functions below are the materialized operator API: each consumes
 // materialized relations and produces a materialized relation, recording one
-// operator execution.  They are the engine's deliberate second execution mode,
-// for callers that need every intermediate to exist: the o-sharing evaluator
-// uses them directly — its fragments must stay materialized so partially
-// executed state can be shared across e-units — and cached (MQO) executors
-// run plans through them node by node.  Uncached plans stream through the
-// batch pipeline in batch.go instead.  Both modes share the same hashing,
-// vectorized predicate, aggregate and tuple-arena machinery, and produce
-// identical results and statistics.
+// operator execution.  They are the o-sharing evaluator's operators — its
+// fragments must stay materialized so partially executed state can be shared
+// across e-units — and they are kept beside the batch pipeline, which runs
+// every plan, for what a materialized input lets them do: they see their whole
+// input, so they size their output once (DESIGN.md "Execution model" has the
+// measurement).  Both share the same hashing, vectorized predicate, aggregate
+// and tuple-arena machinery, and produce identical results and statistics.
 
 // Select returns the rows of rel satisfying the predicate.  The predicate is
 // bound once — column references resolve to positions before the scan — so
@@ -197,12 +196,6 @@ func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*
 	if err != nil {
 		return nil, err
 	}
-	return selectRows(ctx, rel, vp, stats)
-}
-
-// selectRows is Select with the predicate already compiled against the
-// positions of rel's tuples.
-func selectRows(ctx context.Context, rel *Relation, vp vecPredicate, stats *Stats) (*Relation, error) {
 	out := NewRelation(rel.Name, rel.Columns)
 	rows := rel.Rows
 	// Filter the whole relation into one selection vector first (pointer-free,
@@ -250,7 +243,13 @@ func Project(ctx context.Context, rel *Relation, columns []string, stats *Stats)
 	if err != nil {
 		return nil, err
 	}
-	return projectColumns(ctx, rel, idx, outCols, stats)
+	out := NewRelation(rel.Name, outCols)
+	if err := projectRows(ctx, rel.Rows, idx, &out.Rows); err != nil {
+		return nil, err
+	}
+	stats.record(OpKindProject, len(rel.Rows), len(out.Rows))
+	stats.recordValues(projectCopied(idx) * len(out.Rows))
+	return out, nil
 }
 
 // resolveProjection resolves a projection's columns against its input: the
@@ -267,18 +266,6 @@ func resolveProjection(in colLayout, columns []string) (idx []int, outCols []str
 		outCols[i] = in.cols[j]
 	}
 	return idx, outCols, nil
-}
-
-// projectColumns is Project with the columns already resolved to positions in
-// rel's tuples.
-func projectColumns(ctx context.Context, rel *Relation, idx []int, outCols []string, stats *Stats) (*Relation, error) {
-	out := NewRelation(rel.Name, outCols)
-	if err := projectRows(ctx, rel.Rows, idx, &out.Rows); err != nil {
-		return nil, err
-	}
-	stats.record(OpKindProject, len(rel.Rows), len(out.Rows))
-	stats.recordValues(projectCopied(idx) * len(out.Rows))
-	return out, nil
 }
 
 // projectCopied returns the number of values a projection onto idx copies per
@@ -415,7 +402,10 @@ func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relatio
 // only the columns at positions leftKeep of each left row followed by those at
 // rightKeep of each right row — row for row what a projection of the full
 // product onto those columns would yield, without ever building the dropped
-// columns.
+// columns.  The row list and the value arena are sized exactly from
+// rows(left)·rows(right)·copied values; a product too large to size up front
+// (the count overflows, or exceeds maxPresizeValues) grows geometrically
+// instead, so it stays cancellable before it exhausts memory.
 func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep []int, stats *Stats) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
@@ -424,14 +414,7 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 	if err != nil {
 		return nil, err
 	}
-	return productRows(ctx, left, right, newPairShape(leftKeep, rightKeep), cols, stats)
-}
-
-// productRows is the product kernel.  The row list and the value arena are
-// sized exactly from rows(left)·rows(right)·copied values; a product too large
-// to size up front (the count overflows, or exceeds maxPresizeValues) grows
-// geometrically instead, so it stays cancellable before it exhausts memory.
-func productRows(ctx context.Context, left, right *Relation, shape pairShape, cols []string, stats *Stats) (*Relation, error) {
+	shape := newPairShape(leftKeep, rightKeep)
 	out := NewRelation(left.Name+"x"+right.Name, cols)
 	var arena valueArena
 	if n, ok := mulFits(len(left.Rows), len(right.Rows), maxPresizeValues); ok && n > 0 {
@@ -468,7 +451,9 @@ func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 // hashJoin is the equi-join behind HashJoin, IndexedHashJoin and
 // IndexedHashJoinKeep, emitting the leftKeep columns of each matching left row
 // followed by the rightKeep columns of its right row (the join columns
-// themselves need not be kept).
+// themselves need not be kept).  When the cache identifies the right side as
+// an untouched base scan, the build table is the instance's shared per-column
+// index; otherwise it is built here from the right rows.
 func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
@@ -481,26 +466,7 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 	if err != nil {
 		return nil, err
 	}
-	return joinRows(ctx, left, right, li, ri, newPairShape(leftKeep, rightKeep), cols, stats, cache)
-}
-
-// resolveJoinKeys resolves a join's key columns to tuple positions in its two
-// inputs.
-func resolveJoinKeys(left, right colLayout, leftCol, rightCol string) (li, ri int, err error) {
-	if li = left.resolve(leftCol); li < 0 {
-		return 0, 0, fmt.Errorf("join: column %q not found in %v", leftCol, left.cols)
-	}
-	if ri = right.resolve(rightCol); ri < 0 {
-		return 0, 0, fmt.Errorf("join: column %q not found in %v", rightCol, right.cols)
-	}
-	return li, ri, nil
-}
-
-// joinRows is the materialized equi-join on left[li] = right[ri].  When the
-// cache identifies the right side as an untouched base scan, the build table
-// is the instance's shared per-column index; otherwise it is built here from
-// the right rows.
-func joinRows(ctx context.Context, left, right *Relation, li, ri int, shape pairShape, cols []string, stats *Stats, cache *IndexCache) (*Relation, error) {
+	shape := newPairShape(leftKeep, rightKeep)
 	out := NewRelation(left.Name+"⋈"+right.Name, cols)
 
 	var build *hashIndex
@@ -516,7 +482,6 @@ func joinRows(ctx context.Context, left, right *Relation, li, ri int, shape pair
 		}
 	}
 	if build == nil {
-		var err error
 		build, err = buildColumnHashIndex(ctx, right.Rows, ri)
 		if err != nil {
 			return nil, err
@@ -533,6 +498,18 @@ func joinRows(ctx context.Context, left, right *Relation, li, ri int, shape pair
 	}
 	stats.recordValues(shape.copied() * len(out.Rows))
 	return out, nil
+}
+
+// resolveJoinKeys resolves a join's key columns to tuple positions in its two
+// inputs.
+func resolveJoinKeys(left, right colLayout, leftCol, rightCol string) (li, ri int, err error) {
+	if li = left.resolve(leftCol); li < 0 {
+		return 0, 0, fmt.Errorf("join: column %q not found in %v", leftCol, left.cols)
+	}
+	if ri = right.resolve(rightCol); ri < 0 {
+		return 0, 0, fmt.Errorf("join: column %q not found in %v", rightCol, right.cols)
+	}
+	return li, ri, nil
 }
 
 // probeJoin streams the left rows against the build index, appending joined
@@ -858,7 +835,13 @@ func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, st
 	if err != nil {
 		return nil, err
 	}
-	return aggregateRows(ctx, rel, acc, stats)
+	if err := acc.addAll(ctx, rel.Rows); err != nil {
+		return nil, err
+	}
+	out := NewRelation(rel.Name, []string{aggOutputColumn(acc.fn, acc.column)})
+	out.Rows = append(out.Rows, acc.result())
+	stats.record(OpKindAggregate, len(rel.Rows), 1)
+	return out, nil
 }
 
 // newAggAccumulator validates the aggregate and resolves its column against
@@ -874,15 +857,4 @@ func newAggAccumulator(in colLayout, fn AggFunc, column string) (aggAccumulator,
 		}
 	}
 	return aggAccumulator{fn: fn, idx: idx, column: column}, nil
-}
-
-// aggregateRows folds rel through an accumulator bound to its tuples.
-func aggregateRows(ctx context.Context, rel *Relation, acc aggAccumulator, stats *Stats) (*Relation, error) {
-	if err := acc.addAll(ctx, rel.Rows); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rel.Name, []string{aggOutputColumn(acc.fn, acc.column)})
-	out.Rows = append(out.Rows, acc.result())
-	stats.record(OpKindAggregate, len(rel.Rows), 1)
-	return out, nil
 }

@@ -161,13 +161,14 @@ func CountOperators(p Plan) int {
 type Executor struct {
 	DB    *Instance
 	Stats *Stats
-	// Cache maps plan signatures to materialized results.  When non-nil,
-	// Execute reuses results for identical sub-plans instead of recomputing
-	// them; cache hits do not count as executed operators.  A PlanCache may be
-	// shared by several executors running concurrently — each shared
-	// subexpression is still computed exactly once.  A cache made from a
-	// live-column analysis (LiveColumns.NewPlanCache) may only run the plans
-	// that analysis covered: its results carry the columns those plans read.
+	// Cache shares the results of common subexpressions.  When non-nil, a plan
+	// node whose result has more than one consumer (a sharing point) is
+	// computed once, kept under its signature and scanned by every consumer;
+	// later requests do not count as executed operators.  A PlanCache may be
+	// shared by several executors running concurrently — each sharing point is
+	// still computed exactly once.  A cache made from a live-column analysis
+	// (LiveColumns.NewPlanCache) may only run the plans that analysis covered:
+	// its results carry the columns those plans read.
 	Cache *PlanCache
 	// Indexes is the shared base-relation index subsystem (usually the
 	// instance's own, DB.Indexes()).  When non-nil, plan compilation serves
@@ -207,46 +208,89 @@ func (e *Executor) Execute(p Plan) (*Relation, error) {
 // periodically and the execution stops promptly with the context's error once
 // it is cancelled or its deadline passes.
 //
-// There are exactly two modes, chosen by whether the executor has a Cache.
-// Without one the plan is compiled into the vectorized batch pipeline:
-// scan→select→project chains are fused and produce no intermediate Relations;
-// only pipeline breakers (join build side, product inner side, distinct,
-// aggregate) buffer rows, and the root materializes the result.  With a cache
-// every node materializes through the operator API — the MQO substrate shares
-// results per sub-plan signature, which requires each signature's Relation to
-// exist.  In both modes products and joins build only the columns an ancestor
-// reads (live.go); the root's own columns are all read, so the result always
-// carries every column the plan names.
+// There is one plan driver.  The plan is compiled into the vectorized batch
+// pipeline: scan→select→project chains are fused and produce no intermediate
+// Relations; only pipeline breakers (join build side, product inner side,
+// distinct, aggregate) buffer rows, and the root materializes the result.  An
+// executor with a Cache differs in one place: a sharing point is materialized
+// once into the cache and every consumer's pipeline scans the stored rows, so
+// fusion never crosses one.  Products and joins build only the columns an
+// ancestor reads (live.go); the root's own columns are all read, so the result
+// always carries every column the plan names.
 func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("execute: nil plan")
 	}
-	if e.Cache != nil {
-		res, err := e.executeShared(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		return res.rel, nil
+	res, shared, err := e.shared(ctx, p)
+	if err == nil && !shared {
+		res, err = e.materialize(ctx, p, needAll)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return res.rel, nil
+}
+
+// shared returns the node's result from the cache when the node is a sharing
+// point, materializing it on first request with the columns its consumers
+// read; ok=false for every other node and for an executor without a cache.
+func (e *Executor) shared(ctx context.Context, p Plan) (res *planResult, ok bool, err error) {
+	if e.Cache == nil {
+		return nil, false, nil
+	}
+	sig, need, ok := e.Cache.sharingPoint(p)
+	if !ok {
+		return nil, false, nil
+	}
+	res, err = e.Cache.getOrCompute(sig, func() (*planResult, error) {
+		if n, isScan := p.(*ScanPlan); isScan {
+			// A shared scan is the base rows under qualified names: no copy.
+			base, alias, err := e.scanBase(n)
+			if err != nil {
+				return nil, err
+			}
+			e.Stats.record(OpKindScan, 0, len(base.Rows))
+			return fullResult(base.QualifyColumns(alias)), nil
+		}
+		return e.materialize(ctx, p, need)
+	})
+	return res, true, err
+}
+
+func fullResult(rel *Relation) *planResult {
+	return &planResult{rel: rel, lay: colLayout{cols: rel.Columns}}
+}
+
+// materialize runs the node itself (shared or not, it is built here) as the
+// root of a batch pipeline and drains it into a relation.
+func (e *Executor) materialize(ctx context.Context, p Plan, need colNeed) (*planResult, error) {
 	if n, ok := p.(*MaterialPlan); ok {
 		// Identity at the root: hand back the producer's relation unchanged.
 		if n.Rel == nil {
 			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
 		}
-		return n.Rel, nil
+		return fullResult(n.Rel), nil
 	}
 	if n, ok := p.(*ProjectPlan); ok {
 		// Root projection — the shape every reformulated query ends in —
 		// materializes fused: the child pipeline is drained to row headers and
 		// the column gather runs once at the exact output size, instead of
 		// carving per-batch tuples that the root would copy again.
-		return e.executeBatchProjectRoot(ctx, n)
+		rel, err := e.executeBatchProjectRoot(ctx, n)
+		if err != nil {
+			return nil, err
+		}
+		return fullResult(rel), nil
 	}
-	src, err := e.compile(ctx, p, needAll)
+	src, err := e.compileNode(ctx, p, need)
 	if err != nil {
 		return nil, err
 	}
-	return MaterializeBatches(src)
+	rel, err := MaterializeBatches(src)
+	if err != nil {
+		return nil, err
+	}
+	return &planResult{rel: rel, lay: src.layout()}, nil
 }
 
 // executeBatchProjectRoot compiles the projection's child as a batch pipeline
@@ -290,26 +334,52 @@ func (e *Executor) batchSize() int {
 	return DefaultBatchSize
 }
 
+// scanBase resolves a scan to its base relation and the alias qualifying its
+// columns.
+func (e *Executor) scanBase(n *ScanPlan) (*Relation, string, error) {
+	base := e.DB.Relation(n.Relation)
+	if base == nil {
+		return nil, "", fmt.Errorf("scan: unknown relation %q", n.Relation)
+	}
+	if n.Alias == "" {
+		return base, n.Relation, nil
+	}
+	return base, n.Alias, nil
+}
+
 // compile lowers a plan node into the vectorized batch pipeline.  need is the
-// set of the node's output columns an ancestor reads; childNeeds threads it
-// down, and the products and joins build only those.  Column references are
-// resolved once here, against each input's full logical column list, so the
-// per-row path does no name lookups and a pruned plan binds — and fails to
-// bind — exactly as the unpruned one.
+// set of the node's output columns its consumer reads.  A sharing point is not
+// lowered into the consumer's pipeline: its cached result — built from the need
+// the analysis unioned over all its consumers — is scanned instead.
 func (e *Executor) compile(ctx context.Context, p Plan, need colNeed) (BatchSource, error) {
+	res, shared, err := e.shared(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	if shared {
+		return &batchScan{
+			ctx: ctx, name: res.rel.Name, lay: res.lay,
+			rows: res.rel.Rows, size: e.batchSize(), stats: e.Stats,
+		}, nil
+	}
+	return e.compileNode(ctx, p, need)
+}
+
+// compileNode builds the node's own operator over its compiled children.
+// childNeeds threads need down, and the products and joins build only those
+// columns.  Column references are resolved once here, against each input's
+// full logical column list, so the per-row path does no name lookups and a
+// pruned plan binds — and fails to bind — exactly as the unpruned one.
+func (e *Executor) compileNode(ctx context.Context, p Plan, need colNeed) (BatchSource, error) {
 	first, second := childNeeds(p, need)
 	switch n := p.(type) {
 	case *ScanPlan:
-		base := e.DB.Relation(n.Relation)
-		if base == nil {
-			return nil, fmt.Errorf("scan: unknown relation %q", n.Relation)
-		}
-		alias := n.Alias
-		if alias == "" {
-			alias = n.Relation
+		base, alias, err := e.scanBase(n)
+		if err != nil {
+			return nil, err
 		}
 		return &batchScan{
-			ctx: ctx, name: alias, cols: qualifiedScanColumns(base, alias),
+			ctx: ctx, name: alias, lay: colLayout{cols: qualifiedScanColumns(base, alias)},
 			rows: base.Rows, size: e.batchSize(), stats: e.Stats, record: true,
 		}, nil
 	case *MaterialPlan:
@@ -317,7 +387,7 @@ func (e *Executor) compile(ctx context.Context, p Plan, need colNeed) (BatchSour
 			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
 		}
 		return &batchScan{
-			ctx: ctx, name: n.Rel.Name, cols: n.Rel.Columns,
+			ctx: ctx, name: n.Rel.Name, lay: colLayout{cols: n.Rel.Columns},
 			rows: n.Rel.Rows, size: e.batchSize(), stats: e.Stats,
 		}, nil
 	case *SelectPlan:
@@ -410,162 +480,6 @@ func (e *Executor) compile(ctx context.Context, p Plan, need colNeed) (BatchSour
 	}
 }
 
-// planResult is one materialized plan node of a cached executor: the relation
-// built for it, which carries the columns its consumers read, and the node's
-// logical columns located in that relation's tuples.
-type planResult struct {
-	rel *Relation
-	lay colLayout
-}
-
-func fullResult(rel *Relation) *planResult {
-	return &planResult{rel: rel, lay: colLayout{cols: rel.Columns}}
-}
-
-// executeShared returns the node's result from the cache, materializing it on
-// first request with the columns the cache's analysis says its consumers read.
-func (e *Executor) executeShared(ctx context.Context, p Plan) (*planResult, error) {
-	sig := p.Signature()
-	return e.Cache.getOrCompute(sig, func() (*planResult, error) {
-		return e.executeMaterialized(ctx, p, e.Cache.live.needOf(sig))
-	})
-}
-
-// executeMaterialized evaluates the plan node by node, materializing every
-// intermediate result.  It is the execution mode of cached (MQO) executors,
-// where each sub-plan signature's result must exist to be shared.
-func (e *Executor) executeMaterialized(ctx context.Context, p Plan, need colNeed) (*planResult, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	switch n := p.(type) {
-	case *ScanPlan:
-		base := e.DB.Relation(n.Relation)
-		if base == nil {
-			return nil, fmt.Errorf("scan: unknown relation %q", n.Relation)
-		}
-		alias := n.Alias
-		if alias == "" {
-			alias = n.Relation
-		}
-		e.Stats.record(OpKindScan, 0, len(base.Rows))
-		return fullResult(base.QualifyColumns(alias)), nil
-	case *MaterialPlan:
-		if n.Rel == nil {
-			return nil, fmt.Errorf("materialized plan %q has nil relation", n.Label)
-		}
-		return fullResult(n.Rel), nil
-	case *SelectPlan:
-		if e.Indexes != nil {
-			if scan, ok := n.Child.(*ScanPlan); ok {
-				rel, served, err := e.indexedSelectRel(ctx, n, scan)
-				if err != nil {
-					return nil, err
-				}
-				if served {
-					return fullResult(rel), nil
-				}
-			}
-		}
-		child, err := e.executeShared(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		vp, err := compileVecPredicate(n.Pred, child.lay.resolve, child.lay.cols)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := selectRows(ctx, child.rel, vp, e.Stats)
-		if err != nil {
-			return nil, err
-		}
-		return &planResult{rel: rel, lay: child.lay}, nil
-	case *ProjectPlan:
-		child, err := e.executeShared(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		idx, outCols, err := resolveProjection(child.lay, n.Columns)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := projectColumns(ctx, child.rel, idx, outCols, e.Stats)
-		if err != nil {
-			return nil, err
-		}
-		return fullResult(rel), nil
-	case *ProductPlan:
-		left, err := e.executeShared(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.executeShared(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		shape, lay := pairLayout(left.lay, right.lay, need)
-		rel, err := productRows(ctx, left.rel, right.rel, shape, lay.built(), e.Stats)
-		if err != nil {
-			return nil, err
-		}
-		return &planResult{rel: rel, lay: lay}, nil
-	case *JoinPlan:
-		left, err := e.executeShared(ctx, n.Left)
-		if err != nil {
-			return nil, err
-		}
-		var right *planResult
-		var shared *IndexCache
-		if scan, ok := n.Right.(*ScanPlan); ok && e.Indexes != nil && e.DB.Relation(scan.Relation) != nil {
-			// The build side is a bare scan: attach the shared index instead
-			// of materializing and hashing the scan.
-			alias := scan.Alias
-			if alias == "" {
-				alias = scan.Relation
-			}
-			right, shared = fullResult(e.DB.Relation(scan.Relation).QualifyColumns(alias)), e.Indexes
-		} else if right, err = e.executeShared(ctx, n.Right); err != nil {
-			return nil, err
-		}
-		li, ri, err := resolveJoinKeys(left.lay, right.lay, n.LeftCol, n.RightCol)
-		if err != nil {
-			return nil, err
-		}
-		shape, lay := pairLayout(left.lay, right.lay, need)
-		rel, err := joinRows(ctx, left.rel, right.rel, li, ri, shape, lay.built(), e.Stats, shared)
-		if err != nil {
-			return nil, err
-		}
-		return &planResult{rel: rel, lay: lay}, nil
-	case *AggregatePlan:
-		child, err := e.executeShared(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := newAggAccumulator(child.lay, n.Func, n.Column)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := aggregateRows(ctx, child.rel, acc, e.Stats)
-		if err != nil {
-			return nil, err
-		}
-		return fullResult(rel), nil
-	case *DistinctPlan:
-		child, err := e.executeShared(ctx, n.Child)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := Distinct(ctx, child.rel, e.Stats)
-		if err != nil {
-			return nil, err
-		}
-		return &planResult{rel: rel, lay: child.lay}, nil
-	default:
-		return nil, fmt.Errorf("execute: unsupported plan node %T", p)
-	}
-}
-
 // qualifiedScanColumns returns the alias-qualified output columns of a scan,
 // exactly as QualifyColumns names them.
 func qualifiedScanColumns(base *Relation, alias string) []string {
@@ -601,6 +515,25 @@ func constFilterStack(p Plan) (*ScanPlan, []Predicate, bool) {
 	}
 }
 
+// sharedBelow reports whether a selection of the stack rooted at p is a sharing
+// point.  An index-served stack fuses its selections into one operator, and
+// fusion never crosses a sharing point: each consumer would run the selection
+// again.  The scan under the stack does not count — the index stands in for it
+// and nothing reads it.
+func (e *Executor) sharedBelow(p Plan) bool {
+	for e.Cache != nil {
+		n, ok := p.(*SelectPlan)
+		if !ok {
+			break
+		}
+		if _, _, shared := e.Cache.sharingPoint(n); shared {
+			return true
+		}
+		p = n.Child
+	}
+	return false
+}
+
 // compileIndexedSelect lowers a stack of constant selections directly above a
 // scan into an index probe: the bottom-most constant equality whose column
 // resolves becomes the probe, and every other comparison is evaluated as a
@@ -610,16 +543,12 @@ func constFilterStack(p Plan) (*ScanPlan, []Predicate, bool) {
 // decided when the source starts; if not, it runs the plain pipeline itself.
 func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (BatchSource, bool, error) {
 	scan, stack, ok := constFilterStack(top)
-	if !ok {
+	if !ok || e.sharedBelow(top.Child) {
 		return nil, false, nil
 	}
-	base := e.DB.Relation(scan.Relation)
-	if base == nil {
+	base, alias, err := e.scanBase(scan)
+	if err != nil {
 		return nil, false, nil // the plain compiler reports the unknown relation
-	}
-	alias := scan.Alias
-	if alias == "" {
-		alias = scan.Relation
 	}
 	cols := qualifiedScanColumns(base, alias)
 	resolve := func(name string) int { return lookupColumn(cols, name) }
@@ -684,16 +613,12 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (B
 // ok=false hands the join back to the plain compiler.
 func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left BatchSource, need colNeed) (BatchSource, bool, error) {
 	scan, stack, ok := constFilterStack(n.Right)
-	if !ok {
+	if !ok || e.sharedBelow(n.Right) {
 		return nil, false, nil
 	}
-	base := e.DB.Relation(scan.Relation)
-	if base == nil {
+	base, alias, err := e.scanBase(scan)
+	if err != nil {
 		return nil, false, nil // the plain compiler reports the unknown relation
-	}
-	alias := scan.Alias
-	if alias == "" {
-		alias = scan.Relation
 	}
 	right := colLayout{cols: qualifiedScanColumns(base, alias)}
 	levels := make([]selectLevel, len(stack))
@@ -709,25 +634,9 @@ func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left Batc
 		return nil, false, err
 	}
 	shape, lay := pairLayout(left.layout(), right, need)
-	return &batchSharedJoin{
-		ctx: ctx, cache: e.Indexes, left: left, li: li, base: base, ri: ri,
+	return &batchJoin{
+		ctx: ctx, left: left, li: li, ri: ri, cache: e.Indexes, base: base, levels: levels,
 		name: left.Name() + "⋈" + alias, lay: lay, shape: shape, size: e.batchSize(),
-		stats: e.Stats, levels: levels,
+		stats: e.Stats,
 	}, true, nil
-}
-
-// indexedSelectRel is the materialized-mode counterpart of compileIndexedSelect, used
-// by cached (MQO) executors, which materialize per node: a constant selection
-// directly above a scan is served from the shared index without materializing
-// the scan.  served=false falls back to the plain node-by-node execution.
-func (e *Executor) indexedSelectRel(ctx context.Context, n *SelectPlan, scan *ScanPlan) (*Relation, bool, error) {
-	base := e.DB.Relation(scan.Relation)
-	if base == nil {
-		return nil, false, nil // the plain path reports the unknown relation
-	}
-	alias := scan.Alias
-	if alias == "" {
-		alias = scan.Relation
-	}
-	return e.Indexes.trySelect(ctx, base.QualifyColumns(alias), n.Pred, e.Stats)
 }

@@ -12,12 +12,10 @@
 package mqo
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/exec"
 )
 
 // Plan is the optimised global plan: the original query plans annotated with
@@ -40,8 +38,9 @@ type Plan struct {
 
 	// live is, per subexpression signature, the union of the columns the
 	// queries read from it — what its one shared materialization has to
-	// carry.  It depends on the plans alone, so Optimize computes it once and
-	// every execution reuses it.
+	// carry — and whether more than one consumer reads it at all.  It depends
+	// on the plans alone, so Optimize computes it once and every execution
+	// reuses it.
 	live *engine.LiveColumns
 }
 
@@ -162,39 +161,15 @@ func Optimize(plans []engine.Plan) (*Plan, error) {
 	return res, nil
 }
 
-// Execute runs the optimised plan against the instance using a shared-result
-// cache so that each common subexpression is computed once.  It returns one
-// result relation per query, in the same order as plan.Queries.
-func (p *Plan) Execute(db *engine.Instance, stats *engine.Stats) ([]*engine.Relation, error) {
-	return p.ExecuteParallel(exec.Sequential(), db, stats)
-}
-
-// ExecuteParallel runs the optimised plan's queries on the runtime's worker
-// pool.  The queries share one concurrency-safe plan cache, so every common
-// subexpression is still executed exactly once — the first query to request a
-// shared signature computes it and the others reuse the materialized result.
-// Per-query statistics are merged into stats in query order, keeping the
-// reported operator counts identical to a sequential run.
-func (p *Plan) ExecuteParallel(ec *exec.Context, db *engine.Instance, stats *engine.Stats) ([]*engine.Relation, error) {
-	cache := p.live.NewPlanCache()
-	out := make([]*engine.Relation, len(p.Queries))
-	type queryRun struct {
-		rel   *engine.Relation
-		stats *engine.Stats
-	}
-	err := exec.Map(ec, len(p.Queries), func(ctx context.Context, i int) (queryRun, error) {
-		ex := &engine.Executor{DB: db, Stats: engine.NewStats(), Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()}
-		rel, err := ex.ExecuteContext(ctx, p.Queries[i])
-		return queryRun{rel: rel, stats: ex.Stats}, err
-	}, func(i int, r queryRun) error {
-		out[i] = r.rel
-		stats.Add(r.stats)
+// NewCache returns the shared-subexpression cache for one execution of the
+// plan's queries: executors that carry it compute each subexpression with more
+// than one consumer once, however the queries are scheduled.  A nil plan — any
+// method but e-MQO — has none.
+func (p *Plan) NewCache() *engine.PlanCache {
+	if p == nil {
 		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mqo execute: %w", err)
 	}
-	return out, nil
+	return p.live.NewPlanCache()
 }
 
 // collectSubexpressions records the signature of every subtree of the plan,

@@ -17,6 +17,22 @@ func testDB() *engine.Instance {
 	return db
 }
 
+// execute runs the plan's queries in order on executors that share the plan's
+// cache, as core's group runner does, and returns one relation per query.
+func execute(p *Plan, db *engine.Instance, stats *engine.Stats) ([]*engine.Relation, error) {
+	cache := p.NewCache()
+	out := make([]*engine.Relation, len(p.Queries))
+	for i, q := range p.Queries {
+		ex := &engine.Executor{DB: db, Stats: stats, Cache: cache, Indexes: db.Indexes()}
+		rel, err := ex.Execute(q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rel
+	}
+	return out, nil
+}
+
 func selPlan(col, val string, projCol string) engine.Plan {
 	return &engine.ProjectPlan{
 		Columns: []string{projCol},
@@ -62,7 +78,7 @@ func TestExecuteSharesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := engine.NewStats()
-	rels, err := plan.Execute(db, stats)
+	rels, err := execute(plan, db, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +166,7 @@ func TestSharedJoinCarriesEveryConsumersColumns(t *testing.T) {
 	}
 	for run := 0; run < 3; run++ {
 		stats := engine.NewStats()
-		rels, err := plan.Execute(db, stats)
+		rels, err := execute(plan, db, stats)
 		if err != nil {
 			t.Fatal(err)
 		}

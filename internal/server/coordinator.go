@@ -272,21 +272,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.Query(r.Context(), req)
 	if err != nil {
-		status := http.StatusInternalServerError
-		var ae *apiError
-		switch {
-		case errors.As(err, &ae):
-			status = ae.status
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			status = 499
-		}
-		body := map[string]any{"error": err.Error(), "status": status}
-		if retryAfter := RetryAfter(err); retryAfter > 0 {
-			setRetryAfter(w, body, retryAfter)
-		}
-		writeJSON(w, status, body)
+		writeAPIError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

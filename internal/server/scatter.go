@@ -277,21 +277,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.Scatter(r.Context(), req)
 	if err != nil {
-		status := http.StatusInternalServerError
-		var ae *apiError
-		switch {
-		case errors.As(err, &ae):
-			status = ae.status
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			status = 499
-		}
-		body := map[string]any{"error": err.Error(), "status": status}
-		if retryAfter := RetryAfter(err); retryAfter > 0 {
-			setRetryAfter(w, body, retryAfter)
-		}
-		writeJSON(w, status, body)
+		writeAPIError(w, err)
 		return
 	}
 	// Only another node reads a successful scatter body, so it is one

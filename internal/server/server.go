@@ -791,37 +791,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.Do(r.Context(), req)
 	if err != nil {
-		status := http.StatusInternalServerError
-		var ae *apiError
-		switch {
-		case errors.As(err, &ae):
-			status = ae.status
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			// The client went away; the status code is for the log line only.
-			status = 499
-		}
-		body := map[string]any{"error": err.Error(), "status": status}
-		if retryAfter := RetryAfter(err); retryAfter > 0 {
-			setRetryAfter(w, body, retryAfter)
-		}
-		writeJSON(w, status, body)
+		writeAPIError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// setRetryAfter writes a Retry-After hint onto an error response.  The header
-// is integer seconds (rounded up, HTTP cannot say less than 1); the body
-// carries the precise hint for clients that can use it.
-func setRetryAfter(w http.ResponseWriter, body map[string]any, retryAfter time.Duration) {
-	secs := int(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	body["retry_after_ms"] = float64(retryAfter.Microseconds()) / 1000
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
@@ -1063,4 +1036,33 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]any{"error": msg, "status": status})
+}
+
+// writeAPIError answers a request whose core (Do, Scatter, the coordinator's
+// Query) failed: the status an apiError carries, 504 for a deadline that
+// passed, 500 otherwise, and a Retry-After hint when the error has one — the
+// header in integer seconds (rounded up, HTTP cannot say less than 1), the
+// body's retry_after_ms precise for clients that can use it.
+func writeAPIError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	var ae *apiError
+	switch {
+	case errors.As(err, &ae):
+		status = ae.status
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// The client went away; the status code is for the log line only.
+		status = 499
+	}
+	body := map[string]any{"error": err.Error(), "status": status}
+	if retryAfter := RetryAfter(err); retryAfter > 0 {
+		secs := int(math.Ceil(retryAfter.Seconds()))
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		body["retry_after_ms"] = float64(retryAfter.Microseconds()) / 1000
+	}
+	writeJSON(w, status, body)
 }
