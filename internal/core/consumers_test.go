@@ -89,14 +89,10 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s scatter: %v", label, err)
 					}
-					switch dp, err := PrepareDelta(prep, ec, opts); {
+					switch st, err := prep.Maintain(ec, opts); {
 					case err == nil:
-						if dp.sp != sp {
-							t.Errorf("%s: PrepareDelta holds a group list of its own, not the memoized one", label)
-						}
-						st, err := dp.EvaluateFull(ec, db)
-						if err != nil {
-							t.Fatalf("%s full run: %v", label, err)
+						if st.sp != sp {
+							t.Errorf("%s: Maintain holds a group list of its own, not the memoized one", label)
 						}
 						forms["maintained"] = st.Result()
 						maintained++
@@ -130,7 +126,7 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 
 // TestFrontHalfIsBuiltAndReportedOnce pins what a Prepared memoizes.  The
 // group list is one object per (query, method) — Scatter, a shard's run and
-// PrepareDelta share it, none reshapes it per call — and of all the executions
+// Maintain share it, none reshapes it per call — and of all the executions
 // that use a front half exactly the one whose call built it reports a rewrite
 // phase, on every path that returns a Result.
 func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
@@ -159,11 +155,7 @@ func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 		},
 		"top-k": func(p *Prepared, o Options) (*Result, error) { return p.ExecuteTopKContext(ctx, 2, o) },
 		"maintained": func(p *Prepared, o Options) (*Result, error) {
-			dp, err := PrepareDelta(p, o.Context(ctx), o)
-			if err != nil {
-				return nil, err
-			}
-			st, err := dp.EvaluateFull(o.Context(ctx), db)
+			st, err := p.Maintain(o.Context(ctx), o)
 			if err != nil {
 				return nil, err
 			}

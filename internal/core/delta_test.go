@@ -125,13 +125,9 @@ func TestDeltaMaintainedBitIdentical(t *testing.T) {
 						t.Fatalf("prepare: %v", err)
 					}
 					ec := exec.NewContext(context.Background(), par)
-					dp, err := PrepareDelta(prep, ec, opts)
+					st, err := prep.Maintain(ec, opts)
 					if err != nil {
-						t.Fatalf("PrepareDelta: %v", err)
-					}
-					st, err := dp.EvaluateFull(ec, db)
-					if err != nil {
-						t.Fatalf("EvaluateFull: %v", err)
+						t.Fatalf("Maintain: %v", err)
 					}
 					cold, err := NewEvaluator(db, maps).Evaluate(q, opts)
 					if err != nil {
@@ -172,13 +168,9 @@ func TestDeltaCoalescedBursts(t *testing.T) {
 		t.Fatalf("prepare: %v", err)
 	}
 	ec := exec.NewContext(context.Background(), 2)
-	dp, err := PrepareDelta(prep, ec, opts)
+	st, err := prep.Maintain(ec, opts)
 	if err != nil {
-		t.Fatalf("PrepareDelta: %v", err)
-	}
-	st, err := dp.EvaluateFull(ec, db)
-	if err != nil {
-		t.Fatalf("EvaluateFull: %v", err)
+		t.Fatalf("Maintain: %v", err)
 	}
 	for _, app := range deltaAppendStream(11, 60) {
 		db.Relation(app.rel).MustAppend(app.row)
@@ -215,8 +207,8 @@ func TestDeltaNotMaintainable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	if _, err := PrepareDelta(prep, ec, Options{Method: MethodOSharing}); !errors.Is(err, ErrNotDeltaMaintainable) {
-		t.Fatalf("o-sharing PrepareDelta err = %v, want ErrNotDeltaMaintainable", err)
+	if _, err := prep.Maintain(ec, Options{Method: MethodOSharing}); !errors.Is(err, ErrNotDeltaMaintainable) {
+		t.Fatalf("o-sharing Maintain err = %v, want ErrNotDeltaMaintainable", err)
 	}
 
 	agg := mustParse(t, "q", "SELECT SUM(total) FROM Person, Order WHERE addr = 'aaa'")
@@ -224,8 +216,8 @@ func TestDeltaNotMaintainable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare aggregate: %v", err)
 	}
-	if _, err := PrepareDelta(aprep, ec, Options{Method: MethodEBasic}); !errors.Is(err, ErrNotDeltaMaintainable) {
-		t.Fatalf("aggregate PrepareDelta err = %v, want ErrNotDeltaMaintainable", err)
+	if _, err := aprep.Maintain(ec, Options{Method: MethodEBasic}); !errors.Is(err, ErrNotDeltaMaintainable) {
+		t.Fatalf("aggregate Maintain err = %v, want ErrNotDeltaMaintainable", err)
 	}
 
 	jq := mustParse(t, "q", "SELECT total FROM Person, Order WHERE addr = 'hk'")
@@ -233,13 +225,9 @@ func TestDeltaNotMaintainable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare join: %v", err)
 	}
-	dp, err := PrepareDelta(jprep, ec, Options{Method: MethodEBasic})
+	st, err := jprep.Maintain(ec, Options{Method: MethodEBasic})
 	if err != nil {
-		t.Fatalf("PrepareDelta: %v", err)
-	}
-	st, err := dp.EvaluateFull(ec, db)
-	if err != nil {
-		t.Fatalf("EvaluateFull: %v", err)
+		t.Fatalf("Maintain: %v", err)
 	}
 	cust := db.Relation("Customer")
 	cust.Rows = cust.Rows[:len(cust.Rows)-1]

@@ -103,27 +103,29 @@ func (p *Prepared) Scatter(ec *exec.Context, opts Options) (*ScatterPlan, error)
 
 // groupList is FrontHalf with p.mu held.  e-basic clusters basic's list and
 // e-MQO optimises e-basic's, so a list another is derived from is built — and
-// memoized for its own method — on the way.
+// memoized for its own method — on the way.  A list's shape is analysed as it
+// is memoized, so every reader of the verdict reads the one taken here.
 func (p *Prepared) groupList(ec *exec.Context, m Method) (*ScatterPlan, time.Duration, error) {
-	return memoized(&p.plans[m], func() (*ScatterPlan, error) {
+	return memoized(&p.plans[m], func() (sp *ScatterPlan, err error) {
 		switch m {
 		case MethodBasic:
-			return mappingGroups(ec, m, p.q, p.maps)
+			sp, err = mappingGroups(ec, m, p.q, p.maps)
 		case MethodEBasic:
-			basic, _, err := p.groupList(ec, MethodBasic)
-			if err != nil {
-				return nil, err
+			if sp, _, err = p.groupList(ec, MethodBasic); err == nil {
+				sp = clusterGroups(sp)
 			}
-			return clusterGroups(basic), nil
 		case MethodEMQO:
-			ebasic, _, err := p.groupList(ec, MethodEBasic)
-			if err != nil {
-				return nil, err
+			if sp, _, err = p.groupList(ec, MethodEBasic); err == nil {
+				sp, err = globalGroups(sp)
 			}
-			return globalGroups(ebasic)
 		default:
-			return representativeGroups(ec, p.q, p.maps)
+			sp, err = representativeGroups(ec, p.q, p.maps)
 		}
+		if err != nil {
+			return nil, err
+		}
+		sp.analyse()
+		return sp, nil
 	})
 }
 

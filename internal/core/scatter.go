@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/probdb/urm/internal/engine"
@@ -45,7 +46,8 @@ type ScatterGroup struct {
 //
 // A ScatterPlan is immutable once its Prepared has memoized it: executions on
 // any number of goroutines share it, and a caller that needs a variant
-// (ApplyDelta's per-pass plans) copies Groups.
+// (ApplyDelta's per-pass plans) copies Groups.  Memoizing it is also when its
+// shape is decided, once (planShape).
 type ScatterPlan struct {
 	// Method is the evaluation method the plan is.
 	Method Method
@@ -64,6 +66,106 @@ type ScatterPlan struct {
 	// go into every Result as they are.
 	Rewritten  int
 	Partitions int
+
+	// shape is the plan's shape, analysed when its Prepared memoized it; nil
+	// on a plan built any other way, which distributes over nothing and
+	// maintains nothing.
+	shape *planShape
+}
+
+// planShape is what one walk over each covering group plan decides, for a
+// shard's scatter and the delta alike.  The paper's answers add probability
+// over groups, so a linear plan — one that neither aggregates nor reads a
+// materialized input — distributes over any horizontal split of a relation it
+// scans at most once: a shard partition R₁ ⊎ … ⊎ Rₙ and an append
+// R_old ⊎ ΔR are the same case.
+type planShape struct {
+	// scans[gi] counts group gi's scans of each base relation; nil for a
+	// non-covering group.
+	scans []map[string]int
+	// linear is false when some covering plan aggregates or reads a
+	// materialized input.
+	linear bool
+	// rels is the sorted union of the scanned relations: the fixed order
+	// every delta pass walks, so float accumulation never depends on which
+	// relation happened to grow first.
+	rels []string
+	// unmaintainable says why appends cannot be maintained — the plan is not
+	// linear, or a group scans a relation twice (the name-keyed relation
+	// replacement cannot express a per-occurrence delta); nil when they can.
+	unmaintainable error
+}
+
+// analyse decides the plan's shape.  groupList calls it once, as it memoizes
+// the plan.
+func (sp *ScatterPlan) analyse() {
+	sh := &planShape{scans: make([]map[string]int, len(sp.Groups)), linear: true}
+	for gi, g := range sp.Groups {
+		if g.Plan == nil {
+			continue
+		}
+		scans := make(map[string]int)
+		sh.linear = countScans(g.Plan, scans) && sh.linear
+		for rel := range scans {
+			if !slices.Contains(sh.rels, rel) {
+				sh.rels = append(sh.rels, rel)
+			}
+		}
+		sh.scans[gi] = scans
+	}
+	slices.Sort(sh.rels)
+	sp.shape = sh
+	if !sh.linear {
+		sh.unmaintainable = fmt.Errorf("%w: a group plan aggregates or reads a materialized input", ErrNotDeltaMaintainable)
+		return
+	}
+	for _, rel := range sh.rels {
+		if !sp.DistributesOver(rel) {
+			sh.unmaintainable = fmt.Errorf("%w: relation %s scanned more than once", ErrNotDeltaMaintainable, rel)
+			return
+		}
+	}
+}
+
+// countScans adds the plan's scans of each base relation to counts and
+// reports whether the plan is linear.  A materialized input is not: its
+// provenance is unknown, so it may embed state from before the split.
+func countScans(plan engine.Plan, counts map[string]int) bool {
+	switch n := plan.(type) {
+	case *engine.AggregatePlan, *engine.MaterialPlan:
+		return false
+	case *engine.ScanPlan:
+		counts[n.Relation]++
+		return true
+	}
+	linear := true
+	for _, c := range plan.Children() {
+		linear = countScans(c, counts) && linear
+	}
+	return linear
+}
+
+// DistributesOver reports whether the plan distributes over a horizontal
+// split of the named relation, i.e. whether
+//
+//	Q(R1 ⊎ ... ⊎ Rn, S, ...) = Q(R1, S, ...) ∪ ... ∪ Q(Rn, S, ...)
+//
+// holds group by group as a set equality.  It does when the plan is linear —
+// an aggregate of a union is not the union of the parts' aggregates — and no
+// group scans the relation more than once: a self-join pairs rows across the
+// split, which per-part evaluation never sees.  A plan that does not scan the
+// relation distributes: every part returns the same answers and the merge's
+// per-group dedup collapses them.
+func (sp *ScatterPlan) DistributesOver(relation string) bool {
+	if sp.shape == nil || !sp.shape.linear {
+		return false
+	}
+	for _, scans := range sp.shape.scans {
+		if scans[relation] > 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // GroupRows is one scatter group's answer on one instance, as the set the

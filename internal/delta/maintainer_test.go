@@ -90,11 +90,7 @@ func newFixture(t *testing.T, name string) (*fakeScenario, schema.MappingSet, *q
 		t.Fatal(err)
 	}
 	ec := exec.NewContext(context.Background(), 1)
-	dp, err := core.PrepareDelta(prep, ec, core.Options{Method: core.MethodEBasic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dp.EvaluateFull(ec, db)
+	st, err := prep.Maintain(ec, core.Options{Method: core.MethodEBasic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,15 +205,8 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req LeaseRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := c.leases.Heartbeat(req.Node, req.Addr, req.Shards); err != nil {
@@ -241,12 +234,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
-// coordError is an error with an HTTP status and optional Retry-After for the
-// coordinator's response path.
-func coordErr(status int, retryAfter time.Duration, err error) error {
-	return &apiError{status: status, retryAfter: retryAfter, err: err}
-}
-
 // ErrShardUnowned is returned (and mapped to 503 with the lease interval as
 // Retry-After) when a shard has no live lease owner: the coordinator cannot
 // answer without it and refuses to fabricate a partial answer.
@@ -259,15 +246,8 @@ var ErrShardUnowned = errors.New("shard has no live owner")
 var ErrShardMismatch = errors.New("shard responses disagree")
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	resp, err := c.Query(r.Context(), req)
@@ -283,34 +263,24 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error) {
 	c.requests.Add(1)
 	start := time.Now()
-	if req.Scenario == "" {
-		return nil, errBadRequest("missing scenario")
+	if err := checkNames(req.Scenario, req.Query); err != nil {
+		return nil, err
 	}
 	if req.TopK > 0 {
 		c.notShardable.Add(1)
-		return nil, coordErr(http.StatusUnprocessableEntity, 0,
+		return nil, apiErr(http.StatusUnprocessableEntity,
 			fmt.Errorf("%w: top-k does not distribute over shards", ErrNotDistributable))
 	}
-	method := core.MethodOSharing
-	if req.Method != "" {
-		var err error
-		if method, err = core.ParseMethod(req.Method); err != nil {
-			return nil, errBadRequest("%w: %v", core.ErrBadOptions, err)
-		}
+	method, err := parseMethod(req.Method)
+	if err != nil {
+		return nil, err
 	}
 	if method == core.MethodOSharing {
 		c.notShardable.Add(1)
-		return nil, coordErr(http.StatusUnprocessableEntity, 0,
+		return nil, apiErr(http.StatusUnprocessableEntity,
 			fmt.Errorf("%w: o-sharing interleaves operators across mappings and does not distribute; pick basic, e-basic, e-mqo or q-sharing", ErrNotDistributable))
 	}
-
-	timeout := c.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := withDeadline(ctx, c.cfg.RequestTimeout, req.TimeoutMS)
 	defer cancel()
 
 	// One body serves every shard and every retry.
@@ -363,7 +333,7 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 		if !ok {
 			// Unowned is retryable: the standby's next heartbeat may promote
 			// it within the backoff budget.
-			return c.leases.Interval(), true, coordErr(http.StatusServiceUnavailable, c.leases.Interval(),
+			return c.leases.Interval(), true, apiErrRetry(http.StatusServiceUnavailable, c.leases.Interval(),
 				fmt.Errorf("%w: shard %d", ErrShardUnowned, index))
 		}
 		r, retryAfter, retryable, err := c.scatterOnce(ctx, owner, body)
@@ -378,7 +348,7 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 			if r.Shard != nil {
 				got = fmt.Sprintf("shard %d of %d", r.Shard.Index, r.Shard.Count)
 			}
-			return 0, false, coordErr(http.StatusBadGateway, 0,
+			return 0, false, apiErr(http.StatusBadGateway,
 				fmt.Errorf("%w: node %q answered as %s, want shard %d of %d", ErrShardMismatch, owner.Node, got, index, c.cfg.Shards))
 		}
 		resp = r
@@ -395,9 +365,9 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 
 // scatterOnce issues one POST /v1/scatter to a shard owner and classifies the
 // outcome: network errors and 429/503/504 are retryable (with the server's
-// Retry-After hint when it sent one), 422 propagates as not-distributable,
-// other statuses, an undecodable body and a body over maxScatterBody fail the
-// query.
+// Retry-After hint when it sent one), 400, 404 and 422 are relayed as the
+// request's fault, other statuses, an undecodable body and a body over
+// maxScatterBody fail the query with 502.
 func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []byte) (*ScatterResponse, time.Duration, bool, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+"/v1/scatter", bytes.NewReader(body))
 	if err != nil {
@@ -417,7 +387,7 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 	if err != nil {
 		c.upstreamErrors.Add(1)
 		if errors.Is(err, errScatterBodyTooLarge) {
-			return nil, 0, false, coordErr(http.StatusBadGateway, 0, fmt.Errorf("node %q: %w", owner.Node, err))
+			return nil, 0, false, apiErr(http.StatusBadGateway, fmt.Errorf("node %q: %w", owner.Node, err))
 		}
 		return nil, 0, true, fmt.Errorf("node %q: reading response: %w", owner.Node, err)
 	}
@@ -426,7 +396,7 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 		var sr ScatterResponse
 		if err := json.Unmarshal(data, &sr); err != nil {
 			c.upstreamErrors.Add(1)
-			return nil, 0, false, coordErr(http.StatusBadGateway, 0, fmt.Errorf("node %q: undecodable scatter response: %w", owner.Node, err))
+			return nil, 0, false, apiErr(http.StatusBadGateway, fmt.Errorf("node %q: undecodable scatter response: %w", owner.Node, err))
 		}
 		rows := 0
 		for _, g := range sr.Groups {
@@ -441,21 +411,32 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 		c.upstreamErrors.Add(1)
 		hint := retryAfterHint(hresp, data)
 		return nil, hint, true,
-			coordErr(hresp.StatusCode, hint, fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
-	case http.StatusUnprocessableEntity:
-		c.notShardable.Add(1)
-		// The node's message already opens with the sentinel's sentence (and
-		// upstreamMessage with the status); wrap the sentinel around what
-		// follows it, so the sentence is said once.
-		detail := strings.TrimPrefix(upstreamMessage(hresp.StatusCode, data),
-			fmt.Sprintf("%d: %v: ", hresp.StatusCode, ErrNotDistributable))
-		return nil, 0, false, coordErr(http.StatusUnprocessableEntity, 0,
-			fmt.Errorf("%w: node %q: %s", ErrNotDistributable, owner.Node, detail))
+			apiErrRetry(hresp.StatusCode, hint, fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
+	case http.StatusBadRequest, http.StatusNotFound, http.StatusUnprocessableEntity:
+		// The request's own fault, which every node answers alike: relayed,
+		// never retried nor counted against the node.  The sentinel a node's
+		// message opens with is wrapped around the rest, so its sentence is
+		// said once, and the status is not repeated.
+		if hresp.StatusCode == http.StatusUnprocessableEntity {
+			c.notShardable.Add(1)
+		}
+		msg := strings.TrimPrefix(upstreamMessage(hresp.StatusCode, data), fmt.Sprintf("%d: ", hresp.StatusCode))
+		err := fmt.Errorf("node %q: %s", owner.Node, msg)
+		if sentinel := relayedSentinels[hresp.StatusCode]; sentinel != nil {
+			err = fmt.Errorf("%w: node %q: %s", sentinel, owner.Node, strings.TrimPrefix(msg, sentinel.Error()+": "))
+		}
+		return nil, 0, false, apiErr(hresp.StatusCode, err)
 	default:
 		c.upstreamErrors.Add(1)
-		return nil, 0, false, coordErr(http.StatusBadGateway, 0,
+		return nil, 0, false, apiErr(http.StatusBadGateway,
 			fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
 	}
+}
+
+// relayedSentinels are the sentinels a relayed status's error wraps.
+var relayedSentinels = map[int]error{
+	http.StatusNotFound:            ErrUnknownScenario,
+	http.StatusUnprocessableEntity: ErrNotDistributable,
 }
 
 // errScatterBodyTooLarge marks a scatter response over maxScatterBody.
@@ -520,7 +501,7 @@ func (c *Coordinator) mergeParts(method core.Method, parts []*ScatterResponse) (
 	for i, p := range parts[1:] {
 		if err := scatterConsistent(first, p); err != nil {
 			c.mismatches.Add(1)
-			return nil, coordErr(http.StatusBadGateway, 0,
+			return nil, apiErr(http.StatusBadGateway,
 				fmt.Errorf("%w: shard 0 (node %q) vs shard %d (node %q): %v",
 					ErrShardMismatch, nodeName(first), i+1, nodeName(p), err))
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -212,14 +213,7 @@ func (lt *LeaseTable) ownerLocked(shardIndex int, now time.Time) *leaseNode {
 		if lt.expiredLocked(n, now) {
 			continue
 		}
-		claims := false
-		for _, sh := range n.Shards {
-			if sh == shardIndex {
-				claims = true
-				break
-			}
-		}
-		if claims && (best == nil || n.Acquired < best.Acquired) {
+		if slices.Contains(n.Shards, shardIndex) && (best == nil || n.Acquired < best.Acquired) {
 			best = n
 		}
 	}

@@ -194,33 +194,7 @@ func (s *Scenario) StaleFloor() uint64 { return s.staleFloor.Load() }
 // persistence failure is returned (and sticky): the row is live in memory but
 // will not survive a restart.
 func (s *Scenario) AppendRow(relation string, t engine.Tuple) error {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	s.mu.Lock()
-	rel := s.db.Relation(relation)
-	if rel == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("scenario %s: unknown relation %q", s.name, relation)
-	}
-	oldLen, oldVer := len(rel.Rows), rel.Version()
-	if err := rel.Append(t); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	epoch := s.epoch.Add(1)
-	extended := 0
-	if cache := s.db.Indexes(); cache != nil {
-		extended = cache.AppendInPlace(context.Background(), rel, oldLen, oldVer)
-	}
-	s.mu.Unlock()
-	s.notifyAppend(1, extended)
-	if s.log != nil {
-		if err := s.log.AppendRow(relation, t, epoch); err != nil {
-			return fmt.Errorf("scenario %s: row live in memory but not persisted: %w", s.name, err)
-		}
-		s.maybeSnapshotLocked()
-	}
-	return nil
+	return s.appendRows(relation, []engine.Tuple{t}, false)
 }
 
 // AppendRows appends a whole batch of tuples to the named base relation as
@@ -235,6 +209,14 @@ func (s *Scenario) AppendRows(relation string, rows []engine.Tuple) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("scenario %s: empty append batch", s.name)
 	}
+	return s.appendRows(relation, rows, true)
+}
+
+// appendRows is both appends' one body.  Only the WAL record differs: a batch
+// is logged as one AppendRows record, a single row as an AppendRow record —
+// the bytes each has always written, so either commit replays the other's
+// directory.
+func (s *Scenario) appendRows(relation string, rows []engine.Tuple, batch bool) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	s.mu.Lock()
@@ -255,12 +237,20 @@ func (s *Scenario) AppendRows(relation string, rows []engine.Tuple) error {
 	}
 	s.mu.Unlock()
 	s.notifyAppend(len(rows), extended)
-	if s.log != nil {
-		if err := s.log.AppendRows(relation, rows, epoch); err != nil {
-			return fmt.Errorf("scenario %s: rows live in memory but not persisted: %w", s.name, err)
-		}
-		s.maybeSnapshotLocked()
+	if s.log == nil {
+		return nil
 	}
+	var err error
+	what := "row"
+	if batch {
+		err, what = s.log.AppendRows(relation, rows, epoch), "rows"
+	} else {
+		err = s.log.AppendRow(relation, rows[0], epoch)
+	}
+	if err != nil {
+		return fmt.Errorf("scenario %s: %s live in memory but not persisted: %w", s.name, what, err)
+	}
+	s.maybeSnapshotLocked()
 	return nil
 }
 
@@ -386,23 +376,18 @@ func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, to
 }
 
 // EvaluateDelta evaluates a prepared query as the maintaining consumer of the
-// same group list: it builds the delta plan (failing fast with
+// same group list: core.Prepared.Maintain (failing fast with
 // core.ErrNotDeltaMaintainable for plan shapes and methods the delta cannot
-// maintain), runs the full evaluation once keeping each group's distinct
-// tuples, and returns the result together with that maintained state and the
-// epoch the evaluation saw — everything the reconciler needs to enroll the
-// entry.  Answers are bit-identical to EvaluatePrepared's for the same
+// maintain) runs the full evaluation once keeping each group's distinct
+// tuples, and the result comes back together with that maintained state and
+// the epoch the evaluation saw — everything the reconciler needs to enroll
+// the entry.  Answers are bit-identical to EvaluatePrepared's for the same
 // options.
 func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, *core.DeltaState, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ec := opts.Context(ctx)
-	dp, err := core.PrepareDelta(prep, ec, opts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
 	start := time.Now()
-	st, err := dp.EvaluateFull(ec, s.db)
+	st, err := prep.Maintain(opts.Context(ctx), opts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -509,14 +494,8 @@ func (r *Registry) Register(ctx context.Context, name string, target *schema.Sch
 		label = target.Name
 	}
 	s := &Scenario{name: name, target: target, label: label, db: db, maps: maps}
-	if opts.WarmIndexes {
-		if cache := db.Indexes(); cache != nil {
-			built, err := cache.Warm(ctx, engine.NewStats())
-			if err != nil {
-				return nil, fmt.Errorf("register %s: warming indexes: %w", name, err)
-			}
-			s.warmBuilds = built
-		}
+	if err := s.warm(ctx, opts); err != nil {
+		return nil, fmt.Errorf("register %s: %w", name, err)
 	}
 	r.mu.RLock()
 	_, dup := r.scenarios[name]
@@ -538,20 +517,44 @@ func (r *Registry) Register(ctx context.Context, name string, target *schema.Sch
 		}
 		s.log = log
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.scenarios[name]; dup {
+	if err := r.install(s); err != nil {
 		if s.log != nil {
 			_ = s.log.Drop()
 		}
-		return nil, fmt.Errorf("register: scenario %q already registered", name)
+		return nil, fmt.Errorf("register: %w", err)
+	}
+	return s, nil
+}
+
+// warm builds every base-relation index of the scenario's instance when the
+// options ask for it, at registration and at recovery alike.
+func (s *Scenario) warm(ctx context.Context, opts RegisterOptions) error {
+	cache := s.db.Indexes()
+	if !opts.WarmIndexes || cache == nil {
+		return nil
+	}
+	built, err := cache.Warm(ctx, engine.NewStats())
+	if err != nil {
+		return fmt.Errorf("warming indexes: %w", err)
+	}
+	s.warmBuilds = built
+	return nil
+}
+
+// install makes the scenario servable under its name, handing it the
+// registry's observer, unless the name is taken.
+func (r *Registry) install(s *Scenario) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.scenarios[s.name]; dup {
+		return fmt.Errorf("scenario %q already registered", s.name)
 	}
 	if r.obs != nil {
 		o := r.obs
 		s.obs.Store(&o)
 	}
-	r.scenarios[name] = s
-	return s, nil
+	r.scenarios[s.name] = s
+	return nil
 }
 
 // Drop removes a scenario from the registry and, with a store attached,
@@ -611,26 +614,12 @@ func (r *Registry) Recover(ctx context.Context, opts RegisterOptions) (*Recovery
 			quarantined = append(quarantined, store.QuarantinedScenario{Name: rs.State.Name, Err: err})
 			continue
 		}
-		if opts.WarmIndexes {
-			if cache := s.db.Indexes(); cache != nil {
-				built, err := cache.Warm(ctx, engine.NewStats())
-				if err != nil {
-					return nil, fmt.Errorf("recover %s: warming indexes: %w", s.name, err)
-				}
-				s.warmBuilds = built
-			}
+		if err := s.warm(ctx, opts); err != nil {
+			return nil, fmt.Errorf("recover %s: %w", s.name, err)
 		}
-		r.mu.Lock()
-		if _, dup := r.scenarios[s.name]; dup {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("recover: scenario %q already registered", s.name)
+		if err := r.install(s); err != nil {
+			return nil, fmt.Errorf("recover: %w", err)
 		}
-		if r.obs != nil {
-			o := r.obs
-			s.obs.Store(&o)
-		}
-		r.scenarios[s.name] = s
-		r.mu.Unlock()
 		stats.Scenarios++
 		stats.ReplayedRecords += rs.Replayed
 	}

@@ -12,8 +12,6 @@ import (
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/engine"
-	"github.com/probdb/urm/internal/qos"
-	"github.com/probdb/urm/internal/shard"
 )
 
 // ShardIdentity declares that this server holds one shard slice of a
@@ -146,66 +144,30 @@ func wireTuple(vals []WireValue) engine.Tuple {
 // transport-free core handleScatter wraps, like Do for /v1/query.
 func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterResponse, error) {
 	s.metrics.scatters.Add(1)
-	if !s.enter() {
-		s.metrics.unavailable.Add(1)
-		return nil, apiErr(http.StatusServiceUnavailable, ErrDraining)
+	if err := s.admit(); err != nil {
+		return nil, err
 	}
 	defer s.leave()
-	if s.recovering.Load() {
-		s.metrics.unavailable.Add(1)
-		return nil, apiErr(http.StatusServiceUnavailable, ErrRecovering)
-	}
 	start := time.Now()
-	if req.Scenario == "" {
-		return nil, errBadRequest("missing scenario")
-	}
-	sc, ok := s.registry.Get(req.Scenario)
-	if !ok {
-		if qerr, quarantined := s.registry.QuarantineReason(req.Scenario); quarantined {
-			s.metrics.unavailable.Add(1)
-			return nil, apiErr(http.StatusServiceUnavailable, fmt.Errorf("%w: %q: %v", ErrQuarantined, req.Scenario, qerr))
-		}
-		return nil, apiErr(http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownScenario, req.Scenario))
-	}
-	method := core.MethodOSharing
-	if req.Method != "" {
-		var err error
-		if method, err = core.ParseMethod(req.Method); err != nil {
-			return nil, errBadRequest("%w: %v", core.ErrBadOptions, err)
-		}
-	}
-	parseStart := time.Now()
-	prep, canonical, reused, err := sc.Prepare(req.Query)
+	sc, err := s.resolve(req.Scenario, req.Query)
 	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, err)
+		return nil, err
 	}
-	if reused {
-		s.metrics.preparedReuses.Add(1)
-	} else {
-		s.metrics.preparedBuilds.Add(1)
-		s.metrics.stageParse.Observe(time.Since(parseStart))
+	method, err := parseMethod(req.Method)
+	if err != nil {
+		return nil, err
 	}
-
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	prep, canonical, err := s.prepare(sc, req.Query)
+	if err != nil {
+		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := withDeadline(ctx, s.cfg.RequestTimeout, req.TimeoutMS)
 	defer cancel()
 
 	// Scatter executions spend the same evaluation capacity as /v1/query
 	// evaluations, so they queue for the same slots; a saturated node answers
-	// 429 with the queue-wait budget as its Retry-After and the coordinator's
-	// backoff takes it from there.
-	wait, err := s.queue.Acquire(ctx, "scatter", 1, s.cfg.QueueWait)
-	s.metrics.queueWait.Observe(wait)
-	if err != nil {
-		if errors.Is(err, qos.ErrSaturated) {
-			return nil, apiErrRetry(http.StatusTooManyRequests, s.cfg.QueueWait,
-				fmt.Errorf("%w: no evaluation slot within %v", ErrOverloaded, s.cfg.QueueWait))
-		}
+	// 429 and the coordinator's backoff takes it from there.
+	if _, err := s.acquire(ctx, "scatter", 1); err != nil {
 		return nil, err
 	}
 	defer s.queue.Release()
@@ -221,23 +183,16 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 		s.metrics.evalErrors.Add(1)
 		return nil, err
 	}
-	if sh := s.cfg.Shard; sh != nil && sh.Count > 1 {
-		for _, g := range sp.Groups {
-			if g.Plan != nil && !shard.Distributable(g.Plan, sh.Relation) {
-				return nil, apiErr(http.StatusUnprocessableEntity,
-					fmt.Errorf("%w: a reformulated plan self-joins or aggregates the partitioned relation %q", ErrNotDistributable, sh.Relation))
-			}
-		}
+	if sh := s.cfg.Shard; sh != nil && sh.Count > 1 && !sp.DistributesOver(sh.Relation) {
+		return nil, apiErr(http.StatusUnprocessableEntity,
+			fmt.Errorf("%w: a reformulated plan self-joins or aggregates the partitioned relation %q", ErrNotDistributable, sh.Relation))
 	}
 	run, err := sp.ExecuteOn(ec, sc.DB())
 	if err != nil {
 		s.metrics.evalErrors.Add(1)
 		return nil, err
 	}
-	s.metrics.indexBuilds.Add(int64(run.Stats.IndexBuilds()))
-	s.metrics.indexLookups.Add(int64(run.Stats.IndexLookups()))
-	s.metrics.operators.Add(int64(run.Stats.TotalOperators()))
-	s.metrics.stageExecute.Observe(run.ExecTime)
+	s.recordRun(run.Stats, run.ExecTime)
 
 	resp := &ScatterResponse{
 		Scenario:     sc.Name(),
@@ -264,15 +219,8 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 }
 
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req ScatterRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	resp, err := s.Scatter(r.Context(), req)

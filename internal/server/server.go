@@ -403,15 +403,10 @@ func errBadRequest(format string, args ...any) error {
 // deadline.  Returned errors are *apiError when they carry an HTTP status.
 func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	s.metrics.requests.Add(1)
-	if !s.enter() {
-		s.metrics.unavailable.Add(1)
-		return nil, apiErr(http.StatusServiceUnavailable, ErrDraining)
+	if err := s.admit(); err != nil {
+		return nil, err
 	}
 	defer s.leave()
-	if s.recovering.Load() {
-		s.metrics.unavailable.Add(1)
-		return nil, apiErr(http.StatusServiceUnavailable, ErrRecovering)
-	}
 	if s.cfg.BeforeQuery != nil {
 		s.cfg.BeforeQuery(&req)
 	}
@@ -427,8 +422,6 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		var ae *apiError
 		switch {
-		case errors.Is(err, ErrQuarantined):
-			s.metrics.unavailable.Add(1)
 		case errors.As(err, &ae) && ae.status == http.StatusTooManyRequests:
 			s.metrics.rejected.Add(1)
 		case errors.Is(err, ErrDeadlineTooShort):
@@ -444,29 +437,16 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 
 func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	start := time.Now()
-	if req.Scenario == "" {
-		return nil, errBadRequest("missing scenario")
+	sc, err := s.resolve(req.Scenario, req.Query)
+	if err != nil {
+		return nil, err
 	}
-	sc, ok := s.registry.Get(req.Scenario)
-	if !ok {
-		if qerr, quarantined := s.registry.QuarantineReason(req.Scenario); quarantined {
-			return nil, apiErr(http.StatusServiceUnavailable, fmt.Errorf("%w: %q: %v", ErrQuarantined, req.Scenario, qerr))
-		}
-		return nil, apiErr(http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownScenario, req.Scenario))
-	}
-	if strings.TrimSpace(req.Query) == "" {
-		return nil, apiErr(http.StatusBadRequest, fmt.Errorf("%w: missing query", query.ErrBadQuery))
-	}
-	method := core.MethodOSharing
-	if req.Method != "" {
-		var err error
-		if method, err = core.ParseMethod(req.Method); err != nil {
-			return nil, errBadRequest("%w: %v", core.ErrBadOptions, err)
-		}
+	method, err := parseMethod(req.Method)
+	if err != nil {
+		return nil, err
 	}
 	strategy := core.StrategySEF
 	if req.Strategy != "" {
-		var err error
 		if strategy, err = core.ParseStrategy(req.Strategy); err != nil {
 			return nil, errBadRequest("%w: %v", core.ErrBadOptions, err)
 		}
@@ -480,29 +460,11 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	}
 	tc := s.tenants.get(adm.tenant)
 	tc.requests.Add(1)
-	// The prepared-query cache makes answer-cache *misses* cheap too: the
-	// first sight of (epoch, query text) parses, reformulates through every
-	// mapping and compiles plans; every later request — even with a cold
-	// answer cache — skips straight to execution.
-	parseStart := time.Now()
-	prep, canonical, reused, err := sc.Prepare(req.Query)
+	prep, canonical, err := s.prepare(sc, req.Query)
 	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, err)
+		return nil, err
 	}
-	if reused {
-		s.metrics.preparedReuses.Add(1)
-	} else {
-		s.metrics.preparedBuilds.Add(1)
-		s.metrics.stageParse.Observe(time.Since(parseStart))
-	}
-
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := withDeadline(ctx, s.cfg.RequestTimeout, req.TimeoutMS)
 	defer cancel()
 
 	// The epoch is read once per request: a mutation racing this request
@@ -523,12 +485,12 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	// capture is race-free.
 	var queueWait time.Duration
 	res, outcome, err := s.cache.GetOrCompute(ctx, key, func() (*core.Result, error) {
-		r, wait, err := s.evaluate(ctx, sc, prep, canonical, method, strategy, req.TopK, adm)
+		r, wait, err := s.evaluate(ctx, sc, prep, key, adm)
 		queueWait = wait
 		return r, err
 	})
 	if err != nil {
-		if resp := s.tryStale(key, sc, adm, method, strategy, req.TopK, start, err); resp != nil {
+		if resp := s.tryStale(key, sc, adm, start, err); resp != nil {
 			return resp, nil
 		}
 		return nil, err
@@ -536,22 +498,28 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	if outcome == OutcomeHit {
 		tc.cacheHits.Add(1)
 	}
+	resp := response(key, key.Epoch, res, start)
+	resp.Cached, resp.Coalesced = outcome == OutcomeHit, outcome == OutcomeCoalesced
+	resp.QueueWaitMS = float64(queueWait.Microseconds()) / 1000
+	return resp, nil
+}
+
+// response is the body answering key's question with res, a result of the
+// given epoch, for a request that started at start.
+func response(key CacheKey, epoch uint64, res *core.Result, start time.Time) *Response {
 	return &Response{
-		Scenario:    sc.Name(),
-		Epoch:       key.Epoch,
-		Query:       canonical,
-		Method:      method.String(),
-		Strategy:    strategy.String(),
-		TopK:        req.TopK,
-		Columns:     res.Columns,
-		Answers:     answersJSON(res),
-		EmptyProb:   res.EmptyProb,
-		Cached:      outcome == OutcomeHit,
-		Coalesced:   outcome == OutcomeCoalesced,
-		QueueWaitMS: float64(queueWait.Microseconds()) / 1000,
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-		Result:      res,
-	}, nil
+		Scenario:  key.Scenario,
+		Epoch:     epoch,
+		Query:     key.Query,
+		Method:    key.Method.String(),
+		Strategy:  key.Strategy.String(),
+		TopK:      key.TopK,
+		Columns:   res.Columns,
+		Answers:   answersJSON(res),
+		EmptyProb: res.EmptyProb,
+		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		Result:    res,
+	}
 }
 
 // tryStale is the last rung of the shed ladder: when the request was shed for
@@ -560,7 +528,7 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 // provided every epoch since was an append (Scenario.StaleFloor).  The entry
 // is an immutable, fully materialized result some earlier request was served
 // fresh, so degradation never exposes a torn answer.
-func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, method core.Method, strategy core.Strategy, topK int, start time.Time, cause error) *Response {
+func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, start time.Time, cause error) *Response {
 	if s.cfg.DisableStaleServe {
 		return nil
 	}
@@ -581,21 +549,9 @@ func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, method core
 		s.metrics.staleWindow.Store(int64(key.Epoch - epoch))
 		s.tenants.get(adm.tenant).staleServed.Add(1)
 	}
-	return &Response{
-		Scenario:  key.Scenario,
-		Epoch:     epoch,
-		Query:     key.Query,
-		Method:    method.String(),
-		Strategy:  strategy.String(),
-		TopK:      topK,
-		Columns:   res.Columns,
-		Answers:   answersJSON(res),
-		EmptyProb: res.EmptyProb,
-		Cached:    true,
-		Stale:     stale,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Result:    res,
-	}
+	resp := response(key, epoch, res, start)
+	resp.Cached, resp.Stale = true, stale
+	return resp
 }
 
 // evaluate runs one evaluation under the shed ladder, and reports the
@@ -610,7 +566,7 @@ func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, method core
 // The ladder sits inside the cache's compute callback on purpose: cache hits
 // and coalesced waiters consume no evaluation capacity, so they are admitted
 // unconditionally and only actual evaluations spend tokens and slots.
-func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared, canonical string, method core.Method, strategy core.Strategy, topK int, adm admission) (*core.Result, time.Duration, error) {
+func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared, key CacheKey, adm admission) (*core.Result, time.Duration, error) {
 	tc := s.tenants.get(adm.tenant)
 	if s.limiter != nil {
 		if ok, retryAfter := s.limiter.Admit(adm.tenant); !ok {
@@ -630,14 +586,11 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 			}
 		}
 	}
-	wait, err := s.queue.Acquire(ctx, adm.tenant, adm.weight, s.cfg.QueueWait)
-	s.metrics.queueWait.Observe(wait)
+	wait, err := s.acquire(ctx, adm.tenant, adm.weight)
 	tc.queueWait.Observe(wait)
 	if err != nil {
-		if errors.Is(err, qos.ErrSaturated) {
+		if errors.Is(err, ErrOverloaded) {
 			tc.shedQueueTimeout.Add(1)
-			return nil, wait, apiErrRetry(http.StatusTooManyRequests, s.cfg.QueueWait,
-				fmt.Errorf("%w: no evaluation slot within %v", ErrOverloaded, s.cfg.QueueWait))
 		}
 		return nil, wait, err
 	}
@@ -652,9 +605,9 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 		f.SlowEvaluation(adm.tenant)
 	}
 	evalStart := s.clock.Now()
-	opts := core.Options{Method: method, Strategy: strategy, Parallelism: s.cfg.Parallelism}
+	opts := core.Options{Method: key.Method, Strategy: key.Strategy, Parallelism: s.cfg.Parallelism}
 	var res *core.Result
-	if s.maintainer != nil && topK == 0 {
+	if s.maintainer != nil && key.TopK == 0 {
 		// Delta-first: evaluate through the scatter form and keep the per-group
 		// state, so later appends refresh this answer instead of invalidating
 		// it.  Plans the delta cannot maintain (non-SPJ, o-sharing, self-joins)
@@ -664,41 +617,165 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 		res, st, epoch, err = sc.EvaluateDelta(ctx, prep, opts)
 		switch {
 		case err == nil:
-			if !s.maintainer.Enroll(sc, canonical, method, strategy, st, epoch) {
+			if !s.maintainer.Enroll(sc, key.Query, key.Method, key.Strategy, st, epoch) {
 				s.metrics.deltaFallbacks.Add(1)
 			}
 		case errors.Is(err, core.ErrNotDeltaMaintainable):
 			s.metrics.deltaFallbacks.Add(1)
-			res, err = sc.EvaluatePrepared(ctx, prep, topK, opts)
+			res, err = sc.EvaluatePrepared(ctx, prep, key.TopK, opts)
 		}
 	} else {
-		res, err = sc.EvaluatePrepared(ctx, prep, topK, opts)
+		res, err = sc.EvaluatePrepared(ctx, prep, key.TopK, opts)
 	}
 	if err != nil {
 		s.metrics.evalErrors.Add(1)
 		return nil, wait, err
 	}
 	s.latencyFor(sc.Name()).Observe(s.clock.Now().Sub(evalStart))
-	s.metrics.indexBuilds.Add(int64(res.Stats.IndexBuilds()))
-	s.metrics.indexLookups.Add(int64(res.Stats.IndexLookups()))
-	s.metrics.operators.Add(int64(res.Stats.TotalOperators()))
+	s.recordRun(res.Stats, res.ExecTime)
 	s.metrics.stageReformulate.Observe(res.RewriteTime)
-	s.metrics.stageExecute.Observe(res.ExecTime)
 	s.metrics.stageMerge.Observe(res.AggregateTime)
 	return res, wait, nil
 }
 
-// enter admits a request unless the server is draining; every admitted
-// request is tracked so Drain can wait for it.
-func (s *Server) enter() bool {
+// decodeBody opens every POST route: 405 for any other method, before a body
+// is read, then the JSON body (1 MiB at most, no unknown fields, untyped
+// numbers as json.Number) into v.  It reports false after answering an error.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+		return false
+	}
+	return true
+}
+
+// admit lets a request in unless the server is draining or still recovering
+// (503 either way).  Every admitted request is tracked, so Drain can wait for
+// it, until it calls leave.
+func (s *Server) admit() error {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
-	if s.drainSet {
-		return false
+	switch {
+	case s.drainSet:
+		s.metrics.unavailable.Add(1)
+		return apiErr(http.StatusServiceUnavailable, ErrDraining)
+	case s.recovering.Load():
+		s.metrics.unavailable.Add(1)
+		return apiErr(http.StatusServiceUnavailable, ErrRecovering)
 	}
 	s.wg.Add(1)
 	s.metrics.inflight.Add(1)
-	return true
+	return nil
+}
+
+// checkNames is what a query-shaped request must carry before anything reads
+// it: a scenario name and a query that is not blank.
+func checkNames(scenario, text string) error {
+	if scenario == "" {
+		return errBadRequest("missing scenario")
+	}
+	if strings.TrimSpace(text) == "" {
+		return errBadRequest("%w: missing query", query.ErrBadQuery)
+	}
+	return nil
+}
+
+// scenario resolves a scenario by name: 503 when recovery quarantined it
+// (counted as unavailable), 404 when no scenario has the name.
+func (s *Server) scenario(name string) (*Scenario, error) {
+	if sc, ok := s.registry.Get(name); ok {
+		return sc, nil
+	}
+	if qerr, quarantined := s.registry.QuarantineReason(name); quarantined {
+		s.metrics.unavailable.Add(1)
+		return nil, apiErr(http.StatusServiceUnavailable, fmt.Errorf("%w: %q: %v", ErrQuarantined, name, qerr))
+	}
+	return nil, apiErr(http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownScenario, name))
+}
+
+// resolve is checkNames on a node, which also looks a named scenario up —
+// before the query is checked, so an unknown scenario is 404 whatever the
+// query says.
+func (s *Server) resolve(name, text string) (sc *Scenario, err error) {
+	if name != "" {
+		if sc, err = s.scenario(name); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkNames(name, text); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// parseMethod reads a request's method name; none selects o-sharing.
+func parseMethod(name string) (core.Method, error) {
+	if name == "" {
+		return core.MethodOSharing, nil
+	}
+	m, err := core.ParseMethod(name)
+	if err != nil {
+		return 0, errBadRequest("%w: %v", core.ErrBadOptions, err)
+	}
+	return m, nil
+}
+
+// prepare is the prepared-query cache lookup and its accounting.  The cache
+// makes answer-cache *misses* cheap too: the first sight of (epoch, query
+// text) parses, reformulates through every mapping and compiles plans; every
+// later request — even with a cold answer cache — skips straight to
+// execution.
+func (s *Server) prepare(sc *Scenario, text string) (*core.Prepared, string, error) {
+	start := time.Now()
+	prep, canonical, reused, err := sc.Prepare(text)
+	if err != nil {
+		return nil, "", apiErr(http.StatusBadRequest, err)
+	}
+	if reused {
+		s.metrics.preparedReuses.Add(1)
+	} else {
+		s.metrics.preparedBuilds.Add(1)
+		s.metrics.stageParse.Observe(time.Since(start))
+	}
+	return prep, canonical, nil
+}
+
+// acquire waits for an evaluation slot, the capacity /v1/query evaluations
+// and scatters share; 429 with the queue-wait budget as Retry-After when none
+// frees up in time.  The caller releases the slot it got.
+func (s *Server) acquire(ctx context.Context, tenant string, weight float64) (time.Duration, error) {
+	wait, err := s.queue.Acquire(ctx, tenant, weight, s.cfg.QueueWait)
+	s.metrics.queueWait.Observe(wait)
+	if errors.Is(err, qos.ErrSaturated) {
+		err = apiErrRetry(http.StatusTooManyRequests, s.cfg.QueueWait,
+			fmt.Errorf("%w: no evaluation slot within %v", ErrOverloaded, s.cfg.QueueWait))
+	}
+	return wait, err
+}
+
+// withDeadline bounds a request by limit, or by its timeout_ms when that is
+// shorter: a request may ask for less time, never more.
+func withDeadline(ctx context.Context, limit time.Duration, timeoutMS int) (context.Context, context.CancelFunc) {
+	if d := time.Duration(timeoutMS) * time.Millisecond; timeoutMS > 0 && d < limit {
+		limit = d
+	}
+	return context.WithTimeout(ctx, limit)
+}
+
+// recordRun adds one run's operator statistics and execution time to the
+// counters.
+func (s *Server) recordRun(stats *engine.Stats, exec time.Duration) {
+	s.metrics.indexBuilds.Add(int64(stats.IndexBuilds()))
+	s.metrics.indexLookups.Add(int64(stats.IndexLookups()))
+	s.metrics.operators.Add(int64(stats.TotalOperators()))
+	s.metrics.stageExecute.Observe(exec)
 }
 
 func (s *Server) leave() {
@@ -770,15 +847,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// Headers carry the QoS identity so callers can route without touching
@@ -837,77 +907,50 @@ type BumpRequest struct {
 	Scenario string `json:"scenario"`
 }
 
-// mutableScenario runs the shared admission checks for the mutation
-// endpoints and resolves the target scenario.  It returns nil after writing
-// the error response itself.
-func (s *Server) mutableScenario(w http.ResponseWriter, r *http.Request, name string) (*Scenario, func()) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return nil, nil
+// mutableScenario admits a mutation and resolves its scenario; the admitted
+// caller leaves when done.
+func (s *Server) mutableScenario(name string) (*Scenario, error) {
+	if err := s.admit(); err != nil {
+		return nil, err
 	}
-	if !s.enter() {
-		s.metrics.unavailable.Add(1)
-		writeError(w, http.StatusServiceUnavailable, ErrDraining.Error())
-		return nil, nil
-	}
-	if s.recovering.Load() {
+	sc, err := s.scenario(name)
+	if err != nil {
 		s.leave()
-		s.metrics.unavailable.Add(1)
-		writeError(w, http.StatusServiceUnavailable, ErrRecovering.Error())
-		return nil, nil
 	}
-	sc, ok := s.registry.Get(name)
-	if !ok {
-		s.leave()
-		if qerr, quarantined := s.registry.QuarantineReason(name); quarantined {
-			s.metrics.unavailable.Add(1)
-			writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("%v: %q: %v", ErrQuarantined, name, qerr))
-			return nil, nil
-		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("%v: %q", ErrUnknownScenario, name))
-		return nil, nil
-	}
-	return sc, s.leave
+	return sc, err
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req AppendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if (req.Values != nil) == (req.Rows != nil) {
 		writeError(w, http.StatusBadRequest, "exactly one of values and rows must be set")
 		return
 	}
-	var rows []engine.Tuple
+	batch := req.Rows
 	if req.Values != nil {
-		row, err := tupleFromJSON(req.Values)
+		batch = [][]any{req.Values}
+	}
+	rows := make([]engine.Tuple, len(batch))
+	for i, values := range batch {
+		row, err := tupleFromJSON(values)
 		if err != nil {
+			if req.Rows != nil {
+				err = fmt.Errorf("rows[%d]: %v", i, err)
+			}
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		rows = []engine.Tuple{row}
-	} else {
-		rows = make([]engine.Tuple, len(req.Rows))
-		for i, values := range req.Rows {
-			row, err := tupleFromJSON(values)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("rows[%d]: %v", i, err))
-				return
-			}
-			rows[i] = row
-		}
+		rows[i] = row
 	}
-	sc, leave := s.mutableScenario(w, r, req.Scenario)
-	if sc == nil {
+	sc, err := s.mutableScenario(req.Scenario)
+	if err != nil {
+		writeAPIError(w, err)
 		return
 	}
-	defer leave()
-	var err error
+	defer s.leave()
 	if req.Values != nil {
 		err = sc.AppendRow(req.Relation, rows[0])
 	} else {
@@ -933,17 +976,15 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBump(w http.ResponseWriter, r *http.Request) {
 	var req BumpRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	sc, leave := s.mutableScenario(w, r, req.Scenario)
-	if sc == nil {
+	sc, err := s.mutableScenario(req.Scenario)
+	if err != nil {
+		writeAPIError(w, err)
 		return
 	}
-	defer leave()
+	defer s.leave()
 	epoch := sc.Bump()
 	if err := sc.PersistErr(); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("epoch bumped in memory but not persisted: %v", err))

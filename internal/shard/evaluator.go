@@ -12,49 +12,6 @@ import (
 	"github.com/probdb/urm/internal/exec"
 )
 
-// Distributable reports whether a plan distributes over a horizontal
-// partition of the named relation, i.e. whether
-//
-//	Q(R1 ⊎ ... ⊎ Rn, S, ...) = Q(R1, S, ...) ∪ ... ∪ Q(Rn, S, ...)
-//
-// holds as a set equality.  It does when the plan scans the partitioned
-// relation at most once — a join or product referencing it twice (a
-// self-join) pairs rows across shard boundaries, which per-shard evaluation
-// never sees — and contains no aggregate, because an aggregate of a union is
-// not the union of per-shard aggregates.  Materialized inputs are rejected
-// too: their provenance is unknown, so they may embed pre-partition state.
-// Plans over only replicated relations are distributable — every shard
-// returns the same answers and the merge's per-group dedup collapses them.
-func Distributable(plan engine.Plan, relation string) bool {
-	refs, ok := scanRefs(plan, relation)
-	return ok && refs <= 1
-}
-
-// scanRefs counts scans of the named relation and reports false on any node
-// that breaks distribution.
-func scanRefs(plan engine.Plan, relation string) (int, bool) {
-	switch n := plan.(type) {
-	case *engine.AggregatePlan:
-		return 0, false
-	case *engine.MaterialPlan:
-		return 0, false
-	case *engine.ScanPlan:
-		if n.Relation == relation {
-			return 1, true
-		}
-		return 0, true
-	}
-	refs := 0
-	for _, c := range plan.Children() {
-		r, ok := scanRefs(c, relation)
-		if !ok {
-			return 0, false
-		}
-		refs += r
-	}
-	return refs, true
-}
-
 // Evaluator evaluates prepared queries by scatter-gather over shard
 // instances.  It partitions the instance once (re-slicing lazily when the
 // partitioned relation's rows change) and is safe for concurrent use.
@@ -155,10 +112,8 @@ func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range sp.Groups {
-		if g.Plan != nil && !Distributable(g.Plan, ev.part.Spec().Relation) {
-			return fallback()
-		}
+	if !sp.DistributesOver(ev.part.Spec().Relation) {
+		return fallback()
 	}
 	shards, err := ev.instances()
 	if err != nil {

@@ -277,28 +277,3 @@ func TestShardErrorFailsCleanly(t *testing.T) {
 		t.Fatalf("scatter over a broken shard returned partial runs alongside the error")
 	}
 }
-
-// TestDistributable pins the plan classification.
-func TestDistributable(t *testing.T) {
-	scan := func(rel string) engine.Plan { return &engine.ScanPlan{Relation: rel} }
-	join := &engine.JoinPlan{LeftCol: "a", RightCol: "b", Left: scan("Orders"), Right: scan("Customer")}
-	selfJoin := &engine.JoinPlan{LeftCol: "a", RightCol: "b", Left: scan("Orders"), Right: scan("Orders")}
-	agg := &engine.AggregatePlan{Child: scan("Orders")}
-	cases := []struct {
-		name string
-		plan engine.Plan
-		want bool
-	}{
-		{"single scan", scan("Orders"), true},
-		{"replicated only", scan("Customer"), true},
-		{"join single ref", join, true},
-		{"self join", selfJoin, false},
-		{"aggregate", agg, false},
-		{"distinct over join", &engine.DistinctPlan{Child: join}, true},
-	}
-	for _, c := range cases {
-		if got := Distributable(c.plan, "Orders"); got != c.want {
-			t.Errorf("%s: Distributable = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
