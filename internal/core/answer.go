@@ -60,14 +60,15 @@ type Result struct {
 	// RewriteTime, ExecTime and AggregateTime break the evaluation down into
 	// the phases reported in Figure 10(a).  RewriteTime is the wall time of
 	// the front half — reformulating through the mappings, clustering, the
-	// MQO pass, partitioning — and is reported by the one execution whose
-	// call built it: zero whenever a Prepared's memoized front half was
-	// reused.  Source-query execution that fans out over the worker pool
-	// (the group plans of basic, e-basic, e-MQO and q-sharing) sums the
-	// per-group durations, so with Options.Parallelism > 1 ExecTime is CPU
-	// time — for e-MQO including the time a worker waits for a subexpression
-	// another is computing — and the phases' sum can exceed TotalTime; at
-	// Parallelism 1 every field is the wall-clock phase time as in the paper.
+	// MQO pass, partitioning, planning o-sharing's u-trace — and is reported
+	// by the one execution whose call built it: zero whenever a Prepared's
+	// memoized front half was reused.  Execution that fans out over the worker
+	// pool (the group plans of basic, e-basic, e-MQO and q-sharing,
+	// o-sharing's operators) sums the per-group or per-operator durations, so
+	// with Options.Parallelism > 1 ExecTime is CPU time — for e-MQO including
+	// the time a worker waits for a subexpression another is computing — and
+	// the phases' sum can exceed TotalTime; at Parallelism 1 every field is
+	// the wall-clock phase time as in the paper.
 	RewriteTime   time.Duration
 	ExecTime      time.Duration
 	AggregateTime time.Duration
@@ -181,11 +182,6 @@ func (g *aggregator) addRows(rows []engine.Tuple, prob float64) {
 	firstSeen(engine.NewTupleSet(len(rows)), rows, func(h uint64, row engine.Tuple) {
 		g.addHashed(h, row, prob)
 	})
-}
-
-// addRelation is addRows over a relation's rows.
-func (g *aggregator) addRelation(rel *engine.Relation, prob float64) {
-	g.addRows(rel.Rows, prob)
 }
 
 // addEmpty records probability mass for the empty (θ) answer.

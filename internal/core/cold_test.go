@@ -27,10 +27,11 @@ func QSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engi
 	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodQSharing, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
 }
 
-func OSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, oo OSharingOptions) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodOSharing, Strategy: oo.Strategy, RandomSeed: oo.RandomSeed, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+// OSharing and TopK read the strategy and seed from opts.
+func OSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, opts Options) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodOSharing, Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
 }
 
-func TopK(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, k int, oo OSharingOptions) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateTopKContext(ec.Ctx(), q, k, Options{Strategy: oo.Strategy, RandomSeed: oo.RandomSeed, BatchSize: ec.Batch()})
+func TopK(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, k int, opts Options) (*Result, error) {
+	return NewEvaluator(db, maps).EvaluateTopKContext(ec.Ctx(), q, k, Options{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, BatchSize: ec.Batch()})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -199,5 +200,95 @@ func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 		if res.RewriteTime != 0 {
 			t.Errorf("%s: an execution after Scatter built the plan reports RewriteTime %v", m, res.RewriteTime)
 		}
+	}
+}
+
+// TestUTraceIsPlannedOncePerStrategy pins the key o-sharing's u-trace is
+// memoized under: the strategy, and the seed under Random only.  Top-k walks
+// the trace o-sharing planned, so of a sequence of executions exactly those
+// that meet a new key plan one and report a rewrite phase.
+func TestUTraceIsPlannedOncePerStrategy(t *testing.T) {
+	q := mustParse(t, "q", "SELECT phone FROM Person WHERE addr = 'aaa'")
+	prep, err := NewEvaluator(paperInstance(), mappingSetTimes8(t)).Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []struct {
+		topk    bool
+		opts    Options
+		planned bool
+	}{
+		{false, Options{Method: MethodOSharing}, true},
+		{false, Options{Method: MethodOSharing}, false},
+		{true, Options{}, false},
+		{true, Options{Strategy: StrategySNF}, true},
+		{false, Options{Method: MethodOSharing, Strategy: StrategySNF}, false},
+		{false, Options{Method: MethodOSharing, Strategy: StrategyRandom, RandomSeed: 7}, true},
+		{true, Options{Strategy: StrategyRandom, RandomSeed: 7}, false},
+		{false, Options{Method: MethodOSharing, Strategy: StrategyRandom, RandomSeed: 8}, true},
+		{false, Options{Method: MethodOSharing, Strategy: StrategySEF, RandomSeed: 8}, false},
+	} {
+		res, err := prep.Execute(step.opts)
+		if step.topk {
+			res, err = prep.ExecuteTopK(2, step.opts)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if step.planned != (res.RewriteTime > 0) {
+			t.Errorf("step %d (top-k %v, %s, seed %d): RewriteTime = %v, want > 0 only when it plans a trace (%v)",
+				i, step.topk, step.opts.Strategy, step.opts.RandomSeed, res.RewriteTime, step.planned)
+		}
+	}
+	if n := len(prep.traces); n != 4 {
+		t.Errorf("%d traces planned, want 4: SEF, SNF, Random seeded 7 and 8", n)
+	}
+
+	// Concurrent executions on a fresh Prepared share one trace per strategy:
+	// exactly one of them plans it, and every one walks it to the sequential
+	// answers.
+	fresh, err := NewEvaluator(paperInstance(), mappingSetTimes8(t)).Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies := []Strategy{StrategySEF, StrategySNF, StrategyRandom}
+	want := make([][2]*Result, len(strategies))
+	for i, st := range strategies {
+		opts := Options{Method: MethodOSharing, Strategy: st, Parallelism: 1}
+		if want[i][0], err = prep.Execute(opts); err == nil {
+			want[i][1], err = prep.ExecuteTopK(2, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*Result, 12)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			opts := Options{Method: MethodOSharing, Strategy: strategies[w%len(strategies)], Parallelism: 4}
+			if w%2 == 0 {
+				got[w], errs[w] = fresh.Execute(opts)
+			} else {
+				got[w], errs[w] = fresh.ExecuteTopK(2, opts)
+			}
+		}(w)
+	}
+	wg.Wait()
+	planned := 0
+	for w, res := range got {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if res.RewriteTime > 0 {
+			planned++
+		}
+		identicalResults(t, fmt.Sprintf("worker %d", w), want[w%len(strategies)][w%2], res)
+	}
+	if planned != len(strategies) || len(fresh.traces) != len(strategies) {
+		t.Errorf("%d executions planned a trace and %d traces exist, want %d of each", planned, len(fresh.traces), len(strategies))
 	}
 }

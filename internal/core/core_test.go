@@ -248,7 +248,7 @@ func TestOSharingMatchesBasic(t *testing.T) {
 			t.Fatalf("%s: basic: %v", text, err)
 		}
 		for _, strat := range []Strategy{StrategySEF, StrategySNF, StrategyRandom} {
-			got, err := OSharing(exec.Sequential(), q, maps, db, OSharingOptions{Strategy: strat, RandomSeed: 7})
+			got, err := OSharing(exec.Sequential(), q, maps, db, Options{Strategy: strat, RandomSeed: 7})
 			if err != nil {
 				t.Fatalf("%s (%v): %v", text, strat, err)
 			}
@@ -269,7 +269,7 @@ func TestOSharingSharesOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	osRes, err := OSharing(exec.Sequential(), q, maps, db, OSharingOptions{Strategy: StrategySEF})
+	osRes, err := OSharing(exec.Sequential(), q, maps, db, Options{Strategy: StrategySEF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestOSharingEmptyIntermediatePruning(t *testing.T) {
 	// No customer has oaddr or haddr equal to 'nowhere': every branch dies at
 	// the first selection.
 	q := mustParse(t, "q", "SELECT pname FROM Person WHERE addr = 'nowhere' AND phone = '123'")
-	res, err := OSharing(exec.Sequential(), q, maps, db, OSharingOptions{Strategy: StrategySEF})
+	res, err := OSharing(exec.Sequential(), q, maps, db, Options{Strategy: StrategySEF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestOSharingEmptyIntermediatePruning(t *testing.T) {
 	}
 	// A COUNT query over an empty intermediate still returns 0 as an answer.
 	qc := mustParse(t, "qc", "SELECT COUNT(*) FROM Person WHERE addr = 'nowhere'")
-	resc, err := OSharing(exec.Sequential(), qc, maps, db, OSharingOptions{})
+	resc, err := OSharing(exec.Sequential(), qc, maps, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestNotCoveredMappings(t *testing.T) {
 		"e-basic":   func() (*Result, error) { return EBasic(exec.Sequential(), q, maps, db) },
 		"e-MQO":     func() (*Result, error) { return EMQO(exec.Sequential(), q, maps, db) },
 		"q-sharing": func() (*Result, error) { return QSharing(exec.Sequential(), q, maps, db) },
-		"o-sharing": func() (*Result, error) { return OSharing(exec.Sequential(), q, maps, db, OSharingOptions{}) },
+		"o-sharing": func() (*Result, error) { return OSharing(exec.Sequential(), q, maps, db, Options{}) },
 	} {
 		res, err := fn()
 		if err != nil {
@@ -414,7 +414,7 @@ func TestNotCoveredMappings(t *testing.T) {
 	}
 	// pname is not covered only by m5 (probability 0.1).
 	q2 := mustParse(t, "q2", "SELECT pname FROM Person WHERE addr = 'aaa'")
-	res, err := OSharing(exec.Sequential(), q2, maps, db, OSharingOptions{})
+	res, err := OSharing(exec.Sequential(), q2, maps, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,11 +487,11 @@ func TestTopKPaperExample(t *testing.T) {
 	db := paperInstance()
 	q := mustParse(t, "q", "SELECT phone FROM Person WHERE addr = 'aaa'")
 
-	full, err := OSharing(exec.Sequential(), q, maps, db, OSharingOptions{})
+	full, err := OSharing(exec.Sequential(), q, maps, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top1, err := TopK(exec.Sequential(), q, maps, db, 1, OSharingOptions{})
+	top1, err := TopK(exec.Sequential(), q, maps, db, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,12 +525,12 @@ func TestTopKMatchesOSharingOrdering(t *testing.T) {
 	}
 	for _, text := range queries {
 		q := mustParse(t, "q", text)
-		full, err := OSharing(exec.Sequential(), q, maps, db, OSharingOptions{})
+		full, err := OSharing(exec.Sequential(), q, maps, db, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
 		for k := 1; k <= len(full.Answers)+1; k++ {
-			topk, err := TopK(exec.Sequential(), q, maps, db, k, OSharingOptions{})
+			topk, err := TopK(exec.Sequential(), q, maps, db, k, Options{})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", text, k, err)
 			}
@@ -545,11 +545,11 @@ func TestTopKEarlyTermination(t *testing.T) {
 	maps := paperMappings()
 	db := paperInstance()
 	q := mustParse(t, "q", "SELECT addr FROM Person WHERE phone = '123'")
-	full, err := OSharing(exec.Sequential(), q, maps, db, OSharingOptions{})
+	full, err := OSharing(exec.Sequential(), q, maps, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top1, err := TopK(exec.Sequential(), q, maps, db, 1, OSharingOptions{})
+	top1, err := TopK(exec.Sequential(), q, maps, db, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestTopKEarlyTermination(t *testing.T) {
 		t.Errorf("top-1 executed %d operators, full o-sharing %d",
 			top1.Stats.TotalOperators(), full.Stats.TotalOperators())
 	}
-	if _, err := TopK(exec.Sequential(), q, maps, db, 0, OSharingOptions{}); err == nil {
+	if _, err := TopK(exec.Sequential(), q, maps, db, 0, Options{}); err == nil {
 		t.Error("k=0 should error")
 	}
 }
@@ -611,12 +611,12 @@ func TestAggregatorDuplicateRowsWithinMapping(t *testing.T) {
 	rel := engine.NewRelation("R", []string{"v"})
 	rel.MustAppend(engine.Tuple{engine.S("x")})
 	rel.MustAppend(engine.Tuple{engine.S("x")})
-	agg.addRelation(rel, 0.5)
+	agg.addRows(rel.Rows, 0.5)
 	answers := agg.answers()
 	if len(answers) != 1 || !approxEqual(answers[0].Prob, 0.5) {
 		t.Errorf("answers = %v, want single x@0.5", answers)
 	}
-	agg.addRelation(engine.NewRelation("E", []string{"v"}), 0.25)
+	agg.addRows(engine.NewRelation("E", []string{"v"}).Rows, 0.25)
 	if !approxEqual(agg.emptyProb, 0.25) {
 		t.Errorf("empty prob = %g", agg.emptyProb)
 	}
@@ -633,7 +633,7 @@ func TestOSharingUnsupportedShape(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatalf("fixture query invalid: %v", err)
 	}
-	if _, err := OSharing(exec.Sequential(), q, paperMappings(), paperInstance(), OSharingOptions{}); err == nil {
+	if _, err := OSharing(exec.Sequential(), q, paperMappings(), paperInstance(), Options{}); err == nil {
 		t.Error("nested projection should be rejected by o-sharing")
 	}
 	// The basic method still evaluates it.

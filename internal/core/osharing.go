@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/probdb/urm/internal/engine"
@@ -14,58 +15,48 @@ import (
 	"github.com/probdb/urm/internal/schema"
 )
 
-// OSharingOptions tunes the o-sharing evaluation (Sections V–VI).
-type OSharingOptions struct {
-	// Strategy selects the next-operator choice: SEF (default), SNF or Random.
-	Strategy Strategy
-	// RandomSeed seeds the Random strategy; 0 uses a fixed default seed so
-	// runs stay reproducible.
-	RandomSeed int64
-}
-
-// resultSink receives leaf e-unit results as the u-trace is explored.  The
-// plain o-sharing sink aggregates them; the top-k sink maintains probability
-// bounds and can stop the traversal early.
-type resultSink interface {
-	// onAnswers receives the answer relation computed for a leaf e-unit and
-	// the total probability of its mapping set.  It returns true to stop the
-	// whole traversal.
-	onAnswers(rel *engine.Relation, prob float64) bool
-	// onEmpty receives the probability mass of an e-unit whose result is
-	// empty.  It returns true to stop the traversal.
-	onEmpty(prob float64) bool
-}
-
-// collectSink aggregates every answer; it never stops the traversal.
-type collectSink struct {
-	agg *aggregator
-}
-
-func (s *collectSink) onAnswers(rel *engine.Relation, prob float64) bool {
-	s.agg.addRelation(rel, prob)
-	return false
-}
-
-func (s *collectSink) onEmpty(prob float64) bool {
-	s.agg.addEmpty(prob)
-	return false
-}
-
-// osharingPrep is the precomputed front half of an o-sharing (or top-k)
-// evaluation: the normalized target query and the representative mappings of
-// the top-level partition tree (Steps 1–2 of Algorithm 2).  Everything in it
-// is read-only during the u-trace traversal, so one prep may back any number
-// of concurrent executions.
-type osharingPrep struct {
+// uTrace is o-sharing's u-trace (Algorithm 2) planned over the mapping set
+// alone.  Which operator runs next in an e-unit, and how the e-unit's mappings
+// split for it, depend only on which operators are done, which relation
+// occurrences share a fragment and which fragments are materialized — never on
+// rows — so a Prepared plans the trace once per (query, strategy, seed) and
+// every execution walks it: query rewriting and execution interleave over
+// e-units, and the result of one source operator is shared by every mapping
+// that translates the target operator identically, even when the mappings
+// differ elsewhere.  Only Case 2 (an empty fragment prunes the subtree below
+// it) and a leaf's emptiness depend on the data.  A trace is read-only once
+// planned, so any number of executions may walk it at once.
+type uTrace struct {
 	nq   *normalizedQuery
-	reps schema.MappingSet
+	root *traceNode
 }
 
-// prepareOSharing computes the o-sharing front half: it normalizes the query
-// into the operator/fragment form e-units manipulate and partitions the
-// mapping set, cloning one representative per partition with the partition's
-// total probability.
-func prepareOSharing(q *query.Query, maps schema.MappingSet) (*osharingPrep, error) {
+// traceNode is one e-unit of a planned u-trace: the partition of its parent's
+// mappings it holds — representative, mappings, mass — reached by running op
+// for the representative.  Its children run the operator chosen next, once per
+// partition of its mappings, in visit order.  A node without children is a
+// leaf: every operator has run, or the partition's mappings do not cover op
+// (uncovered) and the leaf runs nothing at all.  The root holds the top-level
+// representatives and no op.
+type traceNode struct {
+	// id is the node's pre-order position: the group index its rows are
+	// handed to the consumer under.
+	id        int
+	op        *targetOp
+	part      *Partition
+	uncovered bool
+	children  []*traceNode
+}
+
+// planTrace plans the u-trace of q over the mappings under the strategy: the
+// query normalized into the operator/fragment form e-units manipulate, the
+// mappings partitioned into top-level representatives, each carrying its
+// partition's mass (Steps 1–2), and from the initial e-unit over them
+// (Step 3) every next-operator choice and partition.  Each child e-unit is
+// reached through executeOp, the code the execution runs, over scans that
+// carry the instance's columns and no rows, so planning reads no data.  seed
+// drives StrategyRandom; 0 selects a fixed default so runs stay reproducible.
+func planTrace(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, strategy Strategy, seed int64) (*uTrace, error) {
 	nq, err := normalizeQuery(q)
 	if err != nil {
 		return nil, err
@@ -74,49 +65,74 @@ func prepareOSharing(q *query.Query, maps schema.MappingSet) (*osharingPrep, err
 	if err != nil {
 		return nil, err
 	}
-	return &osharingPrep{nq: nq, reps: Represent(parts)}, nil
-}
-
-// runOSharingPrepared drives Algorithm 2 over a computed front half for
-// either o-sharing or top-k, which differ only in the sink: query rewriting
-// and execution are interleaved over a u-trace of e-units (Steps 3–4), so that
-// the result of executing one source operator is shared by every mapping that
-// translates the corresponding target operator identically, even when the
-// mappings differ elsewhere.  It fills the execution timing and partition
-// fields of res.
-//
-// The subtrees below the first branching node of the u-trace are independent,
-// so they run on the runtime's worker pool; each branch buffers its leaf
-// results, which are then replayed into the sink in branch order, reproducing
-// the sequential depth-first visit exactly.  Operator selection
-// (SEF/SNF/Random) stays deterministic at any parallelism: every u-trace node
-// derives its Random seed from its position in the trace rather than from a
-// shared generator.  Top-k callers pass a sequential context: early
-// termination depends on the visit order, so only the plain collecting sink
-// may run parallel.
-func runOSharingPrepared(ec *exec.Context, prep *osharingPrep, db *engine.Instance, opts OSharingOptions, res *Result, sink resultSink) error {
-	res.Partitions = len(prep.reps)
-
-	seed := opts.RandomSeed
 	if seed == 0 {
 		seed = 1
 	}
-	osh := &osharer{
-		nq:       prep.nq,
-		db:       db,
-		ec:       ec,
-		stats:    res.Stats,
-		strategy: opts.Strategy,
-		sink:     sink,
-		indexes:  db.Indexes(),
+	planner := &osharer{nq: nq, db: db, ec: ec, strategy: strategy, planning: true}
+	root := &traceNode{part: &Partition{Mappings: Represent(parts)}}
+	if _, err := planner.plan(root, newEUnit(nq, root.part.Mappings), seed, 0); err != nil {
+		return nil, err
 	}
+	return &uTrace{nq: nq, root: root}, nil
+}
 
-	// Step 3: initial e-unit covering the whole query and all representatives.
-	execStart := time.Now()
-	u1 := newEUnit(prep.nq, prep.reps)
-	// Step 4: recursively expand the u-trace.
-	_, err := osh.runQT(u1, seed)
-	res.ExecTime = time.Since(execStart)
+// plan expands the trace below n, whose e-unit is u, numbering nodes in
+// pre-order from id; it returns the next free id.  It is run_qt's Case 3 with
+// the data-dependent Cases 1 and 2 left to the walk.  seed is the node's
+// position-derived seed for StrategyRandom.
+func (os *osharer) plan(n *traceNode, u *eUnit, seed int64, id int) (int, error) {
+	if err := os.ec.Err(); err != nil {
+		return 0, err
+	}
+	n.id = id
+	id++
+	if u.allDone() {
+		if len(u.fragments) != 1 {
+			return 0, fmt.Errorf("o-sharing: malformed terminal e-unit (%d fragments)", len(u.fragments))
+		}
+		return id, nil
+	}
+	op, parts, err := os.chooseNext(u, seed)
+	if err != nil {
+		return 0, err
+	}
+	// Visit large partitions first: harmless for o-sharing, and it tightens
+	// the top-k bounds as early as possible.
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Prob > parts[j].Prob })
+	for idx, p := range parts {
+		child := &traceNode{op: op, part: p}
+		n.children = append(n.children, child)
+		next, err := os.executeOp(u, op, p)
+		if errors.Is(err, query.ErrNotCovered) {
+			// None of the partition's mappings can answer the query.
+			child.id, child.uncovered = id, true
+			id++
+			continue
+		}
+		if err != nil {
+			return 0, err
+		}
+		if id, err = os.plan(child, next, splitSeed(seed, idx), id); err != nil {
+			return 0, err
+		}
+	}
+	return id, nil
+}
+
+// executeInto walks the trace over the instance (Step 4 of Algorithm 2),
+// handing every leaf's rows — and a pruned node's, once — to the consumer in
+// pre-order on the calling goroutine until the consumer stops it, and adds the
+// operator statistics and the operators' execution time to run.
+//
+// The subtrees below the first branching node are independent, so they run on
+// the runtime's worker pool, and each branch's rows are handed over in branch
+// order: the consumer sees exactly the sequential walk.  Top-k callers pass a
+// sequential context: where it stops depends on the visit order.
+func (tr *uTrace) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
+	var spent atomic.Int64
+	os := &osharer{nq: tr.nq, db: db, ec: ec, stats: run.Stats, indexes: db.Indexes(), spent: &spent}
+	_, err := os.walk(tr.root, newEUnit(tr.nq, tr.root.part.Mappings), c)
+	run.ExecTime += time.Duration(spent.Load())
 	if err != nil {
 		return fmt.Errorf("o-sharing: %w", err)
 	}
@@ -125,9 +141,8 @@ func runOSharingPrepared(ec *exec.Context, prep *osharingPrep, db *engine.Instan
 
 // splitSeed derives a deterministic child seed for the idx-th branch below a
 // u-trace node (SplitMix64 finalizer).  Deriving per-branch seeds from the
-// trace position instead of consuming a shared generator is what keeps
-// StrategyRandom reproducible no matter how branches are scheduled across
-// workers.
+// trace position instead of consuming a shared generator is what makes
+// StrategyRandom's trace a function of its seed alone.
 func splitSeed(seed int64, idx int) int64 {
 	x := uint64(seed) + 0x9e3779b97f4a7c15*uint64(idx+1)
 	x ^= x >> 30
@@ -432,8 +447,6 @@ func (u *eUnit) hasEmptyFragment() bool {
 	return false
 }
 
-func (u *eUnit) totalProb() float64 { return u.maps.TotalProb() }
-
 // replaceFragments removes the given fragments from the unit and adds the
 // replacement.
 func (u *eUnit) replaceFragments(remove []*fragment, add *fragment) {
@@ -453,188 +466,126 @@ func (u *eUnit) replaceFragments(remove []*fragment, add *fragment) {
 	u.fragments = append(out, add)
 }
 
-// osharer carries the shared state of one o-sharing evaluation.
+// osharer runs target operators on e-units: over the instance's rows when an
+// execution walks a trace, over rowless scans when planTrace plans one.
 type osharer struct {
-	nq       *normalizedQuery
-	db       *engine.Instance
-	ec       *exec.Context
-	stats    *engine.Stats
-	strategy Strategy
-	sink     resultSink
+	nq    *normalizedQuery
+	db    *engine.Instance
+	ec    *exec.Context
+	stats *engine.Stats
 	// indexes is the instance's shared base-relation index cache (nil when
 	// disabled): selections and join builds over untouched fragments — a
 	// fragment fresh from a scan still shares the base relation's rows — are
 	// served from it.
 	indexes *engine.IndexCache
+	// spent sums the walk's executeOp calls, its branches' included.
+	spent *atomic.Int64
+
+	// strategy picks each next operator and planning makes scans rowless;
+	// both are set while a trace is planned only.
+	strategy Strategy
+	planning bool
 }
 
-// sinkEvent is one buffered leaf result of a u-trace branch: an answer
-// relation with its probability mass, or (rel == nil) empty-answer mass.
-type sinkEvent struct {
-	rel  *engine.Relation
-	prob float64
-}
-
-// bufferSink records leaf results instead of aggregating them, so a branch
-// explored on a worker can replay them into the real sink in branch order.
-type bufferSink struct {
-	events []sinkEvent
-}
-
-func (s *bufferSink) onAnswers(rel *engine.Relation, prob float64) bool {
-	s.events = append(s.events, sinkEvent{rel: rel, prob: prob})
-	return false
-}
-
-func (s *bufferSink) onEmpty(prob float64) bool {
-	s.events = append(s.events, sinkEvent{prob: prob})
-	return false
-}
-
-// runQT is the recursive run_qt function of Algorithm 2.  It returns true when
-// the sink asked to stop the traversal (top-k early termination).  seed is the
-// node's deterministic position-derived seed for StrategyRandom.
-func (os *osharer) runQT(u *eUnit, seed int64) (bool, error) {
+// walk runs the trace below n, whose e-unit u holds the data, handing rows to
+// the consumer in pre-order: run_qt with every choice made.  It reports
+// whether the consumer stopped the walk.
+func (os *osharer) walk(n *traceNode, u *eUnit, c groupConsumer) (bool, error) {
 	if err := os.ec.Err(); err != nil {
 		return false, err
 	}
-	// Case 2: an empty intermediate relation makes the remaining result empty
-	// (or a trivially computable aggregate over an empty input).
-	if u.hasEmptyFragment() && !u.allDone() {
-		return os.finishEmpty(u)
+	if len(n.children) == 0 {
+		// Case 1: every operator has been executed; the single remaining
+		// fragment holds the answers for all mappings of this e-unit.
+		return c.take(n.id, n.part.Prob, u.fragments[0].rel.Rows), nil
 	}
-	// Case 1: every operator has been executed; the single remaining fragment
-	// holds the answers for all mappings of this e-unit.
-	if u.allDone() {
-		rel := u.fragments[0].rel
-		if len(u.fragments) != 1 || rel == nil {
-			return false, fmt.Errorf("o-sharing: malformed terminal e-unit (%d fragments)", len(u.fragments))
-		}
-		if rel.IsEmpty() {
-			return os.sink.onEmpty(u.totalProb()), nil
-		}
-		return os.sink.onAnswers(rel, u.totalProb()), nil
-	}
-
-	// Case 3: choose the next operator, execute it once per mapping partition,
-	// and recurse into the child e-units.
-	op, parts, err := os.chooseNext(u, seed)
-	if err != nil {
-		return false, err
-	}
-	// Visit large partitions first: harmless for o-sharing, and it tightens
-	// the top-k bounds as early as possible.
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Prob > parts[j].Prob })
-
-	// The partitions' subtrees are independent: fan them out over the worker
-	// pool at the first branching node.  Below it, branches run sequentially
-	// (their contexts carry parallelism 1).
-	if os.ec.Parallelism() > 1 && len(parts) > 1 {
-		return os.runBranchesParallel(u, op, parts, seed)
-	}
-
-	for idx, p := range parts {
-		child, execErr := os.executeOp(u, op, p)
-		if execErr != nil {
-			if errors.Is(execErr, query.ErrNotCovered) {
-				// None of the partition's mappings can answer the query.
-				if stop := os.sink.onEmpty(p.Prob); stop {
-					return true, nil
-				}
-				continue
-			}
-			return false, execErr
-		}
-		stop, err := os.runQT(child, splitSeed(seed, idx))
+	if u.hasEmptyFragment() {
+		// Case 2: an empty intermediate relation makes the whole subtree's
+		// result empty, so the node's mass is handed over once, here.
+		rows, err := os.finishEmpty(u)
 		if err != nil {
 			return false, err
 		}
-		if stop {
-			return true, nil
+		return c.take(n.id, n.part.Prob, rows), nil
+	}
+	// The children's subtrees are independent: fan them out over the worker
+	// pool at the first branching node.  Below it, branches run sequentially
+	// (their contexts carry parallelism 1).
+	if os.ec.Parallelism() > 1 && len(n.children) > 1 {
+		return os.fanOut(n, u, c)
+	}
+	for _, child := range n.children {
+		if stop, err := os.step(child, u, c); stop || err != nil {
+			return stop, err
 		}
 	}
 	return false, nil
 }
 
-// runBranchesParallel explores the partitions' subtrees on the worker pool.
-// Each branch runs a private sequential osharer that buffers its leaf results
-// and records into private statistics; results are replayed into the real sink
-// and the statistics merged in branch order, so the observable behaviour is
-// exactly the sequential depth-first traversal.
-func (os *osharer) runBranchesParallel(u *eUnit, op *targetOp, parts []*Partition, seed int64) (bool, error) {
-	type branchOut struct {
-		events []sinkEvent
-		stats  *engine.Stats
+// step runs one child of a node whose e-unit is u: the child's operator for
+// its partition, then its subtree.  An uncovered child runs nothing; its mass
+// goes to the consumer without rows.
+func (os *osharer) step(child *traceNode, u *eUnit, c groupConsumer) (bool, error) {
+	if child.uncovered {
+		return c.take(child.id, child.part.Prob, nil), nil
 	}
-	stopped := false
-	err := exec.Map(os.ec, len(parts),
-		func(ctx context.Context, i int) (*branchOut, error) {
-			buf := &bufferSink{}
-			sub := &osharer{
-				nq:       os.nq,
-				db:       os.db,
-				ec:       exec.NewContext(ctx, 1),
-				stats:    engine.NewStats(),
-				strategy: os.strategy,
-				sink:     buf,
-				indexes:  os.indexes,
-			}
-			child, execErr := sub.executeOp(u, op, parts[i])
-			if execErr != nil {
-				if errors.Is(execErr, query.ErrNotCovered) {
-					buf.onEmpty(parts[i].Prob)
-					return &branchOut{events: buf.events, stats: sub.stats}, nil
-				}
-				return nil, execErr
-			}
-			if _, err := sub.runQT(child, splitSeed(seed, i)); err != nil {
-				return nil, err
-			}
-			return &branchOut{events: buf.events, stats: sub.stats}, nil
-		},
-		func(i int, b *branchOut) error {
-			os.stats.Add(b.stats)
-			if stopped {
-				return nil
-			}
-			for _, ev := range b.events {
-				if ev.rel == nil {
-					if os.sink.onEmpty(ev.prob) {
-						stopped = true
-						break
-					}
-				} else if os.sink.onAnswers(ev.rel, ev.prob) {
-					stopped = true
-					break
-				}
-			}
-			return nil
-		})
+	start := time.Now()
+	next, err := os.executeOp(u, child.op, child.part)
+	os.spent.Add(int64(time.Since(start)))
 	if err != nil {
 		return false, err
 	}
-	return stopped, nil
+	return os.walk(child, next, c)
 }
 
-// finishEmpty handles Case 2: the e-unit contains an empty intermediate
-// relation.  If the query's final operator is an aggregate, the aggregate over
-// an empty input is still a real answer (COUNT = 0, SUM = 0); otherwise the
-// whole result is empty.
-func (os *osharer) finishEmpty(u *eUnit) (bool, error) {
-	finalOp := os.nq.ops[len(os.nq.ops)-1]
-	if agg, ok := finalOp.final.(*query.Aggregate); ok && !u.done[finalOp.id] {
-		emptyIn := engine.NewRelation("empty", []string{"v"})
-		col := ""
-		if agg.Func != engine.AggCount {
-			col = "v"
-		}
-		rel, err := engine.Aggregate(os.ec.Ctx(), emptyIn, agg.Func, col, os.stats)
-		if err != nil {
-			return false, err
-		}
-		return os.sink.onAnswers(rel, u.totalProb()), nil
+// fanOut runs n's children on the worker pool, each on a sequential copy of
+// the osharer recording into the shared statistics.  A branch holds what it
+// hands over until its turn, so the consumer sees exactly the sequential walk.
+func (os *osharer) fanOut(n *traceNode, u *eUnit, c groupConsumer) (bool, error) {
+	type handOver struct {
+		gi   int
+		prob float64
+		rows []engine.Tuple
 	}
-	return os.sink.onEmpty(u.totalProb()), nil
+	stopped := false
+	err := exec.Map(os.ec, len(n.children),
+		func(ctx context.Context, i int) (held []handOver, err error) {
+			sub := *os
+			sub.ec = exec.NewContext(ctx, 1)
+			_, err = sub.step(n.children[i], u, groupConsumer{take: func(gi int, prob float64, rows []engine.Tuple) bool {
+				held = append(held, handOver{gi, prob, rows})
+				return false
+			}})
+			return held, err
+		},
+		func(i int, held []handOver) error {
+			for _, h := range held {
+				stopped = stopped || c.take(h.gi, h.prob, h.rows)
+			}
+			return nil
+		})
+	return stopped, err
+}
+
+// finishEmpty is Case 2's answer: the e-unit contains an empty intermediate
+// relation, so its result is empty — unless the query's final operator is an
+// aggregate, whose value over an empty input (COUNT = 0, SUM = 0) is still a
+// real answer.
+func (os *osharer) finishEmpty(u *eUnit) ([]engine.Tuple, error) {
+	finalOp := os.nq.ops[len(os.nq.ops)-1]
+	agg, ok := finalOp.final.(*query.Aggregate)
+	if !ok || u.done[finalOp.id] {
+		return nil, nil
+	}
+	col := ""
+	if agg.Func != engine.AggCount {
+		col = "v"
+	}
+	rel, err := engine.Aggregate(os.ec.Ctx(), engine.NewRelation("empty", []string{"v"}), agg.Func, col, os.stats)
+	if err != nil {
+		return nil, err
+	}
+	return rel.Rows, nil
 }
 
 // executable reports whether the operator can be chosen as next-op in the
@@ -829,14 +780,20 @@ func columnName(alias string, src schema.Attribute) string {
 
 // scan records and returns the alias-qualified scan of a source relation.  The
 // scan shares the base relation's rows, so selections and join builds over it
-// can be served from the shared index cache.
+// can be served from the shared index cache.  While planning it carries the
+// columns and no rows: every operator above it then runs on empty inputs, which
+// shapes fragments exactly as the data would and reads none of it.
 func (os *osharer) scan(alias, srcRel string) (*engine.Relation, error) {
 	base := os.db.Relation(srcRel)
 	if base == nil {
 		return nil, fmt.Errorf("o-sharing: unknown source relation %q", srcRel)
 	}
 	os.stats.RecordOp(engine.OpKindScan)
-	return base.QualifyColumns(alias + "." + srcRel), nil
+	rel := base.QualifyColumns(alias + "." + srcRel)
+	if os.planning {
+		rel.Rows = nil
+	}
+	return rel, nil
 }
 
 // attach brings rel — the scan of srcRel for the alias, or a selection of it —

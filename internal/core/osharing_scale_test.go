@@ -1,10 +1,16 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/probdb/urm/internal/datagen"
+	"github.com/probdb/urm/internal/engine"
+	"github.com/probdb/urm/internal/exec"
 )
 
 // TestOSharingAtBenchmarkScale pins o-sharing on the fixture the benchmark
@@ -74,6 +80,101 @@ func TestOSharingAtBenchmarkScale(t *testing.T) {
 			}
 		}
 	}
+
+	// The bits themselves, recorded before o-sharing's u-trace was planned
+	// at Prepare: Case 2 prunes nodes with several mappings on Q1 and Q5
+	// under SEF and SNF.  Parallelism must not move them.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bits recorded on amd64; on %s the compiler may fuse float operations in data generation", runtime.GOARCH)
+	}
+	for id := 1; id <= 5; id++ {
+		prep, err := ev.Prepare(datagen.MustWorkloadQuery(id))
+		if err != nil {
+			t.Fatalf("Q%d prepare: %v", id, err)
+		}
+		for _, st := range []Strategy{StrategySEF, StrategySNF, StrategyRandom} {
+			for _, k := range []int{0, 1, 3} {
+				cell := fmt.Sprintf("Q%d/%s/top-%d", id, st, k)
+				if k == 0 {
+					cell = fmt.Sprintf("Q%d/%s/o-sharing", id, st)
+				}
+				for _, par := range []int{1, 8} {
+					opts := Options{Method: MethodOSharing, Strategy: st, RandomSeed: 7, Parallelism: par}
+					res, err := prep.Execute(opts)
+					if k > 0 {
+						res, err = prep.ExecuteTopK(k, opts)
+					}
+					if err != nil {
+						t.Fatalf("%s/p%d: %v", cell, par, err)
+					}
+					if got := answerBits(res); got != osharingBits[cell] {
+						t.Errorf("%s/p%d: answers hash to %s, want %s", cell, par, got, osharingBits[cell])
+					}
+				}
+			}
+		}
+	}
+}
+
+// answerBits hashes what must repeat bit for bit: the answers in order, each
+// tuple's key and probability bits, and the empty probability's bits.
+func answerBits(res *Result) string {
+	h := sha256.New()
+	for _, a := range res.Answers {
+		fmt.Fprintf(h, "%s %x\n", a.Tuple.Key(), math.Float64bits(a.Prob))
+	}
+	fmt.Fprintf(h, "empty %x\n", math.Float64bits(res.EmptyProb))
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// osharingBits is answerBits of o-sharing and top-k on the benchmark fixture
+// (Random seeded with 7).
+var osharingBits = map[string]string{
+	"Q1/SEF/o-sharing":    "a632793ff448de22c7df9abe4d5101a2aa0108a4fc98d6538aaaedbe85ab96ce",
+	"Q1/SEF/top-1":        "c95c8d222b0fc9921259a15181e00c17f651e47521f9ccd674092f1db0a0c588",
+	"Q1/SEF/top-3":        "784aa4384367726736c51bf55fd7a90bd548ae4ab54bcb49e4c790fb7dd0c4f0",
+	"Q1/SNF/o-sharing":    "a632793ff448de22c7df9abe4d5101a2aa0108a4fc98d6538aaaedbe85ab96ce",
+	"Q1/SNF/top-1":        "c95c8d222b0fc9921259a15181e00c17f651e47521f9ccd674092f1db0a0c588",
+	"Q1/SNF/top-3":        "784aa4384367726736c51bf55fd7a90bd548ae4ab54bcb49e4c790fb7dd0c4f0",
+	"Q1/Random/o-sharing": "a632793ff448de22c7df9abe4d5101a2aa0108a4fc98d6538aaaedbe85ab96ce",
+	"Q1/Random/top-1":     "c95c8d222b0fc9921259a15181e00c17f651e47521f9ccd674092f1db0a0c588",
+	"Q1/Random/top-3":     "784aa4384367726736c51bf55fd7a90bd548ae4ab54bcb49e4c790fb7dd0c4f0",
+	"Q2/SEF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
+	"Q2/SEF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
+	"Q2/SEF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q2/SNF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
+	"Q2/SNF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
+	"Q2/SNF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q2/Random/o-sharing": "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
+	"Q2/Random/top-1":     "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
+	"Q2/Random/top-3":     "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q3/SEF/o-sharing":    "ba63e71cacbfd16990db0eab81ef10d0e301ed2481a1fd5558b7afeb2097130d",
+	"Q3/SEF/top-1":        "9d9dcc0706a9d5d35fc86e4566f56017f4a3c2b679aeb61694345c90189051f9",
+	"Q3/SEF/top-3":        "d6a0f0cbd7b9cd05d0fbf1b8f349e429a64b78790781a77fdf2caa9c4f12433c",
+	"Q3/SNF/o-sharing":    "ba63e71cacbfd16990db0eab81ef10d0e301ed2481a1fd5558b7afeb2097130d",
+	"Q3/SNF/top-1":        "9d9dcc0706a9d5d35fc86e4566f56017f4a3c2b679aeb61694345c90189051f9",
+	"Q3/SNF/top-3":        "d6a0f0cbd7b9cd05d0fbf1b8f349e429a64b78790781a77fdf2caa9c4f12433c",
+	"Q3/Random/o-sharing": "fda31e42edc2886d0dbb28c352ff177c24919837cfa50d1445e818601754b2ad",
+	"Q3/Random/top-1":     "9d9dcc0706a9d5d35fc86e4566f56017f4a3c2b679aeb61694345c90189051f9",
+	"Q3/Random/top-3":     "3632dd6b180a6966003823067100bf27fbe30feb10d7c0237102f5bbf147b474",
+	"Q4/SEF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
+	"Q4/SEF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
+	"Q4/SEF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q4/SNF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
+	"Q4/SNF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
+	"Q4/SNF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q4/Random/o-sharing": "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
+	"Q4/Random/top-1":     "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
+	"Q4/Random/top-3":     "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q5/SEF/o-sharing":    "5b0ca72a43bd85954b826b4d9cd39ab59c7824d0bfff8a307e538d08b9355c6f",
+	"Q5/SEF/top-1":        "f76997186a6590baeedd1c6d2f33625a9c4e455b8e542b72ef863c69d7448bd5",
+	"Q5/SEF/top-3":        "0184e99374b32f55f2b1cf4022844df4ae8c364bdb60e6fde97bbf31cf04dca1",
+	"Q5/SNF/o-sharing":    "86b76ecee1352971975d57c5725e1374ac84baa865d8a81661dfcaf77a9b5b48",
+	"Q5/SNF/top-1":        "f76997186a6590baeedd1c6d2f33625a9c4e455b8e542b72ef863c69d7448bd5",
+	"Q5/SNF/top-3":        "d9161ffc5a82334d710fcce34b45391b4eb435ce333d9ff66bba5bc6a9946d1c",
+	"Q5/Random/o-sharing": "5b0ca72a43bd85954b826b4d9cd39ab59c7824d0bfff8a307e538d08b9355c6f",
+	"Q5/Random/top-1":     "f76997186a6590baeedd1c6d2f33625a9c4e455b8e542b72ef863c69d7448bd5",
+	"Q5/Random/top-3":     "0184e99374b32f55f2b1cf4022844df4ae8c364bdb60e6fde97bbf31cf04dca1",
 }
 
 // requireValidTopK checks top against the exact result: it holds min(k, all)
@@ -98,5 +199,88 @@ func requireValidTopK(t *testing.T, label string, exact, top *Result, k int) {
 		if a.Prob > p+1e-9 {
 			t.Errorf("%s: %v reported bound %g above its exact probability %g", label, a.Tuple, a.Prob, p)
 		}
+	}
+}
+
+// TestUTraceReadsNoData pins that planning o-sharing's u-trace reads the
+// e-units' structure and never a row: on Q1–Q5 under every strategy, the trace
+// planned over the benchmark fixture's schemas with no rows is the trace
+// planned over its 40 MB — the same operators, representatives, mappings, mass
+// bits, child order and uncovered leaves.  On Q4, where no fragment empties,
+// the walk hands the consumer exactly the trace's leaves, in pre-order.
+func TestUTraceReadsNoData(t *testing.T) {
+	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 100, SizeMB: 40, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := engine.NewInstance("bare")
+	for _, name := range ds.DB.RelationNames() {
+		bare.AddRelation(engine.NewRelation(name, ds.DB.Relation(name).Columns))
+	}
+	ec := exec.Sequential()
+	for id := 1; id <= 5; id++ {
+		q := datagen.MustWorkloadQuery(id)
+		for _, st := range []Strategy{StrategySEF, StrategySNF, StrategyRandom} {
+			label := fmt.Sprintf("Q%d/%s", id, st)
+			full, err := planTrace(ec, q, ds.Mappings(), ds.DB, st, 7)
+			if err != nil {
+				t.Fatalf("%s over the data: %v", label, err)
+			}
+			empty, err := planTrace(ec, q, ds.Mappings(), bare, st, 7)
+			if err != nil {
+				t.Fatalf("%s over no rows: %v", label, err)
+			}
+			var want, got strings.Builder
+			var leaves []*traceNode
+			printTrace(&want, full.root, 0, &leaves)
+			printTrace(&got, empty.root, 0, nil)
+			if want.String() != got.String() {
+				t.Errorf("%s: the trace over no rows differs from the trace over the data:\n%s\nwant\n%s", label, got.String(), want.String())
+			}
+			if id != 4 {
+				continue
+			}
+			var taken []string
+			run := &ShardRun{Stats: engine.NewStats()}
+			err = full.executeInto(ec, ds.DB, run, groupConsumer{take: func(gi int, prob float64, _ []engine.Tuple) bool {
+				taken = append(taken, fmt.Sprintf("%d@%x", gi, math.Float64bits(prob)))
+				return false
+			}})
+			if err != nil {
+				t.Fatalf("%s walk: %v", label, err)
+			}
+			planned := make([]string, len(leaves))
+			for i, n := range leaves {
+				planned[i] = fmt.Sprintf("%d@%x", n.id, math.Float64bits(n.part.Prob))
+			}
+			if strings.Join(taken, " ") != strings.Join(planned, " ") {
+				t.Errorf("%s: the walk handed over %v, want the leaves %v", label, taken, planned)
+			}
+		}
+	}
+}
+
+// printTrace writes the trace below n in pre-order, one node per line, and
+// appends its leaves to leaves when that is non-nil.
+func printTrace(b *strings.Builder, n *traceNode, depth int, leaves *[]*traceNode) {
+	op := -1
+	if n.op != nil {
+		op = n.op.id
+	}
+	ids := make([]string, len(n.part.Mappings))
+	for i, m := range n.part.Mappings {
+		ids[i] = m.ID
+	}
+	rep := ""
+	if n.part.Representative != nil {
+		rep = n.part.Representative.ID
+	}
+	fmt.Fprintf(b, "%s#%d op %d rep %s maps %s mass %x uncovered %v\n",
+		strings.Repeat(" ", depth), n.id, op, rep, strings.Join(ids, ","), math.Float64bits(n.part.Prob), n.uncovered)
+	if len(n.children) == 0 && leaves != nil {
+		*leaves = append(*leaves, n)
+	}
+	for _, c := range n.children {
+		printTrace(b, c, depth+1, leaves)
 	}
 }

@@ -18,16 +18,16 @@ import (
 //
 //   - basic, e-basic, e-MQO, q-sharing: the method's group list (ScatterPlan),
 //     which is the method;
-//   - o-sharing/top-k: the normalized query and the top-level representative
-//     mappings.
+//   - o-sharing and top-k: the u-trace planned under the strategy (and, for
+//     Random, the seed), which top-k walks as o-sharing does.
 //
-// Each method's front half is built lazily on first use (under the chosen
-// method) and memoized; the execution whose call built it reports the build's
-// wall time as Result.RewriteTime, and every other execution with that method
-// pays — and reports — only the execution and aggregation phases.  There is no
-// other evaluation path: Evaluator.Evaluate is Prepare followed by Execute, a
-// shard's run and a delta-maintained answer run the same memoized group list
-// through the same runner.
+// Each front half is built lazily on first use and memoized; the execution
+// whose call built it reports the build's wall time as Result.RewriteTime, and
+// every other execution that uses it pays — and reports — only the execution
+// and aggregation phases.  There is no other evaluation path: every method
+// runs its memoized front half through one runner (ScatterPlan.executeInto)
+// into a consumer, Evaluator.Evaluate is Prepare followed by Execute, and a
+// shard's run and a delta-maintained answer run the same memoized group list.
 //
 // The prepared state references base relations by name, so executions always
 // see the instance's current rows; only changes to the mapping set or the
@@ -37,20 +37,27 @@ type Prepared struct {
 	maps schema.MappingSet
 	q    *query.Query
 
-	// mu guards the lazily built per-method front halves below.
-	mu       sync.Mutex
-	plans    [MethodQSharing + 1]*ScatterPlan // indexed by Method
-	osharing *osharingPrep
+	// mu guards the lazily built front halves below.
+	mu     sync.Mutex
+	plans  [MethodQSharing + 1]*ScatterPlan // indexed by Method
+	traces map[traceKey]*ScatterPlan
+}
+
+// traceKey is what o-sharing's u-trace depends on besides the query and the
+// mappings: the strategy, and the seed under StrategyRandom only.
+type traceKey struct {
+	strategy Strategy
+	seed     int64
 }
 
 // Prepare binds the query to the evaluator's instance and mapping set and
-// returns its prepared form.  Validation happens here; the per-method front
-// halves are compiled on first execution with each method.
+// returns its prepared form.  Validation happens here; the front halves are
+// built on first execution with each method (and strategy).
 func (e *Evaluator) Prepare(q *query.Query) (*Prepared, error) {
 	if err := validateInputs(q, e.Maps, e.DB); err != nil {
 		return nil, err
 	}
-	return &Prepared{db: e.DB, maps: e.Maps, q: q}, nil
+	return &Prepared{db: e.DB, maps: e.Maps, q: q, traces: make(map[traceKey]*ScatterPlan)}, nil
 }
 
 // Query returns the prepared target query.
@@ -62,7 +69,7 @@ func (p *Prepared) Query() *query.Query { return p.q }
 // one execution reports a front half's rewrite phase.  The caller holds p.mu.
 // Builds are memoized on success only, so a build aborted by cancellation
 // retries.
-func memoized[T any](slot **T, build func() (*T, error)) (*T, time.Duration, error) {
+func memoized(slot **ScatterPlan, build func() (*ScatterPlan, error)) (*ScatterPlan, time.Duration, error) {
 	if *slot != nil {
 		return *slot, 0, nil
 	}
@@ -77,8 +84,8 @@ func memoized[T any](slot **T, build func() (*T, error)) (*T, time.Duration, err
 
 // FrontHalf returns the group list of the options' method, memoized, together
 // with the wall time this call spent building it (zero when it was there
-// already).  MethodOSharing returns ErrNotShardable: o-sharing has no group
-// list.
+// already).  MethodOSharing returns ErrNotShardable: o-sharing's front half is
+// a u-trace, which no shard or delta pass runs.
 func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, 0, err
@@ -129,6 +136,31 @@ func (p *Prepared) groupList(ec *exec.Context, m Method) (*ScatterPlan, time.Dur
 	})
 }
 
+// trace returns o-sharing's front half for the options' strategy (and seed),
+// memoized like a group list: the u-trace planned over the mappings, as a plan
+// whose Partitions are the top-level representatives.
+func (p *Prepared) trace(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
+	key := traceKey{strategy: opts.Strategy}
+	if opts.Strategy == StrategyRandom {
+		key.seed = opts.RandomSeed
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	slot := p.traces[key]
+	sp, rewrite, err := memoized(&slot, func() (*ScatterPlan, error) {
+		tr, err := planTrace(ec, p.q, p.maps, p.db, key.strategy, key.seed)
+		if err != nil {
+			return nil, fmt.Errorf("o-sharing: %w", err)
+		}
+		return &ScatterPlan{Method: MethodOSharing, Partitions: len(tr.root.part.Mappings), trace: tr}, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	p.traces[key] = sp
+	return sp, rewrite, nil
+}
+
 // Execute runs the prepared query with the given options and returns the
 // materialized result.
 func (p *Prepared) Execute(opts Options) (*Result, error) {
@@ -170,12 +202,13 @@ func (p *Prepared) StreamContext(ctx context.Context, opts Options) (*Cursor, er
 }
 
 // run executes the prepared query under the chosen method, returning the
-// result skeleton and the loaded aggregator.  A plan method runs its group
-// list on the instance with the aggregating consumer: each group's relation is
-// deduplicated and added under the group's probability on this goroutine, in
-// group order, as the workers deliver it — one hash pass per row, no per-group
-// set built, which is why an unsharded execution is not the one-shard case of
-// ExecuteOn followed by Result (DESIGN.md "Prepared queries" has the numbers).
+// result skeleton and the loaded aggregator.  The method's front half — its
+// group list, or o-sharing's u-trace — runs on the instance with the
+// aggregating consumer: each group's rows are deduplicated and added under the
+// group's probability on this goroutine, in group order, as they are delivered
+// — one hash pass per row, no per-group set built, which is why an unsharded
+// execution is not the one-shard case of ExecuteOn followed by Result
+// (DESIGN.md "Prepared queries" has the numbers).
 func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
@@ -184,46 +217,44 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator,
 	if err := ec.Err(); err != nil {
 		return nil, nil, err
 	}
-	agg := newAggregator()
-	if opts.Method == MethodOSharing {
-		res, err := p.explore(ec, MethodOSharing, opts, &collectSink{agg: agg})
-		return res, agg, err
-	}
-	sp, rewrite, err := p.FrontHalf(ec, opts)
+	sp, rewrite, err := p.frontHalf(ec, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	agg := newAggregator()
 	agg.addEmpty(sp.PreEmptyProb)
 	var aggTime time.Duration
-	aggregate := groupConsumer{inOrder: true, take: func(gi int, rows []engine.Tuple) {
+	res, err := p.execute(ec, sp, rewrite, groupConsumer{inOrder: true, take: func(_ int, prob float64, rows []engine.Tuple) bool {
 		start := time.Now()
-		agg.addRows(rows, sp.Groups[gi].Prob)
+		agg.addRows(rows, prob)
 		aggTime += time.Since(start)
-	}}
-	run := &ShardRun{Stats: engine.NewStats()}
-	if err := sp.executeInto(ec, p.db, run, aggregate); err != nil {
+		return false
+	}})
+	if err != nil {
 		return nil, nil, err
 	}
-	res := sp.newResult(p.q, rewrite, []*ShardRun{run})
 	res.AggregateTime = aggTime
 	return res, agg, nil
 }
 
-// explore runs the u-trace traversal o-sharing and top-k share into the sink,
-// over the memoized o-sharing front half.
-func (p *Prepared) explore(ec *exec.Context, m Method, opts Options, sink resultSink) (*Result, error) {
-	p.mu.Lock()
-	prep, rewrite, err := memoized(&p.osharing, func() (*osharingPrep, error) { return prepareOSharing(p.q, p.maps) })
-	p.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("o-sharing: %w", err)
+// frontHalf is the memoized front half an execution under the options runs.
+func (p *Prepared) frontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
+	if opts.Method == MethodOSharing {
+		return p.trace(ec, opts)
 	}
-	res := &Result{Query: p.q, Method: m, Columns: OutputColumns(p.q), Stats: engine.NewStats(), RewriteTime: rewrite}
-	oo := OSharingOptions{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed}
-	if err := runOSharingPrepared(ec, prep, p.db, oo, res, sink); err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.groupList(ec, opts.Method)
+}
+
+// execute runs the front half on the whole instance into the consumer and
+// returns the result skeleton.
+func (p *Prepared) execute(ec *exec.Context, sp *ScatterPlan, rewrite time.Duration, c groupConsumer) (*Result, error) {
+	run := &ShardRun{Stats: engine.NewStats()}
+	if err := sp.executeInto(ec, p.db, run, c); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return sp.newResult(p.q, rewrite, []*ShardRun{run}), nil
 }
 
 // ExecuteTopK runs the probabilistic top-k algorithm over the prepared query.
@@ -231,18 +262,36 @@ func (p *Prepared) ExecuteTopK(k int, opts Options) (*Result, error) {
 	return p.ExecuteTopKContext(context.Background(), k, opts)
 }
 
-// ExecuteTopKContext is ExecuteTopK under a context.  The traversal is
-// inherently sequential (the early-termination bounds depend on visit order),
-// so opts.Parallelism is ignored; cancellation and deadlines are honoured.
+// ExecuteTopKContext is ExecuteTopK under a context: it walks o-sharing's
+// u-trace for the options' strategy into the top-k bounds, which stop the walk
+// once the top k are decided.  The walk is inherently sequential (the
+// early-termination bounds depend on visit order), so opts.Parallelism is
+// ignored; cancellation and deadlines are honoured.
 func (p *Prepared) ExecuteTopKContext(ctx context.Context, k int, opts Options) (*Result, error) {
 	start := time.Now()
-	res, sink, err := p.runTopK(ctx, k, opts)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
+	}
+	ec := opts.Context(ctx).WithParallelism(1)
+	if err := ec.Err(); err != nil {
+		return nil, err
+	}
+	sp, rewrite, err := p.trace(ec, opts)
+	if err != nil {
+		return nil, err
+	}
+	top := newTopkBounds(k)
+	res, err := p.execute(ec, sp, rewrite, top.consumer())
 	if err != nil {
 		return nil, err
 	}
 	aggStart := time.Now()
-	res.Answers = sink.topK()
-	res.EmptyProb = sink.emptyProb
+	res.Method = MethodTopK
+	res.Answers = top.topK()
+	res.EmptyProb = top.emptyProb
 	res.AggregateTime = time.Since(aggStart)
 	res.TotalTime = time.Since(start)
 	return res, nil
@@ -252,34 +301,11 @@ func (p *Prepared) ExecuteTopKContext(ctx context.Context, k int, opts Options) 
 // answers.  Top-k results are at most k answers, so the cursor is a
 // convenience for API symmetry rather than a memory saver.
 func (p *Prepared) StreamTopKContext(ctx context.Context, k int, opts Options) (*Cursor, error) {
-	start := time.Now()
-	res, sink, err := p.runTopK(ctx, k, opts)
+	res, err := p.ExecuteTopKContext(ctx, k, opts)
 	if err != nil {
 		return nil, err
 	}
-	aggStart := time.Now()
-	answers := sink.topK()
-	res.EmptyProb = sink.emptyProb
-	res.AggregateTime = time.Since(aggStart)
-	res.TotalTime = time.Since(start)
+	answers := res.Answers
+	res.Answers = nil
 	return newCursorAnswers(res, answers), nil
-}
-
-func (p *Prepared) runTopK(ctx context.Context, k int, opts Options) (*Result, *topkSink, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
-	}
-	ec := opts.Context(ctx).WithParallelism(1)
-	if err := ec.Err(); err != nil {
-		return nil, nil, err
-	}
-	sink := newTopkSink(k)
-	res, err := p.explore(ec, MethodTopK, opts, sink)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, sink, nil
 }

@@ -33,7 +33,7 @@ func naiveOracle(t *testing.T, prep *Prepared, m Method) *Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg.addRelation(rel, g.Prob)
+		agg.addRows(rel.Rows, g.Prob)
 	}
 	agg.finalize(res)
 	return res

@@ -14,12 +14,10 @@ import (
 )
 
 // ErrNotShardable marks a (query, method) pair whose evaluation cannot be
-// distributed over disjoint partitions of the base relations.  o-sharing and
-// top-k always return it: their u-trace traversal interleaves operator-level
-// work across mappings with data-dependent early termination, so there is no
-// per-group relation stream to union across shards.  Callers fall back to
-// unsharded evaluation (in-process) or report the query as not shardable
-// (coordinator mode).
+// distributed over disjoint partitions of the base relations.  o-sharing
+// always returns it: its front half is a u-trace with no group plans, so there
+// is nothing for a shard to run.  Callers fall back to unsharded evaluation
+// (in-process) or report the query as not shardable (coordinator mode).
 var ErrNotShardable = errors.New("core: method not shardable")
 
 // ScatterGroup is one group of a method's group list: a source plan together
@@ -48,6 +46,11 @@ type ScatterGroup struct {
 // any number of goroutines share it, and a caller that needs a variant
 // (ApplyDelta's per-pass plans) copies Groups.  Memoizing it is also when its
 // shape is decided, once (planShape).
+//
+// o-sharing's front half is a ScatterPlan too, run by the same runner into the
+// same consumers: it has no groups and no shape, and the runner walks its
+// planned u-trace instead, whose nodes are the group indices rows are handed
+// over under.  FrontHalf refuses it, so no shard or delta pass sees one.
 type ScatterPlan struct {
 	// Method is the evaluation method the plan is.
 	Method Method
@@ -71,6 +74,8 @@ type ScatterPlan struct {
 	// on a plan built any other way, which distributes over nothing and
 	// maintains nothing.
 	shape *planShape
+	// trace is o-sharing's u-trace; nil on the plan methods.
+	trace *uTrace
 }
 
 // planShape is what one walk over each covering group plan decides, for a
@@ -205,16 +210,20 @@ type ShardRun struct {
 	ExecTime time.Duration
 }
 
-// groupConsumer is what the runner hands each group's answer rows to; nothing
-// else differs between an unsharded execution, a shard's run and a delta pass.
-// take is called once per group and never concurrently for the same group.
-// With inOrder it runs on the calling goroutine for every group in group
-// order (nil rows for a non-covering group) — the placement aggregation needs,
-// since probability bits depend on the order masses are added in.  Without, it
-// runs on the worker that produced the rows, for covering groups only.
+// groupConsumer is what the runner hands each group's answer rows to, with the
+// group's probability mass; nothing else differs between an unsharded
+// execution, top-k, a shard's run and a delta pass.  take is called once per
+// group and never concurrently for the same group.  With inOrder it runs on the
+// calling goroutine for every group in group order (nil rows for a
+// non-covering group) — the placement aggregation needs, since probability bits
+// depend on the order masses are added in.  Without, it runs on the worker that
+// produced the rows, for covering groups only.  A u-trace walk always hands
+// rows over in order — a leaf's, an uncovered leaf's none, and a node's once
+// where Case 2 prunes its subtree — and stops at the first take that returns
+// true; a group list runs every group whatever take returns.
 type groupConsumer struct {
 	inOrder bool
-	take    func(gi int, rows []engine.Tuple)
+	take    func(gi int, prob float64, rows []engine.Tuple) (stop bool)
 }
 
 // keepSets is the consumer that folds each group's rows into the run's
@@ -222,7 +231,10 @@ type groupConsumer struct {
 // DeltaState keeps them and extends them pass by pass.  Each worker extends
 // only its own group's set.
 func (run *ShardRun) keepSets() groupConsumer {
-	return groupConsumer{take: func(gi int, rows []engine.Tuple) { run.Groups[gi].extend(rows) }}
+	return groupConsumer{take: func(gi int, _ float64, rows []engine.Tuple) bool {
+		run.Groups[gi].extend(rows)
+		return false
+	}}
 }
 
 // ExecuteOn runs every group of the plan against one instance — normally a
@@ -244,6 +256,9 @@ func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardR
 // is kept at any parallelism.  On error whatever the consumer holds is partly
 // filled and must be discarded.
 func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
+	if sp.trace != nil {
+		return sp.trace.executeInto(ec, db, run, c)
+	}
 	cache := sp.Global.NewCache()
 	type groupRun struct {
 		rows  []engine.Tuple
@@ -266,7 +281,7 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 			if c.inOrder {
 				gr.rows = rel.Rows
 			} else {
-				c.take(i, rel.Rows)
+				c.take(i, sp.Groups[i].Prob, rel.Rows)
 			}
 			return gr, nil
 		},
@@ -274,7 +289,7 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 			run.ExecTime += gr.exec
 			run.Stats.Add(gr.stats)
 			if c.inOrder {
-				c.take(i, gr.rows)
+				c.take(i, sp.Groups[i].Prob, gr.rows)
 			}
 			return nil
 		})
@@ -350,7 +365,7 @@ func unionRows(runs []*ShardRun, gi int) []engine.Tuple {
 // group's per-shard rows in shard order), one AddEmpty per non-covering
 // group.  A shard deduplicates within a group before it hands rows over
 // (GroupRows); Add still collapses duplicates itself — the same per-call
-// dedup addRelation performs — because the same tuple arrives from several
+// dedup addRows performs — because the same tuple arrives from several
 // shards when a group reads only replicated relations, and because a remote
 // shard's rows are outside input.  The final sort is the canonical
 // (probability desc, tuple key asc) total order, so the merged answers are
@@ -374,7 +389,7 @@ func (m *GroupMerge) AddEmpty(prob float64) { m.agg.addEmpty(prob) }
 
 // Add merges one group's unioned rows under the group's probability.  Rows
 // are deduplicated within the call; an empty union sends the mass to the
-// empty answer, as addRelation does for an empty relation.
+// empty answer.
 func (m *GroupMerge) Add(prob float64, rows []engine.Tuple) { m.agg.addRows(rows, prob) }
 
 // Finalize returns the merged answers in canonical order together with the
