@@ -127,32 +127,34 @@ type aggregator struct {
 	buckets   map[uint64][]*aggEntry
 	order     []*aggEntry
 	emptyProb float64
+	// calls numbers the addRows calls.
+	calls int
 }
 
-// aggEntry is one distinct answer tuple with its accumulated probability.
+// aggEntry is one distinct answer tuple with its accumulated probability and
+// the addRows call that last added to it.
 type aggEntry struct {
 	tuple engine.Tuple
 	prob  float64
+	call  int
 }
 
 func newAggregator() *aggregator {
 	return &aggregator{buckets: make(map[uint64][]*aggEntry)}
 }
 
-// add records one tuple observed under the given probability mass.
-func (g *aggregator) add(t engine.Tuple, prob float64) {
-	g.addHashed(t.Hash64(), t, prob)
-}
-
-// addHashed is add with the tuple's Hash64 already computed.
+// addHashed records the tuple, whose Hash64 is h, under the probability mass
+// of the current addRows call, once however often the call holds it.
 func (g *aggregator) addHashed(h uint64, t engine.Tuple, prob float64) {
 	for _, e := range g.buckets[h] {
 		if e.tuple.EqualKey(t) {
-			e.prob += prob
+			if e.call != g.calls {
+				e.prob, e.call = e.prob+prob, g.calls
+			}
 			return
 		}
 	}
-	e := &aggEntry{tuple: t.Clone(), prob: prob}
+	e := &aggEntry{tuple: t.Clone(), prob: prob, call: g.calls}
 	g.buckets[h] = append(g.buckets[h], e)
 	g.order = append(g.order, e)
 }
@@ -170,18 +172,19 @@ func firstSeen(seen *engine.TupleSet, rows []engine.Tuple, fresh func(h uint64, 
 	}
 }
 
-// addRows records every tuple of rows under the probability mass; duplicate
-// rows are first collapsed so the mass is not double-counted (the paper
-// aggregates distinct answers per mapping).  No rows at all send the mass to
-// the empty answer.
+// addRows records every tuple of rows under the probability mass; a row
+// repeated within the call adds nothing, so the mass is not double-counted
+// (the paper aggregates distinct answers per mapping).  No rows at all send
+// the mass to the empty answer.
 func (g *aggregator) addRows(rows []engine.Tuple, prob float64) {
 	if len(rows) == 0 {
 		g.addEmpty(prob)
 		return
 	}
-	firstSeen(engine.NewTupleSet(len(rows)), rows, func(h uint64, row engine.Tuple) {
-		g.addHashed(h, row, prob)
-	})
+	g.calls++
+	for _, row := range rows {
+		g.addHashed(row.Hash64(), row, prob)
+	}
 }
 
 // addEmpty records probability mass for the empty (θ) answer.

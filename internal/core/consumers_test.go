@@ -36,29 +36,39 @@ func sameWork(t *testing.T, label string, want, got *Result, instances int) {
 	}
 }
 
-// TestEveryConsumerOfAGroupListAgrees runs each plan method's group list
-// through everything that consumes one — the one-shot evaluator, a prepared
-// execution building the front half and one reusing it, a drained stream, the
-// delta evaluator's full run, and two runs of the plan merged by
-// ScatterPlan.Result (on the same instance twice, the replicated-relation case:
-// every group's rows arrive once per run and the merge collapses them) — and
-// holds all of them, bit for bit, to the method's own plans run through the
-// naive executor.  Between themselves they must also have done the same work.
+// TestEveryConsumerOfAGroupListAgrees runs each method's front half — a plan
+// method's group list, o-sharing's u-trace under each strategy — through
+// everything that consumes one: the one-shot evaluator, a prepared execution
+// building the front half and one reusing it, a drained stream, the delta
+// evaluator's full run, and two runs of the plan merged by ScatterPlan.Result
+// (on the same instance twice, the replicated-relation case: every group's
+// rows arrive once per run and the merge collapses them).  It holds all of
+// them, bit for bit, to an oracle: a plan method's own plans run through the
+// naive executor, o-sharing's sequential prepared execution, whose bits
+// TestOSharingAtBenchmarkScale pins.  Between themselves they must also have
+// done the same work.
 func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 	db := paperInstance()
 	maps := mappingSetTimes8(t)
 	ctx := context.Background()
-	maintained := 0
+	maintained := map[Method]int{}
 
 	for _, qc := range runtimeQueries {
 		q := mustParse(t, qc.name, qc.text)
 		ev := NewEvaluator(db, maps)
-		for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing} {
+		for _, front := range []Options{
+			{Method: MethodBasic}, {Method: MethodEBasic}, {Method: MethodEMQO}, {Method: MethodQSharing},
+			{Method: MethodOSharing, Strategy: StrategySEF},
+			{Method: MethodOSharing, Strategy: StrategySNF},
+			{Method: MethodOSharing, Strategy: StrategyRandom},
+		} {
+			m := front.Method
 			var oracle *Result
 			for _, parallelism := range []int{1, 8} {
 				for _, batch := range []int{0, 1, 7} {
-					opts := Options{Method: m, Parallelism: parallelism, BatchSize: batch}
-					label := fmt.Sprintf("%s/%s/p%d/b%d", qc.name, m, parallelism, batch)
+					opts := front
+					opts.Parallelism, opts.BatchSize = parallelism, batch
+					label := fmt.Sprintf("%s/%s/%s/p%d/b%d", qc.name, m, front.Strategy, parallelism, batch)
 					must := func(res *Result, err error) *Result {
 						t.Helper()
 						if err != nil {
@@ -70,7 +80,11 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s prepare: %v", label, err)
 					}
-					if oracle == nil {
+					switch {
+					case oracle != nil:
+					case m == MethodOSharing:
+						oracle = must(prep.Execute(Options{Method: m, Strategy: front.Strategy, Parallelism: 1}))
+					default:
 						oracle = naiveOracle(t, prep, m)
 					}
 					cold := must(ev.Evaluate(q, opts))
@@ -86,17 +100,17 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 					forms["stream"] = collectCursor(t, cur)
 
 					ec := opts.Context(ctx)
-					sp, err := prep.Scatter(ec, opts)
+					sp, _, err := prep.FrontHalf(ec, opts)
 					if err != nil {
-						t.Fatalf("%s scatter: %v", label, err)
+						t.Fatalf("%s front half: %v", label, err)
 					}
 					switch st, err := prep.Maintain(ec, opts); {
 					case err == nil:
 						if st.sp != sp {
-							t.Errorf("%s: Maintain holds a group list of its own, not the memoized one", label)
+							t.Errorf("%s: Maintain holds a front half of its own, not the memoized one", label)
 						}
 						forms["maintained"] = st.Result()
-						maintained++
+						maintained[m]++
 					case !errors.Is(err, ErrNotDeltaMaintainable):
 						t.Fatalf("%s prepare delta: %v", label, err)
 					}
@@ -120,13 +134,15 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 			}
 		}
 	}
-	if maintained == 0 {
-		t.Fatal("no query was delta-maintainable: the maintained consumer was never compared")
+	for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing} {
+		if maintained[m] == 0 {
+			t.Errorf("%s: no query was delta-maintainable, so the maintained consumer was never compared", m)
+		}
 	}
 }
 
 // TestFrontHalfIsBuiltAndReportedOnce pins what a Prepared memoizes.  The
-// group list is one object per (query, method) — Scatter, a shard's run and
+// front half is one object per (query, method) — FrontHalf, a shard's run and
 // Maintain share it, none reshapes it per call — and of all the executions
 // that use a front half exactly the one whose call built it reports a rewrite
 // phase, on every path that returns a Result.
@@ -166,9 +182,6 @@ func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 	for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing} {
 		opts := Options{Method: m}
 		for name, run := range paths {
-			if m == MethodOSharing && name == "maintained" {
-				continue // no group list to maintain
-			}
 			prep := fresh()
 			for call, built := range []bool{true, false} {
 				res, err := run(prep, opts)
@@ -181,24 +194,21 @@ func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 				}
 			}
 		}
-		if m == MethodOSharing {
-			continue
-		}
 		prep := fresh()
 		ec := opts.Context(ctx)
-		first, err := prep.Scatter(ec, opts)
+		first, _, err := prep.FrontHalf(ec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if second, _ := prep.Scatter(ec, opts); second != first {
-			t.Errorf("%s: two Scatter calls returned different plans", m)
+		if second, _, _ := prep.FrontHalf(ec, opts); second != first {
+			t.Errorf("%s: two FrontHalf calls returned different plans", m)
 		}
 		res, err := prep.ExecuteContext(ctx, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.RewriteTime != 0 {
-			t.Errorf("%s: an execution after Scatter built the plan reports RewriteTime %v", m, res.RewriteTime)
+			t.Errorf("%s: an execution after FrontHalf built the plan reports RewriteTime %v", m, res.RewriteTime)
 		}
 	}
 }
@@ -240,7 +250,15 @@ func TestUTraceIsPlannedOncePerStrategy(t *testing.T) {
 				i, step.topk, step.opts.Strategy, step.opts.RandomSeed, res.RewriteTime, step.planned)
 		}
 	}
-	if n := len(prep.traces); n != 4 {
+	traces := func(p *Prepared) (n int) {
+		for key := range p.fronts {
+			if key.method == MethodOSharing {
+				n++
+			}
+		}
+		return n
+	}
+	if n := traces(prep); n != 4 {
 		t.Errorf("%d traces planned, want 4: SEF, SNF, Random seeded 7 and 8", n)
 	}
 
@@ -288,7 +306,7 @@ func TestUTraceIsPlannedOncePerStrategy(t *testing.T) {
 		}
 		identicalResults(t, fmt.Sprintf("worker %d", w), want[w%len(strategies)][w%2], res)
 	}
-	if planned != len(strategies) || len(fresh.traces) != len(strategies) {
-		t.Errorf("%d executions planned a trace and %d traces exist, want %d of each", planned, len(fresh.traces), len(strategies))
+	if planned != len(strategies) || traces(fresh) != len(strategies) {
+		t.Errorf("%d executions planned a trace and %d traces exist, want %d of each", planned, traces(fresh), len(strategies))
 	}
 }

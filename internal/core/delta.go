@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/probdb/urm/internal/engine"
@@ -23,16 +24,15 @@ import (
 //
 // realized with zero copying, because append-only relations make every old
 // state a prefix slice of the live row list — and folds the new tuples into
-// the per-group distinct-tuple sets it keeps.  Replaying those sets through
-// GroupMerge reproduces the unsharded aggregation order exactly, so maintained
-// answers stay bit-identical to cold re-evaluation (same values, same
-// probabilities, same canonical order).
+// the per-group distinct-tuple sets it keeps.  Merging those sets replays the
+// unsharded aggregation order exactly, so maintained answers stay
+// bit-identical to cold re-evaluation (same values, same probabilities, same
+// canonical order).
 
 // ErrNotDeltaMaintainable marks a (query, method) pair the delta evaluator
 // cannot maintain incrementally: plans that are not linear (aggregates,
-// materialized fragments), self-joins (the name-keyed relation replacement
-// cannot express a per-occurrence delta), and the methods with no per-group
-// relation stream (o-sharing, top-k).  Callers fall back to epoch
+// materialized fragments) and self-joins (the name-keyed relation replacement
+// cannot express a per-occurrence delta).  Callers fall back to epoch
 // invalidation — today's behavior.
 var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 
@@ -43,32 +43,33 @@ var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 // lock that excludes appends (the data and the lens must describe the same
 // moment).
 type DeltaState struct {
-	// sp is the prepared query's memoized group list, whose shape the passes
-	// walk; q is the query and rewrite the wall time the list took to build
-	// when Maintain's call built it, zero when it was memoized already.
+	// sp is the prepared query's memoized front half, whose shape the passes
+	// walk; q is the query and rewrite the wall time it took to build when
+	// Maintain's call built it, zero when it was memoized already.
 	sp      *ScatterPlan
 	q       *query.Query
 	rewrite time.Duration
 	// run is the full evaluation's ShardRun, kept and extended: its per-group
 	// distinct tuples are the maintained sets (first-seen order only keeps
-	// replays comparable — GroupMerge accumulates per distinct tuple and the
+	// replays comparable — the merge accumulates per distinct tuple and the
 	// final sort is a total order), its statistics and CPU time add up over
-	// the delta passes.
+	// the delta passes, and its prune marks are the AND over the full run and
+	// every pass of each run's marks.
 	run    *ShardRun
 	lens   map[string]int
 	passes int
+	// merged is the last merge of run, kept while no pass has added a row or
+	// cleared a prune mark since: appends that change no answer cost no merge.
+	merged *Result
 }
 
 // Maintain runs the options' method over the whole instance and captures the
 // maintained state: the per-group distinct tuples and the covered row counts.
-// A method without a group list, or a plan whose shape appends cannot be
-// maintained under, is refused with ErrNotDeltaMaintainable before anything
-// executes — the verdict taken when the group list was memoized.
+// A plan whose shape appends cannot be maintained under is refused with
+// ErrNotDeltaMaintainable before anything executes — the verdict taken when
+// the front half was memoized.
 func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error) {
 	sp, rewrite, err := p.FrontHalf(ec, opts)
-	if errors.Is(err, ErrNotShardable) {
-		return nil, fmt.Errorf("%w: %v", ErrNotDeltaMaintainable, err)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -95,11 +96,13 @@ func (st *DeltaState) Passes() int { return st.passes }
 
 // ApplyDelta folds every row appended since the state's covered lengths into
 // the per-group tuple sets: one pass per grown relation, each pass executing
-// the group plans against a derived instance where the grown relation is its
-// delta slice, later grown relations are their old prefixes, and everything
-// else is the live relation (probing the live instance's shared indexes via
-// AdoptIndexes).  The passes partition the new row combinations, so together
-// they produce exactly the tuples a cold run would add.  It returns the number
+// the group plans that scan it — or walking the whole u-trace, whose leaves
+// that do not scan it re-add rows the sets already hold — against a derived
+// instance where the grown relation is its delta slice, later grown relations
+// are their old prefixes, and everything else is the live relation (probing
+// the live instance's shared indexes via AdoptIndexes).  The passes partition
+// the new row combinations, so together they produce exactly the tuples a
+// cold run would add.  It returns the number
 // of passes executed; an error (a shrunk or vanished relation — something
 // other than an append happened) means the state can no longer be trusted and
 // the caller must fall back to cold evaluation.
@@ -115,51 +118,51 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 		n := len(rel.Rows)
 		if old := st.lens[name]; n < old {
 			return 0, fmt.Errorf("delta: relation %s shrank from %d to %d rows", name, old, n)
+		} else if n > old {
+			changed = append(changed, name)
 		}
 		newLens[name] = n
 	}
-	for _, name := range shape.rels {
-		if newLens[name] > st.lens[name] {
-			changed = append(changed, name)
-		}
+	// window is rows [lo, hi) of the named live relation, capped at hi.
+	window := func(name string, lo, hi int) *engine.Relation {
+		rel := db.Relation(name)
+		return &engine.Relation{Name: name, Columns: rel.Columns, Rows: rel.Rows[lo:hi:hi]}
 	}
 	passes := 0
 	for ci, name := range changed {
-		replace := make(map[string]*engine.Relation, len(changed)-ci)
-		rel := db.Relation(name)
-		old := st.lens[name]
-		replace[name] = &engine.Relation{
-			Name:    name,
-			Columns: rel.Columns,
-			Rows:    rel.Rows[old:newLens[name]:newLens[name]],
-		}
+		replace := map[string]*engine.Relation{name: window(name, st.lens[name], newLens[name])}
 		for _, later := range changed[ci+1:] {
-			lrel := db.Relation(later)
-			lold := st.lens[later]
-			replace[later] = &engine.Relation{
-				Name:    later,
-				Columns: lrel.Columns,
-				Rows:    lrel.Rows[:lold:lold],
-			}
+			replace[later] = window(later, 0, st.lens[later])
 		}
 		groups := make([]ScatterGroup, len(st.sp.Groups))
 		active := 0
 		for gi, g := range st.sp.Groups {
 			if shape.scans[gi][name] > 0 {
-				groups[gi] = g
 				active++
 			} else {
-				groups[gi] = ScatterGroup{Prob: g.Prob}
+				g.Plan = nil
 			}
+			groups[gi] = g
 		}
 		if active == 0 {
 			continue
 		}
-		pass := &ScatterPlan{Method: st.sp.Method, Groups: groups}
+		pass := &ScatterPlan{Method: st.sp.Method, Groups: groups, trace: st.sp.trace}
 		deltaDB := db.WithRelations(db.Name, replace)
 		deltaDB.AdoptIndexes(db)
-		if err := pass.executeInto(ec, deltaDB, st.run, st.run.keepSets()); err != nil {
+		// The pass extends copies of the maintained sets, which share their
+		// membership tables, and marks its own prunes; a node's AND keeps a
+		// mark only while every run pruned it.
+		run := &ShardRun{Groups: slices.Clone(st.run.Groups), Pruned: make([]bool, len(groups)), Stats: st.run.Stats}
+		if err := pass.executeInto(ec, deltaDB, run, run.keepSets(pass)); err != nil {
 			return passes, err
+		}
+		st.run.ExecTime += run.ExecTime
+		for gi, g := range run.Groups {
+			if len(g.Rows) > len(st.run.Groups[gi].Rows) || st.run.Pruned[gi] && !run.Pruned[gi] {
+				st.merged = nil
+			}
+			st.run.Groups[gi], st.run.Pruned[gi] = g, st.run.Pruned[gi] && run.Pruned[gi]
 		}
 		passes++
 	}
@@ -172,10 +175,15 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 // distribution — the maintained run through the function that merges the
 // shards' runs — so the result is bit-identical to cold evaluation of the same
 // method over the same instance state.  Its phases are those of the work that
-// produced the state: the front half when Maintain built it, the CPU time of
-// the full run and every pass since, and this merge.
+// produced the merge: the front half when Maintain built it, the CPU time of
+// the full run and every pass up to the merge, and the merge.  Each call
+// returns a Result of its own; calls between which no pass changed the sets
+// share the merged answers.
 func (st *DeltaState) Result() *Result {
-	res := st.sp.Result(st.q, st.rewrite, st.run)
-	res.TotalTime = res.AggregateTime
-	return res
+	if st.merged == nil {
+		st.merged = st.sp.Result(st.q, st.rewrite, st.run)
+		st.merged.TotalTime = st.merged.AggregateTime
+	}
+	res := *st.merged
+	return &res
 }

@@ -7,8 +7,11 @@ import (
 	"math"
 	"testing"
 
+	"github.com/probdb/urm/internal/datagen"
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
+	"github.com/probdb/urm/internal/query"
+	"github.com/probdb/urm/internal/schema"
 )
 
 // deltaRNG is a tiny splitmix64 so the append stream is seeded and identical
@@ -110,7 +113,7 @@ func TestDeltaMaintainedBitIdentical(t *testing.T) {
 		"SELECT phone FROM Person WHERE addr = 'aaa'",
 		"SELECT total FROM Person, Order WHERE addr = 'hk' AND phone = '123'",
 	}
-	methods := []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing}
+	methods := []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing}
 	stream := deltaAppendStream(7, 100)
 	for _, par := range []int{1, 8} {
 		for _, method := range methods {
@@ -155,6 +158,106 @@ func TestDeltaMaintainedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDeltaPruneMarksFlip is maintained o-sharing's property test and shows
+// its prune rule is exercised.  Under every strategy, at parallelism 1 and 8,
+// the maintained answer is bit-identical to cold o-sharing after every append
+// of 100-row streams — three seeded ones over the paper's fixture, one of
+// Orders rows over a small Excel fixture — while the state's AND of the runs'
+// prune marks flips off at internal u-trace nodes, where an appended row
+// first makes a fragment that emptied on every run before non-empty.  On the
+// Excel fixture a merge that descended into every pruned node would move Q1's
+// empty probability by its last bit.  Appends that change no set reuse the
+// last merge, and those answers are held to cold ones too.
+func TestDeltaPruneMarksFlip(t *testing.T) {
+	type fixture struct {
+		db      func() *engine.Instance
+		maps    schema.MappingSet
+		queries []*query.Query
+		streams [][]deltaAppend
+	}
+	paper := fixture{db: paperInstance, maps: paperMappings()}
+	for _, text := range []string{
+		"SELECT phone FROM Person WHERE addr = 'ccc'",
+		"SELECT phone FROM Person WHERE addr = 'aaa'",
+		"SELECT total FROM Person, Order WHERE addr = 'hk' AND phone = '123'",
+		"SELECT total FROM Person, Order WHERE phone = '555'",
+		"SELECT pname, nation FROM Person WHERE phone = '998'",
+		// Its marks flip while its sets stay empty: only the marks say the
+		// last merge is stale.
+		"SELECT pname FROM Person WHERE addr = 'ccc' AND phone = '998'",
+	} {
+		paper.queries = append(paper.queries, mustParse(t, "q", text))
+	}
+	for _, seed := range []uint64{7, 11, 19} {
+		paper.streams = append(paper.streams, deltaAppendStream(seed, 100))
+	}
+	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 16, SizeMB: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	excel := fixture{maps: ds.Mappings(), streams: [][]deltaAppend{nil}, db: func() *engine.Instance {
+		orders := engine.NewRelation(datagen.AppendStreamRelation, ds.DB.Relation(datagen.AppendStreamRelation).Columns)
+		if err := orders.AppendAll(ds.DB.Relation(datagen.AppendStreamRelation).Rows); err != nil {
+			t.Fatal(err)
+		}
+		return ds.DB.WithRelations("excel", map[string]*engine.Relation{orders.Name: orders})
+	}}
+	for id := 1; id <= 2; id++ { // Q3 self-joins Lineitem
+		excel.queries = append(excel.queries, datagen.MustWorkloadQuery(id))
+	}
+	for _, row := range datagen.AppendStream(datagen.AppendStreamOptions{Rows: 100, Seed: 5}) {
+		excel.streams[0] = append(excel.streams[0], deltaAppend{rel: datagen.AppendStreamRelation, row: row})
+	}
+
+	flips, reused := 0, 0
+	for fi, fx := range []fixture{paper, excel} {
+		for si, stream := range fx.streams {
+			for _, st := range []Strategy{StrategySEF, StrategySNF, StrategyRandom} {
+				for _, par := range []int{1, 8} {
+					for qi, q := range fx.queries {
+						label := fmt.Sprintf("fixture %d/stream %d/%s/p%d/q%d", fi, si, st, par, qi)
+						db := fx.db()
+						opts := Options{Method: MethodOSharing, Strategy: st, Parallelism: par}
+						prep, err := NewEvaluator(db, fx.maps).Prepare(q)
+						if err != nil {
+							t.Fatalf("%s prepare: %v", label, err)
+						}
+						ec := opts.Context(context.Background())
+						state, err := prep.Maintain(ec, opts)
+						if err != nil {
+							t.Fatalf("%s Maintain: %v", label, err)
+						}
+						for i, app := range stream {
+							db.Relation(app.rel).MustAppend(app.row)
+							before := append([]bool(nil), state.run.Pruned...)
+							if _, err := state.ApplyDelta(ec, db); err != nil {
+								t.Fatalf("%s append %d: ApplyDelta: %v", label, i, err)
+							}
+							for gi, g := range state.sp.Groups {
+								if g.Below > 0 && before[gi] && !state.run.Pruned[gi] {
+									flips++
+								}
+							}
+							if state.merged != nil {
+								reused++
+							}
+							cold, err := prep.Execute(opts)
+							if err != nil {
+								t.Fatalf("%s append %d: cold: %v", label, i, err)
+							}
+							requireBitIdentical(t, fmt.Sprintf("%s append %d", label, i), cold, state.Result())
+						}
+					}
+				}
+			}
+		}
+	}
+	if flips == 0 || reused == 0 {
+		t.Fatalf("%d prune-mark flips and %d reused merges, want both > 0: a rule was never exercised", flips, reused)
+	}
+	t.Logf("%d prune-mark flips, %d reused merges", flips, reused)
+}
+
 // TestDeltaCoalescedBursts pins that one ApplyDelta folding a burst of appends
 // is identical to applying them one at a time — the reconciler's coalescing
 // rests on it.
@@ -193,10 +296,11 @@ func TestDeltaCoalescedBursts(t *testing.T) {
 	}
 }
 
-// TestDeltaNotMaintainable pins the fallback matrix: o-sharing, top-k-only
-// shapes and non-SPJ queries (aggregates, DISTINCT) must refuse delta
-// preparation with ErrNotDeltaMaintainable, and a shrunk relation must fail
-// ApplyDelta rather than corrupt the state.
+// TestDeltaNotMaintainable pins the fallback matrix: o-sharing maintains a
+// linear query like the plan methods, self-joins and non-SPJ queries
+// (aggregates, DISTINCT) must refuse delta preparation with
+// ErrNotDeltaMaintainable, and a shrunk relation must fail ApplyDelta rather
+// than corrupt the state.
 func TestDeltaNotMaintainable(t *testing.T) {
 	db := paperInstance()
 	maps := paperMappings()
@@ -207,8 +311,16 @@ func TestDeltaNotMaintainable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	if _, err := prep.Maintain(ec, Options{Method: MethodOSharing}); !errors.Is(err, ErrNotDeltaMaintainable) {
-		t.Fatalf("o-sharing Maintain err = %v, want ErrNotDeltaMaintainable", err)
+	if _, err := prep.Maintain(ec, Options{Method: MethodOSharing}); err != nil {
+		t.Fatalf("o-sharing Maintain of a linear query: %v", err)
+	}
+	selfJoin := mustParse(t, "q", "SELECT P.pname FROM Person P, Person Q WHERE P.phone = Q.phone AND Q.addr = 'aaa'")
+	sprep, err := NewEvaluator(db, maps).Prepare(selfJoin)
+	if err != nil {
+		t.Fatalf("prepare self-join: %v", err)
+	}
+	if _, err := sprep.Maintain(ec, Options{Method: MethodOSharing}); !errors.Is(err, ErrNotDeltaMaintainable) {
+		t.Fatalf("o-sharing self-join Maintain err = %v, want ErrNotDeltaMaintainable", err)
 	}
 
 	agg := mustParse(t, "q", "SELECT SUM(total) FROM Person, Order WHERE addr = 'aaa'")

@@ -54,47 +54,54 @@ type traceNode struct {
 // partition's mass (Steps 1–2), and from the initial e-unit over them
 // (Step 3) every next-operator choice and partition.  Each child e-unit is
 // reached through executeOp, the code the execution runs, over scans that
-// carry the instance's columns and no rows, so planning reads no data.  seed
-// drives StrategyRandom; 0 selects a fixed default so runs stay reproducible.
-func planTrace(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, strategy Strategy, seed int64) (*uTrace, error) {
+// carry the instance's columns and no rows, so planning reads no data.  The
+// plan lists the nodes in pre-order, and is linear unless the final operator
+// aggregates.  seed drives StrategyRandom; 0 selects a fixed default so runs
+// stay reproducible.
+func planTrace(ec *exec.Context, m Method, q *query.Query, maps schema.MappingSet, db *engine.Instance, strategy Strategy, seed int64) (*ScatterPlan, error) {
 	nq, err := normalizeQuery(q)
 	if err != nil {
 		return nil, err
 	}
 	parts, err := PartitionMappings(q, maps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", m, err)
 	}
 	if seed == 0 {
 		seed = 1
 	}
 	planner := &osharer{nq: nq, db: db, ec: ec, strategy: strategy, planning: true}
 	root := &traceNode{part: &Partition{Mappings: Represent(parts)}}
-	if _, err := planner.plan(root, newEUnit(nq, root.part.Mappings), seed, 0); err != nil {
+	if err := planner.plan(root, newEUnit(nq, root.part.Mappings), seed); err != nil {
 		return nil, err
 	}
-	return &uTrace{nq: nq, root: root}, nil
+	sp := &ScatterPlan{Method: m, Groups: planner.groups, Partitions: len(root.part.Mappings), trace: &uTrace{nq: nq, root: root}}
+	_, aggregates := nq.ops[len(nq.ops)-1].final.(*query.Aggregate)
+	sp.setShape(planner.scans, !aggregates)
+	return sp, nil
 }
 
-// plan expands the trace below n, whose e-unit is u, numbering nodes in
-// pre-order from id; it returns the next free id.  It is run_qt's Case 3 with
-// the data-dependent Cases 1 and 2 left to the walk.  seed is the node's
-// position-derived seed for StrategyRandom.
-func (os *osharer) plan(n *traceNode, u *eUnit, seed int64, id int) (int, error) {
+// plan expands the trace below n, whose e-unit is u, listing n — its mass
+// and its scans — and then its subtree as groups, so a node's id is its
+// pre-order position.  It is run_qt's Case 3 with the data-dependent Cases 1
+// and 2 left to the walk.  seed is the node's position-derived seed for
+// StrategyRandom.
+func (os *osharer) plan(n *traceNode, u *eUnit, seed int64) error {
 	if err := os.ec.Err(); err != nil {
-		return 0, err
+		return err
 	}
-	n.id = id
-	id++
+	n.id = len(os.groups)
+	os.groups = append(os.groups, ScatterGroup{Prob: n.part.Prob})
+	os.scans = append(os.scans, u.scans())
 	if u.allDone() {
 		if len(u.fragments) != 1 {
-			return 0, fmt.Errorf("o-sharing: malformed terminal e-unit (%d fragments)", len(u.fragments))
+			return fmt.Errorf("o-sharing: malformed terminal e-unit (%d fragments)", len(u.fragments))
 		}
-		return id, nil
+		return nil
 	}
 	op, parts, err := os.chooseNext(u, seed)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// Visit large partitions first: harmless for o-sharing, and it tightens
 	// the top-k bounds as early as possible.
@@ -105,18 +112,20 @@ func (os *osharer) plan(n *traceNode, u *eUnit, seed int64, id int) (int, error)
 		next, err := os.executeOp(u, op, p)
 		if errors.Is(err, query.ErrNotCovered) {
 			// None of the partition's mappings can answer the query.
-			child.id, child.uncovered = id, true
-			id++
+			child.id, child.uncovered = len(os.groups), true
+			os.groups = append(os.groups, ScatterGroup{Prob: p.Prob})
+			os.scans = append(os.scans, nil)
 			continue
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if id, err = os.plan(child, next, splitSeed(seed, idx), id); err != nil {
-			return 0, err
+		if err := os.plan(child, next, splitSeed(seed, idx)); err != nil {
+			return err
 		}
 	}
-	return id, nil
+	os.groups[n.id].Below = len(os.groups) - n.id - 1
+	return nil
 }
 
 // executeInto walks the trace over the instance (Step 4 of Algorithm 2),
@@ -402,6 +411,21 @@ func (u *eUnit) clone() *eUnit {
 	return out
 }
 
+// scans counts the e-unit's scans of each source relation: one per relation
+// occurrence whose fragment includes the relation.  These are the sets
+// executeOp filled, so the fragment rules are written once.
+func (u *eUnit) scans() map[string]int {
+	counts := make(map[string]int)
+	for _, f := range u.fragments {
+		for _, rels := range f.included {
+			for rel := range rels {
+				counts[rel]++
+			}
+		}
+	}
+	return counts
+}
+
 func (u *eUnit) allDone() bool {
 	for _, d := range u.done {
 		if !d {
@@ -481,10 +505,12 @@ type osharer struct {
 	// spent sums the walk's executeOp calls, its branches' included.
 	spent *atomic.Int64
 
-	// strategy picks each next operator and planning makes scans rowless;
-	// both are set while a trace is planned only.
+	// strategy picks each next operator, planning makes scans rowless, and
+	// groups and scans list the nodes; all are a planner's only.
 	strategy Strategy
 	planning bool
+	groups   []ScatterGroup
+	scans    []map[string]int
 }
 
 // walk runs the trace below n, whose e-unit u holds the data, handing rows to

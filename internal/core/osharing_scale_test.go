@@ -222,18 +222,18 @@ func TestUTraceReadsNoData(t *testing.T) {
 		q := datagen.MustWorkloadQuery(id)
 		for _, st := range []Strategy{StrategySEF, StrategySNF, StrategyRandom} {
 			label := fmt.Sprintf("Q%d/%s", id, st)
-			full, err := planTrace(ec, q, ds.Mappings(), ds.DB, st, 7)
+			full, err := planTrace(ec, MethodOSharing, q, ds.Mappings(), ds.DB, st, 7)
 			if err != nil {
 				t.Fatalf("%s over the data: %v", label, err)
 			}
-			empty, err := planTrace(ec, q, ds.Mappings(), bare, st, 7)
+			empty, err := planTrace(ec, MethodOSharing, q, ds.Mappings(), bare, st, 7)
 			if err != nil {
 				t.Fatalf("%s over no rows: %v", label, err)
 			}
 			var want, got strings.Builder
 			var leaves []*traceNode
-			printTrace(&want, full.root, 0, &leaves)
-			printTrace(&got, empty.root, 0, nil)
+			printTrace(&want, full.trace.root, 0, &leaves)
+			printTrace(&got, empty.trace.root, 0, nil)
 			if want.String() != got.String() {
 				t.Errorf("%s: the trace over no rows differs from the trace over the data:\n%s\nwant\n%s", label, got.String(), want.String())
 			}

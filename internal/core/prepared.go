@@ -27,7 +27,7 @@ import (
 // and aggregation phases.  There is no other evaluation path: every method
 // runs its memoized front half through one runner (ScatterPlan.executeInto)
 // into a consumer, Evaluator.Evaluate is Prepare followed by Execute, and a
-// shard's run and a delta-maintained answer run the same memoized group list.
+// shard's run and a delta-maintained answer run the same memoized front half.
 //
 // The prepared state references base relations by name, so executions always
 // see the instance's current rows; only changes to the mapping set or the
@@ -37,15 +37,16 @@ type Prepared struct {
 	maps schema.MappingSet
 	q    *query.Query
 
-	// mu guards the lazily built front halves below.
+	// mu guards the lazily built front halves.
 	mu     sync.Mutex
-	plans  [MethodQSharing + 1]*ScatterPlan // indexed by Method
-	traces map[traceKey]*ScatterPlan
+	fronts map[frontKey]*ScatterPlan
 }
 
-// traceKey is what o-sharing's u-trace depends on besides the query and the
-// mappings: the strategy, and the seed under StrategyRandom only.
-type traceKey struct {
+// frontKey is what a front half depends on besides the query and the
+// mappings: the method, and for o-sharing's u-trace the strategy and, under
+// StrategyRandom only, the seed.
+type frontKey struct {
+	method   Method
 	strategy Strategy
 	seed     int64
 }
@@ -57,108 +58,75 @@ func (e *Evaluator) Prepare(q *query.Query) (*Prepared, error) {
 	if err := validateInputs(q, e.Maps, e.DB); err != nil {
 		return nil, err
 	}
-	return &Prepared{db: e.DB, maps: e.Maps, q: q, traces: make(map[traceKey]*ScatterPlan)}, nil
+	return &Prepared{db: e.DB, maps: e.Maps, q: q, fronts: make(map[frontKey]*ScatterPlan)}, nil
 }
 
 // Query returns the prepared target query.
 func (p *Prepared) Query() *query.Query { return p.q }
 
-// memoized returns *slot, building it first when it is unset, and the wall
-// time the build took — zero for every call that found the front half there,
-// including one that waited on p.mu while another call built it, so exactly
-// one execution reports a front half's rewrite phase.  The caller holds p.mu.
-// Builds are memoized on success only, so a build aborted by cancellation
-// retries.
-func memoized(slot **ScatterPlan, build func() (*ScatterPlan, error)) (*ScatterPlan, time.Duration, error) {
-	if *slot != nil {
-		return *slot, 0, nil
-	}
-	start := time.Now()
-	v, err := build()
-	if err != nil {
-		return nil, 0, err
-	}
-	*slot = v
-	return v, time.Since(start), nil
-}
-
-// FrontHalf returns the group list of the options' method, memoized, together
-// with the wall time this call spent building it (zero when it was there
-// already).  MethodOSharing returns ErrNotShardable: o-sharing's front half is
-// a u-trace, which no shard or delta pass runs.
+// FrontHalf returns the memoized front half an execution under the options
+// runs — the method's group list, or o-sharing's u-trace for the strategy
+// (and seed), which top-k walks too (Method MethodTopK) — together with the
+// wall time this call spent building it.  That is zero for every call that
+// found the front half there, including one that waited while another call
+// built it, so exactly one execution reports a front half's rewrite phase.
 func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
+	if opts.Method == MethodTopK {
+		opts.Method = MethodOSharing
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, 0, err
 	}
 	if err := ec.Err(); err != nil {
 		return nil, 0, err
 	}
+	key := frontKey{method: opts.Method}
 	if opts.Method == MethodOSharing {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotShardable, opts.Method)
+		key.strategy = opts.Strategy
+		if opts.Strategy == StrategyRandom {
+			key.seed = opts.RandomSeed
+		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.groupList(ec, opts.Method)
+	return p.build(ec, key)
 }
 
-// Scatter is FrontHalf for callers that report no rewrite phase: two calls
-// for one method return the same plan.
-func (p *Prepared) Scatter(ec *exec.Context, opts Options) (*ScatterPlan, error) {
-	sp, _, err := p.FrontHalf(ec, opts)
-	return sp, err
-}
-
-// groupList is FrontHalf with p.mu held.  e-basic clusters basic's list and
-// e-MQO optimises e-basic's, so a list another is derived from is built — and
-// memoized for its own method — on the way.  A list's shape is analysed as it
-// is memoized, so every reader of the verdict reads the one taken here.
-func (p *Prepared) groupList(ec *exec.Context, m Method) (*ScatterPlan, time.Duration, error) {
-	return memoized(&p.plans[m], func() (sp *ScatterPlan, err error) {
-		switch m {
-		case MethodBasic:
-			sp, err = mappingGroups(ec, m, p.q, p.maps)
-		case MethodEBasic:
-			if sp, _, err = p.groupList(ec, MethodBasic); err == nil {
-				sp = clusterGroups(sp)
-			}
-		case MethodEMQO:
-			if sp, _, err = p.groupList(ec, MethodEBasic); err == nil {
-				sp, err = globalGroups(sp)
-			}
-		default:
-			sp, err = representativeGroups(ec, p.q, p.maps)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sp.analyse()
-		return sp, nil
-	})
-}
-
-// trace returns o-sharing's front half for the options' strategy (and seed),
-// memoized like a group list: the u-trace planned over the mappings, as a plan
-// whose Partitions are the top-level representatives.
-func (p *Prepared) trace(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
-	key := traceKey{strategy: opts.Strategy}
-	if opts.Strategy == StrategyRandom {
-		key.seed = opts.RandomSeed
+// build is FrontHalf with p.mu held.  e-basic clusters basic's list and e-MQO
+// optimises e-basic's, so a list another is derived from is built — and
+// memoized for its own method — on the way.  A front half's shape is decided
+// as it is memoized, so every reader of the verdict reads the one taken here.
+// Builds are memoized on success only, so a build aborted by cancellation
+// retries.
+func (p *Prepared) build(ec *exec.Context, key frontKey) (sp *ScatterPlan, _ time.Duration, err error) {
+	if sp := p.fronts[key]; sp != nil {
+		return sp, 0, nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	slot := p.traces[key]
-	sp, rewrite, err := memoized(&slot, func() (*ScatterPlan, error) {
-		tr, err := planTrace(ec, p.q, p.maps, p.db, key.strategy, key.seed)
-		if err != nil {
-			return nil, fmt.Errorf("o-sharing: %w", err)
+	start := time.Now()
+	switch key.method {
+	case MethodBasic:
+		sp, err = mappingGroups(ec, key.method, p.q, p.maps)
+	case MethodEBasic:
+		if sp, _, err = p.build(ec, frontKey{method: MethodBasic}); err == nil {
+			sp = clusterGroups(sp)
 		}
-		return &ScatterPlan{Method: MethodOSharing, Partitions: len(tr.root.part.Mappings), trace: tr}, nil
-	})
+	case MethodEMQO:
+		if sp, _, err = p.build(ec, frontKey{method: MethodEBasic}); err == nil {
+			sp, err = globalGroups(sp)
+		}
+	case MethodQSharing:
+		sp, err = representativeGroups(ec, p.q, p.maps)
+	case MethodOSharing:
+		sp, err = planTrace(ec, key.method, p.q, p.maps, p.db, key.strategy, key.seed)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	p.traces[key] = sp
-	return sp, rewrite, nil
+	if sp.shape == nil {
+		sp.analyse() // a list's; the planner gave the trace its own
+	}
+	p.fronts[key] = sp
+	return sp, time.Since(start), nil
 }
 
 // Execute runs the prepared query with the given options and returns the
@@ -214,10 +182,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator,
 		return nil, nil, err
 	}
 	ec := opts.Context(ctx)
-	if err := ec.Err(); err != nil {
-		return nil, nil, err
-	}
-	sp, rewrite, err := p.frontHalf(ec, opts)
+	sp, rewrite, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -235,16 +200,6 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator,
 	}
 	res.AggregateTime = aggTime
 	return res, agg, nil
-}
-
-// frontHalf is the memoized front half an execution under the options runs.
-func (p *Prepared) frontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
-	if opts.Method == MethodOSharing {
-		return p.trace(ec, opts)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.groupList(ec, opts.Method)
 }
 
 // execute runs the front half on the whole instance into the consumer and
@@ -276,10 +231,8 @@ func (p *Prepared) ExecuteTopKContext(ctx context.Context, k int, opts Options) 
 		return nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
 	}
 	ec := opts.Context(ctx).WithParallelism(1)
-	if err := ec.Err(); err != nil {
-		return nil, err
-	}
-	sp, rewrite, err := p.trace(ec, opts)
+	opts.Method = MethodTopK
+	sp, rewrite, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, err
 	}

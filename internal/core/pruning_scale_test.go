@@ -17,7 +17,7 @@ import (
 func naiveOracle(t *testing.T, prep *Prepared, m Method) *Result {
 	t.Helper()
 	ec := exec.Sequential()
-	sp, err := prep.Scatter(ec, Options{Method: m, Parallelism: 1})
+	sp, _, err := prep.FrontHalf(ec, Options{Method: m, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPlanMethodsAtBenchmarkScale(t *testing.T) {
 // e-basic, one shared cache for e-MQO, whose common subexpressions run once.
 func allColumnsValues(t *testing.T, prep *Prepared, m Method) int {
 	t.Helper()
-	cp, err := prep.Scatter(exec.Sequential(), Options{Method: MethodEBasic})
+	cp, _, err := prep.FrontHalf(exec.Sequential(), Options{Method: MethodEBasic})
 	if err != nil {
 		t.Fatal(err)
 	}

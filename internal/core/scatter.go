@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -13,20 +12,17 @@ import (
 	"github.com/probdb/urm/internal/query"
 )
 
-// ErrNotShardable marks a (query, method) pair whose evaluation cannot be
-// distributed over disjoint partitions of the base relations.  o-sharing
-// always returns it: its front half is a u-trace with no group plans, so there
-// is nothing for a shard to run.  Callers fall back to unsharded evaluation
-// (in-process) or report the query as not shardable (coordinator mode).
-var ErrNotShardable = errors.New("core: method not shardable")
-
 // ScatterGroup is one group of a method's group list: a source plan together
 // with the probability mass its answers carry.  A nil Plan marks a group whose
 // mappings do not cover the query — its mass goes to the empty answer exactly
 // once, where the group's turn comes in the aggregation, never per shard.
+// o-sharing's groups are its u-trace's nodes in pre-order, with no plans;
+// Below is the size of a node's subtree, the groups after it that lie below
+// it — 0 for a leaf and for every group of a list.
 type ScatterGroup struct {
-	Prob float64
-	Plan engine.Plan
+	Prob  float64
+	Plan  engine.Plan
+	Below int
 }
 
 // ScatterPlan is one of the four plan methods, as the paper defines them:
@@ -48,9 +44,9 @@ type ScatterGroup struct {
 // shape is decided, once (planShape).
 //
 // o-sharing's front half is a ScatterPlan too, run by the same runner into the
-// same consumers: it has no groups and no shape, and the runner walks its
-// planned u-trace instead, whose nodes are the group indices rows are handed
-// over under.  FrontHalf refuses it, so no shard or delta pass sees one.
+// same consumers and merged by the same Merge: its groups are its u-trace's
+// nodes, its shape is read off the planner, and the runner walks the planned
+// trace, handing rows over under the nodes' group indices.
 type ScatterPlan struct {
 	// Method is the evaluation method the plan is.
 	Method Method
@@ -78,18 +74,18 @@ type ScatterPlan struct {
 	trace *uTrace
 }
 
-// planShape is what one walk over each covering group plan decides, for a
-// shard's scatter and the delta alike.  The paper's answers add probability
-// over groups, so a linear plan — one that neither aggregates nor reads a
-// materialized input — distributes over any horizontal split of a relation it
-// scans at most once: a shard partition R₁ ⊎ … ⊎ Rₙ and an append
-// R_old ⊎ ΔR are the same case.
+// planShape is what one walk over each covering group plan decides — or, for
+// a u-trace, what its planner saw at each node — for a shard's scatter and the
+// delta alike.  The paper's answers add probability over groups, so a linear
+// plan — one that neither aggregates nor reads a materialized input —
+// distributes over any horizontal split of a relation it scans at most once: a
+// shard partition R₁ ⊎ … ⊎ Rₙ and an append R_old ⊎ ΔR are the same case.
 type planShape struct {
-	// scans[gi] counts group gi's scans of each base relation; nil for a
-	// non-covering group.
+	// scans[gi] counts group gi's scans of each base relation — a trace
+	// node's, on the path down to it; nil for a non-covering group.
 	scans []map[string]int
 	// linear is false when some covering plan aggregates or reads a
-	// materialized input.
+	// materialized input, or a trace's final operator aggregates.
 	linear bool
 	// rels is the sorted union of the scanned relations: the fixed order
 	// every delta pass walks, so float accumulation never depends on which
@@ -101,27 +97,33 @@ type planShape struct {
 	unmaintainable error
 }
 
-// analyse decides the plan's shape.  groupList calls it once, as it memoizes
-// the plan.
+// analyse decides a group list's shape from its plans, once, as it is memoized.
 func (sp *ScatterPlan) analyse() {
-	sh := &planShape{scans: make([]map[string]int, len(sp.Groups)), linear: true}
+	scans := make([]map[string]int, len(sp.Groups))
+	linear := true
 	for gi, g := range sp.Groups {
-		if g.Plan == nil {
-			continue
+		if g.Plan != nil {
+			scans[gi] = make(map[string]int)
+			linear = countScans(g.Plan, scans[gi]) && linear
 		}
-		scans := make(map[string]int)
-		sh.linear = countScans(g.Plan, scans) && sh.linear
-		for rel := range scans {
+	}
+	sp.setShape(scans, linear)
+}
+
+// setShape records the plan's shape from each group's scans and linearity.
+func (sp *ScatterPlan) setShape(scans []map[string]int, linear bool) {
+	sh := &planShape{scans: scans, linear: linear}
+	for _, counts := range scans {
+		for rel := range counts {
 			if !slices.Contains(sh.rels, rel) {
 				sh.rels = append(sh.rels, rel)
 			}
 		}
-		sh.scans[gi] = scans
 	}
 	slices.Sort(sh.rels)
 	sp.shape = sh
 	if !sh.linear {
-		sh.unmaintainable = fmt.Errorf("%w: a group plan aggregates or reads a materialized input", ErrNotDeltaMaintainable)
+		sh.unmaintainable = fmt.Errorf("%w: the plan aggregates or reads a materialized input", ErrNotDeltaMaintainable)
 		return
 	}
 	for _, rel := range sh.rels {
@@ -203,9 +205,11 @@ func (g *GroupRows) extend(rows []engine.Tuple) {
 // per-group distinct answer tuples (index-aligned with Groups, empty for
 // non-covering groups).  Rows are deduplicated where they are produced, within
 // one group on one instance; a tuple the same group produces on several shards
-// is the merge's to collapse.
+// is the merge's to collapse.  Pruned marks the u-trace nodes the run's walk
+// pruned (Case 2) at the node or above it; a list's run marks none.
 type ShardRun struct {
 	Groups   []GroupRows
+	Pruned   []bool
 	Stats    *engine.Stats
 	ExecTime time.Duration
 }
@@ -229,20 +233,26 @@ type groupConsumer struct {
 // keepSets is the consumer that folds each group's rows into the run's
 // per-group sets on the producing worker: a shard's run ships them, a
 // DeltaState keeps them and extends them pass by pass.  Each worker extends
-// only its own group's set.
-func (run *ShardRun) keepSets() groupConsumer {
+// only its own group's set.  The one hand-over an internal u-trace node ever
+// gets is Case 2's, so it marks the node's subtree pruned.
+func (run *ShardRun) keepSets(sp *ScatterPlan) groupConsumer {
 	return groupConsumer{take: func(gi int, _ float64, rows []engine.Tuple) bool {
 		run.Groups[gi].extend(rows)
+		if below := sp.Groups[gi].Below; below > 0 {
+			for d := gi; d <= gi+below; d++ {
+				run.Pruned[d] = true
+			}
+		}
 		return false
 	}}
 }
 
 // ExecuteOn runs every group of the plan against one instance — normally a
 // shard holding one partition of the base relations — and returns the
-// per-group distinct answer tuples.
+// per-group distinct answer tuples and prune marks.
 func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardRun, error) {
-	run := &ShardRun{Groups: make([]GroupRows, len(sp.Groups)), Stats: engine.NewStats()}
-	if err := sp.executeInto(ec, db, run, run.keepSets()); err != nil {
+	run := &ShardRun{Groups: make([]GroupRows, len(sp.Groups)), Pruned: make([]bool, len(sp.Groups)), Stats: engine.NewStats()}
+	if err := sp.executeInto(ec, db, run, run.keepSets(sp)); err != nil {
 		return nil, err
 	}
 	return run, nil
@@ -323,23 +333,42 @@ func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, runs []*
 }
 
 // Result turns runs that kept sets — every shard's in shard order, or a
-// DeltaState's maintained one — into the method's Result: group by group, in
-// group order, the union of the runs' distinct rows receives the group's
-// probability.  That replays the unsharded aggregation exactly — a tuple the
-// same group produced on several instances is collapsed again, a group
-// without rows anywhere sends its mass to the empty answer — so the answers
-// are bit-identical to an unsharded execution of the whole instance.
+// DeltaState's maintained one — into the method's Result through Merge.
 // TotalTime is the caller's to set.
 func (sp *ScatterPlan) Result(q *query.Query, rewrite time.Duration, runs ...*ShardRun) *Result {
 	start := time.Now()
 	res := sp.newResult(q, rewrite, runs)
-	merge := NewGroupMerge(sp.PreEmptyProb)
-	for gi, g := range sp.Groups {
-		merge.Add(g.Prob, unionRows(runs, gi))
-	}
-	res.Answers, res.EmptyProb = merge.Finalize()
+	res.Answers, res.EmptyProb = sp.Merge(runs...)
 	res.AggregateTime = time.Since(start)
 	return res
+}
+
+// Merge is the one merge of runs that kept sets into the method's answers, in
+// canonical order, and the empty answer's mass.  It walks the groups in
+// order, a u-trace's in pre-order.  An internal node every run pruned, at the
+// node or above it, gives its mass once to the union of the runs' rows there
+// and its subtree is skipped; any other internal node is descended; a leaf —
+// every group of a list is one — gives its mass to the union of the runs'
+// rows.  An empty union sends the mass to the empty answer; a tuple that
+// several runs, or one remote run twice, sent for a group is collapsed.  The
+// whole instance's walk prunes exactly where every run did (DESIGN.md
+// "O-sharing"), so the answers are bit-identical to one execution over it.
+func (sp *ScatterPlan) Merge(runs ...*ShardRun) ([]Answer, float64) {
+	agg := newAggregator()
+	agg.addEmpty(sp.PreEmptyProb)
+	for gi := 0; gi < len(sp.Groups); gi++ {
+		g := sp.Groups[gi]
+		pruned := true
+		for _, run := range runs {
+			pruned = pruned && run.Pruned[gi]
+		}
+		if g.Below > 0 && !pruned {
+			continue
+		}
+		agg.addRows(unionRows(runs, gi), g.Prob)
+		gi += g.Below
+	}
+	return agg.answers(), agg.emptyProb
 }
 
 // unionRows concatenates group gi's distinct rows over the runs, in run
@@ -359,41 +388,6 @@ func unionRows(runs []*ShardRun, gi int) []engine.Tuple {
 	return rows
 }
 
-// GroupMerge re-aggregates per-shard answer streams into the canonical answer
-// distribution.  It replays exactly the unsharded aggregation: one Add call
-// per covering group in group order (rows being the concatenation of that
-// group's per-shard rows in shard order), one AddEmpty per non-covering
-// group.  A shard deduplicates within a group before it hands rows over
-// (GroupRows); Add still collapses duplicates itself — the same per-call
-// dedup addRows performs — because the same tuple arrives from several
-// shards when a group reads only replicated relations, and because a remote
-// shard's rows are outside input.  The final sort is the canonical
-// (probability desc, tuple key asc) total order, so the merged answers are
-// bit-identical to evaluating the unpartitioned instance: each distinct tuple
-// receives `prob` exactly once per group that produced it, in the same
-// float-addition sequence.
-type GroupMerge struct {
-	agg *aggregator
-}
-
-// NewGroupMerge starts a merge with the scatter plan's pre-group empty-answer
-// mass (0 for methods that account non-covering mappings per group).
-func NewGroupMerge(preEmptyProb float64) *GroupMerge {
-	m := &GroupMerge{agg: newAggregator()}
-	m.agg.addEmpty(preEmptyProb)
-	return m
-}
-
-// AddEmpty assigns one group's probability mass to the empty answer.
-func (m *GroupMerge) AddEmpty(prob float64) { m.agg.addEmpty(prob) }
-
-// Add merges one group's unioned rows under the group's probability.  Rows
-// are deduplicated within the call; an empty union sends the mass to the
-// empty answer.
-func (m *GroupMerge) Add(prob float64, rows []engine.Tuple) { m.agg.addRows(rows, prob) }
-
-// Finalize returns the merged answers in canonical order together with the
-// empty-answer probability.
-func (m *GroupMerge) Finalize() ([]Answer, float64) {
-	return m.agg.answers(), m.agg.emptyProb
-}
+// Covers reports whether group gi's mappings cover the query: false for a
+// list group without a plan and for an uncovered u-trace leaf.
+func (sp *ScatterPlan) Covers(gi int) bool { return sp.shape.scans[gi] != nil }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,17 +52,18 @@ type CoordinatorConfig struct {
 // that owns the shard map and no data.  Shard nodes register by heartbeating
 // POST /v1/lease; queries arriving at POST /v1/query fan out as /v1/scatter
 // requests to each shard's current lease owner, and the per-group answer
-// streams are re-aggregated with core.GroupMerge — the same float-addition
+// sets are merged by core.ScatterPlan.Merge — the same float-addition
 // sequence as unsharded evaluation, so coordinated answers are bit-identical
 // to a single node holding all the data.
 //
 // Failure modes are explicit rather than silent: a shard with no live owner
 // (after retries) is 503 with the lease interval as Retry-After — never a
 // partial answer; shard responses that disagree on the deterministic front
-// half (epoch, canonical query, group probabilities) are 502 — merging them
-// could fabricate answers; methods whose evaluation cannot distribute
-// (o-sharing, top-k) are 422, because unlike a single sharded process the
-// coordinator holds no unpartitioned instance to fall back to.
+// half (epoch, canonical query, group probabilities and subtrees), or whose
+// group list the merge could not walk, are 502 — merging them could fabricate
+// answers; evaluations that cannot distribute (top-k, and the plans a shard
+// refuses) are 422, because unlike a single sharded process the coordinator
+// holds no unpartitioned instance to fall back to.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	leases *LeaseTable
@@ -275,16 +277,15 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	if err != nil {
 		return nil, err
 	}
-	if method == core.MethodOSharing {
-		c.notShardable.Add(1)
-		return nil, apiErr(http.StatusUnprocessableEntity,
-			fmt.Errorf("%w: o-sharing interleaves operators across mappings and does not distribute; pick basic, e-basic, e-mqo or q-sharing", ErrNotDistributable))
+	strategy, err := parseStrategy(req.Strategy)
+	if err != nil {
+		return nil, err
 	}
 	ctx, cancel := withDeadline(ctx, c.cfg.RequestTimeout, req.TimeoutMS)
 	defer cancel()
 
 	// One body serves every shard and every retry.
-	body, err := json.Marshal(ScatterRequest{Scenario: req.Scenario, Query: req.Query, Method: method.String()})
+	body, err := json.Marshal(ScatterRequest{Scenario: req.Scenario, Query: req.Query, Method: method.String(), Strategy: strategy.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -314,6 +315,7 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 		Epoch:     parts[0].Epoch,
 		Query:     parts[0].Query,
 		Method:    method.String(),
+		Strategy:  strategy.String(),
 		Columns:   res.Columns,
 		Answers:   answersJSON(res),
 		EmptyProb: res.EmptyProb,
@@ -343,13 +345,11 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 		if r.Shard == nil || r.Shard.Index != index || r.Shard.Count != c.cfg.Shards {
 			// The node answered for the wrong slice (misconfigured boot);
 			// treat like a mismatch, not a retryable blip.
-			c.mismatches.Add(1)
 			got := "no shard identity"
 			if r.Shard != nil {
 				got = fmt.Sprintf("shard %d of %d", r.Shard.Index, r.Shard.Count)
 			}
-			return 0, false, apiErr(http.StatusBadGateway,
-				fmt.Errorf("%w: node %q answered as %s, want shard %d of %d", ErrShardMismatch, owner.Node, got, index, c.cfg.Shards))
+			return 0, false, c.mismatch("node %q answered as %s, want shard %d of %d", owner.Node, got, index, c.cfg.Shards)
 		}
 		resp = r
 		return 0, false, nil
@@ -494,37 +494,38 @@ func upstreamMessage(status int, body []byte) string {
 	return fmt.Sprintf("%d %s", status, http.StatusText(status))
 }
 
-// mergeParts cross-checks the shard responses' deterministic front halves and
-// re-aggregates their per-group rows into the canonical answer distribution.
+// mismatch counts and reports shard responses it refuses to merge: 502.
+func (c *Coordinator) mismatch(format string, args ...any) error {
+	c.mismatches.Add(1)
+	return apiErr(http.StatusBadGateway, fmt.Errorf("%w: %s", ErrShardMismatch, fmt.Sprintf(format, args...)))
+}
+
+// mergeParts checks every shard response's group list and deterministic front
+// half, then merges their per-group rows as the shards' runs of one plan.
 func (c *Coordinator) mergeParts(method core.Method, parts []*ScatterResponse) (*core.Result, error) {
 	first := parts[0]
-	for i, p := range parts[1:] {
+	n := len(first.Groups)
+	sp := &core.ScatterPlan{Method: method, PreEmptyProb: first.PreEmptyProb, Groups: make([]core.ScatterGroup, n)}
+	runs := make([]*core.ShardRun, len(parts))
+	for i, p := range parts {
+		if err := groupsWellFormed(p.Groups); err != nil {
+			return nil, c.mismatch("shard %d (node %q): %v", i, p.Shard.Node, err)
+		}
 		if err := scatterConsistent(first, p); err != nil {
-			c.mismatches.Add(1)
-			return nil, apiErr(http.StatusBadGateway,
-				fmt.Errorf("%w: shard 0 (node %q) vs shard %d (node %q): %v",
-					ErrShardMismatch, nodeName(first), i+1, nodeName(p), err))
+			return nil, c.mismatch("shard 0 (node %q) vs shard %d (node %q): %v", first.Shard.Node, i, p.Shard.Node, err)
 		}
-	}
-	gm := core.NewGroupMerge(first.PreEmptyProb)
-	for gi, g := range first.Groups {
-		if !g.Covered {
-			gm.AddEmpty(g.Prob)
-			continue
-		}
-		n := 0
-		for _, p := range parts {
-			n += len(p.Groups[gi].Rows)
-		}
-		rows := make([]engine.Tuple, 0, n)
-		for _, p := range parts {
-			for _, wire := range p.Groups[gi].Rows {
-				rows = append(rows, wireTuple(wire))
+		runs[i] = &core.ShardRun{Groups: make([]core.GroupRows, n), Pruned: make([]bool, n)}
+		for gi, g := range p.Groups {
+			sp.Groups[gi] = core.ScatterGroup{Prob: g.Prob, Below: g.Below} // every part's are the first's
+			runs[i].Pruned[gi] = g.Pruned
+			rows := make([]engine.Tuple, len(g.Rows))
+			for ri, wire := range g.Rows {
+				rows[ri] = wireTuple(wire)
 			}
+			runs[i].Groups[gi].Rows = rows
 		}
-		gm.Add(g.Prob, rows)
 	}
-	answers, emptyProb := gm.Finalize()
+	answers, emptyProb := sp.Merge(runs...)
 	return &core.Result{
 		Method:    method,
 		Answers:   answers,
@@ -533,16 +534,26 @@ func (c *Coordinator) mergeParts(method core.Method, parts []*ScatterResponse) (
 	}, nil
 }
 
-func nodeName(p *ScatterResponse) string {
-	if p.Shard != nil {
-		return p.Shard.Node
+// groupsWellFormed checks a shard's group list as outside input, for what the
+// merge reads: every subtree ends inside the list, only an internal node
+// carries a prune mark, and only a covered group carries rows.
+func groupsWellFormed(groups []ScatterGroupJSON) error {
+	for gi, g := range groups {
+		switch {
+		case g.Below < 0 || g.Below >= len(groups)-gi:
+			return fmt.Errorf("group %d's subtree of %d runs past the %d groups", gi, g.Below, len(groups))
+		case g.Pruned && g.Below == 0:
+			return fmt.Errorf("group %d is a leaf marked pruned", gi)
+		case !g.Covered && len(g.Rows) > 0:
+			return fmt.Errorf("group %d does not cover the query but carries rows", gi)
+		}
 	}
-	return "?"
+	return nil
 }
 
 // scatterConsistent verifies two shard responses share the deterministic
 // front half: same epoch, canonical query, method, columns, pre-group empty
-// mass and group sequence (count, probabilities, coverage).  Shard nodes
+// mass and group sequence (count, probabilities, coverage, subtrees).  Shard nodes
 // regenerate the scenario from the same seed, so any disagreement means a
 // node is running different data or code and merging would be unsound.
 func scatterConsistent(a, b *ScatterResponse) error {
@@ -555,13 +566,8 @@ func scatterConsistent(a, b *ScatterResponse) error {
 	if a.Method != b.Method {
 		return fmt.Errorf("method %q vs %q", a.Method, b.Method)
 	}
-	if len(a.Columns) != len(b.Columns) {
-		return fmt.Errorf("%d columns vs %d", len(a.Columns), len(b.Columns))
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return fmt.Errorf("column %d %q vs %q", i, a.Columns[i], b.Columns[i])
-		}
+	if !slices.Equal(a.Columns, b.Columns) {
+		return fmt.Errorf("columns %q vs %q", a.Columns, b.Columns)
 	}
 	if a.PreEmptyProb != b.PreEmptyProb {
 		return fmt.Errorf("pre-group empty mass %v vs %v", a.PreEmptyProb, b.PreEmptyProb)
@@ -571,8 +577,9 @@ func scatterConsistent(a, b *ScatterResponse) error {
 	}
 	for i := range a.Groups {
 		ga, gb := a.Groups[i], b.Groups[i]
-		if ga.Prob != gb.Prob || ga.Covered != gb.Covered {
-			return fmt.Errorf("group %d (prob %v covered %v) vs (prob %v covered %v)", i, ga.Prob, ga.Covered, gb.Prob, gb.Covered)
+		if ga.Prob != gb.Prob || ga.Covered != gb.Covered || ga.Below != gb.Below {
+			return fmt.Errorf("group %d (prob %v covered %v below %d) vs (prob %v covered %v below %d)",
+				i, ga.Prob, ga.Covered, ga.Below, gb.Prob, gb.Covered, gb.Below)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -110,36 +111,39 @@ func (cl *cluster) postQuery(t *testing.T, req Request) (int, map[string]any) {
 }
 
 // TestCoordinatorBitIdentical: queries answered through the coordinator's
-// scatter fan-out over 2 shard nodes match unsharded evaluation bit-exactly —
-// same tuples, same order, exactly equal probabilities — for every
-// distributable method.
+// scatter fan-out over 2 and 3 shard nodes match unsharded evaluation
+// bit-exactly — same tuples, same order, exactly equal probabilities — for
+// every method, o-sharing under each strategy included.
 func TestCoordinatorBitIdentical(t *testing.T) {
 	const rows = 300
 	ref, _ := newTestServer(t, rows, Config{})
-	cl := newCluster(t, rows, 2, CoordinatorConfig{})
 	// The join fixture's query is the one whose groups emit hundreds of rows
 	// and a handful of distinct tuples — what the shards deduplicate.
 	joinRef, _ := newTestServerOn(t, joinFixture, rows, Config{})
-	joinCl := newClusterOn(t, joinFixture, rows, 2, CoordinatorConfig{})
-
-	for _, method := range []string{"basic", "e-basic", "e-mqo", "q-sharing"} {
-		for _, q := range []string{fastQueryText, "SELECT a, b FROM T", "SELECT a FROM T WHERE b = 3", joinQueryText} {
-			ref, cl := ref, cl
-			if q == joinQueryText {
-				ref, cl = joinRef, joinCl
-			}
-			req := Request{Scenario: "test", Query: q, Method: method}
-			want, err := ref.Do(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s %q unsharded: %v", method, q, err)
-			}
-			got, err := cl.coord.Query(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s %q coordinated: %v", method, q, err)
-			}
-			sameResult(t, method+" "+q, want.Result, got.Result)
-			if got.Query != want.Query {
-				t.Fatalf("canonical query %q, want %q", got.Query, want.Query)
+	var cl *cluster
+	for _, count := range []int{2, 3} {
+		cl = newCluster(t, rows, count, CoordinatorConfig{})
+		joinCl := newClusterOn(t, joinFixture, rows, count, CoordinatorConfig{})
+		for _, mode := range [][2]string{{"basic"}, {"e-basic"}, {"e-mqo"}, {"q-sharing"}, {"o-sharing", "SEF"}, {"o-sharing", "SNF"}, {"o-sharing", "Random"}} {
+			for _, q := range []string{fastQueryText, "SELECT a, b FROM T", "SELECT a FROM T WHERE b = 3", joinQueryText} {
+				ref, cl := ref, cl
+				if q == joinQueryText {
+					ref, cl = joinRef, joinCl
+				}
+				req := Request{Scenario: "test", Query: q, Method: mode[0], Strategy: mode[1]}
+				label := fmt.Sprintf("%d nodes %v %q", count, mode, q)
+				want, err := ref.Do(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s unsharded: %v", label, err)
+				}
+				got, err := cl.coord.Query(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s coordinated: %v", label, err)
+				}
+				sameResult(t, label, want.Result, got.Result)
+				if got.Query != want.Query {
+					t.Fatalf("canonical query %q, want %q", got.Query, want.Query)
+				}
 			}
 		}
 	}
@@ -152,23 +156,18 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesNonDistributable: o-sharing and top-k cannot fan out
-// — the coordinator holds no data to fall back to — so they are refused with
-// 422 up front, before any shard round-trip.
+// TestCoordinatorRefusesNonDistributable: top-k cannot fan out — its bounds
+// depend on visit order, and the coordinator holds no data to fall back to —
+// so it is refused with 422 up front, before any shard round-trip.
 func TestCoordinatorRefusesNonDistributable(t *testing.T) {
 	cl := newCluster(t, 60, 2, CoordinatorConfig{})
-	for _, req := range []Request{
-		{Scenario: "test", Query: fastQueryText}, // default method is o-sharing
-		{Scenario: "test", Query: fastQueryText, Method: "o-sharing"},
-		{Scenario: "test", Query: fastQueryText, Method: "e-basic", TopK: 3},
-	} {
-		status, body := cl.postQuery(t, req)
-		if status != http.StatusUnprocessableEntity {
-			t.Fatalf("%+v: status %d (%v), want 422", req, status, body["error"])
-		}
+	req := Request{Scenario: "test", Query: fastQueryText, Method: "e-basic", TopK: 3}
+	status, body := cl.postQuery(t, req)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("%+v: status %d (%v), want 422", req, status, body["error"])
 	}
-	if got := cl.coord.Metrics().NotShardable; got < 3 {
-		t.Fatalf("not_shardable = %d, want >= 3", got)
+	if got := cl.coord.Metrics().NotShardable; got < 1 {
+		t.Fatalf("not_shardable = %d, want >= 1", got)
 	}
 }
 
@@ -401,8 +400,8 @@ func TestCoordinatorLeaseEndpointAndHealth(t *testing.T) {
 	}
 }
 
-// TestScatterEndpoint: the shard-side API refuses non-distributable methods
-// with 422, echoes the node's placement, and carries typed values that
+// TestScatterEndpoint: the shard-side API scatters every method, o-sharing
+// included, echoes the node's placement, and carries typed values that
 // reconstruct tuples exactly.
 func TestScatterEndpoint(t *testing.T) {
 	node := newShardNode(t, 60, 0, 2)
@@ -433,9 +432,8 @@ func TestScatterEndpoint(t *testing.T) {
 	if len(sr.Groups) == 0 {
 		t.Fatal("scatter returned no groups")
 	}
-	// o-sharing cannot scatter: 422, not a fallback (the node only holds a
-	// slice, so falling back would answer from partial data).
-	if status, body := post(`{"scenario":"test","query":"` + fastQueryText + `","method":"o-sharing"}`); status != http.StatusUnprocessableEntity {
+	// o-sharing scatters its u-trace's nodes like any other group list.
+	if status, body := post(`{"scenario":"test","query":"` + fastQueryText + `","method":"o-sharing"}`); status != http.StatusOK {
 		t.Fatalf("o-sharing scatter = %d: %s", status, body)
 	}
 	// Unknown scenario: 404.

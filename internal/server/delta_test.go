@@ -96,9 +96,9 @@ func mustPrepare(t *testing.T, sc *Scenario, text string) *core.Prepared {
 	return prep
 }
 
-// TestDeltaFallbackPaths: o-sharing (no per-group stream) and top-k requests
-// still answer correctly through the ordinary evaluator, counted as fallbacks;
-// an explicit Bump purges maintained entries and counts as an epoch
+// TestDeltaFallbackPaths: o-sharing enrolls like the plan methods; top-k
+// requests still answer correctly through the ordinary evaluator and enroll
+// nothing; an explicit Bump purges maintained entries and counts as an epoch
 // invalidation.
 func TestDeltaFallbackPaths(t *testing.T) {
 	srv, sc := newTestServer(t, 30, Config{})
@@ -110,23 +110,23 @@ func TestDeltaFallbackPaths(t *testing.T) {
 	if resp.Cached {
 		t.Fatal("first o-sharing request cached")
 	}
-	if n := srv.Metrics().DeltaFallbacks; n != 1 {
-		t.Fatalf("delta_fallbacks = %d after an o-sharing evaluation, want 1", n)
+	if n := srv.Metrics().DeltaFallbacks; n != 0 {
+		t.Fatalf("delta_fallbacks = %d after an o-sharing evaluation, want 0", n)
 	}
-	if n := srv.DeltaEntries("test"); n != 0 {
-		t.Fatalf("o-sharing enrolled %d entries, want 0", n)
+	if n := srv.DeltaEntries("test"); n != 1 {
+		t.Fatalf("o-sharing enrolled %d entries, want 1", n)
 	}
 
 	if _, err := srv.Do(context.Background(), Request{Scenario: "test", Query: deltaQuery, Method: "e-basic", TopK: 2}); err != nil {
 		t.Fatalf("top-k query: %v", err)
 	}
-	if n := srv.DeltaEntries("test"); n != 0 {
-		t.Fatalf("top-k enrolled %d entries, want 0", n)
+	if n := srv.DeltaEntries("test"); n != 1 {
+		t.Fatalf("top-k enrolled an entry: %d entries, want 1", n)
 	}
 
 	doQuery(t, srv, deltaQuery)
-	if n := srv.DeltaEntries("test"); n != 1 {
-		t.Fatalf("e-basic enrolled %d entries, want 1", n)
+	if n := srv.DeltaEntries("test"); n != 2 {
+		t.Fatalf("e-basic enrolled %d entries beside o-sharing's, want 2 in all", n)
 	}
 	sc.Bump()
 	if n := srv.DeltaEntries("test"); n != 0 {
@@ -139,8 +139,8 @@ func TestDeltaFallbackPaths(t *testing.T) {
 
 // TestCacheOffMaintainsNothing: a server with the answer cache disabled has
 // nowhere to republish a maintained answer, so its misses take the plain
-// evaluator — nothing enrolls, nothing counts as a delta fallback (not even
-// o-sharing, which a caching server counts), appends reconcile nothing — and
+// evaluator — nothing enrolls, nothing counts as a delta fallback, appends
+// reconcile nothing — and
 // every answer is bit-identical to the caching server's.
 func TestCacheOffMaintainsNothing(t *testing.T) {
 	off, sc := newTestServer(t, 40, Config{CacheBytes: -1})

@@ -50,7 +50,9 @@ func TestPreparedCacheReuse(t *testing.T) {
 // next request re-prepares (the compiled entry of the old epoch is dead) and
 // answers reflect the new data.
 func TestPreparedCacheEpochInvalidation(t *testing.T) {
-	srv, sc := newTestServer(t, 100, Config{MaxConcurrent: 2})
+	// Delta maintenance is off: it would republish the answer at the new
+	// epoch before the second request could miss.
+	srv, sc := newTestServer(t, 100, Config{MaxConcurrent: 2, DisableDelta: true})
 	ctx := context.Background()
 
 	first, err := srv.Do(ctx, Request{Scenario: "test", Query: fastQueryText})

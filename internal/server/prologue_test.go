@@ -55,6 +55,23 @@ func TestCoordinatorRelaysRequestErrors(t *testing.T) {
 	if got := cl.coord.Metrics().UpstreamErrors; got != 0 {
 		t.Fatalf("upstream_errors = %d, want 0", got)
 	}
+
+	// The strategy is read by the same prologue: a bad one is 400 before any
+	// fan-out, a good one is forwarded and echoed.
+	before = scatters()
+	if status, body := cl.postQuery(t, Request{Scenario: "test", Query: fastQueryText, Method: "e-basic", Strategy: "bogus"}); status != http.StatusBadRequest {
+		t.Fatalf("bad strategy: status %d (%v), want 400", status, body["error"])
+	}
+	if got := scatters() - before; got != 0 {
+		t.Fatalf("a bad strategy reached the nodes %d times, want 0", got)
+	}
+	resp, err := cl.coord.Query(context.Background(), Request{Scenario: "test", Query: fastQueryText, Method: "o-sharing", Strategy: "snf"})
+	if err != nil {
+		t.Fatalf("o-sharing under snf: %v", err)
+	}
+	if resp.Strategy != "SNF" {
+		t.Fatalf("strategy %q echoed, want SNF", resp.Strategy)
+	}
 }
 
 // TestPostRoutesRefuseOtherMethods: every POST route, on a node and on the

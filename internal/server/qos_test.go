@@ -117,10 +117,13 @@ func TestTenantIsolationUnderFlood(t *testing.T) {
 func TestStaleDegradation(t *testing.T) {
 	clk := qos.NewFakeClock()
 	// One token per second, burst one: the second request in any one-second
-	// window is shed, which is all the pressure the test needs.
+	// window is shed, which is all the pressure the test needs.  Delta
+	// maintenance is off: it would republish the answer at the new epoch
+	// before the shed request arrives, leaving nothing stale to degrade to.
 	s, sc := newTestServer(t, 200, Config{
-		TenantRate: 1,
-		Faults:     &qos.Faults{Clock: clk},
+		TenantRate:   1,
+		DisableDelta: true,
+		Faults:       &qos.Faults{Clock: clk},
 	})
 	ctx := context.Background()
 	const queryText = fastQueryText
@@ -179,6 +182,7 @@ func TestStaleDegradation(t *testing.T) {
 		s, sc := newTestServer(t, 200, Config{
 			TenantRate:        1,
 			DisableStaleServe: true,
+			DisableDelta:      true,
 			Faults:            &qos.Faults{Clock: clk},
 		})
 		if _, err := s.Do(ctx, Request{Scenario: "test", Query: queryText}); err != nil {
@@ -198,7 +202,8 @@ func TestStaleDegradation(t *testing.T) {
 // median is rejected before admission — and that a cached previous-epoch
 // answer turns even that rejection into a stale response.
 func TestDoomedDeadlineShed(t *testing.T) {
-	s, sc := newTestServer(t, 200, Config{})
+	// Delta maintenance is off, as in TestStaleDegradation.
+	s, sc := newTestServer(t, 200, Config{DisableDelta: true})
 	ctx := context.Background()
 
 	// Prime the cache at epoch 0 before the tracker is poisoned.

@@ -35,12 +35,12 @@ type ShardIdentity struct {
 	Kind     string `json:"kind"`
 }
 
-// ErrNotDistributable is returned (and mapped to 422) when a scatter request
-// names a method, or reformulates into a plan, whose evaluation does not
-// distribute over the node's partitioned relation: o-sharing and top-k
-// always, and any group plan that scans the partitioned relation more than
-// once (a self-join) or aggregates.  Per-shard evaluation of such a plan
-// would silently drop cross-shard row pairs, so the node refuses instead.
+// ErrNotDistributable is returned (and mapped to 422) when a request's
+// evaluation does not distribute over the shards' partitioned relation:
+// top-k always, and any front half that scans the partitioned relation more
+// than once on one group's path (a self-join) or aggregates.  Per-shard
+// evaluation of such a plan would silently drop cross-shard row pairs, so the
+// node refuses instead.
 var ErrNotDistributable = errors.New("query is not distributable over this node's shard partition")
 
 // ScatterRequest is the body of POST /v1/scatter — the shard half of a
@@ -52,6 +52,7 @@ type ScatterRequest struct {
 	Scenario  string `json:"scenario"`
 	Query     string `json:"query"`
 	Method    string `json:"method,omitempty"`
+	Strategy  string `json:"strategy,omitempty"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
@@ -73,12 +74,16 @@ type WireValue struct {
 // (uncovered groups carry mass for the empty answer and no rows), and the
 // distinct rows this shard produced for it, in first-seen order —
 // core.ScatterPlan.ExecuteOn deduplicates within the group before anything
-// reaches the wire.  Across shards nothing is deduplicated here: the same
-// tuple may arrive from several nodes, and the coordinator, which trusts no
-// node to have sent a set, collapses both in core.GroupMerge.Add.
+// reaches the wire.  An o-sharing group is a u-trace node: Below is the size
+// of its subtree and, on an internal node, Pruned says this shard's walk
+// pruned it or an ancestor.  Across shards nothing is deduplicated here: the
+// same tuple may arrive from several nodes, and the coordinator, which trusts
+// no node to have sent a set, collapses both in core.ScatterPlan.Merge.
 type ScatterGroupJSON struct {
 	Prob    float64       `json:"prob"`
 	Covered bool          `json:"covered"`
+	Below   int           `json:"below,omitempty"`
+	Pruned  bool          `json:"pruned,omitempty"`
 	Rows    [][]WireValue `json:"rows,omitempty"`
 }
 
@@ -91,7 +96,7 @@ type ScatterResponse struct {
 	Method  string   `json:"method"`
 	Columns []string `json:"columns,omitempty"`
 	// PreEmptyProb and Groups mirror core.ScatterPlan: the merge adds
-	// PreEmptyProb to the empty answer first, then folds the groups in order.
+	// PreEmptyProb to the empty answer first, then walks the groups in order.
 	PreEmptyProb float64            `json:"pre_empty_prob"`
 	Groups       []ScatterGroupJSON `json:"groups"`
 	// Shard echoes the node's placement so the coordinator can detect a node
@@ -138,10 +143,10 @@ func wireTuple(vals []WireValue) engine.Tuple {
 }
 
 // Scatter answers one scatter request in-process: it prepares the query on
-// the named scenario, builds the method's scatter plan, verifies every group
-// plan distributes over this node's partition, executes the groups against
-// the node's (sliced) instance and returns the per-group rows.  It is the
-// transport-free core handleScatter wraps, like Do for /v1/query.
+// the named scenario, takes the method's front half, verifies its shape
+// distributes over this node's partition, runs it against the node's (sliced)
+// instance and returns the per-group rows.  It is the transport-free core
+// handleScatter wraps, like Do for /v1/query.
 func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterResponse, error) {
 	s.metrics.scatters.Add(1)
 	if err := s.admit(); err != nil {
@@ -154,6 +159,10 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 		return nil, err
 	}
 	method, err := parseMethod(req.Method)
+	if err != nil {
+		return nil, err
+	}
+	strategy, err := parseStrategy(req.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -173,13 +182,10 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 	defer s.queue.Release()
 
 	epoch := sc.Epoch()
-	opts := core.Options{Method: method, Parallelism: s.cfg.Parallelism}
+	opts := core.Options{Method: method, Strategy: strategy, Parallelism: s.cfg.Parallelism}
 	ec := opts.Context(ctx)
-	sp, err := prep.Scatter(ec, opts)
+	sp, _, err := prep.FrontHalf(ec, opts)
 	if err != nil {
-		if errors.Is(err, core.ErrNotShardable) {
-			return nil, apiErr(http.StatusUnprocessableEntity, fmt.Errorf("%w: %v", ErrNotDistributable, err))
-		}
 		s.metrics.evalErrors.Add(1)
 		return nil, err
 	}
@@ -206,7 +212,7 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 		ElapsedMS:    float64(time.Since(start).Microseconds()) / 1000,
 	}
 	for i, g := range sp.Groups {
-		gj := ScatterGroupJSON{Prob: g.Prob, Covered: g.Plan != nil}
+		gj := ScatterGroupJSON{Prob: g.Prob, Covered: sp.Covers(i), Below: g.Below, Pruned: run.Pruned[i] && g.Below > 0}
 		if rows := run.Groups[i].Rows; len(rows) > 0 {
 			gj.Rows = make([][]WireValue, len(rows))
 			for ri, row := range rows {

@@ -64,7 +64,7 @@ func naiveGroupRows(t *testing.T, node *Server, query string, method core.Method
 		t.Fatal(err)
 	}
 	ec := exec.Sequential()
-	sp, err := prep.Scatter(ec, core.Options{Method: method, Parallelism: 1})
+	sp, _, err := prep.FrontHalf(ec, core.Options{Method: method, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +224,9 @@ func stripElapsed(t *testing.T, body []byte) []byte {
 	return out
 }
 
-// parentShapedShard answers /v1/scatter the way a node built before per-shard
-// dedup does: every row its group plans emitted (here: each distinct row
-// twice), as indented JSON streamed from the encoder.
-func parentShapedShard(node *Server) http.Handler {
+// alteredShard answers /v1/scatter with the node's response passed through
+// alter, as indented JSON streamed from the encoder.
+func alteredShard(node *Server, alter func(*ScatterResponse)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req ScatterRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -239,12 +238,76 @@ func parentShapedShard(node *Server) http.Handler {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		alter(resp)
+		writeJSON(w, http.StatusOK, resp)
+	})
+}
+
+// parentShapedShard answers /v1/scatter the way a node built before per-shard
+// dedup does: every row its group plans emitted (here: each distinct row
+// twice), as indented JSON streamed from the encoder.
+func parentShapedShard(node *Server) http.Handler {
+	return alteredShard(node, func(resp *ScatterResponse) {
 		for gi := range resp.Groups {
 			rows := resp.Groups[gi].Rows
 			resp.Groups[gi].Rows = append(append([][]WireValue{}, rows...), rows...)
 		}
-		writeJSON(w, http.StatusOK, resp)
 	})
+}
+
+// TestCoordinatorRefusesMalformedGroupLists: a shard's below and pruned are
+// outside input that the merge indexes by, so a response whose subtree runs
+// past the group list, whose subtrees differ from another shard's, that marks
+// a leaf pruned or that ships rows for an uncovered group is a 502 naming the
+// node — never an index panic.
+func TestCoordinatorRefusesMalformedGroupLists(t *testing.T) {
+	for name, alter := range map[string]func(*ScatterResponse){
+		"below past the end": func(r *ScatterResponse) { r.Groups[len(r.Groups)-1].Below = 1 },
+		"negative below":     func(r *ScatterResponse) { r.Groups[0].Below = -1 },
+		"below unlike the other shard's": func(r *ScatterResponse) {
+			r.Groups[0].Below--
+		},
+		"pruned leaf": func(r *ScatterResponse) {
+			for gi, g := range r.Groups {
+				if g.Below == 0 {
+					r.Groups[gi].Pruned = true
+					return
+				}
+			}
+		},
+		"rows on an uncovered group": func(r *ScatterResponse) {
+			last := &r.Groups[len(r.Groups)-1]
+			last.Covered, last.Rows = false, append(last.Rows, []WireValue{{}})
+		},
+	} {
+		coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Retry: qos.Backoff{Attempts: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			node := newShardNode(t, 60, i, 2)
+			var h http.Handler = node
+			if i == 0 {
+				h = alteredShard(node, alter)
+			}
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+			if err := coord.Leases().Heartbeat(nodeNameFor(i), srv.URL, []int{i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, qerr := coord.Query(context.Background(), Request{Scenario: "test", Query: fastQueryText, Method: "o-sharing"})
+		var ae *apiError
+		if !errors.Is(qerr, ErrShardMismatch) || !errors.As(qerr, &ae) || ae.status != http.StatusBadGateway {
+			t.Fatalf("%s: error = %v, want 502 under ErrShardMismatch", name, qerr)
+		}
+		if !strings.Contains(qerr.Error(), `node "`+nodeNameFor(0)+`"`) {
+			t.Fatalf("%s: error %q does not name the node", name, qerr)
+		}
+		if coord.Metrics().Mismatches != 1 {
+			t.Fatalf("%s: mismatches = %d, want 1", name, coord.Metrics().Mismatches)
+		}
+	}
 }
 
 // TestCoordinatorMixedVersions: the wire schema did not change, so a

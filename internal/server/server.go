@@ -445,11 +445,9 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy := core.StrategySEF
-	if req.Strategy != "" {
-		if strategy, err = core.ParseStrategy(req.Strategy); err != nil {
-			return nil, errBadRequest("%w: %v", core.ErrBadOptions, err)
-		}
+	strategy, err := parseStrategy(req.Strategy)
+	if err != nil {
+		return nil, err
 	}
 	if req.TopK < 0 {
 		return nil, errBadRequest("%w: topk must be >= 0, got %d", core.ErrBadOptions, req.TopK)
@@ -610,8 +608,8 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	if s.maintainer != nil && key.TopK == 0 {
 		// Delta-first: evaluate through the scatter form and keep the per-group
 		// state, so later appends refresh this answer instead of invalidating
-		// it.  Plans the delta cannot maintain (non-SPJ, o-sharing, self-joins)
-		// fall through to the ordinary evaluator and are counted as fallbacks.
+		// it.  Plans the delta cannot maintain (non-SPJ, self-joins) fall
+		// through to the ordinary evaluator and are counted as fallbacks.
 		var st *core.DeltaState
 		var epoch uint64
 		res, st, epoch, err = sc.EvaluateDelta(ctx, prep, opts)
@@ -717,14 +715,25 @@ func (s *Server) resolve(name, text string) (sc *Scenario, err error) {
 
 // parseMethod reads a request's method name; none selects o-sharing.
 func parseMethod(name string) (core.Method, error) {
+	return parseOption(name, core.MethodOSharing, core.ParseMethod)
+}
+
+// parseStrategy reads a request's o-sharing strategy name; none selects SEF.
+func parseStrategy(name string) (core.Strategy, error) {
+	return parseOption(name, core.StrategySEF, core.ParseStrategy)
+}
+
+// parseOption reads one named evaluation option of a request: none selects
+// def, a name parse refuses is 400 under core.ErrBadOptions.
+func parseOption[T any](name string, def T, parse func(string) (T, error)) (T, error) {
 	if name == "" {
-		return core.MethodOSharing, nil
+		return def, nil
 	}
-	m, err := core.ParseMethod(name)
+	v, err := parse(name)
 	if err != nil {
-		return 0, errBadRequest("%w: %v", core.ErrBadOptions, err)
+		return v, errBadRequest("%w: %v", core.ErrBadOptions, err)
 	}
-	return m, nil
+	return v, nil
 }
 
 // prepare is the prepared-query cache lookup and its accounting.  The cache

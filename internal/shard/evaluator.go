@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -16,11 +15,11 @@ import (
 // instances.  It partitions the instance once (re-slicing lazily when the
 // partitioned relation's rows change) and is safe for concurrent use.
 //
-// Methods whose evaluation does not distribute — o-sharing and top-k always,
-// and any query with a non-distributable group plan (self-joins on the
-// partitioned relation, aggregates) — fall back to unsharded evaluation on
-// the original instance, which trivially preserves the bit-identical-answers
-// contract.  Fallbacks are counted so callers and tests can observe them.
+// Evaluations that do not distribute — top-k always, and any front half whose
+// shape refuses the partitioned relation (self-joins on it, aggregates) — fall
+// back to unsharded evaluation on the original instance, which trivially
+// preserves the bit-identical-answers contract.  Fallbacks are counted so
+// callers and tests can observe them.
 type Evaluator struct {
 	part *Partitioner
 	base *engine.Instance
@@ -97,23 +96,17 @@ func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core
 	start := time.Now()
 	ec := opts.Context(ctx)
 	sp, rewrite, err := prep.FrontHalf(ec, opts)
-	// fallback evaluates unsharded, reporting the front half this call built.
-	fallback := func() (*core.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	if !sp.DistributesOver(ev.part.Spec().Relation) {
+		// Evaluate unsharded, reporting the front half this call built.
 		ev.noteFallback()
 		res, err := prep.ExecuteContext(ctx, opts)
 		if err == nil {
 			res.RewriteTime += rewrite
 		}
 		return res, err
-	}
-	if errors.Is(err, core.ErrNotShardable) {
-		return fallback()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !sp.DistributesOver(ev.part.Spec().Relation) {
-		return fallback()
 	}
 	shards, err := ev.instances()
 	if err != nil {

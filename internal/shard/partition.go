@@ -1,15 +1,15 @@
 // Package shard distributes query evaluation over horizontal partitions of a
 // source instance.  A Partitioner splits one chosen base relation into N
 // disjoint shard slices (hash or range on one column) while every other
-// relation is replicated by reference; an Evaluator scatters a prepared
-// query's per-group plans across the shard instances and gathers the answer
-// streams back through the canonical aggregation order, so sharded answers
-// are bit-identical to unsharded evaluation.
+// relation is replicated by reference; an Evaluator runs a prepared query's
+// front half on every shard instance and merges the per-group answer sets
+// back through the canonical aggregation order, so sharded answers are
+// bit-identical to unsharded evaluation.
 //
 // The same partitioning contract backs the multi-node layer: shard nodes
 // built from the same instance and Spec hold exactly the slices the
 // in-process partitioner would produce, so a coordinator can merge their
-// per-group answer streams with core.GroupMerge.
+// per-group answer sets with core.ScatterPlan.Merge.
 package shard
 
 import (

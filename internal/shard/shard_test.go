@@ -122,8 +122,8 @@ func TestShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedDistributes pins that sharding is not fallback-in-disguise: a
-// join query under e-basic actually scatters (no fallback recorded).
+// TestShardedDistributes pins that sharding is not fallback-in-disguise: Q1
+// under e-basic and under o-sharing actually scatters (no fallback recorded).
 func TestShardedDistributes(t *testing.T) {
 	ds := testDataset(t, 12, 7)
 	eval := core.NewEvaluator(ds.DB, ds.Mappings())
@@ -141,13 +141,96 @@ func TestShardedDistributes(t *testing.T) {
 	if n := ev.Fallbacks(); n != 0 {
 		t.Fatalf("Q1 e-basic fell back %d times; expected a genuine scatter", n)
 	}
-	// o-sharing must fall back, by contract.
 	if _, err := ev.Execute(context.Background(), prep, core.Options{Method: core.MethodOSharing}); err != nil {
 		t.Fatalf("o-sharing execute: %v", err)
 	}
-	if n := ev.Fallbacks(); n != 1 {
-		t.Fatalf("o-sharing fallbacks = %d, want 1", n)
+	if n := ev.Fallbacks(); n != 0 {
+		t.Fatalf("Q1 o-sharing fell back %d times; expected a genuine scatter", n)
 	}
+}
+
+// TestShardedPruneMarks shows the merge's prune rule is exercised, not
+// vacuous.  Over Q0–Q3 and every strategy, with both partitioners at 2, 3 and
+// 8 shards, o-sharing's walk prunes u-trace nodes on some shards only — where
+// the merge must descend and let the leaves below add their masses — and on
+// every shard — where it must add the node's mass once; the merged answers
+// are bit-identical to unsharded ones either way.  On this fixture a merge
+// that descended into every pruned node would move Q1's empty probability by
+// its last bit.
+func TestShardedPruneMarks(t *testing.T) {
+	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 16, SizeMB: 2, Seed: 1})
+	if err != nil {
+		t.Fatalf("dataset: %v", err)
+	}
+	eval := core.NewEvaluator(ds.DB, ds.Mappings())
+	ec := exec.NewContext(context.Background(), 1)
+	lowCardinality, err := query.Parse("Q0", datagen.TargetSchema(datagen.TargetExcel),
+		"SELECT PO.priority FROM PO, Item WHERE PO.orderNum = Item.orderNum")
+	if err != nil {
+		t.Fatalf("Q0 parse: %v", err)
+	}
+	someShards, everyShard := 0, 0
+	for qid, q := range []*query.Query{lowCardinality, datagen.MustWorkloadQuery(1), datagen.MustWorkloadQuery(2), datagen.MustWorkloadQuery(3)} {
+		prep, err := eval.Prepare(q)
+		if err != nil {
+			t.Fatalf("Q%d prepare: %v", qid, err)
+		}
+		for _, st := range []core.Strategy{core.StrategySEF, core.StrategySNF, core.StrategyRandom} {
+			opts := core.Options{Method: core.MethodOSharing, Strategy: st, Parallelism: 1}
+			want, err := prep.ExecuteContext(ec.Ctx(), opts)
+			if err != nil {
+				t.Fatalf("Q%d %s unsharded: %v", qid, st, err)
+			}
+			sp, _, err := prep.FrontHalf(ec, opts)
+			if err != nil {
+				t.Fatalf("Q%d %s front half: %v", qid, st, err)
+			}
+			if !sp.DistributesOver("Orders") {
+				continue
+			}
+			for _, kind := range []Kind{KindHash, KindRange} {
+				for _, n := range []int{2, 3, 8} {
+					p, err := NewPartitioner(ds.DB, testSpec(kind, n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					shards, err := p.Partition(ds.DB)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs, err := ExecuteShards(ec, sp, shards)
+					if err != nil {
+						t.Fatalf("Q%d %s %s/%d: %v", qid, st, kind, n, err)
+					}
+					identical(t, fmt.Sprintf("Q%d %s %s/%d", qid, st, kind, n), want, sp.Result(q, 0, runs...))
+					// The internal nodes the merge visits, by how many shards
+					// pruned them at or above.
+					for gi := 0; gi < len(sp.Groups); gi++ {
+						if sp.Groups[gi].Below == 0 {
+							continue
+						}
+						marked := 0
+						for _, run := range runs {
+							if run.Pruned[gi] {
+								marked++
+							}
+						}
+						switch {
+						case marked == len(runs):
+							everyShard++
+							gi += sp.Groups[gi].Below
+						case marked > 0:
+							someShards++
+						}
+					}
+				}
+			}
+		}
+	}
+	if someShards == 0 || everyShard == 0 {
+		t.Fatalf("nodes pruned on some shards only: %d, on every shard: %d; want both > 0", someShards, everyShard)
+	}
+	t.Logf("nodes pruned on some shards only: %d, on every shard: %d", someShards, everyShard)
 }
 
 // TestPartitionerRoundTrip checks the partitioning contract: every row lands
@@ -256,7 +339,7 @@ func TestShardErrorFailsCleanly(t *testing.T) {
 		t.Fatalf("prepare: %v", err)
 	}
 	ec := exec.NewContext(context.Background(), 2)
-	sp, err := prep.Scatter(ec, core.Options{Method: core.MethodEBasic})
+	sp, _, err := prep.FrontHalf(ec, core.Options{Method: core.MethodEBasic})
 	if err != nil {
 		t.Fatalf("scatter: %v", err)
 	}

@@ -93,10 +93,10 @@ func WithRandomSeed(seed int64) Option {
 // named relation is split by the spec's partitioner, every other relation is
 // replicated, and per-shard answer streams are merged back into the canonical
 // distribution.  Answers are bit-identical to unsharded evaluation at every
-// shard count.  Methods and plans whose evaluation cannot distribute
-// (o-sharing, top-k, self-joins or aggregates of the partitioned relation)
-// transparently fall back to unsharded evaluation — the session holds the
-// full instance, so falling back is always sound.
+// shard count.  Evaluations that cannot distribute (top-k, self-joins or
+// aggregates of the partitioned relation) transparently fall back to
+// unsharded evaluation — the session holds the full instance, so falling
+// back is always sound.
 func WithShards(spec ShardSpec) Option {
 	return func(s *evalSettings) error {
 		if spec.Shards < 1 {
