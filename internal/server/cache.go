@@ -57,14 +57,33 @@ type AnswerCache struct {
 
 type cacheEntry struct {
 	key  CacheKey
-	res  *core.Result
+	ans  *CachedAnswer
 	size int64
+}
+
+// CachedAnswer is the answer cache's unit: an evaluation result and its
+// answers in wire form.  The wire answers are built at most once, by the first
+// read that asks for them, so an entry nobody reads — a maintainer republish
+// the next one overtakes — never pays for them, and every later hit, coalesced
+// waiter and stale serve shares them.  Both are read-only once handed out.
+type CachedAnswer struct {
+	Result *core.Result
+
+	wireOnce sync.Once
+	wire     []AnswerJSON
+}
+
+// Wire returns the result's answers in their JSON form, building them on the
+// first call.
+func (a *CachedAnswer) Wire() []AnswerJSON {
+	a.wireOnce.Do(func() { a.wire = answersJSON(a.Result) })
+	return a.wire
 }
 
 // inflightCall is one in-progress evaluation other requests can wait on.
 type inflightCall struct {
 	done chan struct{}
-	res  *core.Result
+	ans  *CachedAnswer
 	err  error
 }
 
@@ -95,24 +114,23 @@ const (
 	OutcomeCoalesced
 )
 
-// GetOrCompute returns the result for the key, evaluating with compute on a
+// GetOrCompute returns the answer for the key, evaluating with compute on a
 // miss.  Concurrent callers with the same key share one compute call.  The
-// returned *core.Result is shared across callers and must be treated as
-// immutable.
+// returned answer is shared across callers and must be treated as immutable.
 //
 // Error handling follows engine.PlanCache's cancellation rule, tightened for
 // a serving context: no error is ever cached, and a waiter whose leader died
 // of *the leader's* context (cancellation or deadline) retries with its own
 // live context rather than inheriting the failure.
-func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute func() (*core.Result, error)) (*core.Result, Outcome, error) {
+func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute func() (*core.Result, error)) (*CachedAnswer, Outcome, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
 			c.lru.MoveToFront(el)
-			res := el.Value.(*cacheEntry).res
+			ans := el.Value.(*cacheEntry).ans
 			c.mu.Unlock()
 			c.hits.Add(1)
-			return res, OutcomeHit, nil
+			return ans, OutcomeHit, nil
 		}
 		if call, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -123,7 +141,7 @@ func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute fu
 			}
 			if call.err == nil {
 				c.coalesced.Add(1)
-				return call.res, OutcomeCoalesced, nil
+				return call.ans, OutcomeCoalesced, nil
 			}
 			if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
 				// The leader's context died, not necessarily ours.  If ours is
@@ -139,28 +157,31 @@ func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute fu
 		c.inflight[key] = call
 		c.mu.Unlock()
 
-		call.res, call.err = compute()
+		res, err := compute()
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if call.err == nil {
-			c.insertLocked(key, call.res)
+		if err == nil {
+			call.ans = &CachedAnswer{Result: res}
+			c.insertLocked(key, call.ans)
 		}
+		call.err = err
 		c.mu.Unlock()
 		close(call.done)
-		if call.err != nil {
-			return nil, OutcomeMiss, call.err
+		if err != nil {
+			return nil, OutcomeMiss, err
 		}
 		c.misses.Add(1)
-		return call.res, OutcomeMiss, nil
+		return call.ans, OutcomeMiss, nil
 	}
 }
 
 // Put stores a computed result directly — the delta maintainer's publish path,
 // which refreshes answers outside any request (no singleflight involved; a
-// concurrent GetOrCompute for the same key simply finds the entry).
+// concurrent GetOrCompute for the same key simply finds the entry).  The new
+// entry builds its own wire answers, on its first read.
 func (c *AnswerCache) Put(key CacheKey, res *core.Result) {
 	c.mu.Lock()
-	c.insertLocked(key, res)
+	c.insertLocked(key, &CachedAnswer{Result: res})
 	c.mu.Unlock()
 }
 
@@ -171,10 +192,10 @@ func stripEpoch(key CacheKey) CacheKey {
 	return key
 }
 
-// insertLocked stores the result and evicts from the LRU tail until the
+// insertLocked stores the answer and evicts from the LRU tail until the
 // budget holds.  An entry larger than the whole budget is not stored at all.
-func (c *AnswerCache) insertLocked(key CacheKey, res *core.Result) {
-	size := resultSize(res)
+func (c *AnswerCache) insertLocked(key CacheKey, ans *CachedAnswer) {
+	size := resultSize(ans.Result)
 	if size > c.budget {
 		return
 	}
@@ -183,7 +204,7 @@ func (c *AnswerCache) insertLocked(key CacheKey, res *core.Result) {
 		// epoch races; keep the newer result.
 		c.removeLocked(el)
 	}
-	el := c.lru.PushFront(&cacheEntry{key: key, res: res, size: size})
+	el := c.lru.PushFront(&cacheEntry{key: key, ans: ans, size: size})
 	c.entries[key] = el
 	c.bytes += size
 	// The stale index tracks the newest epoch per question; never step it back.
@@ -218,7 +239,7 @@ func (c *AnswerCache) removeLocked(el *list.Element) {
 // evaluation and is immutable, so a stale answer is always a bit-identical
 // replay of an answer some earlier request was served fresh, never a torn or
 // partially updated one.
-func (c *AnswerCache) GetStale(key CacheKey, floor uint64) (*core.Result, uint64, bool) {
+func (c *AnswerCache) GetStale(key CacheKey, floor uint64) (*CachedAnswer, uint64, bool) {
 	c.mu.Lock()
 	el, ok := c.byQuery[stripEpoch(key)]
 	if !ok {
@@ -232,10 +253,10 @@ func (c *AnswerCache) GetStale(key CacheKey, floor uint64) (*core.Result, uint64
 	}
 	// Serving it under pressure is a reason to keep it around.
 	c.lru.MoveToFront(el)
-	res, epoch := e.res, e.key.Epoch
+	ans, epoch := e.ans, e.key.Epoch
 	c.mu.Unlock()
 	c.staleHits.Add(1)
-	return res, epoch, true
+	return ans, epoch, true
 }
 
 // Len returns the number of cached entries.
@@ -283,15 +304,18 @@ func (c *AnswerCache) Metrics() CacheMetrics {
 	}
 }
 
-// resultSize estimates the retained footprint of a result: answer tuples
-// dominate, at slice/struct overhead plus string payloads.  The estimate only
-// needs to be proportional — the budget is a pressure valve, not an
-// accounting system.
+// resultSize estimates the retained footprint of a cached answer: answer
+// tuples dominate, at slice/struct overhead plus string payloads, and each
+// answer's wire form adds its AnswerJSON and one boxed value per column
+// (strings share their bytes with the tuple).  The wire answers are counted
+// from the start, built or not, so an entry's size never changes while it is
+// cached.  The estimate only needs to be proportional — the budget is a
+// pressure valve, not an accounting system.
 func resultSize(res *core.Result) int64 {
 	const entryOverhead = 256
 	size := int64(entryOverhead)
 	for _, a := range res.Answers {
-		size += 24 + int64(len(a.Tuple))*48
+		size += 24 + 32 + int64(len(a.Tuple))*(48+32)
 		for _, v := range a.Tuple {
 			if v.Kind == engine.KindString {
 				size += int64(len(v.Str))

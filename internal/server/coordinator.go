@@ -310,18 +310,8 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 		return nil, err
 	}
 	c.merged.Add(1)
-	return &Response{
-		Scenario:  req.Scenario,
-		Epoch:     parts[0].Epoch,
-		Query:     parts[0].Query,
-		Method:    method.String(),
-		Strategy:  strategy.String(),
-		Columns:   res.Columns,
-		Answers:   answersJSON(res),
-		EmptyProb: res.EmptyProb,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Result:    res,
-	}, nil
+	key := CacheKey{Scenario: req.Scenario, Query: parts[0].Query, Method: method, Strategy: strategy}
+	return response(key, parts[0].Epoch, &CachedAnswer{Result: res}, start), nil
 }
 
 // scatterShard runs one shard's scatter with per-attempt owner resolution:

@@ -1,13 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/probdb/urm/internal/core"
@@ -234,16 +231,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	// Only another node reads a successful scatter body, so it is one
-	// unindented line, encoded whole so that it carries the Content-Length
-	// the coordinator sizes its read buffer by.
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(resp); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body.Bytes()) // a failed write means the coordinator went away
+	// The Content-Length writeJSON sets is what the coordinator sizes its
+	// read buffer by.
+	writeJSON(w, http.StatusOK, resp)
 }

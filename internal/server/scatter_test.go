@@ -239,7 +239,10 @@ func alteredShard(node *Server, alter func(*ScatterResponse)) http.Handler {
 			return
 		}
 		alter(resp)
-		writeJSON(w, http.StatusOK, resp)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(resp)
 	})
 }
 

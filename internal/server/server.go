@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -329,9 +330,10 @@ type Response struct {
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
 
-	// Result is the evaluation result backing the response, shared and
-	// immutable; in-process callers (tests, the load harness) use it for
-	// bit-identical comparisons.  It is not serialized.
+	// Result is the evaluation result backing the response; in-process
+	// callers (tests, the load harness) use it for bit-identical comparisons.
+	// It is not serialized.  Result and Answers are shared with the answer
+	// cache and every other response it serves: both are read-only.
 	Result *core.Result `json:"-"`
 }
 
@@ -482,7 +484,7 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	// this goroutine (waiters coalesce; only the leader computes), so the
 	// capture is race-free.
 	var queueWait time.Duration
-	res, outcome, err := s.cache.GetOrCompute(ctx, key, func() (*core.Result, error) {
+	ans, outcome, err := s.cache.GetOrCompute(ctx, key, func() (*core.Result, error) {
 		r, wait, err := s.evaluate(ctx, sc, prep, key, adm)
 		queueWait = wait
 		return r, err
@@ -496,15 +498,16 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	if outcome == OutcomeHit {
 		tc.cacheHits.Add(1)
 	}
-	resp := response(key, key.Epoch, res, start)
+	resp := response(key, key.Epoch, ans, start)
 	resp.Cached, resp.Coalesced = outcome == OutcomeHit, outcome == OutcomeCoalesced
 	resp.QueueWaitMS = float64(queueWait.Microseconds()) / 1000
 	return resp, nil
 }
 
-// response is the body answering key's question with res, a result of the
+// response is the body answering key's question with ans, an answer of the
 // given epoch, for a request that started at start.
-func response(key CacheKey, epoch uint64, res *core.Result, start time.Time) *Response {
+func response(key CacheKey, epoch uint64, ans *CachedAnswer, start time.Time) *Response {
+	res := ans.Result
 	return &Response{
 		Scenario:  key.Scenario,
 		Epoch:     epoch,
@@ -513,7 +516,7 @@ func response(key CacheKey, epoch uint64, res *core.Result, start time.Time) *Re
 		Strategy:  key.Strategy.String(),
 		TopK:      key.TopK,
 		Columns:   res.Columns,
-		Answers:   answersJSON(res),
+		Answers:   ans.Wire(),
 		EmptyProb: res.EmptyProb,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		Result:    res,
@@ -537,7 +540,7 @@ func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, start time.
 	if ae.status != http.StatusTooManyRequests && !errors.Is(cause, ErrDeadlineTooShort) {
 		return nil
 	}
-	res, epoch, ok := s.cache.GetStale(key, sc.StaleFloor())
+	ans, epoch, ok := s.cache.GetStale(key, sc.StaleFloor())
 	if !ok {
 		return nil
 	}
@@ -547,7 +550,7 @@ func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, start time.
 		s.metrics.staleWindow.Store(int64(key.Epoch - epoch))
 		s.tenants.get(adm.tenant).staleServed.Add(1)
 	}
-	resp := response(key, epoch, res, start)
+	resp := response(key, epoch, ans, start)
 	resp.Cached, resp.Stale = true, stale
 	return resp
 }
@@ -1076,12 +1079,35 @@ func valueJSON(v engine.Value) any {
 	}
 }
 
+// bodyPool recycles the buffers writeJSON encodes into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer returned to bodyPool: one large answer
+// must not keep its memory alive for the life of the process.
+const maxPooledBody = 1 << 20
+
+// writeJSON answers every route: body as one compact JSON line, encoded whole
+// before anything is written, so the response carries its Content-Length and
+// goes out in one Write.  Because nothing is written before the encoding
+// succeeds, a value JSON cannot carry (an infinite or NaN float) is a 500
+// naming it, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(body); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("encoding the response: %v", err))
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -376,10 +376,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	scenarios := doHTTP(t, srv, http.MethodGet, "/v1/scenarios", "")
-	if scenarios.Code != http.StatusOK || !strings.Contains(scenarios.Body.String(), `"test"`) {
+	var listed struct {
+		Scenarios []ScenarioInfo `json:"scenarios"`
+	}
+	mustDecode(t, scenarios.Body.Bytes(), &listed)
+	if scenarios.Code != http.StatusOK || len(listed.Scenarios) != 1 || listed.Scenarios[0].Name != "test" {
 		t.Fatalf("scenarios: %d %s", scenarios.Code, scenarios.Body)
 	}
-	if !strings.Contains(scenarios.Body.String(), `"warm_index_builds": 3`) {
+	if listed.Scenarios[0].WarmIndexBuilds != 3 {
 		t.Errorf("scenarios missing warm index builds: %s", scenarios.Body)
 	}
 
@@ -437,7 +441,7 @@ func TestHTTPHealthzDuringDrain(t *testing.T) {
 	}
 }
 
-func doHTTP(t *testing.T, srv *Server, method, path, body string) *httptest.ResponseRecorder {
+func doHTTP(t *testing.T, srv http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	var req *http.Request
 	if body != "" {
