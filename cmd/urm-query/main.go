@@ -243,7 +243,7 @@ func printResult(res *urm.Result, limit int, verbose bool) {
 func printStats(res *urm.Result) {
 	fmt.Printf("\nrewritten queries: %d   executed queries: %d   partitions: %d\n",
 		res.RewrittenQueries, res.ExecutedQueries, res.Partitions)
-	fmt.Printf("operators: %v\n", res.Stats.Operators())
+	fmt.Printf("operators: %v   rows read: %d\n", res.Stats.Operators(), res.Stats.RowsRead())
 	fmt.Printf("index: %d builds, %d lookups\n", res.Stats.IndexBuilds(), res.Stats.IndexLookups())
 	if b, built := res.Stats.Batches(), res.Stats.ValuesBuilt(); b > 0 || built > 0 {
 		sel := "n/a"

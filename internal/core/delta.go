@@ -67,13 +67,15 @@ type DeltaState struct {
 // maintained state: the per-group distinct tuples and the covered row counts.
 // A plan whose shape appends cannot be maintained under is refused with
 // ErrNotDeltaMaintainable before anything executes — the verdict taken when
-// the front half was memoized.
+// the front half was memoized.  A refusal hands the front half's build time
+// back, so the evaluation the caller falls back to reports it.
 func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error) {
 	sp, rewrite, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := sp.shape.unmaintainable; err != nil {
+		p.unreport(sp, rewrite)
 		return nil, err
 	}
 	run, err := sp.ExecuteOn(ec, p.db)

@@ -76,8 +76,7 @@ func planTrace(ec *exec.Context, m Method, q *query.Query, maps schema.MappingSe
 		return nil, err
 	}
 	sp := &ScatterPlan{Method: m, Groups: planner.groups, Partitions: len(root.part.Mappings), trace: &uTrace{nq: nq, root: root}}
-	_, aggregates := nq.ops[len(nq.ops)-1].final.(*query.Aggregate)
-	sp.setShape(planner.scans, !aggregates)
+	sp.setShape(planner.scans, !nq.aggregates())
 	return sp, nil
 }
 
@@ -131,7 +130,10 @@ func (os *osharer) plan(n *traceNode, u *eUnit, seed int64) error {
 // executeInto walks the trace over the instance (Step 4 of Algorithm 2),
 // handing every leaf's rows — and a pruned node's, once — to the consumer in
 // pre-order on the calling goroutine until the consumer stops it, and adds the
-// operator statistics and the operators' execution time to run.
+// operator statistics and the operators' execution time to run.  Every
+// consumer reads a leaf's rows as a set, so unless the final operator
+// aggregates, the walk's products and joins skip the pairs that only repeat a
+// row (engine.ProductKeep's set).
 //
 // The subtrees below the first branching node are independent, so they run on
 // the runtime's worker pool, and each branch's rows are handed over in branch
@@ -139,7 +141,7 @@ func (os *osharer) plan(n *traceNode, u *eUnit, seed int64) error {
 // sequential context: where it stops depends on the visit order.
 func (tr *uTrace) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
 	var spent atomic.Int64
-	os := &osharer{nq: tr.nq, db: db, ec: ec, stats: run.Stats, indexes: db.Indexes(), spent: &spent}
+	os := &osharer{nq: tr.nq, db: db, ec: ec, stats: run.Stats, indexes: db.Indexes(), spent: &spent, set: !tr.nq.aggregates()}
 	_, err := os.walk(tr.root, newEUnit(tr.nq, tr.root.part.Mappings), c)
 	run.ExecTime += time.Duration(spent.Load())
 	if err != nil {
@@ -310,6 +312,12 @@ func normalizeQuery(q *query.Query) (*normalizedQuery, error) {
 		nq.aliasAttrs[alias] = attrs
 	}
 	return nq, nil
+}
+
+// aggregates reports whether the query's final operator is an aggregate.
+func (nq *normalizedQuery) aggregates() bool {
+	_, ok := nq.ops[len(nq.ops)-1].final.(*query.Aggregate)
+	return ok
 }
 
 // resolveRef resolves the reference to its target attribute and relation
@@ -504,6 +512,9 @@ type osharer struct {
 	indexes *engine.IndexCache
 	// spent sums the walk's executeOp calls, its branches' included.
 	spent *atomic.Int64
+	// set says every product and join output is read as a set: the walk's,
+	// when the final operator does not aggregate.
+	set bool
 
 	// strategy picks each next operator, planning makes scans rowless, and
 	// groups and scans list the nodes; all are a planner's only.
@@ -831,7 +842,7 @@ func (os *osharer) attach(frag *fragment, alias, srcRel string, rel *engine.Rela
 	if frag.rel == nil {
 		frag.rel = rel
 	} else {
-		prod, err := engine.ProductKeep(os.ec.Ctx(), frag.rel, rel, live.keep(frag.rel), live.keep(rel), os.stats)
+		prod, err := engine.ProductKeep(os.ec.Ctx(), frag.rel, rel, live.keep(frag.rel), live.keep(rel), os.set, os.stats)
 		if err != nil {
 			return err
 		}
@@ -916,7 +927,7 @@ func (os *osharer) mergeFragments(frags []*fragment, m *schema.Mapping, live liv
 		if merged.rel == nil {
 			merged.rel = f.rel
 		} else {
-			prod, err := engine.ProductKeep(os.ec.Ctx(), merged.rel, f.rel, live.keep(merged.rel), live.keep(f.rel), os.stats)
+			prod, err := engine.ProductKeep(os.ec.Ctx(), merged.rel, f.rel, live.keep(merged.rel), live.keep(f.rel), os.set, os.stats)
 			if err != nil {
 				return nil, err
 			}
@@ -1014,9 +1025,9 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 				// carries only what the operators after this one need.
 				after := os.liveColumns(child, nil)
 				joined, err = engine.IndexedHashJoinKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, leftCol, rightCol,
-					after.keep(leftFrag.rel), after.keep(rightFrag.rel), os.stats, os.indexes)
+					after.keep(leftFrag.rel), after.keep(rightFrag.rel), os.set, os.stats, os.indexes)
 			} else {
-				joined, err = engine.ProductKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, live.keep(leftFrag.rel), live.keep(rightFrag.rel), os.stats)
+				joined, err = engine.ProductKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, live.keep(leftFrag.rel), live.keep(rightFrag.rel), os.set, os.stats)
 				if err == nil {
 					joined, err = engine.Select(os.ec.Ctx(), joined, &engine.ColPredicate{Left: leftCol, Op: op.jsel.Op, Right: rightCol}, os.stats)
 				}

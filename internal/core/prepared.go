@@ -40,6 +40,10 @@ type Prepared struct {
 	// mu guards the lazily built front halves.
 	mu     sync.Mutex
 	fronts map[frontKey]*ScatterPlan
+	// unreported holds the build time of front halves whose building call
+	// reported no result (Maintain refused the plan), for the next call that
+	// finds them to report.
+	unreported map[*ScatterPlan]time.Duration
 }
 
 // frontKey is what a front half depends on besides the query and the
@@ -69,7 +73,9 @@ func (p *Prepared) Query() *query.Query { return p.q }
 // (and seed), which top-k walks too (Method MethodTopK) — together with the
 // wall time this call spent building it.  That is zero for every call that
 // found the front half there, including one that waited while another call
-// built it, so exactly one execution reports a front half's rewrite phase.
+// built it, so exactly one execution reports a front half's rewrite phase —
+// except when the building call handed the time back (unreport): then the
+// next call to find the front half reports it.
 func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
 	if opts.Method == MethodTopK {
 		opts.Method = MethodOSharing
@@ -89,7 +95,26 @@ func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.build(ec, key)
+	sp, rewrite, err := p.build(ec, key)
+	if err == nil && rewrite == 0 {
+		rewrite = p.unreported[sp]
+		delete(p.unreported, sp)
+	}
+	return sp, rewrite, err
+}
+
+// unreport hands back the build time of sp by a call that reports no result,
+// so the rewrite phase still reaches exactly one execution's Result.
+func (p *Prepared) unreport(sp *ScatterPlan, rewrite time.Duration) {
+	if rewrite == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.unreported == nil {
+		p.unreported = make(map[*ScatterPlan]time.Duration)
+	}
+	p.unreported[sp] += rewrite
 }
 
 // build is FrontHalf with p.mu held.  e-basic clusters basic's list and e-MQO

@@ -69,10 +69,12 @@ func bitIdenticalResults(t *testing.T, label string, want, got *Result) {
 // Q4, which the naive executor cannot finish, as its own first run), and the
 // methods agree with basic's oracle to rounding — they add the same masses in
 // different orders, so their last bits differ, as they always have.  The
-// operator counts stay at their recorded values, and on the join queries
-// e-basic and e-MQO build at most a fifth of the values they build when every
-// product and join keeps every column — each row produced at the full width of
-// the rows it pairs.
+// operator counts and rows read stay at their recorded values, and on the join
+// queries e-basic and e-MQO build at most a fifth of the values they build
+// when every product and join keeps every column — each row produced at the
+// full width of the rows it pairs.  The rows read are those of set semantics
+// (Executor.ExecuteSet), which skips the product and join pairs no consumer
+// counts and reads a fraction of bag semantics' rows on Q2–Q4.
 func TestPlanMethodsAtBenchmarkScale(t *testing.T) {
 	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 100, SizeMB: 40, Seed: 42})
 	if err != nil {
@@ -84,6 +86,12 @@ func TestPlanMethodsAtBenchmarkScale(t *testing.T) {
 		MethodEBasic:   {1: 47, 2: 17, 3: 44, 4: 22, 5: 89},
 		MethodEMQO:     {1: 31, 2: 13, 3: 28, 4: 17, 5: 52},
 		MethodQSharing: {1: 47, 2: 17, 3: 44, 4: 22, 5: 89},
+	}
+	rowsRead := map[Method]map[int]int{
+		MethodBasic:    {1: 2997, 2: 16916, 3: 44139, 5: 1810},
+		MethodEBasic:   {1: 275, 2: 507, 3: 2306, 4: 44774, 5: 282},
+		MethodEMQO:     {1: 193, 2: 461, 3: 1982, 4: 44654, 5: 183},
+		MethodQSharing: {1: 275, 2: 507, 3: 2306, 4: 44774, 5: 282},
 	}
 
 	for id := 1; id <= 5; id++ {
@@ -124,6 +132,9 @@ func TestPlanMethodsAtBenchmarkScale(t *testing.T) {
 				for kind, res := range map[string]*Result{"cold": cold, "prepared": prepared} {
 					if n := operators[m][id]; res.Stats.TotalOperators() != n {
 						t.Errorf("%s %s executed %d operators (%v), want %d", label, kind, res.Stats.TotalOperators(), res.Stats.Operators(), n)
+					}
+					if n := rowsRead[m][id]; res.Stats.RowsRead() != n {
+						t.Errorf("%s %s read %d rows, want %d", label, kind, res.Stats.RowsRead(), n)
 					}
 				}
 				if id < 2 || id > 4 || (m != MethodEBasic && m != MethodEMQO) {

@@ -155,7 +155,9 @@ func TestEvaluateContextDeadline(t *testing.T) {
 
 	maps := paperMappings()
 	// A product without a join condition: O(n^2) rows, far beyond the deadline.
-	q := mustParse(t, "big", "SELECT P.pname FROM Person P, Order O WHERE P.addr = 'aaa' AND O.total > 0")
+	// The answer reads a column of each side, so every pair is a distinct row
+	// the set consumer needs.
+	q := mustParse(t, "big", "SELECT P.pname, O.total FROM Person P, Order O WHERE P.addr = 'aaa' AND O.total > 0")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()

@@ -263,8 +263,10 @@ func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardR
 // with one fresh shared-subexpression cache between them, so each common
 // subexpression still runs exactly once — hands each group's rows to the
 // consumer and adds the operator statistics and CPU time to run.  Group order
-// is kept at any parallelism.  On error whatever the consumer holds is partly
-// filled and must be discarded.
+// is kept at any parallelism.  Every consumer reads a group's rows as a set,
+// so the plans run through Executor.ExecuteSet: a group's rows hold its
+// distinct tuples in first-seen order, not necessarily every repeat.  On error
+// whatever the consumer holds is partly filled and must be discarded.
 func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
 	if sp.trace != nil {
 		return sp.trace.executeInto(ec, db, run, c)
@@ -283,7 +285,7 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 			}
 			execStart := time.Now()
 			ex := &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()}
-			rel, err := ex.ExecuteContext(ctx, sp.Groups[i].Plan)
+			rel, err := ex.ExecuteSet(ctx, sp.Groups[i].Plan)
 			gr.exec = time.Since(execStart)
 			if err != nil {
 				return gr, fmt.Errorf("%s: executing source query: %w", sp.Method, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,21 +18,20 @@ import (
 
 // fakeScenario is the minimal Scenario: an instance guarded by the same
 // RWMutex discipline the serving layer uses (appends exclusive, views shared).
+// The stale floor is atomic, as the serving layer's is: the maintainer reads
+// it inside View, and a second read lock there deadlocks against a waiting
+// append.
 type fakeScenario struct {
 	name  string
 	mu    sync.RWMutex
 	db    *engine.Instance
 	epoch uint64
-	floor uint64
+	floor atomic.Uint64
 }
 
 func (s *fakeScenario) Name() string { return s.name }
 
-func (s *fakeScenario) StaleFloor() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.floor
-}
+func (s *fakeScenario) StaleFloor() uint64 { return s.floor.Load() }
 
 func (s *fakeScenario) View(f func(db *engine.Instance, epoch uint64) error) error {
 	s.mu.RLock()
@@ -50,7 +50,7 @@ func (s *fakeScenario) bump() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epoch++
-	s.floor = s.epoch
+	s.floor.Store(s.epoch)
 }
 
 // newFixture builds a two-mapping scenario (the S/T fixture shared with the

@@ -394,6 +394,8 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 // live rows pair with every right row, filling output batches of up to size
 // rows.  The current left batch stays valid across emitted output batches
 // because the left child is only pulled again once the batch is consumed.
+// A shape with firstRight pairs each left row with the first right row only;
+// one with firstLeft pairs the first left row only and drains the rest.
 type batchProduct struct {
 	ctx         context.Context
 	left, right BatchSource
@@ -404,17 +406,19 @@ type batchProduct struct {
 	stats       *Stats
 	arena       valueArena
 
-	started bool
-	rrows   []Tuple
-	lb      *Batch
-	li      int // dense position within lb
-	ri      int // next right row for the current left row
-	leftIn  int
-	out     int
-	nbat    int
-	outRows []Tuple
-	outb    Batch
-	done    bool
+	started  bool
+	rrows    []Tuple // the right rows paired with each left row
+	rightIn  int
+	lb       *Batch
+	li       int // dense position within lb
+	ri       int // next right row for the current left row
+	leftIn   int
+	leftDone bool // firstLeft's one left row is paired: drain the rest
+	out      int
+	nbat     int
+	outRows  []Tuple
+	outb     Batch
+	done     bool
 }
 
 func (s *batchProduct) Name() string      { return s.name }
@@ -423,7 +427,7 @@ func (s *batchProduct) layout() colLayout { return s.lay }
 func (s *batchProduct) finish() (*Batch, bool, error) {
 	if !s.done {
 		s.done = true
-		s.stats.record(OpKindProduct, s.leftIn+len(s.rrows), s.out)
+		s.stats.record(OpKindProduct, s.leftIn+s.rightIn, s.out)
 		s.stats.recordBatches(s.nbat)
 		s.stats.recordValues(s.shape.copied() * s.out)
 	}
@@ -450,6 +454,10 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 		if err := drainBatches(s.right, &s.rrows); err != nil {
 			return nil, false, err
 		}
+		s.rightIn = len(s.rrows)
+		if s.shape.firstRight && len(s.rrows) > 1 {
+			s.rrows = s.rrows[:1]
+		}
 	}
 	// The header list grows with the largest batch emitted, not to size up
 	// front: most operator instances emit a handful of rows.
@@ -467,7 +475,7 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 				break
 			}
 			s.leftIn += b.NumRows()
-			if len(s.rrows) == 0 {
+			if len(s.rrows) == 0 || s.leftDone {
 				continue // left rows still count as input; nothing to emit
 			}
 			s.lb, s.li, s.ri = b, 0, 0
@@ -477,8 +485,9 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 		if s.ri == len(s.rrows) {
 			s.ri = 0
 			s.li++
-			if s.li == s.lb.NumRows() {
+			if s.li == s.lb.NumRows() || s.shape.firstLeft {
 				s.lb = nil
+				s.leftDone = s.shape.firstLeft
 			}
 		}
 	}
@@ -541,7 +550,8 @@ func drainBatches(src BatchSource, rows *[]Tuple) error {
 // one shared build instead of h; the build side's filters then run per probed
 // candidate (the levels).  Chains preserve build-row order, which for the
 // shared index is base row order, so the output is identical either way and to
-// the materialized hash join's.
+// the materialized hash join's.  A shape with firstRight ends each probe row's
+// walk at its first match that survives the levels.
 type batchJoin struct {
 	ctx         context.Context
 	left, right BatchSource
@@ -661,6 +671,9 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 				}
 			}
 			out = append(out, s.shape.build(&s.arena, s.cur, rr))
+			if s.shape.firstRight {
+				s.chain = 0 // the first surviving match stands for the rest
+			}
 			continue
 		}
 		if s.lb == nil || s.pi >= s.lb.NumRows() {

@@ -632,14 +632,16 @@ func IndexedSelect(ctx context.Context, rel *Relation, pred Predicate, stats *St
 // both paths, so the output is bit-identical to HashJoin.  A nil cache is the
 // plain HashJoin.
 func IndexedHashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, cache)
+	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), false, stats, cache)
 }
 
 // IndexedHashJoinKeep is IndexedHashJoin emitting only the columns at
 // positions leftKeep of the left rows and rightKeep of the right rows — the
 // rows a projection of the full join onto those columns would yield, in the
 // same order.  The join columns are read from the inputs, so they need not be
-// kept.
-func IndexedHashJoinKeep(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, leftKeep, rightKeep, stats, cache)
+// kept.  With set, the caller reads the output as a set: when the right side
+// keeps nothing or only its key, each left row takes its first match only,
+// which leaves the same distinct rows in the same first-seen order.
+func IndexedHashJoinKeep(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache) (*Relation, error) {
+	return hashJoin(ctx, left, right, leftCol, rightCol, leftKeep, rightKeep, set, stats, cache)
 }

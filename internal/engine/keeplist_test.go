@@ -73,7 +73,7 @@ func TestKeepListKernelsMatchProjectedReference(t *testing.T) {
 		if _, err := Product(bgCtx, left, right, wantStats); err != nil {
 			t.Fatalf("%s: product: %v", label, err)
 		}
-		got, err := ProductKeep(bgCtx, left, right, sh.leftKeep, sh.rightKeep, gotStats)
+		got, err := ProductKeep(bgCtx, left, right, sh.leftKeep, sh.rightKeep, false, gotStats)
 		if err != nil {
 			t.Fatalf("%s: keep-list product: %v", label, err)
 		}
@@ -95,7 +95,7 @@ func TestKeepListKernelsMatchProjectedReference(t *testing.T) {
 			if _, err := IndexedHashJoin(bgCtx, left, right, "L.a", "R.x", wantStats, cache); err != nil {
 				t.Fatalf("%s: join: %v", label, err)
 			}
-			got, err = IndexedHashJoinKeep(bgCtx, left, right, "L.a", "R.x", sh.leftKeep, sh.rightKeep, gotStats, cache)
+			got, err = IndexedHashJoinKeep(bgCtx, left, right, "L.a", "R.x", sh.leftKeep, sh.rightKeep, false, gotStats, cache)
 			if err != nil {
 				t.Fatalf("%s: keep-list join: %v", label, err)
 			}
@@ -109,10 +109,10 @@ func TestKeepListKernelsMatchProjectedReference(t *testing.T) {
 
 	left := randRelation(rng, "L", lcols, 2)
 	right := randRelation(rng, "R", rcols, 2)
-	if _, err := ProductKeep(bgCtx, left, right, []int{3}, nil, nil); err == nil {
+	if _, err := ProductKeep(bgCtx, left, right, []int{3}, nil, false, nil); err == nil {
 		t.Error("product accepted a kept column outside the left relation")
 	}
-	if _, err := IndexedHashJoinKeep(bgCtx, left, right, "L.a", "R.x", nil, []int{-1}, nil, nil); err == nil {
+	if _, err := IndexedHashJoinKeep(bgCtx, left, right, "L.a", "R.x", nil, []int{-1}, false, nil, nil); err == nil {
 		t.Error("join accepted a negative kept column")
 	}
 }
@@ -149,7 +149,7 @@ func TestProductCancelledMidway(t *testing.T) {
 	// Poll 1 is the entry check, poll 2 the first in-loop check: that one passes
 	// and the next reports cancellation.
 	ctx := &cancelAfter{Context: context.Background(), polls: 2}
-	if _, err := ProductKeep(ctx, big, pair, []int{0}, []int{}, NewStats()); !errors.Is(err, context.Canceled) {
+	if _, err := ProductKeep(ctx, big, pair, []int{0}, []int{}, false, NewStats()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-product cancellation err = %v, want context.Canceled", err)
 	}
 	if ctx.polls != -1 {

@@ -16,8 +16,18 @@ package engine
 
 // colNeed is the set of a plan node's output columns that an ancestor reads,
 // by name as the ancestors spell them.  The zero value needs nothing.
+//
+// set says that every consumer above reads the node's rows as a set: which
+// distinct rows there are and the order they are first seen in, never how
+// often each occurs.  A plan root run by ExecuteSet carries it; projections,
+// selections, products, joins and distincts pass it down, and an aggregate
+// clears it (COUNT and SUM count duplicates).  The analysis never sets it, so
+// a sharing point — one materialization serving every consumer — never
+// carries it.  Where it is set, a product or join skips the pairs that only
+// repeat a row it already built (newPairShape).
 type colNeed struct {
 	all   bool
+	set   bool
 	names []string
 }
 
@@ -36,8 +46,11 @@ func (n colNeed) with(names ...string) colNeed {
 			out = append(out, name)
 		}
 	}
-	return colNeed{names: out}
+	return colNeed{names: out, set: n.set}
 }
+
+// whole is the need of an operator that reads whole rows, keeping the set bit.
+func (n colNeed) whole() colNeed { return colNeed{all: true, set: n.set} }
 
 func containsName(names []string, name string) bool {
 	for _, c := range names {
@@ -53,17 +66,18 @@ func containsName(names []string, name string) bool {
 // joins only).  A selection adds its predicate's columns and a join its key on
 // each side; a projection and an aggregate replace the need by their own
 // columns; a distinct, a predicate implementation the engine cannot look into
-// and an unknown node read whole rows.
+// and an unknown node read whole rows.  Every operator but an aggregate and an
+// unknown node passes the set bit down.
 func childNeeds(p Plan, need colNeed) (first, second colNeed) {
 	switch n := p.(type) {
 	case *SelectPlan:
 		cols, ok := predicateColumns(n.Pred, nil)
 		if !ok {
-			return needAll, colNeed{}
+			return need.whole(), colNeed{}
 		}
 		return need.with(cols...), colNeed{}
 	case *ProjectPlan:
-		return colNeed{names: n.Columns}, colNeed{}
+		return colNeed{names: n.Columns, set: need.set}, colNeed{}
 	case *ProductPlan:
 		return need, need
 	case *JoinPlan:
@@ -73,6 +87,8 @@ func childNeeds(p Plan, need colNeed) (first, second colNeed) {
 			return colNeed{}, colNeed{}
 		}
 		return colNeed{names: []string{n.Column}}, colNeed{}
+	case *DistinctPlan:
+		return need.whole(), colNeed{}
 	default:
 		return needAll, needAll
 	}
@@ -235,7 +251,9 @@ func (l colLayout) at(j int) int {
 // output must supply need: the logical columns are the two sides' in order, a
 // column is built when a needed name resolves to it against that full list,
 // and the shape gathers exactly the built columns from the two input tuples.
-func pairLayout(left, right colLayout, need colNeed) (pairShape, colLayout) {
+// key is a join's build-side key position in the right tuples, -1 for a
+// product; with need's set bit it lets the shape skip repeated pairs.
+func pairLayout(left, right colLayout, need colNeed, key int) (pairShape, colLayout) {
 	cols := make([]string, 0, len(left.cols)+len(right.cols))
 	cols = append(cols, left.cols...)
 	cols = append(cols, right.cols...)
@@ -272,5 +290,5 @@ func pairLayout(left, right colLayout, need colNeed) (pairShape, colLayout) {
 	if identity {
 		pos = nil
 	}
-	return newPairShape(leftKeep, rightKeep), colLayout{cols: cols, pos: pos}
+	return newPairShape(leftKeep, rightKeep, need.set, key), colLayout{cols: cols, pos: pos}
 }

@@ -83,18 +83,38 @@ func (a *valueArena) reserve(n int) {
 // side keeps nothing and the other a run (or nothing either) the output row is
 // a capacity-clamped window of the input row: nothing is copied or allocated,
 // on the immutable-tuple contract projectRows documents.
+//
+// For a consumer that reads the output as a set, the shape also decides which
+// pairs can only repeat a row already built (firstLeft, firstRight).  Both
+// drivers' kernels skip them and still drain and count their inputs.
 type pairShape struct {
 	left, right       []int
 	leftRun, rightRun bool
 	window            bool
+	// firstLeft: a product's left side keeps nothing, so its first row stands
+	// for all of them.  firstRight: a product's right side keeps nothing, or a
+	// join's build side keeps nothing or only its key, so each left row pairs
+	// with its first right row or match only.  The key-only join is exact
+	// because sets deduplicate by EqualKey and every match's key is EqualKey
+	// to the probe key, NaN payloads included; first-seen order is kept
+	// because the first pair of each distinct row is the one built.
+	firstLeft, firstRight bool
 }
 
-func newPairShape(leftKeep, rightKeep []int) pairShape {
+// newPairShape returns the shape keeping leftKeep of each left row and
+// rightKeep of each right row.  set says the consumer reads the output as a
+// set; key is a join's build-side key position in the right rows, -1 for a
+// product.
+func newPairShape(leftKeep, rightKeep []int, set bool, key int) pairShape {
 	p := pairShape{
 		left: leftKeep, right: rightKeep,
 		leftRun: contiguousIdx(leftKeep), rightRun: contiguousIdx(rightKeep),
 	}
 	p.window = (len(rightKeep) == 0 && (p.leftRun || len(leftKeep) == 0)) || (len(leftKeep) == 0 && p.rightRun)
+	if set {
+		p.firstLeft = key < 0 && len(leftKeep) == 0
+		p.firstRight = len(rightKeep) == 0 || key >= 0 && len(rightKeep) == 1 && rightKeep[0] == key
+	}
 	return p
 }
 
@@ -395,18 +415,21 @@ const maxPresizeValues = 1 << 31
 // Product returns the Cartesian product of two relations.  Column names are
 // kept as-is, so callers should qualify them beforehand when they may collide.
 func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relation, error) {
-	return ProductKeep(ctx, left, right, allColumns(left), allColumns(right), stats)
+	return ProductKeep(ctx, left, right, allColumns(left), allColumns(right), false, stats)
 }
 
 // ProductKeep is the Cartesian product of left and right, left-major, emitting
 // only the columns at positions leftKeep of each left row followed by those at
 // rightKeep of each right row — row for row what a projection of the full
 // product onto those columns would yield, without ever building the dropped
-// columns.  The row list and the value arena are sized exactly from
-// rows(left)·rows(right)·copied values; a product too large to size up front
-// (the count overflows, or exceeds maxPresizeValues) grows geometrically
-// instead, so it stays cancellable before it exhausts memory.
-func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep []int, stats *Stats) (*Relation, error) {
+// columns.  With set, the caller reads the output as a set: a side of which
+// nothing is kept contributes its first row only, so the output holds the same
+// distinct rows in the same first-seen order without their repeats.  The row
+// list and the value arena are sized exactly from the pairs built times the
+// values copied; a product too large to size up front (the count overflows,
+// or exceeds maxPresizeValues) grows geometrically instead, so it stays
+// cancellable before it exhausts memory.
+func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep []int, set bool, stats *Stats) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
@@ -414,18 +437,25 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 	if err != nil {
 		return nil, err
 	}
-	shape := newPairShape(leftKeep, rightKeep)
+	shape := newPairShape(leftKeep, rightKeep, set, -1)
+	lrows, rrows := left.Rows, right.Rows
+	if shape.firstLeft && len(lrows) > 1 {
+		lrows = lrows[:1]
+	}
+	if shape.firstRight && len(rrows) > 1 {
+		rrows = rrows[:1]
+	}
 	out := NewRelation(left.Name+"x"+right.Name, cols)
 	var arena valueArena
-	if n, ok := mulFits(len(left.Rows), len(right.Rows), maxPresizeValues); ok && n > 0 {
+	if n, ok := mulFits(len(lrows), len(rrows), maxPresizeValues); ok && n > 0 {
 		if values, ok := mulFits(n, shape.copied(), maxPresizeValues); ok {
 			out.Rows = make([]Tuple, 0, n)
 			arena.reserve(values)
 		}
 	}
 	produced := 0
-	for _, lr := range left.Rows {
-		for _, rr := range right.Rows {
+	for _, lr := range lrows {
+		for _, rr := range rrows {
 			produced++
 			if produced%checkInterval == 0 {
 				if err := canceled(ctx); err != nil {
@@ -445,16 +475,17 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 // probes compare candidate rows with EqualKey, so no key strings are ever
 // formatted.
 func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), stats, nil)
+	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), false, stats, nil)
 }
 
 // hashJoin is the equi-join behind HashJoin, IndexedHashJoin and
 // IndexedHashJoinKeep, emitting the leftKeep columns of each matching left row
 // followed by the rightKeep columns of its right row (the join columns
-// themselves need not be kept).  When the cache identifies the right side as
-// an untouched base scan, the build table is the instance's shared per-column
-// index; otherwise it is built here from the right rows.
-func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, stats *Stats, cache *IndexCache) (*Relation, error) {
+// themselves need not be kept); set is newPairShape's.  When the cache
+// identifies the right side as an untouched base scan, the build table is the
+// instance's shared per-column index; otherwise it is built here from the
+// right rows.
+func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
@@ -466,7 +497,7 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 	if err != nil {
 		return nil, err
 	}
-	shape := newPairShape(leftKeep, rightKeep)
+	shape := newPairShape(leftKeep, rightKeep, set, ri)
 	out := NewRelation(left.Name+"⋈"+right.Name, cols)
 
 	var build *hashIndex
@@ -517,7 +548,8 @@ func resolveJoinKeys(left, right colLayout, leftCol, rightCol string) (li, ri in
 // at a time — the same batch FNV-1a pass the batch pipeline's join runs — and
 // chain entries whose stored hash differs are rejected without touching the
 // candidate row.  Chains preserve build-row order, so output order is
-// identical whether the index was built here or shared.
+// identical whether the index was built here or shared.  A shape with
+// firstRight ends each probe row's walk at its first match.
 func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, shape *pairShape, out *Relation) error {
 	var arena valueArena
 	// Seed the output at the no-duplicate-keys estimate: at most one match per
@@ -576,6 +608,9 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 					continue // hash collision, not an actual match
 				}
 				out.Rows = append(out.Rows, shape.build(&arena, lr, rr))
+				if shape.firstRight {
+					break
+				}
 			}
 		}
 	}

@@ -218,12 +218,28 @@ func (e *Executor) Execute(p Plan) (*Relation, error) {
 // ancestor reads (live.go); the root's own columns are all read, so the result
 // always carries every column the plan names.
 func (e *Executor) ExecuteContext(ctx context.Context, p Plan) (*Relation, error) {
+	return e.execute(ctx, p, needAll)
+}
+
+// ExecuteSet is ExecuteContext for a caller that reads the result as a set:
+// it returns the same distinct rows in the same first-seen order, but not
+// necessarily every duplicate.  Below the root and down to the first
+// aggregate or sharing point, a product side nothing above reads contributes
+// its first row only, and a join whose build side contributes nothing, or only
+// its key, stops each probe row's walk at its first match (newPairShape).
+// Every operator still drains its inputs, so the operators executed are the
+// same; the rows they read and produce, and the values they build, fall.
+func (e *Executor) ExecuteSet(ctx context.Context, p Plan) (*Relation, error) {
+	return e.execute(ctx, p, colNeed{all: true, set: true})
+}
+
+func (e *Executor) execute(ctx context.Context, p Plan, need colNeed) (*Relation, error) {
 	if p == nil {
 		return nil, fmt.Errorf("execute: nil plan")
 	}
 	res, shared, err := e.shared(ctx, p)
 	if err == nil && !shared {
-		res, err = e.materialize(ctx, p, needAll)
+		res, err = e.materialize(ctx, p, need)
 	}
 	if err != nil {
 		return nil, err
@@ -276,7 +292,7 @@ func (e *Executor) materialize(ctx context.Context, p Plan, need colNeed) (*plan
 		// materializes fused: the child pipeline is drained to row headers and
 		// the column gather runs once at the exact output size, instead of
 		// carving per-batch tuples that the root would copy again.
-		rel, err := e.executeBatchProjectRoot(ctx, n)
+		rel, err := e.executeBatchProjectRoot(ctx, n, need)
 		if err != nil {
 			return nil, err
 		}
@@ -297,8 +313,8 @@ func (e *Executor) materialize(ctx context.Context, p Plan, need colNeed) (*plan
 // and gathers the projected columns straight into the result relation.  Column
 // resolution, error messages and recorded statistics are identical to the
 // batchProject operator's.
-func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan) (*Relation, error) {
-	need, _ := childNeeds(n, needAll)
+func (e *Executor) executeBatchProjectRoot(ctx context.Context, n *ProjectPlan, need colNeed) (*Relation, error) {
+	need, _ = childNeeds(n, need)
 	child, err := e.compile(ctx, n.Child, need)
 	if err != nil {
 		return nil, err
@@ -429,7 +445,7 @@ func (e *Executor) compileNode(ctx context.Context, p Plan, need colNeed) (Batch
 		if err != nil {
 			return nil, err
 		}
-		shape, lay := pairLayout(left.layout(), right.layout(), need)
+		shape, lay := pairLayout(left.layout(), right.layout(), need, -1)
 		return &batchProduct{
 			ctx: ctx, left: left, right: right,
 			name: left.Name() + "x" + right.Name(), lay: lay, shape: shape,
@@ -457,7 +473,7 @@ func (e *Executor) compileNode(ctx context.Context, p Plan, need colNeed) (Batch
 		if err != nil {
 			return nil, err
 		}
-		shape, lay := pairLayout(left.layout(), right.layout(), need)
+		shape, lay := pairLayout(left.layout(), right.layout(), need, ri)
 		return &batchJoin{
 			ctx: ctx, left: left, right: right, li: li, ri: ri,
 			name: left.Name() + "⋈" + right.Name(), lay: lay, shape: shape,
@@ -633,7 +649,7 @@ func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left Batc
 	if err != nil {
 		return nil, false, err
 	}
-	shape, lay := pairLayout(left.layout(), right, need)
+	shape, lay := pairLayout(left.layout(), right, need, ri)
 	return &batchJoin{
 		ctx: ctx, left: left, li: li, ri: ri, cache: e.Indexes, base: base, levels: levels,
 		name: left.Name() + "⋈" + alias, lay: lay, shape: shape, size: e.batchSize(),

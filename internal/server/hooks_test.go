@@ -66,6 +66,26 @@ func TestHooksStagesAndSlowQueries(t *testing.T) {
 	}
 }
 
+// TestReformulateStageOnDeltaFallback is the same observation for a plan the
+// maintainer cannot keep: an aggregate on a server whose maintainer runs.  The
+// delta-first path builds the front half and refuses it, and the evaluation
+// it falls back to finds the front half memoized; the build time must still
+// reach the stage, once.
+func TestReformulateStageOnDeltaFallback(t *testing.T) {
+	srv, _ := newTestServer(t, 60, Config{})
+	req := Request{Scenario: "test", Query: "SELECT COUNT(*) FROM T", Method: "e-basic"}
+	if _, err := srv.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	m := srv.Metrics()
+	if m.DeltaFallbacks != 1 {
+		t.Fatalf("delta_fallbacks = %d, want 1: the aggregate should have been refused by the maintainer", m.DeltaFallbacks)
+	}
+	if r := m.Stages["reformulate"]; r.Count != 1 || r.SumMS <= 0 {
+		t.Fatalf("stage reformulate after the first evaluation: count %d sum %v ms, want 1 and > 0", r.Count, r.SumMS)
+	}
+}
+
 // TestReformulateStageWithoutCache is the same observation on a server with
 // the answer cache off, where no maintainer runs and every request evaluates
 // through EvaluatePrepared: the first evaluation builds the front half and
