@@ -30,9 +30,9 @@ import (
 // canonical order).
 
 // ErrNotDeltaMaintainable marks a (query, method) pair the delta evaluator
-// cannot maintain incrementally: plans that are not linear (aggregates,
-// materialized fragments) and self-joins (the name-keyed relation replacement
-// cannot express a per-occurrence delta).  Callers fall back to epoch
+// cannot maintain incrementally, whatever the method: plans that aggregate
+// (they are not linear in their input) and self-joins (the name-keyed relation
+// replacement cannot express a per-occurrence delta).  Callers fall back to epoch
 // invalidation — today's behavior.
 var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 

@@ -6,10 +6,11 @@ import "context"
 // executor.  Operators exchange ~1024-row batches — a window of row tuples
 // plus a selection vector — instead of one tuple per interface call, so the
 // hot per-row work (predicate comparisons, key hashing, column gathers) runs
-// in tight loops with no per-row dispatch.  Output tuples are carved from the
-// same flat value arenas as the materialized operators', and every operator
-// records the same logical statistics and produces rows in the same order, so
-// results are bit-identical to the naive reference at any batch size.
+// in tight loops with no per-row dispatch.  The inner loops are the
+// materialized operators' own kernels (operators.go lists them), and every
+// operator records the same logical statistics and produces rows in the same
+// order, so results are bit-identical to the naive reference at any batch
+// size.
 
 // DefaultBatchSize is the number of rows per vector batch when the executor
 // does not override it.  Large enough to amortize per-batch bookkeeping to
@@ -203,9 +204,8 @@ type batchIndexScan struct {
 	size  int
 	stats *Stats
 
-	probeCol int
-	probeVal Value
-	levels   []indexLevel
+	probe  indexProbe
+	levels []indexLevel
 
 	started  bool
 	fallback BatchSource
@@ -221,11 +221,10 @@ func (s *batchIndexScan) Name() string      { return s.alias }
 func (s *batchIndexScan) layout() colLayout { return colLayout{cols: s.cols} }
 
 func (s *batchIndexScan) start() error {
-	idx, err := s.cache.columnIndex(s.ctx, s.base, s.probeCol, s.stats)
+	rows, matches, ok, err := s.cache.probeEq(s.ctx, s.base, s.probe.col, s.probe.val, s.stats)
 	if err != nil {
 		return err
 	}
-	probes, ok := probeValuesForEq(s.probeVal, idx.kinds, idx.hasNaN)
 	if !ok {
 		// The probe set cannot cover the predicate on this column's content:
 		// run the pipeline the compiler would have built without an index.
@@ -239,10 +238,8 @@ func (s *batchIndexScan) start() error {
 		s.fallback = src
 		return nil
 	}
-	s.stats.recordIndexLookup()
-	s.matches, _, err = idx.probeMatches(s.ctx, probes)
-	s.rows = idx.rows
-	return err
+	s.rows, s.matches = rows, matches
+	return nil
 }
 
 func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
@@ -294,9 +291,9 @@ func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
 	return nil, false, nil
 }
 
-// batchProject gathers the projected columns of each batch into fresh tuples
-// carved as one flat arena block per batch, emitting a dense batch (no
-// selection vector).
+// batchProject gathers the projected columns of each batch's live rows
+// through projectRows, the materialized Project's kernel, emitting a dense
+// batch (no selection vector).
 type batchProject struct {
 	ctx   context.Context
 	src   BatchSource
@@ -304,7 +301,6 @@ type batchProject struct {
 	cols  []string
 	idx   []int
 	stats *Stats
-	arena valueArena
 
 	outRows  []Tuple
 	n        int
@@ -333,59 +329,23 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 	if err := canceled(s.ctx); err != nil {
 		return nil, false, err
 	}
-	m := b.NumRows()
-	if cap(s.outRows) < m {
-		s.outRows = make([]Tuple, m)
+	// The output headers are private, so a selected batch's live headers are
+	// collected into them and projected in place; a dense batch's rows (which
+	// may be a base relation's) are only read.
+	rows := b.Rows
+	if b.Sel != nil {
+		s.outRows = s.outRows[:0]
+		for _, i := range b.Sel {
+			s.outRows = append(s.outRows, b.Rows[i])
+		}
+		rows = s.outRows
 	}
-	out := s.outRows[:m]
-	k := len(s.idx)
-	switch {
-	case k == 0:
-		for r := range out {
-			out[r] = Tuple{}
-		}
-	case contiguousIdx(s.idx):
-		// Contiguous runs (every single-column projection) move no values:
-		// each output tuple is a capacity-clamped window of its input row,
-		// on the immutable-tuple contract projectRows documents.
-		j0, j1 := s.idx[0], s.idx[0]+k
-		if b.Sel == nil {
-			for r := range b.Rows {
-				out[r] = b.Rows[r][j0:j1:j1]
-			}
-		} else {
-			for r, i := range b.Sel {
-				out[r] = b.Rows[i][j0:j1:j1]
-			}
-		}
-	default:
-		flat := s.arena.tuple(k * m)
-		off := 0
-		if b.Sel == nil {
-			for r := range b.Rows {
-				row := b.Rows[r]
-				t := Tuple(flat[off : off+k : off+k])
-				for c, j := range s.idx {
-					t[c] = row[j]
-				}
-				out[r] = t
-				off += k
-			}
-		} else {
-			for r, i := range b.Sel {
-				row := b.Rows[i]
-				t := Tuple(flat[off : off+k : off+k])
-				for c, j := range s.idx {
-					t[c] = row[j]
-				}
-				out[r] = t
-				off += k
-			}
-		}
+	if err := projectRows(s.ctx, rows, s.idx, &s.outRows); err != nil {
+		return nil, false, err
 	}
-	s.n += m
+	s.n += len(rows)
 	s.nbat++
-	s.outb = Batch{Rows: out}
+	s.outb = Batch{Rows: s.outRows}
 	return &s.outb, true, nil
 }
 
@@ -769,35 +729,8 @@ func (s *batchDistinct) NextBatch() (*Batch, bool, error) {
 		if err := canceled(s.ctx); err != nil {
 			return nil, false, err
 		}
-		m := b.NumRows()
-		s.in += m
-		if cap(s.hashbuf) < m {
-			s.hashbuf = make([]uint64, m)
-		}
-		hashes := s.hashbuf[:m]
-		if b.Sel == nil {
-			for i := range b.Rows {
-				hashes[i] = b.Rows[i].Hash64()
-			}
-		} else {
-			for k, i := range b.Sel {
-				hashes[k] = b.Rows[i].Hash64()
-			}
-		}
-		sel := s.selbuf[:0]
-		if b.Sel == nil {
-			for i := range b.Rows {
-				if s.seen.AddHashed(hashes[i], b.Rows[i]) {
-					sel = append(sel, int32(i))
-				}
-			}
-		} else {
-			for k, i := range b.Sel {
-				if s.seen.AddHashed(hashes[k], b.Rows[i]) {
-					sel = append(sel, i)
-				}
-			}
-		}
+		s.in += b.NumRows()
+		sel := s.seen.firstSeen(b.Rows, b.Sel, &s.hashbuf, s.selbuf[:0])
 		s.selbuf = sel
 		if len(sel) == 0 {
 			continue
@@ -854,7 +787,7 @@ func (s *batchAgg) NextBatch() (*Batch, bool, error) {
 		if err := canceled(s.ctx); err != nil {
 			return nil, false, err
 		}
-		if err := s.acc.addSel(s.ctx, b.Rows, b.Sel); err != nil {
+		if err := s.acc.add(s.ctx, b.Rows, b.Sel); err != nil {
 			return nil, false, err
 		}
 	}

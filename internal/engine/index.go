@@ -75,7 +75,7 @@ func (x *hashIndex) lookup(h uint64) int32 { return x.heads[h&x.mask] }
 // doubles when the load factor reaches 1.
 func (x *hashIndex) add(h uint64, t Tuple) {
 	if len(x.rows) >= len(x.heads) {
-		x.grow()
+		_ = x.rethread(nil, 2*len(x.heads)) // a nil context never cancels
 	}
 	b := h & x.mask
 	x.next = append(x.next, x.heads[b])
@@ -84,17 +84,28 @@ func (x *hashIndex) add(h uint64, t Tuple) {
 	x.heads[b] = int32(len(x.rows))
 }
 
-// grow doubles the bucket array and rethreads every chain from the stored
-// hashes, back to front so chains stay in ascending row order.
-func (x *hashIndex) grow() {
-	heads := newBuckets(2 * len(x.heads))
+// rethread replaces the bucket array with one sized for n rows and threads
+// every stored hash onto it, back to front so chains stay in ascending row
+// order.  It is the one chain-threading loop: a cold build, the seen-set's
+// doubling and an in-place append that outgrows its buckets all run it.  ctx
+// is checked once per checkInterval rows, and only the build passes one: a nil
+// ctx never cancels.  A cancelled rethread leaves the index unusable.
+func (x *hashIndex) rethread(ctx context.Context, n int) error {
+	heads := newBuckets(n)
 	mask := uint64(len(heads) - 1)
-	for i := len(x.rows) - 1; i >= 0; i-- {
-		b := x.hashes[i] & mask
-		x.next[i] = heads[b]
-		heads[b] = int32(i + 1)
+	hashes, next := x.hashes, x.next
+	for hi := len(hashes); hi > 0; hi -= checkInterval {
+		if err := canceled(ctx); err != nil {
+			return err
+		}
+		for i := hi - 1; i >= max(hi-checkInterval, 0); i-- {
+			b := hashes[i] & mask
+			next[i] = heads[b]
+			heads[b] = int32(i + 1)
+		}
 	}
 	x.heads, x.mask = heads, mask
+	return nil
 }
 
 // canceledEvery reports the context error on the first call and then once per
@@ -112,30 +123,22 @@ func canceledEvery(ctx context.Context, n int) error {
 //
 // The build is two passes: a blocked batch-hash pass (the interleaved FNV
 // kernel, with the kind/NaN scan riding on each cache-hot block) and a chain
-// pass that threads buckets back to front from the stored hashes so chains
-// stay in ascending row order — exactly the structure the old single fused
-// loop produced.
+// pass (rethread) that threads buckets back to front from the stored hashes
+// so chains stay in ascending row order.
 func buildColumnHashIndex(ctx context.Context, rows []Tuple, col int) (*hashIndex, error) {
 	x := &hashIndex{
-		heads:  newBuckets(len(rows)),
 		hashes: make([]uint64, len(rows)),
 		next:   make([]int32, len(rows)),
 		rows:   rows,
 		col:    col,
 	}
-	x.mask = uint64(len(x.heads) - 1)
 	kinds, hasNaN, err := hashRangeMeta(ctx, rows, col, 0, len(rows), x.hashes)
 	if err != nil {
 		return nil, err
 	}
 	x.kinds, x.hasNaN = kinds, hasNaN
-	for i := len(rows) - 1; i >= 0; i-- {
-		if err := canceledEvery(ctx, len(rows)-1-i); err != nil {
-			return nil, err
-		}
-		b := x.hashes[i] & x.mask
-		x.next[i] = x.heads[b]
-		x.heads[b] = int32(i + 1)
+	if err := x.rethread(ctx, len(rows)); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -298,23 +301,79 @@ func constPreds(p Predicate) ([]*ConstPredicate, bool) {
 	}
 }
 
-// residualConsts rebuilds the predicate minus the probe comparison (which the
-// index answers exactly).  nil means nothing remains to evaluate per row.
-func residualConsts(consts []*ConstPredicate, skip int) Predicate {
-	rest := make([]Predicate, 0, len(consts)-1)
-	for i, cp := range consts {
-		if i != skip {
+// indexProbe is the comparison an index probe answers for a stack of
+// constant selections over one scan: level is the selection's position in the
+// stack and consts its comparisons, at the probe's position among them, col
+// its resolved column and val its constant.
+type indexProbe struct {
+	level  int
+	consts []*ConstPredicate
+	at     int
+	col    int
+	val    Value
+}
+
+// pickProbe chooses the probe for a stack of selections over one scan, listed
+// bottom to top: the bottom-most constant equality whose column resolves.
+// ok=false when a selection is not a constant conjunction or no equality
+// resolves.  IndexedSelect (a stack of one) and the batch index scan both pick
+// through it.
+func pickProbe(stack []Predicate, resolve func(string) int) (indexProbe, bool) {
+	for level, pred := range stack {
+		consts, ok := constPreds(pred)
+		if !ok {
+			return indexProbe{}, false
+		}
+		for at, cp := range consts {
+			if cp.Op != OpEq {
+				continue
+			}
+			if col := resolve(cp.Column); col >= 0 {
+				return indexProbe{level: level, consts: consts, at: at, col: col, val: cp.Value}, true
+			}
+		}
+	}
+	return indexProbe{}, false
+}
+
+// residual compiles what remains of the probe's selection once the index has
+// answered its equality exactly; nil when nothing remains to evaluate.
+func (p indexProbe) residual(resolve func(string) int, cols []string) (vecPredicate, error) {
+	rest := make([]Predicate, 0, len(p.consts)-1)
+	for i, cp := range p.consts {
+		if i != p.at {
 			rest = append(rest, cp)
 		}
 	}
 	switch len(rest) {
 	case 0:
-		return nil
+		return nil, nil
 	case 1:
-		return rest[0]
+		return compileVecPredicate(rest[0], resolve, cols)
 	default:
-		return &AndPredicate{Children: rest}
+		return compileVecPredicate(&AndPredicate{Children: rest}, resolve, cols)
 	}
+}
+
+// probeEq returns the rows of base's shared index over col and the 0-based
+// positions, in row order, of those whose column Compare-equals v: the one
+// index probe IndexedSelect and the batch index scan both run.  ok=false, with
+// no lookup recorded, when the column's content leaves no finite probe set
+// (probeValuesForEq) and the caller must scan instead.
+func (c *IndexCache) probeEq(ctx context.Context, base *Relation, col int, v Value, stats *Stats) (rows []Tuple, matches []int32, ok bool, err error) {
+	idx, err := c.columnIndex(ctx, base, col, stats)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	probes, ok := probeValuesForEq(v, idx.kinds, idx.hasNaN)
+	if !ok {
+		return nil, nil, false, nil
+	}
+	stats.recordIndexLookup()
+	if matches, _, err = idx.probeMatches(ctx, probes); err != nil {
+		return nil, nil, false, err
+	}
+	return idx.rows, matches, true, nil
 }
 
 // colKey identifies one cached column index.
@@ -492,15 +551,8 @@ func (c *IndexCache) AppendInPlace(ctx context.Context, rel *Relation, oldLen in
 		x.rows = rel.Rows[:n:n] // the append may have reallocated the backing array
 		if len(x.heads) < n {
 			// Rethread everything into the bucket array a cold build over n
-			// rows would allocate; back to front keeps chains in row order.
-			heads := newBuckets(n)
-			mask := uint64(len(heads) - 1)
-			for i := n - 1; i >= 0; i-- {
-				b := x.hashes[i] & mask
-				x.next[i] = heads[b]
-				heads[b] = int32(i + 1)
-			}
-			x.heads, x.mask = heads, mask
+			// rows would allocate.
+			_ = x.rethread(nil, n) // a nil context never cancels
 		} else {
 			for i := oldLen; i < n; i++ {
 				b := x.hashes[i] & x.mask
@@ -541,67 +593,41 @@ func (c *IndexCache) baseForRows(rows []Tuple) (*Relation, bool) {
 
 // trySelect serves a constant selection over an untouched base scan from the
 // shared index: rows whose probe column equals the constant come from the
-// index in base row order, with the remaining constant comparisons evaluated
-// per matched row.  ok=false means the caller must run the plain selection
-// (wrong shape, no equality probe, or a column content the probe set cannot
-// cover).
+// index in base row order, compacted through the vectorized residual of the
+// remaining comparisons exactly as the batch index scan compacts them.
+// ok=false means the caller must run the plain selection (wrong shape, no
+// equality probe, or a column content the probe set cannot cover).
 func (c *IndexCache) trySelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*Relation, bool, error) {
-	consts, ok := constPreds(pred)
-	if !ok {
-		return nil, false, nil
-	}
 	base, ok := c.baseForRows(rel.Rows)
 	if !ok {
 		return nil, false, nil
 	}
-	probeAt, col := -1, -1
-	for i, cp := range consts {
-		if cp.Op != OpEq {
-			continue
-		}
-		if j := rel.ColumnIndex(cp.Column); j >= 0 {
-			probeAt, col = i, j
-			break
-		}
-	}
-	if probeAt < 0 {
-		return nil, false, nil
-	}
-	idx, err := c.columnIndex(ctx, base, col, stats)
-	if err != nil {
-		return nil, false, err
-	}
-	probes, ok := probeValuesForEq(consts[probeAt].Value, idx.kinds, idx.hasNaN)
+	probe, ok := pickProbe([]Predicate{pred}, rel.ColumnIndex)
 	if !ok {
 		return nil, false, nil
 	}
-	var residual boundPredicate
-	if rp := residualConsts(consts, probeAt); rp != nil {
-		residual, err = bindRelPredicate(rp, rel)
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	matches, _, err := idx.probeMatches(ctx, probes)
+	residual, err := probe.residual(rel.ColumnIndex, rel.Columns)
 	if err != nil {
 		return nil, false, err
 	}
-	out := NewRelation(rel.Name, rel.Columns)
-	for _, mi := range matches {
-		row := idx.rows[mi]
-		if residual != nil {
-			keep, err := residual.eval(row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		out.Rows = append(out.Rows, row)
+	rows, matches, ok, err := c.probeEq(ctx, base, probe.col, probe.val, stats)
+	if !ok {
+		return nil, false, err
 	}
-	stats.recordIndexLookup()
-	stats.record(OpKindSelect, len(matches), len(out.Rows))
+	in := len(matches)
+	if residual != nil && in > 0 {
+		if matches, err = residual.filterSel(rows, matches, matches[:0]); err != nil {
+			return nil, false, err
+		}
+	}
+	out := NewRelation(rel.Name, rel.Columns)
+	if len(matches) > 0 {
+		out.Rows = make([]Tuple, len(matches))
+		for k, i := range matches {
+			out.Rows[k] = rows[i]
+		}
+	}
+	stats.record(OpKindSelect, in, len(out.Rows))
 	return out, true, nil
 }
 

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -200,6 +202,165 @@ func TestIndexedMaterializedOperatorsMatch(t *testing.T) {
 		}
 		requireSameRelation(t, label+" join", jwant, jgot)
 	}
+}
+
+// TestIndexedSelectMatchesIndexScan: the materialized IndexedSelect and the
+// plan driver's index-served σ(scan) run one probe and one residual, so for a
+// constant conjunction over an untouched base scan they must agree on
+// everything — rows and order, the selection's count and rows in/out, and the
+// index lookups.  The conjunctions cover a single equality, an equality among
+// residual comparisons, no equality at all, and equalities on a mixed-kind
+// column whose probe set cannot cover the constant, so both fall back to a
+// scan.
+func TestIndexedSelectMatchesIndexScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	cmp := func(col string, op CompareOp) Predicate {
+		return &ConstPredicate{Column: col, Op: op, Value: randValue(rng)}
+	}
+	numeric := func() Value {
+		if rng.Intn(2) == 0 {
+			return I(int64(rng.Intn(4)))
+		}
+		return F(float64(rng.Intn(4)) / 2)
+	}
+	shapes := map[string]int{}
+	for trial := 0; trial < 600; trial++ {
+		db := NewInstance("D")
+		left := randRelation(rng, "L", []string{"L.a", "L.b", "L.n"}, 1+rng.Intn(60))
+		for _, row := range left.Rows {
+			row[2] = numeric() // L.n holds numbers only: its equalities probe
+		}
+		db.AddRelation(left)
+
+		var pred Predicate
+		shape := ""
+		switch trial % 4 {
+		case 0:
+			pred, shape = &ConstPredicate{Column: "L.n", Op: OpEq, Value: numeric()}, "single equality"
+		case 1:
+			conj := []Predicate{cmp("L.a", CompareOp(1+rng.Intn(5))), cmp("L.b", CompareOp(rng.Intn(6)))}
+			eq := &ConstPredicate{Column: "L.n", Op: OpEq, Value: numeric()}
+			pred, shape = And(slices.Insert(conj, rng.Intn(3), Predicate(eq))...), "equality and residual"
+		case 2:
+			pred, shape = And(cmp("L.a", CompareOp(1+rng.Intn(5))), cmp("L.n", CompareOp(1+rng.Intn(5)))), "no equality"
+		default:
+			// randValue mixes numbers and numeric strings in L.a, so most of
+			// these equalities have no finite probe set.
+			pred, shape = And(cmp("L.a", OpEq), cmp("L.b", CompareOp(rng.Intn(6)))), "mixed-kind column"
+		}
+		label := fmt.Sprintf("trial %d %s %v", trial, shape, pred)
+
+		mstats := NewStats()
+		want, err := IndexedSelect(bgCtx, left, pred, mstats, db.Indexes())
+		if err != nil {
+			t.Fatalf("%s: IndexedSelect: %v", label, err)
+		}
+		ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes()}
+		got, err := ex.ExecuteContext(bgCtx, &SelectPlan{Pred: pred, Child: &ScanPlan{Relation: "L"}})
+		if err != nil {
+			t.Fatalf("%s: plan driver: %v", label, err)
+		}
+		requireSameRelation(t, label, want, got)
+		ps := ex.Stats
+		if mstats.Count(OpKindSelect) != 1 || ps.Count(OpKindSelect) != 1 {
+			t.Fatalf("%s: %d and %d selections, want one each", label, mstats.Count(OpKindSelect), ps.Count(OpKindSelect))
+		}
+		if mstats.SelectRowsIn() != ps.SelectRowsIn() || mstats.SelectRowsOut() != ps.SelectRowsOut() {
+			t.Fatalf("%s: select rows %d→%d materialized, %d→%d plan driver", label,
+				mstats.SelectRowsIn(), mstats.SelectRowsOut(), ps.SelectRowsIn(), ps.SelectRowsOut())
+		}
+		if mstats.IndexLookups() != ps.IndexLookups() {
+			t.Fatalf("%s: %d index lookups materialized, %d plan driver", label, mstats.IndexLookups(), ps.IndexLookups())
+		}
+		if mstats.IndexLookups() > 0 {
+			shapes[shape+", probed"]++
+		} else {
+			shapes[shape+", scanned"]++
+		}
+	}
+	for _, want := range []string{
+		"single equality, probed", "equality and residual, probed", "no equality, scanned",
+		"mixed-kind column, probed", "mixed-kind column, scanned",
+	} {
+		if shapes[want] == 0 {
+			t.Errorf("no trial was a %s; got %v", want, shapes)
+		}
+	}
+}
+
+// FuzzProbeValuesForEq checks the probe analysis both index paths share:
+// whenever probeValuesForEq accepts a constant for a column's content, the
+// shared index probe (IndexCache.probeEq) returns exactly the rows whose value
+// Compare-equals the constant, in row order.  The column and the constant are
+// decoded by fuzzValues; the seed corpus in testdata/fuzz covers NaN payloads,
+// both zeros, integers at and beyond 2^53, and numeric strings.
+func FuzzProbeValuesForEq(f *testing.F) {
+	f.Fuzz(func(t *testing.T, column, constant []byte) {
+		vals := fuzzValues(column)
+		consts := fuzzValues(constant)
+		if len(consts) == 0 {
+			return
+		}
+		c := consts[0]
+		db := NewInstance("D")
+		rel := NewRelation("T", []string{"v"})
+		for _, v := range vals {
+			rel.MustAppend(Tuple{v})
+		}
+		db.AddRelation(rel)
+		rows, matches, ok, err := db.Indexes().probeEq(bgCtx, rel, 0, c, NewStats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return
+		}
+		var want []int32
+		for i, row := range rows {
+			if OpEq.Matches(row[0].Compare(c)) {
+				want = append(want, int32(i))
+			}
+		}
+		if fmt.Sprint(matches) != fmt.Sprint(want) {
+			t.Fatalf("const %#v over %v: probe matched rows %v, Compare matches rows %v", c, vals, matches, want)
+		}
+	})
+}
+
+// fuzzValues decodes a value list: each value is a kind byte (mod 4: null,
+// int, float, string) followed, for an int or a float, by its 8 little-endian
+// payload bytes (the float's IEEE bits, so every NaN payload is reachable) or,
+// for a string, a length byte and that many bytes.  A truncated value ends the
+// list.
+func fuzzValues(b []byte) []Value {
+	var out []Value
+	for len(b) > 0 {
+		kind := b[0] % 4
+		b = b[1:]
+		switch kind {
+		case 0:
+			out = append(out, Null())
+		case 1, 2:
+			if len(b) < 8 {
+				return out
+			}
+			x := binary.LittleEndian.Uint64(b)
+			b = b[8:]
+			if kind == 1 {
+				out = append(out, I(int64(x)))
+			} else {
+				out = append(out, F(math.Float64frombits(x)))
+			}
+		default:
+			if len(b) == 0 || len(b) < 1+int(b[0]) {
+				return out
+			}
+			n := int(b[0])
+			out = append(out, S(string(b[1:1+n])))
+			b = b[1+n:]
+		}
+	}
+	return out
 }
 
 // TestIndexCacheSingleflight floods one column index with concurrent queries

@@ -202,8 +202,10 @@ func mulFits(a, b, limit int) (int, bool) {
 // across e-units — and they are kept beside the batch pipeline, which runs
 // every plan, for what a materialized input lets them do: they see their whole
 // input, so they size their output once (DESIGN.md "Execution model" has the
-// measurement).  Both share the same hashing, vectorized predicate, aggregate
-// and tuple-arena machinery, and produce identical results and statistics.
+// measurement).  Both drivers call the same kernels — index probe, vectorized
+// predicates, aggregate fold, dedupe, projection gather, pair builder, bucket
+// threading and blocked hashing — and produce identical results and
+// statistics.
 
 // Select returns the rows of rel satisfying the predicate.  The predicate is
 // bound once — column references resolve to positions before the scan — so
@@ -297,18 +299,6 @@ func projectCopied(idx []int) int {
 	return len(idx)
 }
 
-// projectRows gathers the idx columns of every input row into *out, sized
-// exactly: one value slab and one row-header slab for the whole input, no
-// growth reallocations.  The one- and two-column widths — virtually every
-// projection the reformulated workloads produce — run specialized loops.
-//
-// When the requested columns are a contiguous run in source order (every
-// single-column projection is), no values move at all: each output tuple is a
-// capacity-clamped subslice of its input row.  Tuples are immutable once
-// built — the batch pipeline already aliases base-relation rows into batches
-// on the same contract — so sharing the value backing is observationally
-// identical to copying it.  The full slice expression pins cap to the window,
-// keeping any later append from writing into the source row's other columns.
 // contiguousIdx reports whether the projection indices are a contiguous
 // ascending run of source columns, the shape the zero-copy window path serves.
 func contiguousIdx(idx []int) bool {
@@ -320,17 +310,31 @@ func contiguousIdx(idx []int) bool {
 	return len(idx) > 0
 }
 
+// projectRows gathers the idx columns of every input row into *out, sized
+// exactly: one value slab and one row-header slab for the whole input, no
+// growth reallocations.  The one- and two-column widths — virtually every
+// projection the reformulated workloads produce — run specialized loops.  It
+// is the one projection kernel: Project, the plan driver's root projection
+// and every batch of batchProject run it.
+//
+// When the requested columns are a contiguous run in source order (every
+// single-column projection is), no values move at all: each output tuple is a
+// capacity-clamped subslice of its input row.  Tuples are immutable once
+// built — the batch pipeline already aliases base-relation rows into batches
+// on the same contract — so sharing the value backing is observationally
+// identical to copying it.  The full slice expression pins cap to the window,
+// keeping any later append from writing into the source row's other columns.
 func projectRows(ctx context.Context, rows []Tuple, idx []int, out *[]Tuple) error {
 	n := len(rows)
 	if n == 0 {
 		return nil
 	}
 	k := len(idx)
-	// Reuse the caller's slice when it has the capacity — the batch executor
+	// Reuse the caller's slice when it has the capacity — the plan driver
 	// hands back the drained (private) header slice so a root projection
-	// rewrites headers in place instead of allocating a second slab.  Headers
-	// are copied into locals before their slot is overwritten, and the value
-	// backing is never written, so dst may alias rows.
+	// rewrites headers in place, and batchProject its own header buffer.
+	// Headers are copied into locals before their slot is overwritten, and
+	// the value backing is never written, so dst may alias rows.
 	dst := *out
 	if cap(dst) >= n {
 		dst = dst[:n]
@@ -626,26 +630,18 @@ func Distinct(ctx context.Context, rel *Relation, stats *Stats) (*Relation, erro
 	out := NewRelation(rel.Name, rel.Columns)
 	seen := NewTupleSet(len(rel.Rows))
 	rows := rel.Rows
-	hashes := make([]uint64, 0, DefaultBatchSize)
+	var hashes []uint64
+	var kept []int32
 	for lo := 0; lo < len(rows); lo += DefaultBatchSize {
 		if lo > 0 {
 			if err := canceled(ctx); err != nil {
 				return nil, err
 			}
 		}
-		hi := lo + DefaultBatchSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		block := rows[lo:hi]
-		hashes = hashes[:0]
-		for i := range block {
-			hashes = append(hashes, block[i].Hash64())
-		}
-		for i := range block {
-			if seen.AddHashed(hashes[i], block[i]) {
-				out.Rows = append(out.Rows, block[i])
-			}
+		block := rows[lo:min(lo+DefaultBatchSize, len(rows))]
+		kept = seen.firstSeen(block, nil, &hashes, kept[:0])
+		for _, i := range kept {
+			out.Rows = append(out.Rows, block[i])
 		}
 	}
 	stats.record(OpKindDistinct, len(rel.Rows), len(out.Rows))
@@ -715,89 +711,46 @@ type aggAccumulator struct {
 	best   Value
 }
 
-// addAll folds a materialized row slice in row order with per-function loops,
-// so no row pays a dispatch on the aggregate function.  The materialized
-// Aggregate and the batch pipeline's full batches drive it.  The hot loops
-// accumulate into locals, read values through a pointer and run in
-// checkInterval blocks so the inner loop carries no per-row cancellation
-// arithmetic: a per-row field store, a 48-byte Value copy or a modulo per row
-// are all measurable at scan speed.
-func (a *aggAccumulator) addAll(ctx context.Context, rows []Tuple) error {
-	switch a.fn {
-	case AggCount:
-		a.n += len(rows)
-	case AggSum, AggAvg:
-		idx := a.idx
-		sum := a.sum
-		for lo := 0; lo < len(rows); lo += checkInterval {
-			if lo > 0 {
-				if err := canceled(ctx); err != nil {
-					a.sum = sum
-					return err
-				}
-			}
-			hi := lo + checkInterval
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			for i := lo; i < hi; i++ {
-				v := &rows[i][idx]
-				switch v.Kind {
-				case KindFloat:
-					sum += v.Float
-				case KindInt:
-					sum += float64(v.Int)
-				default:
-					f, ok := v.AsFloat()
-					if !ok {
-						a.sum = sum
-						a.n += i + 1
-						return fmt.Errorf("aggregate %s: non-numeric value %v in column %q", a.fn, *v, a.column)
-					}
-					sum += f
-				}
+// identitySel is the selection 0, 1, …, checkInterval-1: a dense input is
+// folded through it one checkInterval block at a time, so the selected and the
+// dense input share one loop per aggregate function.
+var identitySel = func() []int32 {
+	sel := make([]int32, checkInterval)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}()
+
+// add folds the live rows of rows — those sel indexes, or all of them when sel
+// is nil — in row order, so float summation is identical to feeding the rows
+// one at a time.  The materialized Aggregate and the batch pipeline's batchAgg
+// both drive it.  A dense input is read in checkInterval blocks with a
+// cancellation check between them; a selection is bounded by the batch size,
+// so the caller's per-batch check keeps it prompt.
+func (a *aggAccumulator) add(ctx context.Context, rows []Tuple, sel []int32) error {
+	if sel != nil {
+		return a.fold(rows, sel)
+	}
+	for lo := 0; lo < len(rows); lo += checkInterval {
+		if lo > 0 {
+			if err := canceled(ctx); err != nil {
+				return err
 			}
 		}
-		a.sum = sum
-		a.n += len(rows)
-		a.numIn += len(rows)
-	case AggMin, AggMax:
-		idx := a.idx
-		for lo := 0; lo < len(rows); lo += checkInterval {
-			if lo > 0 {
-				if err := canceled(ctx); err != nil {
-					return err
-				}
-			}
-			hi := lo + checkInterval
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			for i := lo; i < hi; i++ {
-				v := rows[i][idx]
-				if a.n == 0 && i == 0 {
-					a.best = v
-				} else if cmp := v.Compare(a.best); (a.fn == AggMin && cmp < 0) || (a.fn == AggMax && cmp > 0) {
-					a.best = v
-				}
-			}
+		hi := min(lo+checkInterval, len(rows))
+		if err := a.fold(rows[lo:hi], identitySel[:hi-lo]); err != nil {
+			return err
 		}
-		a.n += len(rows)
 	}
 	return nil
 }
 
-// addSel folds the live rows of one batch: the selection vector indexes into
-// rows exactly as the batch operators produced it, so accumulation order —
-// and therefore float summation — is identical to feeding the selected rows
-// one at a time.  A nil selection is the full batch (addAll).  Selection
-// vectors are bounded by the batch size, so the caller's per-batch
-// cancellation check keeps the selected path prompt; the full-batch path
-// re-checks per block in case the configured batch size is huge.
-func (a *aggAccumulator) addSel(ctx context.Context, rows []Tuple, sel []int32) error {
-	if sel == nil {
-		return a.addAll(ctx, rows)
-	}
+// fold is add's kernel, one loop per aggregate function so no row pays a
+// dispatch on it.  The loops accumulate into locals and read values through a
+// pointer: a per-row field store or a 48-byte Value copy is measurable at scan
+// speed.
+func (a *aggAccumulator) fold(rows []Tuple, sel []int32) error {
 	switch a.fn {
 	case AggCount:
 		a.n += len(sel)
@@ -827,11 +780,11 @@ func (a *aggAccumulator) addSel(ctx context.Context, rows []Tuple, sel []int32) 
 	case AggMin, AggMax:
 		idx := a.idx
 		for k, i := range sel {
-			v := rows[i][idx]
+			v := &rows[i][idx]
 			if a.n == 0 && k == 0 {
-				a.best = v
+				a.best = *v
 			} else if cmp := v.Compare(a.best); (a.fn == AggMin && cmp < 0) || (a.fn == AggMax && cmp > 0) {
-				a.best = v
+				a.best = *v
 			}
 		}
 		a.n += len(sel)
@@ -870,7 +823,7 @@ func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, st
 	if err != nil {
 		return nil, err
 	}
-	if err := acc.addAll(ctx, rel.Rows); err != nil {
+	if err := acc.add(ctx, rel.Rows, nil); err != nil {
 		return nil, err
 	}
 	out := NewRelation(rel.Name, []string{aggOutputColumn(acc.fn, acc.column)})

@@ -569,55 +569,28 @@ func (e *Executor) compileIndexedSelect(ctx context.Context, top *SelectPlan) (B
 	cols := qualifiedScanColumns(base, alias)
 	resolve := func(name string) int { return lookupColumn(cols, name) }
 
-	// Pick the probe: the bottom-most constant equality with a resolvable
-	// column.  Binding errors for unresolvable columns surface below, in the
-	// same bottom-to-top order as the plain compiler's.
-	probeLevel, probeAt, probeCol := -1, -1, -1
-	for li := range stack {
-		consts, _ := constPreds(stack[li])
-		for ci, cp := range consts {
-			if cp.Op != OpEq {
-				continue
-			}
-			if j := resolve(cp.Column); j >= 0 {
-				probeLevel, probeAt, probeCol = li, ci, j
-				break
-			}
-		}
-		if probeLevel >= 0 {
-			break
-		}
-	}
-	if probeLevel < 0 {
+	// Binding errors for unresolvable columns surface below, in the same
+	// bottom-to-top order as the plain compiler's.
+	probe, ok := pickProbe(stack, resolve)
+	if !ok {
 		return nil, false, nil
 	}
-
 	levels := make([]indexLevel, len(stack))
-	var probeVal Value
 	for li, pred := range stack {
 		full, err := compileVecPredicate(pred, resolve, cols)
 		if err != nil {
 			return nil, false, err
 		}
 		levels[li] = indexLevel{full: full, residual: full}
-		if li != probeLevel {
-			continue
-		}
-		// The probe answers its equality exactly; what remains of the level is
-		// a sub-conjunction of a predicate that just compiled.
-		consts, _ := constPreds(pred)
-		probeVal = consts[probeAt].Value
-		levels[li].residual = nil
-		if rest := residualConsts(consts, probeAt); rest != nil {
-			if levels[li].residual, err = compileVecPredicate(rest, resolve, cols); err != nil {
-				return nil, false, err
-			}
-		}
+	}
+	// The probe answers its equality exactly; what remains of its level is a
+	// sub-conjunction of a predicate that just compiled.
+	if levels[probe.level].residual, err = probe.residual(resolve, cols); err != nil {
+		return nil, false, err
 	}
 	return &batchIndexScan{
 		ctx: ctx, cache: e.Indexes, base: base, alias: alias, cols: cols,
-		size: e.batchSize(), stats: e.Stats, probeCol: probeCol, probeVal: probeVal,
-		levels: levels,
+		size: e.batchSize(), stats: e.Stats, probe: probe, levels: levels,
 	}, true, nil
 }
 

@@ -307,12 +307,6 @@ func bindPredicate(p Predicate, resolve func(string) int, cols []string) (boundP
 	}
 }
 
-// bindRelPredicate binds a predicate against a materialized relation, using
-// its cached column index.
-func bindRelPredicate(p Predicate, rel *Relation) (boundPredicate, error) {
-	return bindPredicate(p, rel.ColumnIndex, rel.Columns)
-}
-
 // Eq is shorthand for a column = constant predicate.
 func Eq(column string, v Value) Predicate {
 	return &ConstPredicate{Column: column, Op: OpEq, Value: v}

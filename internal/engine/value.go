@@ -328,5 +328,41 @@ func (s *TupleSet) AddHashed(h uint64, t Tuple) bool {
 	return true
 }
 
+// firstSeen is the one dedupe kernel, behind the materialized Distinct and
+// the batch pipeline's: it hashes the live rows of rows — those sel indexes,
+// or all of them when sel is nil — in one pass into *hashes (grown as needed),
+// then adds them in order and appends to dst the index of each row the set
+// did not hold yet.
+func (s *TupleSet) firstSeen(rows []Tuple, sel []int32, hashes *[]uint64, dst []int32) []int32 {
+	m := len(rows)
+	if sel != nil {
+		m = len(sel)
+	}
+	if cap(*hashes) < m {
+		*hashes = make([]uint64, m)
+	}
+	h := (*hashes)[:m]
+	if sel == nil {
+		for i := range rows {
+			h[i] = rows[i].Hash64()
+		}
+		for i := range rows {
+			if s.AddHashed(h[i], rows[i]) {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for k, i := range sel {
+		h[k] = rows[i].Hash64()
+	}
+	for k, i := range sel {
+		if s.AddHashed(h[k], rows[i]) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 // Len returns the number of distinct tuples in the set.
 func (s *TupleSet) Len() int { return len(s.idx.rows) }

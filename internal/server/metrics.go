@@ -96,10 +96,11 @@ type Metrics struct {
 
 	// Incremental-maintenance counters.  DeltaApplied counts cached answers
 	// refreshed by a delta pass instead of invalidated; DeltaFallbacks the
-	// evaluations that could not enroll for maintenance (non-SPJ plan, o-sharing
-	// or top-k method, or per-scenario cap); IndexInplaceAppends the shared hash
-	// indexes extended in place under appends; EpochInvalidations the explicit
-	// Bumps, each of which purged the scenario's maintained entries.
+	// evaluations that could not enroll for maintenance (a plan that aggregates
+	// or self-joins, or the per-scenario cap; top-k never tries);
+	// IndexInplaceAppends the shared hash indexes extended in place under
+	// appends; EpochInvalidations the explicit Bumps, each of which purged the
+	// scenario's maintained entries.
 	// StaleWindowEpochs is a gauge: how many epochs behind the most recently
 	// stale-served answer was.
 	DeltaApplied        int64 `json:"delta_applied"`

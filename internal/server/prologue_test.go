@@ -105,6 +105,44 @@ func TestPostRoutesRefuseOtherMethods(t *testing.T) {
 	}
 }
 
+// TestPostRoutesRefuseTrailingData: a POST body is one JSON value and nothing
+// after it but white space.  json.Decoder reads only the first value, so
+// without the end-of-input check a valid body followed by garbage or by a
+// second value would be served as if the tail were not there.
+func TestPostRoutesRefuseTrailingData(t *testing.T) {
+	node, _ := newTestServer(t, 20, Config{})
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []struct {
+		handler http.Handler
+		routes  []string
+	}{
+		{node, []string{"/v1/query", "/v1/scatter", "/v1/append", "/v1/bump"}},
+		{coord, []string{"/v1/query", "/v1/lease"}},
+	} {
+		for _, route := range h.routes {
+			for _, body := range []string{
+				`{"scenario":"test","query":"SELECT COUNT(*) FROM PO"} garbage`,
+				`{"scenario":"test"}{"scenario":"test"}`,
+				`{} 1`,
+			} {
+				rec := httptest.NewRecorder()
+				h.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid request body") {
+					t.Errorf("POST %s %q: %d %s, want 400 invalid request body", route, body, rec.Code, rec.Body)
+				}
+			}
+			rec := httptest.NewRecorder()
+			h.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, strings.NewReader("{}\n\t ")))
+			if strings.Contains(rec.Body.String(), "invalid request body") {
+				t.Errorf("POST %s with trailing white space: %d %s, want the body accepted", route, rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
 // TestScatterRefusesBlankQuery: /v1/scatter answers a blank query as
 // /v1/query does, 400 "missing query" under ErrBadQuery, before the parser
 // sees it.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -641,7 +642,8 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 
 // decodeBody opens every POST route: 405 for any other method, before a body
 // is read, then the JSON body (1 MiB at most, no unknown fields, untyped
-// numbers as json.Number) into v.  It reports false after answering an error.
+// numbers as json.Number) into v, and nothing after it but white space.  It
+// reports false after answering an error.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -650,7 +652,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// Decode reads one value; whatever follows it must be end of input.
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = fmt.Errorf("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
 		return false
 	}
