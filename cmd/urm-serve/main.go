@@ -49,8 +49,8 @@
 //
 // Queries POSTed to the coordinator's /v1/query fan out to the lease owners
 // as /v1/scatter requests and merge bit-identically to a single node holding
-// all the data.  Queries that cannot distribute (top-k, self-joins or
-// aggregates of the partitioned relation) answer 422.
+// all the data, top-k requests included.  Queries that cannot distribute
+// (self-joins or aggregates of the partitioned relation) answer 422.
 package main
 
 import (

@@ -406,7 +406,9 @@ func (r *Runner) figure12(id string, queryID int) (*Table, error) {
 	for _, k := range r.cfg.KSweep {
 		k := k
 		d, err := r.timed(func() (time.Duration, error) {
-			res, err := core.NewEvaluator(ds.DB, maps).EvaluateTopK(q, k, r.options(core.MethodOSharing))
+			opts := r.options(core.MethodOSharing)
+			opts.TopK = k
+			res, err := core.NewEvaluator(ds.DB, maps).Evaluate(q, opts)
 			if err != nil {
 				return 0, err
 			}

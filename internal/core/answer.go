@@ -7,7 +7,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -131,12 +131,14 @@ type aggregator struct {
 	calls int
 }
 
-// aggEntry is one distinct answer tuple with its accumulated probability and
-// the addRows call that last added to it.
+// aggEntry is one distinct answer tuple with its accumulated probability, the
+// addRows call that last added to it, and its canonical key once the entry is
+// sorted.
 type aggEntry struct {
 	tuple engine.Tuple
 	prob  float64
 	call  int
+	key   string
 }
 
 func newAggregator() *aggregator {
@@ -190,58 +192,82 @@ func (g *aggregator) addRows(rows []engine.Tuple, prob float64) {
 // addEmpty records probability mass for the empty (θ) answer.
 func (g *aggregator) addEmpty(prob float64) { g.emptyProb += prob }
 
-// finalize sorts the aggregated answers into the result and accounts the time
-// to the aggregation phase.
-func (g *aggregator) finalize(res *Result) {
+// take is the aggregator as an answerSink: it folds every group in and never
+// stops the feed.
+func (g *aggregator) take(_ int, prob float64, rows []engine.Tuple) bool {
+	g.addRows(rows, prob)
+	return false
+}
+
+// sorted returns the aggregated entries in canonical answer order, keys
+// computed once per entry rather than inside the comparator, and the empty
+// answer's mass.  Both the materialized path and the streaming Cursor consume
+// this order, so streamed and materialized results are identical answer for
+// answer.
+func (g *aggregator) sorted() ([]*aggEntry, float64) {
+	out := slices.Clone(g.order)
+	for _, e := range out {
+		e.key = e.tuple.Key()
+	}
+	slices.SortFunc(out, compareEntries)
+	return out, g.emptyProb
+}
+
+// compareEntries is the canonical answer order: descending probability, ties
+// broken by canonical tuple key — a total order, since distinct answers have
+// distinct keys.
+func compareEntries(a, b *aggEntry) int {
+	if a.prob != b.prob {
+		if a.prob > b.prob {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+// answerSink is where an execution's groups end and its answers are read
+// from: the aggregator, whose answers are the whole distribution, or — when
+// the options ask for the top k — topkBounds, which may stop the feed early.
+// An unsharded run and ScatterPlan.Merge pick it the same way (newSink).
+type answerSink interface {
+	// take folds one group's rows in under the group's mass, in group order,
+	// and reports whether the feed may stop.
+	take(gi int, prob float64, rows []engine.Tuple) (stop bool)
+	// sorted returns the answers' entries in canonical order and the empty
+	// answer's mass.
+	sorted() ([]*aggEntry, float64)
+}
+
+// newSink returns the sink for the top k answers when k is positive, else an
+// aggregator; pre is mass the empty answer holds before any group
+// (ScatterPlan.PreEmptyProb).
+func newSink(k int, pre float64) answerSink {
+	if k > 0 {
+		return newTopkBounds(k, pre)
+	}
+	agg := newAggregator()
+	agg.addEmpty(pre)
+	return agg
+}
+
+// finalize reads the sink's answers into the result and accounts the time to
+// the aggregation phase.
+func finalize(s answerSink, res *Result) {
 	start := time.Now()
-	res.Answers = g.answers()
-	res.EmptyProb = g.emptyProb
+	entries, emptyProb := s.sorted()
+	res.Answers = answersOf(entries)
+	res.EmptyProb = emptyProb
 	res.AggregateTime += time.Since(start)
 }
 
-// sortedEntries returns the aggregated entries in canonical answer order:
-// descending probability, ties broken by canonical tuple key.  Keys are
-// computed once per entry here rather than inside the comparator.  Both the
-// materialized path (answers) and the streaming Cursor consume this order, so
-// streamed and materialized results are identical answer for answer.
-func (g *aggregator) sortedEntries() []*aggEntry {
-	out := make([]*aggEntry, len(g.order))
-	keys := make([]string, len(g.order))
-	for i, e := range g.order {
-		out[i] = e
-		keys[i] = e.tuple.Key()
-	}
-	sort.Sort(&entriesByProb{entries: out, keys: keys})
-	return out
-}
-
-// answers returns the aggregated answers sorted by descending probability.
-func (g *aggregator) answers() []Answer {
-	entries := g.sortedEntries()
+// answersOf copies sorted entries out as answers.
+func answersOf(entries []*aggEntry) []Answer {
 	out := make([]Answer, len(entries))
 	for i, e := range entries {
 		out[i] = Answer{Tuple: e.tuple, Prob: e.prob}
 	}
 	return out
-}
-
-// entriesByProb sorts entries by descending probability, ties broken by the
-// cached canonical tuple key.
-type entriesByProb struct {
-	entries []*aggEntry
-	keys    []string
-}
-
-func (s *entriesByProb) Len() int { return len(s.entries) }
-func (s *entriesByProb) Less(i, j int) bool {
-	if s.entries[i].prob != s.entries[j].prob {
-		return s.entries[i].prob > s.entries[j].prob
-	}
-	return s.keys[i] < s.keys[j]
-}
-func (s *entriesByProb) Swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // OutputColumns derives display labels for the query's answers: projection

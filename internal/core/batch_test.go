@@ -93,8 +93,8 @@ func TestTopKEquivalenceAcrossBatchSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := map[string]func(int, Options) (*Result, error){
-		"cold":     func(k int, o Options) (*Result, error) { return ev.EvaluateTopK(q, k, o) },
-		"prepared": prep.ExecuteTopK,
+		"cold":     func(k int, o Options) (*Result, error) { return evaluateTopK(ev, q, k, o) },
+		"prepared": func(k int, o Options) (*Result, error) { return executeTopK(prep, k, o) },
 	}
 	for entry, run := range entries {
 		for _, k := range []int{1, 3} {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
 	"github.com/probdb/urm/internal/query"
@@ -33,5 +36,34 @@ func OSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engi
 }
 
 func TopK(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, k int, opts Options) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateTopKContext(ec.Ctx(), q, k, Options{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, BatchSize: ec.Batch()})
+	return evaluateTopKContext(ec.Ctx(), NewEvaluator(db, maps), q, k, Options{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, BatchSize: ec.Batch()})
+}
+
+// The top-k entry points, for the tests written against them: a top-k run is
+// an execution with Options.TopK set to k.  As the entry points did, they
+// refuse k = 0, which as Options.TopK asks for the whole distribution; a
+// negative k is the options' to refuse.
+
+func executeTopK(p *Prepared, k int, opts Options) (*Result, error) {
+	return executeTopKContext(context.Background(), p, k, opts)
+}
+
+func executeTopKContext(ctx context.Context, p *Prepared, k int, opts Options) (*Result, error) {
+	if k == 0 {
+		return nil, fmt.Errorf("%w: top-k requires k >= 1, got 0", ErrBadOptions)
+	}
+	opts.TopK = k
+	return p.ExecuteContext(ctx, opts)
+}
+
+func evaluateTopK(e *Evaluator, q *query.Query, k int, opts Options) (*Result, error) {
+	return evaluateTopKContext(context.Background(), e, q, k, opts)
+}
+
+func evaluateTopKContext(ctx context.Context, e *Evaluator, q *query.Query, k int, opts Options) (*Result, error) {
+	p, err := e.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return executeTopKContext(ctx, p, k, opts)
 }

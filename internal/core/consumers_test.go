@@ -127,7 +127,7 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 						}
 						runs = append(runs, run)
 					}
-					merged := sp.Result(q, 0, runs...)
+					merged := sp.Result(q, 0, 0, runs...)
 					bitIdenticalResults(t, label+" two runs", oracle, merged)
 					sameWork(t, label+" two runs", cold, merged, 2)
 				}
@@ -170,7 +170,7 @@ func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 			}
 			return cur.Result(), nil
 		},
-		"top-k": func(p *Prepared, o Options) (*Result, error) { return p.ExecuteTopKContext(ctx, 2, o) },
+		"top-k": func(p *Prepared, o Options) (*Result, error) { return executeTopKContext(ctx, p, 2, o) },
 		"maintained": func(p *Prepared, o Options) (*Result, error) {
 			st, err := p.Maintain(o.Context(ctx), o)
 			if err != nil {
@@ -240,7 +240,7 @@ func TestUTraceIsPlannedOncePerStrategy(t *testing.T) {
 	} {
 		res, err := prep.Execute(step.opts)
 		if step.topk {
-			res, err = prep.ExecuteTopK(2, step.opts)
+			res, err = executeTopK(prep, 2, step.opts)
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
@@ -274,7 +274,7 @@ func TestUTraceIsPlannedOncePerStrategy(t *testing.T) {
 	for i, st := range strategies {
 		opts := Options{Method: MethodOSharing, Strategy: st, Parallelism: 1}
 		if want[i][0], err = prep.Execute(opts); err == nil {
-			want[i][1], err = prep.ExecuteTopK(2, opts)
+			want[i][1], err = executeTopK(prep, 2, opts)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestUTraceIsPlannedOncePerStrategy(t *testing.T) {
 			if w%2 == 0 {
 				got[w], errs[w] = fresh.Execute(opts)
 			} else {
-				got[w], errs[w] = fresh.ExecuteTopK(2, opts)
+				got[w], errs[w] = executeTopK(fresh, 2, opts)
 			}
 		}(w)
 	}

@@ -460,6 +460,14 @@ func TestEvaluatorDispatch(t *testing.T) {
 	if _, err := ParseMethod("nope"); err == nil {
 		t.Error("ParseMethod(nope) should error")
 	}
+	// Top-k is a result label, asked for with Options.TopK, never a method
+	// to select.
+	if got := MethodTopK.String(); got != "top-k" {
+		t.Errorf("MethodTopK renders %q, want top-k", got)
+	}
+	if _, err := ParseMethod("top-k"); err == nil {
+		t.Error("ParseMethod(top-k) should error")
+	}
 	for _, name := range []string{"SEF", "SNF", "Random"} {
 		if _, err := ParseStrategy(name); err != nil {
 			t.Errorf("ParseStrategy(%q): %v", name, err)
@@ -612,7 +620,8 @@ func TestAggregatorDuplicateRowsWithinMapping(t *testing.T) {
 	rel.MustAppend(engine.Tuple{engine.S("x")})
 	rel.MustAppend(engine.Tuple{engine.S("x")})
 	agg.addRows(rel.Rows, 0.5)
-	answers := agg.answers()
+	entries, _ := agg.sorted()
+	answers := answersOf(entries)
 	if len(answers) != 1 || !approxEqual(answers[0].Prob, 0.5) {
 		t.Errorf("answers = %v, want single x@0.5", answers)
 	}

@@ -29,10 +29,11 @@ import (
 // bit-identical to cold re-evaluation (same values, same probabilities, same
 // canonical order).
 
-// ErrNotDeltaMaintainable marks a (query, method) pair the delta evaluator
-// cannot maintain incrementally, whatever the method: plans that aggregate
-// (they are not linear in their input) and self-joins (the name-keyed relation
-// replacement cannot express a per-occurrence delta).  Callers fall back to epoch
+// ErrNotDeltaMaintainable marks an evaluation the delta evaluator cannot
+// maintain incrementally, whatever the method: plans that aggregate (they are
+// not linear in their input), self-joins (the name-keyed relation replacement
+// cannot express a per-occurrence delta) and top-k runs (maintaining one would
+// trade its early stop for a full walk).  Callers fall back to epoch
 // invalidation — today's behavior.
 var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 
@@ -65,18 +66,23 @@ type DeltaState struct {
 
 // Maintain runs the options' method over the whole instance and captures the
 // maintained state: the per-group distinct tuples and the covered row counts.
-// A plan whose shape appends cannot be maintained under is refused with
-// ErrNotDeltaMaintainable before anything executes — the verdict taken when
-// the front half was memoized.  A refusal hands the front half's build time
-// back, so the evaluation the caller falls back to reports it.
+// A plan whose shape appends cannot be maintained under — the verdict taken
+// when the front half was memoized — and a top-k run are refused with
+// ErrNotDeltaMaintainable before anything executes.  A refusal hands the
+// front half's build time back, so the evaluation the caller falls back to
+// reports it.
 func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error) {
 	sp, rewrite, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := sp.shape.unmaintainable; err != nil {
+	refusal := sp.shape.unmaintainable
+	if opts.TopK > 0 {
+		refusal = fmt.Errorf("%w: top-k stops its walk early, maintaining it would walk the whole trace", ErrNotDeltaMaintainable)
+	}
+	if refusal != nil {
 		p.unreport(sp, rewrite)
-		return nil, err
+		return nil, refusal
 	}
 	run, err := sp.ExecuteOn(ec, p.db)
 	if err != nil {
@@ -183,7 +189,7 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 // share the merged answers.
 func (st *DeltaState) Result() *Result {
 	if st.merged == nil {
-		st.merged = st.sp.Result(st.q, st.rewrite, st.run)
+		st.merged = st.sp.Result(st.q, st.rewrite, 0, st.run)
 		st.merged.TotalTime = st.merged.AggregateTime
 	}
 	res := *st.merged

@@ -12,7 +12,7 @@ import (
 )
 
 // ErrBadOptions marks an Options value that fails validation (negative
-// parallelism, unknown method or strategy, non-positive top-k).  Errors
+// parallelism, batch size or top-k, unknown method or strategy).  Errors
 // returned by Options.Validate and the evaluation entry points wrap it, so
 // callers can test with errors.Is.
 var ErrBadOptions = errors.New("invalid evaluation options")
@@ -54,6 +54,8 @@ func (m Method) String() string {
 		return "q-sharing"
 	case MethodOSharing:
 		return "o-sharing"
+	case MethodTopK:
+		return "top-k"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -143,18 +145,29 @@ type Options struct {
 	// batch.  Like Parallelism it is purely a performance knob — answers and
 	// operator statistics are identical at every setting.
 	BatchSize int
+	// TopK, when positive, asks for the k most probable answers through the
+	// probabilistic top-k algorithm of Section VII instead of the whole
+	// distribution (0, the default).  A top-k run walks o-sharing's u-trace
+	// for Strategy (and RandomSeed) whatever Method says, sequentially — its
+	// early stop depends on the visit order — and reports each answer's lower
+	// bound as its probability, with Result.Method MethodTopK.
+	TopK int
 }
 
 // Validate checks the options for values no evaluation can honour: a negative
 // parallelism (0 means GOMAXPROCS, 1 sequential; below that is a caller bug,
-// not a request for "less than sequential"), a negative batch size, an unknown
-// method or an unknown strategy.  Returned errors wrap ErrBadOptions.
+// not a request for "less than sequential"), a negative batch size or top-k,
+// an unknown method or an unknown strategy.  Returned errors wrap
+// ErrBadOptions.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism %d", ErrBadOptions, o.Parallelism)
 	}
 	if o.BatchSize < 0 {
 		return fmt.Errorf("%w: negative batch size %d", ErrBadOptions, o.BatchSize)
+	}
+	if o.TopK < 0 {
+		return fmt.Errorf("%w: negative top-k %d", ErrBadOptions, o.TopK)
 	}
 	switch o.Method {
 	case MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing:
@@ -175,6 +188,16 @@ func (o Options) Validate() error {
 // cannot be applied on one path and dropped on another.
 func (o Options) Context(ctx context.Context) *exec.Context {
 	return exec.NewContext(ctx, o.Parallelism).WithBatch(o.BatchSize)
+}
+
+// FrontMethod is the method whose front half an execution under the options
+// runs: o-sharing for a top-k run, which is o-sharing's walk with another
+// consumer, else Method.
+func (o Options) FrontMethod() Method {
+	if o.TopK > 0 {
+		return MethodOSharing
+	}
+	return o.Method
 }
 
 // Evaluator binds a source instance to a set of possible mappings; Prepare
@@ -215,22 +238,4 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, q *query.Query, opts Op
 		return nil, err
 	}
 	return p.ExecuteContext(ctx, opts)
-}
-
-// EvaluateTopK runs the probabilistic top-k algorithm of Section VII and
-// returns the k answers with the highest probabilities.
-func (e *Evaluator) EvaluateTopK(q *query.Query, k int, opts Options) (*Result, error) {
-	return e.EvaluateTopKContext(context.Background(), q, k, opts)
-}
-
-// EvaluateTopKContext is EvaluateTopK under a context.  The top-k traversal is
-// inherently sequential — its early-termination bounds depend on the visit
-// order of the u-trace — so opts.Parallelism is ignored, but cancellation and
-// deadlines are honoured.
-func (e *Evaluator) EvaluateTopKContext(ctx context.Context, q *query.Query, k int, opts Options) (*Result, error) {
-	p, err := e.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteTopKContext(ctx, k, opts)
 }

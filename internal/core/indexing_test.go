@@ -71,11 +71,11 @@ func TestIndexedTopKBitIdentical(t *testing.T) {
 			indexed := paperInstance()
 			plain := paperInstance()
 			plain.SetIndexing(false)
-			want, err := NewEvaluator(plain, maps).EvaluateTopK(q, k, Options{})
+			want, err := evaluateTopK(NewEvaluator(plain, maps), q, k, Options{})
 			if err != nil {
 				t.Fatalf("%s k=%d plain: %v", qc.name, k, err)
 			}
-			got, err := NewEvaluator(indexed, maps).EvaluateTopK(q, k, Options{})
+			got, err := evaluateTopK(NewEvaluator(indexed, maps), q, k, Options{})
 			if err != nil {
 				t.Fatalf("%s k=%d indexed: %v", qc.name, k, err)
 			}

@@ -70,12 +70,12 @@ func TestOSharingAtBenchmarkScale(t *testing.T) {
 			for _, k := range []int{1, 3} {
 				opts := Options{Strategy: st, RandomSeed: 7}
 				label := fmt.Sprintf("Q%d/%s/top-%d", id, st, k)
-				top, err := ev.EvaluateTopK(q, k, opts)
+				top, err := evaluateTopK(ev, q, k, opts)
 				if err != nil {
 					t.Fatalf("%s cold: %v", label, err)
 				}
 				requireValidTopK(t, label, want, top, k)
-				preparedTop, err := prep.ExecuteTopK(k, opts)
+				preparedTop, err := executeTopK(prep, k, opts)
 				if err != nil {
 					t.Fatalf("%s prepared: %v", label, err)
 				}
@@ -105,7 +105,7 @@ func TestOSharingAtBenchmarkScale(t *testing.T) {
 					opts := Options{Method: MethodOSharing, Strategy: st, RandomSeed: 7, Parallelism: par}
 					res, err := prep.Execute(opts)
 					if k > 0 {
-						res, err = prep.ExecuteTopK(k, opts)
+						res, err = executeTopK(prep, k, opts)
 					}
 					if err != nil {
 						t.Fatalf("%s/p%d: %v", cell, par, err)
@@ -131,7 +131,9 @@ func answerBits(res *Result) string {
 }
 
 // osharingBits is answerBits of o-sharing and top-k on the benchmark fixture
-// (Random seeded with 7).
+// (Random seeded with 7).  In Q2's and Q4's top-3 more than three answers tie
+// at the highest lower bound; top-k ranks ties by canonical key, as the
+// aggregator does, so those cells hold the three first by key.
 var osharingBits = map[string]string{
 	"Q1/SEF/o-sharing":    "a632793ff448de22c7df9abe4d5101a2aa0108a4fc98d6538aaaedbe85ab96ce",
 	"Q1/SEF/top-1":        "c95c8d222b0fc9921259a15181e00c17f651e47521f9ccd674092f1db0a0c588",
@@ -144,13 +146,13 @@ var osharingBits = map[string]string{
 	"Q1/Random/top-3":     "784aa4384367726736c51bf55fd7a90bd548ae4ab54bcb49e4c790fb7dd0c4f0",
 	"Q2/SEF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
 	"Q2/SEF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
-	"Q2/SEF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q2/SEF/top-3":        "ee213422c6ccc0e5a9b7ea247531efd33006040a29eab39f953118412236cbf8",
 	"Q2/SNF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
 	"Q2/SNF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
-	"Q2/SNF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q2/SNF/top-3":        "ee213422c6ccc0e5a9b7ea247531efd33006040a29eab39f953118412236cbf8",
 	"Q2/Random/o-sharing": "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
 	"Q2/Random/top-1":     "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
-	"Q2/Random/top-3":     "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q2/Random/top-3":     "ee213422c6ccc0e5a9b7ea247531efd33006040a29eab39f953118412236cbf8",
 	"Q3/SEF/o-sharing":    "ba63e71cacbfd16990db0eab81ef10d0e301ed2481a1fd5558b7afeb2097130d",
 	"Q3/SEF/top-1":        "9d9dcc0706a9d5d35fc86e4566f56017f4a3c2b679aeb61694345c90189051f9",
 	"Q3/SEF/top-3":        "d6a0f0cbd7b9cd05d0fbf1b8f349e429a64b78790781a77fdf2caa9c4f12433c",
@@ -162,13 +164,13 @@ var osharingBits = map[string]string{
 	"Q3/Random/top-3":     "3632dd6b180a6966003823067100bf27fbe30feb10d7c0237102f5bbf147b474",
 	"Q4/SEF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
 	"Q4/SEF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
-	"Q4/SEF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q4/SEF/top-3":        "ee213422c6ccc0e5a9b7ea247531efd33006040a29eab39f953118412236cbf8",
 	"Q4/SNF/o-sharing":    "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
 	"Q4/SNF/top-1":        "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
-	"Q4/SNF/top-3":        "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q4/SNF/top-3":        "ee213422c6ccc0e5a9b7ea247531efd33006040a29eab39f953118412236cbf8",
 	"Q4/Random/o-sharing": "e0eff599eb736f07b5396704eef243bca41a4b5a147c715e1b2eab42ffa0791c",
 	"Q4/Random/top-1":     "1ca5591f3390abf755208e8e21d223d579465698b17f8c7f9b9397ee32e24f5e",
-	"Q4/Random/top-3":     "12b6c9c911d4fabca47dc9c2242020a5abb31e6f61e79a492415e1e0bf403cb4",
+	"Q4/Random/top-3":     "ee213422c6ccc0e5a9b7ea247531efd33006040a29eab39f953118412236cbf8",
 	"Q5/SEF/o-sharing":    "5b0ca72a43bd85954b826b4d9cd39ab59c7824d0bfff8a307e538d08b9355c6f",
 	"Q5/SEF/top-1":        "f76997186a6590baeedd1c6d2f33625a9c4e455b8e542b72ef863c69d7448bd5",
 	"Q5/SEF/top-3":        "0184e99374b32f55f2b1cf4022844df4ae8c364bdb60e6fde97bbf31cf04dca1",

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -18,16 +17,17 @@ import (
 //
 //   - basic, e-basic, e-MQO, q-sharing: the method's group list (ScatterPlan),
 //     which is the method;
-//   - o-sharing and top-k: the u-trace planned under the strategy (and, for
-//     Random, the seed), which top-k walks as o-sharing does.
+//   - o-sharing: the u-trace planned under the strategy (and, for Random, the
+//     seed), which a top-k run (Options.TopK) walks too.
 //
 // Each front half is built lazily on first use and memoized; the execution
 // whose call built it reports the build's wall time as Result.RewriteTime, and
 // every other execution that uses it pays — and reports — only the execution
 // and aggregation phases.  There is no other evaluation path: every method
 // runs its memoized front half through one runner (ScatterPlan.executeInto)
-// into a consumer, Evaluator.Evaluate is Prepare followed by Execute, and a
-// shard's run and a delta-maintained answer run the same memoized front half.
+// into a consumer — the aggregator, or top-k's bounds — Evaluator.Evaluate is
+// Prepare followed by Execute, and a shard's run and a delta-maintained answer
+// run the same memoized front half.
 //
 // The prepared state references base relations by name, so executions always
 // see the instance's current rows; only changes to the mapping set or the
@@ -70,24 +70,21 @@ func (p *Prepared) Query() *query.Query { return p.q }
 
 // FrontHalf returns the memoized front half an execution under the options
 // runs — the method's group list, or o-sharing's u-trace for the strategy
-// (and seed), which top-k walks too (Method MethodTopK) — together with the
+// (and seed), which a top-k run walks whatever its method — together with the
 // wall time this call spent building it.  That is zero for every call that
 // found the front half there, including one that waited while another call
 // built it, so exactly one execution reports a front half's rewrite phase —
 // except when the building call handed the time back (unreport): then the
 // next call to find the front half reports it.
 func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
-	if opts.Method == MethodTopK {
-		opts.Method = MethodOSharing
-	}
 	if err := opts.Validate(); err != nil {
 		return nil, 0, err
 	}
 	if err := ec.Err(); err != nil {
 		return nil, 0, err
 	}
-	key := frontKey{method: opts.Method}
-	if opts.Method == MethodOSharing {
+	key := frontKey{method: opts.FrontMethod()}
+	if key.method == MethodOSharing {
 		key.strategy = opts.Strategy
 		if opts.Strategy == StrategyRandom {
 			key.seed = opts.RandomSeed
@@ -164,11 +161,11 @@ func (p *Prepared) Execute(opts Options) (*Result, error) {
 // aborts the execution promptly with the context's error.
 func (p *Prepared) ExecuteContext(ctx context.Context, opts Options) (*Result, error) {
 	start := time.Now()
-	res, agg, err := p.run(ctx, opts)
+	res, sink, err := p.run(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	agg.finalize(res)
+	finalize(sink, res)
 	res.TotalTime = time.Since(start)
 	return res, nil
 }
@@ -179,111 +176,58 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts Options) (*Result, e
 // StreamContext returns — the canonical order is only known once every
 // mapping's contribution is merged — but the answer slice is never built:
 // each Answer is produced as the cursor advances, so callers that serialize
-// or early-exit never hold the full result.
+// or early-exit never hold the full result.  A top-k run's cursor holds at
+// most k answers.
 func (p *Prepared) StreamContext(ctx context.Context, opts Options) (*Cursor, error) {
 	start := time.Now()
-	res, agg, err := p.run(ctx, opts)
+	res, sink, err := p.run(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
 	aggStart := time.Now()
-	entries := agg.sortedEntries()
-	res.EmptyProb = agg.emptyProb
+	entries, emptyProb := sink.sorted()
+	res.EmptyProb = emptyProb
 	res.AggregateTime += time.Since(aggStart)
 	res.TotalTime = time.Since(start)
 	return newCursor(res, entries), nil
 }
 
-// run executes the prepared query under the chosen method, returning the
-// result skeleton and the loaded aggregator.  The method's front half — its
-// group list, or o-sharing's u-trace — runs on the instance with the
-// aggregating consumer: each group's rows are deduplicated and added under the
-// group's probability on this goroutine, in group order, as they are delivered
-// — one hash pass per row, no per-group set built, which is why an unsharded
-// execution is not the one-shard case of ExecuteOn followed by Result
-// (DESIGN.md "Prepared queries" has the numbers).
-func (p *Prepared) run(ctx context.Context, opts Options) (*Result, *aggregator, error) {
+// run executes the prepared query under the options, returning the result
+// skeleton and the loaded answer sink.  The front half — the method's group
+// list, or o-sharing's u-trace — runs on the instance into the sink the
+// options pick: the aggregator, where each group's rows are deduplicated and
+// added under the group's probability on this goroutine, in group order, as
+// they are delivered — one hash pass per row, no per-group set built, which
+// is why an unsharded execution is not the one-shard case of ExecuteOn
+// followed by Result (DESIGN.md "Prepared queries" has the numbers) — or, for
+// a top-k run, the bounds, which stop the walk once the top k are decided.
+// Where that happens depends on the visit order, so a top-k run walks
+// sequentially whatever opts.Parallelism says.
+func (p *Prepared) run(ctx context.Context, opts Options) (*Result, answerSink, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
 	ec := opts.Context(ctx)
+	if opts.TopK > 0 {
+		ec = ec.WithParallelism(1)
+	}
 	sp, rewrite, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	agg := newAggregator()
-	agg.addEmpty(sp.PreEmptyProb)
+	sink := newSink(opts.TopK, sp.PreEmptyProb)
 	var aggTime time.Duration
-	res, err := p.execute(ec, sp, rewrite, groupConsumer{inOrder: true, take: func(_ int, prob float64, rows []engine.Tuple) bool {
+	run := &ShardRun{Stats: engine.NewStats()}
+	err = sp.executeInto(ec, p.db, run, groupConsumer{inOrder: true, take: func(gi int, prob float64, rows []engine.Tuple) bool {
 		start := time.Now()
-		agg.addRows(rows, prob)
+		stop := sink.take(gi, prob, rows)
 		aggTime += time.Since(start)
-		return false
+		return stop
 	}})
 	if err != nil {
 		return nil, nil, err
 	}
+	res := sp.newResult(p.q, rewrite, opts.TopK, []*ShardRun{run})
 	res.AggregateTime = aggTime
-	return res, agg, nil
-}
-
-// execute runs the front half on the whole instance into the consumer and
-// returns the result skeleton.
-func (p *Prepared) execute(ec *exec.Context, sp *ScatterPlan, rewrite time.Duration, c groupConsumer) (*Result, error) {
-	run := &ShardRun{Stats: engine.NewStats()}
-	if err := sp.executeInto(ec, p.db, run, c); err != nil {
-		return nil, err
-	}
-	return sp.newResult(p.q, rewrite, []*ShardRun{run}), nil
-}
-
-// ExecuteTopK runs the probabilistic top-k algorithm over the prepared query.
-func (p *Prepared) ExecuteTopK(k int, opts Options) (*Result, error) {
-	return p.ExecuteTopKContext(context.Background(), k, opts)
-}
-
-// ExecuteTopKContext is ExecuteTopK under a context: it walks o-sharing's
-// u-trace for the options' strategy into the top-k bounds, which stop the walk
-// once the top k are decided.  The walk is inherently sequential (the
-// early-termination bounds depend on visit order), so opts.Parallelism is
-// ignored; cancellation and deadlines are honoured.
-func (p *Prepared) ExecuteTopKContext(ctx context.Context, k int, opts Options) (*Result, error) {
-	start := time.Now()
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: top-k requires k >= 1, got %d", ErrBadOptions, k)
-	}
-	ec := opts.Context(ctx).WithParallelism(1)
-	opts.Method = MethodTopK
-	sp, rewrite, err := p.FrontHalf(ec, opts)
-	if err != nil {
-		return nil, err
-	}
-	top := newTopkBounds(k)
-	res, err := p.execute(ec, sp, rewrite, top.consumer())
-	if err != nil {
-		return nil, err
-	}
-	aggStart := time.Now()
-	res.Method = MethodTopK
-	res.Answers = top.topK()
-	res.EmptyProb = top.emptyProb
-	res.AggregateTime = time.Since(aggStart)
-	res.TotalTime = time.Since(start)
-	return res, nil
-}
-
-// StreamTopKContext is ExecuteTopKContext returning a cursor over the top-k
-// answers.  Top-k results are at most k answers, so the cursor is a
-// convenience for API symmetry rather than a memory saver.
-func (p *Prepared) StreamTopKContext(ctx context.Context, k int, opts Options) (*Cursor, error) {
-	res, err := p.ExecuteTopKContext(ctx, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	answers := res.Answers
-	res.Answers = nil
-	return newCursorAnswers(res, answers), nil
+	return res, sink, nil
 }

@@ -99,11 +99,11 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 		}
 		// Top-k (sequential by design).
 		for _, k := range []int{1, 3} {
-			cold, err := ev.EvaluateTopK(q, k, Options{})
+			cold, err := evaluateTopK(ev, q, k, Options{})
 			if err != nil {
 				t.Fatalf("%s/topk%d cold: %v", qc.name, k, err)
 			}
-			got, err := prep.ExecuteTopK(k, Options{})
+			got, err := executeTopK(prep, k, Options{})
 			if err != nil {
 				t.Fatalf("%s/topk%d prepared: %v", qc.name, k, err)
 			}
@@ -144,11 +144,11 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 				identicalRuns(t, qc.name+"/"+m.String()+"/streamed", mat, streamed)
 			}
 		}
-		matTop, err := prep.ExecuteTopK(2, Options{})
+		matTop, err := executeTopK(prep, 2, Options{})
 		if err != nil {
 			t.Fatalf("%s/topk materialized: %v", qc.name, err)
 		}
-		curTop, err := prep.StreamTopKContext(context.Background(), 2, Options{})
+		curTop, err := prep.StreamContext(context.Background(), Options{TopK: 2})
 		if err != nil {
 			t.Fatalf("%s/topk stream: %v", qc.name, err)
 		}
@@ -243,10 +243,10 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options should validate, got %v", err)
 	}
-	if _, err := ev.EvaluateTopK(q, 0, Options{}); !errors.Is(err, ErrBadOptions) {
+	if _, err := evaluateTopK(ev, q, 0, Options{}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("EvaluateTopK k=0: err = %v, want ErrBadOptions", err)
 	}
-	if _, err := prep.ExecuteTopK(-1, Options{}); !errors.Is(err, ErrBadOptions) {
+	if _, err := executeTopK(prep, -1, Options{}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("prepared ExecuteTopK k=-1: err = %v, want ErrBadOptions", err)
 	}
 

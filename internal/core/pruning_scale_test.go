@@ -35,7 +35,7 @@ func naiveOracle(t *testing.T, prep *Prepared, m Method) *Result {
 		}
 		agg.addRows(rel.Rows, g.Prob)
 	}
-	agg.finalize(res)
+	finalize(agg, res)
 	return res
 }
 

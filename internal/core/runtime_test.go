@@ -124,7 +124,7 @@ func TestEvaluateContextCancelled(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewEvaluator(db, maps).EvaluateTopKContext(ctx, q, 2, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := evaluateTopKContext(ctx, NewEvaluator(db, maps), q, 2, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("top-k: err = %v, want context.Canceled", err)
 	}
 }

@@ -310,9 +310,9 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 // newResult is the one place a Result is assembled from runs of a group
 // list: the front half's bookkeeping, one executed query per covering group
 // and run, the runs' statistics and CPU time, and the wall time the front half
-// took when this evaluation's call built it.  Answers are the caller's to add
-// — from its aggregator, or through Result.
-func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, runs []*ShardRun) *Result {
+// took when this evaluation's call built it.  A positive k labels a top-k
+// run's.  Answers are the caller's to add — from its sink, or through Result.
+func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, k int, runs []*ShardRun) *Result {
 	res := &Result{
 		Query:            q,
 		Method:           sp.Method,
@@ -321,6 +321,9 @@ func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, runs []*
 		RewrittenQueries: sp.Rewritten,
 		Partitions:       sp.Partitions,
 		RewriteTime:      rewrite,
+	}
+	if k > 0 {
+		res.Method = MethodTopK
 	}
 	for _, g := range sp.Groups {
 		if g.Plan != nil {
@@ -335,29 +338,32 @@ func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, runs []*
 }
 
 // Result turns runs that kept sets — every shard's in shard order, or a
-// DeltaState's maintained one — into the method's Result through Merge.
-// TotalTime is the caller's to set.
-func (sp *ScatterPlan) Result(q *query.Query, rewrite time.Duration, runs ...*ShardRun) *Result {
+// DeltaState's maintained one — into the method's Result through Merge: the
+// whole distribution, or the top k answers when k is positive.  TotalTime is
+// the caller's to set.
+func (sp *ScatterPlan) Result(q *query.Query, rewrite time.Duration, k int, runs ...*ShardRun) *Result {
 	start := time.Now()
-	res := sp.newResult(q, rewrite, runs)
-	res.Answers, res.EmptyProb = sp.Merge(runs...)
+	res := sp.newResult(q, rewrite, k, runs)
+	res.Answers, res.EmptyProb = sp.Merge(k, runs...)
 	res.AggregateTime = time.Since(start)
 	return res
 }
 
-// Merge is the one merge of runs that kept sets into the method's answers, in
-// canonical order, and the empty answer's mass.  It walks the groups in
-// order, a u-trace's in pre-order.  An internal node every run pruned, at the
-// node or above it, gives its mass once to the union of the runs' rows there
-// and its subtree is skipped; any other internal node is descended; a leaf —
-// every group of a list is one — gives its mass to the union of the runs'
-// rows.  An empty union sends the mass to the empty answer; a tuple that
-// several runs, or one remote run twice, sent for a group is collapsed.  The
-// whole instance's walk prunes exactly where every run did (DESIGN.md
-// "O-sharing"), so the answers are bit-identical to one execution over it.
-func (sp *ScatterPlan) Merge(runs ...*ShardRun) ([]Answer, float64) {
-	agg := newAggregator()
-	agg.addEmpty(sp.PreEmptyProb)
+// Merge is the one merge of runs that kept sets: it feeds the merged groups,
+// in pre-order, to the sink k picks — the aggregator for the whole
+// distribution, top-k's bounds for a positive k — and returns the sink's
+// answers, in canonical order, and the empty answer's mass.  An internal
+// u-trace node every run pruned, at the node or above it, hands its mass over
+// once with the union of the runs' rows there and its subtree is skipped; any
+// other internal node is descended; a leaf — every group of a list is one —
+// hands its mass over with the union of the runs' rows.  A tuple that several
+// runs, or one remote run twice, sent for a group is collapsed by the sink's
+// per-group dedup.  The whole instance's walk prunes exactly where every run
+// did (DESIGN.md "O-sharing"), so the sink sees the groups, masses and
+// distinct rows of one execution over it, and stops where that execution
+// stops: the answers are bit-identical to it.
+func (sp *ScatterPlan) Merge(k int, runs ...*ShardRun) ([]Answer, float64) {
+	sink := newSink(k, sp.PreEmptyProb)
 	for gi := 0; gi < len(sp.Groups); gi++ {
 		g := sp.Groups[gi]
 		pruned := true
@@ -367,10 +373,13 @@ func (sp *ScatterPlan) Merge(runs ...*ShardRun) ([]Answer, float64) {
 		if g.Below > 0 && !pruned {
 			continue
 		}
-		agg.addRows(unionRows(runs, gi), g.Prob)
+		if sink.take(gi, g.Prob, unionRows(runs, gi)) {
+			break
+		}
 		gi += g.Below
 	}
-	return agg.answers(), agg.emptyProb
+	entries, emptyProb := sink.sorted()
+	return answersOf(entries), emptyProb
 }
 
 // unionRows concatenates group gi's distinct rows over the runs, in run

@@ -24,38 +24,24 @@ package core
 // read the same aggregated entries through the same sort.
 type Cursor struct {
 	res     *Result
-	entries []*aggEntry // aggregate-backed cursor (the five full methods)
-	answers []Answer    // answer-backed cursor (top-k)
+	entries []*aggEntry
 	next    int
 	cur     Answer
 }
 
-// newCursor wraps sorted aggregator entries.
+// newCursor wraps an answer sink's sorted entries.
 func newCursor(res *Result, entries []*aggEntry) *Cursor {
 	return &Cursor{res: res, entries: entries}
-}
-
-// newCursorAnswers wraps an already-built answer list (the top-k path, where
-// at most k answers exist).
-func newCursorAnswers(res *Result, answers []Answer) *Cursor {
-	return &Cursor{res: res, answers: answers}
 }
 
 // Next advances to the next answer, returning false once the cursor is
 // exhausted or closed.
 func (c *Cursor) Next() bool {
-	if c.entries != nil {
-		if c.next >= len(c.entries) {
-			return false
-		}
-		e := c.entries[c.next]
-		c.cur = Answer{Tuple: e.tuple, Prob: e.prob}
-	} else {
-		if c.next >= len(c.answers) {
-			return false
-		}
-		c.cur = c.answers[c.next]
+	if c.next >= len(c.entries) {
+		return false
 	}
+	e := c.entries[c.next]
+	c.cur = Answer{Tuple: e.tuple, Prob: e.prob}
 	c.next++
 	return true
 }
@@ -74,18 +60,12 @@ func (c *Cursor) Err() error { return nil }
 // times; Next returns false afterwards.
 func (c *Cursor) Close() error {
 	c.entries = nil
-	c.answers = nil
 	c.next = 0
 	return nil
 }
 
 // Len returns the total number of answers the cursor iterates over.
-func (c *Cursor) Len() int {
-	if c.entries != nil {
-		return len(c.entries)
-	}
-	return len(c.answers)
-}
+func (c *Cursor) Len() int { return len(c.entries) }
 
 // Columns returns the display labels of the answer tuples (empty when the
 // query has no explicit projection or aggregate).

@@ -1,21 +1,23 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/probdb/urm/internal/engine"
 )
 
 // MethodTopK labels results produced by the probabilistic top-k algorithm of
 // Section VII.  It is reported through Result.Method but is not a value for
-// Options.Method (use Evaluator.EvaluateTopK).
+// Options.Method: a top-k run is asked for with Options.TopK.
 const MethodTopK Method = 100
 
-// tkEntry is one candidate answer with its probability bounds.
+// tkEntry is one candidate answer with its probability bounds: the embedded
+// entry's prob is the lower bound, and its canonical key, which breaks ties
+// between equal lower bounds, is computed once, when the candidate is
+// admitted.
 type tkEntry struct {
-	tuple engine.Tuple
-	lb    float64
-	ub    float64
+	aggEntry
+	ub float64
 }
 
 // topkBounds implements the decide_result bookkeeping of Algorithm 4: a
@@ -24,8 +26,15 @@ type tkEntry struct {
 // soon as the k answers with the highest probabilities are determined.  The
 // reported probabilities are the lower bounds accumulated so far — the
 // algorithm deliberately avoids computing exact probabilities.  Candidates are
-// looked up by 64-bit tuple hash with EqualKey bucket resolution, so the
-// per-leaf bookkeeping never formats key strings.
+// looked up by 64-bit tuple hash with EqualKey bucket resolution, so a leaf
+// formats a key string only for a candidate it admits.
+//
+// It is the second answerSink beside the aggregator: an unsharded walk feeds
+// it, and so does ScatterPlan.Merge from shards' runs, whose leaves hold the
+// same distinct rows in another order.  Candidates are ranked in the
+// aggregator's canonical order — lower bound, then key — so neither the order
+// of tied answers nor decide's check over the ranks from k on depends on the
+// order a leaf's rows arrived in.
 type topkBounds struct {
 	k       int
 	buckets map[uint64][]*tkEntry
@@ -40,14 +49,10 @@ type topkBounds struct {
 	emptyProb float64
 }
 
-func newTopkBounds(k int) *topkBounds {
-	return &topkBounds{k: k, buckets: make(map[uint64][]*tkEntry), ub: 1}
-}
-
-// consumer is the one group consumer that may stop: it folds each leaf the
-// walk hands over into the bounds and stops the walk once decide_result holds.
-func (s *topkBounds) consumer() groupConsumer {
-	return groupConsumer{inOrder: true, take: s.take}
+// newTopkBounds returns the bounds for the top k answers, with pre already
+// given to the empty answer.
+func newTopkBounds(k int, pre float64) *topkBounds {
+	return &topkBounds{k: k, buckets: make(map[uint64][]*tkEntry), ub: 1 - pre, emptyProb: pre}
 }
 
 // lookup returns the candidate entry for the tuple, or nil.
@@ -60,11 +65,11 @@ func (s *topkBounds) lookup(h uint64, t engine.Tuple) *tkEntry {
 	return nil
 }
 
-// sorted returns the current candidates ordered by descending lower bound.
-func (s *topkBounds) sorted() []*tkEntry {
-	out := make([]*tkEntry, len(s.order))
-	copy(out, s.order)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].lb > out[j].lb })
+// ranked returns the current candidates in canonical order: descending lower
+// bound, ties by key.
+func (s *topkBounds) ranked() []*tkEntry {
+	out := slices.Clone(s.order)
+	slices.SortFunc(out, func(a, b *tkEntry) int { return compareEntries(&a.aggEntry, &b.aggEntry) })
 	return out
 }
 
@@ -72,19 +77,19 @@ func (s *topkBounds) sorted() []*tkEntry {
 // candidate ranked below k has ub ≤ LB, and no unseen tuple can exceed LB.  LB
 // is the lower bound of the k-th highest candidate, or 0 when fewer than k
 // candidates are known (a new tuple could still enter the top-k, so
-// termination must not trigger on UB alone in that case).  It sorts the
+// termination must not trigger on UB alone in that case).  It ranks the
 // candidates once and keeps LB for the next leaf.
 func (s *topkBounds) decide() bool {
-	sorted := s.sorted()
+	ranked := s.ranked()
 	s.lb = 0
-	if len(sorted) >= s.k {
-		s.lb = sorted[s.k-1].lb
+	if len(ranked) >= s.k {
+		s.lb = ranked[s.k-1].prob
 	}
 	if s.ub > s.lb {
 		return false
 	}
-	for i := s.k; i < len(sorted); i++ {
-		if sorted[i].ub > s.lb {
+	for i := s.k; i < len(ranked); i++ {
+		if ranked[i].ub > s.lb {
 			return false
 		}
 	}
@@ -101,11 +106,11 @@ func (s *topkBounds) take(_ int, prob float64, rows []engine.Tuple) bool {
 	} else {
 		firstSeen(engine.NewTupleSet(len(rows)), rows, func(h uint64, row engine.Tuple) {
 			if e := s.lookup(h, row); e != nil {
-				e.lb += prob
+				e.prob += prob
 				return
 			}
 			if s.ub > s.lb || len(s.order) < s.k {
-				e := &tkEntry{tuple: row.Clone(), lb: prob, ub: s.ub}
+				e := &tkEntry{aggEntry: aggEntry{tuple: row.Clone(), key: row.Key(), prob: prob}, ub: s.ub}
 				s.buckets[h] = append(s.buckets[h], e)
 				s.order = append(s.order, e)
 			}
@@ -115,15 +120,16 @@ func (s *topkBounds) take(_ int, prob float64, rows []engine.Tuple) bool {
 	return s.decide()
 }
 
-// topK returns the k candidates with the highest lower-bound probabilities.
-func (s *topkBounds) topK() []Answer {
-	sorted := s.sorted()
-	if len(sorted) > s.k {
-		sorted = sorted[:s.k]
+// sorted returns the k candidates with the highest lower bounds, in canonical
+// order, and the empty answer's mass.
+func (s *topkBounds) sorted() ([]*aggEntry, float64) {
+	ranked := s.ranked()
+	if len(ranked) > s.k {
+		ranked = ranked[:s.k]
 	}
-	out := make([]Answer, 0, len(sorted))
-	for _, e := range sorted {
-		out = append(out, Answer{Tuple: e.tuple, Prob: e.lb})
+	out := make([]*aggEntry, len(ranked))
+	for i, e := range ranked {
+		out[i] = &e.aggEntry
 	}
-	return out
+	return out, s.emptyProb
 }

@@ -195,15 +195,11 @@ func checkIdent(name string) error {
 		return fmt.Errorf("empty identifier")
 	}
 	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return fmt.Errorf("identifier %q starts with a digit", name)
-			}
-		default:
+		switch c := name[i]; {
+		case !isIdentByte(c):
 			return fmt.Errorf("identifier %q contains %q", name, c)
+		case i == 0 && c >= '0' && c <= '9':
+			return fmt.Errorf("identifier %q starts with a digit", name)
 		}
 	}
 	return nil

@@ -63,6 +63,9 @@ const (
 	tokRParen
 	tokStar
 	tokOp
+	// tokInvalid is a character no token starts with; every parser rule
+	// refuses it, naming it in the error.
+	tokInvalid
 )
 
 type token struct {
@@ -127,20 +130,28 @@ func (l *lexer) tokenize() {
 			l.toks = append(l.toks, token{tokNumber, s[i:j]})
 			i = j
 		default:
+			// An identifier is ASCII letters, digits and underscores — what
+			// Query.SQL can spell back — so an alias the parser accepts always
+			// has a canonical form.
 			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_') {
+			for j < len(s) && isIdentByte(s[j]) {
 				j++
 			}
 			if j == i {
-				// Unknown character: emit it as an ident so the parser reports
-				// a sensible error.
-				j = i + 1
+				l.toks = append(l.toks, token{tokInvalid, s[i : i+1]})
+				i++
+				continue
 			}
 			l.toks = append(l.toks, token{tokIdent, s[i:j]})
 			i = j
 		}
 	}
 	l.toks = append(l.toks, token{tokEOF, ""})
+}
+
+// isIdentByte reports whether c may appear in an identifier.
+func isIdentByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
 
 func min(a, b int) int {

@@ -61,9 +61,11 @@ type CoordinatorConfig struct {
 // partial answer; shard responses that disagree on the deterministic front
 // half (epoch, canonical query, group probabilities and subtrees), or whose
 // group list the merge could not walk, are 502 — merging them could fabricate
-// answers; evaluations that cannot distribute (top-k, and the plans a shard
-// refuses) are 422, because unlike a single sharded process the coordinator
-// holds no unpartitioned instance to fall back to.
+// answers; plans that cannot distribute, which the shards refuse, are 422,
+// because unlike a single sharded process the coordinator holds no
+// unpartitioned instance to fall back to.  A top-k request is o-sharing's
+// walk with another consumer, so it scatters o-sharing under its strategy and
+// the merge feeds the merged leaves to the top-k bounds.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	leases *LeaseTable
@@ -72,7 +74,7 @@ type Coordinator struct {
 	requests       atomic.Int64
 	merged         atomic.Int64 // queries answered by a full fan-out merge
 	unowned        atomic.Int64 // 503: a shard had no live owner
-	notShardable   atomic.Int64 // 422: method/plan cannot distribute
+	notShardable   atomic.Int64 // 422: the plan cannot distribute
 	upstreamErrors atomic.Int64 // shard responses that failed or were 5xx
 	mismatches     atomic.Int64 // 502: shards disagreed on the front half
 	heartbeats     atomic.Int64
@@ -268,16 +270,7 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	if err := checkNames(req.Scenario, req.Query); err != nil {
 		return nil, err
 	}
-	if req.TopK > 0 {
-		c.notShardable.Add(1)
-		return nil, apiErr(http.StatusUnprocessableEntity,
-			fmt.Errorf("%w: top-k does not distribute over shards", ErrNotDistributable))
-	}
-	method, err := parseMethod(req.Method)
-	if err != nil {
-		return nil, err
-	}
-	strategy, err := parseStrategy(req.Strategy)
+	opts, err := requestOptions(req)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +278,8 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	defer cancel()
 
 	// One body serves every shard and every retry.
-	body, err := json.Marshal(ScatterRequest{Scenario: req.Scenario, Query: req.Query, Method: method.String(), Strategy: strategy.String()})
+	front := opts.FrontMethod()
+	body, err := json.Marshal(ScatterRequest{Scenario: req.Scenario, Query: req.Query, Method: front.String(), Strategy: opts.Strategy.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -305,12 +299,12 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	res, err := c.mergeParts(method, parts)
+	res, err := c.mergeParts(front, opts.TopK, parts)
 	if err != nil {
 		return nil, err
 	}
 	c.merged.Add(1)
-	key := CacheKey{Scenario: req.Scenario, Query: parts[0].Query, Method: method, Strategy: strategy}
+	key := CacheKey{Scenario: req.Scenario, Query: parts[0].Query, Method: opts.Method, Strategy: opts.Strategy, TopK: opts.TopK}
 	return response(key, parts[0].Epoch, &CachedAnswer{Result: res}, start), nil
 }
 
@@ -491,8 +485,9 @@ func (c *Coordinator) mismatch(format string, args ...any) error {
 }
 
 // mergeParts checks every shard response's group list and deterministic front
-// half, then merges their per-group rows as the shards' runs of one plan.
-func (c *Coordinator) mergeParts(method core.Method, parts []*ScatterResponse) (*core.Result, error) {
+// half, then merges their per-group rows as the shards' runs of one plan: into
+// the whole distribution, or the top k answers when k is positive.
+func (c *Coordinator) mergeParts(method core.Method, k int, parts []*ScatterResponse) (*core.Result, error) {
 	first := parts[0]
 	n := len(first.Groups)
 	sp := &core.ScatterPlan{Method: method, PreEmptyProb: first.PreEmptyProb, Groups: make([]core.ScatterGroup, n)}
@@ -515,7 +510,10 @@ func (c *Coordinator) mergeParts(method core.Method, parts []*ScatterResponse) (
 			runs[i].Groups[gi].Rows = rows
 		}
 	}
-	answers, emptyProb := sp.Merge(runs...)
+	answers, emptyProb := sp.Merge(k, runs...)
+	if k > 0 {
+		method = core.MethodTopK
+	}
 	return &core.Result{
 		Method:    method,
 		Answers:   answers,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/qos"
 	"github.com/probdb/urm/internal/shard"
@@ -154,20 +155,54 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 	if !errors.Is(err, ErrNotDistributable) {
 		t.Fatalf("self-join through coordinator: %v, want ErrNotDistributable", err)
 	}
-}
-
-// TestCoordinatorRefusesNonDistributable: top-k cannot fan out — its bounds
-// depend on visit order, and the coordinator holds no data to fall back to —
-// so it is refused with 422 up front, before any shard round-trip.
-func TestCoordinatorRefusesNonDistributable(t *testing.T) {
-	cl := newCluster(t, 60, 2, CoordinatorConfig{})
-	req := Request{Scenario: "test", Query: fastQueryText, Method: "e-basic", TopK: 3}
-	status, body := cl.postQuery(t, req)
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("%+v: status %d (%v), want 422", req, status, body["error"])
-	}
 	if got := cl.coord.Metrics().NotShardable; got < 1 {
 		t.Fatalf("not_shardable = %d, want >= 1", got)
+	}
+}
+
+// TestCoordinatorTopK: a top-k request through the coordinator over 2 and 3
+// shard nodes — o-sharing scattered under the strategy, the merged leaves fed
+// to the top-k bounds — answers exactly as an unsharded node does: the same
+// tuples in the same order, the same probability bits and empty mass, with
+// topk echoed, and nothing counted as not shardable.
+func TestCoordinatorTopK(t *testing.T) {
+	const rows = 300
+	ref, _ := newTestServer(t, rows, Config{})
+	joinRef, _ := newTestServerOn(t, joinFixture, rows, Config{})
+	for _, count := range []int{2, 3} {
+		cl := newCluster(t, rows, count, CoordinatorConfig{})
+		joinCl := newClusterOn(t, joinFixture, rows, count, CoordinatorConfig{})
+		for _, strategy := range []string{"SEF", "SNF", "Random"} {
+			for _, k := range []int{1, 3, 10} {
+				for _, q := range []string{fastQueryText, "SELECT a, b FROM T", "SELECT a FROM T WHERE b = 3", joinQueryText} {
+					ref, cl := ref, cl
+					if q == joinQueryText {
+						ref, cl = joinRef, joinCl
+					}
+					req := Request{Scenario: "test", Query: q, Method: "e-basic", Strategy: strategy, TopK: k}
+					label := fmt.Sprintf("%d nodes %s top-%d %q", count, strategy, k, q)
+					want, err := ref.Do(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s unsharded: %v", label, err)
+					}
+					got, err := cl.coord.Query(context.Background(), req)
+					if err != nil {
+						t.Fatalf("%s coordinated: %v", label, err)
+					}
+					sameResult(t, label, want.Result, got.Result)
+					if got.TopK != k || got.Method != want.Method || got.Strategy != want.Strategy {
+						t.Fatalf("%s: echoed topk %d method %s strategy %s, want %d %s %s",
+							label, got.TopK, got.Method, got.Strategy, k, want.Method, want.Strategy)
+					}
+					if got.Result.Method != core.MethodTopK {
+						t.Fatalf("%s: result method %v, want top-k", label, got.Result.Method)
+					}
+				}
+			}
+		}
+		if n := cl.coord.Metrics().NotShardable + joinCl.coord.Metrics().NotShardable; n != 0 {
+			t.Fatalf("%d nodes: not_shardable = %d after top-k requests, want 0", count, n)
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func TestDeltaMaintainsCachedAnswers(t *testing.T) {
 		t.Fatalf("cache hit ran %d new evaluations", got-evalsBefore)
 	}
 
-	cold, err := sc.EvaluatePrepared(context.Background(), mustPrepare(t, sc, deltaQuery), 0, core.Options{Method: core.MethodEBasic})
+	cold, err := sc.EvaluatePrepared(context.Background(), mustPrepare(t, sc, deltaQuery), core.Options{Method: core.MethodEBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func mustPrepare(t *testing.T, sc *Scenario, text string) *core.Prepared {
 	return prep
 }
 
-// TestDeltaFallbackPaths: o-sharing enrolls like the plan methods; top-k
-// requests still answer correctly through the ordinary evaluator and enroll
-// nothing; an explicit Bump purges maintained entries and counts as an epoch
-// invalidation.
+// TestDeltaFallbackPaths: o-sharing enrolls like the plan methods; Maintain
+// refuses top-k, so a top-k request answers through the ordinary evaluator,
+// enrolls nothing and counts one delta fallback; an explicit Bump purges
+// maintained entries and counts as an epoch invalidation.
 func TestDeltaFallbackPaths(t *testing.T) {
 	srv, sc := newTestServer(t, 30, Config{})
 
@@ -122,6 +122,9 @@ func TestDeltaFallbackPaths(t *testing.T) {
 	}
 	if n := srv.DeltaEntries("test"); n != 1 {
 		t.Fatalf("top-k enrolled an entry: %d entries, want 1", n)
+	}
+	if n := srv.Metrics().DeltaFallbacks; n != 1 {
+		t.Fatalf("delta_fallbacks = %d after a top-k evaluation, want 1", n)
 	}
 
 	doQuery(t, srv, deltaQuery)
@@ -268,7 +271,7 @@ func TestDeltaMaintainedAnswersSurviveRestart(t *testing.T) {
 	if sc2.Epoch() != sc.Epoch() {
 		t.Fatalf("recovered epoch %d, want %d", sc2.Epoch(), sc.Epoch())
 	}
-	cold, err := sc2.EvaluatePrepared(ctx, mustPrepare(t, sc2, deltaQuery), 0, core.Options{Method: core.MethodEBasic})
+	cold, err := sc2.EvaluatePrepared(ctx, mustPrepare(t, sc2, deltaQuery), core.Options{Method: core.MethodEBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +309,7 @@ func TestDeltaConcurrentAppendQuery(t *testing.T) {
 	wg.Wait()
 	srv.ConvergeDelta("test")
 	final := doQuery(t, srv, deltaQuery)
-	cold, err := sc.EvaluatePrepared(context.Background(), mustPrepare(t, sc, deltaQuery), 0, core.Options{Method: core.MethodEBasic})
+	cold, err := sc.EvaluatePrepared(context.Background(), mustPrepare(t, sc, deltaQuery), core.Options{Method: core.MethodEBasic})
 	if err != nil {
 		t.Fatal(err)
 	}

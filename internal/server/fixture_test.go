@@ -188,5 +188,6 @@ func evaluateFresh(ctx context.Context, sc *Scenario, q *query.Query, topK int, 
 	if err != nil {
 		return nil, err
 	}
-	return sc.EvaluatePrepared(ctx, prep, topK, opts)
+	opts.TopK = topK
+	return sc.EvaluatePrepared(ctx, prep, opts)
 }

@@ -97,7 +97,7 @@ type Metrics struct {
 	// Incremental-maintenance counters.  DeltaApplied counts cached answers
 	// refreshed by a delta pass instead of invalidated; DeltaFallbacks the
 	// evaluations that could not enroll for maintenance (a plan that aggregates
-	// or self-joins, or the per-scenario cap; top-k never tries);
+	// or self-joins, a top-k request, or the per-scenario cap);
 	// IndexInplaceAppends the shared hash indexes extended in place under
 	// appends; EpochInvalidations the explicit Bumps, each of which purged the
 	// scenario's maintained entries.

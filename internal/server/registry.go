@@ -362,16 +362,13 @@ func (s *Scenario) rememberLocked(text string, e *preparedEntry) {
 
 // EvaluatePrepared runs a prepared query while holding the scenario's
 // evaluation lock as a reader, so AppendRow cannot mutate relation data
-// mid-scan.  It is the aggregating consumer of the method's group list (or
-// the o-sharing/top-k traversal): answers are aggregated as the groups
-// finish and nothing is kept.  The server evaluates this way when no
-// maintainer runs or the delta cannot maintain the plan.
-func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, topK int, opts core.Options) (*core.Result, error) {
+// mid-scan.  The method's group list (or o-sharing's walk) feeds the
+// aggregator, or top-k's bounds when opts.TopK is set: answers are taken in
+// as the groups finish and nothing is kept.  The server evaluates this way
+// when no maintainer runs or the delta cannot maintain the evaluation.
+func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if topK > 0 {
-		return prep.ExecuteTopKContext(ctx, topK, opts)
-	}
 	return prep.ExecuteContext(ctx, opts)
 }
 

@@ -33,9 +33,9 @@ type ShardIdentity struct {
 }
 
 // ErrNotDistributable is returned (and mapped to 422) when a request's
-// evaluation does not distribute over the shards' partitioned relation:
-// top-k always, and any front half that scans the partitioned relation more
-// than once on one group's path (a self-join) or aggregates.  Per-shard
+// evaluation does not distribute over the shards' partitioned relation: a
+// front half that scans the partitioned relation more than once on one
+// group's path (a self-join) or aggregates.  Per-shard
 // evaluation of such a plan would silently drop cross-shard row pairs, so the
 // node refuses instead.
 var ErrNotDistributable = errors.New("query is not distributable over this node's shard partition")

@@ -444,16 +444,9 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	method, err := parseMethod(req.Method)
+	opts, err := requestOptions(req)
 	if err != nil {
 		return nil, err
-	}
-	strategy, err := parseStrategy(req.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	if req.TopK < 0 {
-		return nil, errBadRequest("%w: topk must be >= 0, got %d", core.ErrBadOptions, req.TopK)
 	}
 	adm, err := s.admissionFor(req)
 	if err != nil {
@@ -477,9 +470,9 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 		Scenario: sc.Name(),
 		Epoch:    sc.Epoch(),
 		Query:    canonical,
-		Method:   method,
-		Strategy: strategy,
-		TopK:     req.TopK,
+		Method:   opts.Method,
+		Strategy: opts.Strategy,
+		TopK:     opts.TopK,
 	}
 	// queueWait is written by the compute callback, which GetOrCompute runs on
 	// this goroutine (waiters coalesce; only the leader computes), so the
@@ -607,13 +600,14 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 		f.SlowEvaluation(adm.tenant)
 	}
 	evalStart := s.clock.Now()
-	opts := core.Options{Method: key.Method, Strategy: key.Strategy, Parallelism: s.cfg.Parallelism}
+	opts := core.Options{Method: key.Method, Strategy: key.Strategy, Parallelism: s.cfg.Parallelism, TopK: key.TopK}
 	var res *core.Result
-	if s.maintainer != nil && key.TopK == 0 {
+	if s.maintainer != nil {
 		// Delta-first: evaluate through the scatter form and keep the per-group
 		// state, so later appends refresh this answer instead of invalidating
-		// it.  Plans the delta cannot maintain (non-SPJ, self-joins) fall
-		// through to the ordinary evaluator and are counted as fallbacks.
+		// it.  What the delta cannot maintain (non-SPJ plans, self-joins,
+		// top-k) falls through to the ordinary evaluator and is counted as a
+		// fallback.
 		var st *core.DeltaState
 		var epoch uint64
 		res, st, epoch, err = sc.EvaluateDelta(ctx, prep, opts)
@@ -624,10 +618,10 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 			}
 		case errors.Is(err, core.ErrNotDeltaMaintainable):
 			s.metrics.deltaFallbacks.Add(1)
-			res, err = sc.EvaluatePrepared(ctx, prep, key.TopK, opts)
+			res, err = sc.EvaluatePrepared(ctx, prep, opts)
 		}
 	} else {
-		res, err = sc.EvaluatePrepared(ctx, prep, key.TopK, opts)
+		res, err = sc.EvaluatePrepared(ctx, prep, opts)
 	}
 	if err != nil {
 		s.metrics.evalErrors.Add(1)
@@ -723,6 +717,23 @@ func (s *Server) resolve(name, text string) (sc *Scenario, err error) {
 		return nil, err
 	}
 	return sc, nil
+}
+
+// requestOptions reads what a query request asks to evaluate: its method,
+// strategy and top-k, each refused with 400 under core.ErrBadOptions.
+func requestOptions(req Request) (core.Options, error) {
+	method, err := parseMethod(req.Method)
+	if err != nil {
+		return core.Options{}, err
+	}
+	strategy, err := parseStrategy(req.Strategy)
+	if err != nil {
+		return core.Options{}, err
+	}
+	if req.TopK < 0 {
+		return core.Options{}, errBadRequest("%w: topk must be >= 0, got %d", core.ErrBadOptions, req.TopK)
+	}
+	return core.Options{Method: method, Strategy: strategy, TopK: req.TopK}, nil
 }
 
 // parseMethod reads a request's method name; none selects o-sharing.

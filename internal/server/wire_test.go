@@ -81,7 +81,7 @@ func TestWireContract(t *testing.T) {
 		want                      int
 	}{
 		{"coordinator query", http.MethodPost, "/v1/query", query, http.StatusOK},
-		{"coordinator top-k", http.MethodPost, "/v1/query", `{"scenario":"test","query":"` + fastQueryText + `","topk":2}`, http.StatusUnprocessableEntity},
+		{"coordinator top-k", http.MethodPost, "/v1/query", `{"scenario":"test","query":"` + fastQueryText + `","topk":2}`, http.StatusOK},
 		{"coordinator lease", http.MethodPost, "/v1/lease", `{"node":"node-a","addr":"` + cl.nodes[0].URL + `","shards":[0]}`, http.StatusOK},
 		{"coordinator scenarios", http.MethodGet, "/v1/scenarios", "", http.StatusOK},
 		{"coordinator healthz", http.MethodGet, "/healthz", "", http.StatusOK},

@@ -15,8 +15,10 @@ import (
 // instances.  It partitions the instance once (re-slicing lazily when the
 // partitioned relation's rows change) and is safe for concurrent use.
 //
-// Evaluations that do not distribute — top-k always, and any front half whose
-// shape refuses the partitioned relation (self-joins on it, aggregates) — fall
+// Every method distributes, top-k included: a top-k run walks o-sharing's
+// u-trace whole on every shard and the merge feeds the merged leaves to the
+// top-k bounds, which stop where the unsharded walk stops.  A front half whose
+// shape refuses the partitioned relation (self-joins on it, aggregates) falls
 // back to unsharded evaluation on the original instance, which trivially
 // preserves the bit-identical-answers contract.  Fallbacks are counted so
 // callers and tests can observe them.
@@ -90,8 +92,8 @@ func (ev *Evaluator) noteFallback() {
 // Execute evaluates the prepared query over the shards and merges the
 // per-shard answer streams into a Result bit-identical to
 // prep.ExecuteContext: same tuples, probabilities, order and empty-answer
-// mass.  Non-distributable (query, method) pairs fall back to unsharded
-// evaluation.
+// mass — the whole distribution, or the top opts.TopK answers.  A front half
+// that does not distribute falls back to unsharded evaluation.
 func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, error) {
 	start := time.Now()
 	ec := opts.Context(ctx)
@@ -116,17 +118,9 @@ func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core
 	if err != nil {
 		return nil, err
 	}
-	res := sp.Result(prep.Query(), rewrite, runs...)
+	res := sp.Result(prep.Query(), rewrite, opts.TopK, runs...)
 	res.TotalTime = time.Since(start)
 	return res, nil
-}
-
-// ExecuteTopK evaluates probabilistic top-k.  The traversal's
-// early-termination bounds are data-dependent and sequential, so top-k always
-// falls back to unsharded evaluation.
-func (ev *Evaluator) ExecuteTopK(ctx context.Context, prep *core.Prepared, k int, opts core.Options) (*core.Result, error) {
-	ev.noteFallback()
-	return prep.ExecuteTopKContext(ctx, k, opts)
 }
 
 // ExecuteShards runs the scatter plan on every shard instance, fanning the

@@ -58,9 +58,10 @@ var allMethods = []core.Method{
 }
 
 // TestShardedBitIdentical is the tentpole property test: over a randomized
-// scenario, every method (and top-k) produces bit-identical answers at
-// shards=1, 4 and 8 with both partitioners, compared against unsharded
-// prepared evaluation.
+// scenario, every method — and top-k for k ∈ {1, 3, 10} under every strategy —
+// produces bit-identical answers (tuples, probability bits, order and empty
+// mass) at shards=1, 4 and 8 with both partitioners, compared against
+// unsharded prepared evaluation.
 func TestShardedBitIdentical(t *testing.T) {
 	ds := testDataset(t, 16, 3)
 	eval := core.NewEvaluator(ds.DB, ds.Mappings())
@@ -74,6 +75,15 @@ func TestShardedBitIdentical(t *testing.T) {
 		"SELECT PO.priority FROM PO, Item WHERE PO.orderNum = Item.orderNum")
 	if err != nil {
 		t.Fatalf("Q0 parse: %v", err)
+	}
+	evaluators := map[Kind]map[int]*Evaluator{}
+	for _, kind := range []Kind{KindHash, KindRange} {
+		evaluators[kind] = map[int]*Evaluator{}
+		for _, n := range []int{1, 4, 8} {
+			if evaluators[kind][n], err = NewEvaluator(ds.DB, testSpec(kind, n)); err != nil {
+				t.Fatalf("evaluator %s/%d: %v", kind, n, err)
+			}
+		}
 	}
 	for _, qid := range []int{1, 2, 3, 5, 0} {
 		q := lowCardinality
@@ -104,26 +114,80 @@ func TestShardedBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		// Top-k always falls back; it must still match exactly.
-		opts := core.Options{Method: core.MethodOSharing}
-		want, err := prep.ExecuteTopKContext(ctx, 5, opts)
-		if err != nil {
-			t.Fatalf("Q%d topk unsharded: %v", qid, err)
+		// Top-k is o-sharing's walk merged into the top-k bounds: it
+		// distributes where o-sharing does and falls back where it does not
+		// (Q3, Q5), and matches the unsharded walk exactly either way.
+		for _, st := range []core.Strategy{core.StrategySEF, core.StrategySNF, core.StrategyRandom} {
+			for _, k := range []int{1, 3, 10} {
+				opts := core.Options{Method: core.MethodOSharing, Strategy: st, TopK: k}
+				want, err := prep.ExecuteContext(ctx, opts)
+				if err != nil {
+					t.Fatalf("Q%d %s top-%d unsharded: %v", qid, st, k, err)
+				}
+				for _, kind := range []Kind{KindHash, KindRange} {
+					for _, n := range []int{1, 4, 8} {
+						label := fmt.Sprintf("Q%d %s top-%d %s/%d", qid, st, k, kind, n)
+						got, err := evaluators[kind][n].Execute(ctx, prep, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						identical(t, label, want, got)
+						if got.Method != core.MethodTopK {
+							t.Fatalf("%s: method %v, want top-k", label, got.Method)
+						}
+					}
+				}
+			}
 		}
-		ev, err := NewEvaluator(ds.DB, testSpec(KindHash, 4))
+	}
+}
+
+// TestShardedTopKStopsEarly covers the case TestShardedBitIdentical's
+// fixture never reaches: a top-k walk that stops before its last leaf.  On
+// this scenario Q1's top-1 is decided early under every strategy — the mass
+// of the leaves it never reaches is missing from its empty answer or its
+// lower bound — and the shards, which walk the whole trace, must merge into
+// bounds that stop at the same leaf.
+func TestShardedTopKStopsEarly(t *testing.T) {
+	ds := testDataset(t, 40, 7)
+	prep, err := core.NewEvaluator(ds.DB, ds.Mappings()).Prepare(datagen.MustWorkloadQuery(1))
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	ctx := context.Background()
+	for _, st := range []core.Strategy{core.StrategySEF, core.StrategySNF, core.StrategyRandom} {
+		full, err := prep.ExecuteContext(ctx, core.Options{Method: core.MethodOSharing, Strategy: st})
 		if err != nil {
-			t.Fatalf("topk evaluator: %v", err)
+			t.Fatalf("%s o-sharing: %v", st, err)
 		}
-		got, err := ev.ExecuteTopK(ctx, prep, 5, opts)
+		opts := core.Options{Method: core.MethodOSharing, Strategy: st, TopK: 1}
+		want, err := prep.ExecuteContext(ctx, opts)
 		if err != nil {
-			t.Fatalf("Q%d topk sharded: %v", qid, err)
+			t.Fatalf("%s top-1: %v", st, err)
 		}
-		identical(t, fmt.Sprintf("Q%d topk", qid), want, got)
+		if len(want.Answers) != 1 || want.EmptyProb == full.EmptyProb && want.Answers[0].Prob == full.Lookup(want.Answers[0].Tuple) {
+			t.Fatalf("%s: top-1 %v (empty %v) did not stop before the last leaf: exact %v (empty %v)",
+				st, want.Answers, want.EmptyProb, full.Answers, full.EmptyProb)
+		}
+		for _, kind := range []Kind{KindHash, KindRange} {
+			for _, n := range []int{1, 4, 8} {
+				ev, err := NewEvaluator(ds.DB, testSpec(kind, n))
+				if err != nil {
+					t.Fatalf("evaluator %s/%d: %v", kind, n, err)
+				}
+				got, err := ev.Execute(ctx, prep, opts)
+				if err != nil {
+					t.Fatalf("%s %s/%d: %v", st, kind, n, err)
+				}
+				identical(t, fmt.Sprintf("Q1 %s top-1 %s/%d", st, kind, n), want, got)
+			}
+		}
 	}
 }
 
 // TestShardedDistributes pins that sharding is not fallback-in-disguise: Q1
-// under e-basic and under o-sharing actually scatters (no fallback recorded).
+// under e-basic, under o-sharing and as a top-k run actually scatters (no
+// fallback recorded).
 func TestShardedDistributes(t *testing.T) {
 	ds := testDataset(t, 12, 7)
 	eval := core.NewEvaluator(ds.DB, ds.Mappings())
@@ -146,6 +210,12 @@ func TestShardedDistributes(t *testing.T) {
 	}
 	if n := ev.Fallbacks(); n != 0 {
 		t.Fatalf("Q1 o-sharing fell back %d times; expected a genuine scatter", n)
+	}
+	if _, err := ev.Execute(context.Background(), prep, core.Options{Method: core.MethodOSharing, TopK: 3}); err != nil {
+		t.Fatalf("top-k execute: %v", err)
+	}
+	if n := ev.Fallbacks(); n != 0 {
+		t.Fatalf("Q1 top-3 fell back %d times; expected a genuine scatter", n)
 	}
 }
 
@@ -202,7 +272,7 @@ func TestShardedPruneMarks(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Q%d %s %s/%d: %v", qid, st, kind, n, err)
 					}
-					identical(t, fmt.Sprintf("Q%d %s %s/%d", qid, st, kind, n), want, sp.Result(q, 0, runs...))
+					identical(t, fmt.Sprintf("Q%d %s %s/%d", qid, st, kind, n), want, sp.Result(q, 0, 0, runs...))
 					// The internal nodes the merge visits, by how many shards
 					// pruned them at or above.
 					for gi := 0; gi < len(sp.Groups); gi++ {

@@ -48,7 +48,6 @@ type Option func(*evalSettings) error
 // evalSettings is the resolved option set of one evaluation.
 type evalSettings struct {
 	opts  core.Options
-	topK  int
 	shard *shard.Spec
 }
 
@@ -79,7 +78,7 @@ func WithTopK(k int) Option {
 		if k < 1 {
 			return fmt.Errorf("%w: WithTopK requires k >= 1, got %d", ErrBadOptions, k)
 		}
-		s.topK = k
+		s.opts.TopK = k
 		return nil
 	}
 }
@@ -92,11 +91,11 @@ func WithRandomSeed(seed int64) Option {
 // WithShards partitions evaluation over spec.Shards in-process shards: the
 // named relation is split by the spec's partitioner, every other relation is
 // replicated, and per-shard answer streams are merged back into the canonical
-// distribution.  Answers are bit-identical to unsharded evaluation at every
-// shard count.  Evaluations that cannot distribute (top-k, self-joins or
-// aggregates of the partitioned relation) transparently fall back to
-// unsharded evaluation — the session holds the full instance, so falling
-// back is always sound.
+// distribution — or, with WithTopK, into the top k answers.  Answers are
+// bit-identical to unsharded evaluation at every shard count.  Plans that
+// cannot distribute (self-joins or aggregates of the partitioned relation)
+// transparently fall back to unsharded evaluation — the session holds the
+// full instance, so falling back is always sound.
 func WithShards(spec ShardSpec) Option {
 	return func(s *evalSettings) error {
 		if spec.Shards < 1 {
@@ -295,13 +294,7 @@ func (p *PreparedQuery) Execute(ctx context.Context, opts ...Option) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		if cfg.topK > 0 {
-			return ev.ExecuteTopK(ctx, p.prep, cfg.topK, cfg.opts)
-		}
 		return ev.Execute(ctx, p.prep, cfg.opts)
-	}
-	if cfg.topK > 0 {
-		return p.prep.ExecuteTopKContext(ctx, cfg.topK, cfg.opts)
 	}
 	return p.prep.ExecuteContext(ctx, cfg.opts)
 }
@@ -341,9 +334,6 @@ func (p *PreparedQuery) Stream(ctx context.Context, opts ...Option) (*Rows, erro
 	}
 	if cfg.shard != nil {
 		return nil, fmt.Errorf("%w: WithShards does not combine with Stream; sharded merge materializes the distribution, use Execute", ErrBadOptions)
-	}
-	if cfg.topK > 0 {
-		return p.prep.StreamTopKContext(ctx, cfg.topK, cfg.opts)
 	}
 	return p.prep.StreamContext(ctx, cfg.opts)
 }

@@ -65,7 +65,7 @@ func TestSessionMatchesColdEvaluate(t *testing.T) {
 	}
 
 	// Top-k through options.
-	wantTop, err := cold.EvaluateTopK(q, 1, core.Options{})
+	wantTop, err := cold.Evaluate(q, core.Options{TopK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

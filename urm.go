@@ -401,8 +401,8 @@ const (
 // Sharded-evaluation sentinel errors.
 var (
 	// ErrNotDistributable is returned (HTTP 422) when a query cannot be
-	// evaluated over a shard partition (top-k, self-joins or aggregates of
-	// the partitioned relation).
+	// evaluated over a shard partition (self-joins or aggregates of the
+	// partitioned relation).
 	ErrNotDistributable = server.ErrNotDistributable
 	// ErrShardUnowned is returned by a coordinator (HTTP 503, with a
 	// Retry-After hint) when a shard has no live lease owner.
