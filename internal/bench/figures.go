@@ -48,19 +48,6 @@ func ExperimentByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("unknown experiment %q", id)
 }
 
-// RunAll executes every experiment and returns the resulting tables.
-func (r *Runner) RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, e := range Experiments() {
-		t, err := e.Run(r)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // evaluate runs one query with one method and returns its result.
 func (r *Runner) evaluate(queryID int, method core.Method, h int, sizeMB float64) (*core.Result, error) {
 	target, err := datagen.QueryTarget(queryID)

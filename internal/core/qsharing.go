@@ -45,9 +45,3 @@ func Entropy(parts []*Partition, totalMappings int) float64 {
 	}
 	return e
 }
-
-// EntropyForAttributes is a convenience that partitions the mapping set by the
-// given target attributes and returns the entropy of that partitioning.
-func EntropyForAttributes(attrs []schema.Attribute, maps schema.MappingSet) float64 {
-	return Entropy(PartitionByAttributes(attrs, maps), len(maps))
-}

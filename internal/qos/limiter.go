@@ -134,14 +134,3 @@ func (l *Limiter) weight(tenant string) float64 {
 	}
 	return l.cfg.DefaultWeight
 }
-
-// Tokens reports the tenant's current balance without spending; for tests and
-// introspection.
-func (l *Limiter) Tokens(tenant string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if b := l.tenants[tenant]; b != nil {
-		return b.tokens
-	}
-	return 0
-}

@@ -77,15 +77,6 @@ func (m *Mapping) SourceFor(target Attribute) (Attribute, bool) {
 	return c.Source, true
 }
 
-// CorrespondenceFor returns the full correspondence for the target attribute.
-func (m *Mapping) CorrespondenceFor(target Attribute) (Correspondence, bool) {
-	if m.byTarget == nil {
-		m.reindex()
-	}
-	c, ok := m.byTarget[target]
-	return c, ok
-}
-
 // Covers reports whether the mapping has a correspondence for every target
 // attribute in the list.
 func (m *Mapping) Covers(targets []Attribute) bool {
@@ -206,15 +197,6 @@ func ORatio(a, b *Mapping) float64 {
 
 // MappingSet is an ordered collection of possible mappings.
 type MappingSet []*Mapping
-
-// TotalProb returns the sum of the mappings' probabilities.
-func (ms MappingSet) TotalProb() float64 {
-	p := 0.0
-	for _, m := range ms {
-		p += m.Prob
-	}
-	return p
-}
 
 // ORatio returns the average pairwise overlap ratio of the mapping set, the
 // metric reported in Figure 9(a).  It returns 1 for sets with fewer than two

@@ -8,14 +8,13 @@ import (
 )
 
 // TestHooksStagesAndSlowQueries covers the request-path observability seams:
-// BeforeQuery/AfterQuery fire around every Do (errors included), a request
+// AfterQuery fires after every Do (errors included), a request
 // over the slow-query threshold is counted, and the per-stage histograms
 // record parse/reformulate/execute/merge timings.
 func TestHooksStagesAndSlowQueries(t *testing.T) {
-	var before, after, failed atomic.Int64
+	var after, failed atomic.Int64
 	srv, _ := newTestServer(t, 60, Config{
 		SlowQueryThreshold: time.Nanosecond, // everything is slow
-		BeforeQuery:        func(req *Request) { before.Add(1) },
 		AfterQuery: func(req *Request, resp *Response, err error, elapsed time.Duration) {
 			after.Add(1)
 			if err != nil {
@@ -32,8 +31,8 @@ func TestHooksStagesAndSlowQueries(t *testing.T) {
 	if _, err := srv.Do(context.Background(), Request{Scenario: "missing", Query: fastQueryText}); err == nil {
 		t.Fatal("unknown scenario did not error")
 	}
-	if before.Load() != 2 || after.Load() != 2 || failed.Load() != 1 {
-		t.Fatalf("hooks: before=%d after=%d failed=%d, want 2/2/1", before.Load(), after.Load(), failed.Load())
+	if after.Load() != 2 || failed.Load() != 1 {
+		t.Fatalf("hooks: after=%d failed=%d, want 2/1", after.Load(), failed.Load())
 	}
 	m := srv.Metrics()
 	if m.SlowQueries < 1 {

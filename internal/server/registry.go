@@ -37,11 +37,11 @@ import (
 // of the underlying data must bump the epoch, which makes every cached answer
 // for the old epoch unreachable.
 //
-// Mutate only through AppendRow (or Bump after out-of-band changes).  The
-// engine's contract makes relation data immutable while an evaluation reads
-// it, so AppendRow excludes in-flight evaluations: Evaluate holds mu as a
-// reader, AppendRow as a writer.  The epoch bump then keeps *cached* answers
-// honest; the lock keeps the memory safe.
+// Mutate only through AppendRows (AppendRow is a batch of one), or Bump after
+// out-of-band changes.  The engine's contract makes relation data immutable
+// while an evaluation reads it, so AppendRows excludes in-flight evaluations:
+// Evaluate holds mu as a reader, AppendRows as a writer.  The epoch bump then
+// keeps *cached* answers honest; the lock keeps the memory safe.
 type Scenario struct {
 	name   string
 	target *schema.Schema
@@ -51,13 +51,13 @@ type Scenario struct {
 
 	epoch atomic.Uint64
 	// staleFloor is the oldest epoch whose cached answers may still be served
-	// as *stale* under overload.  AppendRow leaves it alone — an append-only
+	// as *stale* under overload.  AppendRows leaves it alone — an append-only
 	// change keeps every earlier answer a correct answer over a prefix of the
 	// data — while Bump raises it to the new epoch, because an out-of-band
 	// mutation may have rewritten history and old answers with it.
 	staleFloor atomic.Uint64
 	// mu is the evaluation/mutation lock: evaluations (many, long) share it
-	// as readers, AppendRow (rare, microseconds) takes it exclusively.
+	// as readers, AppendRows (rare, microseconds) takes it exclusively.
 	// Writer acquisition is bounded by the request deadlines of the
 	// in-flight evaluations ahead of it.
 	mu sync.RWMutex
@@ -78,9 +78,9 @@ type Scenario struct {
 
 	// persistMu makes {in-memory mutation, epoch bump, WAL record} one atomic
 	// unit with respect to snapshot capture.  Without it, a snapshot running
-	// between AppendRow's epoch bump and its WAL append could capture the new
-	// row under the new epoch while the row's own WAL record lands in the
-	// rotated (truncated) log — or, worse, a row could be logged under the
+	// between AppendRows' epoch bump and its WAL append could capture the new
+	// rows under the new epoch while their own WAL record lands in the
+	// rotated (truncated) log — or, worse, rows could be logged under the
 	// pre-bump epoch and skipped by replay.  Lock order: persistMu before mu;
 	// evaluations take only mu (read) and are never blocked by persistence.
 	persistMu sync.Mutex
@@ -182,41 +182,31 @@ func (s *Scenario) PersistErr() error {
 // above it differ from the present only by appends.
 func (s *Scenario) StaleFloor() uint64 { return s.staleFloor.Load() }
 
-// AppendRow appends a tuple to the named base relation and bumps the epoch.
-// It waits for in-flight evaluations to finish (and blocks new ones for the
-// microseconds the append takes), because engine relations must not mutate
-// under a running scan.  The engine's own index invalidation
-// (Relation.Append's version counter) handles the per-column indexes; the
-// epoch bump handles the answer cache.
-// With a store attached, the row is logged under the epoch its in-memory
-// append committed at, and the whole {append, bump, log} sequence happens
-// under persistMu so a concurrent snapshot sees either none or all of it.  A
-// persistence failure is returned (and sticky): the row is live in memory but
-// will not survive a restart.
+// AppendRow appends one tuple: a batch of one (AppendRows).
 func (s *Scenario) AppendRow(relation string, t engine.Tuple) error {
-	return s.appendRows(relation, []engine.Tuple{t}, false)
+	return s.AppendRows(relation, []engine.Tuple{t})
 }
 
 // AppendRows appends a whole batch of tuples to the named base relation as
 // one atomic mutation: one evaluation-lock acquisition, one epoch bump, one
 // WAL record, one fsync — the durability cost of the batch is that of a
 // single row, which is what makes append-heavy workloads affordable (fsync
-// dominates single-row appends by nearly two orders of magnitude).  Shared
-// per-column indexes are extended in place to cover the new rows, so the
-// batch invalidates neither the indexes nor — through the delta reconciler —
-// maintained cached answers.
+// dominates single-row appends by nearly two orders of magnitude).
+//
+// It waits for in-flight evaluations to finish (and blocks new ones for the
+// microseconds the append takes), because engine relations must not mutate
+// under a running scan.  Shared per-column indexes are extended in place to
+// cover the new rows, so the batch invalidates neither the indexes nor —
+// through the delta reconciler — maintained cached answers; the epoch bump
+// handles the answer cache.  With a store attached, the batch is logged under
+// the epoch its in-memory append committed at, and the whole {append, bump,
+// log} sequence happens under persistMu so a concurrent snapshot sees either
+// none or all of it.  A persistence failure is returned (and sticky): the
+// rows are live in memory but will not survive a restart.
 func (s *Scenario) AppendRows(relation string, rows []engine.Tuple) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("scenario %s: empty append batch", s.name)
 	}
-	return s.appendRows(relation, rows, true)
-}
-
-// appendRows is both appends' one body.  Only the WAL record differs: a batch
-// is logged as one AppendRows record, a single row as an AppendRow record —
-// the bytes each has always written, so either commit replays the other's
-// directory.
-func (s *Scenario) appendRows(relation string, rows []engine.Tuple, batch bool) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	s.mu.Lock()
@@ -240,15 +230,8 @@ func (s *Scenario) appendRows(relation string, rows []engine.Tuple, batch bool) 
 	if s.log == nil {
 		return nil
 	}
-	var err error
-	what := "row"
-	if batch {
-		err, what = s.log.AppendRows(relation, rows, epoch), "rows"
-	} else {
-		err = s.log.AppendRow(relation, rows[0], epoch)
-	}
-	if err != nil {
-		return fmt.Errorf("scenario %s: %s live in memory but not persisted: %w", s.name, what, err)
+	if err := s.log.AppendRows(relation, rows, epoch); err != nil {
+		return fmt.Errorf("scenario %s: rows live in memory but not persisted: %w", s.name, err)
 	}
 	s.maybeSnapshotLocked()
 	return nil
@@ -361,7 +344,7 @@ func (s *Scenario) rememberLocked(text string, e *preparedEntry) {
 }
 
 // EvaluatePrepared runs a prepared query while holding the scenario's
-// evaluation lock as a reader, so AppendRow cannot mutate relation data
+// evaluation lock as a reader, so AppendRows cannot mutate relation data
 // mid-scan.  The method's group list (or o-sharing's walk) feeds the
 // aggregator, or top-k's bounds when opts.TopK is set: answers are taken in
 // as the groups finish and nothing is kept.  The server evaluates this way

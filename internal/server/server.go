@@ -82,14 +82,11 @@ type Config struct {
 	// AfterQuery hook's job (it receives the same elapsed time).
 	SlowQueryThreshold time.Duration
 
-	// BeforeQuery and AfterQuery are request-path hooks around Do.
-	// BeforeQuery sees the request after it is admitted (and may not mutate
-	// it); AfterQuery sees the outcome — response or error — and the measured
-	// wall time.  Both run on the request goroutine, so they must be fast and
-	// must not call back into the server.  The slow-query log is an AfterQuery
-	// hook.
-	BeforeQuery func(req *Request)
-	AfterQuery  func(req *Request, resp *Response, err error, elapsed time.Duration)
+	// AfterQuery is the request-path hook after Do: it sees the outcome —
+	// response or error — and the measured wall time.  It runs on the request
+	// goroutine, so it must be fast and must not call back into the server.
+	// The slow-query log is an AfterQuery hook.
+	AfterQuery func(req *Request, resp *Response, err error, elapsed time.Duration)
 }
 
 func (c Config) withDefaults() Config {
@@ -410,9 +407,6 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	defer s.leave()
-	if s.cfg.BeforeQuery != nil {
-		s.cfg.BeforeQuery(&req)
-	}
 	start := time.Now()
 	resp, err := s.do(ctx, req)
 	elapsed := time.Since(start)
@@ -983,12 +977,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.leave()
-	if req.Values != nil {
-		err = sc.AppendRow(req.Relation, rows[0])
-	} else {
-		err = sc.AppendRows(req.Relation, rows)
-	}
-	if err != nil {
+	if err = sc.AppendRows(req.Relation, rows); err != nil {
 		// A persistence failure means the rows are live in memory but not on
 		// disk — that is a server-side durability fault, not a bad request.
 		status := http.StatusBadRequest

@@ -50,9 +50,6 @@ func NewEvaluator(db *engine.Instance, spec Spec) (*Evaluator, error) {
 // Partitioner returns the evaluator's partitioner.
 func (ev *Evaluator) Partitioner() *Partitioner { return ev.part }
 
-// NumShards returns the shard count.
-func (ev *Evaluator) NumShards() int { return ev.part.Spec().Shards }
-
 // Fallbacks returns how many executions fell back to unsharded evaluation.
 func (ev *Evaluator) Fallbacks() int {
 	ev.mu.Lock()

@@ -39,7 +39,7 @@ func TestAppendRowsBatchRoundTrip(t *testing.T) {
 	cur.Epoch++
 
 	// A single append and a bump after the batch keep the epoch chain intact.
-	if err := log.AppendRow("S", sRow("single", 1, 1), cur.Epoch+1); err != nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("single", 1, 1)}, cur.Epoch+1); err != nil {
 		t.Fatal(err)
 	}
 	cur.Relations[0].Rows = append(cur.Relations[0].Rows, sRow("single", 1, 1))

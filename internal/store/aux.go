@@ -38,35 +38,17 @@ func validAuxName(name string) error {
 	return nil
 }
 
-// SaveAux atomically replaces the named aux blob.  The write is always
-// fsynced (aux blobs are rare and small, like registrations), and the
-// directory entry is synced so the rename itself survives a crash.
+// SaveAux atomically replaces the named aux blob (replaceFile).  The write
+// is always fsynced: aux blobs are rare and small, like registrations.
 func (st *Store) SaveAux(name string, payload []byte) error {
 	if err := validAuxName(name); err != nil {
 		return err
 	}
-	if err := st.fs.MkdirAll(st.auxDir()); err != nil {
-		return fmt.Errorf("store: aux %s: %w", name, err)
+	err := st.fs.MkdirAll(st.auxDir())
+	if err == nil {
+		err = st.replaceFile(st.auxDir(), name+".aux", name+".aux.tmp", append([]byte(auxMagic), frame(payload)...))
 	}
-	tmp := st.auxPath(name) + ".tmp"
-	f, err := st.fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("store: aux %s: %w", name, err)
-	}
-	_, werr := f.Write(append([]byte(auxMagic), frame(payload)...))
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("store: aux %s: %w", name, werr)
-	}
-	if err := st.fs.Rename(tmp, st.auxPath(name)); err != nil {
-		return fmt.Errorf("store: aux %s: %w", name, err)
-	}
-	if err := st.fs.SyncDir(st.auxDir()); err != nil {
 		return fmt.Errorf("store: aux %s: %w", name, err)
 	}
 	return nil
@@ -76,9 +58,9 @@ func (st *Store) SaveAux(name string, payload []byte) error {
 var ErrAuxNotFound = errors.New("store: aux state not found")
 
 // LoadAux reads the named aux blob.  A missing blob returns ErrAuxNotFound;
-// a blob failing its magic or checksum returns ErrCorrupt — unlike a WAL
-// tail, an aux blob is written atomically, so any damage is real corruption
-// rather than a crash artifact.
+// any other content than magic plus one checksummed frame returns ErrCorrupt
+// (readFrameFile) — unlike a WAL tail, an aux blob is written atomically, so
+// any damage is real corruption rather than a crash artifact.
 func (st *Store) LoadAux(name string) ([]byte, error) {
 	if err := validAuxName(name); err != nil {
 		return nil, err
@@ -90,24 +72,9 @@ func (st *Store) LoadAux(name string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: aux %s: %w", name, err)
 	}
-	if len(data) < len(auxMagic) || string(data[:len(auxMagic)]) != auxMagic {
-		return nil, fmt.Errorf("%w: aux %s has no magic header", ErrCorrupt, name)
+	payload, err := readFrameFile(data, auxMagic)
+	if err != nil {
+		return nil, fmt.Errorf("aux %s: %w", name, err)
 	}
-	scan := &walScan{data: data[len(auxMagic):]}
-	payload, status := scan.next()
-	switch status {
-	case scanRecord:
-	case scanEnd:
-		return nil, fmt.Errorf("%w: aux %s is empty", ErrCorrupt, name)
-	case scanTorn:
-		return nil, fmt.Errorf("%w: aux %s ends mid-record", ErrCorrupt, name)
-	default:
-		return nil, fmt.Errorf("aux %s: %w", name, scan.err)
-	}
-	if _, status := scan.next(); status != scanEnd {
-		return nil, fmt.Errorf("%w: aux %s carries trailing data", ErrCorrupt, name)
-	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return out, nil
+	return payload, nil
 }

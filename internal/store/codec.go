@@ -224,8 +224,8 @@ func encodeState(recType byte, st *ScenarioState) []byte {
 
 // decodeState parses a state payload (after the record type byte has been
 // consumed).  It rebuilds schema and mapping objects through their validating
-// constructors, so structurally impossible states decode as ErrCorrupt.
-func decodeState(d *dec) (*ScenarioState, error) {
+// constructors, so structurally impossible states poison d with ErrCorrupt.
+func decodeState(d *dec) *ScenarioState {
 	st := &ScenarioState{}
 	st.Name = d.str()
 	st.Label = d.str()
@@ -283,21 +283,7 @@ func decodeState(d *dec) (*ScenarioState, error) {
 		}
 		st.Relations = append(st.Relations, rel)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return st, nil
-}
-
-// encodeAppendRow serializes an AppendRow record: the epoch the mutation
-// committed at, the relation, and the row.
-func encodeAppendRow(epoch uint64, relation string, row engine.Tuple) []byte {
-	e := &enc{}
-	e.u8(recAppendRow)
-	e.u64(epoch)
-	e.str(relation)
-	e.tuple(row)
-	return e.b
+	return st
 }
 
 // encodeAppendRows serializes an AppendRows record: one batch of rows for one
@@ -322,4 +308,53 @@ func encodeBump(epoch, staleFloor uint64) []byte {
 	e.u64(epoch)
 	e.u64(staleFloor)
 	return e.b
+}
+
+// walRecord is one decoded record.  Which fields are set depends on typ:
+// state for recRegister and recSnapshot; epoch, relation and rows for the
+// appends; epoch and floor for recBump; none for recDrop.
+type walRecord struct {
+	typ      byte
+	state    *ScenarioState
+	epoch    uint64
+	relation string
+	rows     []engine.Tuple
+	floor    uint64
+}
+
+// decodeRecord is the one decoder of record payloads, WAL and snapshot alike.
+// A legacy single-row append record decodes as a batch of one.
+func decodeRecord(payload []byte) (walRecord, error) {
+	if len(payload) == 0 {
+		return walRecord{}, fmt.Errorf("%w: empty record", ErrCorrupt)
+	}
+	rec := walRecord{typ: payload[0]}
+	d := &dec{b: payload, off: 1}
+	switch rec.typ {
+	case recRegister, recSnapshot:
+		rec.state = decodeState(d)
+	case recAppendRow, recAppendRows:
+		rec.epoch = d.u64()
+		rec.relation = d.str()
+		n := 1
+		if rec.typ == recAppendRows {
+			n = d.count(1)
+		}
+		for i := 0; i < n && d.err == nil; i++ {
+			rec.rows = append(rec.rows, d.tuple())
+		}
+	case recBump:
+		rec.epoch = d.u64()
+		rec.floor = d.u64()
+	case recDrop:
+	default:
+		return walRecord{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, rec.typ)
+	}
+	if d.err == nil && d.off != len(payload) {
+		d.fail("%d trailing bytes in record type %d", len(payload)-d.off, rec.typ)
+	}
+	if d.err != nil {
+		return walRecord{}, d.err
+	}
+	return rec, nil
 }

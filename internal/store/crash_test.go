@@ -51,14 +51,14 @@ func TestCrashAtEveryPoint(t *testing.T) {
 
 		wRow := engine.Tuple{engine.F(math.NaN())}
 		ops := []func() error{
-			func() error { return log.AppendRow("S", sRow("crash-α", 2, 9), cur.Epoch+1) },
-			func() error { return log.AppendRow("W", wRow, cur.Epoch+1) },
+			func() error { return log.AppendRows("S", []engine.Tuple{sRow("crash-α", 2, 9)}, cur.Epoch+1) },
+			func() error { return log.AppendRows("W", []engine.Tuple{wRow}, cur.Epoch+1) },
 			func() error { return log.Bump(cur.Epoch+1, cur.Epoch+1) },
 			func() error { return log.Snapshot(cloneState(cur)) },
-			func() error { return log.AppendRow("S", sRow("post-snap", 5, 2), cur.Epoch+1) },
-			func() error { return log.AppendRow("S", sRow("k01", 2, 2), cur.Epoch+1) },
+			func() error { return log.AppendRows("S", []engine.Tuple{sRow("post-snap", 5, 2)}, cur.Epoch+1) },
+			func() error { return log.AppendRows("S", []engine.Tuple{sRow("k01", 2, 2)}, cur.Epoch+1) },
 			func() error { return log.Snapshot(cloneState(cur)) },
-			func() error { return log.AppendRow("S", sRow("final", 2, 0), cur.Epoch+1) },
+			func() error { return log.AppendRows("S", []engine.Tuple{sRow("final", 2, 0)}, cur.Epoch+1) },
 		}
 		apply := []func(){
 			func() { cur.Relations[0].Rows = append(cur.Relations[0].Rows, sRow("crash-α", 2, 9)); cur.Epoch++ },

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"net/url"
 	"path"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,34 +93,18 @@ func Open(dir string, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// checkVersion reads <dir>/VERSION, writing it (atomically: tmp, fsync,
-// rename) when the directory is fresh.  A missing VERSION with existing
-// scenario data can only come from a crash before the very first version
-// write, i.e. before any scenario data existed — so rewriting is safe.
+// checkVersion reads <dir>/VERSION, writing it (through replaceFile) when
+// the directory is fresh.  A missing VERSION with existing scenario data can
+// only come from a crash before the very first version write, i.e. before any
+// scenario data existed — so rewriting is safe.
 func (st *Store) checkVersion() error {
-	vpath := path.Join(st.dir, versionFile)
-	data, err := st.fs.ReadFile(vpath)
+	data, err := st.fs.ReadFile(path.Join(st.dir, versionFile))
 	if errors.Is(err, fs.ErrNotExist) {
-		tmp := vpath + ".tmp"
-		f, err := st.fs.Create(tmp)
-		if err != nil {
+		version := fmt.Sprintf("%s%d\n", versionPrefix, FormatVersion)
+		if err := st.replaceFile(st.dir, versionFile, versionFile+".tmp", []byte(version)); err != nil {
 			return fmt.Errorf("store: write version: %w", err)
 		}
-		if _, err := fmt.Fprintf(f, "%s%d\n", versionPrefix, FormatVersion); err != nil {
-			f.Close()
-			return fmt.Errorf("store: write version: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: write version: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("store: write version: %w", err)
-		}
-		if err := st.fs.Rename(tmp, vpath); err != nil {
-			return fmt.Errorf("store: write version: %w", err)
-		}
-		return st.fs.SyncDir(st.dir)
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: read version: %w", err)
@@ -137,6 +122,33 @@ func (st *Store) checkVersion() error {
 		return fmt.Errorf("%w: directory is %q, this build reads up to %q%d", ErrNewerFormat, s, versionPrefix, FormatVersion)
 	}
 	return nil
+}
+
+// replaceFile atomically replaces dir/name with data: write dir/tmp, fsync,
+// close, rename over dir/name, sync dir.  A crash anywhere leaves either the
+// old file or the new one, never a torn mix; a failure removes the tmp file.
+// Snapshots, aux blobs and VERSION are all written through it.
+func (st *Store) replaceFile(dir, name, tmp string, data []byte) error {
+	tmp = path.Join(dir, tmp)
+	f, err := st.fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = st.fs.Rename(tmp, path.Join(dir, name))
+	}
+	if err != nil {
+		_ = st.fs.Remove(tmp)
+		return err
+	}
+	return st.fs.SyncDir(dir)
 }
 
 // Dir returns the data directory the store was opened with.
@@ -164,42 +176,59 @@ func (st *Store) scenarioDir(name string) string {
 // full initial state.  The record and the directory entries are fsynced
 // before Register returns regardless of the fsync option — a registration
 // that has been acknowledged must survive any crash.  It fails if the
-// scenario already has data on disk (recover or drop it first).
+// scenario already has a WAL on disk (recover or drop it first).
 func (st *Store) Register(state *ScenarioState) (*Log, error) {
 	if state == nil || state.Name == "" {
 		return nil, fmt.Errorf("store: register: empty scenario state")
 	}
 	sdir := st.scenarioDir(state.Name)
-	if _, err := st.fs.ReadFile(path.Join(sdir, walFile)); err == nil {
-		return nil, fmt.Errorf("store: register %s: scenario already present on disk", state.Name)
-	} else if !errors.Is(err, fs.ErrNotExist) {
+	fail := func(err error) (*Log, error) {
 		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
+	}
+	if _, err := st.fs.ReadFile(path.Join(sdir, walFile)); err == nil {
+		return fail(errors.New("scenario already present on disk"))
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return fail(err)
+	}
+	// Without a WAL the directory holds no committed state, only the debris
+	// of an interrupted drop or registration — recovery discards it too.  A
+	// snapshot left in it must not become the base of the new WAL's replay.
+	if err := st.fs.RemoveAll(sdir); err != nil {
+		return fail(err)
 	}
 	if err := st.fs.MkdirAll(sdir); err != nil {
-		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
+		return fail(err)
 	}
-	w, err := st.fs.Create(path.Join(sdir, walFile))
+	w, err := st.createWAL(path.Join(sdir, walFile), append([]byte(walMagic), frame(encodeState(recRegister, state))...))
 	if err != nil {
-		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
+		return fail(err)
 	}
-	buf := append([]byte(walMagic), frame(encodeState(recRegister, state))...)
-	if _, err := w.Write(buf); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
+	err = st.fs.SyncDir(sdir)
+	if err == nil {
+		err = st.fs.SyncDir(st.scenariosDir())
 	}
-	if err := w.Sync(); err != nil {
+	if err != nil {
 		w.Close()
-		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
-	}
-	if err := st.fs.SyncDir(sdir); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
-	}
-	if err := st.fs.SyncDir(st.scenariosDir()); err != nil {
-		w.Close()
-		return nil, fmt.Errorf("store: register %s: %w", state.Name, err)
+		return fail(err)
 	}
 	return &Log{st: st, name: state.Name, dir: sdir, w: w, records: 1}, nil
+}
+
+// createWAL creates (or truncates) the WAL file at p holding data, fsynced,
+// and returns it open for appending.
+func (st *Store) createWAL(p string, data []byte) (File, error) {
+	w, err := st.fs.Create(p)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = w.Write(data); err == nil {
+		err = w.Sync()
+	}
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
 // Log is the open WAL of one scenario.  All methods serialize on an internal
@@ -240,11 +269,6 @@ func (l *Log) ShouldSnapshot() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.st.snapshotEvery > 0 && l.records > l.st.snapshotEvery
-}
-
-// AppendRow logs a row append that committed at the given epoch.
-func (l *Log) AppendRow(relation string, row engine.Tuple, epoch uint64) error {
-	return l.append(encodeAppendRow(epoch, relation, row))
 }
 
 // AppendRows logs a whole batch of rows for one relation that committed as a
@@ -295,45 +319,21 @@ func (l *Log) failLocked(err error) {
 }
 
 // Snapshot durably writes the full state and truncates the WAL.  The
-// snapshot file is written to the side, fsynced, then renamed over the old
-// one, so a crash anywhere leaves either the old or the new snapshot intact;
-// replay of a stale WAL on top of a newer snapshot is idempotent because
-// every record carries its epoch.  A failure before the rename leaves the log
-// usable (the WAL still covers everything); a failure while rotating the WAL
-// afterwards is sticky.
+// snapshot file is replaced atomically (replaceFile), so a crash anywhere
+// leaves either the old or the new snapshot intact; replay of a stale WAL on
+// top of a newer snapshot is idempotent because every record carries its
+// epoch.  A failure before the rename leaves the log usable (the WAL still
+// covers everything); a failure while rotating the WAL afterwards is sticky.
 func (l *Log) Snapshot(state *ScenarioState) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	tmp := path.Join(l.dir, snapTmpFile)
-	werr := func(err error) error {
-		_ = l.st.fs.Remove(tmp)
+	data := append([]byte(snapMagic), frame(encodeState(recSnapshot, state))...)
+	if err := l.st.replaceFile(l.dir, snapFile, snapTmpFile, data); err != nil {
 		l.st.persistErrors.Add(1)
 		return fmt.Errorf("store: scenario %s: snapshot: %w", l.name, err)
-	}
-	f, err := l.st.fs.Create(tmp)
-	if err != nil {
-		return werr(err)
-	}
-	buf := append([]byte(snapMagic), frame(encodeState(recSnapshot, state))...)
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return werr(err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return werr(err)
-	}
-	if err := f.Close(); err != nil {
-		return werr(err)
-	}
-	if err := l.st.fs.Rename(tmp, path.Join(l.dir, snapFile)); err != nil {
-		return werr(err)
-	}
-	if err := l.st.fs.SyncDir(l.dir); err != nil {
-		return werr(err)
 	}
 	// The snapshot is durable; start a fresh WAL.  From here on, failure is
 	// sticky: a half-rotated WAL must not take further appends.
@@ -351,20 +351,9 @@ func (l *Log) resetWALLocked() error {
 		l.w.Close()
 		l.w = nil
 	}
-	w, err := l.st.fs.Create(path.Join(l.dir, walFile))
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte(walMagic)); err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		return err
-	}
-	l.w = w
-	return nil
+	var err error
+	l.w, err = l.st.createWAL(path.Join(l.dir, walFile), []byte(walMagic))
+	return err
 }
 
 // Drop durably deletes the scenario: a drop record is fsynced into the WAL
@@ -483,7 +472,7 @@ func (st *Store) recoverScenario(name, sdir string) (*RecoveredScenario, error) 
 	snapData, err := st.fs.ReadFile(path.Join(sdir, snapFile))
 	switch {
 	case err == nil:
-		base, err = decodeStateFile(snapData, snapMagic, recSnapshot)
+		base, err = decodeStateFile(snapData)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
@@ -504,33 +493,17 @@ func (st *Store) recoverScenario(name, sdir string) (*RecoveredScenario, error) 
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 
-	replayed := 0
+	r := &replayer{base: base}
 	walRecords := 0
 	tornAt := -1 // byte offset to truncate the WAL to; -1 = intact
-	rewriteHeader := false
-	dropped := false
-	relIndex := make(map[string]int)
-	indexRelations := func() {
-		for i, r := range base.Relations {
-			relIndex[r.Name] = i
+	// A WAL shorter than its magic is a crash while writing the very header
+	// (fresh registration or WAL rotation).  With a snapshot the state is
+	// fully covered; without one, nothing was ever committed.
+	rewriteHeader := len(walData) < len(walMagic)
+	if !rewriteHeader {
+		if string(walData[:len(walMagic)]) != walMagic {
+			return nil, fmt.Errorf("wal: %w: bad magic %q", ErrCorrupt, walData[:len(walMagic)])
 		}
-	}
-	if base != nil {
-		indexRelations()
-	}
-
-	switch {
-	case len(walData) < len(walMagic):
-		// Crash while writing the very header (fresh registration or WAL
-		// rotation).  With a snapshot the state is fully covered; without
-		// one, nothing was ever committed.
-		if base == nil {
-			return nil, errGarbage
-		}
-		rewriteHeader = true
-	case string(walData[:len(walMagic)]) != walMagic:
-		return nil, fmt.Errorf("wal: %w: bad magic %q", ErrCorrupt, walData[:len(walMagic)])
-	default:
 		s := &walScan{data: walData, off: len(walMagic)}
 	scan:
 		for {
@@ -544,132 +517,18 @@ func (st *Store) recoverScenario(name, sdir string) (*RecoveredScenario, error) 
 			case scanCorrupt:
 				return nil, fmt.Errorf("wal: %w", s.err)
 			}
-			if len(payload) == 0 {
-				return nil, fmt.Errorf("wal: %w: empty record", ErrCorrupt)
-			}
 			walRecords++
-			switch payload[0] {
-			case recRegister:
-				d := &dec{b: payload, off: 1}
-				stt, err := decodeState(d)
-				if err == nil && d.off != len(payload) {
-					err = fmt.Errorf("%w: %d trailing bytes in register record", ErrCorrupt, len(payload)-d.off)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("wal: %w", err)
-				}
-				switch {
-				case base == nil:
-					base = stt
-					indexRelations()
-				case stt.Epoch > base.Epoch:
-					return nil, fmt.Errorf("wal: %w: register record epoch %d above snapshot epoch %d", ErrCorrupt, stt.Epoch, base.Epoch)
-				default:
-					// The WAL predates the snapshot (crash between snapshot
-					// rename and WAL rotation); every record at or below the
-					// snapshot epoch is already folded in.
-				}
-			case recAppendRow:
-				if base == nil {
-					return nil, fmt.Errorf("wal: %w: append before register", ErrCorrupt)
-				}
-				d := &dec{b: payload, off: 1}
-				epoch := d.u64()
-				relName := d.str()
-				row := d.tuple()
-				if d.err == nil && d.off != len(payload) {
-					d.fail("%d trailing bytes in append record", len(payload)-d.off)
-				}
-				if d.err != nil {
-					return nil, fmt.Errorf("wal: %w", d.err)
-				}
-				if epoch <= base.Epoch {
-					continue // already folded into the snapshot
-				}
-				if epoch != base.Epoch+1 {
-					return nil, fmt.Errorf("wal: %w: epoch jumps %d -> %d", ErrCorrupt, base.Epoch, epoch)
-				}
-				ri, ok := relIndex[relName]
-				if !ok {
-					return nil, fmt.Errorf("wal: %w: append to unknown relation %q", ErrCorrupt, relName)
-				}
-				rel := &base.Relations[ri]
-				if len(row) != len(rel.Columns) {
-					return nil, fmt.Errorf("wal: %w: relation %s row arity %d, want %d", ErrCorrupt, relName, len(row), len(rel.Columns))
-				}
-				rel.Rows = append(rel.Rows, row)
-				base.Epoch = epoch
-				replayed++
-			case recAppendRows:
-				if base == nil {
-					return nil, fmt.Errorf("wal: %w: append before register", ErrCorrupt)
-				}
-				d := &dec{b: payload, off: 1}
-				epoch := d.u64()
-				relName := d.str()
-				nrows := d.count(1)
-				rows := make([]engine.Tuple, 0, nrows)
-				for j := 0; j < nrows && d.err == nil; j++ {
-					rows = append(rows, d.tuple())
-				}
-				if d.err == nil && d.off != len(payload) {
-					d.fail("%d trailing bytes in append record", len(payload)-d.off)
-				}
-				if d.err != nil {
-					return nil, fmt.Errorf("wal: %w", d.err)
-				}
-				if epoch <= base.Epoch {
-					continue // already folded into the snapshot
-				}
-				if epoch != base.Epoch+1 {
-					return nil, fmt.Errorf("wal: %w: epoch jumps %d -> %d", ErrCorrupt, base.Epoch, epoch)
-				}
-				ri, ok := relIndex[relName]
-				if !ok {
-					return nil, fmt.Errorf("wal: %w: append to unknown relation %q", ErrCorrupt, relName)
-				}
-				rel := &base.Relations[ri]
-				for _, row := range rows {
-					if len(row) != len(rel.Columns) {
-						return nil, fmt.Errorf("wal: %w: relation %s row arity %d, want %d", ErrCorrupt, relName, len(row), len(rel.Columns))
-					}
-				}
-				rel.Rows = append(rel.Rows, rows...)
-				base.Epoch = epoch
-				replayed++
-			case recBump:
-				if base == nil {
-					return nil, fmt.Errorf("wal: %w: bump before register", ErrCorrupt)
-				}
-				d := &dec{b: payload, off: 1}
-				epoch := d.u64()
-				floor := d.u64()
-				if d.err == nil && d.off != len(payload) {
-					d.fail("%d trailing bytes in bump record", len(payload)-d.off)
-				}
-				if d.err != nil {
-					return nil, fmt.Errorf("wal: %w", d.err)
-				}
-				if epoch <= base.Epoch {
-					continue
-				}
-				if epoch != base.Epoch+1 {
-					return nil, fmt.Errorf("wal: %w: epoch jumps %d -> %d", ErrCorrupt, base.Epoch, epoch)
-				}
-				base.Epoch = epoch
-				if floor > base.StaleFloor {
-					base.StaleFloor = floor
-				}
-				replayed++
-			case recDrop:
-				dropped = true
-				break scan
-			default:
-				return nil, fmt.Errorf("wal: %w: unknown record type %d", ErrCorrupt, payload[0])
+			rec, err := decodeRecord(payload)
+			if err == nil {
+				err = r.apply(rec)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("wal: %w", err)
 			}
 		}
 	}
-	if dropped || base == nil {
+	base = r.base
+	if base == nil {
 		return nil, errGarbage
 	}
 	if base.Name != name {
@@ -694,38 +553,75 @@ func (st *Store) recoverScenario(name, sdir string) (*RecoveredScenario, error) 
 		}
 		log.w = w
 	}
-	return &RecoveredScenario{State: base, Log: log, Replayed: replayed}, nil
+	return &RecoveredScenario{State: base, Log: log, Replayed: r.replayed}, nil
 }
 
-// decodeStateFile parses a single-record state file (a snapshot): magic, one
-// framed record of the expected type, nothing after it.  Snapshots are
-// fsynced before they are renamed into place, so unlike the WAL there is no
-// legitimate torn form: any damage is ErrCorrupt.
-func decodeStateFile(data []byte, magic string, wantType byte) (*ScenarioState, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	s := &walScan{data: data, off: len(magic)}
-	payload, status := s.next()
-	if status != scanRecord {
-		if s.err != nil {
-			return nil, s.err
+// replayer folds decoded WAL records into the state recovered so far.  Every
+// replay check lives in apply, once for all record types.
+type replayer struct {
+	base     *ScenarioState // the snapshot, or nil until the register record
+	replayed int            // records applied on top of base
+}
+
+// apply folds one record into the state.  A mutation needs a registered base;
+// one at or below the base's epoch is already folded in (a WAL predating its
+// snapshot: crash between snapshot rename and WAL rotation); any other must be
+// the base's direct successor, on a known relation, with rows of its arity.
+// A drop record returns errGarbage.
+func (r *replayer) apply(rec walRecord) error {
+	switch {
+	case rec.typ == recDrop:
+		return errGarbage
+	case rec.typ == recSnapshot:
+		return fmt.Errorf("%w: snapshot record in the WAL", ErrCorrupt)
+	case rec.typ == recRegister && r.base == nil:
+		r.base = rec.state
+		return nil
+	case rec.typ == recRegister:
+		if rec.state.Epoch > r.base.Epoch {
+			return fmt.Errorf("%w: register record epoch %d above snapshot epoch %d", ErrCorrupt, rec.state.Epoch, r.base.Epoch)
 		}
-		return nil, fmt.Errorf("%w: incomplete state record", ErrCorrupt)
+		return nil
+	case r.base == nil:
+		return fmt.Errorf("%w: record type %d before register", ErrCorrupt, rec.typ)
+	case rec.epoch <= r.base.Epoch:
+		return nil
+	case rec.epoch != r.base.Epoch+1:
+		return fmt.Errorf("%w: epoch jumps %d -> %d", ErrCorrupt, r.base.Epoch, rec.epoch)
 	}
-	if s.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-s.off)
+	if rec.typ == recBump {
+		r.base.StaleFloor = max(r.base.StaleFloor, rec.floor)
+	} else {
+		i := slices.IndexFunc(r.base.Relations, func(rel RelationState) bool { return rel.Name == rec.relation })
+		if i < 0 {
+			return fmt.Errorf("%w: append to unknown relation %q", ErrCorrupt, rec.relation)
+		}
+		rel := &r.base.Relations[i]
+		for _, row := range rec.rows {
+			if len(row) != len(rel.Columns) {
+				return fmt.Errorf("%w: relation %s row arity %d, want %d", ErrCorrupt, rel.Name, len(row), len(rel.Columns))
+			}
+		}
+		rel.Rows = append(rel.Rows, rec.rows...)
 	}
-	if len(payload) == 0 || payload[0] != wantType {
-		return nil, fmt.Errorf("%w: unexpected record type", ErrCorrupt)
-	}
-	d := &dec{b: payload, off: 1}
-	st, err := decodeState(d)
+	r.base.Epoch = rec.epoch
+	r.replayed++
+	return nil
+}
+
+// decodeStateFile parses a snapshot file: one frame (readFrameFile) holding
+// one snapshot record.
+func decodeStateFile(data []byte) (*ScenarioState, error) {
+	payload, err := readFrameFile(data, snapMagic)
 	if err != nil {
 		return nil, err
 	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in state record", ErrCorrupt, len(payload)-d.off)
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return nil, err
 	}
-	return st, nil
+	if rec.typ != recSnapshot {
+		return nil, fmt.Errorf("%w: record type %d in a snapshot file", ErrCorrupt, rec.typ)
+	}
+	return rec.state, nil
 }

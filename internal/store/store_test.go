@@ -210,7 +210,7 @@ func mutate(t *testing.T, log *Log, cur *ScenarioState) {
 	appendRow := func(rel string, row engine.Tuple) {
 		t.Helper()
 		epoch := cur.Epoch + 1
-		if err := log.AppendRow(rel, row, epoch); err != nil {
+		if err := log.AppendRows(rel, []engine.Tuple{row}, epoch); err != nil {
 			t.Fatal(err)
 		}
 		for i := range cur.Relations {
@@ -264,7 +264,7 @@ func TestRegisterRecoverRoundTrip(t *testing.T) {
 	}
 
 	// The recovered log accepts appends that survive another recovery.
-	if err := got.Log.AppendRow("S", sRow("post-recovery", 2, 0), got.State.Epoch+1); err != nil {
+	if err := got.Log.AppendRows("S", []engine.Tuple{sRow("post-recovery", 2, 0)}, got.State.Epoch+1); err != nil {
 		t.Fatal(err)
 	}
 	rec2, err := openTestStore(t, fs).Recover()
@@ -304,7 +304,7 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 
 	// Appends after the snapshot land in the fresh WAL and recovery folds
 	// snapshot + tail together.
-	if err := log.AppendRow("S", sRow("tail", 2, 1), cur.Epoch+1); err != nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("tail", 2, 1)}, cur.Epoch+1); err != nil {
 		t.Fatal(err)
 	}
 	cur.Relations[0].Rows = append(cur.Relations[0].Rows, sRow("tail", 2, 1))
@@ -332,7 +332,7 @@ func TestTornTailKeepsCommittedPrefix(t *testing.T) {
 	}
 	mutate(t, log, cur)
 	prefix := cloneState(cur)
-	if err := log.AppendRow("S", sRow("doomed", 1, 1), cur.Epoch+1); err != nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("doomed", 1, 1)}, cur.Epoch+1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -354,7 +354,7 @@ func TestTornTailKeepsCommittedPrefix(t *testing.T) {
 
 	// The torn bytes are physically gone: the next append must not leave a
 	// corrupt sandwich in the middle of the file.
-	if err := rec.Scenarios[0].Log.AppendRow("S", sRow("after-tear", 2, 2), prefix.Epoch+1); err != nil {
+	if err := rec.Scenarios[0].Log.AppendRows("S", []engine.Tuple{sRow("after-tear", 2, 2)}, prefix.Epoch+1); err != nil {
 		t.Fatal(err)
 	}
 	rec2, err := openTestStore(t, fs).Recover()
@@ -465,18 +465,18 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.AppendRow("S", sRow("ok", 1, 1), 1); err != nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("ok", 1, 1)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	fail := errors.New("disk on fire")
 	fs.SyncErr = func(string) error { return fail }
-	if err := log.AppendRow("S", sRow("lost", 2, 2), 2); !errors.Is(err, fail) {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("lost", 2, 2)}, 2); !errors.Is(err, fail) {
 		t.Fatalf("append with failing fsync = %v, want wrapped %v", err, fail)
 	}
 	// The failure is sticky even after fsync recovers: the tail may hold a
 	// partial record, and appending past it would corrupt the log.
 	fs.SyncErr = nil
-	if err := log.AppendRow("S", sRow("refused", 3, 3), 2); err == nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("refused", 3, 3)}, 2); err == nil {
 		t.Fatal("append after fsync failure succeeded; sticky error expected")
 	}
 	if err := log.Err(); err == nil {
@@ -510,7 +510,7 @@ func TestShortReadRecoversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := cloneState(cur)
-	if err := log.AppendRow("S", sRow("tail-row", 1, 1), 1); err != nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("tail-row", 1, 1)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	fs.ReadHook = func(p string, data []byte) []byte {
@@ -600,7 +600,7 @@ func TestOSFSRoundTrip(t *testing.T) {
 	if err := log.Snapshot(cloneState(cur)); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.AppendRow("S", sRow("on-disk", 2, 0), cur.Epoch+1); err != nil {
+	if err := log.AppendRows("S", []engine.Tuple{sRow("on-disk", 2, 0)}, cur.Epoch+1); err != nil {
 		t.Fatal(err)
 	}
 	cur.Relations[0].Rows = append(cur.Relations[0].Rows, sRow("on-disk", 2, 0))

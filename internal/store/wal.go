@@ -14,8 +14,9 @@ import (
 // (little endian).  The frame is written with a single Write call, so a crash
 // can leave at most one partial record, and only at the tail.  The first
 // payload byte is the record type; Register and Snapshot payloads carry a
-// full ScenarioState, AppendRow and Bump carry deltas stamped with the epoch
-// the mutation committed at.
+// full ScenarioState, AppendRows and Bump carry deltas stamped with the epoch
+// the mutation committed at.  Snapshot and aux files hold exactly one record
+// after their magic (readFrameFile).
 const (
 	walMagic  = "URMWAL1\n"
 	snapMagic = "URMSNP1\n"
@@ -24,7 +25,7 @@ const (
 // Record types.
 const (
 	recRegister   byte = 1 // full state; always the first record of a fresh WAL
-	recAppendRow  byte = 2 // epoch, relation, row
+	recAppendRow  byte = 2 // epoch, relation, row; read only, from before every append was a batch
 	recBump       byte = 3 // epoch, stale floor
 	recDrop       byte = 4 // scenario deleted; recovery removes the directory
 	recSnapshot   byte = 5 // full state; only in snapshot files
@@ -90,4 +91,25 @@ func (s *walScan) next() ([]byte, scanStatus) {
 	}
 	s.off += 8 + int(length)
 	return payload, scanRecord
+}
+
+// readFrameFile returns the payload of a single-record file (a snapshot or an
+// aux blob): magic, exactly one checksummed record, nothing after it.  Such
+// files are fsynced before they are renamed into place, so unlike the WAL
+// there is no legitimate torn form: anything else is ErrCorrupt.
+func readFrameFile(data []byte, magic string) ([]byte, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	s := &walScan{data: data, off: len(magic)}
+	payload, status := s.next()
+	switch {
+	case status == scanCorrupt:
+		return nil, s.err
+	case status != scanRecord:
+		return nil, fmt.Errorf("%w: incomplete record", ErrCorrupt)
+	case s.off != len(data):
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-s.off)
+	}
+	return payload, nil
 }
