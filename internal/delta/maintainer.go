@@ -91,9 +91,7 @@ type Maintainer struct {
 	done chan struct{}
 	once sync.Once
 
-	applied  atomic.Int64 // entries republished after a delta pass
-	dropped  atomic.Int64 // entries dropped because ApplyDelta failed
-	rejected atomic.Int64 // enrollments refused by the per-scenario cap
+	dropped atomic.Int64 // entries dropped because ApplyDelta failed
 }
 
 // New creates a stopped maintainer; call Start to begin background
@@ -172,7 +170,6 @@ func (m *Maintainer) Enroll(sc Scenario, query string, method core.Method, strat
 	}
 	k := entryKey{query: query, method: method, strategy: strategy}
 	if _, ok := ss.entries[k]; !ok && len(ss.entries) >= m.cfg.MaxEntries {
-		m.rejected.Add(1)
 		return false
 	}
 	ss.entries[k] = &entry{key: k, state: st, publishedEpoch: publishedEpoch}
@@ -216,14 +213,14 @@ func (m *Maintainer) Entries(name string) int {
 	return 0
 }
 
-// Applied returns the count of entries republished after a delta pass.
-func (m *Maintainer) Applied() int64 { return m.applied.Load() }
-
-// Dropped returns the count of entries dropped because their delta failed.
-func (m *Maintainer) Dropped() int64 { return m.dropped.Load() }
-
-// Rejected returns the count of enrollments refused by the cap.
-func (m *Maintainer) Rejected() int64 { return m.rejected.Load() }
+// Dropped returns the count of entries dropped because their delta failed: a
+// relation shrank or vanished without a Bump.  A nil maintainer dropped none.
+func (m *Maintainer) Dropped() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.dropped.Load()
+}
 
 // Converge runs one delta pass for every entry of the scenario, publishing
 // each refreshed answer at the viewed epoch.  It is the synchronous form of
@@ -273,7 +270,6 @@ func (m *Maintainer) Converge(name string) int {
 			res := e.state.Result()
 			m.cfg.Publish(name, e.key.query, e.key.method, e.key.strategy, res, epoch)
 			e.publishedEpoch = epoch
-			m.applied.Add(1)
 			published++
 		}
 		return nil

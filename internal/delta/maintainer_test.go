@@ -174,8 +174,8 @@ func TestConvergePublishesAtNewEpoch(t *testing.T) {
 	if n := m.Converge("s1"); n != 0 {
 		t.Fatalf("second converge published %d, want 0", n)
 	}
-	if m.Applied() != 1 {
-		t.Fatalf("applied = %d, want 1", m.Applied())
+	if pubs := col.snapshot(); len(pubs) != 1 {
+		t.Fatalf("%d publishes in all, want 1", len(pubs))
 	}
 }
 
@@ -255,9 +255,6 @@ func TestEnrollCap(t *testing.T) {
 	}
 	if !m.Enroll(sc, "q1", core.MethodEBasic, core.StrategySEF, st, 2) {
 		t.Fatal("re-enroll of an existing key refused")
-	}
-	if m.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", m.Rejected())
 	}
 	if m.Entries("s4") != 2 {
 		t.Fatalf("entries = %d, want 2", m.Entries("s4"))

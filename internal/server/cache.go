@@ -36,6 +36,8 @@ type CacheKey struct {
 // the next request retries — and it evicts least-recently-used entries once
 // the byte budget is exceeded.
 type AnswerCache struct {
+	counters CacheCounters // first, so the atomic adds are 64-bit aligned
+
 	mu       sync.Mutex
 	budget   int64
 	bytes    int64
@@ -47,12 +49,6 @@ type AnswerCache struct {
 	// served for this question", which the epoch-keyed primary map cannot
 	// answer without a scan.
 	byQuery map[CacheKey]*list.Element
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	evictions atomic.Int64
-	staleHits atomic.Int64
 }
 
 type cacheEntry struct {
@@ -129,7 +125,7 @@ func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute fu
 			c.lru.MoveToFront(el)
 			ans := el.Value.(*cacheEntry).ans
 			c.mu.Unlock()
-			c.hits.Add(1)
+			atomic.AddInt64(&c.counters.Hits, 1)
 			return ans, OutcomeHit, nil
 		}
 		if call, ok := c.inflight[key]; ok {
@@ -140,7 +136,7 @@ func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute fu
 				return nil, OutcomeCoalesced, ctx.Err()
 			}
 			if call.err == nil {
-				c.coalesced.Add(1)
+				atomic.AddInt64(&c.counters.Coalesced, 1)
 				return call.ans, OutcomeCoalesced, nil
 			}
 			if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
@@ -170,7 +166,7 @@ func (c *AnswerCache) GetOrCompute(ctx context.Context, key CacheKey, compute fu
 		if err != nil {
 			return nil, OutcomeMiss, err
 		}
-		c.misses.Add(1)
+		atomic.AddInt64(&c.counters.Misses, 1)
 		return call.ans, OutcomeMiss, nil
 	}
 }
@@ -218,7 +214,7 @@ func (c *AnswerCache) insertLocked(key CacheKey, ans *CachedAnswer) {
 			break
 		}
 		c.removeLocked(tail)
-		c.evictions.Add(1)
+		atomic.AddInt64(&c.counters.Evictions, 1)
 	}
 }
 
@@ -255,7 +251,7 @@ func (c *AnswerCache) GetStale(key CacheKey, floor uint64) (*CachedAnswer, uint6
 	c.lru.MoveToFront(el)
 	ans, epoch := e.ans, e.key.Epoch
 	c.mu.Unlock()
-	c.staleHits.Add(1)
+	atomic.AddInt64(&c.counters.StaleHits, 1)
 	return ans, epoch, true
 }
 
@@ -273,34 +269,36 @@ func (c *AnswerCache) Bytes() int64 {
 	return c.bytes
 }
 
-// CacheMetrics is a snapshot of the cache counters.
-type CacheMetrics struct {
+// CacheCounters are the answer cache's counters, declared once: the cache
+// adds to a live copy atomically, and CacheMetrics embeds a snapshot.
+type CacheCounters struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
 	Evictions int64 `json:"evictions"`
 	// StaleHits counts GetStale successes: answers served from a previous
 	// epoch as overload degradation.
-	StaleHits   int64 `json:"stale_hits"`
+	StaleHits int64 `json:"stale_hits"`
+}
+
+// CacheMetrics is a snapshot of the cache counters and occupancy.
+type CacheMetrics struct {
+	CacheCounters
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
 }
 
-// Metrics returns a snapshot of the cache counters.
+// Metrics returns a snapshot of the cache counters and occupancy.
 func (c *AnswerCache) Metrics() CacheMetrics {
 	c.mu.Lock()
 	entries, bytes := len(c.entries), c.bytes
 	c.mu.Unlock()
 	return CacheMetrics{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Coalesced:   c.coalesced.Load(),
-		Evictions:   c.evictions.Load(),
-		StaleHits:   c.staleHits.Load(),
-		Entries:     entries,
-		Bytes:       bytes,
-		BudgetBytes: c.budget,
+		CacheCounters: loadCounters(&c.counters),
+		Entries:       entries,
+		Bytes:         bytes,
+		BudgetBytes:   c.budget,
 	}
 }
 

@@ -67,20 +67,11 @@ type CoordinatorConfig struct {
 // walk with another consumer, so it scatters o-sharing under its strategy and
 // the merge feeds the merged leaves to the top-k bounds.
 type Coordinator struct {
+	counters CoordinatorCounters // first, so the atomic adds are 64-bit aligned
+
 	cfg    CoordinatorConfig
 	leases *LeaseTable
 	client *http.Client
-
-	requests       atomic.Int64
-	merged         atomic.Int64 // queries answered by a full fan-out merge
-	unowned        atomic.Int64 // 503: a shard had no live owner
-	notShardable   atomic.Int64 // 422: the plan cannot distribute
-	upstreamErrors atomic.Int64 // shard responses that failed or were 5xx
-	mismatches     atomic.Int64 // 502: shards disagreed on the front half
-	heartbeats     atomic.Int64
-
-	trafficMu sync.Mutex
-	traffic   ScatterTraffic
 }
 
 // shardIdleConns is how many idle connections the coordinator's own client
@@ -142,45 +133,41 @@ type LeaseResponse struct {
 	Owners     map[string]LeaseOwner `json:"owners"`
 }
 
-// CoordinatorMetrics is the JSON body of the coordinator's GET /metrics.
-type CoordinatorMetrics struct {
-	Requests           int64         `json:"requests"`
-	Merged             int64         `json:"merged"`
-	Unowned            int64         `json:"unowned"`
-	NotShardable       int64         `json:"not_shardable"`
-	UpstreamErrors     int64         `json:"upstream_errors"`
-	Mismatches         int64         `json:"mismatches"`
-	Heartbeats         int64         `json:"heartbeats"`
-	LeasePersistErrors int64         `json:"lease_persist_errors"`
-	Leases             LeaseSnapshot `json:"leases"`
-	ScatterTraffic
-}
-
-// ScatterTraffic counts what the scatter hop moved: rows and body bytes the
-// coordinator received from shard nodes on successful attempts.  Each counter
-// is declared here and nowhere else — the coordinator stores this struct and
-// Metrics copies it whole.
-type ScatterTraffic struct {
+// CoordinatorCounters are the coordinator's counters, declared once: the
+// coordinator adds to a live copy atomically, and CoordinatorMetrics embeds a
+// snapshot.
+type CoordinatorCounters struct {
+	Requests int64 `json:"requests"`
+	// Merged counts queries answered by a full fan-out merge.
+	Merged int64 `json:"merged"`
+	// Unowned counts 503s of a shard with no live owner, NotShardable the
+	// 422s of a plan that cannot distribute, and Mismatches the 502s of
+	// shards that disagreed on the front half.
+	Unowned      int64 `json:"unowned"`
+	NotShardable int64 `json:"not_shardable"`
+	// UpstreamErrors counts shard responses that failed or were 5xx.
+	UpstreamErrors int64 `json:"upstream_errors"`
+	Mismatches     int64 `json:"mismatches"`
+	Heartbeats     int64 `json:"heartbeats"`
+	// ScatterRows/ScatterBytes count what the scatter hop moved: rows and
+	// body bytes received from shard nodes on successful attempts.
 	ScatterRows  int64 `json:"scatter_rows"`
 	ScatterBytes int64 `json:"scatter_bytes"`
 }
 
+// CoordinatorMetrics is the JSON body of the coordinator's GET /metrics.
+type CoordinatorMetrics struct {
+	CoordinatorCounters
+	LeasePersistErrors int64         `json:"lease_persist_errors"`
+	Leases             LeaseSnapshot `json:"leases"`
+}
+
 // Metrics returns a snapshot of the coordinator counters.
 func (c *Coordinator) Metrics() CoordinatorMetrics {
-	c.trafficMu.Lock()
-	traffic := c.traffic
-	c.trafficMu.Unlock()
 	return CoordinatorMetrics{
-		ScatterTraffic:     traffic,
-		Requests:           c.requests.Load(),
-		Merged:             c.merged.Load(),
-		Unowned:            c.unowned.Load(),
-		NotShardable:       c.notShardable.Load(),
-		UpstreamErrors:     c.upstreamErrors.Load(),
-		Mismatches:         c.mismatches.Load(),
-		Heartbeats:         c.heartbeats.Load(),
-		LeasePersistErrors: c.leases.PersistErrors(),
-		Leases:             c.leases.Snapshot(),
+		CoordinatorCounters: loadCounters(&c.counters),
+		LeasePersistErrors:  c.leases.PersistErrors(),
+		Leases:              c.leases.Snapshot(),
 	}
 }
 
@@ -198,11 +185,11 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/v1/lease":
 		c.handleLease(w, r)
 	case r.URL.Path == "/v1/scenarios":
-		c.handleScenarios(w, r)
+		readOnly(w, r, func() { c.handleScenarios(w, r) })
 	case r.URL.Path == "/healthz":
-		c.handleHealthz(w, r)
+		readOnly(w, r, func() { c.handleHealthz(w) })
 	case r.URL.Path == "/metrics":
-		writeJSON(w, http.StatusOK, c.Metrics())
+		readOnly(w, r, func() { writeJSON(w, http.StatusOK, c.Metrics()) })
 	default:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no route %s %s", r.Method, r.URL.Path))
 	}
@@ -217,7 +204,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	c.heartbeats.Add(1)
+	atomic.AddInt64(&c.counters.Heartbeats, 1)
 	snap := c.leases.Snapshot()
 	writeJSON(w, http.StatusOK, LeaseResponse{
 		IntervalMS: snap.IntervalMS,
@@ -226,7 +213,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleHealthz(w http.ResponseWriter) {
 	snap := c.leases.Snapshot()
 	if len(snap.Unowned) > 0 {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
@@ -265,7 +252,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // Query answers one request by scatter fan-out and merge.  It is the
 // transport-free core handleQuery wraps, like Server.Do.
 func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error) {
-	c.requests.Add(1)
+	atomic.AddInt64(&c.counters.Requests, 1)
 	start := time.Now()
 	if err := checkNames(req.Scenario, req.Query); err != nil {
 		return nil, err
@@ -303,7 +290,7 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	if err != nil {
 		return nil, err
 	}
-	c.merged.Add(1)
+	atomic.AddInt64(&c.counters.Merged, 1)
 	key := CacheKey{Scenario: req.Scenario, Query: parts[0].Query, Method: opts.Method, Strategy: opts.Strategy, TopK: opts.TopK}
 	return response(key, parts[0].Epoch, &CachedAnswer{Result: res}, start), nil
 }
@@ -340,7 +327,7 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 	})
 	if err != nil {
 		if errors.Is(err, ErrShardUnowned) {
-			c.unowned.Add(1)
+			atomic.AddInt64(&c.counters.Unowned, 1)
 		}
 		return nil, err
 	}
@@ -363,13 +350,13 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 		// The transport failed (connection refused, reset, timeout): the node
 		// may be mid-crash with its lease not yet expired, so retry — the
 		// per-attempt owner resolution picks up a standby once promoted.
-		c.upstreamErrors.Add(1)
+		atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 		return nil, 0, true, fmt.Errorf("node %q: %w", owner.Node, err)
 	}
 	defer hresp.Body.Close()
 	data, err := readScatterBody(hresp)
 	if err != nil {
-		c.upstreamErrors.Add(1)
+		atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 		if errors.Is(err, errScatterBodyTooLarge) {
 			return nil, 0, false, apiErr(http.StatusBadGateway, fmt.Errorf("node %q: %w", owner.Node, err))
 		}
@@ -379,20 +366,18 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 	case http.StatusOK:
 		var sr ScatterResponse
 		if err := json.Unmarshal(data, &sr); err != nil {
-			c.upstreamErrors.Add(1)
+			atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 			return nil, 0, false, apiErr(http.StatusBadGateway, fmt.Errorf("node %q: undecodable scatter response: %w", owner.Node, err))
 		}
 		rows := 0
 		for _, g := range sr.Groups {
 			rows += len(g.Rows)
 		}
-		c.trafficMu.Lock()
-		c.traffic.ScatterRows += int64(rows)
-		c.traffic.ScatterBytes += int64(len(data))
-		c.trafficMu.Unlock()
+		atomic.AddInt64(&c.counters.ScatterRows, int64(rows))
+		atomic.AddInt64(&c.counters.ScatterBytes, int64(len(data)))
 		return &sr, 0, false, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		c.upstreamErrors.Add(1)
+		atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 		hint := retryAfterHint(hresp, data)
 		return nil, hint, true,
 			apiErrRetry(hresp.StatusCode, hint, fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
@@ -402,7 +387,7 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 		// message opens with is wrapped around the rest, so its sentence is
 		// said once, and the status is not repeated.
 		if hresp.StatusCode == http.StatusUnprocessableEntity {
-			c.notShardable.Add(1)
+			atomic.AddInt64(&c.counters.NotShardable, 1)
 		}
 		msg := strings.TrimPrefix(upstreamMessage(hresp.StatusCode, data), fmt.Sprintf("%d: ", hresp.StatusCode))
 		err := fmt.Errorf("node %q: %s", owner.Node, msg)
@@ -411,7 +396,7 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 		}
 		return nil, 0, false, apiErr(hresp.StatusCode, err)
 	default:
-		c.upstreamErrors.Add(1)
+		atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 		return nil, 0, false, apiErr(http.StatusBadGateway,
 			fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
 	}
@@ -480,7 +465,7 @@ func upstreamMessage(status int, body []byte) string {
 
 // mismatch counts and reports shard responses it refuses to merge: 502.
 func (c *Coordinator) mismatch(format string, args ...any) error {
-	c.mismatches.Add(1)
+	atomic.AddInt64(&c.counters.Mismatches, 1)
 	return apiErr(http.StatusBadGateway, fmt.Errorf("%w: %s", ErrShardMismatch, fmt.Sprintf(format, args...)))
 }
 
@@ -594,10 +579,6 @@ type CoordinatorScenario struct {
 }
 
 func (c *Coordinator) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
 	defer cancel()
 	owners := c.leases.Owners()
@@ -617,17 +598,17 @@ func (c *Coordinator) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			}
 			hresp, err := c.client.Do(hreq)
 			if err != nil {
-				c.upstreamErrors.Add(1)
+				atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 				return
 			}
 			defer hresp.Body.Close()
 			if hresp.StatusCode != http.StatusOK {
-				c.upstreamErrors.Add(1)
+				atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 				return
 			}
 			var sl shardList
 			if err := json.NewDecoder(io.LimitReader(hresp.Body, 16<<20)).Decode(&sl); err != nil {
-				c.upstreamErrors.Add(1)
+				atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 				return
 			}
 			mu.Lock()

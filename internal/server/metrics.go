@@ -1,62 +1,18 @@
 package server
 
 import (
+	"reflect"
 	"sync/atomic"
 
 	"github.com/probdb/urm/internal/qos"
 )
 
-// serverMetrics are the server-level counters exposed by /metrics.  All
-// fields are atomics: the request path updates them without locking.
-type serverMetrics struct {
-	requests       atomic.Int64
-	rejected       atomic.Int64 // 429: rate-limited or no evaluation slot
-	shedDoomed     atomic.Int64 // 504: deadline below median cold latency
-	staleServed    atomic.Int64 // degraded to a previous epoch's answer
-	unavailable    atomic.Int64 // 503: draining
-	timeouts       atomic.Int64 // 504: request deadline exceeded
-	badRequests    atomic.Int64 // 4xx other than overload
-	evaluations    atomic.Int64 // evaluations actually run (cache misses)
-	evalErrors     atomic.Int64
-	preparedBuilds atomic.Int64 // prepared-query cache misses: parse+reformulate+compile paid
-	preparedReuses atomic.Int64 // prepared-query cache hits: straight to execution
-	indexBuilds    atomic.Int64 // summed from per-evaluation engine stats
-	indexLookups   atomic.Int64
-	operators      atomic.Int64
-	inflight       atomic.Int64 // requests currently being served
-	appends        atomic.Int64 // rows appended via POST /v1/append
-	scatters       atomic.Int64 // shard-side scatter executions (POST /v1/scatter)
-	slowQueries    atomic.Int64 // requests over the slow-query threshold (AfterQuery hook)
-
-	// Incremental-maintenance counters.  deltaApplied counts cache entries the
-	// maintainer refreshed through a delta pass; deltaFallbacks the evaluations
-	// that tried to enroll but fell back (plan not maintainable, or the
-	// per-scenario cap refused it); indexInplace the shared hash indexes
-	// extended in place by appends; epochInvalidations the explicit Bumps that
-	// purged maintained state.  staleWindow is a gauge: the epoch distance of
-	// the most recent stale-served answer.
-	deltaApplied       atomic.Int64
-	deltaFallbacks     atomic.Int64
-	indexInplace       atomic.Int64
-	epochInvalidations atomic.Int64
-	staleWindow        atomic.Int64
-
-	queueWait qos.Histogram // measured evaluation-slot waits, all tenants
-
-	// Per-stage latency histograms over the request path: parse covers
-	// parse+reformulate+compile when a prepared query is built (reuses pay
-	// nothing and are not observed), reformulate/execute/merge split each
-	// evaluation by core.Result's stage timings.
-	stageParse       qos.Histogram
-	stageReformulate qos.Histogram
-	stageExecute     qos.Histogram
-	stageMerge       qos.Histogram
-}
-
-// Metrics is the JSON snapshot served by GET /metrics and embedded in the
-// serve benchmark's record.
-type Metrics struct {
+// Counters are the server-level counters and gauges of /metrics, declared
+// once: the server updates its live copy with one atomic add (or store) per
+// event, without locking, and Metrics embeds a loadCounters copy.
+type Counters struct {
 	Requests int64 `json:"requests"`
+	// Rejected counts 429s: rate-limited, or no evaluation slot in time.
 	Rejected int64 `json:"rejected"`
 	// ShedDoomedDeadline counts requests rejected before admission because
 	// their remaining deadline was below the scenario's median cold latency.
@@ -64,11 +20,16 @@ type Metrics struct {
 	// StaleServed counts responses degraded to a previous epoch's cached
 	// answer instead of a rejection.
 	StaleServed int64 `json:"stale_served"`
+	// Unavailable counts 503s (draining, recovering, quarantined), Timeouts
+	// the 504s of an exceeded request deadline, and BadRequests every other
+	// 4xx.
 	Unavailable int64 `json:"unavailable"`
 	Timeouts    int64 `json:"timeouts"`
 	BadRequests int64 `json:"bad_requests"`
-	Inflight    int64 `json:"inflight"`
+	// Inflight is a gauge: requests currently being served.
+	Inflight int64 `json:"inflight"`
 
+	// Evaluations counts evaluations actually run (answer-cache misses).
 	Evaluations int64 `json:"evaluations"`
 	EvalErrors  int64 `json:"eval_errors"`
 
@@ -85,7 +46,7 @@ type Metrics struct {
 	IndexLookups int64 `json:"index_lookups"`
 	Operators    int64 `json:"operators"`
 
-	// Appends counts rows accepted by POST /v1/append.
+	// Appends counts rows appended, through POST /v1/append or in process.
 	Appends int64 `json:"appends"`
 
 	// Scatters counts shard-side scatter executions (POST /v1/scatter), and
@@ -108,6 +69,28 @@ type Metrics struct {
 	IndexInplaceAppends int64 `json:"index_inplace_appends"`
 	EpochInvalidations  int64 `json:"epoch_invalidations"`
 	StaleWindowEpochs   int64 `json:"stale_window_epochs"`
+}
+
+// loadCounters copies *live, a struct whose every field is an int64 counter,
+// with one atomic load per field, so a snapshot never races the adds it reads.
+func loadCounters[T any](live *T) T {
+	var out T
+	src, dst := reflect.ValueOf(live).Elem(), reflect.ValueOf(&out).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(atomic.LoadInt64(src.Field(i).Addr().Interface().(*int64)))
+	}
+	return out
+}
+
+// Metrics is the JSON snapshot served by GET /metrics and embedded in the
+// serve benchmark's record.
+type Metrics struct {
+	Counters
+
+	// DeltaDropped counts maintained answers the delta maintainer dropped
+	// because their delta pass failed: a relation shrank or vanished without
+	// a Bump.  The maintainer counts it; zero when none runs.
+	DeltaDropped int64 `json:"delta_dropped"`
 
 	// Durable-store counters.  StoreRecoveries counts scenarios rebuilt from
 	// disk at boot, StoreReplayedRecords the WAL records replayed to do so,
@@ -153,42 +136,21 @@ type ScenarioInfo struct {
 
 func (s *Server) snapshotMetrics() Metrics {
 	return Metrics{
-		Requests:            s.metrics.requests.Load(),
-		Rejected:            s.metrics.rejected.Load(),
-		ShedDoomedDeadline:  s.metrics.shedDoomed.Load(),
-		StaleServed:         s.metrics.staleServed.Load(),
-		Unavailable:         s.metrics.unavailable.Load(),
-		Timeouts:            s.metrics.timeouts.Load(),
-		BadRequests:         s.metrics.badRequests.Load(),
-		Inflight:            s.metrics.inflight.Load(),
-		Evaluations:         s.metrics.evaluations.Load(),
-		EvalErrors:          s.metrics.evalErrors.Load(),
-		PreparedBuilds:      s.metrics.preparedBuilds.Load(),
-		PreparedReuses:      s.metrics.preparedReuses.Load(),
-		IndexBuilds:         s.metrics.indexBuilds.Load(),
-		IndexLookups:        s.metrics.indexLookups.Load(),
-		Operators:           s.metrics.operators.Load(),
-		Appends:             s.metrics.appends.Load(),
-		Scatters:            s.metrics.scatters.Load(),
-		SlowQueries:         s.metrics.slowQueries.Load(),
-		DeltaApplied:        s.metrics.deltaApplied.Load(),
-		DeltaFallbacks:      s.metrics.deltaFallbacks.Load(),
-		IndexInplaceAppends: s.metrics.indexInplace.Load(),
-		EpochInvalidations:  s.metrics.epochInvalidations.Load(),
-		StaleWindowEpochs:   s.metrics.staleWindow.Load(),
-		Cache:               s.cache.Metrics(),
-		QueueWait:           s.metrics.queueWait.Snapshot(),
+		Counters:  loadCounters(&s.counters),
+		Cache:     s.cache.Metrics(),
+		QueueWait: s.queueWait.Snapshot(),
 		Stages: map[string]qos.HistogramSnapshot{
-			"parse":       s.metrics.stageParse.Snapshot(),
-			"reformulate": s.metrics.stageReformulate.Snapshot(),
-			"execute":     s.metrics.stageExecute.Snapshot(),
-			"merge":       s.metrics.stageMerge.Snapshot(),
+			"parse":       s.stageParse.Snapshot(),
+			"reformulate": s.stageReformulate.Snapshot(),
+			"execute":     s.stageExecute.Snapshot(),
+			"merge":       s.stageMerge.Snapshot(),
 		},
 		Tenants:    s.tenants.snapshot(),
 		Draining:   s.draining(),
 		Recovering: s.recovering.Load(),
 		Scenarios:  s.scenarioInfos(),
 
+		DeltaDropped:         s.maintainer.Dropped(),
 		StoreRecoveries:      s.registry.Recoveries(),
 		StoreReplayedRecords: s.registry.ReplayedRecords(),
 		StoreQuarantined:     int64(len(s.registry.QuarantinedNames())),

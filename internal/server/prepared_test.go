@@ -47,8 +47,9 @@ func TestPreparedCacheReuse(t *testing.T) {
 }
 
 // TestPreparedCacheEpochInvalidation: an AppendRow bumps the epoch, so the
-// next request re-prepares (the compiled entry of the old epoch is dead) and
-// answers reflect the new data.
+// next request misses the answer cache and sees the new data — through the
+// same prepared entry, whose front half reads no rows.  A Bump (an
+// out-of-band change) raises the stale floor, and only that rebuilds it.
 func TestPreparedCacheEpochInvalidation(t *testing.T) {
 	// Delta maintenance is off: it would republish the answer at the new
 	// epoch before the second request could miss.
@@ -70,8 +71,8 @@ func TestPreparedCacheEpochInvalidation(t *testing.T) {
 		t.Error("request after epoch bump served from answer cache")
 	}
 	m := srv.Metrics()
-	if m.PreparedBuilds != 2 {
-		t.Errorf("prepared builds = %d, want 2 (epoch bump must rebuild)", m.PreparedBuilds)
+	if m.PreparedBuilds != 1 {
+		t.Errorf("prepared builds = %d, want 1 (an append keeps the prepared query)", m.PreparedBuilds)
 	}
 	find := func(r *Response, label string) bool {
 		for _, a := range r.Answers {
@@ -98,6 +99,19 @@ func TestPreparedCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "prepared-after-append", want, second.Result)
+
+	sc.Bump()
+	third, err := srv.Do(ctx, Request{Scenario: "test", Query: fastQueryText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Cached {
+		t.Error("request after Bump served from answer cache")
+	}
+	if m := srv.Metrics(); m.PreparedBuilds != 2 {
+		t.Errorf("prepared builds = %d, want 2 (a Bump must rebuild)", m.PreparedBuilds)
+	}
+	sameResult(t, "prepared-after-bump", want, third.Result)
 }
 
 // TestTypedSentinelErrors pins the error-classification satellite: the Do

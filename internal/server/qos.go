@@ -2,9 +2,9 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/probdb/urm/internal/qos"
 )
@@ -87,44 +87,34 @@ const maxTrackedTenants = 256
 // inside are atomics, so the hot path locks only to find its row.
 type tenantTable struct {
 	mu sync.Mutex
-	m  map[string]*tenantCounters
+	m  map[string]*tenantRow
 }
 
-type tenantCounters struct {
-	requests           atomic.Int64
-	cacheHits          atomic.Int64
-	evaluations        atomic.Int64
-	shedRateLimited    atomic.Int64
-	shedQueueTimeout   atomic.Int64
-	shedDoomedDeadline atomic.Int64
-	staleServed        atomic.Int64
-	queueWait          qos.Histogram
-}
-
-func newTenantTable() *tenantTable {
-	return &tenantTable{m: make(map[string]*tenantCounters)}
+// tenantRow is one tenant's live counters.
+type tenantRow struct {
+	TenantCounters // first, so the atomic adds are 64-bit aligned
+	queueWait      qos.Histogram
 }
 
 // get returns the tenant's counter row, folding overflow names into "other".
-func (t *tenantTable) get(tenant string) *tenantCounters {
+func (t *tenantTable) get(tenant string) *tenantRow {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.m[tenant]; ok {
-		return c
-	}
-	if len(t.m) >= maxTrackedTenants {
+	c, ok := t.m[tenant]
+	if !ok && len(t.m) >= maxTrackedTenants {
 		tenant = "other"
-		if c, ok := t.m[tenant]; ok {
-			return c
-		}
+		c, ok = t.m[tenant]
 	}
-	c := &tenantCounters{}
-	t.m[tenant] = c
+	if !ok {
+		c = &tenantRow{}
+		t.m[tenant] = c
+	}
 	return c
 }
 
-// TenantMetrics is the JSON form of one tenant's counters in /metrics.
-type TenantMetrics struct {
+// TenantCounters are one tenant's counters, declared once: the request path
+// adds to a live copy atomically, and TenantMetrics embeds a snapshot.
+type TenantCounters struct {
 	Requests    int64 `json:"requests"`
 	CacheHits   int64 `json:"cache_hits"`
 	Evaluations int64 `json:"evaluations"`
@@ -137,29 +127,22 @@ type TenantMetrics struct {
 	// StaleServed counts requests answered from a previous epoch's cache
 	// entry instead of being rejected.
 	StaleServed int64 `json:"stale_served"`
+}
+
+// TenantMetrics is the JSON form of one tenant's row in /metrics.
+type TenantMetrics struct {
+	TenantCounters
 	// QueueWait is the distribution of measured evaluation-slot waits.
 	QueueWait qos.HistogramSnapshot `json:"queue_wait"`
 }
 
 func (t *tenantTable) snapshot() map[string]TenantMetrics {
 	t.mu.Lock()
-	rows := make(map[string]*tenantCounters, len(t.m))
-	for name, c := range t.m {
-		rows[name] = c
-	}
+	rows := maps.Clone(t.m)
 	t.mu.Unlock()
 	out := make(map[string]TenantMetrics, len(rows))
 	for name, c := range rows {
-		out[name] = TenantMetrics{
-			Requests:           c.requests.Load(),
-			CacheHits:          c.cacheHits.Load(),
-			Evaluations:        c.evaluations.Load(),
-			ShedRateLimited:    c.shedRateLimited.Load(),
-			ShedQueueTimeout:   c.shedQueueTimeout.Load(),
-			ShedDoomedDeadline: c.shedDoomedDeadline.Load(),
-			StaleServed:        c.staleServed.Load(),
-			QueueWait:          c.queueWait.Snapshot(),
-		}
+		out[name] = TenantMetrics{loadCounters(&c.TenantCounters), c.queueWait.Snapshot()}
 	}
 	return out
 }

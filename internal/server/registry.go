@@ -63,10 +63,11 @@ type Scenario struct {
 	mu sync.RWMutex
 
 	// prepMu guards the prepared-query cache: compiled front halves keyed by
-	// raw request text and by canonical SQL, both scoped to the epoch they
-	// were built under.  A hit on the raw text skips even the parse; a hit on
-	// the canonical form (a differently spelled but equivalent text) skips
-	// reformulation and plan compilation.
+	// raw request text and by canonical SQL, both scoped to the stale floor
+	// they were built under (appends keep them, a Bump rebuilds them).  A hit
+	// on the raw text skips even the parse; a hit on the canonical form (a
+	// differently spelled but equivalent text) skips reformulation and plan
+	// compilation.
 	prepMu  sync.Mutex
 	prepped map[string]*preparedEntry // raw query text -> entry
 	byCanon map[string]*preparedEntry // canonical SQL -> entry
@@ -111,9 +112,10 @@ func (s *Scenario) notifyAppend(rows, extended int) {
 }
 
 // preparedEntry is one compiled query: the front half (reformulations, plans,
-// partitions) of every evaluation method, valid for one (scenario, epoch).
+// partitions) of every evaluation method, valid for one (scenario, stale
+// floor).  The front half reads no rows, so appends leave it valid.
 type preparedEntry struct {
-	epoch     uint64
+	floor     uint64
 	canonical string
 	prep      *core.Prepared
 }
@@ -293,17 +295,18 @@ func (s *Scenario) captureStateLocked() *store.ScenarioState {
 	return st
 }
 
-// Prepare returns the compiled form of the query text at the current epoch,
-// parsing, reformulating through every mapping and compiling plans only on
-// first sight of the text.  reused reports whether a cached entry was served
-// (by raw text, skipping even the parse, or by canonical SQL).  Entries from
-// older epochs are rebuilt, so a prepared execution never mixes plans with a
-// mapping set or schema the epoch bump left behind; a Prepare racing a bump
-// behaves like the answer cache — it keys under the epoch it read.
+// Prepare returns the compiled form of the query text, parsing, reformulating
+// through every mapping and compiling plans only on first sight of the text.
+// reused reports whether a cached entry was served (by raw text, skipping even
+// the parse, or by canonical SQL).  Entries are scoped to the stale floor: an
+// append leaves the front half valid (it reads no rows), while entries from
+// before a Bump are rebuilt, so a prepared execution never mixes plans with a
+// mapping set or schema an out-of-band change left behind.  A Prepare racing a
+// bump keys under the floor it read.
 func (s *Scenario) Prepare(text string) (prep *core.Prepared, canonical string, reused bool, err error) {
-	epoch := s.Epoch()
+	floor := s.StaleFloor()
 	s.prepMu.Lock()
-	if e, ok := s.prepped[text]; ok && e.epoch == epoch {
+	if e, ok := s.prepped[text]; ok && e.floor == floor {
 		s.prepMu.Unlock()
 		return e.prep, e.canonical, true, nil
 	}
@@ -319,7 +322,7 @@ func (s *Scenario) Prepare(text string) (prep *core.Prepared, canonical string, 
 
 	s.prepMu.Lock()
 	defer s.prepMu.Unlock()
-	if e, ok := s.byCanon[canonical]; ok && e.epoch == epoch {
+	if e, ok := s.byCanon[canonical]; ok && e.floor == floor {
 		s.rememberLocked(text, e)
 		return e.prep, e.canonical, true, nil
 	}
@@ -327,7 +330,7 @@ func (s *Scenario) Prepare(text string) (prep *core.Prepared, canonical string, 
 	if err != nil {
 		return nil, "", false, err
 	}
-	e := &preparedEntry{epoch: epoch, canonical: canonical, prep: p}
+	e := &preparedEntry{floor: floor, canonical: canonical, prep: p}
 	s.rememberLocked(text, e)
 	return e.prep, e.canonical, false, nil
 }
@@ -393,6 +396,11 @@ func (s *Scenario) NumRows() int { return s.db.NumRows() }
 // mutations are written through to disk and Recover rebuilds the registry
 // after a restart.
 type Registry struct {
+	// recoveries and replayed count the scenarios recovered from disk and the
+	// WAL records replayed on top of their snapshots; first, so the atomic
+	// adds are 64-bit aligned.
+	recoveries, replayed int64
+
 	mu          sync.RWMutex
 	scenarios   map[string]*Scenario
 	quarantined map[string]error // scenario name -> why recovery refused it
@@ -402,9 +410,6 @@ type Registry struct {
 	// obs is propagated to every scenario (existing and future) by
 	// SetObserver; guarded by mu.
 	obs Observer
-
-	recoveries atomic.Int64 // scenarios recovered from disk
-	replayed   atomic.Int64 // WAL records replayed on top of snapshots
 }
 
 // SetObserver installs the mutation observer on the registry and every
@@ -610,8 +615,8 @@ func (r *Registry) Recover(ctx context.Context, opts RegisterOptions) (*Recovery
 	}
 	r.mu.Unlock()
 	sort.Strings(stats.Quarantined)
-	r.recoveries.Add(int64(stats.Scenarios))
-	r.replayed.Add(int64(stats.ReplayedRecords))
+	atomic.AddInt64(&r.recoveries, int64(stats.Scenarios))
+	atomic.AddInt64(&r.replayed, int64(stats.ReplayedRecords))
 	stats.Elapsed = time.Since(start)
 	return stats, nil
 }
@@ -660,10 +665,10 @@ func (r *Registry) QuarantinedNames() []string {
 }
 
 // Recoveries returns the number of scenarios recovered from disk.
-func (r *Registry) Recoveries() int64 { return r.recoveries.Load() }
+func (r *Registry) Recoveries() int64 { return atomic.LoadInt64(&r.recoveries) }
 
 // ReplayedRecords returns the number of WAL records replayed during recovery.
-func (r *Registry) ReplayedRecords() int64 { return r.replayed.Load() }
+func (r *Registry) ReplayedRecords() int64 { return atomic.LoadInt64(&r.replayed) }
 
 // Get returns the named scenario.
 func (r *Registry) Get(name string) (*Scenario, bool) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"github.com/probdb/urm/internal/core"
@@ -145,7 +146,7 @@ func wireTuple(vals []WireValue) engine.Tuple {
 // instance and returns the per-group rows.  It is the transport-free core
 // handleScatter wraps, like Do for /v1/query.
 func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterResponse, error) {
-	s.metrics.scatters.Add(1)
+	atomic.AddInt64(&s.counters.Scatters, 1)
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
@@ -183,7 +184,7 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 	ec := opts.Context(ctx)
 	sp, _, err := prep.FrontHalf(ec, opts)
 	if err != nil {
-		s.metrics.evalErrors.Add(1)
+		atomic.AddInt64(&s.counters.EvalErrors, 1)
 		return nil, err
 	}
 	if sh := s.cfg.Shard; sh != nil && sh.Count > 1 && !sp.DistributesOver(sh.Relation) {
@@ -192,7 +193,7 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 	}
 	run, err := sp.ExecuteOn(ec, sc.DB())
 	if err != nil {
-		s.metrics.evalErrors.Add(1)
+		atomic.AddInt64(&s.counters.EvalErrors, 1)
 		return nil, err
 	}
 	s.recordRun(run.Stats, run.ExecTime)

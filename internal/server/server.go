@@ -106,6 +106,8 @@ func (c Config) withDefaults() Config {
 // http.Handler; Do is the transport-free core the handler (and the load
 // harness, and in-process callers) share.
 type Server struct {
+	counters Counters // first, so the atomic adds are 64-bit aligned
+
 	registry *Registry
 	cache    *AnswerCache
 	cfg      Config
@@ -117,8 +119,18 @@ type Server struct {
 	queue   *qos.FairQueue
 	clock   qos.Clock
 
-	metrics serverMetrics
 	tenants *tenantTable
+
+	queueWait qos.Histogram // measured evaluation-slot waits, all tenants
+
+	// Per-stage latency histograms over the request path: parse covers
+	// parse+reformulate+compile when a prepared query is built (reuses pay
+	// nothing and are not observed), reformulate/execute/merge split each
+	// evaluation by core.Result's stage timings.
+	stageParse       qos.Histogram
+	stageReformulate qos.Histogram
+	stageExecute     qos.Histogram
+	stageMerge       qos.Histogram
 
 	// maintainer is the incremental-maintenance reconciler (nil when
 	// Config.DisableDelta is set or the answer cache is disabled, which leaves
@@ -149,9 +161,6 @@ type Server struct {
 // start the listener, Registry.Recover, SetRecovering(false).
 func (s *Server) SetRecovering(on bool) { s.recovering.Store(on) }
 
-// Recovering reports whether the server is still replaying its store.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // New builds a server over the registry.
 func New(reg *Registry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -162,7 +171,7 @@ func New(reg *Registry, cfg Config) *Server {
 		cfg:      cfg,
 		clock:    clock,
 		queue:    qos.NewFairQueue(qos.QueueConfig{Slots: cfg.MaxConcurrent, Clock: clock}),
-		tenants:  newTenantTable(),
+		tenants:  &tenantTable{m: make(map[string]*tenantRow)},
 		latency:  make(map[string]*qos.LatencyTracker),
 	}
 	if cfg.TenantRate > 0 {
@@ -199,15 +208,15 @@ func (s *Server) publishMaintained(scenario, query string, method core.Method, s
 		Method:   method,
 		Strategy: strategy,
 	}, res)
-	s.metrics.deltaApplied.Add(1)
+	atomic.AddInt64(&s.counters.DeltaApplied, 1)
 }
 
 // OnAppend implements Observer: count appended rows and in-place index
 // extensions, and queue the scenario for delta convergence.  Counting here
 // rather than in the HTTP handler covers programmatic appends too.
 func (s *Server) OnAppend(scenario string, rows, extendedIndexes int) {
-	s.metrics.appends.Add(int64(rows))
-	s.metrics.indexInplace.Add(int64(extendedIndexes))
+	atomic.AddInt64(&s.counters.Appends, int64(rows))
+	atomic.AddInt64(&s.counters.IndexInplaceAppends, int64(extendedIndexes))
 	if s.maintainer != nil {
 		s.maintainer.MarkDirty(scenario)
 	}
@@ -217,7 +226,7 @@ func (s *Server) OnAppend(scenario string, rows, extendedIndexes int) {
 // delta cannot describe, so it purges the scenario's maintained entries —
 // epoch invalidation, recorded as such.
 func (s *Server) OnBump(scenario string) {
-	s.metrics.epochInvalidations.Add(1)
+	atomic.AddInt64(&s.counters.EpochInvalidations, 1)
 	if s.maintainer != nil {
 		s.maintainer.Purge(scenario)
 	}
@@ -402,7 +411,7 @@ func errBadRequest(format string, args ...any) error {
 // parsing, cache lookup with singleflight, evaluation under the request
 // deadline.  Returned errors are *apiError when they carry an HTTP status.
 func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
-	s.metrics.requests.Add(1)
+	atomic.AddInt64(&s.counters.Requests, 1)
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
@@ -411,7 +420,7 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	resp, err := s.do(ctx, req)
 	elapsed := time.Since(start)
 	if t := s.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
-		s.metrics.slowQueries.Add(1)
+		atomic.AddInt64(&s.counters.SlowQueries, 1)
 	}
 	if s.cfg.AfterQuery != nil {
 		s.cfg.AfterQuery(&req, resp, err, elapsed)
@@ -420,13 +429,13 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 		var ae *apiError
 		switch {
 		case errors.As(err, &ae) && ae.status == http.StatusTooManyRequests:
-			s.metrics.rejected.Add(1)
+			atomic.AddInt64(&s.counters.Rejected, 1)
 		case errors.Is(err, ErrDeadlineTooShort):
-			s.metrics.shedDoomed.Add(1)
+			atomic.AddInt64(&s.counters.ShedDoomedDeadline, 1)
 		case errors.Is(err, context.DeadlineExceeded):
-			s.metrics.timeouts.Add(1)
+			atomic.AddInt64(&s.counters.Timeouts, 1)
 		case errors.As(err, &ae) && ae.status >= 400 && ae.status < 500:
-			s.metrics.badRequests.Add(1)
+			atomic.AddInt64(&s.counters.BadRequests, 1)
 		}
 	}
 	return resp, err
@@ -447,7 +456,7 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	tc := s.tenants.get(adm.tenant)
-	tc.requests.Add(1)
+	atomic.AddInt64(&tc.Requests, 1)
 	prep, canonical, err := s.prepare(sc, req.Query)
 	if err != nil {
 		return nil, err
@@ -484,7 +493,7 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	if outcome == OutcomeHit {
-		tc.cacheHits.Add(1)
+		atomic.AddInt64(&tc.CacheHits, 1)
 	}
 	resp := response(key, key.Epoch, ans, start)
 	resp.Cached, resp.Coalesced = outcome == OutcomeHit, outcome == OutcomeCoalesced
@@ -534,9 +543,9 @@ func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, start time.
 	}
 	stale := epoch < key.Epoch
 	if stale {
-		s.metrics.staleServed.Add(1)
-		s.metrics.staleWindow.Store(int64(key.Epoch - epoch))
-		s.tenants.get(adm.tenant).staleServed.Add(1)
+		atomic.AddInt64(&s.counters.StaleServed, 1)
+		atomic.StoreInt64(&s.counters.StaleWindowEpochs, int64(key.Epoch-epoch))
+		atomic.AddInt64(&s.tenants.get(adm.tenant).StaleServed, 1)
 	}
 	resp := response(key, epoch, ans, start)
 	resp.Cached, resp.Stale = true, stale
@@ -559,7 +568,7 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	tc := s.tenants.get(adm.tenant)
 	if s.limiter != nil {
 		if ok, retryAfter := s.limiter.Admit(adm.tenant); !ok {
-			tc.shedRateLimited.Add(1)
+			atomic.AddInt64(&tc.ShedRateLimited, 1)
 			return nil, 0, apiErrRetry(http.StatusTooManyRequests, retryAfter,
 				fmt.Errorf("%w: tenant %q over its admission rate", ErrOverloaded, adm.tenant))
 		}
@@ -569,7 +578,7 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	if deadline, ok := ctx.Deadline(); ok {
 		if p50, have := s.latencyFor(sc.Name()).P50(); have {
 			if remaining := time.Until(deadline); remaining < p50 {
-				tc.shedDoomedDeadline.Add(1)
+				atomic.AddInt64(&tc.ShedDoomedDeadline, 1)
 				return nil, 0, apiErr(http.StatusGatewayTimeout,
 					fmt.Errorf("%w: %v remaining, median cold evaluation takes %v", ErrDeadlineTooShort, remaining.Round(time.Millisecond), p50.Round(time.Millisecond)))
 			}
@@ -579,7 +588,7 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	tc.queueWait.Observe(wait)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			tc.shedQueueTimeout.Add(1)
+			atomic.AddInt64(&tc.ShedQueueTimeout, 1)
 		}
 		return nil, wait, err
 	}
@@ -588,8 +597,8 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 		f.SlotStall(adm.tenant)
 	}
 
-	s.metrics.evaluations.Add(1)
-	tc.evaluations.Add(1)
+	atomic.AddInt64(&s.counters.Evaluations, 1)
+	atomic.AddInt64(&tc.Evaluations, 1)
 	if f := s.cfg.Faults; f != nil && f.SlowEvaluation != nil {
 		f.SlowEvaluation(adm.tenant)
 	}
@@ -608,23 +617,23 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 		switch {
 		case err == nil:
 			if !s.maintainer.Enroll(sc, key.Query, key.Method, key.Strategy, st, epoch) {
-				s.metrics.deltaFallbacks.Add(1)
+				atomic.AddInt64(&s.counters.DeltaFallbacks, 1)
 			}
 		case errors.Is(err, core.ErrNotDeltaMaintainable):
-			s.metrics.deltaFallbacks.Add(1)
+			atomic.AddInt64(&s.counters.DeltaFallbacks, 1)
 			res, err = sc.EvaluatePrepared(ctx, prep, opts)
 		}
 	} else {
 		res, err = sc.EvaluatePrepared(ctx, prep, opts)
 	}
 	if err != nil {
-		s.metrics.evalErrors.Add(1)
+		atomic.AddInt64(&s.counters.EvalErrors, 1)
 		return nil, wait, err
 	}
 	s.latencyFor(sc.Name()).Observe(s.clock.Now().Sub(evalStart))
 	s.recordRun(res.Stats, res.ExecTime)
-	s.metrics.stageReformulate.Observe(res.RewriteTime)
-	s.metrics.stageMerge.Observe(res.AggregateTime)
+	s.stageReformulate.Observe(res.RewriteTime)
+	s.stageMerge.Observe(res.AggregateTime)
 	return res, wait, nil
 }
 
@@ -654,6 +663,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// readOnly opens every GET route: GET or HEAD runs answer, any other method
+// is 405.
+func readOnly(w http.ResponseWriter, r *http.Request, answer func()) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
+	answer()
+}
+
 // admit lets a request in unless the server is draining or still recovering
 // (503 either way).  Every admitted request is tracked, so Drain can wait for
 // it, until it calls leave.
@@ -662,14 +681,14 @@ func (s *Server) admit() error {
 	defer s.drainMu.RUnlock()
 	switch {
 	case s.drainSet:
-		s.metrics.unavailable.Add(1)
+		atomic.AddInt64(&s.counters.Unavailable, 1)
 		return apiErr(http.StatusServiceUnavailable, ErrDraining)
 	case s.recovering.Load():
-		s.metrics.unavailable.Add(1)
+		atomic.AddInt64(&s.counters.Unavailable, 1)
 		return apiErr(http.StatusServiceUnavailable, ErrRecovering)
 	}
 	s.wg.Add(1)
-	s.metrics.inflight.Add(1)
+	atomic.AddInt64(&s.counters.Inflight, 1)
 	return nil
 }
 
@@ -692,7 +711,7 @@ func (s *Server) scenario(name string) (*Scenario, error) {
 		return sc, nil
 	}
 	if qerr, quarantined := s.registry.QuarantineReason(name); quarantined {
-		s.metrics.unavailable.Add(1)
+		atomic.AddInt64(&s.counters.Unavailable, 1)
 		return nil, apiErr(http.StatusServiceUnavailable, fmt.Errorf("%w: %q: %v", ErrQuarantined, name, qerr))
 	}
 	return nil, apiErr(http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownScenario, name))
@@ -765,10 +784,10 @@ func (s *Server) prepare(sc *Scenario, text string) (*core.Prepared, string, err
 		return nil, "", apiErr(http.StatusBadRequest, err)
 	}
 	if reused {
-		s.metrics.preparedReuses.Add(1)
+		atomic.AddInt64(&s.counters.PreparedReuses, 1)
 	} else {
-		s.metrics.preparedBuilds.Add(1)
-		s.metrics.stageParse.Observe(time.Since(start))
+		atomic.AddInt64(&s.counters.PreparedBuilds, 1)
+		s.stageParse.Observe(time.Since(start))
 	}
 	return prep, canonical, nil
 }
@@ -778,7 +797,7 @@ func (s *Server) prepare(sc *Scenario, text string) (*core.Prepared, string, err
 // frees up in time.  The caller releases the slot it got.
 func (s *Server) acquire(ctx context.Context, tenant string, weight float64) (time.Duration, error) {
 	wait, err := s.queue.Acquire(ctx, tenant, weight, s.cfg.QueueWait)
-	s.metrics.queueWait.Observe(wait)
+	s.queueWait.Observe(wait)
 	if errors.Is(err, qos.ErrSaturated) {
 		err = apiErrRetry(http.StatusTooManyRequests, s.cfg.QueueWait,
 			fmt.Errorf("%w: no evaluation slot within %v", ErrOverloaded, s.cfg.QueueWait))
@@ -798,14 +817,14 @@ func withDeadline(ctx context.Context, limit time.Duration, timeoutMS int) (cont
 // recordRun adds one run's operator statistics and execution time to the
 // counters.
 func (s *Server) recordRun(stats *engine.Stats, exec time.Duration) {
-	s.metrics.indexBuilds.Add(int64(stats.IndexBuilds()))
-	s.metrics.indexLookups.Add(int64(stats.IndexLookups()))
-	s.metrics.operators.Add(int64(stats.TotalOperators()))
-	s.metrics.stageExecute.Observe(exec)
+	atomic.AddInt64(&s.counters.IndexBuilds, int64(stats.IndexBuilds()))
+	atomic.AddInt64(&s.counters.IndexLookups, int64(stats.IndexLookups()))
+	atomic.AddInt64(&s.counters.Operators, int64(stats.TotalOperators()))
+	s.stageExecute.Observe(exec)
 }
 
 func (s *Server) leave() {
-	s.metrics.inflight.Add(-1)
+	atomic.AddInt64(&s.counters.Inflight, -1)
 	s.wg.Done()
 }
 
@@ -838,7 +857,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("drain: %d request(s) still in flight: %w", s.metrics.inflight.Load(), ctx.Err())
+		return fmt.Errorf("drain: %d request(s) still in flight: %w", atomic.LoadInt64(&s.counters.Inflight), ctx.Err())
 	}
 }
 
@@ -862,11 +881,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/v1/bump":
 		s.handleBump(w, r)
 	case r.URL.Path == "/v1/scenarios":
-		s.handleScenarios(w, r)
+		readOnly(w, r, func() { writeJSON(w, http.StatusOK, map[string]any{"scenarios": s.scenarioInfos()}) })
 	case r.URL.Path == "/healthz":
-		s.handleHealthz(w, r)
+		readOnly(w, r, func() { s.handleHealthz(w) })
 	case r.URL.Path == "/metrics":
-		writeJSON(w, http.StatusOK, s.snapshotMetrics())
+		readOnly(w, r, func() { writeJSON(w, http.StatusOK, s.snapshotMetrics()) })
 	default:
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no route %s %s", r.Method, r.URL.Path))
 	}
@@ -893,15 +912,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"scenarios": s.scenarioInfos()})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter) {
 	// "recovering" outranks "draining": a node still replaying its WAL has
 	// not served anything yet, so balancers should treat it as not-yet-ready
 	// rather than going-away.

@@ -56,6 +56,10 @@ func TestWireContract(t *testing.T) {
 		{"scenarios", http.MethodGet, "/v1/scenarios", "", http.StatusOK},
 		{"healthz", http.MethodGet, "/healthz", "", http.StatusOK},
 		{"metrics", http.MethodGet, "/metrics", "", http.StatusOK},
+		{"metrics HEAD", http.MethodHead, "/metrics", "", http.StatusOK},
+		{"scenarios POST", http.MethodPost, "/v1/scenarios", "", http.StatusMethodNotAllowed},
+		{"healthz DELETE", http.MethodDelete, "/healthz", "", http.StatusMethodNotAllowed},
+		{"metrics POST", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed},
 		{"no route", http.MethodGet, "/nope", "", http.StatusNotFound},
 	}
 	for _, r := range routes {
@@ -86,6 +90,9 @@ func TestWireContract(t *testing.T) {
 		{"coordinator scenarios", http.MethodGet, "/v1/scenarios", "", http.StatusOK},
 		{"coordinator healthz", http.MethodGet, "/healthz", "", http.StatusOK},
 		{"coordinator metrics", http.MethodGet, "/metrics", "", http.StatusOK},
+		{"coordinator scenarios POST", http.MethodPost, "/v1/scenarios", "", http.StatusMethodNotAllowed},
+		{"coordinator healthz DELETE", http.MethodDelete, "/healthz", "", http.StatusMethodNotAllowed},
+		{"coordinator metrics POST", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed},
 	} {
 		rec := doHTTP(t, cl.coord, r.method, r.path, r.body)
 		if rec.Code != r.want {
