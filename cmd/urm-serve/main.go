@@ -98,7 +98,6 @@ func run(args []string) error {
 		tenantSpecs = fs.String("tenants", "", "per-tenant QoS config, comma-separated name=weight[/priority], e.g. gold=4/interactive,batchjobs=1/batch")
 		noStale     = fs.Bool("no-stale", false, "disable stale-answer degradation (serve 429 instead of a flagged previous-epoch answer)")
 		noDelta     = fs.Bool("no-delta", false, "disable incremental maintenance of cached answers (appends invalidate every cached answer instead)")
-		deltaMax    = fs.Int("delta-max-entries", 0, "maximum delta-maintained answers per scenario (0 = default 256)")
 
 		dataDir   = fs.String("data-dir", "", "durable store directory; empty keeps scenarios in memory only")
 		fsyncWAL  = fs.Bool("fsync", true, "fsync the write-ahead log after every appended row (registration, snapshots and drops are always synced)")
@@ -217,7 +216,6 @@ func run(args []string) error {
 		Tenants:           tenants,
 		DisableStaleServe: *noStale,
 		DisableDelta:      *noDelta,
-		DeltaMaxEntries:   *deltaMax,
 		Shard:             shardIdentity,
 	}
 	if *slowQueryMS > 0 {

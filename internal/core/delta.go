@@ -11,12 +11,12 @@ import (
 	"github.com/probdb/urm/internal/query"
 )
 
-// This file is the delta half of the incremental-maintenance subsystem
-// (internal/delta owns the reconciler that drives it).  The paper's answer
-// semantics make SPJ answers monotone under inserts: every answer tuple's
-// probability is a sum over the mappings whose reformulated query produced it,
-// and appending base rows can only add tuples to an SPJ query's output, never
-// remove or change existing ones.  So instead of re-running every group plan
+// This file is the delta half of the incremental-maintenance subsystem (the
+// serving layer's maintainer, internal/server/maintain.go, drives it).  The
+// paper's answer semantics make SPJ answers monotone under inserts: every
+// answer tuple's probability is a sum over the mappings whose reformulated
+// query produced it, and appending base rows can only add tuples to an SPJ
+// query's output, never remove or change existing ones.  So instead of re-running every group plan
 // over the whole instance after an append, the delta evaluator re-runs them
 // over just the appended rows — the classic join-delta expansion
 //
@@ -39,7 +39,7 @@ var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 
 // DeltaState is the maintained evaluation state of one (query, method) pair
 // against one instance: the per-group distinct-tuple sets plus the row counts
-// the state covers.  It is not safe for concurrent use; the reconciler
+// the state covers.  It is not safe for concurrent use; the maintainer
 // serializes ApplyDelta/Result per entry, and both must run under the same
 // lock that excludes appends (the data and the lens must describe the same
 // moment).
@@ -101,6 +101,20 @@ func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error)
 
 // Passes returns the number of delta passes applied since the full run.
 func (st *DeltaState) Passes() int { return st.passes }
+
+// Bytes estimates the state's retained footprint: each group's distinct
+// tuples, at a row slot, a membership entry and one value per column.  A
+// group's tuples share one width, so the estimate costs one step per group.
+// Like the answer cache's result estimate it only needs to be proportional.
+func (st *DeltaState) Bytes() int64 {
+	var size int64
+	for _, g := range st.run.Groups {
+		if n := int64(len(g.Rows)); n > 0 {
+			size += n * (24 + 16 + int64(len(g.Rows[0]))*40)
+		}
+	}
+	return size
+}
 
 // ApplyDelta folds every row appended since the state's covered lengths into
 // the per-group tuple sets: one pass per grown relation, each pass executing

@@ -28,8 +28,8 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	c := NewAnswerCache(3 * one) // room for three entries
 	for i := 0; i < 4; i++ {
 		key := testKey(fmt.Sprintf("q%d", i))
-		if _, out, err := c.GetOrCompute(context.Background(), key, func() (*core.Result, error) {
-			return fakeResult(1000), nil
+		if _, out, err := c.GetOrCompute(context.Background(), key, func() (*CachedAnswer, error) {
+			return &CachedAnswer{Result: fakeResult(1000)}, nil
 		}); err != nil || out != OutcomeMiss {
 			t.Fatalf("insert %d: outcome %v err %v", i, out, err)
 		}
@@ -46,8 +46,8 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	if _, out, _ := c.GetOrCompute(context.Background(), testKey("q0"), nil); out != OutcomeHit {
 		t.Error("recently touched q0 should have survived eviction")
 	}
-	if _, out, _ := c.GetOrCompute(context.Background(), testKey("q1"), func() (*core.Result, error) {
-		return fakeResult(1000), nil
+	if _, out, _ := c.GetOrCompute(context.Background(), testKey("q1"), func() (*CachedAnswer, error) {
+		return &CachedAnswer{Result: fakeResult(1000)}, nil
 	}); out != OutcomeMiss {
 		t.Error("q1 should have been evicted as least recently used")
 	}
@@ -56,10 +56,35 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestAnswerCacheNewestEpochWins: the cache holds one answer per question.
+// A lookup at an older epoch than the cached answer's misses, and inserting
+// its answer never replaces the newer one.
+func TestAnswerCacheNewestEpochWins(t *testing.T) {
+	c := NewAnswerCache(1 << 20)
+	newer, older := testKey("q"), testKey("q")
+	newer.Epoch, older.Epoch = 2, 1
+	compute := func() (*CachedAnswer, error) { return &CachedAnswer{Result: fakeResult(10)}, nil }
+	if _, out, err := c.GetOrCompute(context.Background(), newer, compute); err != nil || out != OutcomeMiss {
+		t.Fatalf("insert at epoch 2: outcome %v err %v", out, err)
+	}
+	if _, out, err := c.GetOrCompute(context.Background(), older, compute); err != nil || out != OutcomeMiss {
+		t.Fatalf("lookup at epoch 1: outcome %v err %v, want a miss", out, err)
+	}
+	if n := c.Len(); n != 1 {
+		t.Fatalf("entries = %d for one question, want 1", n)
+	}
+	if _, out, _ := c.GetOrCompute(context.Background(), newer, nil); out != OutcomeHit {
+		t.Fatal("the older epoch's insert replaced the newer answer")
+	}
+	if _, epoch, ok := c.GetStale(older, 0); !ok || epoch != 2 {
+		t.Fatalf("stale lookup found epoch %d (ok %v), want 2", epoch, ok)
+	}
+}
+
 func TestAnswerCacheOversizeEntryNotStored(t *testing.T) {
 	c := NewAnswerCache(64) // smaller than any result estimate
-	if _, _, err := c.GetOrCompute(context.Background(), testKey("big"), func() (*core.Result, error) {
-		return fakeResult(10000), nil
+	if _, _, err := c.GetOrCompute(context.Background(), testKey("big"), func() (*CachedAnswer, error) {
+		return &CachedAnswer{Result: fakeResult(10000)}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +96,15 @@ func TestAnswerCacheOversizeEntryNotStored(t *testing.T) {
 func TestAnswerCacheErrorsNotCached(t *testing.T) {
 	c := NewAnswerCache(1 << 20)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrCompute(context.Background(), testKey("q"), func() (*core.Result, error) {
+	if _, _, err := c.GetOrCompute(context.Background(), testKey("q"), func() (*CachedAnswer, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	calls := 0
-	if _, out, err := c.GetOrCompute(context.Background(), testKey("q"), func() (*core.Result, error) {
+	if _, out, err := c.GetOrCompute(context.Background(), testKey("q"), func() (*CachedAnswer, error) {
 		calls++
-		return fakeResult(10), nil
+		return &CachedAnswer{Result: fakeResult(10)}, nil
 	}); err != nil || out != OutcomeMiss || calls != 1 {
 		t.Fatalf("retry after error: outcome %v err %v calls %d", out, err, calls)
 	}
@@ -98,7 +123,7 @@ func TestAnswerCacheWaiterSurvivesLeaderCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.GetOrCompute(context.Background(), key, func() (*core.Result, error) {
+		_, _, err := c.GetOrCompute(context.Background(), key, func() (*CachedAnswer, error) {
 			close(leaderStarted)
 			<-release
 			return nil, context.Canceled // the leader's own context died
@@ -115,9 +140,9 @@ func TestAnswerCacheWaiterSurvivesLeaderCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, waiterOut, waiterErr = c.GetOrCompute(context.Background(), key, func() (*core.Result, error) {
+		_, waiterOut, waiterErr = c.GetOrCompute(context.Background(), key, func() (*CachedAnswer, error) {
 			waiterComputed = true
-			return fakeResult(10), nil
+			return &CachedAnswer{Result: fakeResult(10)}, nil
 		})
 	}()
 	close(release)
@@ -132,10 +157,10 @@ func TestAnswerCacheWaiterHonoursOwnContext(t *testing.T) {
 	key := testKey("q")
 	leaderStarted := make(chan struct{})
 	release := make(chan struct{})
-	go c.GetOrCompute(context.Background(), key, func() (*core.Result, error) {
+	go c.GetOrCompute(context.Background(), key, func() (*CachedAnswer, error) {
 		close(leaderStarted)
 		<-release
-		return fakeResult(10), nil
+		return &CachedAnswer{Result: fakeResult(10)}, nil
 	})
 	<-leaderStarted
 	ctx, cancel := context.WithCancel(context.Background())

@@ -98,8 +98,8 @@ func mustPrepare(t *testing.T, sc *Scenario, text string) *core.Prepared {
 
 // TestDeltaFallbackPaths: o-sharing enrolls like the plan methods; Maintain
 // refuses top-k, so a top-k request answers through the ordinary evaluator,
-// enrolls nothing and counts one delta fallback; an explicit Bump purges
-// maintained entries and counts as an epoch invalidation.
+// enrolls nothing and counts one delta fallback; an explicit Bump leaves no
+// answer maintained and counts as an epoch invalidation.
 func TestDeltaFallbackPaths(t *testing.T) {
 	srv, sc := newTestServer(t, 30, Config{})
 

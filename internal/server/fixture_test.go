@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/probdb/urm/internal/core"
@@ -153,8 +154,8 @@ func newTestServerOn(t *testing.T, fx testFixture, n int, cfg Config) (*Server, 
 }
 
 // sameResult asserts bit-identical results: same answer tuples in the same
-// order with exactly equal (not approximately equal) probabilities, same
-// empty probability, same columns.
+// order with the same probability bits (not approximately equal ones), same
+// empty probability bits, same columns.
 func sameResult(t *testing.T, label string, want, got *core.Result) {
 	t.Helper()
 	if len(want.Answers) != len(got.Answers) {
@@ -162,11 +163,11 @@ func sameResult(t *testing.T, label string, want, got *core.Result) {
 	}
 	for i := range want.Answers {
 		w, g := want.Answers[i], got.Answers[i]
-		if !w.Tuple.EqualKey(g.Tuple) || w.Prob != g.Prob {
+		if !w.Tuple.EqualKey(g.Tuple) || math.Float64bits(w.Prob) != math.Float64bits(g.Prob) {
 			t.Fatalf("%s: answer %d = %v@%v, want %v@%v", label, i, g.Tuple, g.Prob, w.Tuple, w.Prob)
 		}
 	}
-	if want.EmptyProb != got.EmptyProb {
+	if math.Float64bits(want.EmptyProb) != math.Float64bits(got.EmptyProb) {
 		t.Fatalf("%s: empty prob %v, want %v", label, got.EmptyProb, want.EmptyProb)
 	}
 	if len(want.Columns) != len(got.Columns) {

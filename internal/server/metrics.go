@@ -57,15 +57,17 @@ type Counters struct {
 
 	// Incremental-maintenance counters.  DeltaApplied counts cached answers
 	// refreshed by a delta pass instead of invalidated; DeltaFallbacks the
-	// evaluations that could not enroll for maintenance (a plan that aggregates
-	// or self-joins, a top-k request, or the per-scenario cap);
-	// IndexInplaceAppends the shared hash indexes extended in place under
-	// appends; EpochInvalidations the explicit Bumps, each of which purged the
-	// scenario's maintained entries.
+	// evaluations the delta cannot maintain (a plan that aggregates or
+	// self-joins, or a top-k request); DeltaDropped the maintained answers
+	// dropped because their delta pass failed (a relation shrank or vanished
+	// without a Bump); IndexInplaceAppends the shared hash indexes extended in
+	// place under appends; EpochInvalidations the explicit Bumps, each of which
+	// leaves the answers cached before it unmaintained.
 	// StaleWindowEpochs is a gauge: how many epochs behind the most recently
 	// stale-served answer was.
 	DeltaApplied        int64 `json:"delta_applied"`
 	DeltaFallbacks      int64 `json:"delta_fallbacks"`
+	DeltaDropped        int64 `json:"delta_dropped"`
 	IndexInplaceAppends int64 `json:"index_inplace_appends"`
 	EpochInvalidations  int64 `json:"epoch_invalidations"`
 	StaleWindowEpochs   int64 `json:"stale_window_epochs"`
@@ -86,11 +88,6 @@ func loadCounters[T any](live *T) T {
 // serve benchmark's record.
 type Metrics struct {
 	Counters
-
-	// DeltaDropped counts maintained answers the delta maintainer dropped
-	// because their delta pass failed: a relation shrank or vanished without
-	// a Bump.  The maintainer counts it; zero when none runs.
-	DeltaDropped int64 `json:"delta_dropped"`
 
 	// Durable-store counters.  StoreRecoveries counts scenarios rebuilt from
 	// disk at boot, StoreReplayedRecords the WAL records replayed to do so,
@@ -150,7 +147,6 @@ func (s *Server) snapshotMetrics() Metrics {
 		Recovering: s.recovering.Load(),
 		Scenarios:  s.scenarioInfos(),
 
-		DeltaDropped:         s.maintainer.Dropped(),
 		StoreRecoveries:      s.registry.Recoveries(),
 		StoreReplayedRecords: s.registry.ReplayedRecords(),
 		StoreQuarantined:     int64(len(s.registry.QuarantinedNames())),

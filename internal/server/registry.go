@@ -73,7 +73,7 @@ type Scenario struct {
 	byCanon map[string]*preparedEntry // canonical SQL -> entry
 
 	// obs receives mutation notifications (appends, bumps) after they commit
-	// in memory; the server uses it to drive the delta reconciler and the
+	// in memory; the server uses it to drive the delta maintainer and the
 	// mutation metrics.  Atomic because SetObserver may race in-flight appends.
 	obs atomic.Pointer[Observer]
 
@@ -101,8 +101,6 @@ type Observer interface {
 	OnAppend(scenario string, rows, extendedIndexes int)
 	// OnBump reports an explicit epoch invalidation.
 	OnBump(scenario string)
-	// OnDrop reports a scenario removal.
-	OnDrop(scenario string)
 }
 
 func (s *Scenario) notifyAppend(rows, extended int) {
@@ -199,7 +197,7 @@ func (s *Scenario) AppendRow(relation string, t engine.Tuple) error {
 // microseconds the append takes), because engine relations must not mutate
 // under a running scan.  Shared per-column indexes are extended in place to
 // cover the new rows, so the batch invalidates neither the indexes nor —
-// through the delta reconciler — maintained cached answers; the epoch bump
+// through the delta maintainer — maintained cached answers; the epoch bump
 // handles the answer cache.  With a store attached, the batch is logged under
 // the epoch its in-memory append committed at, and the whole {append, bump,
 // log} sequence happens under persistMu so a concurrent snapshot sees either
@@ -241,7 +239,7 @@ func (s *Scenario) AppendRows(relation string, rows []engine.Tuple) error {
 
 // View runs f under the scenario's evaluation lock as a reader, passing the
 // instance and the epoch the locked state corresponds to.  The delta
-// reconciler's convergence passes run through here: holding the read lock for
+// maintainer's passes run through here: holding the read lock for
 // the whole pass keeps the relation data, the epoch, and the maintained
 // states' covered row counts mutually consistent.
 func (s *Scenario) View(f func(db *engine.Instance, epoch uint64) error) error {
@@ -362,21 +360,20 @@ func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, op
 // same group list: core.Prepared.Maintain (failing fast with
 // core.ErrNotDeltaMaintainable for plan shapes and methods the delta cannot
 // maintain) runs the full evaluation once keeping each group's distinct
-// tuples, and the result comes back together with that maintained state and
-// the epoch the evaluation saw — everything the reconciler needs to enroll
-// the entry.  Answers are bit-identical to EvaluatePrepared's for the same
-// options.
-func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, *core.DeltaState, uint64, error) {
+// tuples, and the result comes back together with that maintained state,
+// which the answer cache keeps beside it.  Answers are bit-identical to
+// EvaluatePrepared's for the same options.
+func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, *core.DeltaState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	start := time.Now()
 	st, err := prep.Maintain(opts.Context(ctx), opts)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	res := st.Result()
 	res.TotalTime = time.Since(start)
-	return res, st, s.epoch.Load(), nil
+	return res, st, nil
 }
 
 // Parse parses an ad-hoc query against the scenario's target schema.
@@ -404,6 +401,11 @@ type Registry struct {
 	mu          sync.RWMutex
 	scenarios   map[string]*Scenario
 	quarantined map[string]error // scenario name -> why recovery refused it
+	// dropped holds the last epoch of every dropped scenario name, so a
+	// scenario registered again under it starts above: no answer cached for
+	// the dropped one, not even by an evaluation still in flight, can match
+	// the new one's keys.
+	dropped map[string]uint64
 
 	st *store.Store
 
@@ -430,7 +432,7 @@ func (r *Registry) SetObserver(o Observer) {
 
 // NewRegistry returns an empty, memory-only registry.
 func NewRegistry() *Registry {
-	return &Registry{scenarios: make(map[string]*Scenario), quarantined: make(map[string]error)}
+	return &Registry{scenarios: make(map[string]*Scenario), quarantined: make(map[string]error), dropped: make(map[string]uint64)}
 }
 
 // NewRegistryWithStore returns a registry whose registrations and mutations
@@ -457,7 +459,8 @@ type RegisterOptions struct {
 }
 
 // Register adds a scenario under the given name.  The name must be unused;
-// the instance and mappings must be non-nil and valid.
+// the instance and mappings must be non-nil and valid.  A name registered
+// again after Drop starts above the dropped scenario's epoch.
 func (r *Registry) Register(ctx context.Context, name string, target *schema.Schema, db *engine.Instance, maps schema.MappingSet, opts RegisterOptions) (*Scenario, error) {
 	if name == "" {
 		return nil, fmt.Errorf("register: empty scenario name")
@@ -485,6 +488,7 @@ func (r *Registry) Register(ctx context.Context, name string, target *schema.Sch
 	r.mu.RLock()
 	_, dup := r.scenarios[name]
 	qerr := r.quarantined[name]
+	last, wasDropped := r.dropped[name]
 	r.mu.RUnlock()
 	if dup {
 		return nil, fmt.Errorf("register: scenario %q already registered", name)
@@ -494,6 +498,12 @@ func (r *Registry) Register(ctx context.Context, name string, target *schema.Sch
 		// files an operator may still want to inspect — refuse until the
 		// scenario's directory is cleared out of band.
 		return nil, fmt.Errorf("register: scenario %q is quarantined (%v): clear its data directory first", name, qerr)
+	}
+	if wasDropped {
+		// The name continues above the dropped scenario's epoch and stale
+		// floor, so none of its cached answers can match the new one's keys.
+		s.epoch.Store(last + 1)
+		s.staleFloor.Store(last + 1)
 	}
 	if r.st != nil {
 		log, err := r.st.Register(s.captureStateLocked())
@@ -547,14 +557,13 @@ func (r *Registry) install(s *Scenario) error {
 func (r *Registry) Drop(name string) error {
 	r.mu.Lock()
 	s, ok := r.scenarios[name]
-	delete(r.scenarios, name)
-	obs := r.obs
+	if ok {
+		delete(r.scenarios, name)
+		r.dropped[name] = s.Epoch()
+	}
 	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("drop: unknown scenario %q", name)
-	}
-	if obs != nil {
-		obs.OnDrop(name)
 	}
 	if s.log != nil {
 		return s.log.Drop()

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/probdb/urm/internal/core"
-	"github.com/probdb/urm/internal/delta"
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/qos"
 	"github.com/probdb/urm/internal/query"
@@ -64,10 +63,6 @@ type Config struct {
 	// them through delta passes.  A server whose answer cache is disabled
 	// (CacheBytes < 0) maintains nothing either way.
 	DisableDelta bool
-	// DeltaMaxEntries caps maintained (query, method, strategy) entries per
-	// scenario; evaluations past the cap fall back to epoch invalidation.
-	// 0 selects the maintainer default (256).
-	DeltaMaxEntries int
 	// Faults is the deterministic fault-injection seam; nil in production.
 	Faults *qos.Faults
 
@@ -132,12 +127,12 @@ type Server struct {
 	stageExecute     qos.Histogram
 	stageMerge       qos.Histogram
 
-	// maintainer is the incremental-maintenance reconciler (nil when
+	// maintainer keeps cached answers current under appends (nil when
 	// Config.DisableDelta is set or the answer cache is disabled, which leaves
-	// nowhere to publish): appends mark scenarios dirty through the Observer
-	// hooks, and its background pass republishes each enrolled answer at the
-	// new epoch instead of letting the epoch-keyed cache entry go stale.
-	maintainer *delta.Maintainer
+	// nothing to maintain): appends mark scenarios dirty through the Observer
+	// hooks, and its background pass republishes each maintained answer at the
+	// new epoch instead of letting it miss.
+	maintainer *maintainer
 
 	// latency tracks per-scenario cold-evaluation medians for the
 	// doomed-deadline shed rung.
@@ -182,33 +177,13 @@ func New(reg *Registry, cfg Config) *Server {
 			Clock:   clock,
 		})
 	}
-	// A maintained answer exists to be republished into the answer cache;
-	// with the cache off every publish is discarded, so nothing is enrolled,
-	// retained or reconciled.
+	// A maintained answer is a cached answer; with the cache off nothing is
+	// retained, so nothing is maintained.
 	if !cfg.DisableDelta && cfg.CacheBytes > 0 {
-		s.maintainer = delta.New(delta.Config{
-			MaxEntries:  cfg.DeltaMaxEntries,
-			Parallelism: cfg.Parallelism,
-			Publish:     s.publishMaintained,
-		})
-		s.maintainer.Start()
+		s.maintainer = startMaintainer(s)
 	}
 	reg.SetObserver(s)
 	return s
-}
-
-// publishMaintained is the maintainer's publish callback: a refreshed answer
-// lands in the cache under the epoch it was converged at, exactly where the
-// next request for the same question will look.
-func (s *Server) publishMaintained(scenario, query string, method core.Method, strategy core.Strategy, res *core.Result, epoch uint64) {
-	s.cache.Put(CacheKey{
-		Scenario: scenario,
-		Epoch:    epoch,
-		Query:    query,
-		Method:   method,
-		Strategy: strategy,
-	}, res)
-	atomic.AddInt64(&s.counters.DeltaApplied, 1)
 }
 
 // OnAppend implements Observer: count appended rows and in-place index
@@ -218,44 +193,38 @@ func (s *Server) OnAppend(scenario string, rows, extendedIndexes int) {
 	atomic.AddInt64(&s.counters.Appends, int64(rows))
 	atomic.AddInt64(&s.counters.IndexInplaceAppends, int64(extendedIndexes))
 	if s.maintainer != nil {
-		s.maintainer.MarkDirty(scenario)
+		s.maintainer.markDirty(scenario)
 	}
 }
 
 // OnBump implements Observer: an explicit epoch bump is the one mutation the
-// delta cannot describe, so it purges the scenario's maintained entries —
-// epoch invalidation, recorded as such.
-func (s *Server) OnBump(scenario string) {
+// delta cannot describe — epoch invalidation, recorded as such.  The bump
+// raised the stale floor, so the maintainer leaves every answer cached before
+// it alone.
+func (s *Server) OnBump(string) {
 	atomic.AddInt64(&s.counters.EpochInvalidations, 1)
-	if s.maintainer != nil {
-		s.maintainer.Purge(scenario)
-	}
 }
 
-// OnDrop implements Observer.
-func (s *Server) OnDrop(scenario string) {
-	if s.maintainer != nil {
-		s.maintainer.Purge(scenario)
-	}
-}
-
-// ConvergeDelta synchronously runs one delta-convergence pass for the
-// scenario's enrolled entries and returns the number of refreshed answers
-// published — the deterministic hook tests and benchmarks drive instead of
-// waiting on the background loop.
+// ConvergeDelta synchronously runs one maintenance pass over the scenario's
+// maintained answers and returns the number of refreshed answers published —
+// the deterministic hook tests and benchmarks drive instead of waiting on the
+// background loop.
 func (s *Server) ConvergeDelta(scenario string) int {
-	if s.maintainer == nil {
+	sc, ok := s.registry.Get(scenario)
+	if s.maintainer == nil || !ok {
 		return 0
 	}
-	return s.maintainer.Converge(scenario)
+	return s.maintainer.pass(sc, sc.StaleFloor())
 }
 
-// DeltaEntries returns the number of maintained entries for the scenario.
+// DeltaEntries returns the number of the scenario's cached answers a pass
+// maintains: those carrying a delta state at or above the stale floor.
 func (s *Server) DeltaEntries(scenario string) int {
-	if s.maintainer == nil {
+	sc, ok := s.registry.Get(scenario)
+	if !ok {
 		return 0
 	}
-	return s.maintainer.Entries(scenario)
+	return len(s.cache.maintainedEntries(scenario, sc.StaleFloor()))
 }
 
 // latencyFor returns the scenario's cold-latency tracker, creating it on
@@ -481,10 +450,10 @@ func (s *Server) do(ctx context.Context, req Request) (*Response, error) {
 	// this goroutine (waiters coalesce; only the leader computes), so the
 	// capture is race-free.
 	var queueWait time.Duration
-	ans, outcome, err := s.cache.GetOrCompute(ctx, key, func() (*core.Result, error) {
-		r, wait, err := s.evaluate(ctx, sc, prep, key, adm)
+	ans, outcome, err := s.cache.GetOrCompute(ctx, key, func() (*CachedAnswer, error) {
+		a, wait, err := s.evaluate(ctx, sc, prep, key, adm)
 		queueWait = wait
-		return r, err
+		return a, err
 	})
 	if err != nil {
 		if resp := s.tryStale(key, sc, adm, start, err); resp != nil {
@@ -564,7 +533,7 @@ func (s *Server) tryStale(key CacheKey, sc *Scenario, adm admission, start time.
 // The ladder sits inside the cache's compute callback on purpose: cache hits
 // and coalesced waiters consume no evaluation capacity, so they are admitted
 // unconditionally and only actual evaluations spend tokens and slots.
-func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared, key CacheKey, adm admission) (*core.Result, time.Duration, error) {
+func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared, key CacheKey, adm admission) (*CachedAnswer, time.Duration, error) {
 	tc := s.tenants.get(adm.tenant)
 	if s.limiter != nil {
 		if ok, retryAfter := s.limiter.Admit(adm.tenant); !ok {
@@ -605,21 +574,15 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	evalStart := s.clock.Now()
 	opts := core.Options{Method: key.Method, Strategy: key.Strategy, Parallelism: s.cfg.Parallelism, TopK: key.TopK}
 	var res *core.Result
+	var st *core.DeltaState
 	if s.maintainer != nil {
 		// Delta-first: evaluate through the scatter form and keep the per-group
-		// state, so later appends refresh this answer instead of invalidating
-		// it.  What the delta cannot maintain (non-SPJ plans, self-joins,
-		// top-k) falls through to the ordinary evaluator and is counted as a
-		// fallback.
-		var st *core.DeltaState
-		var epoch uint64
-		res, st, epoch, err = sc.EvaluateDelta(ctx, prep, opts)
-		switch {
-		case err == nil:
-			if !s.maintainer.Enroll(sc, key.Query, key.Method, key.Strategy, st, epoch) {
-				atomic.AddInt64(&s.counters.DeltaFallbacks, 1)
-			}
-		case errors.Is(err, core.ErrNotDeltaMaintainable):
+		// state in the cached answer, so later appends refresh it instead of
+		// making it miss.  What the delta cannot maintain (non-SPJ plans,
+		// self-joins, top-k) falls through to the ordinary evaluator and is
+		// counted as a fallback.
+		res, st, err = sc.EvaluateDelta(ctx, prep, opts)
+		if errors.Is(err, core.ErrNotDeltaMaintainable) {
 			atomic.AddInt64(&s.counters.DeltaFallbacks, 1)
 			res, err = sc.EvaluatePrepared(ctx, prep, opts)
 		}
@@ -634,7 +597,7 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	s.recordRun(res.Stats, res.ExecTime)
 	s.stageReformulate.Observe(res.RewriteTime)
 	s.stageMerge.Observe(res.AggregateTime)
-	return res, wait, nil
+	return &CachedAnswer{Result: res, State: st}, wait, nil
 }
 
 // decodeBody opens every POST route: 405 for any other method, before a body
@@ -843,10 +806,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainSet = true
 	s.drainMu.Unlock()
 	if s.maintainer != nil {
-		// Stop background convergence first: no new answers are published while
+		// Stop background maintenance first: no new answers are published while
 		// the accepted requests finish, and the maintenance goroutine is down
 		// before the process exits.
-		s.maintainer.Stop()
+		s.maintainer.halt()
 	}
 	done := make(chan struct{})
 	go func() {
