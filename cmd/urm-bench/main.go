@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		figID    = fs.String("fig", "all", "experiment ID to run (e.g. Fig11a, TableIV) or 'all'")
 		mappings = fs.Int("mappings", 0, "default number of possible mappings h (0 = harness default 100)")
-		sizeMB   = fs.Float64("size", 0, "default database scale in MB (0 = harness default 40; the paper uses 100)")
+		sizeMB   = fs.Float64("size", 0, "default nominal database scale in MB, not bytes (0 = harness default 40, 423 rows; 100 generates 1,050 rows, where the paper's 100 MB instance has ~866,000)")
 		seed     = fs.Uint64("seed", 42, "data-generation seed")
 		runs     = fs.Int("runs", 1, "repetitions averaged per measurement")
 		sweepH   = fs.String("mapping-sweep", "", "comma-separated mapping counts for the sweep figures (default 100,200,300,400,500)")

@@ -48,7 +48,7 @@ func run(args []string) error {
 	var (
 		target   = fs.String("target", "Excel", "target schema: Excel, Noris or Paragon")
 		mappings = fs.Int("mappings", 100, "number of possible mappings h")
-		sizeMB   = fs.Float64("size", 40, "source instance scale in MB")
+		sizeMB   = fs.Float64("size", 40, "nominal source scale in MB, not bytes: 40 generates 423 rows, 100 generates 1,050 (the paper's 100 MB TPC-H instance has ~866,000)")
 		seed     = fs.Uint64("seed", 42, "data-generation seed")
 		outDir   = fs.String("out", "urm-artifacts", "output directory")
 		withData = fs.Bool("data", true, "also dump the source instance as CSV files")
@@ -90,7 +90,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	fmt.Printf("wrote %s scenario (h=%d, %gMB, %d source rows) to %s\n",
+	fmt.Printf("wrote %s scenario (h=%d, nominal %gMB, %d source rows) to %s\n",
 		scenario.Target, len(scenario.Mappings()), *sizeMB, scenario.DB.NumRows(), *outDir)
 	return nil
 }

@@ -53,7 +53,7 @@ func run(args []string) error {
 	var (
 		target   = fs.String("target", "Excel", "target schema: Excel, Noris or Paragon")
 		mappings = fs.Int("mappings", 100, "number of possible mappings h")
-		sizeMB   = fs.Float64("size", 40, "source instance scale in MB")
+		sizeMB   = fs.Float64("size", 40, "nominal source scale in MB, not bytes: 40 generates 423 rows, 100 generates 1,050 (the paper's 100 MB TPC-H instance has ~866,000)")
 		seed     = fs.Uint64("seed", 42, "data-generation seed")
 		method   = fs.String("method", "o-sharing", "evaluation method: basic, e-basic, e-mqo, q-sharing, o-sharing")
 		strategy = fs.String("strategy", "SEF", "o-sharing operator selection strategy: SEF, SNF, Random")
@@ -122,7 +122,7 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("generating %s scenario (h=%d, %gMB)...\n", *target, *mappings, *sizeMB)
+	fmt.Printf("generating %s scenario (h=%d, nominal %gMB)...\n", *target, *mappings, *sizeMB)
 	scenario, err := urm.NewScenario(urm.ScenarioOptions{
 		Target:   *target,
 		Mappings: *mappings,
@@ -132,6 +132,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("source rows: %d\n", scenario.DB.NumRows())
 	if *noindex {
 		scenario.DB.SetIndexing(false)
 	}

@@ -83,7 +83,7 @@ func run(args []string) error {
 		addr     = fs.String("addr", ":8080", "listen address")
 		targets  = fs.String("targets", "Excel", "comma-separated target schemas to register (Excel, Noris, Paragon); each becomes a scenario named after its lowercased target")
 		mappings = fs.Int("mappings", 100, "number of possible mappings h per scenario")
-		sizeMB   = fs.Float64("size", 40, "source instance scale in MB")
+		sizeMB   = fs.Float64("size", 40, "nominal source scale in MB, not bytes: 40 generates 423 rows, 100 generates 1,050 (the paper's 100 MB TPC-H instance has ~866,000)")
 		seed     = fs.Uint64("seed", 42, "data-generation seed")
 		maxConc  = fs.Int("max-concurrent", 0, "maximum concurrent evaluations (0 = all cores); excess requests get 429")
 		quWait   = fs.Duration("queue-wait", 100*time.Millisecond, "how long a request may wait for an evaluation slot before 429")

@@ -27,9 +27,10 @@ import (
 type Config struct {
 	// Mappings is the default mapping-set size h (paper default: 100).
 	Mappings int
-	// SizeMB is the default source-instance scale (the paper's default is
-	// 100 MB; the harness default is 40 to keep full sweeps fast — pass 100
-	// for the paper-scale run).
+	// SizeMB is the default nominal source-instance scale (see
+	// datagen.SourceOptions.SizeMB): the harness default 40 generates 423
+	// rows, and 100, the paper's nominal size, 1,050 — where the paper's
+	// 100 MB instance has about 866,000.
 	SizeMB float64
 	// Seed drives data generation.
 	Seed uint64

@@ -90,7 +90,7 @@ func TestPlanMethodsAtBenchmarkScale(t *testing.T) {
 	rowsRead := map[Method]map[int]int{
 		MethodBasic:    {1: 2997, 2: 16916, 3: 44139, 5: 1810},
 		MethodEBasic:   {1: 275, 2: 507, 3: 2306, 4: 44774, 5: 282},
-		MethodEMQO:     {1: 193, 2: 461, 3: 1982, 4: 44654, 5: 183},
+		MethodEMQO:     {1: 193, 2: 461, 3: 1622, 4: 44654, 5: 183},
 		MethodQSharing: {1: 275, 2: 507, 3: 2306, 4: 44774, 5: 282},
 	}
 

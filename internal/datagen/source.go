@@ -21,11 +21,11 @@ const (
 
 // SourceOptions controls the synthetic TPC-H-style instance.
 type SourceOptions struct {
-	// SizeMB scales the instance the way the paper reports database size; the
-	// default 100 corresponds to the paper's full instance and maps to the row
-	// counts below (scaled linearly).  The absolute byte size of our in-memory
-	// instance is far smaller than the paper's on-disk footprint; only the
-	// relative scaling matters for the experiments.
+	// SizeMB is the nominal scale, named after the paper's database size but
+	// not a byte count: it scales the row counts below linearly, 100 giving
+	// 1,050 rows and 40 giving 423, where the paper's 100 MB TPC-H instance
+	// has about 866,000.  Only the relative scaling matters for the
+	// experiments.
 	SizeMB float64
 	// Seed makes generation deterministic; 0 selects a fixed default.
 	Seed uint64

@@ -31,7 +31,8 @@ type DatasetOptions struct {
 	Target TargetName
 	// NumMappings is h, the number of possible mappings (default 100).
 	NumMappings int
-	// SizeMB scales the source instance (default 100, the paper's full size).
+	// SizeMB is the source instance's nominal scale (default 100, 1,050 rows;
+	// see SourceOptions.SizeMB).
 	SizeMB float64
 	// Seed drives the deterministic generator.
 	Seed uint64

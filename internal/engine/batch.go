@@ -161,10 +161,7 @@ func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 			return nil, false, err
 		}
 		s.in += b.NumRows()
-		sel, err := s.pred.filterSel(b.Rows, b.Sel, s.selbuf[:0])
-		if err != nil {
-			return nil, false, err
-		}
+		sel := s.pred.filterSel(b.Rows, b.Sel, s.selbuf[:0])
 		s.selbuf = sel
 		if len(sel) == 0 {
 			continue // selection emptied: advance to the next input batch
@@ -266,11 +263,7 @@ func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
 			l := &s.levels[i]
 			l.in += len(sel)
 			if l.residual != nil && len(sel) > 0 {
-				kept, err := l.residual.filterSel(s.rows, sel, sel[:0])
-				if err != nil {
-					return nil, false, err
-				}
-				sel = kept
+				sel = l.residual.filterSel(s.rows, sel, sel[:0])
 			}
 			l.out += len(sel)
 		}
@@ -534,6 +527,7 @@ type batchJoin struct {
 	cur     Tuple
 	curHash uint64
 	chain   int32
+	cand    [1]int32 // keepCandidate's selection vector
 	leftIn  int
 	out     int
 	nbat    int
@@ -621,14 +615,8 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 			if !rr[s.ri].EqualKey(s.cur[s.li]) {
 				continue // hash collision, not an actual match
 			}
-			if len(s.levels) > 0 {
-				keep, err := evalLevels(s.levels, rr)
-				if err != nil {
-					return nil, false, err
-				}
-				if !keep {
-					continue // filtered out of the build side
-				}
+			if len(s.levels) > 0 && !s.keepCandidate(j-1) {
+				continue // filtered out of the build side
 			}
 			out = append(out, s.shape.build(&s.arena, s.cur, rr))
 			if s.shape.firstRight {
@@ -666,29 +654,28 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 	return &s.outb, true, nil
 }
 
-// selectLevel is one bound selection of the constant-filter stack on the build
-// side of an index-served join, with its rows-in/rows-out accounting.
+// selectLevel is one selection of the constant-filter stack on the build side
+// of an index-served join, with its rows-in/rows-out accounting.
 type selectLevel struct {
-	pred    boundPredicate
+	pred    vecPredicate
 	in, out int
 }
 
-// evalLevels runs the row through the levels bottom-to-top, counting per-level
-// input and output rows exactly as a chain of filters would.
-func evalLevels(levels []selectLevel, row Tuple) (bool, error) {
-	for i := range levels {
-		l := &levels[i]
+// keepCandidate runs build row i through the levels bottom-to-top as a
+// one-row selection vector, counting per-level input and output rows exactly
+// as a chain of filters would.
+func (s *batchJoin) keepCandidate(i int32) bool {
+	sel := s.cand[:]
+	sel[0] = i
+	for k := range s.levels {
+		l := &s.levels[k]
 		l.in++
-		ok, err := l.pred.eval(row)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
+		if len(l.pred.filterSel(s.build.rows, sel, sel[:0])) == 0 {
+			return false
 		}
 		l.out++
 	}
-	return true, nil
+	return true
 }
 
 // batchDistinct hashes each batch's live tuples in one pass and keeps

@@ -307,17 +307,7 @@ func TestPredicates(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("AND eval = %v,%v", ok, err)
 	}
-	or := &OrPredicate{Children: []Predicate{Eq("cname", S("Zed")), Eq("oaddr", S("aaa"))}}
-	ok, err = or.Eval(rel, row)
-	if err != nil || !ok {
-		t.Errorf("OR eval = %v,%v", ok, err)
-	}
-	not := &NotPredicate{Child: Eq("cname", S("Alice"))}
-	ok, err = not.Eval(rel, row)
-	if err != nil || ok {
-		t.Errorf("NOT eval = %v,%v", ok, err)
-	}
-	if !strings.Contains(and.String(), "AND") || !strings.Contains(or.String(), "OR") || !strings.Contains(not.String(), "NOT") {
+	if !strings.Contains(and.String(), "AND") {
 		t.Error("predicate String renderings missing keywords")
 	}
 	// And() flattens nested conjunctions and drops nils.
@@ -332,14 +322,6 @@ func TestPredicates(t *testing.T) {
 	bad := And(Eq("missing", I(1)), Eq("cname", S("Alice")))
 	if _, err := bad.Eval(rel, row); err == nil {
 		t.Error("AND over missing column should error")
-	}
-	badOr := &OrPredicate{Children: []Predicate{Eq("missing", I(1))}}
-	if _, err := badOr.Eval(rel, row); err == nil {
-		t.Error("OR over missing column should error")
-	}
-	badNot := &NotPredicate{Child: Eq("missing", I(1))}
-	if _, err := badNot.Eval(rel, row); err == nil {
-		t.Error("NOT over missing column should error")
 	}
 	for _, op := range []CompareOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
 		if op.String() == "" {

@@ -616,9 +616,7 @@ func (c *IndexCache) trySelect(ctx context.Context, rel *Relation, pred Predicat
 	}
 	in := len(matches)
 	if residual != nil && in > 0 {
-		if matches, err = residual.filterSel(rows, matches, matches[:0]); err != nil {
-			return nil, false, err
-		}
+		matches = residual.filterSel(rows, matches, matches[:0])
 	}
 	out := NewRelation(rel.Name, rel.Columns)
 	if len(matches) > 0 {

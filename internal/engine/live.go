@@ -21,10 +21,11 @@ package engine
 // distinct rows there are and the order they are first seen in, never how
 // often each occurs.  A plan root run by ExecuteSet carries it; projections,
 // selections, products, joins and distincts pass it down, and an aggregate
-// clears it (COUNT and SUM count duplicates).  The analysis never sets it, so
-// a sharing point — one materialization serving every consumer — never
-// carries it.  Where it is set, a product or join skips the pairs that only
-// repeat a row it already built (newPairShape).
+// clears it (COUNT and SUM count duplicates).  A sharing point — one
+// materialization serving every consumer — carries it when every consumer
+// does, which only an analysis of set roots (AnalyzeSetLiveColumns) can give.
+// Where it is set, a product or join skips the pairs that only repeat a row it
+// already built (newPairShape).
 type colNeed struct {
 	all   bool
 	set   bool
@@ -65,17 +66,12 @@ func containsName(names []string, name string) bool {
 // the columns p's children must supply (second is meaningful for products and
 // joins only).  A selection adds its predicate's columns and a join its key on
 // each side; a projection and an aggregate replace the need by their own
-// columns; a distinct, a predicate implementation the engine cannot look into
-// and an unknown node read whole rows.  Every operator but an aggregate and an
-// unknown node passes the set bit down.
+// columns; a distinct and an unknown node read whole rows.  Every operator but
+// an aggregate and an unknown node passes the set bit down.
 func childNeeds(p Plan, need colNeed) (first, second colNeed) {
 	switch n := p.(type) {
 	case *SelectPlan:
-		cols, ok := predicateColumns(n.Pred, nil)
-		if !ok {
-			return need.whole(), colNeed{}
-		}
-		return need.with(cols...), colNeed{}
+		return need.with(predicateColumns(n.Pred, nil)...), colNeed{}
 	case *ProjectPlan:
 		return colNeed{names: n.Columns, set: need.set}, colNeed{}
 	case *ProductPlan:
@@ -94,34 +90,19 @@ func childNeeds(p Plan, need colNeed) (first, second colNeed) {
 	}
 }
 
-// predicateColumns appends the columns the predicate reads to dst.  ok=false
-// for a Predicate implementation from outside the engine, which evaluates
-// against whole rows (boundFallback).
-func predicateColumns(p Predicate, dst []string) ([]string, bool) {
+// predicateColumns appends the columns the predicate reads to dst.
+func predicateColumns(p Predicate, dst []string) []string {
 	switch n := p.(type) {
 	case *ConstPredicate:
-		return append(dst, n.Column), true
+		return append(dst, n.Column)
 	case *ColPredicate:
-		return append(dst, n.Left, n.Right), true
+		return append(dst, n.Left, n.Right)
 	case *AndPredicate:
-		return predicateListColumns(n.Children, dst)
-	case *OrPredicate:
-		return predicateListColumns(n.Children, dst)
-	case *NotPredicate:
-		return predicateColumns(n.Child, dst)
-	default:
-		return nil, false
-	}
-}
-
-func predicateListColumns(children []Predicate, dst []string) ([]string, bool) {
-	for _, c := range children {
-		var ok bool
-		if dst, ok = predicateColumns(c, dst); !ok {
-			return nil, false
+		for _, c := range n.Children {
+			dst = predicateColumns(c, dst)
 		}
 	}
-	return dst, true
+	return dst
 }
 
 // LiveColumns is the analysis of a set of plans whose node results are shared
@@ -155,11 +136,20 @@ type consumer struct {
 }
 
 // AnalyzeLiveColumns runs the analysis over plans that will execute against
-// one shared PlanCache.
-func AnalyzeLiveColumns(plans []Plan) *LiveColumns {
+// one shared PlanCache through ExecuteContext.
+func AnalyzeLiveColumns(plans []Plan) *LiveColumns { return analyzeLiveColumns(plans, needAll) }
+
+// AnalyzeSetLiveColumns is AnalyzeLiveColumns for plans that will run through
+// ExecuteSet: every root is read as a set, and so is a sharing point all of
+// whose consumers read it as one.
+func AnalyzeSetLiveColumns(plans []Plan) *LiveColumns {
+	return analyzeLiveColumns(plans, colNeed{all: true, set: true})
+}
+
+func analyzeLiveColumns(plans []Plan, root colNeed) *LiveColumns {
 	l := &LiveColumns{sigs: make(map[string]*sigInfo), nodes: make(map[Plan]*sigInfo)}
 	for i, p := range plans {
-		l.add(p, needAll, consumer{slot: i})
+		l.add(p, root, consumer{slot: i})
 	}
 	return l
 }
@@ -177,11 +167,14 @@ func (l *LiveColumns) add(p Plan, need colNeed, by consumer) {
 		}
 		l.nodes[p] = info
 	}
+	// The set bit survives only if every occurrence reads the rows as a set.
+	set := need.set && (len(info.consumers) == 0 || info.need.set)
 	if need.all {
 		info.need = needAll
 	} else {
 		info.need = info.need.with(need.names...)
 	}
+	info.need.set = set
 	info.consumers[by] = struct{}{}
 	// Children are walked with this occurrence's need: the rule distributes
 	// over union, so unioning per signature on the way down gives the same

@@ -56,7 +56,7 @@ func errCases() []errCase {
 		{name: "unknown predicate column above join depth 2", plan: proj(sel("zz", lrr()), "L.a"), want: `predicate zz>=0: column "zz" not found in [L.a L.b L.c R.x R.y R2.x R2.y]`},
 		{name: "unknown predicate column on probe side", plan: proj(&JoinPlan{LeftCol: "L.a", RightCol: "R.x", Left: sel("L.zz", scan("L", "")), Right: scan("R", "")}, "L.a"), want: `predicate L.zz>=0: column "L.zz" not found in [L.a L.b L.c]`},
 		{name: "unknown predicate column on build side", plan: proj(&JoinPlan{LeftCol: "L.a", RightCol: "R.x", Left: scan("L", ""), Right: sel("R.zz", scan("R", ""))}, "L.a"), want: `predicate R.zz>=0: column "R.zz" not found in [R.x R.y]`},
-		{name: "unknown OR predicate column", plan: proj(&SelectPlan{Pred: &OrPredicate{Children: []Predicate{Eq("L.a", I(1)), Eq("R.zz", I(1))}}, Child: lr()}, "L.a"), want: `predicate R.zz=1: column "R.zz" not found in [L.a L.b L.c R.x R.y]`},
+		{name: "unknown AND predicate column", plan: proj(&SelectPlan{Pred: &AndPredicate{Children: []Predicate{Eq("L.a", I(1)), Eq("R.zz", I(1))}}, Child: lr()}, "L.a"), want: `predicate R.zz=1: column "R.zz" not found in [L.a L.b L.c R.x R.y]`},
 		{name: "unknown left join key", plan: proj(&JoinPlan{LeftCol: "L.zz", RightCol: "R.x", Left: scan("L", ""), Right: scan("R", "")}, "L.a"), want: `join: column "L.zz" not found in [L.a L.b L.c]`},
 		{name: "unknown right join key", plan: proj(&JoinPlan{LeftCol: "L.a", RightCol: "R.zz", Left: scan("L", ""), Right: scan("R", "")}, "L.a"), want: `join: column "R.zz" not found in [R.x R.y]`},
 		{name: "unknown right join key over filtered build", plan: proj(&JoinPlan{LeftCol: "L.a", RightCol: "R.zz", Left: scan("L", ""), Right: sel("R.x", scan("R", ""))}, "L.a"), want: `join: column "R.zz" not found in [R.x R.y]`},

@@ -208,7 +208,7 @@ func mulFits(a, b, limit int) (int, bool) {
 // statistics.
 
 // Select returns the rows of rel satisfying the predicate.  The predicate is
-// bound once — column references resolve to positions before the scan — so
+// compiled once — column references resolve to positions before the scan — so
 // per-row evaluation does no name lookups.
 func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*Relation, error) {
 	if err := canceled(ctx); err != nil {
@@ -235,10 +235,7 @@ func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		blockSel, err := vp.filterSel(rows[lo:hi], nil, selbuf[:0])
-		if err != nil {
-			return nil, err
-		}
+		blockSel := vp.filterSel(rows[lo:hi], nil, selbuf[:0])
 		selbuf = blockSel
 		for _, i := range blockSel {
 			sel = append(sel, i+int32(lo))

@@ -612,11 +612,11 @@ func (e *Executor) compileSharedJoin(ctx context.Context, n *JoinPlan, left Batc
 	right := colLayout{cols: qualifiedScanColumns(base, alias)}
 	levels := make([]selectLevel, len(stack))
 	for i, pred := range stack {
-		bp, err := bindPredicate(pred, right.resolve, right.cols)
+		vp, err := compileVecPredicate(pred, right.resolve, right.cols)
 		if err != nil {
 			return nil, false, err
 		}
-		levels[i].pred = bp
+		levels[i].pred = vp
 	}
 	li, ri, err := resolveJoinKeys(left.layout(), right, n.LeftCol, n.RightCol)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"testing"
 )
 
 // randDB builds the instance the random plans run over: L(a,b,c,n) and
@@ -31,27 +32,6 @@ func randDB(rng *rand.Rand, maxL, maxR int) *Instance {
 	add("R", []string{"x", "y", "m"}, rng.Intn(maxR))
 	return db
 }
-
-// foreignPred is a Predicate implementation the engine cannot look into: it
-// resolves its column per row against the relation it is handed, so it only
-// works when that relation's columns describe the whole row.
-type foreignPred struct {
-	col string
-	val Value
-}
-
-func (p *foreignPred) Eval(rel *Relation, row Tuple) (bool, error) {
-	idx := rel.ColumnIndex(p.col)
-	if idx < 0 {
-		return false, fmt.Errorf("foreign predicate: column %q not found in %v", p.col, rel.Columns)
-	}
-	if len(row) != len(rel.Columns) {
-		return false, fmt.Errorf("foreign predicate: %d-value row for %v", len(row), rel.Columns)
-	}
-	return row[idx].Compare(p.val) != 0, nil
-}
-
-func (p *foreignPred) String() string { return "foreign(" + p.col + "<>" + p.val.String() + ")" }
 
 // planGen composes random plans over randDB's relations.  It tracks the
 // logical columns of what it has built, so every reference it emits resolves.
@@ -108,22 +88,25 @@ func (g *planGen) constPred(n genNode) Predicate {
 	return &ConstPredicate{Column: g.ref(n.cols, g.pick(n.cols)), Op: op, Value: randValue(g.rng)}
 }
 
-// predicate draws every predicate shape: the vectorized ones, the row-at-a-time
-// OR/NOT, and a foreign implementation.
+func (g *planGen) colPred(n genNode) Predicate {
+	return &ColPredicate{Left: g.ref(n.cols, g.pick(n.cols)), Op: CompareOp(g.rng.Intn(6)), Right: g.ref(n.cols, g.pick(n.cols))}
+}
+
+// predicate draws every predicate shape: a comparison against a constant or
+// between two columns, and conjunctions of them — of constant comparisons
+// only (the shape the shared index serves), mixed, and empty.
 func (g *planGen) predicate(n genNode) Predicate {
 	switch g.rng.Intn(7) {
 	case 0, 1:
 		return g.constPred(n)
 	case 2:
-		return &ColPredicate{Left: g.ref(n.cols, g.pick(n.cols)), Op: CompareOp(g.rng.Intn(6)), Right: g.ref(n.cols, g.pick(n.cols))}
-	case 3:
-		return &OrPredicate{Children: []Predicate{g.constPred(n), g.constPred(n)}}
-	case 4:
-		return &NotPredicate{Child: g.constPred(n)}
+		return g.colPred(n)
+	case 3, 4:
+		return And(g.constPred(n), g.constPred(n))
 	case 5:
-		return And(g.constPred(n), &NotPredicate{Child: g.constPred(n)}, g.constPred(n))
+		return And(g.constPred(n), g.colPred(n), g.constPred(n))
 	default:
-		return &foreignPred{col: g.pick(n.cols), val: randValue(g.rng)}
+		return And()
 	}
 }
 
@@ -278,3 +261,83 @@ func randPlanFamily(rng *rand.Rand, k int) []Plan {
 // randPlan builds one random plan over randDB's relations, exercising every
 // node type the compiler lowers under every shape of column need.
 func randPlan(rng *rand.Rand) Plan { return randPlanFamily(rng, 1)[0] }
+
+// byteSource is a rand.Source that plays fuzz bytes back: each Int63 consumes
+// one byte, repeated across the word so that Intn's low and high bits both
+// depend on it, and an exhausted input yields zeros.  Every choice the
+// generators make is then a byte the fuzzer can mutate.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Int63() int64 {
+	if len(s.b) == 0 {
+		return 0
+	}
+	x := uint64(s.b[0]) * 0x0101010101010101
+	s.b = s.b[1:]
+	return int64(x >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzPlan draws a family of plans over one join chain (randPlanFamily), a
+// batch size and an instance (randDB) from the fuzz bytes, in that order, so
+// the leading bytes shape the plans, and diffs every driver against
+// NaiveExecute, plan by plan, with and without the shared index:
+//   - ExecuteContext returns the reference's relation row for row, with the
+//     same statistics where no index stands in for a scan;
+//   - ExecuteSet returns its distinct rows in first-seen order from the same
+//     operators, reading no more rows;
+//   - through one PlanCache per analysis shared by the family, ExecuteContext
+//     under the bag-root analysis returns the relation row for row, and
+//     ExecuteSet under the set-root analysis — the one mqo.Optimize makes, in
+//     which a sharing point every consumer reads as a set carries the set
+//     bit — returns its distinct rows.
+//
+// The seed corpus is in testdata/fuzz/FuzzPlan.
+func FuzzPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rng := rand.New(&byteSource{b: b})
+		plans := randPlanFamily(rng, 1+rng.Intn(4))
+		bs := []int{0, 1, 7}[rng.Intn(3)]
+		db := randDB(rng, 24, 24)
+		for _, indexes := range []*IndexCache{nil, db.Indexes()} {
+			bagCache := AnalyzeLiveColumns(plans).NewPlanCache()
+			setCache := AnalyzeSetLiveColumns(plans).NewPlanCache()
+			drivers := []struct {
+				name  string
+				cache *PlanCache
+				set   bool
+			}{{"ExecuteContext", nil, false}, {"ExecuteSet", nil, true}, {"bag-analysed cache", bagCache, false}, {"set-analysed cache", setCache, true}}
+			for pi, plan := range plans {
+				naiveStats := NewStats()
+				want, wantErr := NaiveExecute(bgCtx, db, plan, naiveStats)
+				prefix := fmt.Sprintf("plan %d/%d batch %d indexes %v %s: ", pi, len(plans), bs, indexes != nil, plan.Signature())
+				for _, d := range drivers {
+					label := prefix + d.name
+					ex := &Executor{DB: db, Stats: NewStats(), Batch: bs, Indexes: indexes, Cache: d.cache}
+					exec := ex.ExecuteContext
+					if d.set {
+						exec = ex.ExecuteSet
+					}
+					got, err := exec(bgCtx, plan)
+					if (wantErr == nil) != (err == nil) {
+						t.Fatalf("%s: naive err=%v, err=%v", label, wantErr, err)
+					}
+					switch {
+					case wantErr != nil:
+					case d.set:
+						requireSameSet(t, label, want, got)
+						if indexes == nil && d.cache == nil {
+							requireSameOperators(t, label, naiveStats, ex.Stats)
+						}
+					default:
+						requireSameRelation(t, label, want, got)
+						if indexes == nil && d.cache == nil {
+							requireSameStats(t, label, naiveStats, ex.Stats)
+						}
+					}
+				}
+			}
+		}
+	})
+}

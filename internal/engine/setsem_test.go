@@ -233,25 +233,33 @@ func TestExecuteSetPairShapes(t *testing.T) {
 
 // TestSharedCacheSetMatchesNaive is TestSharedCacheMatchesNaive under set
 // semantics: families of plans over one join chain through one analysed
-// PlanCache, each plan's distinct rows equal to the naive reference's.
+// PlanCache, each plan's distinct rows equal to the naive reference's, whether
+// the analysis saw bag roots or — as mqo.Optimize's does — set roots, under
+// which a sharing point every consumer reads as a set carries the set bit.
 func TestSharedCacheSetMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
+	analyses := []struct {
+		roots   string
+		analyze func([]Plan) *LiveColumns
+	}{{"bag", AnalyzeLiveColumns}, {"set", AnalyzeSetLiveColumns}}
 	for trial := 0; trial < 200; trial++ {
 		db := randDB(rng, 24, 24)
 		plans := randPlanFamily(rng, 1+rng.Intn(4))
 		for _, indexes := range []*IndexCache{nil, db.Indexes()} {
-			cache := AnalyzeLiveColumns(plans).NewPlanCache()
-			for pi, plan := range plans {
-				label := fmt.Sprintf("trial %d plan %d/%d indexes %v %s", trial, pi, len(plans), indexes != nil, plan.Signature())
-				want, err1 := NaiveExecute(bgCtx, db, plan, nil)
-				got, err2 := (&Executor{DB: db, Stats: NewStats(), Cache: cache, Indexes: indexes}).ExecuteSet(bgCtx, plan)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s: naive err=%v, set err=%v", label, err1, err2)
+			for _, a := range analyses {
+				cache := a.analyze(plans).NewPlanCache()
+				for pi, plan := range plans {
+					label := fmt.Sprintf("trial %d plan %d/%d indexes %v %s roots %s", trial, pi, len(plans), indexes != nil, a.roots, plan.Signature())
+					want, err1 := NaiveExecute(bgCtx, db, plan, nil)
+					got, err2 := (&Executor{DB: db, Stats: NewStats(), Cache: cache, Indexes: indexes}).ExecuteSet(bgCtx, plan)
+					if (err1 == nil) != (err2 == nil) {
+						t.Fatalf("%s: naive err=%v, set err=%v", label, err1, err2)
+					}
+					if err1 != nil {
+						break
+					}
+					requireSameSet(t, label, want, got)
 				}
-				if err1 != nil {
-					break
-				}
-				requireSameSet(t, label, want, got)
 			}
 		}
 	}

@@ -11,10 +11,11 @@ import (
 // dispatch and one Value.Compare per row, the common predicate shapes —
 // column-vs-constant comparisons, and conjunctions of them — run as tight
 // loops over the column with the constant's conversions hoisted out.  Every
-// kernel reproduces Value.Compare semantics bit for bit; shapes the
-// vectorizer does not know (OR, NOT, foreign Predicate implementations) fall
-// back to the bound row-at-a-time evaluator inside the batch loop, so results
-// never depend on which path ran.
+// kernel reproduces Value.Compare semantics bit for bit, so results never
+// depend on whether the vectorized or the naive executor ran.  Predicate is
+// sealed: the three shapes compiled here are every predicate there is, and a
+// compiled predicate cannot fail — a column that does not resolve is rejected
+// once, at compile time.
 
 // vecPredicate evaluates a predicate over a batch of rows.
 //
@@ -25,13 +26,12 @@ import (
 // which is safe exactly because the write position never passes the read
 // position.
 type vecPredicate interface {
-	filterSel(rows []Tuple, src, dst []int32) ([]int32, error)
+	filterSel(rows []Tuple, src, dst []int32) []int32
 }
 
 // compileVecPredicate compiles the predicate into a vectorized kernel against
-// the column list.  It resolves columns in the same order and fails with the
-// same messages as bindPredicate, so a predicate is rejected identically
-// whether a plan binds it vectorized or row by row.
+// the column list, resolving every column reference once via resolve and
+// failing, left to right, on the first that does not resolve.
 func compileVecPredicate(p Predicate, resolve func(string) int, cols []string) (vecPredicate, error) {
 	switch n := p.(type) {
 	case *ConstPredicate:
@@ -51,14 +51,6 @@ func compileVecPredicate(p Predicate, resolve func(string) int, cols []string) (
 		}
 		return &vecCol{li: li, ri: ri, allow: allowMask(n.Op)}, nil
 	case *AndPredicate:
-		if len(n.Children) == 0 {
-			// Degenerate conjunction: everything passes, as under boundAnd.
-			bp, err := bindPredicate(p, resolve, cols)
-			if err != nil {
-				return nil, err
-			}
-			return &vecRowPred{pred: bp}, nil
-		}
 		children := make([]vecPredicate, len(n.Children))
 		for i, c := range n.Children {
 			vp, err := compileVecPredicate(c, resolve, cols)
@@ -68,16 +60,8 @@ func compileVecPredicate(p Predicate, resolve func(string) int, cols []string) (
 			children[i] = vp
 		}
 		return &vecAnd{children: children}, nil
-	default:
-		// OR, NOT and foreign predicate implementations evaluate row by row
-		// through the bound evaluator; bindPredicate recurses in the same
-		// order as above, so bind-time errors are identical.
-		bp, err := bindPredicate(p, resolve, cols)
-		if err != nil {
-			return nil, err
-		}
-		return &vecRowPred{pred: bp}, nil
 	}
+	panic(fmt.Sprintf("engine: unknown predicate %T", p))
 }
 
 // allowMask precomputes the operator's acceptance per comparison outcome:
@@ -161,7 +145,7 @@ func newVecConst(idx int, op CompareOp, v Value) *vecConst {
 	return &vecConst{idx: idx, allow: allowMask(op), cmp: newConstComparer(v)}
 }
 
-func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
+func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) []int32 {
 	idx, allow := p.idx, p.allow
 	c := &p.cmp
 	switch {
@@ -205,7 +189,7 @@ func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
 					dst = append(dst, int32(i))
 				}
 			}
-			return dst, nil
+			return dst
 		}
 		for _, i := range src {
 			v := &rows[i][idx]
@@ -240,7 +224,7 @@ func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
 				dst = append(dst, i)
 			}
 		}
-		return dst, nil
+		return dst
 
 	case c.isStr && !c.floatOK && allow[0] == allow[2]:
 		// Equality-shaped comparison (=, !=) against a string no number can
@@ -260,7 +244,7 @@ func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
 					dst = append(dst, int32(i))
 				}
 			}
-			return dst, nil
+			return dst
 		}
 		for _, i := range src {
 			v := &rows[i][idx]
@@ -272,7 +256,7 @@ func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
 				dst = append(dst, i)
 			}
 		}
-		return dst, nil
+		return dst
 
 	default:
 		if src == nil {
@@ -281,14 +265,14 @@ func (p *vecConst) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
 					dst = append(dst, int32(i))
 				}
 			}
-			return dst, nil
+			return dst
 		}
 		for _, i := range src {
 			if allow[c.compare(&rows[i][idx])+1] {
 				dst = append(dst, i)
 			}
 		}
-		return dst, nil
+		return dst
 	}
 }
 
@@ -299,7 +283,7 @@ type vecCol struct {
 	allow  [3]bool
 }
 
-func (p *vecCol) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
+func (p *vecCol) filterSel(rows []Tuple, src, dst []int32) []int32 {
 	li, ri, allow := p.li, p.ri, p.allow
 	if src == nil {
 		for i := range rows {
@@ -307,70 +291,39 @@ func (p *vecCol) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
 				dst = append(dst, int32(i))
 			}
 		}
-		return dst, nil
+		return dst
 	}
 	for _, i := range src {
 		if allow[rows[i][li].Compare(rows[i][ri])+1] {
 			dst = append(dst, i)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // vecAnd runs its children as successive selection-vector compactions: child
-// k filters the survivors of child k-1 in place.  Evaluation is child-major
-// rather than row-major, which changes nothing observable for the engine's
-// own predicate types (they cannot fail at evaluation time); a foreign
-// child's evaluation error may surface for a different row than under
-// row-major order.
+// k filters the survivors of child k-1 in place.  The empty conjunction keeps
+// every row.
 type vecAnd struct {
 	children []vecPredicate
 }
 
-func (p *vecAnd) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
-	cur, err := p.children[0].filterSel(rows, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range p.children[1:] {
-		if len(cur) == 0 {
-			return cur, nil
-		}
-		cur, err = c.filterSel(rows, cur, cur[:0])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
-}
-
-// vecRowPred adapts a bound row-at-a-time predicate into the batch loop — the
-// fallback for OR, NOT and foreign predicate implementations.
-type vecRowPred struct {
-	pred boundPredicate
-}
-
-func (p *vecRowPred) filterSel(rows []Tuple, src, dst []int32) ([]int32, error) {
-	if src == nil {
-		for i := range rows {
-			ok, err := p.pred.eval(rows[i])
-			if err != nil {
-				return nil, err
-			}
-			if ok {
+func (p *vecAnd) filterSel(rows []Tuple, src, dst []int32) []int32 {
+	if len(p.children) == 0 {
+		if src == nil {
+			for i := range rows {
 				dst = append(dst, int32(i))
 			}
+			return dst
 		}
-		return dst, nil
+		return append(dst, src...)
 	}
-	for _, i := range src {
-		ok, err := p.pred.eval(rows[i])
-		if err != nil {
-			return nil, err
+	cur := p.children[0].filterSel(rows, src, dst)
+	for _, c := range p.children[1:] {
+		if len(cur) == 0 {
+			return cur
 		}
-		if ok {
-			dst = append(dst, i)
-		}
+		cur = c.filterSel(rows, cur, cur[:0])
 	}
-	return dst, nil
+	return cur
 }

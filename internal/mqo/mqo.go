@@ -38,9 +38,10 @@ type Plan struct {
 
 	// live is, per subexpression signature, the union of the columns the
 	// queries read from it — what its one shared materialization has to
-	// carry — and whether more than one consumer reads it at all.  It depends
-	// on the plans alone, so Optimize computes it once and every execution
-	// reuses it.
+	// carry — whether more than one consumer reads it at all, and whether
+	// all of them read it as a set, as the group runner's ExecuteSet reads
+	// every query.  It depends on the plans alone, so Optimize computes it
+	// once and every execution reuses it.
 	live *engine.LiveColumns
 }
 
@@ -157,14 +158,15 @@ func Optimize(plans []engine.Plan) (*Plan, error) {
 			res.OptimalOperators++
 		}
 	}
-	res.live = engine.AnalyzeLiveColumns(res.Queries)
+	res.live = engine.AnalyzeSetLiveColumns(res.Queries)
 	return res, nil
 }
 
 // NewCache returns the shared-subexpression cache for one execution of the
 // plan's queries: executors that carry it compute each subexpression with more
-// than one consumer once, however the queries are scheduled.  A nil plan — any
-// method but e-MQO — has none.
+// than one consumer once, however the queries are scheduled.  They must run the
+// queries through ExecuteSet, as the analysis behind the cache assumes.  A nil
+// plan — any method but e-MQO — has none.
 func (p *Plan) NewCache() *engine.PlanCache {
 	if p == nil {
 		return nil

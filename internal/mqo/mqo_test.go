@@ -24,7 +24,7 @@ func execute(p *Plan, db *engine.Instance, stats *engine.Stats) ([]*engine.Relat
 	out := make([]*engine.Relation, len(p.Queries))
 	for i, q := range p.Queries {
 		ex := &engine.Executor{DB: db, Stats: stats, Cache: cache, Indexes: db.Indexes()}
-		rel, err := ex.Execute(q)
+		rel, err := ex.ExecuteSet(context.Background(), q)
 		if err != nil {
 			return nil, err
 		}

@@ -265,7 +265,9 @@ type ScenarioOptions struct {
 	Target string
 	// Mappings is the number of possible mappings h (default 100).
 	Mappings int
-	// SizeMB scales the synthetic instance (default 100, the paper's size).
+	// SizeMB is the synthetic instance's nominal scale in MB, not bytes
+	// (default 100, which generates 1,050 rows; 40 generates 423, and the
+	// paper's 100 MB instance has about 866,000).
 	SizeMB float64
 	// Seed makes generation deterministic.
 	Seed uint64
