@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -132,8 +133,8 @@ func (os *osharer) plan(n *traceNode, u *eUnit, seed int64) error {
 // pre-order on the calling goroutine until the consumer stops it, and adds the
 // operator statistics and the operators' execution time to run.  Every
 // consumer reads a leaf's rows as a set, so unless the final operator
-// aggregates, the walk's products and joins skip the pairs that only repeat a
-// row (engine.ProductKeep's set).
+// aggregates, the walk's joins and flattens skip the pairs that only repeat a
+// row, and a factor no later operator reads stands for one row.
 //
 // The subtrees below the first branching node are independent, so they run on
 // the runtime's worker pool, and each branch's rows are handed over in branch
@@ -357,31 +358,46 @@ func subtreeAliases(n query.Node) []string {
 }
 
 // fragment is a set of relation occurrences of the target query together with
-// the source relation that currently materializes them inside an e-unit.  A
-// nil rel means the (single) occurrence has not been touched yet.
+// the factors that materialize them inside an e-unit.  The fragment's relation
+// is the Cartesian product of its factors — one per included source relation
+// or joined group, each with its own selections applied — and is never built:
+// a product appends factors, and only an operator that reads two factors at
+// once, or the root, flattens them (FDB's factorized representation, Bakibayev,
+// Olteanu & Závodný, VLDB 2012).  A fragment that includes no source relation
+// has not been touched yet.
 type fragment struct {
+	// aliases and included are shared between a fragment and its clones and
+	// never written once built: attach replaces included with a copy.
 	aliases  map[string]bool
 	included map[string]map[string]bool // alias -> source relations scanned in
-	rel      *engine.Relation
+	factors  []*engine.Relation
 }
 
 func (f *fragment) clone() *fragment {
-	out := &fragment{
-		aliases:  make(map[string]bool, len(f.aliases)),
-		included: make(map[string]map[string]bool, len(f.included)),
-		rel:      f.rel,
-	}
-	for a := range f.aliases {
-		out.aliases[a] = true
-	}
-	for a, rels := range f.included {
-		cp := make(map[string]bool, len(rels))
-		for r := range rels {
-			cp[r] = true
+	return &fragment{aliases: f.aliases, included: f.included, factors: append([]*engine.Relation(nil), f.factors...)}
+}
+
+// materialized reports whether some source relation has been scanned into
+// the fragment.
+func (f *fragment) materialized() bool { return len(f.included) > 0 }
+
+// factorOf returns the position of the factor carrying the column, or -1.
+func (f *fragment) factorOf(col string) int {
+	for i, r := range f.factors {
+		for _, c := range r.Columns {
+			if c == col {
+				return i
+			}
 		}
-		out.included[a] = cp
 	}
-	return out
+	return -1
+}
+
+// without returns the fragment's factors but the one at i, in order.
+func (f *fragment) without(i int) []*engine.Relation {
+	out := make([]*engine.Relation, 0, len(f.factors)-1)
+	out = append(out, f.factors[:i]...)
+	return append(out, f.factors[i+1:]...)
 }
 
 func (f *fragment) hasAlias(a string) bool { return f.aliases[a] }
@@ -468,12 +484,15 @@ func (u *eUnit) fragmentCovering(aliases []string) *fragment {
 	return f
 }
 
-// hasEmptyFragment reports whether any materialized fragment is empty, which
-// forces every downstream product and selection to be empty as well.
+// hasEmptyFragment reports whether any fragment is empty — one of its
+// factors is — which forces every downstream product and selection to be
+// empty as well.
 func (u *eUnit) hasEmptyFragment() bool {
 	for _, f := range u.fragments {
-		if f.rel != nil && f.rel.IsEmpty() {
-			return true
+		for _, r := range f.factors {
+			if r.IsEmpty() {
+				return true
+			}
 		}
 	}
 	return false
@@ -533,8 +552,9 @@ func (os *osharer) walk(n *traceNode, u *eUnit, c groupConsumer) (bool, error) {
 	}
 	if len(n.children) == 0 {
 		// Case 1: every operator has been executed; the single remaining
-		// fragment holds the answers for all mappings of this e-unit.
-		return c.take(n.id, n.part.Prob, u.fragments[0].rel.Rows), nil
+		// fragment, flattened by the final operator into one factor, holds
+		// the answers for all mappings of this e-unit.
+		return c.take(n.id, n.part.Prob, u.fragments[0].factors[0].Rows), nil
 	}
 	if u.hasEmptyFragment() {
 		// Case 2: an empty intermediate relation makes the whole subtree's
@@ -659,7 +679,7 @@ func (os *osharer) partitionAttrs(u *eUnit, op *targetOp) ([]schema.Attribute, e
 	var attrs []schema.Attribute
 	addAlias := func(alias string) {
 		frag := u.fragmentOf(alias)
-		if frag != nil && frag.rel != nil {
+		if frag != nil && frag.materialized() {
 			return // already materialized; its shape is fixed
 		}
 		attrs = append(attrs, os.nq.aliasAttrs[alias]...)
@@ -825,7 +845,7 @@ func (os *osharer) scan(alias, srcRel string) (*engine.Relation, error) {
 	if base == nil {
 		return nil, fmt.Errorf("o-sharing: unknown source relation %q", srcRel)
 	}
-	os.stats.RecordOp(engine.OpKindScan)
+	os.stats.Record(engine.OpKindScan, 0, 0)
 	rel := base.QualifyColumns(alias + "." + srcRel)
 	if os.planning {
 		rel.Rows = nil
@@ -834,30 +854,31 @@ func (os *osharer) scan(alias, srcRel string) (*engine.Relation, error) {
 }
 
 // attach brings rel — the scan of srcRel for the alias, or a selection of it —
-// into the fragment: it becomes the fragment's materialization if there is
-// none yet, and otherwise extends it by a Cartesian product (the reformulation
-// of one relation occurrence is the product of its covering source relations)
-// that carries only the live columns.
-func (os *osharer) attach(frag *fragment, alias, srcRel string, rel *engine.Relation, live liveSet) error {
-	if frag.rel == nil {
-		frag.rel = rel
-	} else {
-		prod, err := engine.ProductKeep(os.ec.Ctx(), frag.rel, rel, live.keep(frag.rel), live.keep(rel), os.set, os.stats)
-		if err != nil {
-			return err
-		}
-		frag.rel = prod
+// into the fragment as a new factor.  The reformulation of one relation
+// occurrence is the product of its covering source relations, so bringing a
+// relation into a materialized fragment is a product: it is counted as one
+// and copies nothing.
+func (os *osharer) attach(frag *fragment, alias, srcRel string, rel *engine.Relation) {
+	if frag.materialized() {
+		os.stats.Record(engine.OpKindProduct, 0, 0)
 	}
-	if frag.included[alias] == nil {
-		frag.included[alias] = make(map[string]bool)
+	frag.factors = append(frag.factors, rel)
+	included := make(map[string]map[string]bool, len(frag.included)+1)
+	for a, rels := range frag.included {
+		included[a] = rels
 	}
-	frag.included[alias][srcRel] = true
-	return nil
+	rels := make(map[string]bool, len(included[alias])+1)
+	for r := range included[alias] {
+		rels[r] = true
+	}
+	rels[srcRel] = true
+	included[alias] = rels
+	frag.included = included
 }
 
-// ensureIncluded guarantees that the fragment's materialization contains the
-// given source relation for the alias, scanning it in whole if it does not.
-func (os *osharer) ensureIncluded(frag *fragment, alias, srcRel string, live liveSet) error {
+// ensureIncluded guarantees that the fragment contains the given source
+// relation for the alias, scanning it in whole if it does not.
+func (os *osharer) ensureIncluded(frag *fragment, alias, srcRel string) error {
 	if frag.included[alias][srcRel] {
 		return nil
 	}
@@ -865,18 +886,19 @@ func (os *osharer) ensureIncluded(frag *fragment, alias, srcRel string, live liv
 	if err != nil {
 		return err
 	}
-	return os.attach(frag, alias, srcRel, scanned, live)
+	os.attach(frag, alias, srcRel, scanned)
+	return nil
 }
 
 // materializeAlias brings every source relation needed to cover the query's
 // attributes of the alias (under mapping m) into the fragment.
-func (os *osharer) materializeAlias(frag *fragment, alias string, m *schema.Mapping, live liveSet) error {
+func (os *osharer) materializeAlias(frag *fragment, alias string, m *schema.Mapping) error {
 	rels, err := os.nq.ref.SourceRelationsForAlias(m, alias)
 	if err != nil {
 		return err
 	}
 	for _, r := range rels {
-		if err := os.ensureIncluded(frag, alias, r, live); err != nil {
+		if err := os.ensureIncluded(frag, alias, r); err != nil {
 			return err
 		}
 	}
@@ -899,40 +921,42 @@ func (os *osharer) sourceColumn(u *eUnit, m *schema.Mapping, ref opRef) (schema.
 
 // sourceColumnIn resolves the reference to its engine column name under the
 // mapping, making sure the owning fragment includes the needed source
-// relation.
-func (os *osharer) sourceColumnIn(u *eUnit, m *schema.Mapping, ref opRef, live liveSet) (string, *fragment, error) {
+// relation, and returns the position of the factor carrying the column.
+func (os *osharer) sourceColumnIn(u *eUnit, m *schema.Mapping, ref opRef) (string, *fragment, int, error) {
 	src, frag, err := os.sourceColumn(u, m, ref)
 	if err != nil {
-		return "", nil, err
+		return "", nil, 0, err
 	}
-	if err := os.ensureIncluded(frag, ref.alias, src.Relation, live); err != nil {
-		return "", nil, err
+	if err := os.ensureIncluded(frag, ref.alias, src.Relation); err != nil {
+		return "", nil, 0, err
 	}
-	return columnName(ref.alias, src), frag, nil
+	col := columnName(ref.alias, src)
+	i := frag.factorOf(col)
+	if i < 0 {
+		return "", nil, 0, fmt.Errorf("o-sharing: no factor carries %s", col)
+	}
+	return col, frag, i, nil
 }
 
-// mergeFragments materializes and products the given fragments into one.
-func (os *osharer) mergeFragments(frags []*fragment, m *schema.Mapping, live liveSet) (*fragment, error) {
+// mergeFragments materializes the given fragments and products them into one:
+// the merged fragment lists their factors in order, and each fragment after
+// the first counts one product.
+func (os *osharer) mergeFragments(frags []*fragment, m *schema.Mapping) (*fragment, error) {
 	merged := &fragment{aliases: make(map[string]bool), included: make(map[string]map[string]bool)}
 	for _, f := range frags {
-		if f.rel == nil {
+		if !f.materialized() {
 			// Materialize untouched single-alias fragments with their covering
 			// source relations.
 			for a := range f.aliases {
-				if err := os.materializeAlias(f, a, m, live); err != nil {
+				if err := os.materializeAlias(f, a, m); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if merged.rel == nil {
-			merged.rel = f.rel
-		} else {
-			prod, err := engine.ProductKeep(os.ec.Ctx(), merged.rel, f.rel, live.keep(merged.rel), live.keep(f.rel), os.set, os.stats)
-			if err != nil {
-				return nil, err
-			}
-			merged.rel = prod
+		if merged.materialized() {
+			os.stats.Record(engine.OpKindProduct, 0, 0)
 		}
+		merged.factors = append(merged.factors, f.factors...)
 		for a := range f.aliases {
 			merged.aliases[a] = true
 		}
@@ -948,6 +972,92 @@ func (os *osharer) mergeFragments(frags []*fragment, m *schema.Mapping, live liv
 	return merged, nil
 }
 
+// flatten builds the product of the factors, each cut to its keep list, left
+// to right: the one place o-sharing builds product rows.  Under the set bit a
+// factor that keeps nothing is an existence bit: an empty one empties the
+// product, any other drops out.  With two or more factors left, each is first
+// cut to its distinct rows over its keep list, so the product repeats no row.
+// When one factor is left it is returned whole — callers address the result by
+// column name — and otherwise the result holds exactly the kept columns.  The
+// products were counted when their factors were appended, so flatten charges
+// the rows it reads and builds and no operator.
+func (os *osharer) flatten(factors []*engine.Relation, keeps [][]int) (*engine.Relation, error) {
+	var st *engine.Stats
+	if os.stats != nil {
+		st = engine.NewStats()
+		defer os.stats.AddRows(st)
+	}
+	ctx := os.ec.Ctx()
+	var parts []*engine.Relation
+	var partKeeps [][]int
+	empty := false
+	for i, f := range factors {
+		if os.set && len(keeps[i]) == 0 && !f.IsEmpty() {
+			continue
+		}
+		empty = empty || f.IsEmpty()
+		parts, partKeeps = append(parts, f), append(partKeeps, keeps[i])
+	}
+	switch len(parts) {
+	case 0:
+		out := engine.NewRelation("product", nil)
+		out.Rows = []engine.Tuple{{}}
+		return out, nil
+	case 1:
+		return parts[0], nil
+	}
+	if os.set && !empty {
+		for i, f := range parts {
+			names := make([]string, len(partKeeps[i]))
+			for k, j := range partKeeps[i] {
+				names[k] = f.Columns[j]
+			}
+			cut, err := engine.Project(ctx, f, names, st)
+			if err != nil {
+				return nil, err
+			}
+			if parts[i], err = engine.Distinct(ctx, cut, st); err != nil {
+				return nil, err
+			}
+			partKeeps[i] = allColumns(parts[i])
+		}
+	}
+	acc, accKeep := parts[0], partKeeps[0]
+	for i := 1; i < len(parts); i++ {
+		prod, err := engine.ProductKeep(ctx, acc, parts[i], accKeep, partKeeps[i], os.set, st)
+		if err != nil {
+			return nil, err
+		}
+		acc, accKeep = prod, allColumns(prod)
+	}
+	return acc, nil
+}
+
+// allColumns is the keep list of every column of rel, in order.
+func allColumns(rel *engine.Relation) []int {
+	idx := make([]int, len(rel.Columns))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// keepOf returns, for each factor, the positions of its columns among cols.
+func keepOf(factors []*engine.Relation, cols []string) [][]int {
+	keeps := make([][]int, len(factors))
+	for i, f := range factors {
+		for j, c := range f.Columns {
+			for _, want := range cols {
+				if c == want {
+					keeps[i] = append(keeps[i], j)
+					break
+				}
+			}
+		}
+	}
+	return keeps
+}
+
 // executeOp executes the chosen operator for one mapping partition and returns
 // the child e-unit (Steps 15–21 of Algorithm 2).
 func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, error) {
@@ -958,6 +1068,7 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 	child := u.clone()
 	child.maps = p.Mappings
 	child.done[op.id] = true
+	ctx := os.ec.Ctx()
 
 	switch op.kind {
 	case opSelect:
@@ -966,84 +1077,103 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 		if err != nil {
 			return nil, err
 		}
-		pred := &engine.ConstPredicate{Column: columnName(ref.alias, src), Op: op.sel.Op, Value: op.sel.Value}
+		col := columnName(ref.alias, src)
+		pred := &engine.ConstPredicate{Column: col, Op: op.sel.Op, Value: op.sel.Value}
 		if frag.included[ref.alias][src.Relation] {
-			out, err := engine.IndexedSelect(os.ec.Ctx(), frag.rel, pred, os.stats, os.indexes)
+			// The column lies in one factor: filter that factor alone.  An
+			// untouched one still shares the base rows, so the shared index
+			// serves it.
+			i := frag.factorOf(col)
+			if i < 0 {
+				return nil, fmt.Errorf("o-sharing: no factor carries %s", col)
+			}
+			out, err := engine.IndexedSelect(ctx, frag.factors[i], pred, os.stats, os.indexes)
 			if err != nil {
 				return nil, err
 			}
-			frag.rel = out
+			frag.factors[i] = out
 			return child, nil
 		}
 		// The fragment does not hold the relation yet: filter the base scan —
 		// from the shared index when it serves the predicate — and bring in
-		// only what survives.  The product is left-major and selection keeps
-		// order, so frag × σ(R) is row for row σ(frag × R).
+		// only what survives, as a new factor.
 		scanned, err := os.scan(ref.alias, src.Relation)
 		if err != nil {
 			return nil, err
 		}
-		filtered, err := engine.IndexedSelect(os.ec.Ctx(), scanned, pred, os.stats, os.indexes)
+		filtered, err := engine.IndexedSelect(ctx, scanned, pred, os.stats, os.indexes)
 		if err != nil {
 			return nil, err
 		}
-		var live liveSet
-		if frag.rel != nil {
-			live = os.liveColumns(child, nil)
-		}
-		if err := os.attach(frag, ref.alias, src.Relation, filtered, live); err != nil {
-			return nil, err
-		}
+		os.attach(frag, ref.alias, src.Relation, filtered)
 		return child, nil
 
 	case opJoinSelect:
-		live := os.liveColumns(child, op)
-		leftCol, leftFrag, err := os.sourceColumnIn(child, m, op.refs[0], live)
+		leftCol, leftFrag, li, err := os.sourceColumnIn(child, m, op.refs[0])
 		if err != nil {
 			return nil, err
 		}
-		rightCol, rightFrag, err := os.sourceColumnIn(child, m, op.refs[1], live)
+		rightCol, rightFrag, ri, err := os.sourceColumnIn(child, m, op.refs[1])
 		if err != nil {
 			return nil, err
 		}
-		if leftFrag != rightFrag {
-			// The two operands live in different fragments: combine them.  For
-			// an equality condition use a hash join instead of product+filter,
-			// which is how the engine would rearrange the operator anyway.
-			merged := &fragment{aliases: make(map[string]bool), included: make(map[string]map[string]bool)}
-			for _, f := range []*fragment{leftFrag, rightFrag} {
-				for a := range f.aliases {
-					merged.aliases[a] = true
-				}
-				for a, rels := range f.included {
-					merged.included[a] = rels
+		if leftFrag == rightFrag {
+			// Both operands in one fragment: a selection over the factor
+			// carrying both columns, or over the two factors flattened.
+			in := leftFrag.factors[li]
+			if li != ri {
+				live := os.liveColumns(child, op)
+				if in, err = os.flatten([]*engine.Relation{in, leftFrag.factors[ri]}, [][]int{live.keep(in), live.keep(leftFrag.factors[ri])}); err != nil {
+					return nil, err
 				}
 			}
-			var joined *engine.Relation
-			if op.jsel.Op == engine.OpEq {
-				// The hash join reads its keys from the inputs, so its output
-				// carries only what the operators after this one need.
-				after := os.liveColumns(child, nil)
-				joined, err = engine.IndexedHashJoinKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, leftCol, rightCol,
-					after.keep(leftFrag.rel), after.keep(rightFrag.rel), os.set, os.stats, os.indexes)
-			} else {
-				joined, err = engine.ProductKeep(os.ec.Ctx(), leftFrag.rel, rightFrag.rel, live.keep(leftFrag.rel), live.keep(rightFrag.rel), os.set, os.stats)
-				if err == nil {
-					joined, err = engine.Select(os.ec.Ctx(), joined, &engine.ColPredicate{Left: leftCol, Op: op.jsel.Op, Right: rightCol}, os.stats)
-				}
-			}
+			out, err := engine.Select(ctx, in, &engine.ColPredicate{Left: leftCol, Op: op.jsel.Op, Right: rightCol}, os.stats)
 			if err != nil {
 				return nil, err
 			}
-			merged.rel = joined
-			child.replaceFragments([]*fragment{leftFrag, rightFrag}, merged)
+			leftFrag.factors[li] = out
+			if li != ri {
+				leftFrag.factors = leftFrag.without(ri)
+			}
 			return child, nil
 		}
-		out, err := engine.Select(os.ec.Ctx(), leftFrag.rel, &engine.ColPredicate{Left: leftCol, Op: op.jsel.Op, Right: rightCol}, os.stats)
+		// The two operands live in different fragments: combine them, joining
+		// the two factors the condition reads and keeping every other factor
+		// as it is.  For an equality condition use a hash join instead of
+		// product+filter, which is how the engine would rearrange the operator
+		// anyway.
+		merged := &fragment{aliases: make(map[string]bool), included: make(map[string]map[string]bool)}
+		for _, f := range []*fragment{leftFrag, rightFrag} {
+			for a := range f.aliases {
+				merged.aliases[a] = true
+			}
+			for a, rels := range f.included {
+				merged.included[a] = rels
+			}
+		}
+		lf, rf := leftFrag.factors[li], rightFrag.factors[ri]
+		var joined *engine.Relation
+		if op.jsel.Op == engine.OpEq {
+			// The hash join reads its keys from the inputs, so its output
+			// carries only what the operators after this one need.
+			after := os.liveColumns(child, nil)
+			joined, err = engine.IndexedHashJoinKeep(ctx, lf, rf, leftCol, rightCol,
+				after.keep(lf), after.keep(rf), os.set, os.stats, os.indexes)
+		} else {
+			live := os.liveColumns(child, op)
+			os.stats.Record(engine.OpKindProduct, 0, 0)
+			joined, err = os.flatten([]*engine.Relation{lf, rf}, [][]int{live.keep(lf), live.keep(rf)})
+			if err == nil {
+				joined, err = engine.Select(ctx, joined, &engine.ColPredicate{Left: leftCol, Op: op.jsel.Op, Right: rightCol}, os.stats)
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		leftFrag.rel = out
+		merged.factors = append(leftFrag.factors[:li:li], joined)
+		merged.factors = append(merged.factors, leftFrag.factors[li+1:]...)
+		merged.factors = append(merged.factors, rightFrag.without(ri)...)
+		child.replaceFragments([]*fragment{leftFrag, rightFrag}, merged)
 		return child, nil
 
 	case opProduct:
@@ -1056,7 +1186,7 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 			// Another operator (a join condition) already merged the operands.
 			return child, nil
 		}
-		merged, err := os.mergeFragments([]*fragment{left, right}, m, os.liveColumns(child, nil))
+		merged, err := os.mergeFragments([]*fragment{left, right}, m)
 		if err != nil {
 			return nil, err
 		}
@@ -1064,51 +1194,81 @@ func (os *osharer) executeOp(u *eUnit, op *targetOp, p *Partition) (*eUnit, erro
 		return child, nil
 
 	case opFinal:
-		// Merge whatever fragments remain into one relation.
-		live := os.liveColumns(child, op)
-		frags := append([]*fragment(nil), child.fragments...)
-		merged, err := os.mergeFragments(frags, m, live)
+		// Merge whatever fragments remain into one, and flatten it into the
+		// leaf's single factor.
+		merged, err := os.mergeFragments(append([]*fragment(nil), child.fragments...), m)
 		if err != nil {
 			return nil, err
 		}
 		child.fragments = []*fragment{merged}
-		switch final := op.final.(type) {
-		case nil:
-			return child, nil
-		case *query.Project:
-			cols := make([]string, len(op.refs))
-			for i, ref := range op.refs {
-				col, _, err := os.sourceColumnIn(child, m, ref, live)
-				if err != nil {
-					return nil, err
-				}
-				cols[i] = col
-			}
-			out, err := engine.Project(os.ec.Ctx(), merged.rel, cols, os.stats)
-			if err != nil {
-				return nil, err
-			}
-			merged.rel = out
-			return child, nil
-		case *query.Aggregate:
-			col := ""
-			if len(op.refs) > 0 {
-				c, _, err := os.sourceColumnIn(child, m, op.refs[0], live)
-				if err != nil {
-					return nil, err
-				}
-				col = c
-			}
-			out, err := engine.Aggregate(os.ec.Ctx(), merged.rel, final.Func, col, os.stats)
-			if err != nil {
-				return nil, err
-			}
-			merged.rel = out
-			return child, nil
-		default:
-			return nil, fmt.Errorf("o-sharing: unsupported final operator %T", op.final)
+		out, err := os.finish(child, op, m, merged)
+		if err != nil {
+			return nil, err
 		}
+		merged.factors = []*engine.Relation{out}
+		return child, nil
 	default:
 		return nil, fmt.Errorf("o-sharing: unknown operator kind %v", op.kind)
 	}
+}
+
+// finish runs the final operator over the merged fragment and returns the
+// leaf's rows: the only place a whole fragment is flattened.  A projection
+// flattens only the factors carrying its columns (under the set bit, their
+// distinct projections); COUNT multiplies the factors' row counts, an exact
+// integer, and flattens nothing; any other aggregate flattens its input.
+func (os *osharer) finish(u *eUnit, op *targetOp, m *schema.Mapping, merged *fragment) (*engine.Relation, error) {
+	ctx := os.ec.Ctx()
+	// The final operator's columns, bringing in the relations they need.
+	cols := make([]string, len(op.refs))
+	for i, ref := range op.refs {
+		col, _, _, err := os.sourceColumnIn(u, m, ref)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = col
+	}
+	switch final := op.final.(type) {
+	case nil:
+		keeps := make([][]int, len(merged.factors))
+		for i, f := range merged.factors {
+			keeps[i] = allColumns(f)
+		}
+		return os.flatten(merged.factors, keeps)
+	case *query.Project:
+		flat, err := os.flatten(merged.factors, keepOf(merged.factors, cols))
+		if err != nil {
+			return nil, err
+		}
+		return engine.Project(ctx, flat, cols, os.stats)
+	case *query.Aggregate:
+		if final.Func == engine.AggCount {
+			n := int64(1)
+			for _, f := range merged.factors {
+				var ok bool
+				if n, ok = mulCount(n, int64(len(f.Rows))); !ok {
+					return nil, fmt.Errorf("o-sharing: COUNT over %d factors overflows int64", len(merged.factors))
+				}
+			}
+			os.stats.Record(engine.OpKindAggregate, 0, 1)
+			out := engine.NewRelation("count", []string{final.Func.String()})
+			out.Rows = []engine.Tuple{{engine.I(n)}}
+			return out, nil
+		}
+		flat, err := os.flatten(merged.factors, keepOf(merged.factors, cols))
+		if err != nil {
+			return nil, err
+		}
+		return engine.Aggregate(ctx, flat, final.Func, cols[0], os.stats)
+	default:
+		return nil, fmt.Errorf("o-sharing: unsupported final operator %T", op.final)
+	}
+}
+
+// mulCount returns a·b for non-negative counts when it fits in an int64.
+func mulCount(a, b int64) (int64, bool) {
+	if a != 0 && b > math.MaxInt64/a {
+		return 0, false
+	}
+	return a * b, true
 }

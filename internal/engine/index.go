@@ -618,7 +618,7 @@ func (c *IndexCache) trySelect(ctx context.Context, rel *Relation, pred Predicat
 	if residual != nil && in > 0 {
 		matches = residual.filterSel(rows, matches, matches[:0])
 	}
-	out := NewRelation(rel.Name, rel.Columns)
+	out := rel.sameColumns()
 	if len(matches) > 0 {
 		out.Rows = make([]Tuple, len(matches))
 		for k, i := range matches {

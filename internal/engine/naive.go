@@ -197,7 +197,7 @@ func NaiveAggregate(ctx context.Context, rel *Relation, fn AggFunc, column strin
 		if idx < 0 {
 			return nil, fmt.Errorf("aggregate %s: column %q not found in %v", fn, column, rel.Columns)
 		}
-		sum := 0.0
+		var sum exactSum
 		n := 0
 		for i, row := range rel.Rows {
 			if i%checkInterval == checkInterval-1 {
@@ -209,16 +209,16 @@ func NaiveAggregate(ctx context.Context, rel *Relation, fn AggFunc, column strin
 			if !ok {
 				return nil, fmt.Errorf("aggregate %s: non-numeric value %v in column %q", fn, row[idx], column)
 			}
-			sum += f
+			sum.add(f)
 			n++
 		}
 		if fn == AggSum {
-			out.Rows = append(out.Rows, Tuple{F(sum)})
+			out.Rows = append(out.Rows, Tuple{F(sum.value())})
 		} else {
 			if n == 0 {
 				out.Rows = append(out.Rows, Tuple{Null()})
 			} else {
-				out.Rows = append(out.Rows, Tuple{F(sum / float64(n))})
+				out.Rows = append(out.Rows, Tuple{F(sum.value() / float64(n))})
 			}
 		}
 	case AggMin, AggMax:

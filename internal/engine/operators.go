@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // checkInterval is the number of rows an operator processes between
@@ -218,7 +219,7 @@ func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(rel.Name, rel.Columns)
+	out := rel.sameColumns()
 	rows := rel.Rows
 	// Filter the whole relation into one selection vector first (pointer-free,
 	// so it is nearly invisible to the GC), then allocate the output row list
@@ -696,14 +697,15 @@ func aggOutputColumn(fn AggFunc, column string) string {
 
 // aggAccumulator folds rows into a single aggregate value.  Both the
 // materialized Aggregate and the batch pipeline's batchAgg drive it, so the
-// COUNT/SUM/AVG/MIN/MAX semantics — accumulation order, error strings, the
-// NULL-on-empty rules — exist exactly once.
+// COUNT/SUM/AVG/MIN/MAX semantics — error strings, the NULL-on-empty rules —
+// exist exactly once.  SUM and AVG add exactly and round once, so their value
+// does not depend on the order rows arrive in.
 type aggAccumulator struct {
 	fn     AggFunc
 	idx    int    // value column position; -1 for COUNT
 	column string // display name, for error messages
 	n      int
-	sum    float64
+	sum    exactSum
 	numIn  int
 	best   Value
 }
@@ -720,9 +722,8 @@ var identitySel = func() []int32 {
 }()
 
 // add folds the live rows of rows — those sel indexes, or all of them when sel
-// is nil — in row order, so float summation is identical to feeding the rows
-// one at a time.  The materialized Aggregate and the batch pipeline's batchAgg
-// both drive it.  A dense input is read in checkInterval blocks with a
+// is nil.  The materialized Aggregate and the batch pipeline's batchAgg both
+// drive it.  A dense input is read in checkInterval blocks with a
 // cancellation check between them; a selection is bounded by the batch size,
 // so the caller's per-batch check keeps it prompt.
 func (a *aggAccumulator) add(ctx context.Context, rows []Tuple, sel []int32) error {
@@ -753,25 +754,31 @@ func (a *aggAccumulator) fold(rows []Tuple, sel []int32) error {
 		a.n += len(sel)
 	case AggSum, AggAvg:
 		idx := a.idx
-		sum := a.sum
+		s := &a.sum
+		s.reserve(len(sel))
 		for k, i := range sel {
 			v := &rows[i][idx]
+			var f float64
 			switch v.Kind {
 			case KindFloat:
-				sum += v.Float
+				f = v.Float
 			case KindInt:
-				sum += float64(v.Int)
+				f = float64(v.Int)
 			default:
-				f, ok := v.AsFloat()
-				if !ok {
-					a.sum = sum
+				var ok bool
+				if f, ok = v.AsFloat(); !ok {
 					a.n += k + 1
 					return fmt.Errorf("aggregate %s: non-numeric value %v in column %q", a.fn, *v, a.column)
 				}
-				sum += f
+			}
+			// s.addReserved(f), its common case inlined.
+			b := math.Float64bits(f)
+			if shift := b>>52&0x7ff - 1; shift < 0x7fe {
+				s.addBits(shift, b&(1<<52-1)|1<<52, b>>63)
+			} else {
+				s.addSpecial(f)
 			}
 		}
-		a.sum = sum
 		a.n += len(sel)
 		a.numIn += len(sel)
 	case AggMin, AggMax:
@@ -794,12 +801,12 @@ func (a *aggAccumulator) result() Tuple {
 	case AggCount:
 		return Tuple{I(int64(a.n))}
 	case AggSum:
-		return Tuple{F(a.sum)}
+		return Tuple{F(a.sum.value())}
 	case AggAvg:
 		if a.numIn == 0 {
 			return Tuple{Null()}
 		}
-		return Tuple{F(a.sum / float64(a.numIn))}
+		return Tuple{F(a.sum.value() / float64(a.numIn))}
 	default: // AggMin, AggMax
 		if a.n == 0 {
 			return Tuple{Null()}

@@ -56,6 +56,17 @@ func (r *Relation) ColumnIndex(name string) int {
 	return idx
 }
 
+// sameColumns returns an empty relation with r's name and columns that shares
+// r's column slice and, once built, its resolution table: a selection's output
+// resolves names exactly as its input, so it need not build the table again.
+func (r *Relation) sameColumns() *Relation {
+	out := &Relation{Name: r.Name, Columns: r.Columns}
+	if m := r.colIndex.Load(); m != nil {
+		out.colIndex.Store(m)
+	}
+	return out
+}
+
 // buildColumnIndex precomputes every resolvable name for the column list with
 // the same semantics as lookupColumn: exact names win (first occurrence), and
 // an unqualified suffix resolves only when unambiguous (ambiguous suffixes are

@@ -107,14 +107,27 @@ func (s *Stats) recordValues(n int) {
 	s.valuesBuilt.Add(int64(n))
 }
 
-// RecordOp counts one executed operator of the given kind without row
-// accounting (o-sharing uses it for scans whose rows are consumed lazily by
-// the operators reading the fragment).
-func (s *Stats) RecordOp(op OpKind) {
-	if s == nil {
+// Record counts one executed operator of the given kind with its input and
+// output row counts, for operators run outside this package: o-sharing's
+// scans, whose rows the operators reading the fragment count, and its
+// factorized products and counts, which read no rows.
+func (s *Stats) Record(op OpKind, in, out int) { s.record(op, in, out) }
+
+// AddRows accumulates another collector's row, value and selectivity counters
+// into s but none of its operator counts: o-sharing flattens factors whose
+// products it counted when it appended them, and charges only the rows.
+func (s *Stats) AddRows(o *Stats) {
+	if s == nil || o == nil || s == o {
 		return
 	}
-	s.ops[op].Add(1)
+	s.rowsRead.Add(o.rowsRead.Load())
+	s.rowsProduced.Add(o.rowsProduced.Load())
+	s.indexBuilds.Add(o.indexBuilds.Load())
+	s.indexLookups.Add(o.indexLookups.Load())
+	s.batches.Add(o.batches.Load())
+	s.selectRowsIn.Add(o.selectRowsIn.Load())
+	s.selectRowsOut.Add(o.selectRowsOut.Load())
+	s.valuesBuilt.Add(o.valuesBuilt.Load())
 }
 
 // recordIndexBuild counts one base-relation hash-index construction.
@@ -248,14 +261,7 @@ func (s *Stats) Add(o *Stats) {
 			s.ops[k].Add(n)
 		}
 	}
-	s.rowsRead.Add(o.rowsRead.Load())
-	s.rowsProduced.Add(o.rowsProduced.Load())
-	s.indexBuilds.Add(o.indexBuilds.Load())
-	s.indexLookups.Add(o.indexLookups.Load())
-	s.batches.Add(o.batches.Load())
-	s.selectRowsIn.Add(o.selectRowsIn.Load())
-	s.selectRowsOut.Add(o.selectRowsOut.Load())
-	s.valuesBuilt.Add(o.valuesBuilt.Load())
+	s.AddRows(o)
 }
 
 // Reset clears the collector.
