@@ -29,6 +29,12 @@
 //	  "method": "o-sharing"
 //	}'
 //
+// -debug-addr serves net/http/pprof on a listener of its own, never on the
+// API's, so a profile of the running server is one request away:
+//
+//	urm-serve -debug-addr 127.0.0.1:6060 &
+//	go tool pprof 'http://127.0.0.1:6060/debug/pprof/profile?seconds=10'
+//
 // SIGINT/SIGTERM triggers a graceful stop: new requests are refused with 503,
 // in-flight requests finish (bounded by -drain-timeout), then the listener
 // closes and the process exits 0.
@@ -60,7 +66,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -113,6 +121,7 @@ func run(args []string) error {
 		nodeName    = fs.String("node-name", "", "stable node identity for leases (default the advertise URL)")
 		leaseEvery  = fs.Duration("lease-interval", 2*time.Second, "heartbeat cadence; a node's leases expire after 3 missed heartbeats")
 		slowQueryMS = fs.Int("slow-query-ms", 0, "log any query slower than this many milliseconds (0 disables the slow-query log)")
+		debugAddr   = fs.String("debug-addr", "", "serve net/http/pprof on this address, on a listener of its own, e.g. 127.0.0.1:6060 (empty disables it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,6 +129,14 @@ func run(args []string) error {
 	if fs.NArg() > 0 {
 		fs.Usage()
 		return fmt.Errorf("unexpected trailing arguments: %q", fs.Args())
+	}
+
+	debug, err := serveDebug(*debugAddr)
+	if err != nil {
+		return err
+	}
+	if debug != nil {
+		defer debug.Close()
 	}
 
 	if *coordMode {
@@ -339,6 +356,33 @@ func run(args []string) error {
 	}
 	fmt.Println("drained; bye")
 	return nil
+}
+
+// serveDebug serves the runtime profiles of net/http/pprof at addr on a
+// listener and mux of their own, so they never share the API's; it returns the
+// server to close at exit, or nil when addr is empty.
+func serveDebug(addr string) (*http.Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-debug-addr: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "urm-serve: -debug-addr:", err)
+		}
+	}()
+	fmt.Printf("profiling on %s (GET /debug/pprof/)\n", ln.Addr())
+	return srv, nil
 }
 
 // runCoordinator serves the multi-node coordinator: it holds no scenario

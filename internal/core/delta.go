@@ -117,15 +117,16 @@ func (st *DeltaState) Bytes() int64 {
 }
 
 // ApplyDelta folds every row appended since the state's covered lengths into
-// the per-group tuple sets: one pass per grown relation, each pass executing
-// the group plans that scan it — or walking the whole u-trace, whose leaves
-// that do not scan it re-add rows the sets already hold — against a derived
-// instance where the grown relation is its delta slice, later grown relations
-// are their old prefixes, and everything else is the live relation (probing
-// the live instance's shared indexes via AdoptIndexes).  The passes partition
-// the new row combinations, so together they produce exactly the tuples a
-// cold run would add.  It returns the number
-// of passes executed; an error (a shrunk or vanished relation — something
+// the per-group tuple sets: one pass per grown relation, each pass running
+// the compiled programs of the group plans that scan it — an e-MQO list's
+// with one fresh cache of its global plan — or walking the whole u-trace,
+// whose leaves that do not scan it re-add rows the sets already hold —
+// against a derived instance where the grown relation is its delta slice,
+// later grown relations are their old prefixes, and everything else is the
+// live relation (probing the live instance's shared indexes via
+// AdoptIndexes).  The passes partition the new row combinations, so together
+// they produce exactly the tuples a cold run would add.  It returns the
+// number of passes executed; an error (a shrunk or vanished relation — something
 // other than an append happened) means the state can no longer be trusted and
 // the caller must fall back to cold evaluation.
 func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, error) {
@@ -169,7 +170,7 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 		if active == 0 {
 			continue
 		}
-		pass := &ScatterPlan{Method: st.sp.Method, Groups: groups, trace: st.sp.trace}
+		pass := &ScatterPlan{Method: st.sp.Method, Groups: groups, Global: st.sp.Global, trace: st.sp.trace}
 		deltaDB := db.WithRelations(db.Name, replace)
 		deltaDB.AdoptIndexes(db)
 		// The pass extends copies of the maintained sets, which share their

@@ -93,6 +93,14 @@ func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sp, rewrite, err := p.build(ec, key)
+	if err == nil && !sp.compiled {
+		// Compiled as the method is first asked for, not as an intermediate
+		// another method's list was derived from: e-MQO's build never
+		// compiles basic's hundred plans.
+		start := time.Now()
+		sp.compile(p.db)
+		rewrite += time.Since(start)
+	}
 	if err == nil && rewrite == 0 {
 		rewrite = p.unreported[sp]
 		delete(p.unreported, sp)

@@ -23,6 +23,12 @@ type ScatterGroup struct {
 	Prob  float64
 	Plan  engine.Plan
 	Below int
+
+	// prog is Plan compiled once, when the group's Prepared first handed the
+	// list out (ScatterPlan.compile), and kept by a delta pass's copy of the
+	// group; nil on a list built any other way, whose executions compile the
+	// plan each time.
+	prog *engine.Program
 }
 
 // ScatterPlan is one of the four plan methods, as the paper defines them:
@@ -70,6 +76,9 @@ type ScatterPlan struct {
 	// on a plan built any other way, which distributes over nothing and
 	// maintains nothing.
 	shape *planShape
+	// compiled is set once its Prepared has compiled the group plans
+	// (compile), under the Prepared's lock.
+	compiled bool
 	// trace is o-sharing's u-trace; nil on the plan methods.
 	trace *uTrace
 }
@@ -95,6 +104,22 @@ type planShape struct {
 	// linear, or a group scans a relation twice (the name-keyed relation
 	// replacement cannot express a per-occurrence delta); nil when they can.
 	unmaintainable error
+}
+
+// compile lowers every covering group plan into a batch program for db's
+// schema, once, the first time its Prepared hands the list out — an e-MQO
+// list's through one compiler for its global plan's cache, so each sharing
+// point is compiled once, beside Global, and every run's cache holds only
+// results.  A plan that does not compile keeps no program: each execution
+// compiles it and reports the error, as it always did.
+func (sp *ScatterPlan) compile(db *engine.Instance) {
+	sp.compiled = true
+	c := engine.NewCompiler(db, sp.Global.NewCache())
+	for i := range sp.Groups {
+		if g := &sp.Groups[i]; g.Plan != nil {
+			g.prog, _ = c.Compile(g.Plan, true)
+		}
+	}
 }
 
 // analyse decides a group list's shape from its plans, once, as it is memoized.
@@ -264,9 +289,10 @@ func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardR
 // subexpression still runs exactly once — hands each group's rows to the
 // consumer and adds the operator statistics and CPU time to run.  Group order
 // is kept at any parallelism.  Every consumer reads a group's rows as a set,
-// so the plans run through Executor.ExecuteSet: a group's rows hold its
-// distinct tuples in first-seen order, not necessarily every repeat.  On error
-// whatever the consumer holds is partly filled and must be discarded.
+// so the plans run as ExecuteSet runs them: a group's rows hold its distinct
+// tuples in first-seen order, not necessarily every repeat.  A memoized list
+// runs its groups' programs; any other list compiles each plan per run.  On
+// error whatever the consumer holds is partly filled and must be discarded.
 func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
 	if sp.trace != nil {
 		return sp.trace.executeInto(ec, db, run, c)
@@ -285,7 +311,13 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 			}
 			execStart := time.Now()
 			ex := &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()}
-			rel, err := ex.ExecuteSet(ctx, sp.Groups[i].Plan)
+			var rel *engine.Relation
+			var err error
+			if prog := sp.Groups[i].prog; prog != nil {
+				rel, err = prog.Run(ctx, ex)
+			} else {
+				rel, err = ex.ExecuteSet(ctx, sp.Groups[i].Plan)
+			}
 			gr.exec = time.Since(execStart)
 			if err != nil {
 				return gr, fmt.Errorf("%s: executing source query: %w", sp.Method, err)

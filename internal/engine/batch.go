@@ -40,51 +40,20 @@ func (b *Batch) NumRows() int {
 // (batch, true, nil) for each non-empty batch, (nil, false, nil) at
 // exhaustion, and (nil, false, err) on failure (including cancellation).
 // Sources never emit empty batches: a selection that empties mid-pipeline
-// advances to the next input batch instead.
+// advances to the next input batch instead.  A source's output name and
+// column layout are fixed when its plan is compiled (program.go), so the
+// operators carry neither.
 type BatchSource interface {
-	// Name is the relation name a materialization of this source carries.
-	Name() string
-	// layout is the source's logical output columns and where its tuples
-	// carry them, fixed for the stream's life.  Only products and joins build
-	// fewer columns than they name; every other source passes its input's
-	// layout through or builds exactly its own columns.
-	layout() colLayout
-	// NextBatch pulls the next batch of live rows.
 	NextBatch() (*Batch, bool, error)
-}
-
-// MaterializeBatches drains the source into a Relation, copying the live row
-// headers out of each batch before pulling the next.
-func MaterializeBatches(src BatchSource) (*Relation, error) {
-	out := &Relation{Name: src.Name(), Columns: src.layout().built()}
-	for {
-		b, ok, err := src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		if b.Sel == nil {
-			out.Rows = append(out.Rows, b.Rows...)
-		} else {
-			for _, i := range b.Sel {
-				out.Rows = append(out.Rows, b.Rows[i])
-			}
-		}
-	}
 }
 
 // batchScan windows a materialized row list into batches — the leaf of every
 // batch pipeline, serving both base-relation scans (record=true, one "scan"
 // recorded at exhaustion) and already-materialized inputs — a MaterialPlan's
-// relation, a sharing point's cached result with the layout it was built in —
-// which record nothing.  Row windows alias the backing slice; nothing is
-// copied.
+// relation, a sharing point's cached result — which record nothing.  Row
+// windows alias the backing slice; nothing is copied.
 type batchScan struct {
 	ctx    context.Context
-	name   string
-	lay    colLayout
 	rows   []Tuple
 	size   int
 	stats  *Stats
@@ -95,9 +64,6 @@ type batchScan struct {
 	out  Batch
 	done bool
 }
-
-func (s *batchScan) Name() string      { return s.name }
-func (s *batchScan) layout() colLayout { return s.lay }
 
 func (s *batchScan) NextBatch() (*Batch, bool, error) {
 	if err := canceled(s.ctx); err != nil {
@@ -140,9 +106,6 @@ type batchFilter struct {
 	outb     Batch
 }
 
-func (s *batchFilter) Name() string      { return s.src.Name() }
-func (s *batchFilter) layout() colLayout { return s.src.layout() }
-
 func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 	for {
 		b, ok, err := s.src.NextBatch()
@@ -173,13 +136,19 @@ func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// indexLevel is one selection of the constant-filter stack an index scan
-// serves, with its rows-in/rows-out accounting.
-type indexLevel struct {
-	full     vecPredicate // the level's whole predicate, for the scan+filter fallback
-	residual vecPredicate // what the probe leaves to evaluate; nil when it answers the level exactly
-	in, out  int
+// indexScan is an index-served stack as compiled, shared by every run: the
+// probe's column and constant, and per selection level, bottom to top, its
+// whole predicate — for the scan+filter fallback — and what the probe leaves
+// of it to evaluate, nil where the probe answers the level exactly.
+type indexScan struct {
+	col      int
+	val      Value
+	full     []vecPredicate
+	residual []vecPredicate
 }
+
+// levelCounts is one selection level's rows in and out on one run.
+type levelCounts struct{ in, out int }
 
 // batchIndexScan serves a stack of constant selections directly above a base
 // relation scan from the shared per-column hash index: instead of streaming
@@ -196,13 +165,11 @@ type batchIndexScan struct {
 	ctx   context.Context
 	cache *IndexCache
 	base  *Relation
-	alias string
-	cols  []string
 	size  int
 	stats *Stats
 
-	probe  indexProbe
-	levels []indexLevel
+	spec   *indexScan
+	levels []levelCounts
 
 	started  bool
 	fallback BatchSource
@@ -214,23 +181,17 @@ type batchIndexScan struct {
 	outb     Batch
 }
 
-func (s *batchIndexScan) Name() string      { return s.alias }
-func (s *batchIndexScan) layout() colLayout { return colLayout{cols: s.cols} }
-
 func (s *batchIndexScan) start() error {
-	rows, matches, ok, err := s.cache.probeEq(s.ctx, s.base, s.probe.col, s.probe.val, s.stats)
+	rows, matches, ok, err := s.cache.probeEq(s.ctx, s.base, s.spec.col, s.spec.val, s.stats)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		// The probe set cannot cover the predicate on this column's content:
-		// run the pipeline the compiler would have built without an index.
-		src := BatchSource(&batchScan{
-			ctx: s.ctx, name: s.alias, lay: s.layout(),
-			rows: s.base.Rows, size: s.size, stats: s.stats, record: true,
-		})
-		for i := range s.levels {
-			src = &batchFilter{ctx: s.ctx, src: src, pred: s.levels[i].full, stats: s.stats}
+		// run the pipeline the stack would run without an index.
+		src := BatchSource(&batchScan{ctx: s.ctx, rows: s.base.Rows, size: s.size, stats: s.stats, record: true})
+		for _, p := range s.spec.full {
+			src = &batchFilter{ctx: s.ctx, src: src, pred: p, stats: s.stats}
 		}
 		s.fallback = src
 		return nil
@@ -259,11 +220,11 @@ func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
 		}
 		sel := s.matches[s.mi:hi:hi]
 		s.mi = hi
-		for i := range s.levels {
+		for i, residual := range s.spec.residual {
 			l := &s.levels[i]
 			l.in += len(sel)
-			if l.residual != nil && len(sel) > 0 {
-				sel = l.residual.filterSel(s.rows, sel, sel[:0])
+			if residual != nil && len(sel) > 0 {
+				sel = residual.filterSel(s.rows, sel, sel[:0])
 			}
 			l.out += len(sel)
 		}
@@ -290,8 +251,6 @@ func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
 type batchProject struct {
 	ctx   context.Context
 	src   BatchSource
-	name  string
-	cols  []string
 	idx   []int
 	stats *Stats
 
@@ -301,9 +260,6 @@ type batchProject struct {
 	recorded bool
 	outb     Batch
 }
-
-func (s *batchProject) Name() string      { return s.name }
-func (s *batchProject) layout() colLayout { return colLayout{cols: s.cols} }
 
 func (s *batchProject) NextBatch() (*Batch, bool, error) {
 	b, ok, err := s.src.NextBatch()
@@ -352,8 +308,6 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 type batchProduct struct {
 	ctx         context.Context
 	left, right BatchSource
-	name        string
-	lay         colLayout
 	shape       pairShape
 	size        int
 	stats       *Stats
@@ -373,9 +327,6 @@ type batchProduct struct {
 	outb     Batch
 	done     bool
 }
-
-func (s *batchProduct) Name() string      { return s.name }
-func (s *batchProduct) layout() colLayout { return s.lay }
 
 func (s *batchProduct) finish() (*Batch, bool, error) {
 	if !s.done {
@@ -477,6 +428,13 @@ func drainBatches(src BatchSource, rows *[]Tuple) error {
 			*rows = make([]Tuple, 0, n)
 		}
 	}
+	return appendBatches(src, rows)
+}
+
+// appendBatches appends every live row header of the source into *rows,
+// growing it as rows arrive: a drained root's size is unknown, and its bound —
+// a selective filter's input — can be far larger.
+func appendBatches(src BatchSource, rows *[]Tuple) error {
 	for {
 		b, ok, err := src.NextBatch()
 		if err != nil {
@@ -509,11 +467,10 @@ type batchJoin struct {
 	ctx         context.Context
 	left, right BatchSource
 	li, ri      int
-	cache       *IndexCache   // shared build side only
-	base        *Relation     // shared build side only
-	levels      []selectLevel // shared build side only
-	name        string
-	lay         colLayout
+	cache       *IndexCache    // shared build side only
+	base        *Relation      // shared build side only
+	preds       []vecPredicate // shared build side only: the build side's filters, bottom to top
+	levels      []levelCounts  // shared build side only: their rows in and out
 	shape       pairShape
 	size        int
 	stats       *Stats
@@ -535,9 +492,6 @@ type batchJoin struct {
 	outb    Batch
 	done    bool
 }
-
-func (s *batchJoin) Name() string      { return s.name }
-func (s *batchJoin) layout() colLayout { return s.lay }
 
 // hashLeftBatch precomputes the probe-key hashes of the batch's live rows —
 // the interleaved batch FNV-1a pass feeding the shared bucket chains.
@@ -654,23 +608,16 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 	return &s.outb, true, nil
 }
 
-// selectLevel is one selection of the constant-filter stack on the build side
-// of an index-served join, with its rows-in/rows-out accounting.
-type selectLevel struct {
-	pred    vecPredicate
-	in, out int
-}
-
 // keepCandidate runs build row i through the levels bottom-to-top as a
 // one-row selection vector, counting per-level input and output rows exactly
 // as a chain of filters would.
 func (s *batchJoin) keepCandidate(i int32) bool {
 	sel := s.cand[:]
 	sel[0] = i
-	for k := range s.levels {
+	for k, pred := range s.preds {
 		l := &s.levels[k]
 		l.in++
-		if len(l.pred.filterSel(s.build.rows, sel, sel[:0])) == 0 {
+		if len(pred.filterSel(s.build.rows, sel, sel[:0])) == 0 {
 			return false
 		}
 		l.out++
@@ -695,9 +642,6 @@ type batchDistinct struct {
 	recorded bool
 	outb     Batch
 }
-
-func (s *batchDistinct) Name() string      { return s.src.Name() }
-func (s *batchDistinct) layout() colLayout { return s.src.layout() }
 
 func (s *batchDistinct) NextBatch() (*Batch, bool, error) {
 	for {
@@ -741,20 +685,6 @@ type batchAgg struct {
 	nbat    int
 	emitted bool
 	outb    Batch
-}
-
-func newBatchAgg(ctx context.Context, src BatchSource, fn AggFunc, column string, stats *Stats) (*batchAgg, error) {
-	acc, err := newAggAccumulator(src.layout(), fn, column)
-	if err != nil {
-		return nil, err
-	}
-	return &batchAgg{ctx: ctx, src: src, stats: stats, acc: acc}, nil
-}
-
-func (s *batchAgg) Name() string { return s.src.Name() }
-
-func (s *batchAgg) layout() colLayout {
-	return colLayout{cols: []string{aggOutputColumn(s.acc.fn, s.acc.column)}}
 }
 
 func (s *batchAgg) NextBatch() (*Batch, bool, error) {

@@ -487,9 +487,6 @@ func TestInstance(t *testing.T) {
 	if db.NumRows() != 6 {
 		t.Errorf("NumRows = %d, want 6", db.NumRows())
 	}
-	if db.SizeBytes() <= 0 {
-		t.Error("SizeBytes should be positive")
-	}
 	// Replacing a relation keeps the name registered once.
 	db.AddRelation(NewRelation("Customer", []string{"cid"}))
 	if len(db.RelationNames()) != 2 {

@@ -102,3 +102,50 @@ func TestPrunedPlansKeepTheirErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramOnInstanceMissingARelation runs programs compiled against
+// errCaseDB on an instance that lacks R: whichever operator reads R — a plain
+// scan, an index-served selection, the build side of a join over the shared
+// index — reports the unknown relation as compiling against that instance
+// does, with and without an index cache, instead of dereferencing a nil
+// relation.  A relation whose columns changed is reported too.
+func TestProgramOnInstanceMissingARelation(t *testing.T) {
+	db := errCaseDB()
+	lOnly := NewInstance("D")
+	lOnly.AddRelation(db.Relation("L"))
+	reshaped := NewInstance("D")
+	reshaped.AddRelation(db.Relation("L"))
+	reshaped.AddRelation(NewRelation("R", []string{"y", "x"}))
+	scanR := &ScanPlan{Relation: "R"}
+	for _, c := range []struct {
+		name string
+		plan Plan
+	}{
+		{"plain scan", &ProjectPlan{Columns: []string{"R.y"}, Child: scanR}},
+		{"index-served selection", &ProjectPlan{Columns: []string{"R.y"}, Child: &SelectPlan{Pred: Eq("R.x", I(1)), Child: scanR}}},
+		{"shared-index join build side", &ProjectPlan{Columns: []string{"L.b", "R.y"}, Child: &JoinPlan{LeftCol: "L.a", RightCol: "R.x", Left: &ScanPlan{Relation: "L"}, Right: &SelectPlan{Pred: Eq("R.x", I(1)), Child: scanR}}}},
+	} {
+		unknown := `scan: unknown relation "R"`
+		if _, err := (&Executor{DB: lOnly, Stats: NewStats()}).ExecuteContext(bgCtx, c.plan); err == nil || err.Error() != unknown {
+			t.Fatalf("%s: ExecuteContext error %v, want %s", c.name, err, unknown)
+		}
+		prog, err := Compile(db, c.plan, false, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, run := range []struct {
+			db   *Instance
+			want string
+		}{
+			{lOnly, unknown},
+			{reshaped, `scan: relation "R" has columns [y x], the program was compiled for [x y]`},
+		} {
+			for _, indexes := range []*IndexCache{nil, run.db.Indexes()} {
+				_, err := prog.Run(bgCtx, &Executor{DB: run.db, Stats: NewStats(), Indexes: indexes})
+				if err == nil || err.Error() != run.want {
+					t.Errorf("%s (indexes %v): error %v, want %s", c.name, indexes != nil, err, run.want)
+				}
+			}
+		}
+	}
+}

@@ -282,14 +282,18 @@ func (s *byteSource) Seed(int64) {}
 // FuzzPlan draws a family of plans over one join chain (randPlanFamily), a
 // batch size and an instance (randDB) from the fuzz bytes, in that order, so
 // the leading bytes shape the plans, and diffs every driver against
-// NaiveExecute, plan by plan, with and without the shared index:
-//   - ExecuteContext returns the reference's relation row for row, with the
-//     same statistics where no index stands in for a scan;
-//   - ExecuteSet returns its distinct rows in first-seen order from the same
-//     operators, reading no more rows;
-//   - through one PlanCache per analysis shared by the family, ExecuteContext
-//     under the bag-root analysis returns the relation row for row, and
-//     ExecuteSet under the set-root analysis — the one mqo.Optimize makes, in
+// NaiveExecute, plan by plan, with and without the shared index.  Each driver
+// compiles the plan once and runs the program twice, so per-run state that
+// leaked into the program — a level's row counts, an arena, a hash set —
+// fails the second run's diff, and without a cache the second run must
+// record the first's statistics, index lookups included:
+//   - a bag program (ExecuteContext's) returns the reference's relation row
+//     for row, with the same statistics where no index stands in for a scan;
+//   - a set program (ExecuteSet's) returns its distinct rows in first-seen
+//     order from the same operators, reading no more rows;
+//   - through one PlanCache per analysis shared by the family, a bag program
+//     under the bag-root analysis returns the relation row for row, and a set
+//     program under the set-root analysis — the one mqo.Optimize makes, in
 //     which a sharing point every consumer reads as a set carries the set
 //     bit — returns its distinct rows.
 //
@@ -313,27 +317,34 @@ func FuzzPlan(f *testing.F) {
 				want, wantErr := NaiveExecute(bgCtx, db, plan, naiveStats)
 				prefix := fmt.Sprintf("plan %d/%d batch %d indexes %v %s: ", pi, len(plans), bs, indexes != nil, plan.Signature())
 				for _, d := range drivers {
-					label := prefix + d.name
-					ex := &Executor{DB: db, Stats: NewStats(), Batch: bs, Indexes: indexes, Cache: d.cache}
-					exec := ex.ExecuteContext
-					if d.set {
-						exec = ex.ExecuteSet
-					}
-					got, err := exec(bgCtx, plan)
-					if (wantErr == nil) != (err == nil) {
-						t.Fatalf("%s: naive err=%v, err=%v", label, wantErr, err)
-					}
-					switch {
-					case wantErr != nil:
-					case d.set:
-						requireSameSet(t, label, want, got)
-						if indexes == nil && d.cache == nil {
-							requireSameOperators(t, label, naiveStats, ex.Stats)
+					prog, err := Compile(db, plan, d.set, d.cache)
+					var first *Stats
+					for round := 1; round <= 2; round++ {
+						label := fmt.Sprintf("%s%s run %d", prefix, d.name, round)
+						ex := &Executor{DB: db, Stats: NewStats(), Batch: bs, Indexes: indexes, Cache: d.cache}
+						var got *Relation
+						if prog != nil {
+							got, err = prog.Run(bgCtx, ex)
 						}
-					default:
-						requireSameRelation(t, label, want, got)
-						if indexes == nil && d.cache == nil {
-							requireSameStats(t, label, naiveStats, ex.Stats)
+						if (wantErr == nil) != (err == nil) {
+							t.Fatalf("%s: naive err=%v, err=%v", label, wantErr, err)
+						}
+						if d.cache == nil && round == 2 {
+							requireIdenticalStats(t, label, first, ex.Stats)
+						}
+						first = ex.Stats
+						switch {
+						case wantErr != nil:
+						case d.set:
+							requireSameSet(t, label, want, got)
+							if indexes == nil && d.cache == nil {
+								requireSameOperators(t, label, naiveStats, ex.Stats)
+							}
+						default:
+							requireSameRelation(t, label, want, got)
+							if indexes == nil && d.cache == nil {
+								requireSameStats(t, label, naiveStats, ex.Stats)
+							}
 						}
 					}
 				}

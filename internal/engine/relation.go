@@ -362,23 +362,3 @@ func (db *Instance) NumRows() int {
 	}
 	return n
 }
-
-// SizeBytes estimates the storage footprint of the instance, counting string
-// lengths plus 8 bytes per numeric value.  The experiment harness uses it to
-// express database size in MB as the paper does.
-func (db *Instance) SizeBytes() int {
-	total := 0
-	for _, r := range db.relations {
-		for _, row := range r.Rows {
-			for _, v := range row {
-				switch v.Kind {
-				case KindString:
-					total += len(v.Str)
-				default:
-					total += 8
-				}
-			}
-		}
-	}
-	return total
-}
