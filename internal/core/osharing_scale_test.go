@@ -26,6 +26,13 @@ import (
 // o-sharing 229; Q4: 44,774 and 603), so a bound relative to e-basic would
 // test e-basic's plans as much as o-sharing's.  TestRowsReadGrowth bounds how
 // the rows grow with the instance.
+//
+// sefAllocs pins testing.AllocsPerRun of one prepared SEF evaluation at
+// Parallelism 1: the counts measured once o-sharing bound each trace node's
+// operator at plan time, rounded up by 10% (Q1/Q2/Q3/Q5: 203/307/333/129,
+// from 614/568/798/658 when every walk bound its operators again).  A walk
+// that names columns, clones e-units or compiles predicates again fails here
+// on any machine.  The pin may move only down.
 func TestOSharingAtBenchmarkScale(t *testing.T) {
 	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 100, SizeMB: 40, Seed: 42})
 	if err != nil {
@@ -34,6 +41,7 @@ func TestOSharingAtBenchmarkScale(t *testing.T) {
 	ev := NewEvaluator(ds.DB, ds.Mappings())
 	sefOperators := map[int]int{1: 28, 2: 14, 3: 29, 5: 41}
 	sefRowsRead := map[int]int{1: 159, 2: 229, 3: 1203, 4: 603, 5: 61}
+	sefAllocs := map[int]float64{1: 224, 2: 338, 3: 367, 5: 142}
 
 	for id := 1; id <= 5; id++ {
 		q := datagen.MustWorkloadQuery(id)
@@ -67,6 +75,11 @@ func TestOSharingAtBenchmarkScale(t *testing.T) {
 				}
 				if n := sefRowsRead[id]; cold.Stats.RowsRead() != n {
 					t.Errorf("%s read %d rows, want %d", label, cold.Stats.RowsRead(), n)
+				}
+				if n, ok := sefAllocs[id]; ok && par == 1 {
+					if got := testing.AllocsPerRun(10, func() { prep.Execute(opts) }); got > n {
+						t.Errorf("%s prepared allocated %v times per evaluation, pinned at %v", label, got, n)
+					}
 				}
 			}
 

@@ -142,7 +142,7 @@ func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 // of it to evaluate, nil where the probe answers the level exactly.
 type indexScan struct {
 	col      int
-	val      Value
+	val      probeConst
 	full     []vecPredicate
 	residual []vecPredicate
 }

@@ -189,6 +189,41 @@ func TestSelectOperator(t *testing.T) {
 	}
 }
 
+// TestSelectAcrossBlocks selects from a relation spanning three
+// checkInterval blocks with a comparison, a conjunction — whose kernel
+// compacts a block's survivors in place — and the empty conjunction: the rows
+// are exactly those Predicate.Eval keeps, in order.
+func TestSelectAcrossBlocks(t *testing.T) {
+	rel := NewRelation("T", []string{"T.a", "T.b"})
+	for i := 0; i < 2*checkInterval+5; i++ {
+		rel.MustAppend(Tuple{I(int64(i % 7)), I(int64(i % 5))})
+	}
+	for _, pred := range []Predicate{
+		Eq("T.a", I(3)),
+		&AndPredicate{Children: []Predicate{Eq("T.a", I(3)), Eq("T.b", I(1))}},
+		&AndPredicate{},
+	} {
+		out, err := Select(bgCtx, rel, pred, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for i, row := range rel.Rows {
+			if ok, _ := pred.Eval(rel, row); ok {
+				want = append(want, i)
+			}
+		}
+		if len(out.Rows) != len(want) {
+			t.Fatalf("%v: %d rows, want %d", pred, len(out.Rows), len(want))
+		}
+		for k, i := range want {
+			if &out.Rows[k][0] != &rel.Rows[i][0] {
+				t.Fatalf("%v: row %d is not input row %d", pred, k, i)
+			}
+		}
+	}
+}
+
 func TestProjectOperator(t *testing.T) {
 	stats := NewStats()
 	out, err := Project(bgCtx, customerRelation(), []string{"cname", "oaddr"}, stats)

@@ -206,8 +206,26 @@ func (m kindMask) has(k Kind) bool { return m&(1<<uint(k)) != 0 }
 // enumerate them.
 const maxExactInt = int64(1) << 53
 
+// probeConst is the constant of an equality an index probe answers, prepared
+// once where the probe is chosen: numeric says whether a string constant
+// parses as a float, which probeValuesForEq would otherwise decide — and
+// allocate a *strconv.NumError for a non-numeric one — on every probe.
+type probeConst struct {
+	v       Value
+	numeric bool
+}
+
+func newProbeConst(v Value) probeConst {
+	c := probeConst{v: v}
+	if v.Kind == KindString {
+		_, err := strconv.ParseFloat(v.Str, 64)
+		c.numeric = err == nil
+	}
+	return c
+}
+
 // probeValuesForEq returns EqualKey probe values whose classes together
-// contain exactly the rows satisfying `column = v` under Compare semantics,
+// contain exactly the rows satisfying `column = c.v` under Compare semantics,
 // or ok=false when no such finite probe set exists for a column with the
 // given content.
 //
@@ -228,12 +246,13 @@ const maxExactInt = int64(1) << 53
 //     (−0 and +0 are distinct EqualKey classes but compare equal);
 //   - integers at or beyond 2^53 are rejected outright: Compare goes through
 //     float64, where several distinct huge integers are equal.
-func probeValuesForEq(v Value, kinds kindMask, hasNaN bool) ([]Value, bool) {
+func probeValuesForEq(c probeConst, kinds kindMask, hasNaN bool) ([]Value, bool) {
+	v := c.v
 	switch v.Kind {
 	case KindNull:
 		return []Value{v}, true
 	case KindString:
-		if _, err := strconv.ParseFloat(v.Str, 64); err != nil {
+		if !c.numeric {
 			return []Value{v}, true
 		}
 		if kinds.has(KindInt) || kinds.has(KindFloat) {
@@ -304,19 +323,19 @@ func constPreds(p Predicate) ([]*ConstPredicate, bool) {
 // indexProbe is the comparison an index probe answers for a stack of
 // constant selections over one scan: level is the selection's position in the
 // stack and consts its comparisons, at the probe's position among them, col
-// its resolved column and val its constant.
+// its resolved column and val its prepared constant.
 type indexProbe struct {
 	level  int
 	consts []*ConstPredicate
 	at     int
 	col    int
-	val    Value
+	val    probeConst
 }
 
 // pickProbe chooses the probe for a stack of selections over one scan, listed
 // bottom to top: the bottom-most constant equality whose column resolves.
 // ok=false when a selection is not a constant conjunction or no equality
-// resolves.  IndexedSelect (a stack of one) and the batch index scan both pick
+// resolves.  A Filter (a stack of one) and the batch index scan both pick
 // through it.
 func pickProbe(stack []Predicate, resolve func(string) int) (indexProbe, bool) {
 	for level, pred := range stack {
@@ -329,7 +348,7 @@ func pickProbe(stack []Predicate, resolve func(string) int) (indexProbe, bool) {
 				continue
 			}
 			if col := resolve(cp.Column); col >= 0 {
-				return indexProbe{level: level, consts: consts, at: at, col: col, val: cp.Value}, true
+				return indexProbe{level: level, consts: consts, at: at, col: col, val: newProbeConst(cp.Value)}, true
 			}
 		}
 	}
@@ -356,16 +375,16 @@ func (p indexProbe) residual(resolve func(string) int, cols []string) (vecPredic
 }
 
 // probeEq returns the rows of base's shared index over col and the 0-based
-// positions, in row order, of those whose column Compare-equals v: the one
-// index probe IndexedSelect and the batch index scan both run.  ok=false, with
-// no lookup recorded, when the column's content leaves no finite probe set
-// (probeValuesForEq) and the caller must scan instead.
-func (c *IndexCache) probeEq(ctx context.Context, base *Relation, col int, v Value, stats *Stats) (rows []Tuple, matches []int32, ok bool, err error) {
+// positions, in row order, of those whose column Compare-equals val's
+// constant: the one index probe a Filter and the batch index scan both run.
+// ok=false, with no lookup recorded, when the column's content leaves no
+// finite probe set (probeValuesForEq) and the caller must scan instead.
+func (c *IndexCache) probeEq(ctx context.Context, base *Relation, col int, val probeConst, stats *Stats) (rows []Tuple, matches []int32, ok bool, err error) {
 	idx, err := c.columnIndex(ctx, base, col, stats)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	probes, ok := probeValuesForEq(v, idx.kinds, idx.hasNaN)
+	probes, ok := probeValuesForEq(val, idx.kinds, idx.hasNaN)
 	if !ok {
 		return nil, nil, false, nil
 	}
@@ -575,7 +594,7 @@ func (c *IndexCache) AppendInPlace(ctx context.Context, rel *Relation, oldLen in
 }
 
 // baseForRows reports which base relation's row list backs rows, if any.
-// Materialized scans (QualifyColumns) and o-sharing's untouched fragments
+// Materialized scans (QualifyColumns) and o-sharing's untouched factors
 // share the base relation's []Tuple, so pointer identity of the first row plus
 // equal length identifies an unfiltered base scan; any selection, projection
 // or product produces a fresh slice and fails the check.
@@ -591,41 +610,90 @@ func (c *IndexCache) baseForRows(rows []Tuple) (*Relation, bool) {
 	return nil, false
 }
 
-// trySelect serves a constant selection over an untouched base scan from the
-// shared index: rows whose probe column equals the constant come from the
-// index in base row order, compacted through the vectorized residual of the
-// remaining comparisons exactly as the batch index scan compacts them.
-// ok=false means the caller must run the plain selection (wrong shape, no
-// equality probe, or a column content the probe set cannot cover).
-func (c *IndexCache) trySelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*Relation, bool, error) {
-	base, ok := c.baseForRows(rel.Rows)
-	if !ok {
-		return nil, false, nil
-	}
-	probe, ok := pickProbe([]Predicate{pred}, rel.ColumnIndex)
-	if !ok {
-		return nil, false, nil
-	}
-	residual, err := probe.residual(rel.ColumnIndex, rel.Columns)
+// Filter is a selection bound to its input's column list: the predicate
+// compiled once, and — when it holds a constant equality whose column resolves
+// — the index probe that can answer that equality together with the residual
+// of the remaining comparisons.  It is immutable, so concurrent runs share it.
+// IndexedSelect compiles one per call; o-sharing compiles one per selection
+// when it plans its u-trace.
+type Filter struct {
+	pred  vecPredicate
+	probe *filterProbe
+}
+
+// filterProbe is a Filter's index probe: the probed column and its prepared
+// constant, and what the probe leaves to evaluate (nil when nothing).
+type filterProbe struct {
+	col      int
+	val      probeConst
+	residual vecPredicate
+}
+
+// CompileFilter binds the predicate to the column list, resolving its column
+// references as a Relation with those columns would.
+func CompileFilter(pred Predicate, cols []string) (*Filter, error) {
+	return compileFilter(pred, func(name string) int { return lookupColumn(cols, name) }, cols)
+}
+
+func compileFilter(pred Predicate, resolve func(string) int, cols []string) (*Filter, error) {
+	vp, err := compileVecPredicate(pred, resolve, cols)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	rows, matches, ok, err := c.probeEq(ctx, base, probe.col, probe.val, stats)
+	f := &Filter{pred: vp}
+	if probe, ok := pickProbe([]Predicate{pred}, resolve); ok {
+		// The residual is a sub-conjunction of a predicate that just compiled.
+		residual, err := probe.residual(resolve, cols)
+		if err != nil {
+			return nil, err
+		}
+		f.probe = &filterProbe{col: probe.col, val: probe.val, residual: residual}
+	}
+	return f, nil
+}
+
+// Rows returns the rows satisfying the filter, in order, recording one
+// selection.  When cache is non-nil, rows are an untouched base scan of one of
+// its relations and the filter has a probe the column's content lets the index
+// answer exactly, the matching rows come from the shared index, compacted
+// through the residual exactly as the batch index scan compacts them;
+// otherwise every row is tested.  The result is the same either way.
+func (f *Filter) Rows(ctx context.Context, rows []Tuple, stats *Stats, cache *IndexCache) ([]Tuple, error) {
+	if cache != nil && f.probe != nil {
+		if base, ok := cache.baseForRows(rows); ok {
+			out, ok, err := f.probe.serve(ctx, cache, base, stats)
+			if err != nil || ok {
+				return out, err
+			}
+		}
+	}
+	out, err := selectRows(ctx, rows, f.pred)
+	if err != nil {
+		return nil, err
+	}
+	stats.record(OpKindSelect, len(rows), len(out))
+	return out, nil
+}
+
+// serve answers the filter from base's shared index.  ok=false means the
+// column's content leaves no finite probe set and the caller must scan.
+func (p *filterProbe) serve(ctx context.Context, c *IndexCache, base *Relation, stats *Stats) ([]Tuple, bool, error) {
+	rows, matches, ok, err := c.probeEq(ctx, base, p.col, p.val, stats)
 	if !ok {
 		return nil, false, err
 	}
 	in := len(matches)
-	if residual != nil && in > 0 {
-		matches = residual.filterSel(rows, matches, matches[:0])
+	if p.residual != nil && in > 0 {
+		matches = p.residual.filterSel(rows, matches, matches[:0])
 	}
-	out := rel.sameColumns()
+	var out []Tuple
 	if len(matches) > 0 {
-		out.Rows = make([]Tuple, len(matches))
+		out = make([]Tuple, len(matches))
 		for k, i := range matches {
-			out.Rows[k] = rows[i]
+			out[k] = rows[i]
 		}
 	}
-	stats.record(OpKindSelect, in, len(out.Rows))
+	stats.record(OpKindSelect, in, len(out))
 	return out, true, nil
 }
 
@@ -633,20 +701,24 @@ func (c *IndexCache) trySelect(ctx context.Context, rel *Relation, pred Predicat
 // rel is an untouched scan of one of the cache's base relations and the
 // predicate is a constant equality the index can answer exactly, the matching
 // rows come from the per-column hash index instead of a full scan.  The result
-// is bit-identical to Select — same rows, same order.  The o-sharing
-// evaluator's fragment selections go through here; a nil cache is the plain
-// Select.
+// is bit-identical to Select — same rows, same order.  A nil cache is the
+// plain Select.
 func IndexedSelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats, cache *IndexCache) (*Relation, error) {
-	if cache != nil {
-		out, ok, err := cache.trySelect(ctx, rel, pred, stats)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return out, nil
-		}
+	if cache == nil {
+		return Select(ctx, rel, pred, stats)
 	}
-	return Select(ctx, rel, pred, stats)
+	if err := canceled(ctx); err != nil {
+		return nil, err
+	}
+	f, err := compileFilter(pred, rel.ColumnIndex, rel.Columns)
+	if err != nil {
+		return nil, err
+	}
+	out := rel.sameColumns()
+	if out.Rows, err = f.Rows(ctx, rel.Rows, stats, cache); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // IndexedHashJoin is HashJoin with an optional shared build table: when the

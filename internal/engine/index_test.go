@@ -47,7 +47,7 @@ func TestProbeValuesMatchCompareEquality(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := probePool[rng.Intn(len(probePool))]
-		probes, ok := probeValuesForEq(c, idx.kinds, idx.hasNaN)
+		probes, ok := probeValuesForEq(newProbeConst(c), idx.kinds, idx.hasNaN)
 		if !ok {
 			continue
 		}
@@ -308,7 +308,7 @@ func FuzzProbeValuesForEq(f *testing.F) {
 			rel.MustAppend(Tuple{v})
 		}
 		db.AddRelation(rel)
-		rows, matches, ok, err := db.Indexes().probeEq(bgCtx, rel, 0, c, NewStats())
+		rows, matches, ok, err := db.Indexes().probeEq(bgCtx, rel, 0, newProbeConst(c), NewStats())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -198,14 +198,18 @@ func mulFits(a, b, limit int) (int, bool) {
 
 // The functions below are the materialized operator API: each consumes
 // materialized relations and produces a materialized relation, recording one
-// operator execution.  They are the o-sharing evaluator's operators — its
-// fragments must stay materialized so partially executed state can be shared
-// across e-units — and they are kept beside the batch pipeline, which runs
-// every plan, for what a materialized input lets them do: they see their whole
-// input, so they size their output once (DESIGN.md "Execution model" has the
-// measurement).  Both drivers call the same kernels — index probe, vectorized
-// predicates, aggregate fold, dedupe, projection gather, pair builder, bucket
-// threading and blocked hashing — and produce identical results and
+// operator execution.  Each binds its column names to positions and runs a
+// position-taking entry point over row lists — a compiled Filter or
+// Aggregation, or ProjectRows, ProductRows, JoinRows and DistinctRows.  Those
+// entry points are the o-sharing evaluator's operators: its fragments must stay
+// materialized so partially executed state can be shared across e-units, and
+// it binds them once, when it plans its u-trace, so a walk names no column.
+// They are kept beside the batch pipeline, which runs every plan, for what a
+// materialized input lets them do: they see their whole input, so they size
+// their output once (DESIGN.md "Execution model" has the measurement).  They
+// and the pipeline call the same kernels — index probe, vectorized
+// predicates, aggregate fold, dedupe, projection gather, pairShape.build,
+// bucket threading and blocked hashing — and produce identical results and
 // statistics.
 
 // Select returns the rows of rel satisfying the predicate.  The predicate is
@@ -220,12 +224,22 @@ func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*
 		return nil, err
 	}
 	out := rel.sameColumns()
-	rows := rel.Rows
+	if out.Rows, err = selectRows(ctx, rel.Rows, vp); err != nil {
+		return nil, err
+	}
+	stats.record(OpKindSelect, len(rel.Rows), len(out.Rows))
+	return out, nil
+}
+
+// selectRows returns the rows satisfying the compiled predicate, in order; nil
+// when none does.  It records nothing.
+func selectRows(ctx context.Context, rows []Tuple, vp vecPredicate) ([]Tuple, error) {
 	// Filter the whole relation into one selection vector first (pointer-free,
 	// so it is nearly invisible to the GC), then allocate the output row list
 	// at its exact final size: no growth reallocations, no over-allocation.
+	// Each block's survivors are filtered into the vector's free tail, which
+	// has room for every row, and rebased from block to relation positions.
 	sel := make([]int32, 0, len(rows))
-	var selbuf []int32
 	for lo := 0; lo < len(rows); lo += checkInterval {
 		if lo > 0 {
 			if err := canceled(ctx); err != nil {
@@ -236,19 +250,21 @@ func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*
 		if hi > len(rows) {
 			hi = len(rows)
 		}
-		blockSel := vp.filterSel(rows[lo:hi], nil, selbuf[:0])
-		selbuf = blockSel
-		for _, i := range blockSel {
-			sel = append(sel, i+int32(lo))
+		n := len(sel)
+		sel = append(sel, vp.filterSel(rows[lo:hi], nil, sel[n:n])...)
+		if lo > 0 {
+			for k := n; k < len(sel); k++ {
+				sel[k] += int32(lo)
+			}
 		}
 	}
-	if len(sel) > 0 {
-		out.Rows = make([]Tuple, len(sel))
-		for k, i := range sel {
-			out.Rows[k] = rows[i]
-		}
+	if len(sel) == 0 {
+		return nil, nil
 	}
-	stats.record(OpKindSelect, len(rel.Rows), len(out.Rows))
+	out := make([]Tuple, len(sel))
+	for k, i := range sel {
+		out[k] = rows[i]
+	}
 	return out, nil
 }
 
@@ -264,12 +280,29 @@ func Project(ctx context.Context, rel *Relation, columns []string, stats *Stats)
 		return nil, err
 	}
 	out := NewRelation(rel.Name, outCols)
-	if err := projectRows(ctx, rel.Rows, idx, &out.Rows); err != nil {
+	if out.Rows, err = ProjectRows(ctx, rel.Rows, idx, stats); err != nil {
 		return nil, err
 	}
-	stats.record(OpKindProject, len(rel.Rows), len(out.Rows))
-	stats.recordValues(projectCopied(idx) * len(out.Rows))
 	return out, nil
+}
+
+// ProjectRows returns the columns at positions idx of every row, recording
+// one projection.  The positions must lie within every row.
+func ProjectRows(ctx context.Context, rows []Tuple, idx []int, stats *Stats) ([]Tuple, error) {
+	var out []Tuple
+	if err := projectRows(ctx, rows, idx, &out); err != nil {
+		return nil, err
+	}
+	stats.record(OpKindProject, len(rows), len(out))
+	stats.recordValues(projectCopied(idx) * len(out))
+	return out, nil
+}
+
+// ColumnPositions resolves names against the column list cols as a Relation
+// with those columns would, failing on the first that does not resolve.
+func ColumnPositions(cols, names []string) ([]int, error) {
+	idx, _, err := resolveProjection(colLayout{cols: cols}, names)
+	return idx, err
 }
 
 // resolveProjection resolves a projection's columns against its input: the
@@ -439,19 +472,29 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 	if err != nil {
 		return nil, err
 	}
+	out := NewRelation(left.Name+"x"+right.Name, cols)
+	if out.Rows, err = ProductRows(ctx, left.Rows, right.Rows, leftKeep, rightKeep, set, stats); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ProductRows is ProductKeep over row lists, recording one product.  The keep
+// positions must lie within every row of their side.
+func ProductRows(ctx context.Context, left, right []Tuple, leftKeep, rightKeep []int, set bool, stats *Stats) ([]Tuple, error) {
 	shape := newPairShape(leftKeep, rightKeep, set, -1)
-	lrows, rrows := left.Rows, right.Rows
+	lrows, rrows := left, right
 	if shape.firstLeft && len(lrows) > 1 {
 		lrows = lrows[:1]
 	}
 	if shape.firstRight && len(rrows) > 1 {
 		rrows = rrows[:1]
 	}
-	out := NewRelation(left.Name+"x"+right.Name, cols)
+	var out []Tuple
 	var arena valueArena
 	if n, ok := mulFits(len(lrows), len(rrows), maxPresizeValues); ok && n > 0 {
 		if values, ok := mulFits(n, shape.copied(), maxPresizeValues); ok {
-			out.Rows = make([]Tuple, 0, n)
+			out = make([]Tuple, 0, n)
 			arena.reserve(values)
 		}
 	}
@@ -464,11 +507,11 @@ func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep
 					return nil, err
 				}
 			}
-			out.Rows = append(out.Rows, shape.build(&arena, lr, rr))
+			out = append(out, shape.build(&arena, lr, rr))
 		}
 	}
-	stats.record(OpKindProduct, len(left.Rows)+len(right.Rows), len(out.Rows))
-	stats.recordValues(shape.copied() * len(out.Rows))
+	stats.record(OpKindProduct, len(left)+len(right), len(out))
+	stats.recordValues(shape.copied() * len(out))
 	return out, nil
 }
 
@@ -499,13 +542,26 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 	if err != nil {
 		return nil, err
 	}
-	shape := newPairShape(leftKeep, rightKeep, set, ri)
 	out := NewRelation(left.Name+"⋈"+right.Name, cols)
+	if out.Rows, err = JoinRows(ctx, left.Rows, right.Rows, li, ri, leftKeep, rightKeep, set, stats, cache); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
+// JoinRows is the equi-join of row lists on left[li] = right[ri], emitting
+// the leftKeep columns of each matching left row followed by the rightKeep
+// columns of its right row, and recording one join; set is newPairShape's.
+// The key and keep positions must lie within every row of their side.  When
+// cache is non-nil and the right rows are an untouched scan of one of its base
+// relations, the build table is the instance's shared per-column index;
+// otherwise it is built here from the right rows.
+func JoinRows(ctx context.Context, left, right []Tuple, li, ri int, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache) ([]Tuple, error) {
+	shape := newPairShape(leftKeep, rightKeep, set, ri)
 	var build *hashIndex
 	shared := false
 	if cache != nil {
-		if base, ok := cache.baseForRows(right.Rows); ok {
+		if base, ok := cache.baseForRows(right); ok {
 			idx, err := cache.columnIndex(ctx, base, ri, stats)
 			if err != nil {
 				return nil, err
@@ -515,21 +571,22 @@ func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol stri
 		}
 	}
 	if build == nil {
-		build, err = buildColumnHashIndex(ctx, right.Rows, ri)
-		if err != nil {
+		var err error
+		if build, err = buildColumnHashIndex(ctx, right, ri); err != nil {
 			return nil, err
 		}
 	}
-	if err := probeJoin(ctx, left.Rows, li, ri, build, &shape, out); err != nil {
+	out, err := probeJoin(ctx, left, li, ri, build, &shape)
+	if err != nil {
 		return nil, err
 	}
 	if shared {
 		// The build side was not read: only the probe rows count as input.
-		stats.record(OpKindJoin, len(left.Rows), len(out.Rows))
+		stats.record(OpKindJoin, len(left), len(out))
 	} else {
-		stats.record(OpKindJoin, len(left.Rows)+len(right.Rows), len(out.Rows))
+		stats.record(OpKindJoin, len(left)+len(right), len(out))
 	}
-	stats.recordValues(shape.copied() * len(out.Rows))
+	stats.recordValues(shape.copied() * len(out))
 	return out, nil
 }
 
@@ -545,14 +602,15 @@ func resolveJoinKeys(left, right colLayout, leftCol, rightCol string) (li, ri in
 	return li, ri, nil
 }
 
-// probeJoin streams the left rows against the build index, appending joined
-// rows of the given shape to out.  Probe-key hashes are precomputed one block
+// probeJoin streams the left rows against the build index and returns the
+// joined rows of the given shape.  Probe-key hashes are precomputed one block
 // at a time — the same batch FNV-1a pass the batch pipeline's join runs — and
 // chain entries whose stored hash differs are rejected without touching the
 // candidate row.  Chains preserve build-row order, so output order is
 // identical whether the index was built here or shared.  A shape with
 // firstRight ends each probe row's walk at its first match.
-func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, shape *pairShape, out *Relation) error {
+func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, shape *pairShape) ([]Tuple, error) {
+	var out []Tuple
 	var arena valueArena
 	// Seed the output at the no-duplicate-keys estimate: at most one match per
 	// probe and at most one per build row, so the smaller side bounds the
@@ -562,7 +620,7 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 	// slab instead of leaving a partially used chunk behind.
 	if len(lrows) > 0 && len(build.rows) > 0 {
 		seed := min(len(lrows), len(build.rows))
-		out.Rows = make([]Tuple, 0, seed)
+		out = make([]Tuple, 0, seed)
 		if values, ok := mulFits(seed, shape.copied(), maxPresizeValues); ok {
 			arena.reserve(values)
 		}
@@ -573,7 +631,7 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 	probed := 0
 	for lo := 0; lo < len(lrows); lo += DefaultBatchSize {
 		if err := canceled(ctx); err != nil {
-			return err
+			return nil, err
 		}
 		hi := lo + DefaultBatchSize
 		if hi > len(lrows) {
@@ -599,7 +657,7 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 				probed++
 				if probed%checkInterval == 0 {
 					if err := canceled(ctx); err != nil {
-						return err
+						return nil, err
 					}
 				}
 				if bhashes[j-1] != h {
@@ -609,14 +667,14 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 				if !rr[ri].EqualKey(v) {
 					continue // hash collision, not an actual match
 				}
-				out.Rows = append(out.Rows, shape.build(&arena, lr, rr))
+				out = append(out, shape.build(&arena, lr, rr))
 				if shape.firstRight {
 					break
 				}
 			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Distinct removes duplicate rows, preserving first-seen order.  Duplicate
@@ -626,8 +684,17 @@ func Distinct(ctx context.Context, rel *Relation, stats *Stats) (*Relation, erro
 		return nil, err
 	}
 	out := NewRelation(rel.Name, rel.Columns)
-	seen := NewTupleSet(len(rel.Rows))
-	rows := rel.Rows
+	var err error
+	if out.Rows, err = DistinctRows(ctx, rel.Rows, stats); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DistinctRows is Distinct over a row list, recording one distinct.
+func DistinctRows(ctx context.Context, rows []Tuple, stats *Stats) ([]Tuple, error) {
+	var out []Tuple
+	seen := NewTupleSet(len(rows))
 	var hashes []uint64
 	var kept []int32
 	for lo := 0; lo < len(rows); lo += DefaultBatchSize {
@@ -639,10 +706,10 @@ func Distinct(ctx context.Context, rel *Relation, stats *Stats) (*Relation, erro
 		block := rows[lo:min(lo+DefaultBatchSize, len(rows))]
 		kept = seen.firstSeen(block, nil, &hashes, kept[:0])
 		for _, i := range kept {
-			out.Rows = append(out.Rows, block[i])
+			out = append(out, block[i])
 		}
 	}
-	stats.record(OpKindDistinct, len(rel.Rows), len(out.Rows))
+	stats.record(OpKindDistinct, len(rows), len(out))
 	return out, nil
 }
 
@@ -823,17 +890,45 @@ func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, st
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	acc, err := newAggAccumulator(colLayout{cols: rel.Columns}, fn, column)
+	a, err := CompileAggregate(rel.Columns, fn, column)
 	if err != nil {
 		return nil, err
 	}
-	if err := acc.add(ctx, rel.Rows, nil); err != nil {
+	row, err := a.Row(ctx, rel.Rows, stats)
+	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(rel.Name, []string{aggOutputColumn(acc.fn, acc.column)})
-	out.Rows = append(out.Rows, acc.result())
-	stats.record(OpKindAggregate, len(rel.Rows), 1)
+	out := NewRelation(rel.Name, []string{aggOutputColumn(a.acc.fn, a.acc.column)})
+	out.Rows = append(out.Rows, row)
 	return out, nil
+}
+
+// Aggregation is an aggregate bound to its input's column list: the function
+// validated and its value column resolved.  It is immutable: every Row call
+// folds into its own copy of the empty accumulator.
+type Aggregation struct {
+	acc aggAccumulator
+}
+
+// CompileAggregate binds the aggregate of column (ignored by COUNT) to the
+// input columns cols.
+func CompileAggregate(cols []string, fn AggFunc, column string) (*Aggregation, error) {
+	acc, err := newAggAccumulator(colLayout{cols: cols}, fn, column)
+	if err != nil {
+		return nil, err
+	}
+	return &Aggregation{acc: acc}, nil
+}
+
+// Row folds the rows into the aggregate's single result row, recording one
+// aggregate.
+func (a *Aggregation) Row(ctx context.Context, rows []Tuple, stats *Stats) (Tuple, error) {
+	acc := a.acc
+	if err := acc.add(ctx, rows, nil); err != nil {
+		return nil, err
+	}
+	stats.record(OpKindAggregate, len(rows), 1)
+	return acc.result(), nil
 }
 
 // newAggAccumulator validates the aggregate and resolves its column against
