@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/probdb/urm/internal/core"
-	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/qos"
 	"github.com/probdb/urm/internal/store"
 )
@@ -270,7 +269,7 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*ScatterResponse, c.cfg.Shards)
+	parts := make([]*shardReply, c.cfg.Shards)
 	errs := make([]error, c.cfg.Shards)
 	var wg sync.WaitGroup
 	for i := 0; i < c.cfg.Shards; i++ {
@@ -295,12 +294,19 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Response, error)
 	return response(key, parts[0].Epoch, &CachedAnswer{Result: res}, start), nil
 }
 
+// shardReply is one shard's accepted scatter response and the run its packed
+// rows unpacked to.
+type shardReply struct {
+	*ScatterResponse
+	run *core.ShardRun
+}
+
 // scatterShard runs one shard's scatter with per-attempt owner resolution:
 // the lease table is consulted on every retry, so a lease expiring mid-query
 // re-routes the next attempt to the promoted standby instead of hammering the
 // dead owner.
-func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) (*ScatterResponse, error) {
-	var resp *ScatterResponse
+func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) (*shardReply, error) {
+	var resp *shardReply
 	err := qos.Retry(ctx, c.cfg.Retry, func(ctx context.Context) (time.Duration, bool, error) {
 		owner, ok := c.leases.Owner(index)
 		if !ok {
@@ -309,18 +315,9 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 			return c.leases.Interval(), true, apiErrRetry(http.StatusServiceUnavailable, c.leases.Interval(),
 				fmt.Errorf("%w: shard %d", ErrShardUnowned, index))
 		}
-		r, retryAfter, retryable, err := c.scatterOnce(ctx, owner, body)
+		r, retryAfter, retryable, err := c.scatterOnce(ctx, owner, index, body)
 		if err != nil {
 			return retryAfter, retryable, err
-		}
-		if r.Shard == nil || r.Shard.Index != index || r.Shard.Count != c.cfg.Shards {
-			// The node answered for the wrong slice (misconfigured boot);
-			// treat like a mismatch, not a retryable blip.
-			got := "no shard identity"
-			if r.Shard != nil {
-				got = fmt.Sprintf("shard %d of %d", r.Shard.Index, r.Shard.Count)
-			}
-			return 0, false, c.mismatch("node %q answered as %s, want shard %d of %d", owner.Node, got, index, c.cfg.Shards)
 		}
 		resp = r
 		return 0, false, nil
@@ -337,9 +334,9 @@ func (c *Coordinator) scatterShard(ctx context.Context, index int, body []byte) 
 // scatterOnce issues one POST /v1/scatter to a shard owner and classifies the
 // outcome: network errors and 429/503/504 are retryable (with the server's
 // Retry-After hint when it sent one), 400, 404 and 422 are relayed as the
-// request's fault, other statuses, an undecodable body and a body over
-// maxScatterBody fail the query with 502.
-func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []byte) (*ScatterResponse, time.Duration, bool, error) {
+// request's fault, other statuses, a body over maxScatterBody and a 200 body
+// acceptScatter refuses fail the query with 502.
+func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, index int, body []byte) (*shardReply, time.Duration, bool, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner.Addr+"/v1/scatter", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, false, err
@@ -364,18 +361,8 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 	}
 	switch hresp.StatusCode {
 	case http.StatusOK:
-		var sr ScatterResponse
-		if err := json.Unmarshal(data, &sr); err != nil {
-			atomic.AddInt64(&c.counters.UpstreamErrors, 1)
-			return nil, 0, false, apiErr(http.StatusBadGateway, fmt.Errorf("node %q: undecodable scatter response: %w", owner.Node, err))
-		}
-		rows := 0
-		for _, g := range sr.Groups {
-			rows += len(g.Rows)
-		}
-		atomic.AddInt64(&c.counters.ScatterRows, int64(rows))
-		atomic.AddInt64(&c.counters.ScatterBytes, int64(len(data)))
-		return &sr, 0, false, nil
+		r, err := c.acceptScatter(owner, index, data)
+		return r, 0, false, err
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		atomic.AddInt64(&c.counters.UpstreamErrors, 1)
 		hint := retryAfterHint(hresp, data)
@@ -400,6 +387,39 @@ func (c *Coordinator) scatterOnce(ctx context.Context, owner LeaseOwner, body []
 		return nil, 0, false, apiErr(http.StatusBadGateway,
 			fmt.Errorf("node %q: %s", owner.Node, upstreamMessage(hresp.StatusCode, data)))
 	}
+}
+
+// acceptScatter decodes a shard's 200 body and unpacks its rows on that
+// shard's fan-out goroutine, so the shards' bodies unpack in parallel.  It
+// refuses with a 502 naming the node, never retried: a body that is not the
+// response's JSON (a node of an older wire schema sends one), packed rows
+// that do not unpack (a mismatch, naming the group too), and a node that
+// answered for another slice than shard index.
+func (c *Coordinator) acceptScatter(owner LeaseOwner, index int, data []byte) (*shardReply, error) {
+	var sr ScatterResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		atomic.AddInt64(&c.counters.UpstreamErrors, 1)
+		return nil, apiErr(http.StatusBadGateway, fmt.Errorf("node %q: undecodable scatter response: %w", owner.Node, err))
+	}
+	run, err := unpackRun(&sr)
+	if err != nil {
+		return nil, c.mismatch("node %q: %v", owner.Node, err)
+	}
+	rows := 0
+	for _, g := range run.Groups {
+		rows += len(g.Rows)
+	}
+	atomic.AddInt64(&c.counters.ScatterRows, int64(rows))
+	atomic.AddInt64(&c.counters.ScatterBytes, int64(len(data)))
+	if sr.Shard == nil || sr.Shard.Index != index || sr.Shard.Count != c.cfg.Shards {
+		// The node answered for the wrong slice (misconfigured boot).
+		got := "no shard identity"
+		if sr.Shard != nil {
+			got = fmt.Sprintf("shard %d of %d", sr.Shard.Index, sr.Shard.Count)
+		}
+		return nil, c.mismatch("node %q answered as %s, want shard %d of %d", owner.Node, got, index, c.cfg.Shards)
+	}
+	return &shardReply{&sr, run}, nil
 }
 
 // relayedSentinels are the sentinels a relayed status's error wraps.
@@ -470,30 +490,23 @@ func (c *Coordinator) mismatch(format string, args ...any) error {
 }
 
 // mergeParts checks every shard response's group list and deterministic front
-// half, then merges their per-group rows as the shards' runs of one plan: into
+// half, then merges their unpacked runs as the shards' runs of one plan: into
 // the whole distribution, or the top k answers when k is positive.
-func (c *Coordinator) mergeParts(method core.Method, k int, parts []*ScatterResponse) (*core.Result, error) {
+func (c *Coordinator) mergeParts(method core.Method, k int, parts []*shardReply) (*core.Result, error) {
 	first := parts[0]
-	n := len(first.Groups)
-	sp := &core.ScatterPlan{Method: method, PreEmptyProb: first.PreEmptyProb, Groups: make([]core.ScatterGroup, n)}
+	sp := &core.ScatterPlan{Method: method, PreEmptyProb: first.PreEmptyProb, Groups: make([]core.ScatterGroup, len(first.Groups))}
 	runs := make([]*core.ShardRun, len(parts))
 	for i, p := range parts {
 		if err := groupsWellFormed(p.Groups); err != nil {
 			return nil, c.mismatch("shard %d (node %q): %v", i, p.Shard.Node, err)
 		}
-		if err := scatterConsistent(first, p); err != nil {
+		if err := scatterConsistent(first.ScatterResponse, p.ScatterResponse); err != nil {
 			return nil, c.mismatch("shard 0 (node %q) vs shard %d (node %q): %v", first.Shard.Node, i, p.Shard.Node, err)
 		}
-		runs[i] = &core.ShardRun{Groups: make([]core.GroupRows, n), Pruned: make([]bool, n)}
-		for gi, g := range p.Groups {
-			sp.Groups[gi] = core.ScatterGroup{Prob: g.Prob, Below: g.Below} // every part's are the first's
-			runs[i].Pruned[gi] = g.Pruned
-			rows := make([]engine.Tuple, len(g.Rows))
-			for ri, wire := range g.Rows {
-				rows[ri] = wireTuple(wire)
-			}
-			runs[i].Groups[gi].Rows = rows
-		}
+		runs[i] = p.run
+	}
+	for gi, g := range first.Groups {
+		sp.Groups[gi] = core.ScatterGroup{Prob: g.Prob, Below: g.Below} // every part's, by scatterConsistent
 	}
 	answers, emptyProb := sp.Merge(k, runs...)
 	if k > 0 {

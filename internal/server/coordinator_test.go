@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -486,31 +489,54 @@ func tupleMixed() engine.Tuple {
 	return engine.Tuple{engine.S("s"), engine.I(3), engine.F(3), engine.Null()}
 }
 
-// TestWireValueRoundTrip pins the typed wire format: kinds survive encoding,
-// so a float 3.0 does not come back as an int 3.
-func TestWireValueRoundTrip(t *testing.T) {
-	tup := wireTuple(wireValues(tuple("k01", 7, 3)))
-	if !tup.Equal(tuple("k01", 7, 3)) {
-		t.Fatalf("round trip = %v", tup)
+// TestPackedRowsExactAndPinned pins the packed-row format to golden bytes —
+// the tags are the wire's own, so renumbering engine.Kind cannot change what
+// crosses the hop unnoticed — and round-trips every value through the actual
+// wire, the JSON envelope, by kind and by bits: a float 3.0 does not come
+// back an int 3, -0 and a NaN's payload survive, strings are their bytes.
+func TestPackedRowsExactAndPinned(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	row := append(tupleMixed(),
+		engine.F(math.Copysign(0, -1)), engine.F(nan), engine.F(math.Inf(1)), engine.F(math.Inf(-1)),
+		engine.I(math.MinInt64), engine.I(math.MaxInt64), engine.S(""), engine.S("\xff"))
+	golden := strings.Join([]string{
+		"010173",                 // "s"
+		"0206",                   // 3
+		"030000000000000840",     // 3.0
+		"00",                     // NULL
+		"030000000000000080",     // -0
+		"03010000000000f87f",     // NaN, payload 1
+		"03000000000000f07f",     // +Inf
+		"03000000000000f0ff",     // -Inf
+		"02ffffffffffffffffff01", // MinInt64
+		"02feffffffffffffffff01", // MaxInt64
+		"0100",                   // ""
+		"0101ff",                 // "\xff"
+	}, "")
+	packed := appendPacked(nil, row)
+	if got := hex.EncodeToString(packed); got != golden {
+		t.Fatalf("packed row\n got %s\nwant %s", got, golden)
 	}
-	// Mixed kinds through JSON, the actual wire.
-	in := [][]WireValue{wireValues(tupleMixed())}
-	data, err := json.Marshal(in)
+	data, err := json.Marshal(ScatterResponse{Width: len(row), Groups: []ScatterGroupJSON{{Covered: true, Rows: append(packed, packed...)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out [][]WireValue
-	if err := json.Unmarshal(data, &out); err != nil {
+	var sr ScatterResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatal(err)
 	}
-	got := wireTuple(out[0])
-	want := tupleMixed()
-	if !got.Equal(want) {
-		t.Fatalf("wire round trip = %v, want %v", got, want)
+	run, err := unpackRun(&sr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i].Kind != want[i].Kind {
-			t.Fatalf("value %d kind %v, want %v", i, got[i].Kind, want[i].Kind)
+	if got := run.Groups[0].Rows; len(got) != 2 {
+		t.Fatalf("%d rows unpacked, want 2", len(got))
+	}
+	for _, got := range run.Groups[0].Rows {
+		for i, w := range row {
+			if g := got[i]; g.Kind != w.Kind || g.Str != w.Str || g.Int != w.Int || math.Float64bits(g.Float) != math.Float64bits(w.Float) {
+				t.Fatalf("value %d = %#v, want %#v", i, g, w)
+			}
 		}
 	}
 }

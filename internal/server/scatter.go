@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -54,35 +57,24 @@ type ScatterRequest struct {
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
-// WireValue is one typed datum on the scatter wire.  Exactly one field is
-// set; the zero value is NULL.  Values are typed explicitly rather than as
-// bare JSON values because bit-identity requires kinds to round-trip: a float
-// 3.0 encoded as the JSON number 3 would decode as an int, changing the
-// tuple's hash, key and sort position.  Go's float64 JSON encoding is
-// shortest-round-trip, so probabilities and float data survive the wire
-// bit-exactly.
-type WireValue struct {
-	S *string  `json:"s,omitempty"`
-	I *int64   `json:"i,omitempty"`
-	F *float64 `json:"f,omitempty"`
-}
-
 // ScatterGroupJSON is one scatter group's slice of the answer stream on this
 // shard: the group's probability mass, whether its mappings cover the query
 // (uncovered groups carry mass for the empty answer and no rows), and the
 // distinct rows this shard produced for it, in first-seen order —
 // core.ScatterPlan.ExecuteOn deduplicates within the group before anything
-// reaches the wire.  An o-sharing group is a u-trace node: Below is the size
-// of its subtree and, on an internal node, Pruned says this shard's walk
-// pruned it or an ancestor.  Across shards nothing is deduplicated here: the
-// same tuple may arrive from several nodes, and the coordinator, which trusts
-// no node to have sent a set, collapses both in core.ScatterPlan.Merge.
+// reaches the wire.  Rows holds those rows packed back to back (appendPacked;
+// encoding/json carries the field as base64), ScatterResponse.Width values
+// to a row.  An o-sharing group is a u-trace node: Below is the size of its
+// subtree and, on an internal node, Pruned says this shard's walk pruned it
+// or an ancestor.  Across shards nothing is deduplicated here: the same tuple
+// may arrive from several nodes, and the coordinator, which trusts no node to
+// have sent a set, collapses both in core.ScatterPlan.Merge.
 type ScatterGroupJSON struct {
-	Prob    float64       `json:"prob"`
-	Covered bool          `json:"covered"`
-	Below   int           `json:"below,omitempty"`
-	Pruned  bool          `json:"pruned,omitempty"`
-	Rows    [][]WireValue `json:"rows,omitempty"`
+	Prob    float64 `json:"prob"`
+	Covered bool    `json:"covered"`
+	Below   int     `json:"below,omitempty"`
+	Pruned  bool    `json:"pruned,omitempty"`
+	Rows    []byte  `json:"rows,omitempty"`
 }
 
 // ScatterResponse is the body of a successful POST /v1/scatter.
@@ -97,47 +89,135 @@ type ScatterResponse struct {
 	// PreEmptyProb to the empty answer first, then walks the groups in order.
 	PreEmptyProb float64            `json:"pre_empty_prob"`
 	Groups       []ScatterGroupJSON `json:"groups"`
+	// Width is the number of values in each packed row, set whenever a group
+	// carries rows: len(Columns) for a projection, the target relation's
+	// arity for a query without one, whose Columns are empty.
+	Width int `json:"width,omitempty"`
 	// Shard echoes the node's placement so the coordinator can detect a node
 	// booted with the wrong index or count before merging anything.
 	Shard     *ShardIdentity `json:"shard,omitempty"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 
-// wireValues encodes a tuple for the scatter wire.
-func wireValues(t engine.Tuple) []WireValue {
-	out := make([]WireValue, len(t))
-	for i, v := range t {
+// The tags of packed values.  They are the wire's own, numbered here, so
+// that renumbering engine.Kind cannot change what crosses the hop.
+const (
+	packedNull   byte = 0 // nothing follows
+	packedString byte = 1 // a uvarint byte length, then the raw bytes
+	packedInt    byte = 2 // a zigzag varint
+	packedFloat  byte = 3 // 8 little-endian bytes of the IEEE bits
+)
+
+// appendPacked appends one row to a group's packed rows: per value its tag,
+// then the value.  Strings cross byte for byte and floats bit for bit, so
+// the coordinator unpacks the shard's tuple exactly: as JSON text a string
+// would lose its invalid UTF-8, and a float 3.0 would come back an int 3.
+func appendPacked(dst []byte, row engine.Tuple) []byte {
+	for _, v := range row {
 		switch v.Kind {
 		case engine.KindString:
-			s := v.Str
-			out[i].S = &s
+			dst = binary.AppendUvarint(append(dst, packedString), uint64(len(v.Str)))
+			dst = append(dst, v.Str...)
 		case engine.KindInt:
-			n := v.Int
-			out[i].I = &n
+			dst = binary.AppendVarint(append(dst, packedInt), v.Int)
 		case engine.KindFloat:
-			f := v.Float
-			out[i].F = &f
+			dst = binary.LittleEndian.AppendUint64(append(dst, packedFloat), math.Float64bits(v.Float))
+		default:
+			dst = append(dst, packedNull)
 		}
 	}
-	return out
+	return dst
 }
 
-// wireTuple decodes a scatter-wire row.
-func wireTuple(vals []WireValue) engine.Tuple {
-	row := make(engine.Tuple, len(vals))
-	for i, v := range vals {
-		switch {
-		case v.S != nil:
-			row[i] = engine.S(*v.S)
-		case v.I != nil:
-			row[i] = engine.I(*v.I)
-		case v.F != nil:
-			row[i] = engine.F(*v.F)
+// unpackValues decodes the packed values in b, checking each length against
+// the bytes left before using it, and returns how many there are.  With vals
+// non-nil it also stores them there, their strings substrings of s, which
+// holds b's bytes.
+func unpackValues(b []byte, s string, vals []engine.Value) (int, error) {
+	n := 0
+	for i := 0; i < len(b); n++ {
+		tag, at := b[i], i
+		i++
+		var v engine.Value
+		switch tag {
+		case packedNull:
+		case packedInt:
+			x, k := binary.Varint(b[i:])
+			if k <= 0 {
+				return n, fmt.Errorf("the int at byte %d is cut short or overflows", at)
+			}
+			v, i = engine.I(x), i+k
+		case packedFloat:
+			if len(b)-i < 8 {
+				return n, fmt.Errorf("the float at byte %d is cut short", at)
+			}
+			v, i = engine.F(math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))), i+8
+		case packedString:
+			l, k := binary.Uvarint(b[i:])
+			if k <= 0 || l > uint64(len(b)-i-k) {
+				return n, fmt.Errorf("the string at byte %d runs past the %d bytes left", at, len(b)-i)
+			}
+			i += k
+			if vals != nil {
+				v = engine.S(s[i : i+int(l)])
+			}
+			i += int(l)
 		default:
-			row[i] = engine.Null()
+			return n, fmt.Errorf("unknown tag %d at byte %d", tag, at)
+		}
+		if vals != nil {
+			vals[n] = v
 		}
 	}
-	return row
+	return n, nil
+}
+
+// unpackRun unpacks a scatter response's groups into the run the merge
+// reads.  Packed rows are outside input: an unknown tag, a value cut short or
+// values that do not fill whole rows is an error naming the group.  One
+// string holds every group's bytes and backs every string value, and one
+// slice holds every value.
+func unpackRun(sr *ScatterResponse) (*core.ShardRun, error) {
+	values, size := 0, 0
+	for gi, g := range sr.Groups {
+		if len(g.Rows) == 0 {
+			continue
+		}
+		n, err := unpackValues(g.Rows, "", nil)
+		if err == nil && (sr.Width <= 0 || n%sr.Width != 0) {
+			err = fmt.Errorf("%d values do not fill rows of width %d", n, sr.Width)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("group %d: %w", gi, err)
+		}
+		values, size = values+n, size+len(g.Rows)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, g := range sr.Groups {
+		all.Write(g.Rows)
+	}
+	str := all.String()
+	vals := make([]engine.Value, values)
+	var rows []engine.Tuple
+	if values > 0 {
+		rows = make([]engine.Tuple, values/sr.Width)
+	}
+	run := &core.ShardRun{Groups: make([]core.GroupRows, len(sr.Groups)), Pruned: make([]bool, len(sr.Groups))}
+	for gi, g := range sr.Groups {
+		run.Pruned[gi] = g.Pruned
+		if len(g.Rows) == 0 {
+			continue
+		}
+		n, _ := unpackValues(g.Rows, str[:len(g.Rows)], vals) // checked above
+		group := rows[: n/sr.Width : n/sr.Width]
+		for ri := range group {
+			group[ri] = vals[ri*sr.Width : (ri+1)*sr.Width : (ri+1)*sr.Width]
+		}
+		run.Groups[gi].Rows = group
+		str, vals, rows = str[len(g.Rows):], vals[n:], rows[len(group):]
+	}
+	return run, nil
 }
 
 // Scatter answers one scatter request in-process: it prepares the query on
@@ -209,13 +289,15 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 		Shard:        s.cfg.Shard,
 		ElapsedMS:    float64(time.Since(start).Microseconds()) / 1000,
 	}
+	var packed []byte // every group's rows, each group a capped window
 	for i, g := range sp.Groups {
 		gj := ScatterGroupJSON{Prob: g.Prob, Covered: sp.Covers(i), Below: g.Below, Pruned: run.Pruned[i] && g.Below > 0}
 		if rows := run.Groups[i].Rows; len(rows) > 0 {
-			gj.Rows = make([][]WireValue, len(rows))
-			for ri, row := range rows {
-				gj.Rows[ri] = wireValues(row)
+			start := len(packed)
+			for _, row := range rows {
+				packed = appendPacked(packed, row)
 			}
+			gj.Rows, resp.Width = packed[start:len(packed):len(packed)], len(rows[0])
 		}
 		resp.Groups[i] = gj
 	}

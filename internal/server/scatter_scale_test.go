@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/probdb/urm/internal/core"
@@ -19,46 +22,32 @@ import (
 // 30 / 90 / 69 from shard 1 for Q1 / Q2 / Q3, where the group plans emit
 // 17 / 2,100 / 1,216 and 30 / 2,100 / 1,100 — under e-basic, e-MQO and
 // q-sharing alike; the coordinator's scatter_rows counts
-// exactly those; and the merged answers, their order, every probability's
-// bits and the empty probability are the unsharded session's, o-sharing's
-// u-trace nodes included.
+// exactly those; decoding a shard's body and unpacking its rows stays within
+// pinned allocations; and the merged answers, their order, every
+// probability's bits and the empty probability are the unsharded session's,
+// o-sharing's u-trace nodes included.
 func TestScatterAtBenchmarkScale(t *testing.T) {
-	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 100, SizeMB: 40, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := shard.Spec{Relation: "Orders", Column: "o_orderkey", Shards: 2, Kind: shard.KindHash}
-	part, err := shard.NewPartitioner(ds.DB, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{Shards: spec.Shards})
+	ds, nodes := shardNodes(t, benchmarkFixture)
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: len(nodes)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	nodes := make([]*Server, spec.Shards)
-	for i := range nodes {
-		slice, err := part.Slice(ds.DB, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := NewRegistry()
-		if _, err := reg.Register(ctx, "excel", datagen.TargetSchema(datagen.TargetExcel), slice, ds.Mappings(), RegisterOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("shard-%d", i)
-		nodes[i] = New(reg, Config{Shard: &ShardIdentity{Node: name, Index: i, Count: spec.Shards,
-			Relation: spec.Relation, Column: spec.Column, Kind: spec.Kind.String()}})
-		srv := httptest.NewServer(nodes[i])
+	for i, node := range nodes {
+		srv := httptest.NewServer(node)
 		defer srv.Close()
-		if err := coord.Leases().Heartbeat(name, srv.URL, []int{i}); err != nil {
+		if err := coord.Leases().Heartbeat(node.cfg.Shard.Node, srv.URL, []int{i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Per query: scatter groups, then rows shipped by shard 0 and shard 1.
 	pinned := map[int][3]int{1: {10, 17, 30}, 2: {3, 90, 90}, 3: {6, 62, 69}}
+	// Per query: allocations to decode one shard's body and unpack its rows
+	// under e-basic, shard 0 and shard 1.  They repeat exactly: 35/35, 30/30
+	// and 33/34 with packed rows, pinned here at +10%; a value per JSON
+	// object took 94/140, 313/313 and 230/257.  A pin may only move down.
+	decodeAllocs := map[int][2]float64{1: {38, 38}, 2: {33, 33}, 3: {36, 37}}
 	eval := core.NewEvaluator(ds.DB, ds.Mappings())
 	for id := 1; id <= 3; id++ {
 		q := datagen.MustWorkloadQuery(id)
@@ -82,9 +71,29 @@ func TestScatterAtBenchmarkScale(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s shard %d: %v", label, i, err)
 				}
+				body, err := json.Marshal(sr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decode := func() (*core.ShardRun, error) {
+					var sr ScatterResponse
+					if err := json.Unmarshal(body, &sr); err != nil {
+						return nil, err
+					}
+					return unpackRun(&sr)
+				}
+				run, err := decode()
+				if err != nil {
+					t.Fatalf("%s shard %d: %v", label, i, err)
+				}
 				rows := 0
-				for _, g := range sr.Groups {
+				for _, g := range run.Groups {
 					rows += len(g.Rows)
+				}
+				if m == core.MethodEBasic {
+					if allocs := testing.AllocsPerRun(10, func() { _, _ = decode() }); allocs > decodeAllocs[id][i] {
+						t.Errorf("%s shard %d: decoding and unpacking its %d-byte body takes %.0f allocations, pinned at %.0f", label, i, len(body), allocs, decodeAllocs[id][i])
+					}
 				}
 				if m != core.MethodOSharing && (len(sr.Groups) != pinned[id][0] || rows != pinned[id][1+i]) {
 					t.Errorf("%s shard %d ships %d rows in %d groups, want %d in %d", label, i, rows, len(sr.Groups), pinned[id][1+i], pinned[id][0])
@@ -112,5 +121,99 @@ func TestScatterAtBenchmarkScale(t *testing.T) {
 				t.Fatalf("%s: empty probability %v, want %v bit for bit", label, got.Result.EmptyProb, want.EmptyProb)
 			}
 		}
+	}
+}
+
+// benchmarkFixture is the dataset the benchmark's scatter_read serves.
+var benchmarkFixture = datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 100, SizeMB: 40, Seed: 42}
+
+// shardNodes generates a dataset and builds two shard nodes over it, each
+// holding its hash slice of Orders.o_orderkey as a scenario named after the
+// target in lower case ("excel").
+func shardNodes(tb testing.TB, opts datagen.DatasetOptions) (*datagen.Dataset, []*Server) {
+	tb.Helper()
+	ds, err := datagen.NewDataset(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := shard.Spec{Relation: "Orders", Column: "o_orderkey", Shards: 2, Kind: shard.KindHash}
+	part, err := shard.NewPartitioner(ds.DB, spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nodes := make([]*Server, spec.Shards)
+	for i := range nodes {
+		slice, err := part.Slice(ds.DB, i)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reg := NewRegistry()
+		if _, err := reg.Register(context.Background(), strings.ToLower(string(opts.Target)), datagen.TargetSchema(opts.Target), slice, ds.Mappings(), RegisterOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+		nodes[i] = New(reg, Config{Shard: &ShardIdentity{Node: fmt.Sprintf("shard-%d", i), Index: i, Count: spec.Shards,
+			Relation: spec.Relation, Column: spec.Column, Kind: spec.Kind.String()}})
+	}
+	return ds, nodes
+}
+
+// TestCoordinatorWorkloadQueries: every workload query Q1–Q10 on its target,
+// under every method and as top-3, answers through a coordinator over two
+// shard nodes exactly as an unsharded node does — tuples, probability bits
+// and order — or, where the plan self-joins or aggregates Orders, is refused
+// as not distributable.
+func TestCoordinatorWorkloadQueries(t *testing.T) {
+	ctx := context.Background()
+	asked, distributed := 0, 0
+	for _, target := range datagen.AllTargets() {
+		ds, nodes := shardNodes(t, datagen.DatasetOptions{Target: target, NumMappings: 20, SizeMB: 10, Seed: 42})
+		coord, err := NewCoordinator(CoordinatorConfig{Shards: len(nodes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, node := range nodes {
+			srv := httptest.NewServer(node)
+			defer srv.Close()
+			if err := coord.Leases().Heartbeat(node.cfg.Shard.Node, srv.URL, []int{i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := strings.ToLower(string(target))
+		reg := NewRegistry()
+		if _, err := reg.Register(ctx, name, datagen.TargetSchema(target), ds.DB, ds.Mappings(), RegisterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		ref := New(reg, Config{})
+		for id := 1; id <= 10; id++ {
+			if tn, err := datagen.QueryTarget(id); err != nil || tn != target {
+				continue
+			}
+			text, err := datagen.MustWorkloadQuery(id).SQL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range []Request{{Method: "basic"}, {Method: "e-basic"}, {Method: "e-mqo"}, {Method: "q-sharing"}, {Method: "o-sharing"}, {TopK: 3}} {
+				req.Scenario, req.Query = name, text
+				label := fmt.Sprintf("Q%d %s top-%d", id, req.Method, req.TopK)
+				want, err := ref.Do(ctx, req)
+				if err != nil {
+					t.Fatalf("%s unsharded: %v", label, err)
+				}
+				asked++
+				got, err := coord.Query(ctx, req)
+				if errors.Is(err, ErrNotDistributable) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s coordinated: %v", label, err)
+				}
+				sameResult(t, label, want.Result, got.Result)
+				distributed++
+			}
+		}
+	}
+	t.Logf("%d of %d requests distributed", distributed, asked)
+	if distributed == 0 {
+		t.Fatal("no workload query distributed")
 	}
 }

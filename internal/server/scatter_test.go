@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -26,8 +29,8 @@ import (
 var scatterMethods = []core.Method{core.MethodBasic, core.MethodEBasic, core.MethodEMQO, core.MethodQSharing}
 
 // postScatter sends one scatter request over HTTP and returns the raw body
-// with the decoded response.
-func postScatter(t *testing.T, url, query string, method core.Method) ([]byte, *http.Response, *ScatterResponse) {
+// with the run its packed rows unpack to.
+func postScatter(t *testing.T, url, query string, method core.Method) ([]byte, *http.Response, *core.ShardRun) {
 	t.Helper()
 	body, _ := json.Marshal(ScatterRequest{Scenario: "test", Query: query, Method: method.String()})
 	resp, err := http.Post(url+"/v1/scatter", "application/json", bytes.NewReader(body))
@@ -46,7 +49,11 @@ func postScatter(t *testing.T, url, query string, method core.Method) ([]byte, *
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatal(err)
 	}
-	return data, resp, &sr
+	run, err := unpackRun(&sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, resp, run
 }
 
 // naiveGroupRows runs every group plan of the node's scatter plan through the
@@ -92,7 +99,7 @@ func naiveGroupRows(t *testing.T, node *Server, query string, method core.Method
 
 // sameWireRows asserts a response's groups carry exactly the wanted rows, in
 // order.
-func sameWireRows(t *testing.T, label string, want [][]engine.Tuple, got *ScatterResponse) {
+func sameWireRows(t *testing.T, label string, want [][]engine.Tuple, got *core.ShardRun) {
 	t.Helper()
 	if len(got.Groups) != len(want) {
 		t.Fatalf("%s: %d groups, want %d", label, len(got.Groups), len(want))
@@ -101,8 +108,8 @@ func sameWireRows(t *testing.T, label string, want [][]engine.Tuple, got *Scatte
 		if len(g.Rows) != len(want[gi]) {
 			t.Fatalf("%s group %d: %d rows on the wire, want the %d distinct", label, gi, len(g.Rows), len(want[gi]))
 		}
-		for ri, wire := range g.Rows {
-			if row := wireTuple(wire); !row.EqualKey(want[gi][ri]) {
+		for ri, row := range g.Rows {
+			if !row.EqualKey(want[gi][ri]) {
 				t.Fatalf("%s group %d row %d = %v, want %v", label, gi, ri, row, want[gi][ri])
 			}
 		}
@@ -136,8 +143,8 @@ func TestScatterShipsDistinctRows(t *testing.T) {
 				shipped += len(g.Rows)
 				for i := range g.Rows {
 					for j := 0; j < i; j++ {
-						if wireTuple(g.Rows[i]).EqualKey(wireTuple(g.Rows[j])) {
-							t.Fatalf("%s group %d: rows %d and %d are both %v", label, gi, j, i, wireTuple(g.Rows[i]))
+						if g.Rows[i].EqualKey(g.Rows[j]) {
+							t.Fatalf("%s group %d: rows %d and %d are both %v", label, gi, j, i, g.Rows[i])
 						}
 					}
 				}
@@ -246,43 +253,97 @@ func alteredShard(node *Server, alter func(*ScatterResponse)) http.Handler {
 	})
 }
 
-// parentShapedShard answers /v1/scatter the way a node built before per-shard
-// dedup does: every row its group plans emitted (here: each distinct row
-// twice), as indented JSON streamed from the encoder.
-func parentShapedShard(node *Server) http.Handler {
+// duplicatingShard answers /v1/scatter the way a node that does not
+// deduplicate its groups would: every distinct row twice, as indented JSON
+// streamed from the encoder.
+func duplicatingShard(node *Server) http.Handler {
 	return alteredShard(node, func(resp *ScatterResponse) {
 		for gi := range resp.Groups {
 			rows := resp.Groups[gi].Rows
-			resp.Groups[gi].Rows = append(append([][]WireValue{}, rows...), rows...)
+			resp.Groups[gi].Rows = append(rows, rows...)
 		}
 	})
 }
 
-// TestCoordinatorRefusesMalformedGroupLists: a shard's below and pruned are
-// outside input that the merge indexes by, so a response whose subtree runs
-// past the group list, whose subtrees differ from another shard's, that marks
-// a leaf pruned or that ships rows for an uncovered group is a 502 naming the
-// node — never an index panic.
-func TestCoordinatorRefusesMalformedGroupLists(t *testing.T) {
-	for name, alter := range map[string]func(*ScatterResponse){
-		"below past the end": func(r *ScatterResponse) { r.Groups[len(r.Groups)-1].Below = 1 },
-		"negative below":     func(r *ScatterResponse) { r.Groups[0].Below = -1 },
-		"below unlike the other shard's": func(r *ScatterResponse) {
-			r.Groups[0].Below--
-		},
-		"pruned leaf": func(r *ScatterResponse) {
-			for gi, g := range r.Groups {
-				if g.Below == 0 {
-					r.Groups[gi].Pruned = true
-					return
-				}
+// firstCovered returns the first group of a response whose mappings cover
+// the query, the group packed-row damage is appended to.
+func firstCovered(r *ScatterResponse) *ScatterGroupJSON {
+	for gi := range r.Groups {
+		if r.Groups[gi].Covered {
+			return &r.Groups[gi]
+		}
+	}
+	panic("no covered group")
+}
+
+// damagedRows are shard responses whose packed rows do not unpack, each
+// built from a real one.
+var damagedRows = map[string]func(*ScatterResponse){
+	"string cut short": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = append(g.Rows, packedString, 5, 'a')
+	},
+	"varint cut short": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = append(g.Rows, packedInt, 0x80)
+	},
+	"float cut short": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = append(g.Rows, packedFloat, 0, 0, 0)
+	},
+	"unknown tag": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = append(g.Rows, 9)
+	},
+	"string length near MaxUint64": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = binary.AppendUvarint(append(g.Rows, packedString), math.MaxUint64-1)
+	},
+	"values short of a row": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = append(g.Rows, packedNull)
+		r.Width = len(g.Rows) + 1
+	},
+	"rows of width 0": func(r *ScatterResponse) {
+		g := firstCovered(r)
+		g.Rows = append(g.Rows, packedNull)
+		r.Width = 0
+	},
+}
+
+// damagedGroups are shard responses whose group list the merge could not
+// walk, or that disagree with the other shard's, each built from a real one.
+var damagedGroups = map[string]func(*ScatterResponse){
+	"below past the end": func(r *ScatterResponse) { r.Groups[len(r.Groups)-1].Below = 1 },
+	"negative below":     func(r *ScatterResponse) { r.Groups[0].Below = -1 },
+	"below unlike the other shard's": func(r *ScatterResponse) {
+		r.Groups[0].Below--
+	},
+	"pruned leaf": func(r *ScatterResponse) {
+		for gi, g := range r.Groups {
+			if g.Below == 0 {
+				r.Groups[gi].Pruned = true
+				return
 			}
-		},
-		"rows on an uncovered group": func(r *ScatterResponse) {
-			last := &r.Groups[len(r.Groups)-1]
-			last.Covered, last.Rows = false, append(last.Rows, []WireValue{{}})
-		},
-	} {
+		}
+	},
+	"rows on an uncovered group": func(r *ScatterResponse) {
+		r.Width = max(r.Width, 1)
+		last := &r.Groups[len(r.Groups)-1]
+		last.Covered, last.Rows = false, append(last.Rows, bytes.Repeat([]byte{packedNull}, r.Width)...)
+	},
+}
+
+// TestCoordinatorRefusesMalformedGroupLists: a shard's below, pruned and
+// packed rows are outside input that the merge indexes by, so a response
+// whose subtree runs past the group list, whose subtrees differ from another
+// shard's, that marks a leaf pruned, that ships rows for an uncovered group
+// or whose packed rows do not unpack into whole rows is a 502 naming the
+// node — never an index panic, nor a length taken on trust.
+func TestCoordinatorRefusesMalformedGroupLists(t *testing.T) {
+	cases := maps.Clone(damagedGroups)
+	maps.Copy(cases, damagedRows)
+	for name, alter := range cases {
 		coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Retry: qos.Backoff{Attempts: 1}})
 		if err != nil {
 			t.Fatal(err)
@@ -307,35 +368,45 @@ func TestCoordinatorRefusesMalformedGroupLists(t *testing.T) {
 		if !strings.Contains(qerr.Error(), `node "`+nodeNameFor(0)+`"`) {
 			t.Fatalf("%s: error %q does not name the node", name, qerr)
 		}
+		if _, packed := damagedRows[name]; packed && !strings.Contains(qerr.Error(), "group ") {
+			t.Fatalf("%s: error %q does not name the group", name, qerr)
+		}
 		if coord.Metrics().Mismatches != 1 {
 			t.Fatalf("%s: mismatches = %d, want 1", name, coord.Metrics().Mismatches)
 		}
 	}
 }
 
-// TestCoordinatorMixedVersions: the wire schema did not change, so a
-// coordinator merges a parent-shaped shard (duplicates, indentation, chunked)
-// beside a changed one into the unsharded answer, bit for bit — its own dedup
-// is what makes a shard's a saving and not a contract.
+// TestCoordinatorMixedVersions: a coordinator and its shards run one build,
+// but within the packed schema the coordinator stays lenient where leniency
+// costs nothing: it merges a shard that ships every row twice, indented and
+// streamed without a length, beside a plain one into the unsharded answer,
+// bit for bit — its own dedup is what makes a shard's a saving and not a
+// contract.  A node of the JSON-per-value schema that came before is a 502
+// naming the node, never a merge.
 func TestCoordinatorMixedVersions(t *testing.T) {
 	const rows = 300
 	ref, _ := newTestServerOn(t, joinFixture, rows, Config{})
-	coord, err := NewCoordinator(CoordinatorConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		node := newShardNodeOn(t, joinFixture, Config{}, rows, i, 2)
-		var h http.Handler = node
-		if i == 0 {
-			h = parentShapedShard(node)
-		}
-		srv := httptest.NewServer(h)
-		defer srv.Close()
-		if err := coord.Leases().Heartbeat(nodeNameFor(i), srv.URL, []int{i}); err != nil {
+	cluster := func(shard0 func(*Server) http.Handler) *Coordinator {
+		coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Retry: qos.Backoff{Attempts: 1}})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 2; i++ {
+			node := newShardNodeOn(t, joinFixture, Config{}, rows, i, 2)
+			var h http.Handler = node
+			if i == 0 {
+				h = shard0(node)
+			}
+			srv := httptest.NewServer(h)
+			t.Cleanup(srv.Close)
+			if err := coord.Leases().Heartbeat(nodeNameFor(i), srv.URL, []int{i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return coord
 	}
+	coord := cluster(duplicatingShard)
 	for _, m := range scatterMethods {
 		for _, q := range []string{joinQueryText, "SELECT * FROM T", "SELECT a FROM T WHERE b = 3"} {
 			req := Request{Scenario: "test", Query: q, Method: m.String()}
@@ -349,6 +420,77 @@ func TestCoordinatorMixedVersions(t *testing.T) {
 			}
 			sameResult(t, m.String()+" "+q, want.Result, got.Result)
 		}
+	}
+
+	// The old schema carried each value as an object: {"s":"g1"}.
+	legacy := cluster(func(node *Server) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req ScatterRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				writeError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			resp, err := node.Scatter(r.Context(), req)
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			var body map[string]any
+			data, _ := json.Marshal(resp)
+			if err := json.Unmarshal(data, &body); err != nil {
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+			for _, g := range body["groups"].([]any) {
+				if g := g.(map[string]any); g["rows"] != nil {
+					g["rows"] = [][]map[string]string{{{"s": "g1"}}}
+				}
+			}
+			writeJSON(w, http.StatusOK, body)
+		})
+	})
+	_, qerr := legacy.Query(context.Background(), Request{Scenario: "test", Query: joinQueryText, Method: "e-basic"})
+	var ae *apiError
+	if !errors.As(qerr, &ae) || ae.status != http.StatusBadGateway || !strings.Contains(qerr.Error(), `node "`+nodeNameFor(0)+`"`) {
+		t.Fatalf("old-schema shard: error = %v, want a 502 naming node %q", qerr, nodeNameFor(0))
+	}
+}
+
+// TestScatterStringsCrossByteForByte: a string crosses the hop as its bytes.
+// JSON text rewrites invalid UTF-8 to U+FFFD, which made "\xff" and "\xfe"
+// one tuple at the coordinator and summed their masses; an unsharded node
+// keeps them two answers, and so must the coordinator.
+func TestScatterStringsCrossByteForByte(t *testing.T) {
+	fx := testFixture{serveTargetSchema, func(n int) *engine.Instance {
+		db := serveInstance(n)
+		for _, x := range []string{"\xff", "\xfe"} {
+			db.Relation("S").MustAppend(engine.Tuple{engine.S(x), engine.I(7), engine.I(7)})
+		}
+		return db
+	}, serveMappings}
+	const rows = 60
+	ref, _ := newTestServerOn(t, fx, rows, Config{})
+	cl := newClusterOn(t, fx, rows, 2, CoordinatorConfig{})
+	for _, m := range []string{"basic", "e-basic", "e-mqo", "q-sharing", "o-sharing"} {
+		req := Request{Scenario: "test", Query: fastQueryText, Method: m}
+		want, err := ref.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s unsharded: %v", m, err)
+		}
+		invalid := 0
+		for _, a := range want.Result.Answers {
+			if s := a.Tuple[0].Str; s == "\xff" || s == "\xfe" {
+				invalid++
+			}
+		}
+		if invalid != 2 {
+			t.Fatalf("%s: the unsharded answer holds %d of the two non-UTF-8 strings", m, invalid)
+		}
+		got, err := cl.coord.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s coordinated: %v", m, err)
+		}
+		sameResult(t, m, want.Result, got.Result)
 	}
 }
 
