@@ -186,6 +186,9 @@ func Snapshot() (*EngineSnapshot, error) {
 	// live heap during a measurement is that pair's own input — a fixture for
 	// a later pair must not tax an earlier pair's GC cycles.  The explicit GC
 	// between pairs returns the previous fixtures before the next timing run.
+	// The single-operator pairs measure the engine side through the
+	// position-taking entry points o-sharing runs, bound in the setup as
+	// o-sharing binds them when it plans its u-trace.
 	type opCase struct {
 		name  string
 		rows  int
@@ -195,35 +198,41 @@ func Snapshot() (*EngineSnapshot, error) {
 		{"select", snapshotRows, func() (func() error, func() error, error) {
 			rel := snapshotRelation("L", snapshotRows)
 			pred := selectPred()
+			f, err := engine.CompileFilter(pred, rel.Columns)
 			return func() error { _, err := engine.NaiveSelect(ctx, rel, pred, nil); return err },
-				func() error { _, err := engine.Select(ctx, rel, pred, nil); return err }, nil
+				func() error { _, err := f.Rows(ctx, rel.Rows, nil, nil); return err }, err
 		}},
 		{"project", snapshotRows, func() (func() error, func() error, error) {
 			rel := snapshotRelation("L", snapshotRows)
 			cols := []string{"L.score", "L.id"}
+			idx, err := engine.ColumnPositions(rel.Columns, cols)
 			return func() error { _, err := engine.NaiveProject(ctx, rel, cols, nil); return err },
-				func() error { _, err := engine.Project(ctx, rel, cols, nil); return err }, nil
+				func() error { _, err := engine.ProjectRows(ctx, rel.Rows, idx, nil); return err }, err
 		}},
 		{"hashjoin", snapshotRows + snapshotRows/4, func() (func() error, func() error, error) {
 			joinLeft := snapshotKeyedRelation("L", snapshotRows, 1)
 			joinRight := snapshotKeyedRelation("R", snapshotRows/4, 4)
+			// Joined on id, column 0 of each side; both columns of each side
+			// are kept, as the reference keeps them.
+			keep := []int{0, 1}
 			return func() error {
 					_, err := engine.NaiveHashJoin(ctx, joinLeft, joinRight, "L.id", "R.id", nil)
 					return err
 				}, func() error {
-					_, err := engine.HashJoin(ctx, joinLeft, joinRight, "L.id", "R.id", nil)
+					_, err := engine.JoinRows(ctx, joinLeft.Rows, joinRight.Rows, 0, 0, keep, keep, false, nil, nil)
 					return err
 				}, nil
 		}},
 		{"distinct", snapshotRows, func() (func() error, func() error, error) {
 			rel := snapshotRelation("L", snapshotRows)
 			return func() error { _, err := engine.NaiveDistinct(ctx, rel, nil); return err },
-				func() error { _, err := engine.Distinct(ctx, rel, nil); return err }, nil
+				func() error { _, err := engine.DistinctRows(ctx, rel.Rows, nil); return err }, nil
 		}},
 		{"aggregate", snapshotRows, func() (func() error, func() error, error) {
 			rel := snapshotRelation("L", snapshotRows)
+			a, err := engine.CompileAggregate(rel.Columns, engine.AggSum, "L.score")
 			return func() error { _, err := engine.NaiveAggregate(ctx, rel, engine.AggSum, "L.score", nil); return err },
-				func() error { _, err := engine.Aggregate(ctx, rel, engine.AggSum, "L.score", nil); return err }, nil
+				func() error { _, err := a.Row(ctx, rel.Rows, nil); return err }, err
 		}},
 		{"pipeline", snapshotRows, func() (func() error, func() error, error) {
 			pipelineDB := engine.NewInstance("D")

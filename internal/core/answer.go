@@ -271,8 +271,9 @@ func answersOf(entries []*aggEntry) []Answer {
 }
 
 // OutputColumns derives display labels for the query's answers: projection
-// references or the aggregate name.  Queries without an explicit projection
-// return nil.
+// references or the aggregate name.  A parsed SELECT * is the projection of
+// every attribute of its relations; only a hand-built tree with neither
+// returns nil.
 func OutputColumns(q *query.Query) []string {
 	switch root := q.Root.(type) {
 	case *query.Project:

@@ -607,8 +607,12 @@ func TestOutputColumns(t *testing.T) {
 		t.Errorf("sum columns = %v", cols)
 	}
 	qn := mustParse(t, "qn", "SELECT * FROM Person WHERE phone = '1'")
-	if cols := OutputColumns(qn); cols != nil {
-		t.Errorf("SELECT * columns = %v, want nil", cols)
+	if cols := OutputColumns(qn); strings.Join(cols, ",") != "pname,phone,addr,nation,gender" {
+		t.Errorf("SELECT * columns = %v, want Person's attributes in schema order", cols)
+	}
+	qj := mustParse(t, "qj", "SELECT * FROM Person P, Order")
+	if cols := OutputColumns(qj); strings.Join(cols, ",") != "P.pname,P.phone,P.addr,P.nation,P.gender,Order.sname,Order.item,Order.status,Order.price,Order.total" {
+		t.Errorf("SELECT * over two relations: columns = %v, want each one's attributes, qualified", cols)
 	}
 }
 

@@ -131,11 +131,15 @@ func emptyAggregate(ctx context.Context, agg *query.Aggregate) ([]engine.Tuple, 
 	if agg.Func != engine.AggCount {
 		col = "v"
 	}
-	rel, err := engine.Aggregate(ctx, engine.NewRelation("empty", []string{"v"}), agg.Func, col, nil)
+	a, err := engine.CompileAggregate([]string{"v"}, agg.Func, col)
 	if err != nil {
 		return nil, err
 	}
-	return rel.Rows[:1:1], nil
+	row, err := a.Row(ctx, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return []engine.Tuple{row}, nil
 }
 
 // plan expands the trace below n, whose e-unit is u, listing n — its mass

@@ -26,9 +26,9 @@ type ScatterGroup struct {
 
 	// prog is Plan compiled once, when the group's Prepared first handed the
 	// list out (ScatterPlan.compile), and kept by a delta pass's copy of the
-	// group; nil on a list built any other way, whose executions compile the
-	// plan each time.
+	// group; err is why Plan did not compile, which every run reports.
 	prog *engine.Program
+	err  error
 }
 
 // ScatterPlan is one of the four plan methods, as the paper defines them:
@@ -110,14 +110,14 @@ type planShape struct {
 // schema, once, the first time its Prepared hands the list out — an e-MQO
 // list's through one compiler for its global plan's cache, so each sharing
 // point is compiled once, beside Global, and every run's cache holds only
-// results.  A plan that does not compile keeps no program: each execution
-// compiles it and reports the error, as it always did.
+// results.  A plan that does not compile keeps its error instead: each run
+// reports it where the group's program would have run.
 func (sp *ScatterPlan) compile(db *engine.Instance) {
 	sp.compiled = true
 	c := engine.NewCompiler(db, sp.Global.NewCache())
 	for i := range sp.Groups {
 		if g := &sp.Groups[i]; g.Plan != nil {
-			g.prog, _ = c.Compile(g.Plan, true)
+			g.prog, g.err = c.Compile(g.Plan, true)
 		}
 	}
 }
@@ -290,9 +290,9 @@ func (sp *ScatterPlan) ExecuteOn(ec *exec.Context, db *engine.Instance) (*ShardR
 // consumer and adds the operator statistics and CPU time to run.  Group order
 // is kept at any parallelism.  Every consumer reads a group's rows as a set,
 // so the plans run as ExecuteSet runs them: a group's rows hold its distinct
-// tuples in first-seen order, not necessarily every repeat.  A memoized list
-// runs its groups' programs; any other list compiles each plan per run.  On
-// error whatever the consumer holds is partly filled and must be discarded.
+// tuples in first-seen order, not necessarily every repeat.  The list must be
+// compiled (compile): each covering group runs its program.  On error whatever
+// the consumer holds is partly filled and must be discarded.
 func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
 	if sp.trace != nil {
 		return sp.trace.executeInto(ec, db, run, c)
@@ -306,26 +306,24 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 	return exec.Map(ec, len(sp.Groups),
 		func(ctx context.Context, i int) (groupRun, error) {
 			gr := groupRun{stats: engine.NewStats()}
-			if sp.Groups[i].Plan == nil {
+			g := &sp.Groups[i]
+			if g.Plan == nil {
 				return gr, nil
 			}
-			execStart := time.Now()
-			ex := &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()}
 			var rel *engine.Relation
-			var err error
-			if prog := sp.Groups[i].prog; prog != nil {
-				rel, err = prog.Run(ctx, ex)
-			} else {
-				rel, err = ex.ExecuteSet(ctx, sp.Groups[i].Plan)
+			err := g.err
+			if err == nil {
+				execStart := time.Now()
+				rel, err = g.prog.Run(ctx, &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()})
+				gr.exec = time.Since(execStart)
 			}
-			gr.exec = time.Since(execStart)
 			if err != nil {
 				return gr, fmt.Errorf("%s: executing source query: %w", sp.Method, err)
 			}
 			if c.inOrder {
 				gr.rows = rel.Rows
 			} else {
-				c.take(i, sp.Groups[i].Prob, rel.Rows)
+				c.take(i, g.Prob, rel.Rows)
 			}
 			return gr, nil
 		},

@@ -30,6 +30,7 @@ func TestDistributable(t *testing.T) {
 	}
 	for _, c := range cases {
 		sp := &ScatterPlan{Groups: []ScatterGroup{{Prob: 0.5}, {Prob: 0.5, Plan: c.plan}}}
+		sp.compile(paperInstance())
 		if sp.DistributesOver("Orders") {
 			t.Errorf("%s: an unanalysed plan distributes", c.name)
 		}

@@ -6,8 +6,8 @@ import "context"
 // executor.  Operators exchange ~1024-row batches — a window of row tuples
 // plus a selection vector — instead of one tuple per interface call, so the
 // hot per-row work (predicate comparisons, key hashing, column gathers) runs
-// in tight loops with no per-row dispatch.  The inner loops are the
-// materialized operators' own kernels (operators.go lists them), and every
+// in tight loops with no per-row dispatch.  The inner loops are the row-list
+// entry points' own kernels (operators.go lists them), and every
 // operator records the same logical statistics and produces rows in the same
 // order, so results are bit-identical to the naive reference at any batch
 // size.
@@ -246,7 +246,7 @@ func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
 }
 
 // batchProject gathers the projected columns of each batch's live rows
-// through projectRows, the materialized Project's kernel, emitting a dense
+// through projectRows, ProjectRows' kernel, emitting a dense
 // batch (no selection vector).
 type batchProject struct {
 	ctx   context.Context
@@ -461,8 +461,8 @@ func appendBatches(src BatchSource, rows *[]Tuple) error {
 // one shared build instead of h; the build side's filters then run per probed
 // candidate (the levels).  Chains preserve build-row order, which for the
 // shared index is base row order, so the output is identical either way and to
-// the materialized hash join's.  A shape with firstRight ends each probe row's
-// walk at its first match that survives the levels.
+// JoinRows'.  A shape with firstRight ends each probe row's walk at its first
+// match that survives the levels.
 type batchJoin struct {
 	ctx         context.Context
 	left, right BatchSource

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,11 +121,10 @@ func TestRelationColumnResolution(t *testing.T) {
 	if idx := r.ColumnIndex("nosuch"); idx != -1 {
 		t.Errorf("missing column = %d, want -1", idx)
 	}
-	// Ambiguity: product of Customer with itself has two cid columns.
-	p, err := Product(bgCtx, customerRelation().QualifyColumns("A"), customerRelation().QualifyColumns("B"), NewStats())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Ambiguity: the columns of Customer twice, as its product with itself
+	// has them, hold two cid columns.
+	a, b := customerRelation().QualifyColumns("A"), customerRelation().QualifyColumns("B")
+	p := NewRelation("AxB", append(slices.Clone(a.Columns), b.Columns...))
 	if idx := p.ColumnIndex("cid"); idx != -1 {
 		t.Errorf("ambiguous unqualified lookup should fail, got %d", idx)
 	}
@@ -164,28 +164,31 @@ func TestRelationAppendAndClone(t *testing.T) {
 
 func TestSelectOperator(t *testing.T) {
 	stats := NewStats()
-	rel := customerRelation()
-	out, err := Select(bgCtx, rel, Eq("oaddr", S("aaa")), stats)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		rel  *Relation
+		pred Predicate
+		want int
+	}{
+		{customerRelation(), Eq("oaddr", S("aaa")), 2},
+		// Comparison operators.
+		{orderRelation(), &ConstPredicate{Column: "amount", Op: OpGt, Value: F(50)}, 1},
+		{customerRelation(), &ConstPredicate{Column: "cname", Op: OpNe, Value: S("Alice")}, 2},
 	}
-	if out.NumRows() != 2 {
-		t.Errorf("select returned %d rows, want 2", out.NumRows())
+	for i, c := range cases {
+		f, err := CompileFilter(c.pred, c.rel.Columns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := f.Rows(bgCtx, c.rel.Rows, stats, nil)
+		if err != nil || len(out) != c.want {
+			t.Errorf("%v: rows=%d err=%v, want %d rows", c.pred, len(out), err, c.want)
+		}
+		if stats.Count(OpKindSelect) != i+1 {
+			t.Errorf("select operator count = %d, want %d", stats.Count(OpKindSelect), i+1)
+		}
 	}
-	if stats.Count(OpKindSelect) != 1 {
-		t.Errorf("select operator count = %d", stats.Count(OpKindSelect))
-	}
-	if _, err := Select(bgCtx, rel, Eq("missing", S("x")), stats); err == nil {
+	if _, err := CompileFilter(Eq("missing", S("x")), customerRelation().Columns); err == nil {
 		t.Error("select on missing column should error")
-	}
-	// Comparison operators.
-	gt, err := Select(bgCtx, orderRelation(), &ConstPredicate{Column: "amount", Op: OpGt, Value: F(50)}, stats)
-	if err != nil || gt.NumRows() != 1 {
-		t.Errorf("amount > 50: rows=%v err=%v", gt.NumRows(), err)
-	}
-	ne, err := Select(bgCtx, rel, &ConstPredicate{Column: "cname", Op: OpNe, Value: S("Alice")}, stats)
-	if err != nil || ne.NumRows() != 2 {
-		t.Errorf("cname != Alice: rows=%v err=%v", ne.NumRows(), err)
 	}
 }
 
@@ -203,7 +206,11 @@ func TestSelectAcrossBlocks(t *testing.T) {
 		&AndPredicate{Children: []Predicate{Eq("T.a", I(3)), Eq("T.b", I(1))}},
 		&AndPredicate{},
 	} {
-		out, err := Select(bgCtx, rel, pred, nil)
+		f, err := CompileFilter(pred, rel.Columns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := f.Rows(bgCtx, rel.Rows, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,11 +220,11 @@ func TestSelectAcrossBlocks(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		if len(out.Rows) != len(want) {
-			t.Fatalf("%v: %d rows, want %d", pred, len(out.Rows), len(want))
+		if len(out) != len(want) {
+			t.Fatalf("%v: %d rows, want %d", pred, len(out), len(want))
 		}
 		for k, i := range want {
-			if &out.Rows[k][0] != &rel.Rows[i][0] {
+			if &out[k][0] != &rel.Rows[i][0] {
 				t.Fatalf("%v: row %d is not input row %d", pred, k, i)
 			}
 		}
@@ -226,17 +233,25 @@ func TestSelectAcrossBlocks(t *testing.T) {
 
 func TestProjectOperator(t *testing.T) {
 	stats := NewStats()
-	out, err := Project(bgCtx, customerRelation(), []string{"cname", "oaddr"}, stats)
+	rel := customerRelation()
+	idx, err := ColumnPositions(rel.Columns, []string{"cname", "oaddr"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.NumColumns() != 2 || out.NumRows() != 3 {
-		t.Errorf("project shape = %dx%d", out.NumRows(), out.NumColumns())
+	out, err := ProjectRows(bgCtx, rel.Rows, idx, stats)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Rows[0][0].Str != "Alice" || out.Rows[0][1].Str != "aaa" {
-		t.Errorf("project row = %v", out.Rows[0])
+	if len(out) != 3 || len(out[0]) != 2 {
+		t.Errorf("project shape = %dx%d", len(out), len(out[0]))
 	}
-	if _, err := Project(bgCtx, customerRelation(), []string{"nosuch"}, stats); err == nil {
+	if out[0][0].Str != "Alice" || out[0][1].Str != "aaa" {
+		t.Errorf("project row = %v", out[0])
+	}
+	if stats.Count(OpKindProject) != 1 {
+		t.Errorf("project operator count = %d", stats.Count(OpKindProject))
+	}
+	if _, err := ColumnPositions(rel.Columns, []string{"nosuch"}); err == nil {
 		t.Error("project on missing column should error")
 	}
 }
@@ -245,34 +260,31 @@ func TestProductAndJoin(t *testing.T) {
 	stats := NewStats()
 	c := customerRelation().QualifyColumns("Customer")
 	o := orderRelation().QualifyColumns("C_Order")
-	p, err := Product(bgCtx, c, o, stats)
+	cKeep, oKeep := keepAll(len(c.Columns)), keepAll(len(o.Columns))
+	p, err := ProductRows(bgCtx, c.Rows, o.Rows, cKeep, oKeep, false, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumRows() != 9 || p.NumColumns() != 9 {
-		t.Errorf("product shape = %dx%d, want 9x9", p.NumRows(), p.NumColumns())
+	if len(p) != 9 || len(p[0]) != 9 {
+		t.Errorf("product shape = %dx%d, want 9x9", len(p), len(p[0]))
 	}
-	j, err := HashJoin(bgCtx, c, o, "Customer.cid", "C_Order.cid", stats)
+	j, err := JoinRows(bgCtx, c.Rows, o.Rows, c.ColumnIndex("Customer.cid"), o.ColumnIndex("C_Order.cid"), cKeep, oKeep, false, stats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.NumRows() != 3 {
-		t.Errorf("join rows = %d, want 3", j.NumRows())
-	}
-	if _, err := HashJoin(bgCtx, c, o, "bad", "C_Order.cid", stats); err == nil {
-		t.Error("join with bad left column should error")
-	}
-	if _, err := HashJoin(bgCtx, c, o, "Customer.cid", "bad", stats); err == nil {
-		t.Error("join with bad right column should error")
+	if len(j) != 3 {
+		t.Errorf("join rows = %d, want 3", len(j))
 	}
 	// Join must equal product followed by an equality selection.
-	sel, err := Select(bgCtx, p, ColEq("Customer.cid", "C_Order.cid"), stats)
+	f, err := CompileFilter(ColEq("Customer.cid", "C_Order.cid"), append(slices.Clone(c.Columns), o.Columns...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.NumRows() != j.NumRows() {
-		t.Errorf("join (%d rows) != product+select (%d rows)", j.NumRows(), sel.NumRows())
+	sel, err := f.Rows(bgCtx, p, stats, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireSameRows(t, "product+select", j, sel)
 }
 
 func TestDistinct(t *testing.T) {
@@ -281,56 +293,50 @@ func TestDistinct(t *testing.T) {
 	r.MustAppend(Tuple{S("x")})
 	r.MustAppend(Tuple{S("x")})
 	r.MustAppend(Tuple{S("y")})
-	d, err := Distinct(bgCtx, r, stats)
+	d, err := DistinctRows(bgCtx, r.Rows, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumRows() != 2 {
-		t.Errorf("distinct rows = %d, want 2", d.NumRows())
+	if len(d) != 2 {
+		t.Errorf("distinct rows = %d, want 2", len(d))
 	}
 }
 
 func TestAggregates(t *testing.T) {
 	stats := NewStats()
 	o := orderRelation()
+	empty := NewRelation("E", []string{"x"})
 	cases := []struct {
+		rel  *Relation
 		fn   AggFunc
 		col  string
 		want Value
 	}{
-		{AggCount, "", I(3)},
-		{AggSum, "amount", F(123.75)},
-		{AggAvg, "amount", F(41.25)},
-		{AggMin, "amount", F(3.25)},
-		{AggMax, "amount", F(100.5)},
+		{o, AggCount, "", I(3)},
+		{o, AggSum, "amount", F(123.75)},
+		{o, AggAvg, "amount", F(41.25)},
+		{o, AggMin, "amount", F(3.25)},
+		{o, AggMax, "amount", F(100.5)},
+		{o, AggSum, "oid", F(33)}, // an int column sums too
+		{empty, AggAvg, "x", Null()},
+		{empty, AggMin, "x", Null()},
+		{empty, AggCount, "", I(0)},
 	}
 	for _, c := range cases {
-		out, err := Aggregate(bgCtx, o, c.fn, c.col, stats)
+		a, err := CompileAggregate(c.rel.Columns, c.fn, c.col)
 		if err != nil {
-			t.Fatalf("%s: %v", c.fn, err)
+			t.Fatalf("%s(%s): %v", c.fn, c.col, err)
 		}
-		if out.NumRows() != 1 || !out.Rows[0][0].Equal(c.want) {
-			t.Errorf("%s = %v, want %v", c.fn, out.Rows[0][0], c.want)
+		row, err := a.Row(bgCtx, c.rel.Rows, stats)
+		if err != nil {
+			t.Fatalf("%s(%s): %v", c.fn, c.col, err)
+		}
+		if len(row) != 1 || !row[0].Equal(c.want) {
+			t.Errorf("%s(%s) over %d rows = %v, want %v", c.fn, c.col, len(c.rel.Rows), row, c.want)
 		}
 	}
-	if _, err := Aggregate(bgCtx, o, AggSum, "missing", stats); err == nil {
+	if _, err := CompileAggregate(o.Columns, AggSum, "missing"); err == nil {
 		t.Error("SUM on missing column should error")
-	}
-	if _, err := Aggregate(bgCtx, o, AggSum, "oid", stats); err != nil {
-		t.Errorf("SUM on int column should work: %v", err)
-	}
-	empty := NewRelation("E", []string{"x"})
-	avg, err := Aggregate(bgCtx, empty, AggAvg, "x", stats)
-	if err != nil || !avg.Rows[0][0].IsNull() {
-		t.Errorf("AVG of empty = %v, %v; want NULL", avg.Rows[0][0], err)
-	}
-	mn, err := Aggregate(bgCtx, empty, AggMin, "x", stats)
-	if err != nil || !mn.Rows[0][0].IsNull() {
-		t.Errorf("MIN of empty = %v, %v; want NULL", mn.Rows[0][0], err)
-	}
-	cnt, err := Aggregate(bgCtx, empty, AggCount, "", stats)
-	if err != nil || cnt.Rows[0][0].Int != 0 {
-		t.Errorf("COUNT of empty = %v, %v; want 0", cnt.Rows[0][0], err)
 	}
 }
 
@@ -537,15 +543,18 @@ func TestSelectProperty(t *testing.T) {
 		for _, v := range vals {
 			rel.MustAppend(Tuple{I(int64(v))})
 		}
-		pred := &ConstPredicate{Column: "v", Op: OpGe, Value: I(int64(threshold))}
-		out, err := Select(bgCtx, rel, pred, NewStats())
+		f, err := CompileFilter(&ConstPredicate{Column: "v", Op: OpGe, Value: I(int64(threshold))}, rel.Columns)
 		if err != nil {
 			return false
 		}
-		if out.NumRows() > rel.NumRows() {
+		out, err := f.Rows(bgCtx, rel.Rows, NewStats(), nil)
+		if err != nil {
 			return false
 		}
-		for _, row := range out.Rows {
+		if len(out) > rel.NumRows() {
+			return false
+		}
+		for _, row := range out {
 			if row[0].Int < int64(threshold) {
 				return false
 			}
@@ -569,19 +578,19 @@ func TestAlgebraProperties(t *testing.T) {
 			rb.MustAppend(Tuple{I(int64(v % 4))})
 		}
 		st := NewStats()
-		p, err := Product(bgCtx, ra, rb, st)
-		if err != nil || p.NumRows() != ra.NumRows()*rb.NumRows() {
+		p, err := ProductRows(bgCtx, ra.Rows, rb.Rows, []int{0}, []int{0}, false, st)
+		if err != nil || len(p) != ra.NumRows()*rb.NumRows() {
 			return false
 		}
-		d1, err := Distinct(bgCtx, ra, st)
+		d1, err := DistinctRows(bgCtx, ra.Rows, st)
 		if err != nil {
 			return false
 		}
-		d2, err := Distinct(bgCtx, d1, st)
+		d2, err := DistinctRows(bgCtx, d1, st)
 		if err != nil {
 			return false
 		}
-		return d1.NumRows() == d2.NumRows()
+		return len(d1) == len(d2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -614,8 +614,7 @@ func (c *IndexCache) baseForRows(rows []Tuple) (*Relation, bool) {
 // compiled once, and — when it holds a constant equality whose column resolves
 // — the index probe that can answer that equality together with the residual
 // of the remaining comparisons.  It is immutable, so concurrent runs share it.
-// IndexedSelect compiles one per call; o-sharing compiles one per selection
-// when it plans its u-trace.
+// o-sharing compiles one per selection when it plans its u-trace.
 type Filter struct {
 	pred  vecPredicate
 	probe *filterProbe
@@ -632,10 +631,7 @@ type filterProbe struct {
 // CompileFilter binds the predicate to the column list, resolving its column
 // references as a Relation with those columns would.
 func CompileFilter(pred Predicate, cols []string) (*Filter, error) {
-	return compileFilter(pred, func(name string) int { return lookupColumn(cols, name) }, cols)
-}
-
-func compileFilter(pred Predicate, resolve func(string) int, cols []string) (*Filter, error) {
+	resolve := func(name string) int { return lookupColumn(cols, name) }
 	vp, err := compileVecPredicate(pred, resolve, cols)
 	if err != nil {
 		return nil, err
@@ -695,49 +691,4 @@ func (p *filterProbe) serve(ctx context.Context, c *IndexCache, base *Relation, 
 	}
 	stats.record(OpKindSelect, in, len(out))
 	return out, true, nil
-}
-
-// IndexedSelect is Select with an optional shared base-relation index: when
-// rel is an untouched scan of one of the cache's base relations and the
-// predicate is a constant equality the index can answer exactly, the matching
-// rows come from the per-column hash index instead of a full scan.  The result
-// is bit-identical to Select — same rows, same order.  A nil cache is the
-// plain Select.
-func IndexedSelect(ctx context.Context, rel *Relation, pred Predicate, stats *Stats, cache *IndexCache) (*Relation, error) {
-	if cache == nil {
-		return Select(ctx, rel, pred, stats)
-	}
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	f, err := compileFilter(pred, rel.ColumnIndex, rel.Columns)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.sameColumns()
-	if out.Rows, err = f.Rows(ctx, rel.Rows, stats, cache); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IndexedHashJoin is HashJoin with an optional shared build table: when the
-// build (right) side is an untouched scan of one of the cache's base
-// relations, the join probes the instance's shared per-column index instead of
-// draining and hashing the build side per query.  Join matching is EqualKey in
-// both paths, so the output is bit-identical to HashJoin.  A nil cache is the
-// plain HashJoin.
-func IndexedHashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), false, stats, cache)
-}
-
-// IndexedHashJoinKeep is IndexedHashJoin emitting only the columns at
-// positions leftKeep of the left rows and rightKeep of the right rows — the
-// rows a projection of the full join onto those columns would yield, in the
-// same order.  The join columns are read from the inputs, so they need not be
-// kept.  With set, the caller reads the output as a set: when the right side
-// keeps nothing or only its key, each left row takes its first match only,
-// which leaves the same distinct rows in the same first-seen order.
-func IndexedHashJoinKeep(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, leftKeep, rightKeep, set, stats, cache)
 }

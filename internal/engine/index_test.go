@@ -174,9 +174,9 @@ func TestIndexedExecutorMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIndexedMaterializedOperatorsMatch pins the materialized-path entry
-// points the o-sharing evaluator uses: IndexedSelect and IndexedHashJoin over
-// untouched base scans must be bit-identical to their plain counterparts.
+// TestIndexedMaterializedOperatorsMatch pins the row-list entry points the
+// o-sharing evaluator uses: Filter.Rows and JoinRows over untouched base
+// scans must be bit-identical with the shared indexes and without them.
 func TestIndexedMaterializedOperatorsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 200; trial++ {
@@ -188,24 +188,29 @@ func TestIndexedMaterializedOperatorsMatch(t *testing.T) {
 		label := fmt.Sprintf("trial %d", trial)
 
 		pred := &ConstPredicate{Column: "L.a", Op: CompareOp(rng.Intn(6)), Value: randValue(rng)}
-		want, err1 := Select(bgCtx, left, pred, NewStats())
-		got, err2 := IndexedSelect(bgCtx, left, pred, NewStats(), db.Indexes())
+		f, err := CompileFilter(pred, left.Columns)
+		if err != nil {
+			t.Fatalf("%s select: %v", label, err)
+		}
+		want, err1 := f.Rows(bgCtx, left.Rows, NewStats(), nil)
+		got, err2 := f.Rows(bgCtx, left.Rows, NewStats(), db.Indexes())
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s select: %v / %v", label, err1, err2)
 		}
-		requireSameRelation(t, label+" select", want, got)
+		requireSameRows(t, label+" select", want, got)
 
-		jwant, err1 := HashJoin(bgCtx, left, right, "L.a", "R.x", NewStats())
-		jgot, err2 := IndexedHashJoin(bgCtx, left, right, "L.a", "R.x", NewStats(), db.Indexes())
+		keep := keepAll(2)
+		jwant, err1 := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keep, keep, false, NewStats(), nil)
+		jgot, err2 := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keep, keep, false, NewStats(), db.Indexes())
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s join: %v / %v", label, err1, err2)
 		}
-		requireSameRelation(t, label+" join", jwant, jgot)
+		requireSameRows(t, label+" join", jwant, jgot)
 	}
 }
 
-// TestIndexedSelectMatchesIndexScan: the materialized IndexedSelect and the
-// plan driver's index-served σ(scan) run one probe and one residual, so for a
+// TestIndexedSelectMatchesIndexScan: a Filter served from the shared index and
+// the plan driver's index-served σ(scan) run one probe and one residual, so for a
 // constant conjunction over an untouched base scan they must agree on
 // everything — rows and order, the selection's count and rows in/out, and the
 // index lookups.  The conjunctions cover a single equality, an equality among
@@ -251,26 +256,30 @@ func TestIndexedSelectMatchesIndexScan(t *testing.T) {
 		label := fmt.Sprintf("trial %d %s %v", trial, shape, pred)
 
 		mstats := NewStats()
-		want, err := IndexedSelect(bgCtx, left, pred, mstats, db.Indexes())
+		f, err := CompileFilter(pred, left.Columns)
 		if err != nil {
-			t.Fatalf("%s: IndexedSelect: %v", label, err)
+			t.Fatalf("%s: CompileFilter: %v", label, err)
+		}
+		want, err := f.Rows(bgCtx, left.Rows, mstats, db.Indexes())
+		if err != nil {
+			t.Fatalf("%s: Filter.Rows: %v", label, err)
 		}
 		ex := &Executor{DB: db, Stats: NewStats(), Indexes: db.Indexes()}
 		got, err := ex.ExecuteContext(bgCtx, &SelectPlan{Pred: pred, Child: &ScanPlan{Relation: "L"}})
 		if err != nil {
 			t.Fatalf("%s: plan driver: %v", label, err)
 		}
-		requireSameRelation(t, label, want, got)
+		requireSameRows(t, label, want, got.Rows)
 		ps := ex.Stats
 		if mstats.Count(OpKindSelect) != 1 || ps.Count(OpKindSelect) != 1 {
 			t.Fatalf("%s: %d and %d selections, want one each", label, mstats.Count(OpKindSelect), ps.Count(OpKindSelect))
 		}
 		if mstats.SelectRowsIn() != ps.SelectRowsIn() || mstats.SelectRowsOut() != ps.SelectRowsOut() {
-			t.Fatalf("%s: select rows %d→%d materialized, %d→%d plan driver", label,
+			t.Fatalf("%s: select rows %d→%d Filter, %d→%d plan driver", label,
 				mstats.SelectRowsIn(), mstats.SelectRowsOut(), ps.SelectRowsIn(), ps.SelectRowsOut())
 		}
 		if mstats.IndexLookups() != ps.IndexLookups() {
-			t.Fatalf("%s: %d index lookups materialized, %d plan driver", label, mstats.IndexLookups(), ps.IndexLookups())
+			t.Fatalf("%s: %d index lookups Filter, %d plan driver", label, mstats.IndexLookups(), ps.IndexLookups())
 		}
 		if mstats.IndexLookups() > 0 {
 			shapes[shape+", probed"]++

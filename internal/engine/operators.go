@@ -26,7 +26,7 @@ func canceled(ctx context.Context) error {
 }
 
 // arenaChunkValues is the steady-state allocation unit for output tuples:
-// operators that build new tuples (project, product, join), materialized or
+// operators that build new tuples (project, product, join), row-list or
 // batch, carve them out of flat []Value chunks instead of calling make once
 // per row.  arenaFirstChunk is the first chunk of an arena nobody reserved:
 // most operator outputs are a handful of rows, and zeroing a full chunk for
@@ -37,7 +37,7 @@ const (
 )
 
 // valueArena bulk-allocates tuples from flat []Value chunks.  It has one
-// sizing rule, for the materialized operators and the batch pipeline alike:
+// sizing rule, for the row-list entry points and the batch pipeline alike:
 // a caller that knows its output reserves it exactly (one slab, nothing left
 // over); otherwise chunks start at arenaFirstChunk and quadruple up to
 // arenaChunkValues, so a small output stays small and a large one costs at
@@ -119,25 +119,6 @@ func newPairShape(leftKeep, rightKeep []int, set bool, key int) pairShape {
 	return p
 }
 
-// keptColumns validates the keep lists against the input widths and returns
-// the output column names.
-func keptColumns(op string, left, right *Relation, leftKeep, rightKeep []int) ([]string, error) {
-	cols := make([]string, 0, len(leftKeep)+len(rightKeep))
-	for _, j := range leftKeep {
-		if j < 0 || j >= len(left.Columns) {
-			return nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, left.Columns)
-		}
-		cols = append(cols, left.Columns[j])
-	}
-	for _, j := range rightKeep {
-		if j < 0 || j >= len(right.Columns) {
-			return nil, fmt.Errorf("%s: kept column %d out of range for %v", op, j, right.Columns)
-		}
-		cols = append(cols, right.Columns[j])
-	}
-	return cols, nil
-}
-
 // copied returns the number of values build copies per output row.
 func (p *pairShape) copied() int {
 	if p.window {
@@ -176,15 +157,6 @@ func gatherColumns(dst, src Tuple, keep []int, run bool) {
 	}
 }
 
-// allColumns is the keep list that keeps every column of rel in order.
-func allColumns(rel *Relation) []int {
-	idx := make([]int, len(rel.Columns))
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // mulFits returns a·b when the product stays within limit.
 func mulFits(a, b, limit int) (int, bool) {
 	if a == 0 || b == 0 {
@@ -196,40 +168,16 @@ func mulFits(a, b, limit int) (int, bool) {
 	return a * b, true
 }
 
-// The functions below are the materialized operator API: each consumes
-// materialized relations and produces a materialized relation, recording one
-// operator execution.  Each binds its column names to positions and runs a
-// position-taking entry point over row lists — a compiled Filter or
-// Aggregation, or ProjectRows, ProductRows, JoinRows and DistinctRows.  Those
-// entry points are the o-sharing evaluator's operators: its fragments must stay
-// materialized so partially executed state can be shared across e-units, and
-// it binds them once, when it plans its u-trace, so a walk names no column.
-// They are kept beside the batch pipeline, which runs every plan, for what a
-// materialized input lets them do: they see their whole input, so they size
-// their output once (DESIGN.md "Execution model" has the measurement).  They
-// and the pipeline call the same kernels — index probe, vectorized
-// predicates, aggregate fold, dedupe, projection gather, pairShape.build,
-// bucket threading and blocked hashing — and produce identical results and
-// statistics.
-
-// Select returns the rows of rel satisfying the predicate.  The predicate is
-// compiled once — column references resolve to positions before the scan — so
-// per-row evaluation does no name lookups.
-func Select(ctx context.Context, rel *Relation, pred Predicate, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	vp, err := compileVecPredicate(pred, rel.ColumnIndex, rel.Columns)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.sameColumns()
-	if out.Rows, err = selectRows(ctx, rel.Rows, vp); err != nil {
-		return nil, err
-	}
-	stats.record(OpKindSelect, len(rel.Rows), len(out.Rows))
-	return out, nil
-}
+// The entry points below — a compiled Filter or Aggregation, ProjectRows,
+// ProductRows, JoinRows and DistinctRows — take column positions and move row
+// lists, recording one operator execution each.  They are the o-sharing
+// evaluator's operators: its fragments stay materialized so partially executed
+// state can be shared across e-units, and it binds them once, when it plans
+// its u-trace.  They see their whole input, so they size their output once
+// (DESIGN.md "Execution model"), and they call the batch pipeline's kernels —
+// index probe, vectorized predicates, aggregate fold, dedupe, projection
+// gather, pairShape.build, bucket threading and blocked hashing — so they
+// produce the results and statistics the pipeline does.
 
 // selectRows returns the rows satisfying the compiled predicate, in order; nil
 // when none does.  It records nothing.
@@ -264,24 +212,6 @@ func selectRows(ctx context.Context, rows []Tuple, vp vecPredicate) ([]Tuple, er
 	out := make([]Tuple, len(sel))
 	for k, i := range sel {
 		out[k] = rows[i]
-	}
-	return out, nil
-}
-
-// Project returns rel restricted to the given columns, in the given order.
-// Duplicate rows are preserved (bag semantics); use Distinct to remove them.
-// Output tuples are carved from a flat arena rather than allocated per row.
-func Project(ctx context.Context, rel *Relation, columns []string, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	idx, outCols, err := resolveProjection(colLayout{cols: rel.Columns}, columns)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(rel.Name, outCols)
-	if out.Rows, err = ProjectRows(ctx, rel.Rows, idx, stats); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -345,8 +275,8 @@ func contiguousIdx(idx []int) bool {
 // exactly: one value slab and one row-header slab for the whole input, no
 // growth reallocations.  The one- and two-column widths — virtually every
 // projection the reformulated workloads produce — run specialized loops.  It
-// is the one projection kernel: Project, the plan driver's root projection
-// and every batch of batchProject run it.
+// is the one projection kernel: ProjectRows, the plan driver's root
+// projection and every batch of batchProject run it.
 //
 // When the requested columns are a contiguous run in source order (every
 // single-column projection is), no values move at all: each output tuple is a
@@ -447,40 +377,18 @@ func projectRows(ctx context.Context, rows []Tuple, idx []int, out *[]Tuple) err
 // (or when rows·width overflows int) the output grows as rows arrive instead.
 const maxPresizeValues = 1 << 31
 
-// Product returns the Cartesian product of two relations.  Column names are
-// kept as-is, so callers should qualify them beforehand when they may collide.
-func Product(ctx context.Context, left, right *Relation, stats *Stats) (*Relation, error) {
-	return ProductKeep(ctx, left, right, allColumns(left), allColumns(right), false, stats)
-}
-
-// ProductKeep is the Cartesian product of left and right, left-major, emitting
-// only the columns at positions leftKeep of each left row followed by those at
-// rightKeep of each right row — row for row what a projection of the full
-// product onto those columns would yield, without ever building the dropped
-// columns.  With set, the caller reads the output as a set: a side of which
-// nothing is kept contributes its first row only, so the output holds the same
-// distinct rows in the same first-seen order without their repeats.  The row
-// list and the value arena are sized exactly from the pairs built times the
-// values copied; a product too large to size up front (the count overflows,
-// or exceeds maxPresizeValues) grows geometrically instead, so it stays
-// cancellable before it exhausts memory.
-func ProductKeep(ctx context.Context, left, right *Relation, leftKeep, rightKeep []int, set bool, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	cols, err := keptColumns("product", left, right, leftKeep, rightKeep)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(left.Name+"x"+right.Name, cols)
-	if out.Rows, err = ProductRows(ctx, left.Rows, right.Rows, leftKeep, rightKeep, set, stats); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ProductRows is ProductKeep over row lists, recording one product.  The keep
-// positions must lie within every row of their side.
+// ProductRows is the Cartesian product of row lists, left-major, recording
+// one product.  It emits only the columns at positions leftKeep of each left
+// row followed by those at rightKeep of each right row — row for row what a
+// projection of the full product onto those columns would yield, without
+// ever building the dropped columns; the positions must lie within every row
+// of their side.  With set, the caller reads the output as a set: a side of
+// which nothing is kept contributes its first row only, so the output holds
+// the same distinct rows in the same first-seen order without their repeats.
+// The row list and the value arena are sized exactly from the pairs built
+// times the values copied; a product too large to size up front (the count
+// overflows, or exceeds maxPresizeValues) grows geometrically instead, so it
+// stays cancellable before it exhausts memory.
 func ProductRows(ctx context.Context, left, right []Tuple, leftKeep, rightKeep []int, set bool, stats *Stats) ([]Tuple, error) {
 	shape := newPairShape(leftKeep, rightKeep, set, -1)
 	lrows, rrows := left, right
@@ -512,40 +420,6 @@ func ProductRows(ctx context.Context, left, right []Tuple, leftKeep, rightKeep [
 	}
 	stats.record(OpKindProduct, len(left)+len(right), len(out))
 	stats.recordValues(shape.copied() * len(out))
-	return out, nil
-}
-
-// HashJoin returns the equi-join of left and right on leftCol = rightCol.
-// It builds a hash table on the right input, keyed by the 64-bit value hash;
-// probes compare candidate rows with EqualKey, so no key strings are ever
-// formatted.
-func HashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, stats *Stats) (*Relation, error) {
-	return hashJoin(ctx, left, right, leftCol, rightCol, allColumns(left), allColumns(right), false, stats, nil)
-}
-
-// hashJoin is the equi-join behind HashJoin, IndexedHashJoin and
-// IndexedHashJoinKeep, emitting the leftKeep columns of each matching left row
-// followed by the rightKeep columns of its right row (the join columns
-// themselves need not be kept); set is newPairShape's.  When the cache
-// identifies the right side as an untouched base scan, the build table is the
-// instance's shared per-column index; otherwise it is built here from the
-// right rows.
-func hashJoin(ctx context.Context, left, right *Relation, leftCol, rightCol string, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	li, ri, err := resolveJoinKeys(colLayout{cols: left.Columns}, colLayout{cols: right.Columns}, leftCol, rightCol)
-	if err != nil {
-		return nil, err
-	}
-	cols, err := keptColumns("join", left, right, leftKeep, rightKeep)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(left.Name+"⋈"+right.Name, cols)
-	if out.Rows, err = JoinRows(ctx, left.Rows, right.Rows, li, ri, leftKeep, rightKeep, set, stats, cache); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -677,21 +551,8 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 	return out, nil
 }
 
-// Distinct removes duplicate rows, preserving first-seen order.  Duplicate
-// detection is hash-based (Hash64/EqualKey) instead of canonical-key strings.
-func Distinct(ctx context.Context, rel *Relation, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	out := NewRelation(rel.Name, rel.Columns)
-	var err error
-	if out.Rows, err = DistinctRows(ctx, rel.Rows, stats); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DistinctRows is Distinct over a row list, recording one distinct.
+// DistinctRows removes duplicate rows, preserving first-seen order, and
+// records one distinct.  Duplicate detection is hash-based (Hash64/EqualKey).
 func DistinctRows(ctx context.Context, rows []Tuple, stats *Stats) ([]Tuple, error) {
 	var out []Tuple
 	seen := NewTupleSet(len(rows))
@@ -762,8 +623,8 @@ func aggOutputColumn(fn AggFunc, column string) string {
 	return fn.String()
 }
 
-// aggAccumulator folds rows into a single aggregate value.  Both the
-// materialized Aggregate and the batch pipeline's batchAgg drive it, so the
+// aggAccumulator folds rows into a single aggregate value.  Both
+// Aggregation.Row and the batch pipeline's batchAgg drive it, so the
 // COUNT/SUM/AVG/MIN/MAX semantics — error strings, the NULL-on-empty rules —
 // exist exactly once.  SUM and AVG add exactly and round once, so their value
 // does not depend on the order rows arrive in.
@@ -789,8 +650,7 @@ var identitySel = func() []int32 {
 }()
 
 // add folds the live rows of rows — those sel indexes, or all of them when sel
-// is nil.  The materialized Aggregate and the batch pipeline's batchAgg both
-// drive it.  A dense input is read in checkInterval blocks with a
+// is nil.  Aggregation.Row and the batch pipeline's batchAgg both drive it.  A dense input is read in checkInterval blocks with a
 // cancellation check between them; a selection is bounded by the batch size,
 // so the caller's per-batch check keeps it prompt.
 func (a *aggAccumulator) add(ctx context.Context, rows []Tuple, sel []int32) error {
@@ -882,29 +742,10 @@ func (a *aggAccumulator) result() Tuple {
 	}
 }
 
-// Aggregate computes a single-row aggregate over the relation.  COUNT ignores
-// the column (counting rows); the other functions require a numeric column
-// except MIN/MAX which also order strings.  The result relation has a single
-// column named after the aggregate.
-func Aggregate(ctx context.Context, rel *Relation, fn AggFunc, column string, stats *Stats) (*Relation, error) {
-	if err := canceled(ctx); err != nil {
-		return nil, err
-	}
-	a, err := CompileAggregate(rel.Columns, fn, column)
-	if err != nil {
-		return nil, err
-	}
-	row, err := a.Row(ctx, rel.Rows, stats)
-	if err != nil {
-		return nil, err
-	}
-	out := NewRelation(rel.Name, []string{aggOutputColumn(a.acc.fn, a.acc.column)})
-	out.Rows = append(out.Rows, row)
-	return out, nil
-}
-
 // Aggregation is an aggregate bound to its input's column list: the function
-// validated and its value column resolved.  It is immutable: every Row call
+// validated and its value column resolved.  COUNT ignores the column
+// (counting rows); the other functions require a numeric column except
+// MIN/MAX, which also order strings.  It is immutable: every Row call
 // folds into its own copy of the empty accumulator.
 type Aggregation struct {
 	acc aggAccumulator

@@ -56,17 +56,6 @@ func (r *Relation) ColumnIndex(name string) int {
 	return idx
 }
 
-// sameColumns returns an empty relation with r's name and columns that shares
-// r's column slice and, once built, its resolution table: a selection's output
-// resolves names exactly as its input, so it need not build the table again.
-func (r *Relation) sameColumns() *Relation {
-	out := &Relation{Name: r.Name, Columns: r.Columns}
-	if m := r.colIndex.Load(); m != nil {
-		out.colIndex.Store(m)
-	}
-	return out
-}
-
 // buildColumnIndex precomputes every resolvable name for the column list with
 // the same semantics as lookupColumn: exact names win (first occurrence), and
 // an unqualified suffix resolves only when unambiguous (ambiguous suffixes are
@@ -288,8 +277,8 @@ func NewInstance(name string) *Instance {
 }
 
 // Indexes returns the instance's shared base-relation index cache, or nil
-// when indexing is disabled.  Executors and the materialized operator API
-// treat a nil cache as "no indexes": every plan runs as a plain scan-and-
+// when indexing is disabled.  Executors and the row-list entry points treat
+// a nil cache as "no indexes": every plan runs as a plain scan-and-
 // filter pipeline.
 func (db *Instance) Indexes() *IndexCache {
 	if db.noIndex {

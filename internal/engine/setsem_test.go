@@ -36,14 +36,22 @@ func sameBits(a, b Tuple) bool {
 }
 
 // requireSameSet asserts that got, deduplicated in first-seen order, is want
-// deduplicated the same way: the same columns and the same distinct rows, bit
-// for bit, in the same order.
+// deduplicated the same way: the same columns and the same distinct rows
+// (requireSameSetRows).
 func requireSameSet(t *testing.T, label string, want, got *Relation) {
 	t.Helper()
 	if fmt.Sprint(want.Columns) != fmt.Sprint(got.Columns) {
 		t.Fatalf("%s: columns %v, want %v", label, got.Columns, want.Columns)
 	}
-	w, g := firstSeenRows(want.Rows), firstSeenRows(got.Rows)
+	requireSameSetRows(t, label, want.Rows, got.Rows)
+}
+
+// requireSameSetRows asserts that got, deduplicated in first-seen order, is
+// want deduplicated the same way: the same distinct rows, bit for bit, in the
+// same order.
+func requireSameSetRows(t *testing.T, label string, want, got []Tuple) {
+	t.Helper()
+	w, g := firstSeenRows(want), firstSeenRows(got)
 	if len(w) != len(g) {
 		t.Fatalf("%s: %d distinct rows, want %d", label, len(g), len(w))
 	}
@@ -265,9 +273,9 @@ func TestSharedCacheSetMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSetKernelsMatchProjectedReference drives the materialized kernels
-// o-sharing calls — ProductKeep and IndexedHashJoinKeep, the build side
-// hashed locally and served from the shared index — with set semantics
+// TestSetKernelsMatchProjectedReference drives the entry points o-sharing
+// calls — ProductRows and JoinRows, the build side hashed locally and served
+// from the shared index — with set semantics
 // against a projection of the naive full-width product and join: the same
 // distinct rows in the same first-seen order, bit for bit, recorded as the
 // same operator.
@@ -313,15 +321,16 @@ func TestSetKernelsMatchProjectedReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		leftAll, rightAll := keepAll(len(left.Columns)), keepAll(len(right.Columns))
 		wantStats, gotStats := NewStats(), NewStats()
-		if _, err := Product(bgCtx, left, right, wantStats); err != nil {
+		if _, err := ProductRows(bgCtx, left.Rows, right.Rows, leftAll, rightAll, false, wantStats); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProductKeep(bgCtx, left, right, sh.leftKeep, sh.rightKeep, true, gotStats)
+		got, err := ProductRows(bgCtx, left.Rows, right.Rows, sh.leftKeep, sh.rightKeep, true, gotStats)
 		if err != nil {
 			t.Fatalf("%s: set product: %v", label, err)
 		}
-		requireSameSet(t, label+" product", want, got)
+		requireSameSetRows(t, label+" product", want.Rows, got)
 		requireSameOperators(t, label+" product", wantStats, gotStats)
 
 		full, err = NaiveHashJoin(bgCtx, left, right, left.Columns[0], right.Columns[0], nil)
@@ -335,14 +344,14 @@ func TestSetKernelsMatchProjectedReference(t *testing.T) {
 		jdb.AddRelation(right)
 		for _, cache := range []*IndexCache{nil, jdb.Indexes()} {
 			wantStats, gotStats = NewStats(), NewStats()
-			if _, err := IndexedHashJoin(bgCtx, left, right, left.Columns[0], right.Columns[0], wantStats, cache); err != nil {
+			if _, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, leftAll, rightAll, false, wantStats, cache); err != nil {
 				t.Fatal(err)
 			}
-			got, err = IndexedHashJoinKeep(bgCtx, left, right, left.Columns[0], right.Columns[0], sh.leftKeep, sh.rightKeep, true, gotStats, cache)
+			got, err = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, sh.leftKeep, sh.rightKeep, true, gotStats, cache)
 			if err != nil {
 				t.Fatalf("%s: set join: %v", label, err)
 			}
-			requireSameSet(t, label+" join", want, got)
+			requireSameSetRows(t, label+" join", want.Rows, got)
 			requireSameOperators(t, label+" join", wantStats, gotStats)
 		}
 	}

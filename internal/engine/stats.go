@@ -75,7 +75,7 @@ func NewStats() *Stats { return &Stats{} }
 
 // record counts one executed operator with its input/output row counts.
 // Selections additionally feed the selectivity counters, so every path that
-// records a logical selection — naive, materialized, batch, index-served —
+// records a logical selection — naive, row-list, batch, index-served —
 // contributes to the same average.
 func (s *Stats) record(op OpKind, in, out int) {
 	if s == nil {
@@ -164,7 +164,7 @@ func (s *Stats) IndexLookups() int {
 }
 
 // Batches returns the number of vector batches produced by batch-pipeline
-// operators.  Zero when only the materialized operators ran.
+// operators.  Zero when only the row-list entry points ran.
 func (s *Stats) Batches() int {
 	if s == nil {
 		return 0

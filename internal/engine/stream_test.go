@@ -48,7 +48,7 @@ func randRelation(rng *rand.Rand, name string, cols []string, rows int) *Relatio
 }
 
 // requireSameRelation asserts bit-identical materialized results: same name,
-// column layout, row count and canonical row keys in the same order.
+// column layout and rows (requireSameRows).
 func requireSameRelation(t *testing.T, label string, want, got *Relation) {
 	t.Helper()
 	if want.Name != got.Name {
@@ -62,12 +62,19 @@ func requireSameRelation(t *testing.T, label string, want, got *Relation) {
 			t.Fatalf("%s: column[%d] = %q, want %q", label, i, got.Columns[i], want.Columns[i])
 		}
 	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
+	requireSameRows(t, label, want.Rows, got.Rows)
+}
+
+// requireSameRows asserts the same row count and canonical row keys in the
+// same order.
+func requireSameRows(t *testing.T, label string, want, got []Tuple) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
 	}
-	for i := range want.Rows {
-		if want.Rows[i].Key() != got.Rows[i].Key() {
-			t.Fatalf("%s: row[%d] = %v, want %v", label, i, got.Rows[i], want.Rows[i])
+	for i := range want {
+		if want[i].Key() != got[i].Key() {
+			t.Fatalf("%s: row[%d] = %v, want %v", label, i, got[i], want[i])
 		}
 	}
 }
@@ -87,9 +94,9 @@ func requireSameStats(t *testing.T, label string, want, got *Stats) {
 	}
 }
 
-// TestOperatorsMatchNaiveReference drives the live materialized operators and
+// TestOperatorsMatchNaiveReference drives the position-taking entry points and
 // the retained naive reference over randomized inputs and requires identical
-// relations (rows and order) and statistics.
+// rows (and order) and statistics.
 func TestOperatorsMatchNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -107,41 +114,45 @@ func TestOperatorsMatchNaiveReference(t *testing.T) {
 		wantStats, gotStats := NewStats(), NewStats()
 
 		want, err1 := NaiveSelect(bgCtx, left, pred, wantStats)
-		got, err2 := Select(bgCtx, left, pred, gotStats)
+		f, err2 := CompileFilter(pred, left.Columns)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s select: naive err=%v, streaming err=%v", label, err1, err2)
+			t.Fatalf("%s select: naive err=%v, compile err=%v", label, err1, err2)
 		}
 		if err1 == nil {
-			requireSameRelation(t, label+" select", want, got)
+			got, err := f.Rows(bgCtx, left.Rows, gotStats, nil)
+			if err != nil {
+				t.Fatalf("%s select: %v", label, err)
+			}
+			requireSameRows(t, label+" select", want.Rows, got)
 		}
 
 		want, err1 = NaiveProject(bgCtx, left, []string{"L.c", "L.a"}, wantStats)
-		got, err2 = Project(bgCtx, left, []string{"L.c", "L.a"}, gotStats)
+		got, err2 := ProjectRows(bgCtx, left.Rows, []int{2, 0}, gotStats)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s project: %v / %v", label, err1, err2)
 		}
-		requireSameRelation(t, label+" project", want, got)
+		requireSameRows(t, label+" project", want.Rows, got)
 
 		want, err1 = NaiveProduct(bgCtx, left, right, wantStats)
-		got, err2 = Product(bgCtx, left, right, gotStats)
+		got, err2 = ProductRows(bgCtx, left.Rows, right.Rows, keepAll(3), keepAll(2), false, gotStats)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s product: %v / %v", label, err1, err2)
 		}
-		requireSameRelation(t, label+" product", want, got)
+		requireSameRows(t, label+" product", want.Rows, got)
 
 		want, err1 = NaiveHashJoin(bgCtx, left, right, "L.a", "R.x", wantStats)
-		got, err2 = HashJoin(bgCtx, left, right, "L.a", "R.x", gotStats)
+		got, err2 = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(3), keepAll(2), false, gotStats, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s join: %v / %v", label, err1, err2)
 		}
-		requireSameRelation(t, label+" join", want, got)
+		requireSameRows(t, label+" join", want.Rows, got)
 
 		want, err1 = NaiveDistinct(bgCtx, left, wantStats)
-		got, err2 = Distinct(bgCtx, left, gotStats)
+		got, err2 = DistinctRows(bgCtx, left.Rows, gotStats)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s distinct: %v / %v", label, err1, err2)
 		}
-		requireSameRelation(t, label+" distinct", want, got)
+		requireSameRows(t, label+" distinct", want.Rows, got)
 
 		for _, fn := range []AggFunc{AggCount, AggMin, AggMax} {
 			col := "L.b"
@@ -149,11 +160,15 @@ func TestOperatorsMatchNaiveReference(t *testing.T) {
 				col = ""
 			}
 			want, err1 = NaiveAggregate(bgCtx, left, fn, col, wantStats)
-			got, err2 = Aggregate(bgCtx, left, fn, col, gotStats)
+			a, err2 := CompileAggregate(left.Columns, fn, col)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s agg %s: %v / %v", label, fn, err1, err2)
 			}
-			requireSameRelation(t, label+" agg "+fn.String(), want, got)
+			row, err := a.Row(bgCtx, left.Rows, gotStats)
+			if err != nil {
+				t.Fatalf("%s agg %s: %v", label, fn, err)
+			}
+			requireSameRows(t, label+" agg "+fn.String(), want.Rows, []Tuple{row})
 		}
 
 		requireSameStats(t, label, wantStats, gotStats)
@@ -180,14 +195,18 @@ func TestSumAvgMatchNaiveBitIdentical(t *testing.T) {
 		rel := numericRelation(rng, rng.Intn(200))
 		for _, fn := range []AggFunc{AggSum, AggAvg} {
 			want, err1 := NaiveAggregate(bgCtx, rel, fn, "N.v", NewStats())
-			got, err2 := Aggregate(bgCtx, rel, fn, "N.v", NewStats())
+			a, err2 := CompileAggregate(rel.Columns, fn, "N.v")
 			if err1 != nil || err2 != nil {
 				t.Fatalf("trial %d %s: %v / %v", trial, fn, err1, err2)
 			}
+			got, err := a.Row(bgCtx, rel.Rows, NewStats())
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, fn, err)
+			}
 			// Bit-identical float result, not epsilon-close: the streaming
 			// accumulator must add in the same order as the reference.
-			if len(got.Rows) != 1 || got.Rows[0][0] != want.Rows[0][0] {
-				t.Fatalf("trial %d %s = %#v, want %#v", trial, fn, got.Rows[0][0], want.Rows[0][0])
+			if got[0] != want.Rows[0][0] {
+				t.Fatalf("trial %d %s = %#v, want %#v", trial, fn, got[0], want.Rows[0][0])
 			}
 		}
 	}
@@ -452,7 +471,7 @@ func TestBatchEdgeCases(t *testing.T) {
 }
 
 // TestEmptyConjunctionKeepsEveryRow runs the empty conjunction through every
-// place a predicate compiles: the materialized Select and IndexedSelect, the
+// place a predicate compiles: a Filter with and without an index cache, the
 // batch filter, a residual level of the index-served scan and a build-side
 // level of the index-served join.  Every row passes, and rows match the naive
 // reference's, as do the statistics where no index stands in for a scan.
@@ -468,12 +487,16 @@ func TestEmptyConjunctionKeepsEveryRow(t *testing.T) {
 	db.AddRelation(e)
 	db.AddRelation(f)
 
+	filter, err := CompileFilter(empty, e.Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, indexes := range []*IndexCache{nil, db.Indexes()} {
-		got, err := IndexedSelect(bgCtx, e, empty, NewStats(), indexes)
+		got, err := filter.Rows(bgCtx, e.Rows, NewStats(), indexes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameRelation(t, "Select", e, got)
+		requireSameRows(t, "Filter", e.Rows, got)
 	}
 
 	scan := func(rel string) Plan { return &ScanPlan{Relation: rel} }

@@ -328,8 +328,8 @@ func (s *TupleSet) AddHashed(h uint64, t Tuple) bool {
 	return true
 }
 
-// firstSeen is the one dedupe kernel, behind the materialized Distinct and
-// the batch pipeline's: it hashes the live rows of rows — those sel indexes,
+// firstSeen is the one dedupe kernel, behind DistinctRows and the batch
+// pipeline's distinct: it hashes the live rows of rows — those sel indexes,
 // or all of them when sel is nil — in one pass into *hashes (grown as needed),
 // then adds them in order and appends to dst the index of each row the set
 // did not hold yet.

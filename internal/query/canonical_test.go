@@ -200,7 +200,18 @@ func randomQuery(t *testing.T, rng *rand.Rand, target *schema.Schema, iter int) 
 	}
 
 	switch rng.Intn(4) {
-	case 0: // SELECT *
+	case 0: // SELECT *, which the parser spells out as every attribute of each scan
+		var refs []query.AttrRef
+		for _, s := range scans {
+			alias := ""
+			if numScans > 1 {
+				alias = s.AliasName()
+			}
+			for _, c := range target.Relation(s.Relation).Columns {
+				refs = append(refs, query.Ref(alias, c.Name))
+			}
+		}
+		root = &query.Project{Refs: refs, Child: root}
 	case 1:
 		fns := []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg, engine.AggMin, engine.AggMax}
 		agg := &query.Aggregate{Func: fns[rng.Intn(len(fns))], Child: root}

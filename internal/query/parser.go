@@ -288,7 +288,27 @@ func (p *parser) parseQuery(name string, target *schema.Schema) (*Query, error) 
 	_ = conds
 	switch {
 	case star:
-		// No projection.
+		// SELECT * projects every attribute of each FROM relation, in FROM
+		// order and schema order, so its answers are target tuples like any
+		// projection's.  Over several relations every reference is qualified.
+		var refs []AttrRef
+		for _, s := range scans {
+			var rel *schema.RelationSchema
+			if target != nil {
+				rel = target.Relation(s.Relation)
+			}
+			if rel == nil {
+				return nil, fmt.Errorf("unknown target relation %q", s.Relation)
+			}
+			for _, c := range rel.Columns {
+				ref := AttrRef{Name: c.Name}
+				if len(scans) > 1 {
+					ref.Alias = s.AliasName()
+				}
+				refs = append(refs, ref)
+			}
+		}
+		root = &Project{Refs: refs, Child: root}
 	case len(items) == 1 && items[0].isAgg:
 		root = &Aggregate{Func: items[0].agg, Ref: items[0].ref, Child: root}
 	default:

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,8 +137,11 @@ func TestParseAggregatesAndJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q4.Root.(*Select); !ok {
-		t.Errorf("SELECT * root = %T, want *Select", q4.Root)
+	// SELECT * projects every attribute of the relation, in schema order.
+	if p, ok := q4.Root.(*Project); !ok || fmt.Sprint(p.Refs) != "[pname phone addr nation gender]" {
+		t.Errorf("SELECT * root = %v, want π[pname,phone,addr,nation,gender]", q4.Root)
+	} else if _, ok := p.Child.(*Select); !ok {
+		t.Errorf("SELECT * projects %T, want *Select", p.Child)
 	}
 	// Numeric literals.
 	q5, err := Parse("qnum", tgt, "SELECT sname FROM Order WHERE price > 10.5 AND total <= 100")

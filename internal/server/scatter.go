@@ -90,8 +90,7 @@ type ScatterResponse struct {
 	PreEmptyProb float64            `json:"pre_empty_prob"`
 	Groups       []ScatterGroupJSON `json:"groups"`
 	// Width is the number of values in each packed row, set whenever a group
-	// carries rows: len(Columns) for a projection, the target relation's
-	// arity for a query without one, whose Columns are empty.
+	// carries rows: len(Columns).
 	Width int `json:"width,omitempty"`
 	// Shard echoes the node's placement so the coordinator can detect a node
 	// booted with the wrong index or count before merging anything.

@@ -186,7 +186,8 @@ func TestScatterLeavesInputRowsAlone(t *testing.T) {
 	defer srv.Close()
 
 	for _, m := range scatterMethods {
-		// Projection-free: every group plan is scan(S).
+		// Every group plan projects scan(S) onto two of its columns, and no
+		// two distinct rows of the fixture agree on them.
 		first, _, sr := postScatter(t, srv.URL, "SELECT * FROM T", m)
 		for gi, g := range sr.Groups {
 			if len(g.Rows)*2 != len(before) {
@@ -645,5 +646,50 @@ func TestNotDistributableSaidOnce(t *testing.T) {
 	}
 	if strings.Contains(msg, "422") {
 		t.Fatalf("%q repeats the status the response already carries", msg)
+	}
+}
+
+// TestSelectStarCarriesColumns: a SELECT * answer is labelled with the target
+// relation's attributes in schema order, unsharded and through the
+// coordinator, its tuples carry one value per label, and every shard's
+// scatter body packs rows exactly that wide.
+func TestSelectStarCarriesColumns(t *testing.T) {
+	const rows, query = 120, "SELECT * FROM T"
+	ref, _ := newTestServer(t, rows, Config{})
+	unsharded := httptest.NewServer(ref)
+	defer unsharded.Close()
+	cl := newCluster(t, rows, 2, CoordinatorConfig{})
+	for _, m := range append(scatterMethods, core.MethodOSharing) {
+		body, _ := json.Marshal(Request{Scenario: "test", Query: query, Method: m.String()})
+		for _, url := range []string{unsharded.URL, cl.http.URL} {
+			resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got wireAnswers
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s via %s: status %d, %v", m, url, resp.StatusCode, err)
+			}
+			if strings.Join(got.Columns, ",") != "a,b" || len(got.Answers) == 0 {
+				t.Fatalf("%s via %s: %d answers under columns %v, want some under [a b]", m, url, len(got.Answers), got.Columns)
+			}
+			for i, a := range got.Answers {
+				if len(a.Values) != len(got.Columns) {
+					t.Fatalf("%s via %s: answer %d has %d values under %d columns", m, url, i, len(a.Values), len(got.Columns))
+				}
+			}
+		}
+		for i, node := range cl.nodes {
+			data, _, _ := postScatter(t, node.URL, query, m)
+			var sr ScatterResponse
+			if err := json.Unmarshal(data, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(sr.Columns, ",") != "a,b" || sr.Width != len(sr.Columns) {
+				t.Fatalf("%s shard %d: width %d under columns %v, want 2 under [a b]", m, i, sr.Width, sr.Columns)
+			}
+		}
 	}
 }
