@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 		sweepH   = fs.String("mapping-sweep", "", "comma-separated mapping counts for the sweep figures (default 100,200,300,400,500)")
 		sweepMB  = fs.String("size-sweep", "", "comma-separated database sizes for the sweep figures (default 20,40,60,80,100)")
 		parallel = fs.Int("parallel", 1, "evaluation worker goroutines (0 = all cores; 1 = sequential, the paper's setting)")
-		batch    = fs.Int("batch", 0, "engine batch-size override: 0 = engine default, N = N rows per batch")
 		csv      = fs.Bool("csv", false, "also emit CSV for each table")
 		outDir   = fs.String("out", "", "directory to write <ID>.csv files into")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
@@ -113,10 +112,6 @@ func run(args []string, out io.Writer) error {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if *batch < 0 {
-		return fmt.Errorf("-batch: negative batch size %d", *batch)
-	}
-	cfg.BatchSize = *batch
 	if *sweepH != "" {
 		ints, err := parseInts(*sweepH)
 		if err != nil {

@@ -48,10 +48,6 @@ type Config struct {
 	// paper's single-threaded comparisons; pass -parallel to urm-bench to
 	// measure the concurrent runtime.
 	Parallelism int
-	// BatchSize is the engine batch-size override (urm-bench -batch): 0 runs
-	// the engine's default vectorized batch size, a positive value overrides
-	// the rows per batch.
-	BatchSize int
 }
 
 // DefaultConfig returns the configuration used by cmd/urm-bench when no flags
@@ -183,7 +179,7 @@ func (r *Runner) Config() Config { return r.cfg }
 // options returns the core evaluation options for the given method under the
 // runner's configuration.
 func (r *Runner) options(method core.Method) core.Options {
-	return core.Options{Method: method, Parallelism: r.cfg.Parallelism, BatchSize: r.cfg.BatchSize}
+	return core.Options{Method: method, Parallelism: r.cfg.Parallelism}
 }
 
 func (r *Runner) maxMappings() int {

@@ -123,29 +123,34 @@ func snapshotKeyedRelation(name string, n, stride int) *engine.Relation {
 const measureRuns = 3
 
 // measurePair benchmarks the naive and live implementations of one operator.
+// The sides alternate — naive, live, naive, live, … — so a slow patch on a
+// shared box lands on both sides rather than on whichever ran during it.
 func measurePair(rows int, naive, live func() error) (OperatorBench, error) {
 	var firstErr error
-	run := func(fn func() error) int64 {
-		best := int64(0)
-		for r := 0; r < measureRuns && firstErr == nil; r++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := fn(); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						b.Fatal(err)
+	bench := func(fn func() error) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := fn(); err != nil {
+					if firstErr == nil {
+						firstErr = err
 					}
+					b.Fatal(err)
 				}
-			})
-			if ns := res.NsPerOp(); best == 0 || ns < best {
-				best = ns
 			}
-		}
-		return best
+		}).NsPerOp()
 	}
-	nb := run(naive)
-	eb := run(live)
+	var nb, eb int64
+	for r := 0; r < measureRuns && firstErr == nil; r++ {
+		if ns := bench(naive); nb == 0 || ns < nb {
+			nb = ns
+		}
+		if firstErr != nil {
+			break
+		}
+		if ns := bench(live); eb == 0 || ns < eb {
+			eb = ns
+		}
+	}
 	if firstErr != nil {
 		return OperatorBench{}, firstErr
 	}
@@ -200,7 +205,7 @@ func Snapshot() (*EngineSnapshot, error) {
 			pred := selectPred()
 			f, err := engine.CompileFilter(pred, rel.Columns)
 			return func() error { _, err := engine.NaiveSelect(ctx, rel, pred, nil); return err },
-				func() error { _, err := f.Rows(ctx, rel.Rows, nil, nil); return err }, err
+				func() error { _, err := f.Rows(ctx, rel.Rows, nil, nil, nil); return err }, err
 		}},
 		{"project", snapshotRows, func() (func() error, func() error, error) {
 			rel := snapshotRelation("L", snapshotRows)
@@ -219,7 +224,7 @@ func Snapshot() (*EngineSnapshot, error) {
 					_, err := engine.NaiveHashJoin(ctx, joinLeft, joinRight, "L.id", "R.id", nil)
 					return err
 				}, func() error {
-					_, err := engine.JoinRows(ctx, joinLeft.Rows, joinRight.Rows, 0, 0, keep, keep, false, nil, nil)
+					_, err := engine.JoinRows(ctx, joinLeft.Rows, joinRight.Rows, 0, 0, keep, keep, false, nil, nil, nil)
 					return err
 				}, nil
 		}},

@@ -15,28 +15,28 @@ import (
 // one execution — under the runtime context's settings.
 
 func Basic(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodBasic, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodBasic, Parallelism: ec.Parallelism()})
 }
 
 func EBasic(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodEBasic, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodEBasic, Parallelism: ec.Parallelism()})
 }
 
 func EMQO(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodEMQO, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodEMQO, Parallelism: ec.Parallelism()})
 }
 
 func QSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodQSharing, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodQSharing, Parallelism: ec.Parallelism()})
 }
 
 // OSharing and TopK read the strategy and seed from opts.
 func OSharing(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, opts Options) (*Result, error) {
-	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodOSharing, Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, Parallelism: ec.Parallelism(), BatchSize: ec.Batch()})
+	return NewEvaluator(db, maps).EvaluateContext(ec.Ctx(), q, Options{Method: MethodOSharing, Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, Parallelism: ec.Parallelism()})
 }
 
 func TopK(ec *exec.Context, q *query.Query, maps schema.MappingSet, db *engine.Instance, k int, opts Options) (*Result, error) {
-	return evaluateTopKContext(ec.Ctx(), NewEvaluator(db, maps), q, k, Options{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed, BatchSize: ec.Batch()})
+	return evaluateTopKContext(ec.Ctx(), NewEvaluator(db, maps), q, k, Options{Strategy: opts.Strategy, RandomSeed: opts.RandomSeed})
 }
 
 // The top-k entry points, for the tests written against them: a top-k run is

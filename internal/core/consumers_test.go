@@ -65,72 +65,70 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 			m := front.Method
 			var oracle *Result
 			for _, parallelism := range []int{1, 8} {
-				for _, batch := range []int{0, 1, 7} {
-					opts := front
-					opts.Parallelism, opts.BatchSize = parallelism, batch
-					label := fmt.Sprintf("%s/%s/%s/p%d/b%d", qc.name, m, front.Strategy, parallelism, batch)
-					must := func(res *Result, err error) *Result {
-						t.Helper()
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						return res
-					}
-					prep, err := ev.Prepare(q)
+				opts := front
+				opts.Parallelism = parallelism
+				label := fmt.Sprintf("%s/%s/%s/p%d", qc.name, m, front.Strategy, parallelism)
+				must := func(res *Result, err error) *Result {
+					t.Helper()
 					if err != nil {
-						t.Fatalf("%s prepare: %v", label, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					switch {
-					case oracle != nil:
-					case m == MethodOSharing:
-						oracle = must(prep.Execute(Options{Method: m, Strategy: front.Strategy, Parallelism: 1}))
-					default:
-						oracle = naiveOracle(t, prep, m)
-					}
-					cold := must(ev.Evaluate(q, opts))
-					forms := map[string]*Result{
-						"cold":           cold,
-						"first execute":  must(prep.Execute(opts)),
-						"second execute": must(prep.Execute(opts)),
-					}
-					cur, err := prep.StreamContext(ctx, opts)
-					if err != nil {
-						t.Fatalf("%s stream: %v", label, err)
-					}
-					forms["stream"] = collectCursor(t, cur)
-
-					ec := opts.Context(ctx)
-					sp, _, err := prep.FrontHalf(ec, opts)
-					if err != nil {
-						t.Fatalf("%s front half: %v", label, err)
-					}
-					switch st, err := prep.Maintain(ec, opts); {
-					case err == nil:
-						if st.sp != sp {
-							t.Errorf("%s: Maintain holds a front half of its own, not the memoized one", label)
-						}
-						forms["maintained"] = st.Result()
-						maintained[m]++
-					case !errors.Is(err, ErrNotDeltaMaintainable):
-						t.Fatalf("%s prepare delta: %v", label, err)
-					}
-					for name, res := range forms {
-						bitIdenticalResults(t, label+" "+name, oracle, res)
-						sameWork(t, label+" "+name, cold, res, 1)
-					}
-
-					var runs []*ShardRun
-					for i := 0; i < 2; i++ {
-						run, err := sp.ExecuteOn(ec, db)
-						if err != nil {
-							t.Fatalf("%s run %d: %v", label, i, err)
-						}
-						runs = append(runs, run)
-					}
-					merged := sp.Result(q, 0, 0, runs...)
-					bitIdenticalResults(t, label+" two runs", oracle, merged)
-					sameWork(t, label+" two runs", cold, merged, 2)
+					return res
 				}
+				prep, err := ev.Prepare(q)
+				if err != nil {
+					t.Fatalf("%s prepare: %v", label, err)
+				}
+				switch {
+				case oracle != nil:
+				case m == MethodOSharing:
+					oracle = must(prep.Execute(Options{Method: m, Strategy: front.Strategy, Parallelism: 1}))
+				default:
+					oracle = naiveOracle(t, prep, m)
+				}
+				cold := must(ev.Evaluate(q, opts))
+				forms := map[string]*Result{
+					"cold":           cold,
+					"first execute":  must(prep.Execute(opts)),
+					"second execute": must(prep.Execute(opts)),
+				}
+				cur, err := prep.StreamContext(ctx, opts)
+				if err != nil {
+					t.Fatalf("%s stream: %v", label, err)
+				}
+				forms["stream"] = collectCursor(t, cur)
+
+				ec := opts.Context(ctx)
+				sp, _, err := prep.FrontHalf(ec, opts)
+				if err != nil {
+					t.Fatalf("%s front half: %v", label, err)
+				}
+				switch st, err := prep.Maintain(ec, opts); {
+				case err == nil:
+					if st.sp != sp {
+						t.Errorf("%s: Maintain holds a front half of its own, not the memoized one", label)
+					}
+					forms["maintained"] = st.Result()
+					maintained[m]++
+				case !errors.Is(err, ErrNotDeltaMaintainable):
+					t.Fatalf("%s prepare delta: %v", label, err)
+				}
+				for name, res := range forms {
+					bitIdenticalResults(t, label+" "+name, oracle, res)
+					sameWork(t, label+" "+name, cold, res, 1)
+				}
+
+				var runs []*ShardRun
+				for i := 0; i < 2; i++ {
+					run, err := sp.ExecuteOn(ec, db)
+					if err != nil {
+						t.Fatalf("%s run %d: %v", label, i, err)
+					}
+					runs = append(runs, run)
+				}
+				merged := sp.Result(q, 0, 0, runs...)
+				bitIdenticalResults(t, label+" two runs", oracle, merged)
+				sameWork(t, label+" two runs", cold, merged, 2)
 			}
 		}
 	}

@@ -140,11 +140,6 @@ type Options struct {
 	// probabilities, same order — at every setting; parallelism is purely a
 	// performance knob.
 	Parallelism int
-	// BatchSize tunes the engine's vectorized batch pipeline: 0 (the default)
-	// uses the engine's own batch size, a positive value sets the rows per
-	// batch.  Like Parallelism it is purely a performance knob — answers and
-	// operator statistics are identical at every setting.
-	BatchSize int
 	// TopK, when positive, asks for the k most probable answers through the
 	// probabilistic top-k algorithm of Section VII instead of the whole
 	// distribution (0, the default).  A top-k run walks o-sharing's u-trace
@@ -156,15 +151,11 @@ type Options struct {
 
 // Validate checks the options for values no evaluation can honour: a negative
 // parallelism (0 means GOMAXPROCS, 1 sequential; below that is a caller bug,
-// not a request for "less than sequential"), a negative batch size or top-k,
-// an unknown method or an unknown strategy.  Returned errors wrap
-// ErrBadOptions.
+// not a request for "less than sequential"), a negative top-k, an unknown
+// method or an unknown strategy.  Returned errors wrap ErrBadOptions.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism %d", ErrBadOptions, o.Parallelism)
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("%w: negative batch size %d", ErrBadOptions, o.BatchSize)
 	}
 	if o.TopK < 0 {
 		return fmt.Errorf("%w: negative top-k %d", ErrBadOptions, o.TopK)
@@ -183,11 +174,11 @@ func (o Options) Validate() error {
 }
 
 // Context returns the evaluation runtime context for the options: the caller's
-// context with the options' worker bound and engine batch size.  Every entry
-// point that executes under Options builds its runtime here, so a tuning field
-// cannot be applied on one path and dropped on another.
+// context with the options' worker bound.  Every entry point that executes
+// under Options builds its runtime here, so a tuning field cannot be applied
+// on one path and dropped on another.
 func (o Options) Context(ctx context.Context) *exec.Context {
-	return exec.NewContext(ctx, o.Parallelism).WithBatch(o.BatchSize)
+	return exec.NewContext(ctx, o.Parallelism)
 }
 
 // FrontMethod is the method whose front half an execution under the options

@@ -206,7 +206,7 @@ func (os *osharer) plan(n *traceNode, u *eUnit, seed int64) error {
 // order: the consumer sees exactly the sequential walk.  Top-k callers pass a
 // sequential context: where it stops depends on the visit order.
 func (tr *uTrace) executeInto(ec *exec.Context, db *engine.Instance, run *ShardRun, c groupConsumer) error {
-	bases := make([][]engine.Tuple, len(tr.rels))
+	rels := make([]*engine.Relation, len(tr.rels))
 	for i, r := range tr.rels {
 		rel := db.Relation(r.name)
 		if rel == nil {
@@ -215,10 +215,10 @@ func (tr *uTrace) executeInto(ec *exec.Context, db *engine.Instance, run *ShardR
 		if !slices.Equal(rel.Columns, r.cols) {
 			return fmt.Errorf("o-sharing: source relation %q has columns %v, the trace was planned for %v", r.name, rel.Columns, r.cols)
 		}
-		bases[i] = rel.Rows
+		rels[i] = rel
 	}
 	var spent atomic.Int64
-	w := &walker{tr: tr, ec: ec, bases: bases, stats: run.Stats, indexes: db.Indexes(), spent: &spent}
+	w := &walker{tr: tr, ec: ec, rels: rels, stats: run.Stats, indexes: db.Indexes(), spent: &spent}
 	_, err := w.walk(tr.root, nil, c)
 	run.ExecTime += time.Duration(spent.Load())
 	if err != nil {
@@ -647,9 +647,9 @@ func (b *stepBinder) filter(in *factor, pred engine.Predicate) (*factor, error) 
 	if err != nil {
 		return nil, err
 	}
-	src, indexed := b.slot(in), in.rel >= 0
+	src, rel := b.slot(in), in.rel
 	return b.add(&factor{cols: in.cols, rel: -1}, func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error) {
-		return f.Rows(w.ec.Ctx(), work[src], w.stats, w.cache(indexed))
+		return f.Rows(w.ec.Ctx(), work[src], w.stats, w.indexes, w.rel(rel))
 	}), nil
 }
 
@@ -665,9 +665,9 @@ func (b *stepBinder) join(l, r *factor, leftCol, rightCol string, lk, rk []int, 
 	if err != nil {
 		return nil, err
 	}
-	ls, rs, indexed := b.slot(l), b.slot(r), r.rel >= 0
+	ls, rs, rel := b.slot(l), b.slot(r), r.rel
 	return b.add(&factor{cols: append(keptCols(l, lk), keptCols(r, rk)...), rel: -1}, func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error) {
-		return engine.JoinRows(w.ec.Ctx(), work[ls], work[rs], li[0], ri[0], lk, rk, set, w.stats, w.cache(indexed))
+		return engine.JoinRows(w.ec.Ctx(), work[ls], work[rs], li[0], ri[0], lk, rk, set, w.stats, w.indexes, w.rel(rel))
 	}), nil
 }
 
@@ -935,7 +935,7 @@ func (os *osharer) scan(b *stepBinder, alias, srcRel string) (*factor, error) {
 	b.step.scans++
 	cols := base.QualifyColumns(alias + "." + srcRel).Columns
 	return b.add(&factor{cols: cols, rel: ri}, func(w *walker, _ [][]engine.Tuple) ([]engine.Tuple, error) {
-		return w.bases[ri], nil
+		return w.rels[ri].Rows, nil
 	}), nil
 }
 
@@ -1373,28 +1373,28 @@ func mulCount(a, b int64) (int64, bool) {
 	return a * b, true
 }
 
-// walker is one walk of a trace over an instance: the rows of the relations
-// the trace scans, and where the walk records its statistics and time.
+// walker is one walk of a trace over an instance: the relations the trace
+// scans, and where the walk records its statistics and time.
 type walker struct {
 	tr    *uTrace
 	ec    *exec.Context
-	bases [][]engine.Tuple
+	rels  []*engine.Relation
 	stats *engine.Stats
 	// indexes is the instance's shared base-relation index cache (nil when
-	// disabled): selections and join builds over untouched factors — which
-	// still share the base rows — are served from it.
+	// disabled): selections and join builds over untouched factors, which
+	// name their relation, are served from it when it owns the relation.
 	indexes *engine.IndexCache
 	// spent sums the walk's steps, its branches' included.
 	spent *atomic.Int64
 }
 
-// cache is the index cache an op may probe: the walk's when the op reads an
-// untouched factor, none otherwise.
-func (w *walker) cache(indexed bool) *engine.IndexCache {
-	if indexed {
-		return w.indexes
+// rel returns the source relation at position i of the trace's list, or nil
+// for a factor that is not an untouched scan (i < 0).
+func (w *walker) rel(i int) *engine.Relation {
+	if i < 0 {
+		return nil
 	}
-	return nil
+	return w.rels[i]
 }
 
 // walk runs the trace below n, whose e-unit holds the factor rows factors,

@@ -225,7 +225,6 @@ func TestOptionsValidate(t *testing.T) {
 		opts Options
 	}{
 		{"negative parallelism", Options{Method: MethodBasic, Parallelism: -1}},
-		{"negative batch size", Options{Method: MethodEBasic, BatchSize: -1}},
 		{"unknown method", Options{Method: Method(42)}},
 		{"unknown strategy", Options{Method: MethodOSharing, Strategy: Strategy(9)}},
 	}

@@ -314,7 +314,7 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 			err := g.err
 			if err == nil {
 				execStart := time.Now()
-				rel, err = g.prog.Run(ctx, &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes(), Batch: ec.Batch()})
+				rel, err = g.prog.Run(ctx, &engine.Executor{DB: db, Stats: gr.stats, Cache: cache, Indexes: db.Indexes()})
 				gr.exec = time.Since(execStart)
 			}
 			if err != nil {

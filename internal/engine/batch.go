@@ -36,6 +36,14 @@ func (b *Batch) NumRows() int {
 	return len(b.Rows)
 }
 
+// slice returns the batch of b's live rows lo to hi.
+func (b *Batch) slice(lo, hi int) Batch {
+	if b.Sel != nil {
+		return Batch{Rows: b.Rows, Sel: b.Sel[lo:hi:hi]}
+	}
+	return Batch{Rows: b.Rows[lo:hi:hi]}
+}
+
 // BatchSource is the batch pipeline's pull iterator.  NextBatch returns
 // (batch, true, nil) for each non-empty batch, (nil, false, nil) at
 // exhaustion, and (nil, false, err) on failure (including cancellation).
@@ -136,10 +144,11 @@ func (s *batchFilter) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// indexScan is an index-served stack as compiled, shared by every run: the
-// probe's column and constant, and per selection level, bottom to top, its
-// whole predicate — for the scan+filter fallback — and what the probe leaves
-// of it to evaluate, nil where the probe answers the level exactly.
+// indexScan is an index-served stack of constant selections over one base
+// relation scan, as compiled and shared by every run: the probe's column and
+// constant, and per selection level, bottom to top, its whole predicate — for
+// the scan+filter fallback — and what the probe leaves of it to evaluate, nil
+// where the probe answers the level exactly.  A Filter's is a stack of one.
 type indexScan struct {
 	col      int
 	val      probeConst
@@ -147,102 +156,89 @@ type indexScan struct {
 	residual []vecPredicate
 }
 
-// levelCounts is one selection level's rows in and out on one run.
-type levelCounts struct{ in, out int }
+// serve answers the stack from base's shared index: it probes the index once
+// for the rows whose probe column equals the constant and compacts the
+// matches through each level's residual in turn, recording one "select" per
+// level with the rows a filter chain fed the matches would count.  It returns
+// the rows of the index and the positions of the survivors, in row order.
+// ok=false, with nothing recorded, means the column's content leaves no finite
+// probe set (mixed-kind columns whose Compare-equality is wider than hash
+// equality) and the caller must scan instead.  It is the one probe compaction:
+// Filter.Rows and batchIndexScan call it.
+func (s *indexScan) serve(ctx context.Context, c *IndexCache, base *Relation, stats *Stats) (rows []Tuple, sel []int32, ok bool, err error) {
+	rows, sel, ok, err = c.probeEq(ctx, base, s.col, s.val, stats)
+	if !ok {
+		return nil, nil, false, err
+	}
+	for _, residual := range s.residual {
+		in := len(sel)
+		if residual != nil && in > 0 {
+			sel = residual.filterSel(rows, sel, sel[:0])
+		}
+		stats.record(OpKindSelect, in, len(sel))
+	}
+	return rows, sel, true, nil
+}
 
-// batchIndexScan serves a stack of constant selections directly above a base
-// relation scan from the shared per-column hash index: instead of streaming
-// every base row through the filters, it probes the index once for the rows
-// whose probe column equals the constant and emits them size matches at a
-// time as selections over the base rows, compacted through each level's
-// residual.  Matches are in base row order, so the output is bit-identical to
-// the scan+filter pipeline it replaces, and one "select" is recorded per level
-// with the same row counts a filter chain fed the matches would record.  When
-// the column's content makes the constant unanswerable from the index
-// (mixed-kind columns whose Compare-equality is wider than hash equality), it
-// runs exactly that pipeline instead.
+// batchIndexScan runs an index-served stack directly above a base relation
+// scan: instead of streaming every base row through the filters, it serves the
+// stack from the shared per-column index once and emits the survivors size at
+// a time as selections over the base rows.  Survivors are in base row order,
+// so the output is bit-identical to the scan+filter pipeline it replaces.
+// When the index cannot answer the constant, it runs exactly that pipeline
+// instead.
 type batchIndexScan struct {
 	ctx   context.Context
 	cache *IndexCache
 	base  *Relation
 	size  int
 	stats *Stats
-
-	spec   *indexScan
-	levels []levelCounts
+	spec  *indexScan
 
 	started  bool
 	fallback BatchSource
 	rows     []Tuple
-	matches  []int32 // private to this scan: compacted in place, chunk by chunk
-	mi       int
+	sel      []int32 // the survivors not yet emitted
 	nbat     int
 	done     bool
 	outb     Batch
 }
 
-func (s *batchIndexScan) start() error {
-	rows, matches, ok, err := s.cache.probeEq(s.ctx, s.base, s.spec.col, s.spec.val, s.stats)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// The probe set cannot cover the predicate on this column's content:
-		// run the pipeline the stack would run without an index.
-		src := BatchSource(&batchScan{ctx: s.ctx, rows: s.base.Rows, size: s.size, stats: s.stats, record: true})
-		for _, p := range s.spec.full {
-			src = &batchFilter{ctx: s.ctx, src: src, pred: p, stats: s.stats}
-		}
-		s.fallback = src
-		return nil
-	}
-	s.rows, s.matches = rows, matches
-	return nil
-}
-
 func (s *batchIndexScan) NextBatch() (*Batch, bool, error) {
 	if !s.started {
 		s.started = true
-		if err := s.start(); err != nil {
+		rows, sel, ok, err := s.spec.serve(s.ctx, s.cache, s.base, s.stats)
+		if err != nil {
 			return nil, false, err
 		}
+		if !ok {
+			// Run the pipeline the stack would run without an index.
+			src := BatchSource(&batchScan{ctx: s.ctx, rows: s.base.Rows, size: s.size, stats: s.stats, record: true})
+			for _, p := range s.spec.full {
+				src = &batchFilter{ctx: s.ctx, src: src, pred: p, stats: s.stats}
+			}
+			s.fallback = src
+		}
+		s.rows, s.sel = rows, sel
 	}
 	if s.fallback != nil {
 		return s.fallback.NextBatch()
 	}
-	for s.mi < len(s.matches) {
-		if err := canceled(s.ctx); err != nil {
-			return nil, false, err
+	if len(s.sel) == 0 {
+		if !s.done {
+			s.done = true
+			s.stats.recordBatches(s.nbat)
 		}
-		hi := s.mi + s.size
-		if hi > len(s.matches) {
-			hi = len(s.matches)
-		}
-		sel := s.matches[s.mi:hi:hi]
-		s.mi = hi
-		for i, residual := range s.spec.residual {
-			l := &s.levels[i]
-			l.in += len(sel)
-			if residual != nil && len(sel) > 0 {
-				sel = residual.filterSel(s.rows, sel, sel[:0])
-			}
-			l.out += len(sel)
-		}
-		if len(sel) == 0 {
-			continue // every match of this chunk was filtered out
-		}
-		s.nbat++
-		s.outb = Batch{Rows: s.rows, Sel: sel}
-		return &s.outb, true, nil
+		return nil, false, nil
 	}
-	if !s.done {
-		s.done = true
-		for i := range s.levels {
-			s.stats.record(OpKindSelect, s.levels[i].in, s.levels[i].out)
-		}
-		s.stats.recordBatches(s.nbat)
+	if err := canceled(s.ctx); err != nil {
+		return nil, false, err
 	}
-	return nil, false, nil
+	n := min(s.size, len(s.sel))
+	s.outb = Batch{Rows: s.rows, Sel: s.sel[:n:n]}
+	s.sel = s.sel[n:]
+	s.nbat++
+	return &s.outb, true, nil
 }
 
 // batchProject gathers the projected columns of each batch's live rows
@@ -299,12 +295,13 @@ func (s *batchProject) NextBatch() (*Batch, bool, error) {
 }
 
 // batchProduct is the Cartesian product: the right input is drained and
-// buffered (the product's pipeline-breaking side), then each left batch's
-// live rows pair with every right row, filling output batches of up to size
-// rows.  The current left batch stays valid across emitted output batches
-// because the left child is only pulled again once the batch is consumed.
-// A shape with firstRight pairs each left row with the first right row only;
-// one with firstLeft pairs the first left row only and drains the rest.
+// buffered (the product's pipeline-breaking side), then each left batch is
+// paired in chunks of ⌈size/|right|⌉ live rows, one output batch per chunk, so
+// a batch holds fewer than size + |right| rows.  The current left batch stays
+// valid across emitted output batches because the left child is only pulled
+// again once the batch is consumed.  A shape with firstRight pairs each left
+// row with the first right row only; one with firstLeft pairs the first left
+// row only and drains the rest.
 type batchProduct struct {
 	ctx         context.Context
 	left, right BatchSource
@@ -316,9 +313,8 @@ type batchProduct struct {
 	started  bool
 	rrows    []Tuple // the right rows paired with each left row
 	rightIn  int
-	lb       *Batch
-	li       int // dense position within lb
-	ri       int // next right row for the current left row
+	lb       *Batch // the left batch being paired; nil between batches
+	lo       int    // its next live row to pair
 	leftIn   int
 	leftDone bool // firstLeft's one left row is paired: drain the rest
 	out      int
@@ -326,16 +322,6 @@ type batchProduct struct {
 	outRows  []Tuple
 	outb     Batch
 	done     bool
-}
-
-func (s *batchProduct) finish() (*Batch, bool, error) {
-	if !s.done {
-		s.done = true
-		s.stats.record(OpKindProduct, s.leftIn+s.rightIn, s.out)
-		s.stats.recordBatches(s.nbat)
-		s.stats.recordValues(s.shape.copied() * s.out)
-	}
-	return nil, false, nil
 }
 
 // liveRow returns the dense index i's row of batch b.
@@ -363,37 +349,38 @@ func (s *batchProduct) NextBatch() (*Batch, bool, error) {
 			s.rrows = s.rrows[:1]
 		}
 	}
+	for s.lb == nil {
+		b, ok, err := s.left.NextBatch()
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			s.done = true
+			s.stats.record(OpKindProduct, s.leftIn+s.rightIn, s.out)
+			s.stats.recordBatches(s.nbat)
+			s.stats.recordValues(s.shape.copied() * s.out)
+			return nil, false, nil
+		}
+		s.leftIn += b.NumRows()
+		if len(s.rrows) > 0 && !s.leftDone {
+			s.lb, s.lo = b, 0
+		}
+	}
+	chunk := (s.size + len(s.rrows) - 1) / len(s.rrows)
+	hi := min(s.lo+chunk, s.lb.NumRows())
+	if s.shape.firstLeft {
+		hi, s.leftDone = s.lo+1, true
+	}
+	left := s.lb.slice(s.lo, hi)
+	s.lo = hi
+	if hi == s.lb.NumRows() || s.leftDone {
+		s.lb = nil
+	}
 	// The header list grows with the largest batch emitted, not to size up
 	// front: most operator instances emit a handful of rows.
-	out := s.outRows[:0]
-	for len(out) < s.size {
-		if s.lb == nil {
-			b, ok, err := s.left.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				if len(out) == 0 {
-					return s.finish()
-				}
-				break
-			}
-			s.leftIn += b.NumRows()
-			if len(s.rrows) == 0 || s.leftDone {
-				continue // left rows still count as input; nothing to emit
-			}
-			s.lb, s.li, s.ri = b, 0, 0
-		}
-		out = append(out, s.shape.build(&s.arena, liveRow(s.lb, s.li), s.rrows[s.ri]))
-		s.ri++
-		if s.ri == len(s.rrows) {
-			s.ri = 0
-			s.li++
-			if s.li == s.lb.NumRows() || s.shape.firstLeft {
-				s.lb = nil
-				s.leftDone = s.shape.firstLeft
-			}
-		}
+	out, err := s.shape.pairs(s.ctx, &s.arena, left, s.rrows, s.outRows[:0])
+	if err != nil {
+		return nil, false, err
 	}
 	s.outRows = out
 	s.out += len(out)
@@ -453,38 +440,24 @@ func appendBatches(src BatchSource, rows *[]Tuple) error {
 	}
 }
 
-// batchJoin is the equi-join: left batches probe a hash index over the build
-// side with their key hashes precomputed in one tight loop per batch.  The
-// index is built here from the drained right input, or — right nil: the build
-// side is a bare or constant-filtered scan of base — it is the instance's
-// shared per-column index, so h reformulated queries probing the same join pay
-// one shared build instead of h; the build side's filters then run per probed
-// candidate (the levels).  Chains preserve build-row order, which for the
+// batchJoin is the equi-join: each left batch probes a hash index over the
+// build side through the probe walk, and its matches are one output batch.
+// The index is built here from the drained right input, or — right nil: the
+// build side is a bare or constant-filtered scan of base — it is the
+// instance's shared per-column index, so h reformulated queries probing the
+// same join pay one shared build instead of h; the build side's filters then
+// run per probed candidate.  Chains preserve build-row order, which for the
 // shared index is base row order, so the output is identical either way and to
-// JoinRows'.  A shape with firstRight ends each probe row's walk at its first
-// match that survives the levels.
+// JoinRows'.
 type batchJoin struct {
 	ctx         context.Context
 	left, right BatchSource
-	li, ri      int
-	cache       *IndexCache    // shared build side only
-	base        *Relation      // shared build side only
-	preds       []vecPredicate // shared build side only: the build side's filters, bottom to top
-	levels      []levelCounts  // shared build side only: their rows in and out
-	shape       pairShape
-	size        int
+	cache       *IndexCache // shared build side only
+	base        *Relation   // shared build side only
+	probe       joinProbe
 	stats       *Stats
-	arena       valueArena
 
 	started bool
-	build   *hashIndex
-	lb      *Batch
-	pi      int // dense position of the NEXT probe row within lb
-	hashes  []uint64
-	cur     Tuple
-	curHash uint64
-	chain   int32
-	cand    [1]int32 // keepCandidate's selection vector
 	leftIn  int
 	out     int
 	nbat    int
@@ -493,26 +466,11 @@ type batchJoin struct {
 	done    bool
 }
 
-// hashLeftBatch precomputes the probe-key hashes of the batch's live rows —
-// the interleaved batch FNV-1a pass feeding the shared bucket chains.
-func (s *batchJoin) hashLeftBatch(b *Batch) {
-	m := b.NumRows()
-	if cap(s.hashes) < m {
-		s.hashes = make([]uint64, m)
-	}
-	h := s.hashes[:m]
-	if b.Sel == nil {
-		hashColumn(b.Rows, s.li, h)
-	} else {
-		hashColumnSel(b.Rows, s.li, b.Sel, h)
-	}
-	s.hashes = h
-}
-
 // start obtains the build index.
 func (s *batchJoin) start() (err error) {
+	p := &s.probe
 	if s.right == nil {
-		if s.build, err = s.cache.columnIndex(s.ctx, s.base, s.ri, s.stats); err == nil {
+		if p.build, err = s.cache.columnIndex(s.ctx, s.base, p.ri, s.stats); err == nil {
 			s.stats.recordIndexLookup()
 		}
 		return err
@@ -521,7 +479,7 @@ func (s *batchJoin) start() (err error) {
 	if err := drainBatches(s.right, &rrows); err != nil {
 		return err
 	}
-	s.build, err = buildColumnHashIndex(s.ctx, rrows, s.ri)
+	p.build, err = buildColumnHashIndex(s.ctx, rrows, p.ri)
 	return err
 }
 
@@ -529,17 +487,19 @@ func (s *batchJoin) start() (err error) {
 func (s *batchJoin) finish() {
 	in := s.leftIn
 	if s.right != nil {
-		in += len(s.build.rows)
+		in += len(s.probe.build.rows)
 	}
 	// A shared build side was never read — only probe rows count as join input
 	// — and records one executed selection per level, as the scan+filter build
 	// side the index replaced would have.
-	for i := range s.levels {
-		s.stats.record(OpKindSelect, s.levels[i].in, s.levels[i].out)
+	if f := s.probe.filter; f != nil {
+		for _, l := range f.levels {
+			s.stats.record(OpKindSelect, l.in, l.out)
+		}
 	}
 	s.stats.record(OpKindJoin, in, s.out)
 	s.stats.recordBatches(s.nbat)
-	s.stats.recordValues(s.shape.copied() * s.out)
+	s.stats.recordValues(s.probe.shape.copied() * s.out)
 }
 
 func (s *batchJoin) NextBatch() (*Batch, bool, error) {
@@ -555,74 +515,32 @@ func (s *batchJoin) NextBatch() (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	// As in batchProduct, the header list grows with the largest batch emitted.
-	out := s.outRows[:0]
-	build := s.build
-	for len(out) < s.size {
-		if s.chain != 0 {
-			j := s.chain
-			s.chain = build.next[j-1]
-			if build.hashes[j-1] != s.curHash {
-				continue // bucket collision: different hash entirely
-			}
-			rr := build.rows[j-1]
-			if !rr[s.ri].EqualKey(s.cur[s.li]) {
-				continue // hash collision, not an actual match
-			}
-			if len(s.levels) > 0 && !s.keepCandidate(j-1) {
-				continue // filtered out of the build side
-			}
-			out = append(out, s.shape.build(&s.arena, s.cur, rr))
-			if s.shape.firstRight {
-				s.chain = 0 // the first surviving match stands for the rest
-			}
-			continue
+	for {
+		b, ok, err := s.left.NextBatch()
+		if err != nil {
+			return nil, false, err
 		}
-		if s.lb == nil || s.pi >= s.lb.NumRows() {
-			b, ok, err := s.left.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				if len(out) == 0 {
-					s.done = true
-					s.finish()
-					return nil, false, nil
-				}
-				s.lb = nil
-				break
-			}
-			s.leftIn += b.NumRows()
-			s.hashLeftBatch(b)
-			s.lb, s.pi = b, 0
+		if !ok {
+			s.done = true
+			s.finish()
+			return nil, false, nil
 		}
-		s.cur = liveRow(s.lb, s.pi)
-		s.curHash = s.hashes[s.pi]
-		s.pi++
-		s.chain = build.lookup(s.curHash)
+		s.leftIn += b.NumRows()
+		// As in batchProduct, the header list grows with the largest batch
+		// emitted.
+		out, err := s.probe.probe(s.ctx, *b, s.outRows[:0])
+		if err != nil {
+			return nil, false, err
+		}
+		s.outRows = out
+		if len(out) == 0 {
+			continue // no probe row of this batch matched
+		}
+		s.out += len(out)
+		s.nbat++
+		s.outb = Batch{Rows: out}
+		return &s.outb, true, nil
 	}
-	s.outRows = out
-	s.out += len(out)
-	s.nbat++
-	s.outb = Batch{Rows: out}
-	return &s.outb, true, nil
-}
-
-// keepCandidate runs build row i through the levels bottom-to-top as a
-// one-row selection vector, counting per-level input and output rows exactly
-// as a chain of filters would.
-func (s *batchJoin) keepCandidate(i int32) bool {
-	sel := s.cand[:]
-	sel[0] = i
-	for k, pred := range s.preds {
-		l := &s.levels[k]
-		l.in++
-		if len(pred.filterSel(s.build.rows, sel, sel[:0])) == 0 {
-			return false
-		}
-		l.out++
-	}
-	return true
 }
 
 // batchDistinct hashes each batch's live tuples in one pass and keeps

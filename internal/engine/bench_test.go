@@ -53,7 +53,7 @@ func BenchmarkSelect(b *testing.B) {
 	}
 	b.Run("bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.Rows(context.Background(), rel.Rows, nil, nil); err != nil {
+			if _, err := f.Rows(context.Background(), rel.Rows, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -105,7 +105,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	})
 	b.Run("hashed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := JoinRows(context.Background(), left.Rows, right.Rows, 0, 0, keepAll(2), keepAll(2), false, nil, nil); err != nil {
+			if _, err := JoinRows(context.Background(), left.Rows, right.Rows, 0, 0, keepAll(2), keepAll(2), false, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

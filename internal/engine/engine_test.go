@@ -179,7 +179,7 @@ func TestSelectOperator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := f.Rows(bgCtx, c.rel.Rows, stats, nil)
+		out, err := f.Rows(bgCtx, c.rel.Rows, stats, nil, nil)
 		if err != nil || len(out) != c.want {
 			t.Errorf("%v: rows=%d err=%v, want %d rows", c.pred, len(out), err, c.want)
 		}
@@ -210,7 +210,7 @@ func TestSelectAcrossBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := f.Rows(bgCtx, rel.Rows, nil, nil)
+		out, err := f.Rows(bgCtx, rel.Rows, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestProductAndJoin(t *testing.T) {
 	if len(p) != 9 || len(p[0]) != 9 {
 		t.Errorf("product shape = %dx%d, want 9x9", len(p), len(p[0]))
 	}
-	j, err := JoinRows(bgCtx, c.Rows, o.Rows, c.ColumnIndex("Customer.cid"), o.ColumnIndex("C_Order.cid"), cKeep, oKeep, false, stats, nil)
+	j, err := JoinRows(bgCtx, c.Rows, o.Rows, c.ColumnIndex("Customer.cid"), o.ColumnIndex("C_Order.cid"), cKeep, oKeep, false, stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestProductAndJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := f.Rows(bgCtx, p, stats, nil)
+	sel, err := f.Rows(bgCtx, p, stats, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestSelectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := f.Rows(bgCtx, rel.Rows, NewStats(), nil)
+		out, err := f.Rows(bgCtx, rel.Rows, NewStats(), nil, nil)
 		if err != nil {
 			return false
 		}

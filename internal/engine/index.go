@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -335,8 +336,8 @@ type indexProbe struct {
 // pickProbe chooses the probe for a stack of selections over one scan, listed
 // bottom to top: the bottom-most constant equality whose column resolves.
 // ok=false when a selection is not a constant conjunction or no equality
-// resolves.  A Filter (a stack of one) and the batch index scan both pick
-// through it.
+// resolves.  A Filter (a stack of one) and the batch compiler's index scan
+// both pick through it.
 func pickProbe(stack []Predicate, resolve func(string) int) (indexProbe, bool) {
 	for level, pred := range stack {
 		consts, ok := constPreds(pred)
@@ -355,28 +356,36 @@ func pickProbe(stack []Predicate, resolve func(string) int) (indexProbe, bool) {
 	return indexProbe{}, false
 }
 
-// residual compiles what remains of the probe's selection once the index has
-// answered its equality exactly; nil when nothing remains to evaluate.
-func (p indexProbe) residual(resolve func(string) int, cols []string) (vecPredicate, error) {
+// scan returns the index-served stack the probe answers, given every level's
+// whole predicate compiled, bottom to top.  The index answers the probe's
+// equality exactly, so the residual of its level is the rest of its
+// conjunction, nil when nothing remains.
+func (p indexProbe) scan(full []vecPredicate, resolve func(string) int, cols []string) (*indexScan, error) {
 	rest := make([]Predicate, 0, len(p.consts)-1)
 	for i, cp := range p.consts {
 		if i != p.at {
 			rest = append(rest, cp)
 		}
 	}
+	residual := slices.Clone(full)
+	var err error
 	switch len(rest) {
 	case 0:
-		return nil, nil
+		residual[p.level] = nil
 	case 1:
-		return compileVecPredicate(rest[0], resolve, cols)
+		residual[p.level], err = compileVecPredicate(rest[0], resolve, cols)
 	default:
-		return compileVecPredicate(&AndPredicate{Children: rest}, resolve, cols)
+		residual[p.level], err = compileVecPredicate(&AndPredicate{Children: rest}, resolve, cols)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &indexScan{col: p.col, val: p.val, full: full, residual: residual}, nil
 }
 
 // probeEq returns the rows of base's shared index over col and the 0-based
 // positions, in row order, of those whose column Compare-equals val's
-// constant: the one index probe a Filter and the batch index scan both run.
+// constant: the one index probe, which indexScan.serve runs.
 // ok=false, with no lookup recorded, when the column's content leaves no
 // finite probe set (probeValuesForEq) and the caller must scan instead.
 func (c *IndexCache) probeEq(ctx context.Context, base *Relation, col int, val probeConst, stats *Stats) (rows []Tuple, matches []int32, ok bool, err error) {
@@ -593,39 +602,21 @@ func (c *IndexCache) AppendInPlace(ctx context.Context, rel *Relation, oldLen in
 	return extended
 }
 
-// baseForRows reports which base relation's row list backs rows, if any.
-// Materialized scans (QualifyColumns) and o-sharing's untouched factors
-// share the base relation's []Tuple, so pointer identity of the first row plus
-// equal length identifies an unfiltered base scan; any selection, projection
-// or product produces a fresh slice and fails the check.
-func (c *IndexCache) baseForRows(rows []Tuple) (*Relation, bool) {
-	if len(rows) == 0 {
-		return nil, false
-	}
-	for _, r := range c.db.relations {
-		if len(r.Rows) == len(rows) && &r.Rows[0] == &rows[0] {
-			return r, true
-		}
-	}
-	return nil, false
+// serves reports whether the cache can serve reads of rel from its shared
+// indexes: it owns rel, which holds rows.  A relation the cache does not own —
+// a delta pass's window of a live relation — builds its own table instead.
+func (c *IndexCache) serves(rel *Relation) bool {
+	return c != nil && rel != nil && len(rel.Rows) > 0 && c.db.Relation(rel.Name) == rel
 }
 
 // Filter is a selection bound to its input's column list: the predicate
 // compiled once, and — when it holds a constant equality whose column resolves
-// — the index probe that can answer that equality together with the residual
-// of the remaining comparisons.  It is immutable, so concurrent runs share it.
-// o-sharing compiles one per selection when it plans its u-trace.
+// — the one-level index-served stack that answers it from the shared index.
+// It is immutable, so concurrent runs share it.  o-sharing compiles one per
+// selection when it plans its u-trace.
 type Filter struct {
 	pred  vecPredicate
-	probe *filterProbe
-}
-
-// filterProbe is a Filter's index probe: the probed column and its prepared
-// constant, and what the probe leaves to evaluate (nil when nothing).
-type filterProbe struct {
-	col      int
-	val      probeConst
-	residual vecPredicate
+	probe *indexScan
 }
 
 // CompileFilter binds the predicate to the column list, resolving its column
@@ -638,29 +629,26 @@ func CompileFilter(pred Predicate, cols []string) (*Filter, error) {
 	}
 	f := &Filter{pred: vp}
 	if probe, ok := pickProbe([]Predicate{pred}, resolve); ok {
-		// The residual is a sub-conjunction of a predicate that just compiled.
-		residual, err := probe.residual(resolve, cols)
-		if err != nil {
+		if f.probe, err = probe.scan([]vecPredicate{vp}, resolve, cols); err != nil {
 			return nil, err
 		}
-		f.probe = &filterProbe{col: probe.col, val: probe.val, residual: residual}
 	}
 	return f, nil
 }
 
 // Rows returns the rows satisfying the filter, in order, recording one
-// selection.  When cache is non-nil, rows are an untouched base scan of one of
-// its relations and the filter has a probe the column's content lets the index
-// answer exactly, the matching rows come from the shared index, compacted
-// through the residual exactly as the batch index scan compacts them;
+// selection.  base is the relation rows are an untouched scan of, or nil.
+// When cache serves base and the filter has a probe the column's content lets
+// the index answer exactly, the matching rows come from the shared index;
 // otherwise every row is tested.  The result is the same either way.
-func (f *Filter) Rows(ctx context.Context, rows []Tuple, stats *Stats, cache *IndexCache) ([]Tuple, error) {
-	if cache != nil && f.probe != nil {
-		if base, ok := cache.baseForRows(rows); ok {
-			out, ok, err := f.probe.serve(ctx, cache, base, stats)
-			if err != nil || ok {
-				return out, err
-			}
+func (f *Filter) Rows(ctx context.Context, rows []Tuple, stats *Stats, cache *IndexCache, base *Relation) ([]Tuple, error) {
+	if f.probe != nil && cache.serves(base) {
+		brows, sel, ok, err := f.probe.serve(ctx, cache, base, stats)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return gatherRows(brows, sel), nil
 		}
 	}
 	out, err := selectRows(ctx, rows, f.pred)
@@ -669,26 +657,4 @@ func (f *Filter) Rows(ctx context.Context, rows []Tuple, stats *Stats, cache *In
 	}
 	stats.record(OpKindSelect, len(rows), len(out))
 	return out, nil
-}
-
-// serve answers the filter from base's shared index.  ok=false means the
-// column's content leaves no finite probe set and the caller must scan.
-func (p *filterProbe) serve(ctx context.Context, c *IndexCache, base *Relation, stats *Stats) ([]Tuple, bool, error) {
-	rows, matches, ok, err := c.probeEq(ctx, base, p.col, p.val, stats)
-	if !ok {
-		return nil, false, err
-	}
-	in := len(matches)
-	if p.residual != nil && in > 0 {
-		matches = p.residual.filterSel(rows, matches, matches[:0])
-	}
-	var out []Tuple
-	if len(matches) > 0 {
-		out = make([]Tuple, len(matches))
-		for k, i := range matches {
-			out[k] = rows[i]
-		}
-	}
-	stats.record(OpKindSelect, in, len(out))
-	return out, true, nil
 }

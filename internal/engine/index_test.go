@@ -192,16 +192,16 @@ func TestIndexedMaterializedOperatorsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s select: %v", label, err)
 		}
-		want, err1 := f.Rows(bgCtx, left.Rows, NewStats(), nil)
-		got, err2 := f.Rows(bgCtx, left.Rows, NewStats(), db.Indexes())
+		want, err1 := f.Rows(bgCtx, left.Rows, NewStats(), nil, nil)
+		got, err2 := f.Rows(bgCtx, left.Rows, NewStats(), db.Indexes(), left)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s select: %v / %v", label, err1, err2)
 		}
 		requireSameRows(t, label+" select", want, got)
 
 		keep := keepAll(2)
-		jwant, err1 := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keep, keep, false, NewStats(), nil)
-		jgot, err2 := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keep, keep, false, NewStats(), db.Indexes())
+		jwant, err1 := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keep, keep, false, NewStats(), nil, nil)
+		jgot, err2 := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keep, keep, false, NewStats(), db.Indexes(), right)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s join: %v / %v", label, err1, err2)
 		}
@@ -260,7 +260,7 @@ func TestIndexedSelectMatchesIndexScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CompileFilter: %v", label, err)
 		}
-		want, err := f.Rows(bgCtx, left.Rows, mstats, db.Indexes())
+		want, err := f.Rows(bgCtx, left.Rows, mstats, db.Indexes(), left)
 		if err != nil {
 			t.Fatalf("%s: Filter.Rows: %v", label, err)
 		}

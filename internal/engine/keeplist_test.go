@@ -101,10 +101,10 @@ func TestKeepListKernelsMatchProjectedReference(t *testing.T) {
 		db.AddRelation(right)
 		for _, cache := range []*IndexCache{nil, db.Indexes()} {
 			wantStats, gotStats = NewStats(), NewStats()
-			if _, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(len(lcols)), keepAll(len(rcols)), false, wantStats, cache); err != nil {
+			if _, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(len(lcols)), keepAll(len(rcols)), false, wantStats, cache, right); err != nil {
 				t.Fatalf("%s: join: %v", label, err)
 			}
-			got, err = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, sh.leftKeep, sh.rightKeep, false, gotStats, cache)
+			got, err = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, sh.leftKeep, sh.rightKeep, false, gotStats, cache, right)
 			if err != nil {
 				t.Fatalf("%s: keep-list join: %v", label, err)
 			}
@@ -244,7 +244,7 @@ func TestSmallOutputsAllocateLittle(t *testing.T) {
 			return err
 		}},
 		{"join", 4 << 10, func() error {
-			_, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(2), keepAll(2), false, nil, nil)
+			_, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(2), keepAll(2), false, nil, nil, nil)
 			return err
 		}},
 		{"project", 4 << 10, func() error { _, err := ProjectRows(bgCtx, left.Rows, []int{1, 0}, nil); return err }},

@@ -175,9 +175,10 @@ func mulFits(a, b, limit int) (int, bool) {
 // state can be shared across e-units, and it binds them once, when it plans
 // its u-trace.  They see their whole input, so they size their output once
 // (DESIGN.md "Execution model"), and they call the batch pipeline's kernels —
-// index probe, vectorized predicates, aggregate fold, dedupe, projection
-// gather, pairShape.build, bucket threading and blocked hashing — so they
-// produce the results and statistics the pipeline does.
+// the index-served stack, vectorized predicates, the probe walk, the pair
+// walk, aggregate fold, dedupe, projection gather and bucket threading — once
+// over their whole input, so they produce the results and statistics the
+// pipeline does.
 
 // selectRows returns the rows satisfying the compiled predicate, in order; nil
 // when none does.  It records nothing.
@@ -206,14 +207,20 @@ func selectRows(ctx context.Context, rows []Tuple, vp vecPredicate) ([]Tuple, er
 			}
 		}
 	}
+	return gatherRows(rows, sel), nil
+}
+
+// gatherRows returns the rows sel indexes, in order, at their exact size; nil
+// when sel is empty.
+func gatherRows(rows []Tuple, sel []int32) []Tuple {
 	if len(sel) == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]Tuple, len(sel))
 	for k, i := range sel {
 		out[k] = rows[i]
 	}
-	return out, nil
+	return out
 }
 
 // ProjectRows returns the columns at positions idx of every row, recording
@@ -406,8 +413,22 @@ func ProductRows(ctx context.Context, left, right []Tuple, leftKeep, rightKeep [
 			arena.reserve(values)
 		}
 	}
+	out, err := shape.pairs(ctx, &arena, Batch{Rows: lrows}, rrows, out)
+	if err != nil {
+		return nil, err
+	}
+	stats.record(OpKindProduct, len(left)+len(right), len(out))
+	stats.recordValues(shape.copied() * len(out))
+	return out, nil
+}
+
+// pairs appends to out the pair of each live row of left with every right
+// row, left-major, and returns it.  It is the one pair walk: ProductRows runs
+// it over its whole left input, batchProduct over each chunk of a left batch.
+func (p *pairShape) pairs(ctx context.Context, a *valueArena, left Batch, rrows []Tuple, out []Tuple) ([]Tuple, error) {
 	produced := 0
-	for _, lr := range lrows {
+	for i, n := 0, left.NumRows(); i < n; i++ {
+		lr := liveRow(&left, i)
 		for _, rr := range rrows {
 			produced++
 			if produced%checkInterval == 0 {
@@ -415,43 +436,46 @@ func ProductRows(ctx context.Context, left, right []Tuple, leftKeep, rightKeep [
 					return nil, err
 				}
 			}
-			out = append(out, shape.build(&arena, lr, rr))
+			out = append(out, p.build(a, lr, rr))
 		}
 	}
-	stats.record(OpKindProduct, len(left)+len(right), len(out))
-	stats.recordValues(shape.copied() * len(out))
 	return out, nil
 }
 
 // JoinRows is the equi-join of row lists on left[li] = right[ri], emitting
 // the leftKeep columns of each matching left row followed by the rightKeep
 // columns of its right row, and recording one join; set is newPairShape's.
-// The key and keep positions must lie within every row of their side.  When
-// cache is non-nil and the right rows are an untouched scan of one of its base
-// relations, the build table is the instance's shared per-column index;
-// otherwise it is built here from the right rows.
-func JoinRows(ctx context.Context, left, right []Tuple, li, ri int, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache) ([]Tuple, error) {
-	shape := newPairShape(leftKeep, rightKeep, set, ri)
-	var build *hashIndex
-	shared := false
-	if cache != nil {
-		if base, ok := cache.baseForRows(right); ok {
-			idx, err := cache.columnIndex(ctx, base, ri, stats)
-			if err != nil {
-				return nil, err
-			}
-			stats.recordIndexLookup()
-			build, shared = idx, true
-		}
-	}
-	if build == nil {
-		var err error
-		if build, err = buildColumnHashIndex(ctx, right, ri); err != nil {
+// The key and keep positions must lie within every row of their side.  base
+// is the relation right is an untouched scan of, or nil: when cache serves it,
+// the build table is the instance's shared per-column index; otherwise it is
+// built here from the right rows.
+func JoinRows(ctx context.Context, left, right []Tuple, li, ri int, leftKeep, rightKeep []int, set bool, stats *Stats, cache *IndexCache, base *Relation) ([]Tuple, error) {
+	p := joinProbe{li: li, ri: ri, shape: newPairShape(leftKeep, rightKeep, set, ri)}
+	shared := cache.serves(base)
+	var err error
+	if shared {
+		if p.build, err = cache.columnIndex(ctx, base, ri, stats); err != nil {
 			return nil, err
 		}
+		stats.recordIndexLookup()
+	} else if p.build, err = buildColumnHashIndex(ctx, right, ri); err != nil {
+		return nil, err
 	}
-	out, err := probeJoin(ctx, left, li, ri, build, &shape)
-	if err != nil {
+	// Seed the output at the no-duplicate-keys estimate: at most one match per
+	// probe and at most one per build row, so the smaller side bounds the
+	// duplicate-free output.  Joins at or under it never reallocate; larger
+	// outputs fall back to geometric growth.  The arena is reserved to the
+	// same estimate, so the common foreign-key shape fills exactly one value
+	// slab instead of leaving a partially used chunk behind.
+	var out []Tuple
+	if len(left) > 0 && len(p.build.rows) > 0 {
+		seed := min(len(left), len(p.build.rows))
+		out = make([]Tuple, 0, seed)
+		if values, ok := mulFits(seed, p.shape.copied(), maxPresizeValues); ok {
+			p.arena.reserve(values)
+		}
+	}
+	if out, err = p.probe(ctx, Batch{Rows: left}, out); err != nil {
 		return nil, err
 	}
 	if shared {
@@ -460,7 +484,7 @@ func JoinRows(ctx context.Context, left, right []Tuple, li, ri int, leftKeep, ri
 	} else {
 		stats.record(OpKindJoin, len(left)+len(right), len(out))
 	}
-	stats.recordValues(shape.copied() * len(out))
+	stats.recordValues(p.shape.copied() * len(out))
 	return out, nil
 }
 
@@ -476,55 +500,55 @@ func resolveJoinKeys(left, right colLayout, leftCol, rightCol string) (li, ri in
 	return li, ri, nil
 }
 
-// probeJoin streams the left rows against the build index and returns the
-// joined rows of the given shape.  Probe-key hashes are precomputed one block
-// at a time — the same batch FNV-1a pass the batch pipeline's join runs — and
-// chain entries whose stored hash differs are rejected without touching the
-// candidate row.  Chains preserve build-row order, so output order is
-// identical whether the index was built here or shared.  A shape with
-// firstRight ends each probe row's walk at its first match.
-func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex, shape *pairShape) ([]Tuple, error) {
-	var out []Tuple
-	var arena valueArena
-	// Seed the output at the no-duplicate-keys estimate: at most one match per
-	// probe and at most one per build row, so the smaller side bounds the
-	// duplicate-free output.  Joins at or under it never reallocate; larger
-	// outputs fall back to geometric growth.  The arena is reserved to the
-	// same estimate, so the common foreign-key shape fills exactly one value
-	// slab instead of leaving a partially used chunk behind.
-	if len(lrows) > 0 && len(build.rows) > 0 {
-		seed := min(len(lrows), len(build.rows))
-		out = make([]Tuple, 0, seed)
-		if values, ok := mulFits(seed, shape.copied(), maxPresizeValues); ok {
-			arena.reserve(values)
-		}
-	}
+// joinProbe is one execution of a hash join's probe side: the build table,
+// the key positions, the output shape and its arena, and — when the build
+// table is the shared index over a base relation the join reads through
+// constant selections — the filter those selections make of it.
+type joinProbe struct {
+	build  *hashIndex
+	li, ri int
+	shape  pairShape
+	arena  valueArena
+	filter *buildFilter
+}
+
+// probe appends to out the joined rows of the live rows of left and returns
+// it.  It is the one probe walk: JoinRows runs it over its whole left input,
+// batchJoin over each left batch.  Probe-key hashes are precomputed one block
+// at a time in the batch FNV-1a pass, and chain entries whose stored hash
+// differs are rejected without touching the candidate row.  Chains preserve
+// build-row order, so the output is identical whether the build table was
+// built here or shared.  A shape with firstRight ends each probe row's walk at
+// its first match that survives the build side's selections.
+func (p *joinProbe) probe(ctx context.Context, left Batch, out []Tuple) ([]Tuple, error) {
 	hashes := make([]uint64, DefaultBatchSize)
 	heads := make([]int32, DefaultBatchSize)
+	build, li, ri := p.build, p.li, p.ri
 	bnext, bhashes, brows := build.next, build.hashes, build.rows
 	probed := 0
-	for lo := 0; lo < len(lrows); lo += DefaultBatchSize {
+	for lo, n := 0, left.NumRows(); lo < n; lo += DefaultBatchSize {
 		if err := canceled(ctx); err != nil {
 			return nil, err
 		}
-		hi := lo + DefaultBatchSize
-		if hi > len(lrows) {
-			hi = len(lrows)
+		hi := min(lo+DefaultBatchSize, n)
+		block := left.slice(lo, hi)
+		if block.Sel != nil {
+			hashColumnSel(block.Rows, li, block.Sel, hashes[:hi-lo])
+		} else {
+			hashColumn(block.Rows, li, hashes[:hi-lo])
 		}
-		block := lrows[lo:hi]
-		hashColumn(block, li, hashes[:len(block)])
 		// Gather the bucket heads in their own pass: the masked loads are
 		// independent, so the out-of-order window overlaps their cache misses
 		// instead of serializing them behind each probe's chain walk.
-		for i := range block {
+		for i := range hi - lo {
 			heads[i] = build.lookup(hashes[i])
 		}
-		for i := range block {
+		for i := range hi - lo {
 			j := heads[i]
 			if j == 0 {
 				continue // empty bucket: no candidate shares the hash prefix
 			}
-			lr := block[i]
+			lr := liveRow(&block, i)
 			v := lr[li]
 			h := hashes[i]
 			for ; j != 0; j = bnext[j-1] {
@@ -541,14 +565,44 @@ func probeJoin(ctx context.Context, lrows []Tuple, li, ri int, build *hashIndex,
 				if !rr[ri].EqualKey(v) {
 					continue // hash collision, not an actual match
 				}
-				out = append(out, shape.build(&arena, lr, rr))
-				if shape.firstRight {
+				if p.filter != nil && !p.filter.keep(brows, j-1) {
+					continue // filtered out of the build side
+				}
+				out = append(out, p.shape.build(&p.arena, lr, rr))
+				if p.shape.firstRight {
 					break
 				}
 			}
 		}
 	}
 	return out, nil
+}
+
+// buildFilter is a shared-index build side's selections, bottom to top, with
+// each level's rows in and out on one run.
+type buildFilter struct {
+	preds  []vecPredicate
+	levels []levelCounts
+	cand   [1]int32 // keep's selection vector
+}
+
+// levelCounts is one selection level's rows in and out on one run.
+type levelCounts struct{ in, out int }
+
+// keep runs build row i through the selections as a one-row selection vector,
+// counting each level's rows in and out exactly as a chain of filters would.
+func (f *buildFilter) keep(rows []Tuple, i int32) bool {
+	sel := f.cand[:]
+	sel[0] = i
+	for k, pred := range f.preds {
+		l := &f.levels[k]
+		l.in++
+		if len(pred.filterSel(rows, sel, sel[:0])) == 0 {
+			return false
+		}
+		l.out++
+	}
+	return true
 }
 
 // DistinctRows removes duplicate rows, preserving first-seen order, and

@@ -449,7 +449,7 @@ func joinNode(left, right node, li, ri int, shape pairShape, lay colLayout) node
 		if err != nil {
 			return nil, err
 		}
-		return &batchJoin{ctx: r.ctx, left: ls, right: rs, li: li, ri: ri, shape: shape, size: r.size, stats: r.stats}, nil
+		return &batchJoin{ctx: r.ctx, left: ls, right: rs, probe: joinProbe{li: li, ri: ri, shape: shape}, stats: r.stats}, nil
 	}}
 }
 
@@ -553,19 +553,17 @@ func (c *Compiler) indexedSelect(top *SelectPlan) (node, bool, error) {
 	}
 	// Binding errors for unresolvable columns surface here, in the same
 	// bottom-to-top order as the plain compiler's.
-	spec := &indexScan{col: probe.col, val: probe.val, full: make([]vecPredicate, len(stack))}
+	full := make([]vecPredicate, len(stack))
 	for i, pred := range stack {
-		if spec.full[i], err = compileVecPredicate(pred, lay.resolve, lay.cols); err != nil {
+		if full[i], err = compileVecPredicate(pred, lay.resolve, lay.cols); err != nil {
 			return node{}, false, err
 		}
 	}
-	// The probe answers its equality exactly; what remains of its level is a
-	// sub-conjunction of a predicate that just compiled.
-	spec.residual = slices.Clone(spec.full)
-	if spec.residual[probe.level], err = probe.residual(lay.resolve, lay.cols); err != nil {
+	spec, err := probe.scan(full, lay.resolve, lay.cols)
+	if err != nil {
 		return node{}, false, err
 	}
-	plain := filtered(scanned, spec.full...)
+	plain := filtered(scanned, full...)
 	rel, baseCols := scan.Relation, base.Columns
 	return node{name: scanned.name, lay: lay, open: func(r *run) (BatchSource, error) {
 		if r.ex.Indexes == nil {
@@ -575,10 +573,7 @@ func (c *Compiler) indexedSelect(top *SelectPlan) (node, bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &batchIndexScan{
-			ctx: r.ctx, cache: r.ex.Indexes, base: base, size: r.size, stats: r.stats,
-			spec: spec, levels: make([]levelCounts, len(spec.full)),
-		}, nil
+		return &batchIndexScan{ctx: r.ctx, cache: r.ex.Indexes, base: base, size: r.size, stats: r.stats, spec: spec}, nil
 	}}, true, nil
 }
 
@@ -629,10 +624,10 @@ func (c *Compiler) sharedJoin(n *JoinPlan, left node, need colNeed) (node, bool,
 		if err != nil {
 			return nil, err
 		}
-		return &batchJoin{
-			ctx: r.ctx, left: ls, li: li, ri: ri, cache: r.ex.Indexes, base: base,
-			preds: preds, levels: make([]levelCounts, len(preds)),
-			shape: shape, size: r.size, stats: r.stats,
-		}, nil
+		s := &batchJoin{ctx: r.ctx, left: ls, cache: r.ex.Indexes, base: base, stats: r.stats, probe: joinProbe{li: li, ri: ri, shape: shape}}
+		if len(preds) > 0 {
+			s.probe.filter = &buildFilter{preds: preds, levels: make([]levelCounts, len(preds))}
+		}
+		return s, nil
 	}}, true, nil
 }

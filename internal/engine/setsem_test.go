@@ -344,10 +344,10 @@ func TestSetKernelsMatchProjectedReference(t *testing.T) {
 		jdb.AddRelation(right)
 		for _, cache := range []*IndexCache{nil, jdb.Indexes()} {
 			wantStats, gotStats = NewStats(), NewStats()
-			if _, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, leftAll, rightAll, false, wantStats, cache); err != nil {
+			if _, err := JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, leftAll, rightAll, false, wantStats, cache, right); err != nil {
 				t.Fatal(err)
 			}
-			got, err = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, sh.leftKeep, sh.rightKeep, true, gotStats, cache)
+			got, err = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, sh.leftKeep, sh.rightKeep, true, gotStats, cache, right)
 			if err != nil {
 				t.Fatalf("%s: set join: %v", label, err)
 			}

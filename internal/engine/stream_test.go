@@ -119,7 +119,7 @@ func TestOperatorsMatchNaiveReference(t *testing.T) {
 			t.Fatalf("%s select: naive err=%v, compile err=%v", label, err1, err2)
 		}
 		if err1 == nil {
-			got, err := f.Rows(bgCtx, left.Rows, gotStats, nil)
+			got, err := f.Rows(bgCtx, left.Rows, gotStats, nil, nil)
 			if err != nil {
 				t.Fatalf("%s select: %v", label, err)
 			}
@@ -141,7 +141,7 @@ func TestOperatorsMatchNaiveReference(t *testing.T) {
 		requireSameRows(t, label+" product", want.Rows, got)
 
 		want, err1 = NaiveHashJoin(bgCtx, left, right, "L.a", "R.x", wantStats)
-		got, err2 = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(3), keepAll(2), false, gotStats, nil)
+		got, err2 = JoinRows(bgCtx, left.Rows, right.Rows, 0, 0, keepAll(3), keepAll(2), false, gotStats, nil, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s join: %v / %v", label, err1, err2)
 		}
@@ -492,7 +492,7 @@ func TestEmptyConjunctionKeepsEveryRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, indexes := range []*IndexCache{nil, db.Indexes()} {
-		got, err := filter.Rows(bgCtx, e.Rows, NewStats(), indexes)
+		got, err := filter.Rows(bgCtx, e.Rows, NewStats(), indexes, e)
 		if err != nil {
 			t.Fatal(err)
 		}

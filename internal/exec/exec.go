@@ -20,13 +20,12 @@ import (
 )
 
 // Context carries the cross-cutting state of one evaluation run: the caller's
-// context.Context (for cancellation and deadlines), the maximum number of
-// worker goroutines any single fan-out may use, and the engine batch size the
-// run's executors should use.  A nil *Context behaves like Sequential().
+// context.Context (for cancellation and deadlines) and the maximum number of
+// worker goroutines any single fan-out may use.  A nil *Context behaves like
+// Sequential().
 type Context struct {
 	ctx         context.Context
 	parallelism int
-	batch       int
 }
 
 // NewContext builds an execution context.  A nil ctx defaults to
@@ -64,31 +63,10 @@ func (c *Context) Parallelism() int {
 // Err returns the underlying context's error, if any.
 func (c *Context) Err() error { return c.Ctx().Err() }
 
-// WithParallelism returns a context sharing c's context.Context and batch
-// size but with the given worker bound (values <= 0 select GOMAXPROCS, as in
-// NewContext).
+// WithParallelism returns a context sharing c's context.Context but with the
+// given worker bound (values <= 0 select GOMAXPROCS, as in NewContext).
 func (c *Context) WithParallelism(parallelism int) *Context {
-	nc := NewContext(c.Ctx(), parallelism)
-	nc.batch = c.Batch()
-	return nc
-}
-
-// Batch returns the engine batch size the run's executors should use: 0 (the
-// default) selects the engine's own default, a positive value overrides the
-// rows-per-batch.
-func (c *Context) Batch() int {
-	if c == nil {
-		return 0
-	}
-	return c.batch
-}
-
-// WithBatch returns a context sharing c's context.Context and parallelism but
-// with the given engine batch size.
-func (c *Context) WithBatch(batch int) *Context {
-	nc := NewContext(c.Ctx(), c.Parallelism())
-	nc.batch = batch
-	return nc
+	return NewContext(c.Ctx(), parallelism)
 }
 
 // slot is one produced result travelling from a worker to the consumer.

@@ -13,7 +13,6 @@ package mqo
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/probdb/urm/internal/engine"
 )
@@ -23,15 +22,6 @@ import (
 type Plan struct {
 	// Queries are the input plans in execution order (most-shared first).
 	Queries []engine.Plan
-	// SharedSignatures are the canonical signatures of subexpressions that
-	// appear in more than one input plan.
-	SharedSignatures []string
-	// TotalOperators is the number of operator executions a naive evaluation
-	// of all queries would perform.
-	TotalOperators int
-	// OptimalOperators is the number of operator executions of the merged
-	// plan, counting each shared subexpression once.
-	OptimalOperators int
 	// PlanningSteps counts the pairwise comparisons performed during plan
 	// search; it grows roughly cubically with the number of queries.
 	PlanningSteps int
@@ -69,24 +59,7 @@ func Optimize(plans []engine.Plan) (*Plan, error) {
 		set := make(map[string]int)
 		collectSubexpressions(p, set)
 		sigSets[i] = set
-		res.TotalOperators += engine.CountOperators(p)
 	}
-
-	// Shared signatures across plans.
-	count := make(map[string]int)
-	opCount := make(map[string]int)
-	for _, set := range sigSets {
-		for sig, ops := range set {
-			count[sig]++
-			opCount[sig] = ops
-		}
-	}
-	for sig, c := range count {
-		if c > 1 {
-			res.SharedSignatures = append(res.SharedSignatures, sig)
-		}
-	}
-	sort.Strings(res.SharedSignatures)
 
 	// Phase 2: greedy group merging.  groups[i] holds the union of signatures
 	// of its member queries; merging two groups saves the operators of the
@@ -143,21 +116,6 @@ func Optimize(plans []engine.Plan) (*Plan, error) {
 	for _, idx := range finalOrder {
 		res.Queries = append(res.Queries, plans[idx])
 	}
-
-	// Optimal operator count: every distinct subexpression signature across
-	// all plans executes exactly once.
-	distinct := make(map[string]bool)
-	for _, set := range sigSets {
-		for sig := range set {
-			distinct[sig] = true
-		}
-	}
-	// Count one operator per distinct non-leaf signature.
-	for sig := range distinct {
-		if isOperatorSignature(sig) {
-			res.OptimalOperators++
-		}
-	}
 	res.live = engine.AnalyzeSetLiveColumns(res.Queries)
 	return res, nil
 }
@@ -184,14 +142,4 @@ func collectSubexpressions(p engine.Plan, out map[string]int) {
 	for _, c := range p.Children() {
 		collectSubexpressions(c, out)
 	}
-}
-
-// isOperatorSignature reports whether the signature denotes an operator node
-// rather than a leaf scan or materialized input.
-func isOperatorSignature(sig string) bool {
-	return len(sig) > 0 && !hasPrefix(sig, "scan(") && !hasPrefix(sig, "mat(")
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

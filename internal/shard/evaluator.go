@@ -133,7 +133,7 @@ func ExecuteShards(ec *exec.Context, sp *core.ScatterPlan, shards []*engine.Inst
 	runs := make([]*core.ShardRun, len(shards))
 	err := exec.Map(ec, len(shards),
 		func(ctx context.Context, i int) (*core.ShardRun, error) {
-			sec := exec.NewContext(ctx, inner).WithBatch(ec.Batch())
+			sec := exec.NewContext(ctx, inner)
 			return sp.ExecuteOn(sec, shards[i])
 		},
 		func(i int, run *core.ShardRun) error {
