@@ -1,6 +1,9 @@
 package engine
 
-import "context"
+import (
+	"context"
+	"slices"
+)
 
 // This file is the vectorized batch pipeline, the engine's one streaming
 // executor.  Operators exchange ~1024-row batches — a window of row tuples
@@ -429,6 +432,17 @@ func appendBatches(src BatchSource, rows *[]Tuple) error {
 		}
 		if !ok {
 			return nil
+		}
+		n := len(b.Rows)
+		if b.Sel != nil {
+			n = len(b.Sel)
+		}
+		// Grow by at least the current capacity: append alone sizes the
+		// list exactly to its new length whenever one batch overflows twice
+		// its capacity, so a root fed large join or product batches would
+		// reallocate on nearly every batch.
+		if len(*rows)+n > cap(*rows) {
+			*rows = slices.Grow(*rows, max(n, cap(*rows)))
 		}
 		if b.Sel == nil {
 			*rows = append(*rows, b.Rows...)

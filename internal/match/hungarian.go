@@ -1,129 +1,120 @@
 package match
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // assignmentProblem is a maximum-weight bipartite assignment instance over
-// rows (target attributes) and columns (source attributes).  Weights of
-// negative infinity mark forbidden pairs.  The solver may leave a row
-// unassigned when every remaining column is forbidden or when skipping yields
-// a higher total weight than only non-positive candidates (weights are
-// expected to be positive for real candidate correspondences).
+// rows (target attributes) and columns (source attributes).  Weights are
+// positive; negative infinity marks a forbidden pair.  A row may be left
+// unassigned, so every instance is solvable.
+//
+// The problem keeps the unconstrained weights and one working copy that a
+// Murty node's constraints are applied to, together with the solver's
+// workspace, so a whole ranking run allocates them once.
 type assignmentProblem struct {
-	weights [][]float64 // weights[row][col]
+	rows, cols int
+	base       []float64 // rows × cols unconstrained weights, row-major
+	w          []float64 // base under the constraints being solved
+
+	// Shortest-augmenting-path workspace over the rows and the n = cols +
+	// rows columns (the candidate columns, then one "leave unassigned"
+	// column per row), 1-indexed with 0 as the search root.
+	u, v, minv    []float64
+	matchCol, way []int
+	used          []bool
 }
 
 var negInf = math.Inf(-1)
 
 // newAssignmentProblem copies the weight matrix.
 func newAssignmentProblem(weights [][]float64) *assignmentProblem {
-	w := make([][]float64, len(weights))
-	for i := range weights {
-		w[i] = make([]float64, len(weights[i]))
-		copy(w[i], weights[i])
+	rows, cols := len(weights), 0
+	if rows > 0 {
+		cols = len(weights[0])
 	}
-	return &assignmentProblem{weights: w}
+	n := cols + rows
+	p := &assignmentProblem{
+		rows:     rows,
+		cols:     cols,
+		base:     make([]float64, 0, rows*cols),
+		w:        make([]float64, rows*cols),
+		u:        make([]float64, rows+1),
+		v:        make([]float64, n+1),
+		minv:     make([]float64, n+1),
+		matchCol: make([]int, n+1),
+		way:      make([]int, n+1),
+		used:     make([]bool, n+1),
+	}
+	for _, row := range weights {
+		p.base = append(p.base, row...)
+	}
+	p.reset()
+	return p
 }
 
-// clone deep-copies the problem.
-func (p *assignmentProblem) clone() *assignmentProblem {
-	return newAssignmentProblem(p.weights)
-}
+// reset drops every constraint.
+func (p *assignmentProblem) reset() { copy(p.w, p.base) }
 
 // forbid marks a (row, col) pair as unusable.
-func (p *assignmentProblem) forbid(row, col int) { p.weights[row][col] = negInf }
+func (p *assignmentProblem) forbid(row, col int) { p.w[row*p.cols+col] = negInf }
 
-// require forces row to be assigned to col by forbidding every alternative in
-// the same row and the same column.
+// require confines row to col by forbidding every other candidate in the row
+// and every other row in the column; the row may still be left unassigned.
 func (p *assignmentProblem) require(row, col int) {
-	for c := range p.weights[row] {
+	w := p.w[row*p.cols : (row+1)*p.cols]
+	for c := range w {
 		if c != col {
-			p.weights[row][c] = negInf
+			w[c] = negInf
 		}
 	}
-	for r := range p.weights {
+	for r := 0; r < p.rows; r++ {
 		if r != row {
-			p.weights[r][col] = negInf
+			p.w[r*p.cols+col] = negInf
 		}
 	}
 }
 
 // assignment is a solution: assign[row] = col, or -1 when the row is left
-// unassigned.  Weight is the total weight of the assigned pairs.
+// unassigned.  Weight is the total weight of the assigned pairs, summed in
+// column order.
 type assignment struct {
 	assign []int
 	weight float64
 }
 
-// solve finds a maximum-weight assignment using the Jonker–Volgenant style
-// Hungarian algorithm with potentials (O(n^3)).  Unassignable rows (all
-// candidates forbidden or non-positive) are matched to a dummy column, which
-// appears in the result as -1.
-func (p *assignmentProblem) solve() (*assignment, bool) {
-	nRows := len(p.weights)
-	if nRows == 0 {
-		return &assignment{assign: nil, weight: 0}, true
-	}
-	nCols := len(p.weights[0])
-	// Build a square cost matrix of size n = nRows + nCols: real columns plus
-	// one dummy column per row (cost 0, meaning "leave unassigned"), and dummy
-	// rows so the matrix is square.  Costs are negated weights so the standard
-	// minimisation Hungarian applies.  Forbidden pairs get a huge cost.
-	n := nRows + nCols
-	const bigCost = 1e9
-	cost := make([][]float64, n+1)
-	for i := range cost {
-		cost[i] = make([]float64, n+1)
-	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= n; j++ {
-			switch {
-			case i <= nRows && j <= nCols:
-				w := p.weights[i-1][j-1]
-				if math.IsInf(w, -1) {
-					cost[i][j] = bigCost
-				} else {
-					cost[i][j] = -w
-				}
-			case i <= nRows && j > nCols:
-				// Dummy column for row i: only the row's own dummy is free so a
-				// row skips at zero gain; other rows' dummies are available at
-				// zero too (they are interchangeable), which is fine.
-				cost[i][j] = 0
-			case i > nRows && j <= nCols:
-				// Dummy row for column j: zero cost (column left unassigned).
-				cost[i][j] = 0
-			default:
-				cost[i][j] = 0
-			}
-		}
-	}
-
-	// Hungarian algorithm with potentials (1-indexed).
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	matchCol := make([]int, n+1) // matchCol[col] = row
-	way := make([]int, n+1)
-	for i := 1; i <= n; i++ {
+// solve finds a maximum-weight assignment under the current constraints with
+// the shortest-augmenting-path Hungarian algorithm with potentials (Jonker &
+// Volgenant), inserting the rows in order.  Costs are negated weights read in
+// place; a "leave unassigned" column costs 0 to every row, and a forbidden
+// pair costs +Inf, so the search never takes it.
+func (p *assignmentProblem) solve() assignment {
+	rows, cols := p.rows, p.cols
+	n := cols + rows
+	u, v, minv, matchCol, way, used := p.u, p.v, p.minv, p.matchCol, p.way, p.used
+	clear(u)
+	clear(v)
+	clear(matchCol)
+	for i := 1; i <= rows; i++ {
 		matchCol[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
-		for j := 0; j <= n; j++ {
+		for j := range minv {
 			minv[j] = math.Inf(1)
+			used[j] = false
 		}
 		for {
 			used[j0] = true
 			i0 := matchCol[j0]
+			w := p.w[(i0-1)*cols : i0*cols]
 			delta := math.Inf(1)
 			j1 := 0
 			for j := 1; j <= n; j++ {
 				if used[j] {
 					continue
 				}
-				cur := cost[i0][j] - u[i0] - v[j]
+				cost := 0.0
+				if j <= cols {
+					cost = -w[j-1] // +Inf when forbidden
+				}
+				cur := cost - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -153,35 +144,15 @@ func (p *assignmentProblem) solve() (*assignment, bool) {
 		}
 	}
 
-	assign := make([]int, nRows)
-	for i := range assign {
-		assign[i] = -1
+	a := assignment{assign: make([]int, rows)}
+	for i := range a.assign {
+		a.assign[i] = -1
 	}
-	total := 0.0
-	feasible := true
-	for j := 1; j <= n; j++ {
-		i := matchCol[j]
-		if i >= 1 && i <= nRows && j <= nCols {
-			w := p.weights[i-1][j-1]
-			if math.IsInf(w, -1) || cost[i][j] >= bigCost {
-				// The solver was forced onto a forbidden pair; treat the row as
-				// unassigned and remember that the constrained problem may be
-				// infeasible for required edges.
-				feasible = false
-				continue
-			}
-			if w <= 0 {
-				// Prefer leaving the row unassigned over a non-positive gain.
-				continue
-			}
-			assign[i-1] = j - 1
-			total += w
+	for j := 1; j <= cols; j++ {
+		if i := matchCol[j]; i != 0 {
+			a.assign[i-1] = j - 1
+			a.weight += p.w[(i-1)*cols+j-1]
 		}
 	}
-	return &assignment{assign: assign, weight: total}, feasible
-}
-
-// String renders the assignment for debugging.
-func (a *assignment) String() string {
-	return fmt.Sprintf("assignment(weight=%.3f, pairs=%v)", a.weight, a.assign)
+	return a
 }

@@ -3,7 +3,6 @@ package match
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"github.com/probdb/urm/internal/schema"
 )
@@ -12,9 +11,6 @@ import (
 type KBestOptions struct {
 	// K is the number of possible mappings to generate (the paper's h).
 	K int
-	// MaxExpansions bounds the number of Murty expansions as a safety valve
-	// for adversarial inputs; 0 means no bound.
-	MaxExpansions int
 }
 
 // KBestMappings derives the top-K one-to-one partial mappings from a scored
@@ -30,7 +26,9 @@ type KBestOptions struct {
 // only a handful of attributes are ambiguous.
 //
 // Fewer than K mappings are returned when the correspondence set does not
-// admit K distinct assignments.
+// admit K distinct assignments, and also when the ranking repeats an
+// assignment: a node may branch on a pair it already requires, and the
+// repeat still counts towards K (ROADMAP item 25).
 func KBestMappings(corrs []schema.Correspondence, opts KBestOptions) (schema.MappingSet, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("kbest: K must be positive, got %d", opts.K)
@@ -97,11 +95,6 @@ func KBestMappings(corrs []schema.Correspondence, opts KBestOptions) (schema.Map
 		}
 		ambiguousRows = append(ambiguousRows, r)
 	}
-	forcedScore := 0.0
-	for _, c := range forced {
-		forcedScore += c.Score
-	}
-
 	// Build the reduced weight matrix over ambiguous rows and the columns they
 	// reference.
 	redColIdx := make(map[int]int)
@@ -125,7 +118,7 @@ func KBestMappings(corrs []schema.Correspondence, opts KBestOptions) (schema.Map
 		}
 	}
 
-	toMapping := func(id string, a *assignment) *schema.Mapping {
+	toMapping := func(id string, a assignment) *schema.Mapping {
 		cs := make([]schema.Correspondence, 0, len(forced)+len(a.assign))
 		cs = append(cs, forced...)
 		for i, j := range a.assign {
@@ -148,12 +141,12 @@ func KBestMappings(corrs []schema.Correspondence, opts KBestOptions) (schema.Map
 
 	// Degenerate case: nothing ambiguous — exactly one possible mapping.
 	if len(ambiguousRows) == 0 {
-		set := schema.MappingSet{toMapping("m1", &assignment{})}
+		set := schema.MappingSet{toMapping("m1", assignment{})}
 		set.NormalizeProbabilities()
 		return set, nil
 	}
 
-	results := murtyKBest(base, opts.K, opts.MaxExpansions)
+	results := murtyKBest(base, opts.K)
 	out := make(schema.MappingSet, 0, len(results))
 	seen := make(map[string]bool)
 	for _, a := range results {
@@ -168,15 +161,32 @@ func KBestMappings(corrs []schema.Correspondence, opts KBestOptions) (schema.Map
 			break
 		}
 	}
-	_ = forcedScore
 	out.NormalizeProbabilities()
 	return out, nil
 }
 
-// murtyNode is a constrained sub-problem together with its best solution.
+// murtyNode is a sub-problem of Murty's partition together with its best
+// solution.  A child holds only what it adds to its parent: it forbids the
+// pair (row, col) of the parent's best assignment and requires the parent's
+// pairs in the rows before row.  The root has no parent and no constraint.
 type murtyNode struct {
-	problem *assignmentProblem
-	best    *assignment
+	parent   *murtyNode
+	row, col int
+	best     assignment
+}
+
+// constrain applies node's constraints, and its ancestors', to the working
+// weights.
+func (p *assignmentProblem) constrain(node *murtyNode) {
+	p.reset()
+	for ; node.parent != nil; node = node.parent {
+		p.forbid(node.row, node.col)
+		for r, c := range node.parent.best.assign[:node.row] {
+			if c >= 0 {
+				p.require(r, c)
+			}
+		}
+	}
 }
 
 // murtyQueue is a max-heap of nodes ordered by solution weight.
@@ -196,54 +206,36 @@ func (q *murtyQueue) Pop() interface{} {
 
 // murtyKBest enumerates up to k maximum-weight assignments of the weight
 // matrix in non-increasing weight order using Murty's partitioning scheme.
-func murtyKBest(weights [][]float64, k, maxExpansions int) []*assignment {
-	root := newAssignmentProblem(weights)
-	best, ok := root.solve()
-	if !ok && best.weight <= 0 {
-		return nil
-	}
-	queue := &murtyQueue{{problem: root, best: best}}
-	heap.Init(queue)
+// One problem and its workspace serve the whole run: a popped node's
+// constraints are applied once, and each child forbids its pair, is solved,
+// and then requires that pair for the next sibling.
+func murtyKBest(weights [][]float64, k int) []assignment {
+	p := newAssignmentProblem(weights)
+	queue := &murtyQueue{{best: p.solve()}}
 
-	var results []*assignment
-	expansions := 0
+	var results []assignment
 	for queue.Len() > 0 && len(results) < k {
 		node := heap.Pop(queue).(*murtyNode)
 		results = append(results, node.best)
-		if maxExpansions > 0 && expansions >= maxExpansions {
-			continue
-		}
-		// Partition the node's solution space around its best assignment.
-		var pairs [][2]int
+		p.constrain(node)
 		for r, c := range node.best.assign {
-			if c >= 0 {
-				pairs = append(pairs, [2]int{r, c})
+			if c < 0 {
+				continue
 			}
-		}
-		// Deterministic branch order.
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-		child := node.problem
-		for i, p := range pairs {
-			sub := child.clone()
-			sub.forbid(p[0], p[1])
-			if a, feasible := sub.solve(); feasible || a.weight > 0 {
-				if hasAssignment(a) {
-					heap.Push(queue, &murtyNode{problem: sub, best: a})
-				}
+			p.forbid(r, c)
+			if a := p.solve(); hasAssignment(a) {
+				heap.Push(queue, &murtyNode{parent: node, row: r, col: c, best: a})
 			}
-			expansions++
-			// Subsequent children require all previous pairs.
-			if i < len(pairs)-1 {
-				next := child.clone()
-				next.require(p[0], p[1])
-				child = next
-			}
+			// The node's best uses (r, c), so the pair is not forbidden
+			// under the node's own constraints.
+			p.w[r*p.cols+c] = p.base[r*p.cols+c]
+			p.require(r, c)
 		}
 	}
 	return results
 }
 
-func hasAssignment(a *assignment) bool {
+func hasAssignment(a assignment) bool {
 	for _, c := range a.assign {
 		if c >= 0 {
 			return true

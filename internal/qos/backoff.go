@@ -86,7 +86,9 @@ func (b Backoff) delay(rng *rand.Rand, retry int, retryAfter time.Duration) time
 // is retryable; a nil error ends the loop immediately.
 func Retry(ctx context.Context, b Backoff, attempt func(ctx context.Context) (retryAfter time.Duration, retryable bool, err error)) error {
 	b = b.withDefaults()
-	rng := rand.New(rand.NewSource(int64(b.Seed)))
+	// The jitter source is seeded at the first retry, so a call that
+	// succeeds at once pays for no seeding; the sequence is the same.
+	var rng *rand.Rand
 	for try := 1; ; try++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -97,6 +99,9 @@ func Retry(ctx context.Context, b Backoff, attempt func(ctx context.Context) (re
 		}
 		if try >= b.Attempts {
 			return fmt.Errorf("giving up after %d attempts: %w", try, err)
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(int64(b.Seed)))
 		}
 		d := b.delay(rng, try, retryAfter)
 		if deadline, ok := ctx.Deadline(); ok && b.Clock.Now().Add(d).After(deadline) {

@@ -1,7 +1,7 @@
 package qos
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -50,9 +50,10 @@ func (t *LatencyTracker) P50() (time.Duration, bool) {
 		t.mu.Unlock()
 		return 0, false
 	}
-	buf := make([]time.Duration, n)
+	var window [latencyWindow]time.Duration
+	buf := window[:n]
 	copy(buf, t.samples[:n])
 	t.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf)
 	return buf[n/2], true
 }

@@ -155,6 +155,23 @@ func TestLatencyTrackerMedian(t *testing.T) {
 	}
 }
 
+// TestLatencyTrackerMedianAllocatesNothing: the shed ladder asks for the
+// median on every cold evaluation, so sorting the window must not copy it to
+// the heap.
+func TestLatencyTrackerMedianAllocatesNothing(t *testing.T) {
+	var lt LatencyTracker
+	for i := latencyWindow; i > 0; i-- {
+		lt.Observe(time.Duration(i) * time.Millisecond)
+	}
+	var p50 time.Duration
+	if allocs := testing.AllocsPerRun(100, func() { p50, _ = lt.P50() }); allocs != 0 {
+		t.Errorf("P50 on a full window allocates %.0f objects, want 0", allocs)
+	}
+	if want := time.Duration(latencyWindow/2+1) * time.Millisecond; p50 != want {
+		t.Errorf("p50 = %v, want %v over 1..%dms", p50, want, latencyWindow)
+	}
+}
+
 func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	var h Histogram
 	h.Observe(0)                    // bucket 0 (<= 0.25ms)
