@@ -77,18 +77,6 @@ type Result struct {
 	TotalTime time.Duration
 }
 
-// TopK returns the k answers with the highest probabilities.
-func (r *Result) TopK(k int) []Answer {
-	if k >= len(r.Answers) {
-		out := make([]Answer, len(r.Answers))
-		copy(out, r.Answers)
-		return out
-	}
-	out := make([]Answer, k)
-	copy(out, r.Answers[:k])
-	return out
-}
-
 // Lookup returns the probability of the given tuple, or 0 if absent.
 func (r *Result) Lookup(t engine.Tuple) float64 {
 	key := t.Key()
@@ -127,12 +115,12 @@ type aggregator struct {
 	buckets   map[uint64][]*aggEntry
 	order     []*aggEntry
 	emptyProb float64
-	// calls numbers the addRows calls.
+	// calls numbers the calls that fold rows in: addRows and top-k's take.
 	calls int
 }
 
 // aggEntry is one distinct answer tuple with its accumulated probability, the
-// addRows call that last added to it, and its canonical key once the entry is
+// call that last added to it, and its canonical key once the entry is
 // sorted.
 type aggEntry struct {
 	tuple engine.Tuple
@@ -146,32 +134,26 @@ func newAggregator() *aggregator {
 }
 
 // addHashed records the tuple, whose Hash64 is h, under the probability mass
-// of the current addRows call, once however often the call holds it.
-func (g *aggregator) addHashed(h uint64, t engine.Tuple, prob float64) {
+// of the current call, once however often the call holds it; a tuple
+// without an entry gets one only if admit.  It returns the entry when this
+// call is the first to add to it, else nil.
+func (g *aggregator) addHashed(h uint64, t engine.Tuple, prob float64, admit bool) *aggEntry {
 	for _, e := range g.buckets[h] {
 		if e.tuple.EqualKey(t) {
-			if e.call != g.calls {
-				e.prob, e.call = e.prob+prob, g.calls
+			if e.call == g.calls {
+				return nil
 			}
-			return
+			e.prob, e.call = e.prob+prob, g.calls
+			return e
 		}
+	}
+	if !admit {
+		return nil
 	}
 	e := &aggEntry{tuple: t.Clone(), prob: prob, call: g.calls}
 	g.buckets[h] = append(g.buckets[h], e)
 	g.order = append(g.order, e)
-}
-
-// firstSeen is the package's one first-seen dedup loop: it folds rows into
-// seen and calls fresh, in row order, for each tuple the set did not hold yet,
-// handing over the hash it computed so no row is hashed twice.  It reads rows
-// and never writes them — callers pass relations they do not own.
-func firstSeen(seen *engine.TupleSet, rows []engine.Tuple, fresh func(h uint64, row engine.Tuple)) {
-	for _, row := range rows {
-		h := row.Hash64()
-		if seen.AddHashed(h, row) {
-			fresh(h, row)
-		}
-	}
+	return e
 }
 
 // addRows records every tuple of rows under the probability mass; a row
@@ -185,7 +167,7 @@ func (g *aggregator) addRows(rows []engine.Tuple, prob float64) {
 	}
 	g.calls++
 	for _, row := range rows {
-		g.addHashed(row.Hash64(), row, prob)
+		g.addHashed(row.Hash64(), row, prob, true)
 	}
 }
 

@@ -37,8 +37,8 @@ func TestBasicPaperExample(t *testing.T) {
 	if res.Answers[0].Prob < res.Answers[len(res.Answers)-1].Prob {
 		t.Error("answers not sorted by probability")
 	}
-	if !approxEqual(res.TopK(1)[0].Prob, 0.8) {
-		t.Errorf("top-1 prob = %g, want 0.8", res.TopK(1)[0].Prob)
+	if !approxEqual(res.Answers[0].Prob, 0.8) {
+		t.Errorf("top-1 prob = %g, want 0.8", res.Answers[0].Prob)
 	}
 	if got := res.Lookup(engine.Tuple{engine.S("123")}); !approxEqual(got, 0.5) {
 		t.Errorf("Lookup(123) = %g, want 0.5", got)

@@ -22,12 +22,12 @@ var growthBounds = map[int]map[Method]float64{
 	2: {MethodBasic: 9.1, MethodEBasic: 8.7, MethodEMQO: 8.6, MethodQSharing: 8.7, MethodOSharing: 7.3},
 	3: {MethodBasic: 9.9, MethodEBasic: 9.9, MethodEMQO: 9.8, MethodQSharing: 9.9, MethodOSharing: 9.9},
 	// The plan methods' Q4 pairs every PO1 ⋈ PO2 row with every Item1 row
-	// below the join that reads Item1's key: quadratic until ROADMAP item 12
-	// pushes Item1 ⋈ Item2 below the product.  O-sharing joins factors.
+	// below the join that reads Item1's key: quadratic until ROADMAP item 21
+	// keeps the product factorized.  O-sharing joins factors.
 	4: {MethodEBasic: 100, MethodEMQO: 100, MethodQSharing: 100, MethodOSharing: 10.0},
 	// The plan methods' Q5 counts the rows of a product (PO maps to
 	// Orders × Customer); o-sharing multiplies its factors' counts.  The
-	// plan methods' half is ROADMAP item 19's optional second step.
+	// plan methods' half is ROADMAP item 21.
 	5: {MethodBasic: 40.2, MethodEBasic: 37.7, MethodEMQO: 52.1, MethodQSharing: 37.7, MethodOSharing: 10.4},
 }
 

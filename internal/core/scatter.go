@@ -219,9 +219,11 @@ func (g *GroupRows) extend(rows []engine.Tuple) {
 	if g.seen == nil {
 		g.seen = engine.NewTupleSet(len(rows))
 	}
-	firstSeen(g.seen, rows, func(_ uint64, row engine.Tuple) {
-		g.Rows = append(g.Rows, row)
-	})
+	for _, row := range rows {
+		if g.seen.Add(row) {
+			g.Rows = append(g.Rows, row)
+		}
+	}
 }
 
 // ShardRun is the outcome of running a group list on one instance — a shard

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"container/heap"
 
 	"github.com/probdb/urm/internal/engine"
 )
@@ -11,89 +11,44 @@ import (
 // Options.Method: a top-k run is asked for with Options.TopK.
 const MethodTopK Method = 100
 
-// tkEntry is one candidate answer with its probability bounds: the embedded
-// entry's prob is the lower bound, and its canonical key, which breaks ties
-// between equal lower bounds, is computed once, when the candidate is
-// admitted.
-type tkEntry struct {
-	aggEntry
-	ub float64
-}
-
 // topkBounds implements the decide_result bookkeeping of Algorithm 4: a
-// probabilistic top-k query walks the same u-trace as o-sharing but maintains
-// lower and upper probability bounds for the candidate answers, stopping as
+// probabilistic top-k query walks the same u-trace as o-sharing but stops as
 // soon as the k answers with the highest probabilities are determined.  The
 // reported probabilities are the lower bounds accumulated so far — the
-// algorithm deliberately avoids computing exact probabilities.  Candidates are
-// looked up by 64-bit tuple hash with EqualKey bucket resolution, so a leaf
-// formats a key string only for a candidate it admits.
+// algorithm deliberately avoids computing exact probabilities.
+//
+// The candidates are the aggregator's entries: an entry's prob is its lower
+// bound, and its upper bound is that plus ub, since everything it can still
+// gain lies in the unvisited mass.  Only the k+1 highest lower bounds matter
+// to decide, so top keeps them and nothing is sorted before the end; keys are
+// built once, by the aggregator's sorted.
 //
 // It is the second answerSink beside the aggregator: an unsharded walk feeds
 // it, and so does ScatterPlan.Merge from shards' runs, whose leaves hold the
-// same distinct rows in another order.  Candidates are ranked in the
-// aggregator's canonical order — lower bound, then key — so neither the order
-// of tied answers nor decide's check over the ranks from k on depends on the
-// order a leaf's rows arrived in.
+// same distinct rows in another order.  Neither the answers, ranked in the
+// aggregator's canonical order, nor decide, which reads only bound values,
+// depends on the order a leaf's rows arrived in.
 type topkBounds struct {
-	k       int
-	buckets map[uint64][]*tkEntry
-	order   []*tkEntry
+	aggregator
+	k int
 	// ub is the global UB: the probability mass of e-units not yet visited, an
 	// upper bound on the probability of any tuple not seen so far.
 	ub float64
-	// lb is LB as the last decide computed it.  Nothing moves a bound between
-	// two leaves, so a leaf admits new candidates against it unsorted.
+	// lb is LB as the last decide computed it: the k-th highest lower bound,
+	// 0 with fewer than k candidates.  A leaf admits new candidates against it.
 	lb float64
-	// emptyProb accumulates mass of empty results (not candidates).
-	emptyProb float64
+	// top is a min-heap of k+1 candidates with the highest lower bounds, ties
+	// in any order; touched holds the entries the current leaf added to.
+	top     entryHeap
+	touched []*aggEntry
 }
 
 // newTopkBounds returns the bounds for the top k answers, with pre already
 // given to the empty answer.
 func newTopkBounds(k int, pre float64) *topkBounds {
-	return &topkBounds{k: k, buckets: make(map[uint64][]*tkEntry), ub: 1 - pre, emptyProb: pre}
-}
-
-// lookup returns the candidate entry for the tuple, or nil.
-func (s *topkBounds) lookup(h uint64, t engine.Tuple) *tkEntry {
-	for _, e := range s.buckets[h] {
-		if e.tuple.EqualKey(t) {
-			return e
-		}
-	}
-	return nil
-}
-
-// ranked returns the current candidates in canonical order: descending lower
-// bound, ties by key.
-func (s *topkBounds) ranked() []*tkEntry {
-	out := slices.Clone(s.order)
-	slices.SortFunc(out, func(a, b *tkEntry) int { return compareEntries(&a.aggEntry, &b.aggEntry) })
-	return out
-}
-
-// decide checks the two termination conditions of decide_result: every
-// candidate ranked below k has ub ≤ LB, and no unseen tuple can exceed LB.  LB
-// is the lower bound of the k-th highest candidate, or 0 when fewer than k
-// candidates are known (a new tuple could still enter the top-k, so
-// termination must not trigger on UB alone in that case).  It ranks the
-// candidates once and keeps LB for the next leaf.
-func (s *topkBounds) decide() bool {
-	ranked := s.ranked()
-	s.lb = 0
-	if len(ranked) >= s.k {
-		s.lb = ranked[s.k-1].prob
-	}
-	if s.ub > s.lb {
-		return false
-	}
-	for i := s.k; i < len(ranked); i++ {
-		if ranked[i].ub > s.lb {
-			return false
-		}
-	}
-	return true
+	s := &topkBounds{aggregator: *newAggregator(), k: k, ub: 1 - pre}
+	s.addEmpty(pre)
+	return s
 }
 
 // take folds one leaf into the bounds: each distinct tuple's lower bound gains
@@ -102,34 +57,88 @@ func (s *topkBounds) decide() bool {
 // the empty answer.  It reports whether the top k are decided.
 func (s *topkBounds) take(_ int, prob float64, rows []engine.Tuple) bool {
 	if len(rows) == 0 {
-		s.emptyProb += prob
+		s.addEmpty(prob)
 	} else {
-		firstSeen(engine.NewTupleSet(len(rows)), rows, func(h uint64, row engine.Tuple) {
-			if e := s.lookup(h, row); e != nil {
-				e.prob += prob
-				return
+		s.calls++
+		for _, row := range rows {
+			if e := s.addHashed(row.Hash64(), row, prob, s.ub > s.lb || len(s.order) < s.k); e != nil {
+				s.touched = append(s.touched, e)
 			}
-			if s.ub > s.lb || len(s.order) < s.k {
-				e := &tkEntry{aggEntry: aggEntry{tuple: row.Clone(), key: row.Key(), prob: prob}, ub: s.ub}
-				s.buckets[h] = append(s.buckets[h], e)
-				s.order = append(s.order, e)
-			}
-		})
+		}
 	}
 	s.ub -= prob
 	return s.decide()
 }
 
+// decide checks the two termination conditions of decide_result: no unseen
+// tuple can exceed LB (ub ≤ LB), and no candidate ranked below k can either.
+// A candidate's upper bound is its lower bound plus ub, and float addition is
+// monotone, so the (k+1)-th highest lower bound speaks for every candidate
+// below k.  With fewer than k candidates LB is 0: a new tuple could still
+// enter the top k, so the stop must not fire on ub alone.
+func (s *topkBounds) decide() bool {
+	s.rank()
+	// With k+1 entries the heap's root is the (k+1)-th highest and the k-th
+	// is the lower of the root's children.
+	switch n := len(s.top); {
+	case n < s.k:
+		s.lb = 0
+	case n == s.k:
+		s.lb = s.top[0].prob
+	case n == 2:
+		s.lb = s.top[1].prob
+	default:
+		s.lb = min(s.top[1].prob, s.top[2].prob)
+	}
+	if s.ub > s.lb {
+		return false
+	}
+	return len(s.top) <= s.k || s.top[0].prob+s.ub <= s.lb
+}
+
+// rank folds the entries the last leaf touched into top.  Lower bounds only
+// rise, so the k+1 highest after a leaf lie among the k+1 highest before it
+// and the entries it touched — those whose call is the current one.
+func (s *topkBounds) rank() {
+	if len(s.touched) == 0 {
+		return
+	}
+	kept := s.top[:0]
+	for _, e := range s.top {
+		if e.call != s.calls {
+			kept = append(kept, e)
+		}
+	}
+	s.top = kept
+	heap.Init(&s.top)
+	for _, e := range s.touched {
+		if len(s.top) <= s.k {
+			heap.Push(&s.top, e)
+		} else if e.prob > s.top[0].prob {
+			s.top[0] = e
+			heap.Fix(&s.top, 0)
+		}
+	}
+	s.touched = s.touched[:0]
+}
+
 // sorted returns the k candidates with the highest lower bounds, in canonical
 // order, and the empty answer's mass.
 func (s *topkBounds) sorted() ([]*aggEntry, float64) {
-	ranked := s.ranked()
-	if len(ranked) > s.k {
-		ranked = ranked[:s.k]
-	}
-	out := make([]*aggEntry, len(ranked))
-	for i, e := range ranked {
-		out[i] = &e.aggEntry
-	}
-	return out, s.emptyProb
+	out, emptyProb := s.aggregator.sorted()
+	return out[:min(s.k, len(out))], emptyProb
+}
+
+// entryHeap is a min-heap of entries by probability, for container/heap.
+type entryHeap []*aggEntry
+
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(i, j int) bool { return h[i].prob < h[j].prob }
+func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *entryHeap) Push(x any)        { *h = append(*h, x.(*aggEntry)) }
+func (h *entryHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
