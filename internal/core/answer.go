@@ -274,22 +274,24 @@ func OutputColumns(q *query.Query) []string {
 	}
 }
 
-// validateInputs checks the arguments shared by all evaluation methods.
-func validateInputs(q *query.Query, maps schema.MappingSet, db *engine.Instance) error {
+// validateInputs checks the arguments shared by all evaluation methods and
+// returns the query's resolution.
+func validateInputs(q *query.Query, maps schema.MappingSet, db *engine.Instance) (*query.Resolution, error) {
 	if q == nil {
-		return fmt.Errorf("core: nil query")
+		return nil, fmt.Errorf("core: nil query")
 	}
-	if err := q.Validate(); err != nil {
-		return fmt.Errorf("core: invalid query: %w", err)
+	res, err := q.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("core: invalid query: %w", err)
 	}
 	if len(maps) == 0 {
-		return fmt.Errorf("core: empty mapping set")
+		return nil, fmt.Errorf("core: empty mapping set")
 	}
 	if err := maps.Validate(); err != nil {
-		return fmt.Errorf("core: invalid mapping set: %w", err)
+		return nil, fmt.Errorf("core: invalid mapping set: %w", err)
 	}
 	if db == nil {
-		return fmt.Errorf("core: nil source instance")
+		return nil, fmt.Errorf("core: nil source instance")
 	}
-	return nil
+	return res, nil
 }

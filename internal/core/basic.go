@@ -18,13 +18,15 @@ import (
 // probability.  A mapping that does not cover the query yields a group with a
 // nil plan, whose mass goes to the empty answer when its turn comes.
 //
-// The reformulations are independent, so they run on the runtime's worker
-// pool; the groups are filled in mapping order whatever the parallelism.
-func mappingGroups(ec *exec.Context, m Method, q *query.Query, maps schema.MappingSet) (*ScatterPlan, error) {
+// One reformulator, reading the query's resolution, serves every mapping.  The
+// reformulations are independent, so they run on the runtime's worker pool;
+// the groups are filled in mapping order whatever the parallelism.
+func mappingGroups(ec *exec.Context, m Method, res *query.Resolution, maps schema.MappingSet) (*ScatterPlan, error) {
 	sp := &ScatterPlan{Method: m, Groups: make([]ScatterGroup, len(maps))}
+	ref := query.NewReformulator(res)
 	err := exec.Map(ec, len(maps),
 		func(ctx context.Context, i int) (engine.Plan, error) {
-			plan, err := query.NewReformulator(q).Reformulate(maps[i])
+			plan, err := ref.Reformulate(maps[i])
 			if err != nil {
 				if errors.Is(err, query.ErrNotCovered) {
 					return nil, nil

@@ -107,10 +107,11 @@ func TestEBasicClustersDistinctQueries(t *testing.T) {
 func TestPartitionTreeFigure4(t *testing.T) {
 	q := mustParse(t, "q1", "SELECT pname FROM Person WHERE addr = 'abc'")
 	maps := paperMappings()
-	parts, err := PartitionMappings(q, maps)
+	res, err := q.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts := PartitionMappings(res, maps)
 	if len(parts) != 3 {
 		t.Fatalf("partitions = %d, want 3", len(parts))
 	}
@@ -145,8 +146,7 @@ func TestPartitionTreeFigure4(t *testing.T) {
 		}
 	}
 	// Tree introspection.
-	attrs, _ := q.TargetAttributes()
-	tree := NewPartitionTree(attrs)
+	tree := NewPartitionTree(res.Attributes())
 	for _, m := range maps {
 		tree.Insert(m)
 	}
@@ -575,18 +575,18 @@ func TestValidateInputs(t *testing.T) {
 	maps := paperMappings()
 	db := paperInstance()
 	q := mustParse(t, "q", "SELECT phone FROM Person WHERE addr = 'aaa'")
-	if err := validateInputs(q, maps, nil); err == nil {
+	if _, err := validateInputs(q, maps, nil); err == nil {
 		t.Error("nil instance should error")
 	}
-	if err := validateInputs(q, nil, db); err == nil {
+	if _, err := validateInputs(q, nil, db); err == nil {
 		t.Error("empty mapping set should error")
 	}
 	bad := schema.MappingSet{schema.MustNewMapping("m1", nil, 0.4)}
-	if err := validateInputs(q, bad, db); err == nil {
+	if _, err := validateInputs(q, bad, db); err == nil {
 		t.Error("invalid probabilities should error")
 	}
 	badQuery := &query.Query{Name: "bad", Target: paperTargetSchema(), Root: &query.Scan{Relation: "NoSuch"}}
-	if err := validateInputs(badQuery, maps, db); err == nil {
+	if _, err := validateInputs(badQuery, maps, db); err == nil {
 		t.Error("invalid query should error")
 	}
 }

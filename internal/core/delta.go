@@ -88,7 +88,7 @@ func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error)
 	if err != nil {
 		return nil, err
 	}
-	st := &DeltaState{sp: sp, q: p.q, rewrite: rewrite, run: run, lens: make(map[string]int, len(sp.shape.rels))}
+	st := &DeltaState{sp: sp, q: p.res.Query, rewrite: rewrite, run: run, lens: make(map[string]int, len(sp.shape.rels))}
 	for _, name := range sp.shape.rels {
 		rel := p.db.Relation(name)
 		if rel == nil {

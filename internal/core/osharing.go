@@ -97,15 +97,12 @@ type stepOp func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error)
 // db's relations and reads none of their rows.  The plan lists the nodes in
 // pre-order, and is linear unless the final operator aggregates.  seed drives
 // StrategyRandom; 0 selects a fixed default so runs stay reproducible.
-func planTrace(ec *exec.Context, m Method, q *query.Query, maps schema.MappingSet, db *engine.Instance, strategy Strategy, seed int64) (*ScatterPlan, error) {
-	nq, err := normalizeQuery(q)
+func planTrace(ec *exec.Context, m Method, res *query.Resolution, maps schema.MappingSet, db *engine.Instance, strategy Strategy, seed int64) (*ScatterPlan, error) {
+	nq, err := normalizeQuery(res)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := PartitionMappings(q, maps)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", m, err)
-	}
+	parts := PartitionMappings(res, maps)
 	if seed == 0 {
 		seed = 1
 	}
@@ -284,14 +281,7 @@ type targetOp struct {
 
 	// refs are the attribute references the operator reads, alias-qualified
 	// and resolved to target attributes.
-	refs []opRef
-}
-
-// opRef is one attribute reference of a target operator: the relation
-// occurrence it goes through and the target attribute it denotes.
-type opRef struct {
-	alias  string
-	target schema.Attribute
+	refs []query.Resolved
 }
 
 // normalizedQuery is the target query decomposed into relation occurrences,
@@ -300,23 +290,22 @@ type opRef struct {
 // include projections or aggregates below other operators are not supported by
 // o-sharing (they are by the other methods).
 type normalizedQuery struct {
-	q       *query.Query
+	res     *query.Resolution
 	ref     *query.Reformulator
 	aliases []string
 	ops     []*targetOp
-	// aliasAttrs caches the target attributes referenced via each alias.
-	aliasAttrs map[string][]schema.Attribute
 }
 
-func normalizeQuery(q *query.Query) (*normalizedQuery, error) {
-	nq := &normalizedQuery{q: q, ref: query.NewReformulator(q), aliasAttrs: make(map[string][]schema.Attribute)}
+func normalizeQuery(res *query.Resolution) (*normalizedQuery, error) {
+	nq := &normalizedQuery{res: res, ref: query.NewReformulator(res)}
 
-	body := q.Root
+	root := res.Query.Root
+	body := root
 	var final query.Node
-	switch q.Root.(type) {
+	switch root.(type) {
 	case *query.Project, *query.Aggregate:
-		final = q.Root
-		body = q.Root.Children()[0]
+		final = root
+		body = root.Children()[0]
 	}
 
 	var collect func(n query.Node) error
@@ -368,25 +357,12 @@ func normalizeQuery(q *query.Query) (*normalizedQuery, error) {
 			continue
 		}
 		for _, ref := range query.NodeRefs(node) {
-			r, err := nq.resolveRef(ref)
+			r, err := res.Ref(ref)
 			if err != nil {
 				return nil, err
 			}
 			op.refs = append(op.refs, r)
 		}
-	}
-	// Cache per-alias attribute lists.
-	for _, alias := range nq.aliases {
-		names, err := q.AttributesForAlias(alias)
-		if err != nil {
-			return nil, err
-		}
-		rel := q.Aliases()[alias]
-		attrs := make([]schema.Attribute, 0, len(names))
-		for _, n := range names {
-			attrs = append(attrs, schema.Attribute{Relation: rel, Name: n})
-		}
-		nq.aliasAttrs[alias] = attrs
 	}
 	return nq, nil
 }
@@ -395,27 +371,6 @@ func normalizeQuery(q *query.Query) (*normalizedQuery, error) {
 func (nq *normalizedQuery) aggregates() bool {
 	_, ok := nq.ops[len(nq.ops)-1].final.(*query.Aggregate)
 	return ok
-}
-
-// resolveRef resolves the reference to its target attribute and relation
-// occurrence.  An unqualified reference resolves only when exactly one
-// occurrence has the attribute, so that occurrence is the one over the
-// attribute's relation.
-func (nq *normalizedQuery) resolveRef(ref query.AttrRef) (opRef, error) {
-	target, err := nq.q.ResolveRef(ref)
-	if err != nil {
-		return opRef{}, err
-	}
-	if ref.Alias != "" {
-		return opRef{alias: ref.Alias, target: target}, nil
-	}
-	rels := nq.q.Aliases()
-	for _, alias := range nq.aliases {
-		if rels[alias] == target.Relation {
-			return opRef{alias: alias, target: target}, nil
-		}
-	}
-	return opRef{}, fmt.Errorf("o-sharing: no relation occurrence for %s", target)
 }
 
 func subtreeAliases(n query.Node) []string {
@@ -758,28 +713,26 @@ func (os *osharer) executable(u *eUnit, op *targetOp) bool {
 // how the operator reformulates in the e-unit: the attributes the operator
 // references plus, for relation occurrences it must materialize, every query
 // attribute of those occurrences.
-func (os *osharer) partitionAttrs(u *eUnit, op *targetOp) ([]schema.Attribute, error) {
+func (os *osharer) partitionAttrs(u *eUnit, op *targetOp) []schema.Attribute {
 	var attrs []schema.Attribute
+	add := func(a schema.Attribute) {
+		if !slices.Contains(attrs, a) {
+			attrs = append(attrs, a)
+		}
+	}
 	addAlias := func(alias string) {
 		frag := u.fragmentOf(alias)
 		if frag != nil && frag.materialized() {
 			return // already materialized; its shape is fixed
 		}
-		attrs = append(attrs, os.nq.aliasAttrs[alias]...)
+		for _, a := range os.nq.res.AliasAttributes(alias) {
+			add(a)
+		}
+	}
+	for _, ref := range op.refs {
+		add(ref.Target)
 	}
 	switch op.kind {
-	case opSelect:
-		a, err := os.nq.q.NodeAttributes(op.sel)
-		if err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, a...)
-	case opJoinSelect:
-		a, err := os.nq.q.NodeAttributes(op.jsel)
-		if err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, a...)
 	case opProduct:
 		for _, alias := range op.leftAliases {
 			addAlias(alias)
@@ -788,27 +741,11 @@ func (os *osharer) partitionAttrs(u *eUnit, op *targetOp) ([]schema.Attribute, e
 			addAlias(alias)
 		}
 	case opFinal:
-		if op.final != nil {
-			a, err := os.nq.q.NodeAttributes(op.final)
-			if err != nil {
-				return nil, err
-			}
-			attrs = append(attrs, a...)
-		}
 		for _, alias := range os.nq.aliases {
 			addAlias(alias)
 		}
 	}
-	// De-duplicate while preserving order.
-	seen := make(map[schema.Attribute]bool, len(attrs))
-	out := attrs[:0]
-	for _, a := range attrs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out, nil
+	return attrs
 }
 
 // chooseNext implements the next() function of Algorithm 2 with the strategy
@@ -826,11 +763,7 @@ func (os *osharer) chooseNext(u *eUnit, seed int64) (*targetOp, []*Partition, er
 		if !os.executable(u, op) {
 			continue
 		}
-		attrs, err := os.partitionAttrs(u, op)
-		if err != nil {
-			return nil, nil, err
-		}
-		cands = append(cands, candidate{op: op, parts: PartitionByAttributes(attrs, u.maps)})
+		cands = append(cands, candidate{op: op, parts: PartitionByAttributes(os.partitionAttrs(u, op), u.maps)})
 	}
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("o-sharing: no executable operator in e-unit")
@@ -900,12 +833,12 @@ func (os *osharer) liveColumns(u *eUnit, running *targetOp) liveSet {
 		}
 		for _, ref := range op.refs {
 			for _, m := range u.maps {
-				src, ok := m.SourceFor(ref.target)
-				if !ok || seen[sourceCol{ref.alias, src}] {
+				src, ok := m.SourceFor(ref.Target)
+				if !ok || seen[sourceCol{ref.Alias, src}] {
 					continue
 				}
-				seen[sourceCol{ref.alias, src}] = true
-				live.cols[columnName(ref.alias, src)] = true
+				seen[sourceCol{ref.Alias, src}] = true
+				live.cols[columnName(ref.Alias, src)] = true
 			}
 		}
 	}
@@ -993,14 +926,14 @@ func (os *osharer) materializeAlias(b *stepBinder, frag *fragment, alias string,
 
 // sourceColumn resolves the reference to the source attribute the mapping
 // assigns it and the fragment that owns its relation occurrence.
-func (os *osharer) sourceColumn(u *eUnit, m *schema.Mapping, ref opRef) (schema.Attribute, *fragment, error) {
-	src, ok := m.SourceFor(ref.target)
+func (os *osharer) sourceColumn(u *eUnit, m *schema.Mapping, ref query.Resolved) (schema.Attribute, *fragment, error) {
+	src, ok := m.SourceFor(ref.Target)
 	if !ok {
-		return schema.Attribute{}, nil, fmt.Errorf("%w: %s under mapping %s", query.ErrNotCovered, ref.target, m.ID)
+		return schema.Attribute{}, nil, fmt.Errorf("%w: %s under mapping %s", query.ErrNotCovered, ref.Target, m.ID)
 	}
-	frag := u.fragmentOf(ref.alias)
+	frag := u.fragmentOf(ref.Alias)
 	if frag == nil {
-		return schema.Attribute{}, nil, fmt.Errorf("o-sharing: no fragment for alias %q", ref.alias)
+		return schema.Attribute{}, nil, fmt.Errorf("o-sharing: no fragment for alias %q", ref.Alias)
 	}
 	return src, frag, nil
 }
@@ -1008,15 +941,15 @@ func (os *osharer) sourceColumn(u *eUnit, m *schema.Mapping, ref opRef) (schema.
 // sourceColumnIn resolves the reference to its engine column name under the
 // mapping, making sure the owning fragment includes the needed source
 // relation, and returns the position of the factor carrying the column.
-func (os *osharer) sourceColumnIn(b *stepBinder, u *eUnit, m *schema.Mapping, ref opRef) (string, *fragment, int, error) {
+func (os *osharer) sourceColumnIn(b *stepBinder, u *eUnit, m *schema.Mapping, ref query.Resolved) (string, *fragment, int, error) {
 	src, frag, err := os.sourceColumn(u, m, ref)
 	if err != nil {
 		return "", nil, 0, err
 	}
-	if err := os.ensureIncluded(b, frag, ref.alias, src.Relation); err != nil {
+	if err := os.ensureIncluded(b, frag, ref.Alias, src.Relation); err != nil {
 		return "", nil, 0, err
 	}
-	col := columnName(ref.alias, src)
+	col := columnName(ref.Alias, src)
 	i := frag.factorOf(col)
 	if i < 0 {
 		return "", nil, 0, fmt.Errorf("o-sharing: no factor carries %s", col)
@@ -1102,9 +1035,9 @@ func (os *osharer) bind(b *stepBinder, child *eUnit, op *targetOp, m *schema.Map
 		if err != nil {
 			return err
 		}
-		col := columnName(ref.alias, src)
+		col := columnName(ref.Alias, src)
 		pred := &engine.ConstPredicate{Column: col, Op: op.sel.Op, Value: op.sel.Value}
-		if frag.included[ref.alias][src.Relation] {
+		if frag.included[ref.Alias][src.Relation] {
 			// The column lies in one factor: filter that factor alone.  An
 			// untouched one still shares the base rows, so the shared index
 			// serves it.
@@ -1122,7 +1055,7 @@ func (os *osharer) bind(b *stepBinder, child *eUnit, op *targetOp, m *schema.Map
 		// The fragment does not hold the relation yet: filter the base scan —
 		// from the shared index when it serves the predicate — and bring in
 		// only what survives, as a new factor.
-		scanned, err := os.scan(b, ref.alias, src.Relation)
+		scanned, err := os.scan(b, ref.Alias, src.Relation)
 		if err != nil {
 			return err
 		}
@@ -1130,7 +1063,7 @@ func (os *osharer) bind(b *stepBinder, child *eUnit, op *targetOp, m *schema.Map
 		if err != nil {
 			return err
 		}
-		os.attach(b, frag, ref.alias, src.Relation, filtered)
+		os.attach(b, frag, ref.Alias, src.Relation, filtered)
 		return nil
 
 	case opJoinSelect:

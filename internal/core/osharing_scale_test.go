@@ -288,7 +288,10 @@ func TestUTraceReadsNoData(t *testing.T) {
 	}
 	ec := exec.Sequential()
 	for id := 1; id <= 5; id++ {
-		q := datagen.MustWorkloadQuery(id)
+		q, err := datagen.MustWorkloadQuery(id).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, st := range []Strategy{StrategySEF, StrategySNF, StrategyRandom} {
 			label := fmt.Sprintf("Q%d/%s", id, st)
 			full, err := planTrace(ec, MethodOSharing, q, ds.Mappings(), ds.DB, st, 7)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/probdb/urm/internal/query"
@@ -121,17 +120,10 @@ func (t *PartitionTree) Depth() int { return len(t.attrs) }
 // PartitionMappings partitions a mapping set with respect to a target query:
 // mappings in the same partition produce the same source query for that query
 // (the partition routine of Algorithm 1/3).  Partitions are returned in
-// first-seen order of their representative mapping.
-func PartitionMappings(q *query.Query, maps schema.MappingSet) ([]*Partition, error) {
-	attrs, err := q.TargetAttributes()
-	if err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	tree := NewPartitionTree(attrs)
-	for _, m := range maps {
-		tree.Insert(m)
-	}
-	return tree.Partitions(), nil
+// first-seen order of their representative mapping.  The tree has one level
+// per target attribute the resolved query references.
+func PartitionMappings(res *query.Resolution, maps schema.MappingSet) []*Partition {
+	return PartitionByAttributes(res.Attributes(), maps)
 }
 
 // PartitionByAttributes partitions the mapping set by the source attributes

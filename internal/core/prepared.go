@@ -35,7 +35,8 @@ import (
 type Prepared struct {
 	db   *engine.Instance
 	maps schema.MappingSet
-	q    *query.Query
+	// res is the query with every reference resolved, once, by Prepare.
+	res *query.Resolution
 
 	// mu guards the lazily built front halves.
 	mu     sync.Mutex
@@ -56,17 +57,22 @@ type frontKey struct {
 }
 
 // Prepare binds the query to the evaluator's instance and mapping set and
-// returns its prepared form.  Validation happens here; the front halves are
-// built on first execution with each method (and strategy).
+// returns its prepared form.  Validation happens here, and resolves every
+// attribute reference of the query once for every front half to read; the
+// front halves are built on first execution with each method (and strategy).
 func (e *Evaluator) Prepare(q *query.Query) (*Prepared, error) {
-	if err := validateInputs(q, e.Maps, e.DB); err != nil {
+	res, err := validateInputs(q, e.Maps, e.DB)
+	if err != nil {
 		return nil, err
 	}
-	return &Prepared{db: e.DB, maps: e.Maps, q: q, fronts: make(map[frontKey]*ScatterPlan)}, nil
+	return &Prepared{db: e.DB, maps: e.Maps, res: res, fronts: make(map[frontKey]*ScatterPlan)}, nil
 }
 
 // Query returns the prepared target query.
-func (p *Prepared) Query() *query.Query { return p.q }
+func (p *Prepared) Query() *query.Query { return p.res.Query }
+
+// Resolution returns the prepared query's resolved references.
+func (p *Prepared) Resolution() *query.Resolution { return p.res }
 
 // FrontHalf returns the memoized front half an execution under the options
 // runs — the method's group list, or o-sharing's u-trace for the strategy
@@ -135,7 +141,7 @@ func (p *Prepared) build(ec *exec.Context, key frontKey) (sp *ScatterPlan, _ tim
 	start := time.Now()
 	switch key.method {
 	case MethodBasic:
-		sp, err = mappingGroups(ec, key.method, p.q, p.maps)
+		sp, err = mappingGroups(ec, key.method, p.res, p.maps)
 	case MethodEBasic:
 		if sp, _, err = p.build(ec, frontKey{method: MethodBasic}); err == nil {
 			sp = clusterGroups(sp)
@@ -145,9 +151,9 @@ func (p *Prepared) build(ec *exec.Context, key frontKey) (sp *ScatterPlan, _ tim
 			sp, err = globalGroups(sp)
 		}
 	case MethodQSharing:
-		sp, err = representativeGroups(ec, p.q, p.maps)
+		sp, err = representativeGroups(ec, p.res, p.maps)
 	case MethodOSharing:
-		sp, err = planTrace(ec, key.method, p.q, p.maps, p.db, key.strategy, key.seed)
+		sp, err = planTrace(ec, key.method, p.res, p.maps, p.db, key.strategy, key.seed)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -174,6 +180,11 @@ func (p *Prepared) ExecuteContext(ctx context.Context, opts Options) (*Result, e
 		return nil, err
 	}
 	finalize(sink, res)
+	// An evaluation that ends past its deadline fails rather than answering
+	// late, whether or not the deadline's timer has fired (exec.Expired).
+	if err := exec.Expired(ctx); err != nil {
+		return nil, err
+	}
 	res.TotalTime = time.Since(start)
 	return res, nil
 }
@@ -194,6 +205,9 @@ func (p *Prepared) StreamContext(ctx context.Context, opts Options) (*Cursor, er
 	}
 	aggStart := time.Now()
 	entries, emptyProb := sink.sorted()
+	if err := exec.Expired(ctx); err != nil {
+		return nil, err
+	}
 	res.EmptyProb = emptyProb
 	res.AggregateTime += time.Since(aggStart)
 	res.TotalTime = time.Since(start)
@@ -235,7 +249,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, answerSink, 
 	if err != nil {
 		return nil, nil, err
 	}
-	res := sp.newResult(p.q, rewrite, opts.TopK, []*ShardRun{run})
+	res := sp.newResult(p.res.Query, rewrite, opts.TopK, []*ShardRun{run})
 	res.AggregateTime = aggTime
 	return res, sink, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/probdb/urm/internal/exec"
@@ -16,12 +15,9 @@ import (
 // partition's total probability — is reformulated.  Compared with e-basic,
 // q-sharing never rewrites one source query per mapping; what it then executes
 // is basic over the representatives.
-func representativeGroups(ec *exec.Context, q *query.Query, maps schema.MappingSet) (*ScatterPlan, error) {
-	parts, err := PartitionMappings(q, maps)
-	if err != nil {
-		return nil, fmt.Errorf("q-sharing: %w", err)
-	}
-	sp, err := mappingGroups(ec, MethodQSharing, q, Represent(parts))
+func representativeGroups(ec *exec.Context, res *query.Resolution, maps schema.MappingSet) (*ScatterPlan, error) {
+	parts := PartitionMappings(res, maps)
+	sp, err := mappingGroups(ec, MethodQSharing, res, Represent(parts))
 	if err != nil {
 		return nil, err
 	}

@@ -172,6 +172,37 @@ func TestEvaluateContextDeadline(t *testing.T) {
 	}
 }
 
+// lateTimer is a context whose deadline has passed but whose timer has not
+// fired: Done stays open and Err nil, as for a real deadline while every
+// processor is busy evaluating.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestLateDeadlineTimerFails: an evaluation whose deadline passed before it
+// finished fails with context.DeadlineExceeded even if the deadline's timer
+// never fired, through both the materializing and the streaming entry point,
+// and the same evaluation under a live context answers.
+func TestLateDeadlineTimerFails(t *testing.T) {
+	prep, err := NewEvaluator(paperInstance(), paperMappings()).Prepare(mustParse(t, "q", "SELECT phone FROM Person WHERE addr = 'aaa'"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := lateTimer{context.Background()}
+	for _, m := range []Method{MethodEBasic, MethodOSharing} {
+		opts := Options{Method: m}
+		if _, err := prep.ExecuteContext(late, opts); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: ExecuteContext err = %v, want context.DeadlineExceeded", m, err)
+		}
+		if _, err := prep.StreamContext(late, opts); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: StreamContext err = %v, want context.DeadlineExceeded", m, err)
+		}
+		if _, err := prep.ExecuteContext(context.Background(), opts); err != nil {
+			t.Errorf("%s: %v", m, err)
+		}
+	}
+}
+
 // TestEvaluatorNilAndDefaults keeps the non-context entry points working: the
 // zero Options value must pick GOMAXPROCS workers and still verify against the
 // sequential run.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"slices"
 
 	"github.com/probdb/urm/internal/engine"
 )
@@ -21,7 +22,8 @@ const MethodTopK Method = 100
 // bound, and its upper bound is that plus ub, since everything it can still
 // gain lies in the unvisited mass.  Only the k+1 highest lower bounds matter
 // to decide, so top keeps them and nothing is sorted before the end; keys are
-// built once, by the aggregator's sorted.
+// built once, at the end, for the k winners and the entries tied with the
+// k-th.
 //
 // It is the second answerSink beside the aggregator: an unsharded walk feeds
 // it, and so does ScatterPlan.Merge from shards' runs, whose leaves hold the
@@ -123,10 +125,33 @@ func (s *topkBounds) rank() {
 }
 
 // sorted returns the k candidates with the highest lower bounds, in canonical
-// order, and the empty answer's mass.
+// order, and the empty answer's mass: the aggregator's first k answers,
+// without keying and sorting every candidate.  top holds the k+1 highest
+// lower bounds and lb the k-th of them, so every entry above lb is in top;
+// the rest of the k are entries tied at lb, which top may hold only some of,
+// taken in key order.
 func (s *topkBounds) sorted() ([]*aggEntry, float64) {
-	out, emptyProb := s.aggregator.sorted()
-	return out[:min(s.k, len(out))], emptyProb
+	if len(s.order) <= s.k {
+		return s.aggregator.sorted()
+	}
+	out := make([]*aggEntry, 0, s.k)
+	for _, e := range s.top {
+		if e.prob > s.lb {
+			out = append(out, e)
+		}
+	}
+	above := len(out)
+	for _, e := range s.order {
+		if e.prob == s.lb {
+			out = append(out, e)
+		}
+	}
+	for _, e := range out {
+		e.key = e.tuple.Key()
+	}
+	slices.SortFunc(out[:above], compareEntries)
+	slices.SortFunc(out[above:], compareEntries)
+	return out[:s.k], s.emptyProb
 }
 
 // entryHeap is a min-heap of entries by probability, for container/heap.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -74,6 +75,33 @@ func fuzzLeaves(data []byte) []fuzzLeaf {
 		leaves[i].mass = float64(weights[i]) / float64(total)
 	}
 	return leaves
+}
+
+// TestTopKAnswersAreTheAggregatorsFirstK holds the sink's answers to the first
+// k of its aggregator's canonical order — the same entries in the same order,
+// which is what the sink returned when it keyed and sorted every candidate —
+// over random leaves whose masses and rows tie often, so the k-th lower bound
+// is shared by more entries than the heap of k+1 holds.
+func TestTopKAnswersAreTheAggregatorsFirstK(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 64)
+	for trial := 0; trial < 3000; trial++ {
+		rng.Read(data)
+		k := 1 + trial%8
+		sink := newTopkBounds(k, 0)
+		for i, l := range fuzzLeaves(data) {
+			if sink.take(i, l.mass, l.rows) {
+				break
+			}
+		}
+		got, gotEmpty := sink.sorted()
+		all, wantEmpty := sink.aggregator.sorted()
+		want := all[:min(k, len(all))]
+		if !slices.Equal(got, want) || gotEmpty != wantEmpty {
+			t.Fatalf("trial %d, k=%d: answers %v (empty %g), the aggregator's first k %v (empty %g)",
+				trial, k, answersOf(got), gotEmpty, answersOf(want), wantEmpty)
+		}
+	}
 }
 
 // encodeLeaves is fuzzLeaves' inverse for the seed corpus: k, then per leaf

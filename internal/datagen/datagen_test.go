@@ -269,10 +269,11 @@ func TestMappingCoverageOfWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := MustWorkloadQuery(id)
-		attrs, err := q.TargetAttributes()
+		res, err := q.Resolve()
 		if err != nil {
 			t.Fatalf("Q%d: %v", id, err)
 		}
+		attrs := res.Attributes()
 		covered := 0
 		for _, m := range ds.Mappings() {
 			if m.Covers(attrs) {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -488,6 +490,81 @@ func TestPlanSignatures(t *testing.T) {
 	if len(mat.Children()) != 0 || len(nested.Children()) != 1 {
 		t.Error("Children() arity wrong")
 	}
+}
+
+// fmtSignature renders a plan the way every Signature did before the
+// one-builder writer, with nested fmt.Sprintf calls: the reference the
+// writer's strings must equal byte for byte, because e-basic's clusters and
+// e-MQO's shared subexpressions are keyed by them.
+func fmtSignature(p Plan) string {
+	switch n := p.(type) {
+	case *ScanPlan:
+		if n.Alias != "" && n.Alias != n.Relation {
+			return fmt.Sprintf("scan(%s as %s)", n.Relation, n.Alias)
+		}
+		return fmt.Sprintf("scan(%s)", n.Relation)
+	case *MaterialPlan:
+		return fmt.Sprintf("mat(%s)", n.Label)
+	case *SelectPlan:
+		return fmt.Sprintf("select[%s](%s)", fmtPredicate(n.Pred), fmtSignature(n.Child))
+	case *ProjectPlan:
+		return fmt.Sprintf("project[%s](%s)", strings.Join(n.Columns, ","), fmtSignature(n.Child))
+	case *ProductPlan:
+		return fmt.Sprintf("product(%s,%s)", fmtSignature(n.Left), fmtSignature(n.Right))
+	case *JoinPlan:
+		return fmt.Sprintf("join[%s=%s](%s,%s)", n.LeftCol, n.RightCol, fmtSignature(n.Left), fmtSignature(n.Right))
+	case *AggregatePlan:
+		return fmt.Sprintf("agg[%s(%s)](%s)", n.Func, n.Column, fmtSignature(n.Child))
+	case *DistinctPlan:
+		return fmt.Sprintf("distinct(%s)", fmtSignature(n.Child))
+	}
+	panic(fmt.Sprintf("unknown plan %T", p))
+}
+
+func fmtPredicate(p Predicate) string {
+	switch n := p.(type) {
+	case *ConstPredicate:
+		return fmt.Sprintf("%s%s%s", n.Column, n.Op, n.Value)
+	case *ColPredicate:
+		return fmt.Sprintf("%s%s%s", n.Left, n.Op, n.Right)
+	case *AndPredicate:
+		parts := make([]string, len(n.Children))
+		for i, c := range n.Children {
+			parts[i] = fmtPredicate(c)
+		}
+		return "(" + strings.Join(parts, " AND ") + ")"
+	}
+	panic(fmt.Sprintf("unknown predicate %T", p))
+}
+
+// TestSignatureWriterMatchesFormat holds every node's signature, and every
+// predicate's String, to fmtSignature over random optimized plans and the
+// node types they do not produce.
+func TestSignatureWriterMatchesFormat(t *testing.T) {
+	var check func(p Plan)
+	check = func(p Plan) {
+		t.Helper()
+		if got, want := p.Signature(), fmtSignature(p); got != want {
+			t.Fatalf("signature\n%s\nwant\n%s", got, want)
+		}
+		if sp, ok := p.(*SelectPlan); ok && sp.Pred.String() != fmtPredicate(sp.Pred) {
+			t.Fatalf("predicate %s, want %s", sp.Pred.String(), fmtPredicate(sp.Pred))
+		}
+		for _, c := range p.Children() {
+			check(c)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		p := randPlan(rng)
+		check(p)
+		check(Optimize(p))
+	}
+	and := &AndPredicate{Children: []Predicate{Eq("R.a", F(2.5)), ColEq("R.a", "R.b"), &ConstPredicate{Column: "R.c", Op: OpGe, Value: Null()}}}
+	check(&AggregatePlan{Func: AggSum, Column: "R.a", Child: &SelectPlan{Pred: and, Child: &ProductPlan{
+		Left:  &ScanPlan{Relation: "R", Alias: "R"},
+		Right: &MaterialPlan{Label: "m1"},
+	}}})
 }
 
 func TestStats(t *testing.T) {

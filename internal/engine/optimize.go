@@ -77,23 +77,37 @@ func pushDownCol(child Plan, cp *ColPredicate) Plan {
 	return nil
 }
 
+// optimizeChildren optimizes the node's children, copying the node only when
+// one of them changed, so a subtree already in optimized form is kept as it
+// is rather than rebuilt each time a rewrite above re-optimizes it.
 func optimizeChildren(p Plan) Plan {
 	switch n := p.(type) {
 	case *SelectPlan:
-		return &SelectPlan{Pred: n.Pred, Child: Optimize(n.Child)}
+		if c := Optimize(n.Child); c != n.Child {
+			return &SelectPlan{Pred: n.Pred, Child: c}
+		}
 	case *ProjectPlan:
-		return &ProjectPlan{Columns: n.Columns, Child: Optimize(n.Child)}
+		if c := Optimize(n.Child); c != n.Child {
+			return &ProjectPlan{Columns: n.Columns, Child: c}
+		}
 	case *ProductPlan:
-		return &ProductPlan{Left: Optimize(n.Left), Right: Optimize(n.Right)}
+		if l, r := Optimize(n.Left), Optimize(n.Right); l != n.Left || r != n.Right {
+			return &ProductPlan{Left: l, Right: r}
+		}
 	case *JoinPlan:
-		return &JoinPlan{LeftCol: n.LeftCol, RightCol: n.RightCol, Left: Optimize(n.Left), Right: Optimize(n.Right)}
+		if l, r := Optimize(n.Left), Optimize(n.Right); l != n.Left || r != n.Right {
+			return &JoinPlan{LeftCol: n.LeftCol, RightCol: n.RightCol, Left: l, Right: r}
+		}
 	case *AggregatePlan:
-		return &AggregatePlan{Func: n.Func, Column: n.Column, Child: Optimize(n.Child)}
+		if c := Optimize(n.Child); c != n.Child {
+			return &AggregatePlan{Func: n.Func, Column: n.Column, Child: c}
+		}
 	case *DistinctPlan:
-		return &DistinctPlan{Child: Optimize(n.Child)}
-	default:
-		return p
+		if c := Optimize(n.Child); c != n.Child {
+			return &DistinctPlan{Child: c}
+		}
 	}
+	return p
 }
 
 // tryJoin converts σ[left=right](A × B) into a hash join when A provides one
@@ -178,7 +192,7 @@ func providesColumn(p Plan, column string) bool {
 		if alias == "" {
 			alias = n.Relation
 		}
-		return strings.HasPrefix(column, alias+".")
+		return len(column) > len(alias) && column[len(alias)] == '.' && strings.HasPrefix(column, alias)
 	case *MaterialPlan:
 		return n.Rel != nil && n.Rel.ColumnIndex(column) >= 0
 	case *SelectPlan:

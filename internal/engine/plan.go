@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"strings"
 )
 
@@ -27,12 +26,7 @@ type ScanPlan struct {
 }
 
 // Signature implements Plan.
-func (p *ScanPlan) Signature() string {
-	if p.Alias != "" && p.Alias != p.Relation {
-		return fmt.Sprintf("scan(%s as %s)", p.Relation, p.Alias)
-	}
-	return fmt.Sprintf("scan(%s)", p.Relation)
-}
+func (p *ScanPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *ScanPlan) Children() []Plan { return nil }
@@ -47,7 +41,7 @@ type MaterialPlan struct {
 }
 
 // Signature implements Plan.
-func (p *MaterialPlan) Signature() string { return fmt.Sprintf("mat(%s)", p.Label) }
+func (p *MaterialPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *MaterialPlan) Children() []Plan { return nil }
@@ -59,9 +53,7 @@ type SelectPlan struct {
 }
 
 // Signature implements Plan.
-func (p *SelectPlan) Signature() string {
-	return fmt.Sprintf("select[%s](%s)", p.Pred.String(), p.Child.Signature())
-}
+func (p *SelectPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *SelectPlan) Children() []Plan { return []Plan{p.Child} }
@@ -73,9 +65,7 @@ type ProjectPlan struct {
 }
 
 // Signature implements Plan.
-func (p *ProjectPlan) Signature() string {
-	return fmt.Sprintf("project[%s](%s)", strings.Join(p.Columns, ","), p.Child.Signature())
-}
+func (p *ProjectPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *ProjectPlan) Children() []Plan { return []Plan{p.Child} }
@@ -86,9 +76,7 @@ type ProductPlan struct {
 }
 
 // Signature implements Plan.
-func (p *ProductPlan) Signature() string {
-	return fmt.Sprintf("product(%s,%s)", p.Left.Signature(), p.Right.Signature())
-}
+func (p *ProductPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *ProductPlan) Children() []Plan { return []Plan{p.Left, p.Right} }
@@ -100,9 +88,7 @@ type JoinPlan struct {
 }
 
 // Signature implements Plan.
-func (p *JoinPlan) Signature() string {
-	return fmt.Sprintf("join[%s=%s](%s,%s)", p.LeftCol, p.RightCol, p.Left.Signature(), p.Right.Signature())
-}
+func (p *JoinPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *JoinPlan) Children() []Plan { return []Plan{p.Left, p.Right} }
@@ -115,9 +101,7 @@ type AggregatePlan struct {
 }
 
 // Signature implements Plan.
-func (p *AggregatePlan) Signature() string {
-	return fmt.Sprintf("agg[%s(%s)](%s)", p.Func, p.Column, p.Child.Signature())
-}
+func (p *AggregatePlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *AggregatePlan) Children() []Plan { return []Plan{p.Child} }
@@ -128,12 +112,85 @@ type DistinctPlan struct {
 }
 
 // Signature implements Plan.
-func (p *DistinctPlan) Signature() string {
-	return fmt.Sprintf("distinct(%s)", p.Child.Signature())
-}
+func (p *DistinctPlan) Signature() string { return signature(p) }
 
 // Children implements Plan.
 func (p *DistinctPlan) Children() []Plan { return []Plan{p.Child} }
+
+// signature renders the plan tree into one builder:
+//
+//	scan(R) | scan(R as A) | mat(label) | select[pred](child)
+//	project[c1,c2](child) | product(left,right) | join[l=r](left,right)
+//	agg[FUNC(col)](child) | distinct(child)
+func signature(p Plan) string {
+	var b strings.Builder
+	writeSignature(&b, p)
+	return b.String()
+}
+
+func writeSignature(b *strings.Builder, p Plan) {
+	switch n := p.(type) {
+	case *ScanPlan:
+		b.WriteString("scan(")
+		b.WriteString(n.Relation)
+		if n.Alias != "" && n.Alias != n.Relation {
+			b.WriteString(" as ")
+			b.WriteString(n.Alias)
+		}
+		b.WriteByte(')')
+	case *MaterialPlan:
+		b.WriteString("mat(")
+		b.WriteString(n.Label)
+		b.WriteByte(')')
+	case *SelectPlan:
+		b.WriteString("select[")
+		writePredicate(b, n.Pred)
+		b.WriteString("](")
+		writeSignature(b, n.Child)
+		b.WriteByte(')')
+	case *ProjectPlan:
+		b.WriteString("project[")
+		for i, c := range n.Columns {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(c)
+		}
+		b.WriteString("](")
+		writeSignature(b, n.Child)
+		b.WriteByte(')')
+	case *ProductPlan:
+		b.WriteString("product(")
+		writeSignature(b, n.Left)
+		b.WriteByte(',')
+		writeSignature(b, n.Right)
+		b.WriteByte(')')
+	case *JoinPlan:
+		b.WriteString("join[")
+		b.WriteString(n.LeftCol)
+		b.WriteByte('=')
+		b.WriteString(n.RightCol)
+		b.WriteString("](")
+		writeSignature(b, n.Left)
+		b.WriteByte(',')
+		writeSignature(b, n.Right)
+		b.WriteByte(')')
+	case *AggregatePlan:
+		b.WriteString("agg[")
+		b.WriteString(n.Func.String())
+		b.WriteByte('(')
+		b.WriteString(n.Column)
+		b.WriteString(")](")
+		writeSignature(b, n.Child)
+		b.WriteByte(')')
+	case *DistinctPlan:
+		b.WriteString("distinct(")
+		writeSignature(b, n.Child)
+		b.WriteByte(')')
+	default:
+		b.WriteString(p.Signature())
+	}
+}
 
 // CountOperators returns the number of operator nodes in the plan tree,
 // excluding leaves (scans and materialized inputs), which matches the paper's

@@ -94,9 +94,7 @@ func (p *ConstPredicate) Eval(rel *Relation, row Tuple) (bool, error) {
 }
 
 // String implements Predicate.
-func (p *ConstPredicate) String() string {
-	return fmt.Sprintf("%s%s%s", p.Column, p.Op, p.Value)
-}
+func (p *ConstPredicate) String() string { return predicateString(p) }
 
 // ColPredicate compares two columns of the same (possibly joined) relation.
 type ColPredicate struct {
@@ -119,9 +117,7 @@ func (p *ColPredicate) Eval(rel *Relation, row Tuple) (bool, error) {
 }
 
 // String implements Predicate.
-func (p *ColPredicate) String() string {
-	return fmt.Sprintf("%s%s%s", p.Left, p.Op, p.Right)
-}
+func (p *ColPredicate) String() string { return predicateString(p) }
 
 // AndPredicate is the conjunction of its children.
 type AndPredicate struct {
@@ -143,12 +139,36 @@ func (p *AndPredicate) Eval(rel *Relation, row Tuple) (bool, error) {
 }
 
 // String implements Predicate.
-func (p *AndPredicate) String() string {
-	parts := make([]string, len(p.Children))
-	for i, c := range p.Children {
-		parts[i] = c.String()
+func (p *AndPredicate) String() string { return predicateString(p) }
+
+// predicateString renders a predicate: col<op>value, left<op>right, or
+// (p1 AND p2 ...).
+func predicateString(p Predicate) string {
+	var b strings.Builder
+	writePredicate(&b, p)
+	return b.String()
+}
+
+func writePredicate(b *strings.Builder, p Predicate) {
+	switch n := p.(type) {
+	case *ConstPredicate:
+		b.WriteString(n.Column)
+		b.WriteString(n.Op.String())
+		b.WriteString(n.Value.String())
+	case *ColPredicate:
+		b.WriteString(n.Left)
+		b.WriteString(n.Op.String())
+		b.WriteString(n.Right)
+	case *AndPredicate:
+		b.WriteByte('(')
+		for i, c := range n.Children {
+			if i > 0 {
+				b.WriteString(" AND ")
+			}
+			writePredicate(b, c)
+		}
+		b.WriteByte(')')
 	}
-	return "(" + strings.Join(parts, " AND ") + ")"
 }
 
 // Eq is shorthand for a column = constant predicate.

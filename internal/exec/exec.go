@@ -17,6 +17,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // Context carries the cross-cutting state of one evaluation run: the caller's
@@ -62,6 +63,27 @@ func (c *Context) Parallelism() int {
 
 // Err returns the underlying context's error, if any.
 func (c *Context) Err() error { return c.Ctx().Err() }
+
+// Expired returns ctx's error, or context.DeadlineExceeded once ctx's
+// deadline has passed.  A context learns that its deadline passed from a
+// runtime timer, and the timer fires late while every processor is busy
+// running evaluation loops — by up to the scheduler's preemption tick, about
+// 10 ms — so a run that asked ctx.Err() alone could finish well past its
+// deadline without noticing.  Reading the clock costs tens of nanoseconds, too
+// much for the checks inside a run's loops, so an evaluation asks Expired
+// once, when its answers are final: one that outlived its deadline then fails
+// instead of answering.
+func Expired(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
 
 // WithParallelism returns a context sharing c's context.Context but with the
 // given worker bound (values <= 0 select GOMAXPROCS, as in NewContext).

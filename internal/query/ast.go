@@ -12,7 +12,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/probdb/urm/internal/engine"
@@ -236,83 +235,6 @@ func walk(n Node, fn func(Node)) {
 	}
 }
 
-// ResolveRef resolves an attribute reference to the base target attribute it
-// denotes, using the query's aliases.  Unqualified references resolve if
-// exactly one relation occurrence has the attribute.
-func (q *Query) ResolveRef(r AttrRef) (schema.Attribute, error) {
-	aliases := q.Aliases()
-	if r.Alias != "" {
-		rel, ok := aliases[r.Alias]
-		if !ok {
-			return schema.Attribute{}, fmt.Errorf("query %s: unknown alias %q in reference %s", q.Name, r.Alias, r)
-		}
-		attr := schema.Attribute{Relation: rel, Name: r.Name}
-		if q.Target != nil && !q.Target.HasAttribute(attr) {
-			return schema.Attribute{}, fmt.Errorf("query %s: attribute %s not in target schema", q.Name, attr)
-		}
-		return attr, nil
-	}
-	var found schema.Attribute
-	matches := 0
-	// Deterministic iteration over aliases.
-	names := make([]string, 0, len(aliases))
-	for a := range aliases {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	for _, a := range names {
-		rel := aliases[a]
-		attr := schema.Attribute{Relation: rel, Name: r.Name}
-		if q.Target == nil || q.Target.HasAttribute(attr) {
-			found = attr
-			matches++
-		}
-	}
-	switch matches {
-	case 1:
-		return found, nil
-	case 0:
-		return schema.Attribute{}, fmt.Errorf("query %s: attribute %q not found in any relation occurrence", q.Name, r.Name)
-	default:
-		return schema.Attribute{}, fmt.Errorf("query %s: attribute %q is ambiguous across relation occurrences", q.Name, r.Name)
-	}
-}
-
-// qualifyRef returns the reference with its alias filled in (resolving
-// unqualified references against the query's aliases).
-func (q *Query) qualifyRef(r AttrRef) (AttrRef, error) {
-	if r.Alias != "" {
-		if _, err := q.ResolveRef(r); err != nil {
-			return AttrRef{}, err
-		}
-		return r, nil
-	}
-	aliases := q.Aliases()
-	names := make([]string, 0, len(aliases))
-	for a := range aliases {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	var out AttrRef
-	matches := 0
-	for _, a := range names {
-		rel := aliases[a]
-		attr := schema.Attribute{Relation: rel, Name: r.Name}
-		if q.Target == nil || q.Target.HasAttribute(attr) {
-			out = AttrRef{Alias: a, Name: r.Name}
-			matches++
-		}
-	}
-	switch matches {
-	case 1:
-		return out, nil
-	case 0:
-		return AttrRef{}, fmt.Errorf("query %s: attribute %q not found", q.Name, r.Name)
-	default:
-		return AttrRef{}, fmt.Errorf("query %s: attribute %q is ambiguous", q.Name, r.Name)
-	}
-}
-
 // NodeRefs returns the attribute references used directly by a single operator
 // node (not including its subtree).
 func NodeRefs(n Node) []AttrRef {
@@ -333,120 +255,6 @@ func NodeRefs(n Node) []AttrRef {
 	default:
 		return nil
 	}
-}
-
-// NodeAttributes resolves the target attributes referenced directly by the
-// operator, de-duplicated, in reference order.
-func (q *Query) NodeAttributes(n Node) ([]schema.Attribute, error) {
-	refs := NodeRefs(n)
-	var out []schema.Attribute
-	seen := make(map[schema.Attribute]bool)
-	for _, r := range refs {
-		attr, err := q.ResolveRef(r)
-		if err != nil {
-			return nil, err
-		}
-		if !seen[attr] {
-			seen[attr] = true
-			out = append(out, attr)
-		}
-	}
-	return out, nil
-}
-
-// TargetAttributes returns the distinct base target attributes referenced
-// anywhere in the query, in first-use (pre-order) order.  The partition tree
-// of q-sharing has one level per element of this list.
-func (q *Query) TargetAttributes() ([]schema.Attribute, error) {
-	var out []schema.Attribute
-	seen := make(map[schema.Attribute]bool)
-	var firstErr error
-	walk(q.Root, func(n Node) {
-		if firstErr != nil {
-			return
-		}
-		attrs, err := q.NodeAttributes(n)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		for _, a := range attrs {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	})
-	return out, firstErr
-}
-
-// AttributesForAlias returns the distinct attribute names referenced anywhere
-// in the query for the given relation occurrence (alias).
-func (q *Query) AttributesForAlias(alias string) ([]string, error) {
-	aliases := q.Aliases()
-	rel, ok := aliases[alias]
-	if !ok {
-		return nil, fmt.Errorf("query %s: unknown alias %q", q.Name, alias)
-	}
-	var out []string
-	seen := make(map[string]bool)
-	var firstErr error
-	walk(q.Root, func(n Node) {
-		if firstErr != nil {
-			return
-		}
-		for _, r := range NodeRefs(n) {
-			qr, err := q.qualifyRef(r)
-			if err != nil {
-				firstErr = err
-				return
-			}
-			if qr.Alias != alias {
-				continue
-			}
-			if !seen[qr.Name] {
-				seen[qr.Name] = true
-				out = append(out, qr.Name)
-			}
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	_ = rel
-	return out, nil
-}
-
-// Validate checks that every alias is unique, every reference resolves and
-// every referenced attribute exists in the target schema.
-func (q *Query) Validate() error {
-	if q.Root == nil {
-		return fmt.Errorf("query %s: nil root", q.Name)
-	}
-	if q.Target == nil {
-		return fmt.Errorf("query %s: nil target schema", q.Name)
-	}
-	seen := make(map[string]bool)
-	for _, s := range q.Scans() {
-		if q.Target.Relation(s.Relation) == nil {
-			return fmt.Errorf("query %s: unknown target relation %q", q.Name, s.Relation)
-		}
-		a := s.AliasName()
-		if seen[a] {
-			return fmt.Errorf("query %s: duplicate alias %q", q.Name, a)
-		}
-		seen[a] = true
-	}
-	var err error
-	walk(q.Root, func(n Node) {
-		if err != nil {
-			return
-		}
-		if _, e := q.NodeAttributes(n); e != nil {
-			err = e
-		}
-	})
-	return err
 }
 
 // Clone returns a deep copy of the query tree (the target schema is shared).

@@ -182,10 +182,11 @@ func TestParseErrors(t *testing.T) {
 func TestQueryIntrospection(t *testing.T) {
 	_, tgt := paperSchemas()
 	q := MustParse("q", tgt, "SELECT pname FROM Person WHERE addr = 'abc' AND phone = '123'")
-	attrs, err := q.TargetAttributes()
+	res, err := q.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	attrs := res.Attributes()
 	if len(attrs) != 3 {
 		t.Fatalf("target attributes = %v, want 3", attrs)
 	}
@@ -193,15 +194,11 @@ func TestQueryIntrospection(t *testing.T) {
 	if attrs[0] != attr("Person", "pname") {
 		t.Errorf("first attribute = %v, want pname", attrs[0])
 	}
-	names, err := q.AttributesForAlias("Person")
-	if err != nil {
-		t.Fatal(err)
+	if names := res.AliasAttributes("Person"); len(names) != 3 {
+		t.Errorf("AliasAttributes = %v", names)
 	}
-	if len(names) != 3 {
-		t.Errorf("AttributesForAlias = %v", names)
-	}
-	if _, err := q.AttributesForAlias("nope"); err == nil {
-		t.Error("unknown alias should error")
+	if names := res.AliasAttributes("nope"); names != nil {
+		t.Errorf("AliasAttributes of an unknown alias = %v", names)
 	}
 	if _, err := q.ResolveRef(Ref("ZZ", "addr")); err == nil {
 		t.Error("unknown alias in ref should error")
@@ -228,7 +225,7 @@ func TestReformulatePaperExample(t *testing.T) {
 	// qT = π_ophone σ_oaddr='aaa' Customer when reformulated through m1
 	// (paper Section III-B example).
 	q := MustParse("q", tgt, "SELECT phone FROM Person WHERE addr = 'aaa'")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 
 	plan, err := ref.Reformulate(maps[0])
 	if err != nil {
@@ -268,7 +265,7 @@ func TestReformulateNotCovered(t *testing.T) {
 	maps := paperMappings()
 	// gender has no correspondence in m1.
 	q := MustParse("q", tgt, "SELECT gender FROM Person WHERE addr = 'aaa'")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 	_, err := ref.Reformulate(maps[0])
 	if err == nil || !errors.Is(err, ErrNotCovered) {
 		t.Errorf("expected ErrNotCovered, got %v", err)
@@ -284,7 +281,7 @@ func TestReformulateMultiRelationLeaf(t *testing.T) {
 	// Under m1 the Person attributes phone and nation map to Customer and
 	// Nation respectively, so the Person leaf expands to Customer × Nation.
 	q := MustParse("q", tgt, "SELECT nation FROM Person WHERE phone = '123'")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 	plan, err := ref.Reformulate(maps[0])
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +309,7 @@ func TestReformulateCrossProductQuery(t *testing.T) {
 	// Under m2, Order.total maps to C_Order.amount so the Order occurrence
 	// becomes a scan of C_Order.
 	q := MustParse("q2", tgt, "SELECT total FROM Person, Order WHERE addr = 'hk' AND phone = '123'")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 	plan, err := ref.Reformulate(maps[1])
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +328,7 @@ func TestReformulateJoinSelect(t *testing.T) {
 	_, tgt := paperSchemas()
 	maps := paperMappings()
 	q := MustParse("qj", tgt, "SELECT P1.pname FROM Person P1, Person P2 WHERE P1.addr = P2.addr")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 	plan, err := ref.Reformulate(maps[0])
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +346,7 @@ func TestReformulateAggregate(t *testing.T) {
 	_, tgt := paperSchemas()
 	maps := paperMappings()
 	q := MustParse("qa", tgt, "SELECT COUNT(*) FROM Person WHERE addr = 'hk'")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 	plan, err := ref.Reformulate(maps[0])
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +355,7 @@ func TestReformulateAggregate(t *testing.T) {
 		t.Errorf("aggregate signature = %s", plan.Signature())
 	}
 	qs := MustParse("qsum", tgt, "SELECT SUM(total) FROM Order")
-	refs := NewReformulator(qs)
+	refs := NewReformulator(mustResolve(t, qs))
 	plan2, err := refs.Reformulate(maps[1])
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +377,7 @@ func TestExecuteReformulatedPlan(t *testing.T) {
 	db.AddRelation(cust)
 
 	q := MustParse("q", tgt, "SELECT phone FROM Person WHERE addr = 'aaa'")
-	ref := NewReformulator(q)
+	ref := NewReformulator(mustResolve(t, q))
 	plan, err := ref.Reformulate(maps[0])
 	if err != nil {
 		t.Fatal(err)
@@ -426,6 +423,16 @@ func TestNodeStringRendering(t *testing.T) {
 	if !(AttrRef{}).IsZero() || Ref("A", "x").IsZero() {
 		t.Error("AttrRef.IsZero broken")
 	}
+}
+
+// mustResolve resolves a query the test built or parsed.
+func mustResolve(t *testing.T, q *Query) *Resolution {
+	t.Helper()
+	res, err := q.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestValidateErrors(t *testing.T) {

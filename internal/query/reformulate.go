@@ -3,7 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/schema"
@@ -15,28 +15,22 @@ import (
 // result.
 var ErrNotCovered = errors.New("mapping does not cover a target attribute required by the query")
 
-// Reformulator translates target queries into source-query plans through a
-// possible mapping (the query-reformulation step of Section III, with the
-// per-operator rules of Section VI-B).
+// Reformulator translates a target query into source-query plans through
+// possible mappings (the query-reformulation step of Section III, with the
+// per-operator rules of Section VI-B).  It reads the query's Resolution, so
+// reformulating through one mapping is one correspondence lookup per
+// reference plus building the plan's nodes; one Reformulator serves every
+// mapping, from any number of goroutines.
 type Reformulator struct {
-	Query *Query
+	res *Resolution
 }
 
-// NewReformulator returns a reformulator for the query.
-func NewReformulator(q *Query) *Reformulator { return &Reformulator{Query: q} }
+// NewReformulator returns a reformulator for the resolved query.
+func NewReformulator(res *Resolution) *Reformulator { return &Reformulator{res: res} }
 
-// SourceAttribute resolves a target attribute reference to the source
-// attribute assigned by the mapping.
-func (r *Reformulator) SourceAttribute(m *schema.Mapping, ref AttrRef) (schema.Attribute, error) {
-	target, err := r.Query.ResolveRef(ref)
-	if err != nil {
-		return schema.Attribute{}, err
-	}
-	src, ok := m.SourceFor(target)
-	if !ok {
-		return schema.Attribute{}, fmt.Errorf("%w: %s under mapping %s", ErrNotCovered, target, m.ID)
-	}
-	return src, nil
+// notCovered is the error of a mapping without a correspondence for target.
+func notCovered(target schema.Attribute, m *schema.Mapping) error {
+	return fmt.Errorf("%w: %s under mapping %s", ErrNotCovered, target, m.ID)
 }
 
 // SourceColumn returns the engine column name that the reference denotes in
@@ -44,15 +38,15 @@ func (r *Reformulator) SourceAttribute(m *schema.Mapping, ref AttrRef) (schema.A
 // The alias prefix keeps several occurrences of the same source relation
 // (self-joins) distinguishable.
 func (r *Reformulator) SourceColumn(m *schema.Mapping, ref AttrRef) (string, error) {
-	qref, err := r.Query.qualifyRef(ref)
+	resolved, err := r.res.Ref(ref)
 	if err != nil {
 		return "", err
 	}
-	src, err := r.SourceAttribute(m, qref)
-	if err != nil {
-		return "", err
+	src, ok := m.SourceFor(resolved.Target)
+	if !ok {
+		return "", notCovered(resolved.Target, m)
 	}
-	return qref.Alias + "." + src.Relation + "." + src.Name, nil
+	return resolved.Alias + "." + src.Relation + "." + src.Name, nil
 }
 
 // SourceRelationsForAlias returns the minimal set of source relations that
@@ -60,44 +54,37 @@ func (r *Reformulator) SourceColumn(m *schema.Mapping, ref AttrRef) (string, err
 // through the given relation occurrence.  The result is sorted for
 // determinism.
 func (r *Reformulator) SourceRelationsForAlias(m *schema.Mapping, alias string) ([]string, error) {
-	attrNames, err := r.Query.AttributesForAlias(alias)
-	if err != nil {
-		return nil, err
+	relName := r.res.Relation(alias)
+	if relName == "" {
+		return nil, fmt.Errorf("query %s: unknown alias %q", r.res.Query.Name, alias)
 	}
-	relName := r.Query.Aliases()[alias]
-	seen := make(map[string]bool)
 	var rels []string
-	for _, name := range attrNames {
-		target := schema.Attribute{Relation: relName, Name: name}
+	for _, target := range r.res.AliasAttributes(alias) {
 		src, ok := m.SourceFor(target)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s under mapping %s", ErrNotCovered, target, m.ID)
+			return nil, notCovered(target, m)
 		}
-		if !seen[src.Relation] {
-			seen[src.Relation] = true
+		if !slices.Contains(rels, src.Relation) {
 			rels = append(rels, src.Relation)
 		}
 	}
-	if len(rels) == 0 {
-		// The occurrence is never referenced by an attribute (e.g. COUNT(*)
-		// over a bare relation): fall back to the source relations of every
-		// correspondence the mapping has for the target relation.
-		for _, c := range m.Correspondences {
-			if c.Target.Relation == relName && !seen[c.Source.Relation] {
-				seen[c.Source.Relation] = true
-				rels = append(rels, c.Source.Relation)
-			}
-		}
-		sort.Strings(rels)
-		if len(rels) > 1 {
-			rels = rels[:1]
+	if len(rels) > 0 {
+		slices.Sort(rels)
+		return rels, nil
+	}
+	// The occurrence is never referenced by an attribute (e.g. COUNT(*) over a
+	// bare relation): fall back to the first, by name, of the source relations
+	// of every correspondence the mapping has for the target relation.
+	first := ""
+	for _, c := range m.Correspondences {
+		if c.Target.Relation == relName && (first == "" || c.Source.Relation < first) {
+			first = c.Source.Relation
 		}
 	}
-	if len(rels) == 0 {
+	if first == "" {
 		return nil, fmt.Errorf("%w: relation %s under mapping %s", ErrNotCovered, relName, m.ID)
 	}
-	sort.Strings(rels)
-	return rels, nil
+	return []string{first}, nil
 }
 
 // LeafPlan builds the source plan that replaces one target relation
@@ -124,7 +111,7 @@ func (r *Reformulator) LeafPlan(m *schema.Mapping, alias string) (engine.Plan, e
 // mapping.  It returns ErrNotCovered (wrapped) when the mapping cannot answer
 // the query.
 func (r *Reformulator) Reformulate(m *schema.Mapping) (engine.Plan, error) {
-	return r.reformulateNode(r.Query.Root, m)
+	return r.reformulateNode(r.res.Query.Root, m)
 }
 
 func (r *Reformulator) reformulateNode(n Node, m *schema.Mapping) (engine.Plan, error) {

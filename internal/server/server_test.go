@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/probdb/urm/internal/core"
+	"github.com/probdb/urm/internal/qos"
 )
 
 // directEvaluate is the reference the served answers must be bit-identical
@@ -215,10 +217,12 @@ func TestAppendDuringConcurrentQueries(t *testing.T) {
 }
 
 // TestDeadlineAbort: a 1ms deadline must abort the self-product evaluation
-// mid-stream with context.DeadlineExceeded.
+// mid-stream with context.DeadlineExceeded.  e-basic builds the product's
+// pairs (tens of milliseconds on this fixture); o-sharing keeps the product
+// factorized and can answer within the millisecond.
 func TestDeadlineAbort(t *testing.T) {
 	srv, _ := newTestServer(t, 1000, Config{})
-	_, err := srv.Do(context.Background(), Request{Scenario: "test", Query: slowQueryText, TimeoutMS: 1})
+	_, err := srv.Do(context.Background(), Request{Scenario: "test", Query: slowQueryText, Method: "e-basic", TimeoutMS: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -231,7 +235,7 @@ func TestDeadlineAbort(t *testing.T) {
 	}
 	// The failed evaluation must not be cached: a retry with a generous
 	// deadline succeeds.
-	resp, err := srv.Do(context.Background(), Request{Scenario: "test", Query: slowQueryText})
+	resp, err := srv.Do(context.Background(), Request{Scenario: "test", Query: slowQueryText, Method: "e-basic"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,13 +247,14 @@ func TestDeadlineAbort(t *testing.T) {
 // TestOverloadRejects: with one evaluation slot held and no queue wait, a
 // second distinct request is rejected with ErrOverloaded (HTTP 429).
 func TestOverloadRejects(t *testing.T) {
-	srv, _ := newTestServer(t, 1000, Config{MaxConcurrent: 1, QueueWait: 0})
+	held, release := holdFirstSlot()
+	srv, _ := newTestServer(t, 1000, Config{MaxConcurrent: 1, QueueWait: 0, Faults: held})
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := srv.Do(context.Background(), Request{Scenario: "test", Query: slowQueryText})
 		slowDone <- err
 	}()
-	waitFor(t, "slot held", func() bool { return srv.Metrics().Evaluations == 1 })
+	<-release.entered
 
 	_, err := srv.Do(context.Background(), Request{Scenario: "test", Query: fastQueryText})
 	if !errors.Is(err, ErrOverloaded) {
@@ -258,6 +263,7 @@ func TestOverloadRejects(t *testing.T) {
 	if m := srv.Metrics(); m.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", m.Rejected)
 	}
+	close(release.done)
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow request failed: %v", err)
 	}
@@ -270,13 +276,17 @@ func TestOverloadRejects(t *testing.T) {
 // TestDrain: draining refuses new requests, waits for in-flight ones, and is
 // bounded by the caller's context.
 func TestDrain(t *testing.T) {
-	srv, _ := newTestServer(t, 1000, Config{MaxConcurrent: 2})
+	held, release := holdFirstSlot()
+	srv, _ := newTestServer(t, 1000, Config{MaxConcurrent: 2, Faults: held})
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := srv.Do(context.Background(), Request{Scenario: "test", Query: slowQueryText})
 		slowDone <- err
 	}()
-	waitFor(t, "request in flight", func() bool { return srv.Metrics().Inflight == 1 })
+	<-release.entered
+	if n := srv.Metrics().Inflight; n != 1 {
+		t.Fatalf("inflight = %d with one request holding its slot, want 1", n)
+	}
 
 	// A drain bounded too tightly reports the in-flight request.
 	shortCtx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
@@ -295,6 +305,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	// A patient drain completes once the in-flight request finishes.
+	close(release.done)
 	ctx, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
 	if err := srv.Drain(ctx); err != nil {
@@ -419,7 +430,7 @@ func TestHTTPEndpoints(t *testing.T) {
 func TestHTTPDeadlineMapsTo504(t *testing.T) {
 	srv, _ := newTestServer(t, 1000, Config{})
 	rec := doHTTP(t, srv, http.MethodPost, "/v1/query",
-		`{"scenario": "test", "query": "`+slowQueryText+`", "timeout_ms": 1}`)
+		`{"scenario": "test", "query": "`+slowQueryText+`", "method": "e-basic", "timeout_ms": 1}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", rec.Code, rec.Body)
 	}
@@ -470,6 +481,27 @@ func hasAnswerValue(resp *Response, value string) bool {
 		}
 	}
 	return false
+}
+
+// slotHold is the handshake of holdFirstSlot: entered closes once the first
+// evaluation holds its slot, and closing done lets it go on.
+type slotHold struct {
+	entered, done chan struct{}
+}
+
+// holdFirstSlot returns faults whose SlotStall keeps the first evaluation to
+// take a slot inside it until the test closes done, so a test holds the slot
+// (and the request's in-flight count) for as long as it needs instead of
+// racing a query's evaluation time.
+func holdFirstSlot() (*qos.Faults, slotHold) {
+	h := slotHold{entered: make(chan struct{}), done: make(chan struct{})}
+	var taken atomic.Bool
+	return &qos.Faults{SlotStall: func(string) {
+		if taken.CompareAndSwap(false, true) {
+			close(h.entered)
+			<-h.done
+		}
+	}}, h
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

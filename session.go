@@ -208,9 +208,11 @@ func (s *Session) Prepare(text string) (*PreparedQuery, error) {
 }
 
 // preparedCacheCap bounds the session's prepared-query cache.  Past the cap
-// the cache is flushed wholesale (re-preparing costs milliseconds), so a
-// long-lived session fed unbounded ad-hoc texts cannot grow without bound;
-// handed-out *PreparedQuery values stay valid either way.
+// the cache is flushed wholesale, so a long-lived session fed unbounded
+// ad-hoc texts cannot grow without bound; handed-out *PreparedQuery values
+// stay valid either way.  Re-preparing a flushed text costs microseconds; its
+// next execution under each method rebuilds that method's front half, about
+// a millisecond at h = 100.
 const preparedCacheCap = 1024
 
 // PrepareQuery is Prepare for an already-parsed query (one built with
@@ -342,9 +344,5 @@ func (p *PreparedQuery) Stream(ctx context.Context, opts ...Option) (*Rows, erro
 // number of distinct source queries q-sharing and o-sharing share work
 // across.  It is a cheap introspection helper for capacity planning.
 func (p *PreparedQuery) Partitions() (int, error) {
-	parts, err := core.PartitionMappings(p.q, p.session.maps)
-	if err != nil {
-		return 0, err
-	}
-	return len(parts), nil
+	return len(core.PartitionMappings(p.prep.Resolution(), p.session.maps)), nil
 }
