@@ -15,10 +15,11 @@ import (
 // every reformulation resolved every reference again and every signature was
 // rendered through fmt, 7,663 once the query is resolved at Prepare, each
 // mapping reformulated by lookup, signatures written into one builder and the
-// optimizer copies only the nodes it changes.  o-sharing reads the same
-// resolution for its normalized query and must not allocate more than it did
-// with an alias cache of its own (Q1–Q5: 3,352/2,058/4,071/2,901/4,149).  The
-// pins may move only down.
+// optimizer copies only the nodes it changes, and 6,991 (7,006 under -race)
+// once the shape analysis stops building a child slice per plan node.
+// o-sharing reads the same resolution for its normalized query and must not
+// allocate more than it did with an alias cache of its own (Q1–Q5:
+// 3,352/2,058/4,071/2,901/4,149).  The pins may move only down.
 func TestFirstExecutionAllocations(t *testing.T) {
 	ds, err := datagen.NewDataset(datagen.DatasetOptions{Target: datagen.TargetExcel, NumMappings: 100, SizeMB: 40, Seed: 42})
 	if err != nil {
@@ -30,7 +31,7 @@ func TestFirstExecutionAllocations(t *testing.T) {
 		method Method
 		allocs float64
 	}{
-		{3, MethodEBasic, 7700},
+		{3, MethodEBasic, 7020},
 		{1, MethodOSharing, 3352},
 		{2, MethodOSharing, 2058},
 		{3, MethodOSharing, 4071},
@@ -50,6 +51,7 @@ func TestFirstExecutionAllocations(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 		})
+		t.Logf("%s: %v allocations", label, got)
 		if got > pin.allocs {
 			t.Errorf("%s: first execution allocated %v times, pinned at %v", label, got, pin.allocs)
 		}

@@ -161,7 +161,9 @@ func (sp *ScatterPlan) setShape(scans []map[string]int, linear bool) {
 
 // countScans adds the plan's scans of each base relation to counts and
 // reports whether the plan is linear.  A materialized input is not: its
-// provenance is unknown, so it may embed state from before the split.
+// provenance is unknown, so it may embed state from before the split.  It
+// reads each node's children from its fields, as Children would build a
+// slice per node.
 func countScans(plan engine.Plan, counts map[string]int) bool {
 	switch n := plan.(type) {
 	case *engine.AggregatePlan, *engine.MaterialPlan:
@@ -169,12 +171,29 @@ func countScans(plan engine.Plan, counts map[string]int) bool {
 	case *engine.ScanPlan:
 		counts[n.Relation]++
 		return true
+	case *engine.SelectPlan:
+		return countScans(n.Child, counts)
+	case *engine.ProjectPlan:
+		return countScans(n.Child, counts)
+	case *engine.DistinctPlan:
+		return countScans(n.Child, counts)
+	case *engine.ProductPlan:
+		return countPairScans(n.Left, n.Right, counts)
+	case *engine.JoinPlan:
+		return countPairScans(n.Left, n.Right, counts)
 	}
 	linear := true
 	for _, c := range plan.Children() {
 		linear = countScans(c, counts) && linear
 	}
 	return linear
+}
+
+// countPairScans is countScans over both inputs of a binary node: each is
+// counted even when the other is not linear.
+func countPairScans(left, right engine.Plan, counts map[string]int) bool {
+	l := countScans(left, counts)
+	return countScans(right, counts) && l
 }
 
 // DistributesOver reports whether the plan distributes over a horizontal

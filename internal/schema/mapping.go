@@ -3,7 +3,7 @@ package schema
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -23,7 +23,7 @@ type Mapping struct {
 	// Probabilities of all mappings in a Matching sum to 1.
 	Prob float64
 
-	byTarget map[Attribute]Correspondence
+	byTarget map[Attribute]Attribute // target → source
 }
 
 // NewMapping builds a mapping from correspondences, validating the one-to-one
@@ -48,6 +48,15 @@ func NewMapping(id string, corrs []Correspondence, prob float64) (*Mapping, erro
 	return m, nil
 }
 
+// NewMappingUnchecked builds a mapping from correspondences the caller has
+// built one-to-one, such as an assignment's, without checking it.  The
+// mapping keeps corrs as its Correspondences.
+func NewMappingUnchecked(id string, corrs []Correspondence) *Mapping {
+	m := &Mapping{ID: id, Correspondences: corrs}
+	m.reindex()
+	return m
+}
+
 // MustNewMapping is NewMapping that panics on error.
 func MustNewMapping(id string, corrs []Correspondence, prob float64) *Mapping {
 	m, err := NewMapping(id, corrs, prob)
@@ -58,9 +67,9 @@ func MustNewMapping(id string, corrs []Correspondence, prob float64) *Mapping {
 }
 
 func (m *Mapping) reindex() {
-	m.byTarget = make(map[Attribute]Correspondence, len(m.Correspondences))
+	m.byTarget = make(map[Attribute]Attribute, len(m.Correspondences))
 	for _, c := range m.Correspondences {
-		m.byTarget[c.Target] = c
+		m.byTarget[c.Target] = c.Source
 	}
 }
 
@@ -70,11 +79,8 @@ func (m *Mapping) SourceFor(target Attribute) (Attribute, bool) {
 	if m.byTarget == nil {
 		m.reindex()
 	}
-	c, ok := m.byTarget[target]
-	if !ok {
-		return Attribute{}, false
-	}
-	return c.Source, true
+	src, ok := m.byTarget[target]
+	return src, ok
 }
 
 // Covers reports whether the mapping has a correspondence for every target
@@ -109,11 +115,11 @@ func (m *Mapping) Keys() []Key {
 	for _, c := range m.Correspondences {
 		keys = append(keys, c.Key())
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Target != keys[j].Target {
-			return lessAttr(keys[i].Target, keys[j].Target)
+	slices.SortFunc(keys, func(a, b Key) int {
+		if c := compareAttr(a.Target, b.Target); c != 0 {
+			return c
 		}
-		return lessAttr(keys[i].Source, keys[j].Source)
+		return compareAttr(a.Source, b.Source)
 	})
 	return keys
 }

@@ -12,8 +12,9 @@
 package schema
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -248,23 +249,25 @@ type Key struct {
 // Key returns the score-free identity of the correspondence.
 func (c Correspondence) Key() Key { return Key{Source: c.Source, Target: c.Target} }
 
-// SortCorrespondences orders correspondences by descending score, breaking
-// ties by target then source attribute name for determinism.
-func SortCorrespondences(cs []Correspondence) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Score != cs[j].Score {
-			return cs[i].Score > cs[j].Score
-		}
-		if cs[i].Target != cs[j].Target {
-			return lessAttr(cs[i].Target, cs[j].Target)
-		}
-		return lessAttr(cs[i].Source, cs[j].Source)
-	})
+// SortCorrespondences orders correspondences by CompareCorrespondences.
+func SortCorrespondences(cs []Correspondence) { slices.SortFunc(cs, CompareCorrespondences) }
+
+// CompareCorrespondences orders correspondences by descending score,
+// breaking ties by target then source attribute name for determinism.
+func CompareCorrespondences(a, b Correspondence) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	if c := compareAttr(a.Target, b.Target); c != 0 {
+		return c
+	}
+	return compareAttr(a.Source, b.Source)
 }
 
-func lessAttr(a, b Attribute) bool {
-	if a.Relation != b.Relation {
-		return a.Relation < b.Relation
+// compareAttr orders attributes by relation, then name.
+func compareAttr(a, b Attribute) int {
+	if c := strings.Compare(a.Relation, b.Relation); c != 0 {
+		return c
 	}
-	return a.Name < b.Name
+	return strings.Compare(a.Name, b.Name)
 }
