@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -145,27 +146,20 @@ func TestPartitionTreeFigure4(t *testing.T) {
 			}
 		}
 	}
-	// Tree introspection.
-	tree := NewPartitionTree(res.Attributes())
-	for _, m := range maps {
-		tree.Insert(m)
-	}
-	if tree.Depth() != 2 {
-		t.Errorf("tree depth = %d, want 2 (pname, addr)", tree.Depth())
-	}
-	if tree.NumPartitions() != 3 {
-		t.Errorf("tree partitions = %d, want 3", tree.NumPartitions())
-	}
-	sizes := partitionSizes(tree.Partitions())
+	sizes := partitionSizes(parts)
 	if sizes[0] != 2 || sizes[2] != 1 {
 		t.Errorf("partition sizes = %v", sizes)
 	}
-	// Keys follow the tree path labels.
-	for _, p := range tree.Partitions() {
-		if !strings.Contains(p.Key, "Customer.") && !strings.Contains(p.Key, noCorrespondence) {
-			t.Errorf("partition key %q does not carry edge labels", p.Key)
-		}
+}
+
+// partitionSizes returns the partition sizes sorted descending.
+func partitionSizes(parts []*Partition) []int {
+	sizes := make([]int, 0, len(parts))
+	for _, p := range parts {
+		sizes = append(sizes, len(p.Mappings))
 	}
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
 }
 
 // TestQSharingMatchesBasic verifies Algorithm 1 end to end on several queries.

@@ -165,6 +165,14 @@ func TestWorkloadQueriesParseAndValidate(t *testing.T) {
 			t.Errorf("Q%d has no operators", id)
 		}
 	}
+	// The queries of one target share one schema, parsed once; TargetSchema
+	// still hands out a fresh one.
+	if MustWorkloadQuery(1).Target != MustWorkloadQuery(4).Target {
+		t.Error("Q1 and Q4 should share the Excel schema")
+	}
+	if TargetSchema(TargetExcel) == TargetSchema(TargetExcel) || TargetSchema(TargetExcel) == MustWorkloadQuery(1).Target {
+		t.Error("TargetSchema should build a fresh schema on every call")
+	}
 	if _, err := WorkloadQuery(0); err == nil {
 		t.Error("id 0 should error")
 	}

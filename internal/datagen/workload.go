@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/match"
@@ -161,17 +162,35 @@ func workloadText(id int) (string, error) {
 }
 
 // WorkloadQuery builds the Table III query with the given id (1–10) against
-// its target schema.
+// its target schema.  Every query of one target shares that schema, built
+// once: a query only reads it, while TargetSchema builds a fresh one for
+// callers that may change it.
 func WorkloadQuery(id int) (*query.Query, error) {
 	tgtName, err := QueryTarget(id)
 	if err != nil {
 		return nil, err
 	}
+	return ParseWorkloadQuery(id, workloadTargets()[tgtName])
+}
+
+// workloadTargets holds the target schemas WorkloadQuery parses against.
+var workloadTargets = sync.OnceValue(func() map[TargetName]*schema.Schema {
+	out := make(map[TargetName]*schema.Schema)
+	for _, name := range AllTargets() {
+		out[name] = TargetSchema(name)
+	}
+	return out
+})
+
+// ParseWorkloadQuery parses the Table III query with the given id (1–10)
+// against the given target schema, which must have the attributes of the
+// query's target.
+func ParseWorkloadQuery(id int, target *schema.Schema) (*query.Query, error) {
 	text, err := workloadText(id)
 	if err != nil {
 		return nil, err
 	}
-	q, err := query.Parse(fmt.Sprintf("Q%d", id), TargetSchema(tgtName), text)
+	q, err := query.Parse(fmt.Sprintf("Q%d", id), target, text)
 	if err != nil {
 		return nil, fmt.Errorf("workload Q%d: %w", id, err)
 	}

@@ -183,7 +183,7 @@ func (rd *reduction) mappings(results []assignment) schema.MappingSet {
 				slab = append(slab, c.Correspondence)
 			}
 		}
-		out = append(out, schema.NewMappingUnchecked("m"+strconv.Itoa(len(out)+1), slab[start:len(slab):len(slab)]))
+		out = append(out, &schema.Mapping{ID: "m" + strconv.Itoa(len(out)+1), Correspondences: slab[start:len(slab):len(slab)]})
 	}
 	return out
 }

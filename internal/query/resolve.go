@@ -163,9 +163,9 @@ func (r *Resolution) Ref(ref AttrRef) (Resolved, error) {
 func (r *Resolution) Relation(alias string) string { return r.aliases[alias] }
 
 // Attributes returns the distinct target attributes referenced anywhere in
-// the query, in first-use (pre-order) order.  The partition tree of q-sharing
-// has one level per element of this list.  The slice is shared: do not
-// modify it.
+// the query, in first-use (pre-order) order.  q-sharing partitions the
+// mappings by the sources they assign to this list.  The slice is shared: do
+// not modify it.
 func (r *Resolution) Attributes() []schema.Attribute { return r.attrs }
 
 // AliasAttributes returns the distinct target attributes referenced anywhere

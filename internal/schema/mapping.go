@@ -10,20 +10,20 @@ import (
 // Mapping is one possible interpretation of an uncertain matching: a
 // one-to-one, partial set of correspondences between source and target
 // attributes, together with the probability that the mapping is correct
-// (Section III-A of the paper).
+// (Section III-A of the paper).  The correspondence list is the mapping's
+// only representation: every lookup scans it.
 type Mapping struct {
 	// ID is a stable identifier such as "m1", "m2", ... used in traces and
 	// experiment output.
 	ID string
 	// Correspondences is the set of attribute correspondences this mapping
 	// asserts.  The target attributes are pairwise distinct and so are the
-	// source attributes (one-to-one).
+	// source attributes (one-to-one): NewMapping rejects a list that repeats
+	// either.
 	Correspondences []Correspondence
 	// Prob is Pr(mi), the probability that this mapping is the correct one.
 	// Probabilities of all mappings in a Matching sum to 1.
 	Prob float64
-
-	byTarget map[Attribute]Attribute // target → source
 }
 
 // NewMapping builds a mapping from correspondences, validating the one-to-one
@@ -44,17 +44,7 @@ func NewMapping(id string, corrs []Correspondence, prob float64) (*Mapping, erro
 		seenTarget[c.Target] = true
 		m.Correspondences = append(m.Correspondences, c)
 	}
-	m.reindex()
 	return m, nil
-}
-
-// NewMappingUnchecked builds a mapping from correspondences the caller has
-// built one-to-one, such as an assignment's, without checking it.  The
-// mapping keeps corrs as its Correspondences.
-func NewMappingUnchecked(id string, corrs []Correspondence) *Mapping {
-	m := &Mapping{ID: id, Correspondences: corrs}
-	m.reindex()
-	return m
 }
 
 // MustNewMapping is NewMapping that panics on error.
@@ -66,21 +56,18 @@ func MustNewMapping(id string, corrs []Correspondence, prob float64) *Mapping {
 	return m
 }
 
-func (m *Mapping) reindex() {
-	m.byTarget = make(map[Attribute]Attribute, len(m.Correspondences))
-	for _, c := range m.Correspondences {
-		m.byTarget[c.Target] = c.Source
-	}
-}
-
 // SourceFor returns the source attribute this mapping assigns to the target
-// attribute, and whether such a correspondence exists.
+// attribute, and whether such a correspondence exists.  It scans the
+// correspondence list, so it always reflects the list as it stands; should a
+// list built without NewMapping repeat a target, its first correspondence
+// for that target wins.
 func (m *Mapping) SourceFor(target Attribute) (Attribute, bool) {
-	if m.byTarget == nil {
-		m.reindex()
+	for _, c := range m.Correspondences {
+		if c.Target == target {
+			return c.Source, true
+		}
 	}
-	src, ok := m.byTarget[target]
-	return src, ok
+	return Attribute{}, false
 }
 
 // Covers reports whether the mapping has a correspondence for every target
@@ -166,9 +153,7 @@ func (m *Mapping) ProjectedSignature(targets []Attribute) string {
 func (m *Mapping) Clone() *Mapping {
 	corrs := make([]Correspondence, len(m.Correspondences))
 	copy(corrs, m.Correspondences)
-	out := &Mapping{ID: m.ID, Correspondences: corrs, Prob: m.Prob}
-	out.reindex()
-	return out
+	return &Mapping{ID: m.ID, Correspondences: corrs, Prob: m.Prob}
 }
 
 // String renders the mapping id and probability.

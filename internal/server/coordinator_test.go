@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -575,5 +576,91 @@ func TestCoordinatorScenarios(t *testing.T) {
 	}
 	if totalRows != 80 {
 		t.Fatalf("shard rows sum to %d, want 80 (S partitioned, nothing replicated here)", totalRows)
+	}
+}
+
+// shedding serves a shard node behind a stub that answers its first shed
+// scatters through respond, as a saturated node does, and counts every
+// scatter it receives.
+type shedding struct {
+	node     http.Handler
+	shed     int32
+	respond  func(http.ResponseWriter)
+	scatters atomic.Int32
+}
+
+func (s *shedding) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/scatter" && s.scatters.Add(1) <= s.shed {
+		s.respond(w)
+		return
+	}
+	s.node.ServeHTTP(w, r)
+}
+
+// TestCoordinatorRetriesASheddingShard: a shard that sheds a scatter with 429
+// and a wait hint gets exactly one retry, after which the query answers as an
+// unsharded node does; a shard that always sheds fails the query with its
+// hint on the error, from the body's retry_after_ms or else the Retry-After
+// header.
+func TestCoordinatorRetriesASheddingShard(t *testing.T) {
+	const rows = 60
+	const hint = 3 * time.Millisecond
+	ref, _ := newTestServer(t, rows, Config{})
+	req := Request{Scenario: "test", Query: fastQueryText, Method: "e-basic"}
+	want, err := ref.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 sheds its first shed scatters; shard 1 never does.
+	shedCluster := func(shed int32, respond func(http.ResponseWriter), attempts int) (*Coordinator, *shedding) {
+		coord, err := NewCoordinator(CoordinatorConfig{Shards: 2, Retry: qos.Backoff{Attempts: attempts, Base: time.Millisecond, Max: time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stubs := []*shedding{
+			{node: newShardNode(t, rows, 0, 2), shed: shed, respond: respond},
+			{node: newShardNode(t, rows, 1, 2)},
+		}
+		for i, stub := range stubs {
+			node := httptest.NewServer(stub)
+			t.Cleanup(node.Close)
+			if err := coord.Leases().Heartbeat(nodeNameFor(i), node.URL, []int{i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return coord, stubs[0]
+	}
+	overloaded := func(w http.ResponseWriter) {
+		writeAPIError(w, apiErrRetry(http.StatusTooManyRequests, hint, ErrOverloaded))
+	}
+
+	coord, stub := shedCluster(1, overloaded, 3)
+	got, err := coord.Query(context.Background(), req)
+	if err != nil {
+		t.Fatalf("a shard that shed once failed the query: %v", err)
+	}
+	sameResult(t, "after one shed", want.Result, got.Result)
+	if n := stub.scatters.Load(); n != 2 {
+		t.Fatalf("the shedding shard received %d scatters, want 2 (one retry)", n)
+	}
+
+	coord, stub = shedCluster(math.MaxInt32, overloaded, 2)
+	_, err = coord.Query(context.Background(), req)
+	var ae *apiError
+	if !errors.As(err, &ae) || ae.status != http.StatusTooManyRequests || RetryAfter(err) != hint {
+		t.Fatalf("always-shedding shard: error %v with hint %v, want a 429 with hint %v", err, RetryAfter(err), hint)
+	}
+	if n := stub.scatters.Load(); n != 2 {
+		t.Fatalf("the always-shedding shard received %d scatters, want the budget's 2", n)
+	}
+
+	// A shed without a JSON body carries the header's whole seconds.
+	coord, _ = shedCluster(math.MaxInt32, func(w http.ResponseWriter) {
+		w.Header().Set("Retry-After", "2")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}, 1)
+	_, err = coord.Query(context.Background(), req)
+	if !errors.As(err, &ae) || ae.status != http.StatusServiceUnavailable || RetryAfter(err) != 2*time.Second {
+		t.Fatalf("header-only shed: error %v with hint %v, want a 503 with hint 2s", err, RetryAfter(err))
 	}
 }

@@ -258,7 +258,6 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 	}
 	defer s.queue.Release()
 
-	epoch := sc.Epoch()
 	opts := core.Options{Method: method, Strategy: strategy, Parallelism: s.cfg.Parallelism}
 	ec := opts.Context(ctx)
 	sp, _, err := prep.FrontHalf(ec, opts)
@@ -270,7 +269,18 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 		return nil, apiErr(http.StatusUnprocessableEntity,
 			fmt.Errorf("%w: a reformulated plan self-joins or aggregates the partitioned relation %q", ErrNotDistributable, sh.Relation))
 	}
-	run, err := sp.ExecuteOn(ec, sc.DB())
+	// The scan holds the evaluation lock as EvaluatePrepared does, since a
+	// shard node takes appends directly, and the epoch is the locked one
+	// its rows are from.
+	var (
+		run   *core.ShardRun
+		epoch uint64
+	)
+	err = sc.View(func(db *engine.Instance, e uint64) (err error) {
+		epoch = e
+		run, err = sp.ExecuteOn(ec, db)
+		return err
+	})
 	if err != nil {
 		atomic.AddInt64(&s.counters.EvalErrors, 1)
 		return nil, err

@@ -693,3 +693,60 @@ func TestSelectStarCarriesColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterScansUnderTheEvaluationLock: a shard node takes /v1/append
+// directly, so a scatter's scan must hold the scenario's evaluation lock as
+// every other evaluation does, and report the epoch its rows are from.
+// Appends race scatters here: under -race an unlocked scan is a data race,
+// and every answer must hold exactly the rows its epoch says were appended
+// (each append adds one row both mappings answer with a new value).
+func TestScatterScansUnderTheEvaluationLock(t *testing.T) {
+	node := newShardNode(t, 200, 0, 2)
+	sc, _ := node.registry.Get("test")
+	req := ScatterRequest{Scenario: "test", Query: fastQueryText, Method: core.MethodEBasic.String()}
+	scatter := func() (uint64, []int) {
+		t.Helper()
+		resp, err := node.Scatter(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := unpackRun(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, len(run.Groups))
+		for i, g := range run.Groups {
+			counts[i] = len(g.Rows)
+		}
+		return resp.Epoch, counts
+	}
+	epoch0, base := scatter()
+
+	const appends = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < appends; i++ {
+			if err := sc.AppendRow("S", tuple(fmt.Sprintf("fresh%d", i), 7, 7)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+		}
+		epoch, counts := scatter()
+		for i, n := range counts {
+			if want := base[i] + int(epoch-epoch0); n != want {
+				t.Fatalf("group %d at epoch %d holds %d rows, want %d (%d appended)", i, epoch, n, want, epoch-epoch0)
+			}
+		}
+	}
+}

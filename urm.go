@@ -306,7 +306,8 @@ func NewScenario(opts ScenarioOptions) (*Scenario, error) {
 func (s *Scenario) Mappings() MappingSet { return s.Matching.Mappings }
 
 // WorkloadQuery returns one of the paper's Table III queries (1–10) if it is
-// defined on this scenario's target schema.
+// defined on this scenario's target, parsed against the scenario's own
+// TargetSchema.
 func (s *Scenario) WorkloadQuery(id int) (*Query, error) {
 	tgt, err := datagen.QueryTarget(id)
 	if err != nil {
@@ -315,7 +316,7 @@ func (s *Scenario) WorkloadQuery(id int) (*Query, error) {
 	if string(tgt) != s.Target {
 		return nil, fmt.Errorf("query Q%d is defined on target %s, scenario uses %s", id, tgt, s.Target)
 	}
-	return datagen.WorkloadQuery(id)
+	return datagen.ParseWorkloadQuery(id, s.TargetSchema)
 }
 
 // Query parses an ad-hoc query against the scenario's target schema.

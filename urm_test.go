@@ -191,8 +191,10 @@ func TestScenario(t *testing.T) {
 	if len(s.Mappings()) == 0 {
 		t.Fatal("scenario has no mappings")
 	}
-	if _, err := s.WorkloadQuery(1); err != nil {
+	if q, err := s.WorkloadQuery(1); err != nil {
 		t.Fatal(err)
+	} else if q.Target != s.TargetSchema {
+		t.Error("a workload query should be parsed against the scenario's own target schema")
 	}
 	// Q6 belongs to Noris, not Excel.  (Evaluating a workload query over the
 	// scenario is TestScenarioNewSession's case.)
