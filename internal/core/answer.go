@@ -60,9 +60,10 @@ type Result struct {
 	// RewriteTime, ExecTime and AggregateTime break the evaluation down into
 	// the phases reported in Figure 10(a).  RewriteTime is the wall time of
 	// the front half — reformulating through the mappings, clustering, the
-	// MQO pass, partitioning, planning o-sharing's u-trace — and is reported
-	// by the one execution whose call built it: zero whenever a Prepared's
-	// memoized front half was reused.  Execution that fans out over the worker
+	// MQO pass, partitioning, planning o-sharing's u-trace, compiling the
+	// plans — and the first Result made from a front half reports its build:
+	// every other Result made from a Prepared's memoized front half reports
+	// zero.  Execution that fans out over the worker
 	// pool (the group plans of basic, e-basic, e-MQO and q-sharing,
 	// o-sharing's operators) sums the per-group or per-operator durations, so
 	// with Options.Parallelism > 1 ExecTime is CPU time — for e-MQO including

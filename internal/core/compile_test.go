@@ -32,7 +32,7 @@ func TestUncompilableGroupPlanFails(t *testing.T) {
 			t.Errorf("%s execute: error %v, want %s", m, err, want)
 		}
 		ec := opts.Context(context.Background())
-		sp, _, err := prep.FrontHalf(ec, opts)
+		sp, err := prep.FrontHalf(ec, opts)
 		if err != nil {
 			t.Fatalf("%s front half: %v", m, err)
 		}

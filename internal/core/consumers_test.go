@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // sameWork asserts that got did want's work once per instance it ran on: every
@@ -99,7 +100,7 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 				forms["stream"] = collectCursor(t, cur)
 
 				ec := opts.Context(ctx)
-				sp, _, err := prep.FrontHalf(ec, opts)
+				sp, err := prep.FrontHalf(ec, opts)
 				if err != nil {
 					t.Fatalf("%s front half: %v", label, err)
 				}
@@ -126,7 +127,7 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 					}
 					runs = append(runs, run)
 				}
-				merged := sp.Result(q, 0, 0, runs...)
+				merged := sp.Result(q, 0, runs...)
 				bitIdenticalResults(t, label+" two runs", oracle, merged)
 				sameWork(t, label+" two runs", cold, merged, 2)
 			}
@@ -141,9 +142,10 @@ func TestEveryConsumerOfAGroupListAgrees(t *testing.T) {
 
 // TestFrontHalfIsBuiltAndReportedOnce pins what a Prepared memoizes.  The
 // front half is one object per (query, method) — FrontHalf, a shard's run and
-// Maintain share it, none reshapes it per call — and of all the executions
-// that use a front half exactly the one whose call built it reports a rewrite
-// phase, on every path that returns a Result.
+// Maintain share it, none reshapes it per call — and of all the Results made
+// from a front half exactly the first reports a rewrite phase, on every path
+// that returns one: the call that built it, or the next one when the building
+// call (a bare FrontHalf) made no Result.
 func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 	db := paperInstance()
 	maps := mappingSetTimes8(t)
@@ -194,19 +196,125 @@ func TestFrontHalfIsBuiltAndReportedOnce(t *testing.T) {
 		}
 		prep := fresh()
 		ec := opts.Context(ctx)
-		first, _, err := prep.FrontHalf(ec, opts)
+		first, err := prep.FrontHalf(ec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if second, _, _ := prep.FrontHalf(ec, opts); second != first {
+		if second, _ := prep.FrontHalf(ec, opts); second != first {
 			t.Errorf("%s: two FrontHalf calls returned different plans", m)
 		}
-		res, err := prep.ExecuteContext(ctx, opts)
+		for call, billed := range []bool{true, false} {
+			res, err := prep.ExecuteContext(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if billed != (res.RewriteTime > 0) {
+				t.Errorf("%s: execution %d after FrontHalf built the plan reports RewriteTime %v, want > 0 only for the first (%v)",
+					m, call, res.RewriteTime, billed)
+			}
+		}
+	}
+}
+
+// TestFirstResultBillsTheBuild pins who reports a front half's build when
+// several calls share it: of eight goroutines executing one fresh Prepared at
+// once, under every method and top-k, exactly one Result reports a rewrite
+// phase, whichever goroutine built the plan.  A Maintain that refuses the
+// plan makes no Result, so the evaluation it falls back to reports the build,
+// once.  And a list built only on the way to another — basic's, under
+// e-basic's — carries no build time of its own: e-basic's Result reported it.
+func TestFirstResultBillsTheBuild(t *testing.T) {
+	db := paperInstance()
+	maps := mappingSetTimes8(t)
+	ctx := context.Background()
+	ev := NewEvaluator(db, maps)
+	fresh := func(text string) *Prepared {
+		t.Helper()
+		prep, err := ev.Prepare(mustParse(t, "q", text))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.RewriteTime != 0 {
-			t.Errorf("%s: an execution after FrontHalf built the plan reports RewriteTime %v", m, res.RewriteTime)
+		return prep
+	}
+	const spj = "SELECT phone FROM Person WHERE addr = 'aaa'"
+	type run struct {
+		name string
+		exec func(*Prepared) (*Result, error)
+	}
+	var runs []run
+	for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing} {
+		opts := Options{Method: m, Parallelism: 2}
+		runs = append(runs, run{m.String(), func(p *Prepared) (*Result, error) { return p.ExecuteContext(ctx, opts) }})
+	}
+	runs = append(runs, run{"top-k", func(p *Prepared) (*Result, error) { return executeTopKContext(ctx, p, 2, Options{}) }})
+	for _, r := range runs {
+		prep := fresh(spj)
+		results := make([]*Result, 8)
+		errs := make([]error, len(results))
+		var wg sync.WaitGroup
+		for w := range results {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				results[w], errs[w] = r.exec(prep)
+			}(w)
+		}
+		wg.Wait()
+		billed := 0
+		for w, res := range results {
+			if errs[w] != nil {
+				t.Fatalf("%s worker %d: %v", r.name, w, errs[w])
+			}
+			if res.RewriteTime > 0 {
+				billed++
+			}
+		}
+		if billed != 1 {
+			t.Errorf("%s: %d of %d concurrent Results report a rewrite phase, want 1", r.name, billed, len(results))
+		}
+	}
+
+	for _, m := range []Method{MethodBasic, MethodEBasic, MethodEMQO, MethodQSharing, MethodOSharing} {
+		opts := Options{Method: m}
+		prep := fresh("SELECT COUNT(*) FROM Person WHERE addr = 'aaa'")
+		if _, err := prep.Maintain(opts.Context(ctx), opts); !errors.Is(err, ErrNotDeltaMaintainable) {
+			t.Fatalf("%s: Maintain of an aggregate: err = %v, want ErrNotDeltaMaintainable", m, err)
+		}
+		for call, billed := range []bool{true, false} {
+			res, err := prep.ExecuteContext(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if billed != (res.RewriteTime > 0) {
+				t.Errorf("%s: fallback %d after a refused Maintain reports RewriteTime %v, want > 0 only for the first (%v)",
+					m, call, res.RewriteTime, billed)
+			}
+		}
+	}
+
+	prep := fresh(spj)
+	res, err := prep.ExecuteContext(ctx, Options{Method: MethodEBasic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RewriteTime <= 0 {
+		t.Fatalf("e-basic's first execution reports RewriteTime %v, want > 0", res.RewriteTime)
+	}
+	basic := prep.fronts[frontKey{method: MethodBasic}]
+	if basic == nil || basic.compiled {
+		t.Fatal("e-basic's build did not leave basic's list built and uncompiled")
+	}
+	if n := basic.unbilled.Load(); n != 0 {
+		t.Errorf("basic's list, built on the way to e-basic's, carries %v of unbilled build time, want none", time.Duration(n))
+	}
+	for call, billed := range []bool{true, false} {
+		res, err := prep.ExecuteContext(ctx, Options{Method: MethodBasic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first basic execution compiles the list, and reports that.
+		if billed != (res.RewriteTime > 0) {
+			t.Errorf("basic execution %d after e-basic's: RewriteTime %v, want > 0 only for the first (%v)", call, res.RewriteTime, billed)
 		}
 	}
 }

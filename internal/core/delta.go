@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/probdb/urm/internal/engine"
 	"github.com/probdb/urm/internal/exec"
@@ -45,11 +44,9 @@ var ErrNotDeltaMaintainable = errors.New("core: plan not delta-maintainable")
 // moment).
 type DeltaState struct {
 	// sp is the prepared query's memoized front half, whose shape the passes
-	// walk; q is the query and rewrite the wall time it took to build when
-	// Maintain's call built it, zero when it was memoized already.
-	sp      *ScatterPlan
-	q       *query.Query
-	rewrite time.Duration
+	// walk; q is the query.
+	sp *ScatterPlan
+	q  *query.Query
 	// run is the full evaluation's ShardRun, kept and extended: its per-group
 	// distinct tuples are the maintained sets (first-seen order only keeps
 	// replays comparable — the merge accumulates per distinct tuple and the
@@ -68,11 +65,11 @@ type DeltaState struct {
 // maintained state: the per-group distinct tuples and the covered row counts.
 // A plan whose shape appends cannot be maintained under — the verdict taken
 // when the front half was memoized — and a top-k run are refused with
-// ErrNotDeltaMaintainable before anything executes.  A refusal hands the
-// front half's build time back, so the evaluation the caller falls back to
-// reports it.
+// ErrNotDeltaMaintainable before anything executes; the evaluation the caller
+// falls back to makes the first Result of the front half, so it reports the
+// build.
 func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error) {
-	sp, rewrite, err := p.FrontHalf(ec, opts)
+	sp, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -81,14 +78,13 @@ func (p *Prepared) Maintain(ec *exec.Context, opts Options) (*DeltaState, error)
 		refusal = fmt.Errorf("%w: top-k stops its walk early, maintaining it would walk the whole trace", ErrNotDeltaMaintainable)
 	}
 	if refusal != nil {
-		p.unreport(sp, rewrite)
 		return nil, refusal
 	}
 	run, err := sp.ExecuteOn(ec, p.db)
 	if err != nil {
 		return nil, err
 	}
-	st := &DeltaState{sp: sp, q: p.res.Query, rewrite: rewrite, run: run, lens: make(map[string]int, len(sp.shape.rels))}
+	st := &DeltaState{sp: sp, q: p.res.Query, run: run, lens: make(map[string]int, len(sp.shape.rels))}
 	for _, name := range sp.shape.rels {
 		rel := p.db.Relation(name)
 		if rel == nil {
@@ -198,13 +194,13 @@ func (st *DeltaState) ApplyDelta(ec *exec.Context, db *engine.Instance) (int, er
 // distribution — the maintained run through the function that merges the
 // shards' runs — so the result is bit-identical to cold evaluation of the same
 // method over the same instance state.  Its phases are those of the work that
-// produced the merge: the front half when Maintain built it, the CPU time of
-// the full run and every pass up to the merge, and the merge.  Each call
-// returns a Result of its own; calls between which no pass changed the sets
-// share the merged answers.
+// produced the merge: the front half's build when no Result has reported it
+// yet, the CPU time of the full run and every pass up to the merge, and the
+// merge.  Each call returns a Result of its own; calls between which no pass
+// changed the sets share the merged answers.
 func (st *DeltaState) Result() *Result {
 	if st.merged == nil {
-		st.merged = st.sp.Result(st.q, st.rewrite, 0, st.run)
+		st.merged = st.sp.Result(st.q, 0, st.run)
 		st.merged.TotalTime = st.merged.AggregateTime
 	}
 	res := *st.merged

@@ -660,8 +660,7 @@ func (b *stepBinder) flatten(factors []*factor, keeps [][]int) (*factor, error) 
 	}
 	fs, cols := b.flatSpec(factors, keeps)
 	return b.add(&factor{cols: cols, rel: -1}, func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error) {
-		rows, _, err := w.flatten(work, fs)
-		return rows, err
+		return w.flatten(work, fs)
 	}), nil
 }
 
@@ -1178,10 +1177,10 @@ func (os *osharer) bind(b *stepBinder, child *eUnit, op *targetOp, m *schema.Map
 // integer, and flattens nothing; any other aggregate flattens its input.
 //
 // A root flatten may drop factors: under the set bit a non-empty factor that
-// keeps nothing drops out.  When a single factor is left it is returned whole,
-// so the layout the projection or aggregate reads depends on the data: it is
-// bound for both — the kept columns, and the whole of the one factor that
-// keeps any when only one does.
+// keeps nothing drops out, and an empty one empties the result.  The layout
+// the projection or aggregate reads is bound once (rootFlatten): the data
+// decides only whether the result is empty, and an empty result projects and
+// aggregates alike under any layout.
 func (os *osharer) finish(b *stepBinder, u *eUnit, op *targetOp, m *schema.Mapping, merged *fragment) (*factor, error) {
 	// The final operator's columns, bringing in the relations they need.
 	cols := make([]string, len(op.refs))
@@ -1202,29 +1201,18 @@ func (os *osharer) finish(b *stepBinder, u *eUnit, op *targetOp, m *schema.Mappi
 		}
 		fs, _ := b.flatSpec(factors, keeps)
 		return b.add(leaf, func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error) {
-			rows, _, err := w.flatten(work, fs)
-			return rows, err
+			return w.flatten(work, fs)
 		}), nil
 	case *query.Project:
-		fs, kept, whole := rootFlatten(b, factors, cols)
-		keptAt, err := engine.ColumnPositions(kept, cols)
+		fs, layout := rootFlatten(b, factors, cols, os.set)
+		at, err := engine.ColumnPositions(layout, cols)
 		if err != nil {
 			return nil, err
 		}
-		var wholeAt []int
-		if whole != nil {
-			if wholeAt, err = engine.ColumnPositions(whole, cols); err != nil {
-				return nil, err
-			}
-		}
 		return b.add(leaf, func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error) {
-			rows, isWhole, err := w.flatten(work, fs)
+			rows, err := w.flatten(work, fs)
 			if err != nil {
 				return nil, err
-			}
-			at := keptAt
-			if isWhole {
-				at = wholeAt
 			}
 			return engine.ProjectRows(w.ec.Ctx(), rows, at, w.stats)
 		}), nil
@@ -1246,25 +1234,15 @@ func (os *osharer) finish(b *stepBinder, u *eUnit, op *targetOp, m *schema.Mappi
 				return []engine.Tuple{{engine.I(n)}}, nil
 			}), nil
 		}
-		fs, kept, whole := rootFlatten(b, factors, cols)
-		keptAgg, err := engine.CompileAggregate(kept, final.Func, cols[0])
+		fs, layout := rootFlatten(b, factors, cols, os.set)
+		agg, err := engine.CompileAggregate(layout, final.Func, cols[0])
 		if err != nil {
 			return nil, err
 		}
-		var wholeAgg *engine.Aggregation
-		if whole != nil {
-			if wholeAgg, err = engine.CompileAggregate(whole, final.Func, cols[0]); err != nil {
-				return nil, err
-			}
-		}
 		return b.add(leaf, func(w *walker, work [][]engine.Tuple) ([]engine.Tuple, error) {
-			rows, isWhole, err := w.flatten(work, fs)
+			rows, err := w.flatten(work, fs)
 			if err != nil {
 				return nil, err
-			}
-			agg := keptAgg
-			if isWhole {
-				agg = wholeAgg
 			}
 			row, err := agg.Row(w.ec.Ctx(), rows, w.stats)
 			if err != nil {
@@ -1277,14 +1255,15 @@ func (os *osharer) finish(b *stepBinder, u *eUnit, op *targetOp, m *schema.Mappi
 	}
 }
 
-// rootFlatten binds the root's flatten of the factors cut to the columns, and
-// the two layouts its result may have: kept, the kept columns, and whole, all
-// columns of the one factor that keeps any — the only factor a flatten can
-// return whole, as every factor keeping a column takes part — or nil when
-// several factors keep columns.
-func rootFlatten(b *stepBinder, factors []*factor, cols []string) (fs *flatSpec, kept, whole []string) {
+// rootFlatten binds the root's flatten of the factors cut to the columns,
+// and the layout of its result: the whole of the one factor that keeps a
+// column when it takes part alone — under the set bit every other factor keeps
+// nothing and drops out unless it is empty, which empties the result; without
+// it, when it is the only factor — and the kept columns otherwise.
+func rootFlatten(b *stepBinder, factors []*factor, cols []string, set bool) (*flatSpec, []string) {
 	keeps := keepOf(factors, cols)
-	fs, kept = b.flatSpec(factors, keeps)
+	fs, kept := b.flatSpec(factors, keeps)
+	var whole []string
 	keeping := 0
 	for i, k := range keeps {
 		if len(k) > 0 {
@@ -1292,10 +1271,10 @@ func rootFlatten(b *stepBinder, factors []*factor, cols []string) (fs *flatSpec,
 			whole = factors[i].cols
 		}
 	}
-	if keeping != 1 {
-		whole = nil
+	if keeping == 1 && (set || len(factors) == 1) {
+		return fs, whole
 	}
-	return fs, kept, whole
+	return fs, kept
 }
 
 // mulCount returns a·b for non-negative counts when it fits in an int64.
@@ -1452,11 +1431,11 @@ type flatPart struct {
 // set bit a factor that keeps nothing is an existence bit: an empty one
 // empties the product, any other drops out.  With two or more factors left,
 // each is first cut to its distinct rows over its keep list, so the product
-// repeats no row.  When one factor is left it is returned whole, and whole
-// says so; otherwise the result holds exactly the kept columns.  The products
-// were counted when their factors were appended, so flatten charges the rows
-// it reads and builds and no operator.
-func (w *walker) flatten(work [][]engine.Tuple, fs *flatSpec) (rows []engine.Tuple, whole bool, err error) {
+// repeats no row.  When one factor is left it is returned whole; otherwise
+// the result holds exactly the kept columns.  The products were counted when
+// their factors were appended, so flatten charges the rows it reads and
+// builds and no operator.
+func (w *walker) flatten(work [][]engine.Tuple, fs *flatSpec) (rows []engine.Tuple, err error) {
 	var st *engine.Stats
 	if w.stats != nil {
 		st = engine.NewStats()
@@ -1474,18 +1453,18 @@ func (w *walker) flatten(work [][]engine.Tuple, fs *flatSpec) (rows []engine.Tup
 	}
 	switch len(parts) {
 	case 0:
-		return []engine.Tuple{{}}, false, nil
+		return []engine.Tuple{{}}, nil
 	case 1:
-		return parts[0].rows, true, nil
+		return parts[0].rows, nil
 	}
 	if w.tr.set && !empty {
 		for i, p := range parts {
 			cut, err := engine.ProjectRows(ctx, p.rows, p.keep, st)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if parts[i].rows, err = engine.DistinctRows(ctx, cut, st); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			parts[i].keep = fs.all[:len(p.keep)]
 		}
@@ -1494,10 +1473,10 @@ func (w *walker) flatten(work [][]engine.Tuple, fs *flatSpec) (rows []engine.Tup
 	width := len(accKeep)
 	for _, p := range parts[1:] {
 		if acc, err = engine.ProductRows(ctx, acc, p.rows, accKeep, p.keep, w.tr.set, st); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		width += len(p.keep)
 		accKeep = fs.all[:width]
 	}
-	return acc, false, nil
+	return acc, nil
 }

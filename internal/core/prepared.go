@@ -20,10 +20,10 @@ import (
 //   - o-sharing: the u-trace planned under the strategy (and, for Random, the
 //     seed), which a top-k run (Options.TopK) walks too.
 //
-// Each front half is built lazily on first use and memoized; the execution
-// whose call built it reports the build's wall time as Result.RewriteTime, and
-// every other execution that uses it pays — and reports — only the execution
-// and aggregation phases.  There is no other evaluation path: every method
+// Each front half is built lazily on first use and memoized; the first Result
+// made from it reports the build's wall time as Result.RewriteTime, and every
+// other execution that uses it pays — and reports — only the execution and
+// aggregation phases.  There is no other evaluation path: every method
 // runs its memoized front half through one runner (ScatterPlan.executeInto)
 // into a consumer — the aggregator, or top-k's bounds — Evaluator.Evaluate is
 // Prepare followed by Execute, and a shard's run and a delta-maintained answer
@@ -41,10 +41,6 @@ type Prepared struct {
 	// mu guards the lazily built front halves.
 	mu     sync.Mutex
 	fronts map[frontKey]*ScatterPlan
-	// unreported holds the build time of front halves whose building call
-	// reported no result (Maintain refused the plan), for the next call that
-	// finds them to report.
-	unreported map[*ScatterPlan]time.Duration
 }
 
 // frontKey is what a front half depends on besides the query and the
@@ -76,18 +72,17 @@ func (p *Prepared) Resolution() *query.Resolution { return p.res }
 
 // FrontHalf returns the memoized front half an execution under the options
 // runs — the method's group list, or o-sharing's u-trace for the strategy
-// (and seed), which a top-k run walks whatever its method — together with the
-// wall time this call spent building it.  That is zero for every call that
-// found the front half there, including one that waited while another call
-// built it, so exactly one execution reports a front half's rewrite phase —
-// except when the building call handed the time back (unreport): then the
-// next call to find the front half reports it.
-func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time.Duration, error) {
+// (and seed), which a top-k run walks whatever its method.  The first Result
+// made from a front half reports its build — the wall time of building and
+// compiling it — as RewriteTime (ScatterPlan.unbilled): the building call's
+// own Result or, after a call that makes none (a bare FrontHalf, a refused
+// Maintain, a shard's scatter run), the next one.
+func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := ec.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	key := frontKey{method: opts.FrontMethod()}
 	if key.method == MethodOSharing {
@@ -98,34 +93,23 @@ func (p *Prepared) FrontHalf(ec *exec.Context, opts Options) (*ScatterPlan, time
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sp, rewrite, err := p.build(ec, key)
-	if err == nil && !sp.compiled {
-		// Compiled as the method is first asked for, not as an intermediate
-		// another method's list was derived from: e-MQO's build never
-		// compiles basic's hundred plans.
-		start := time.Now()
-		sp.compile(p.db)
-		rewrite += time.Since(start)
+	sp := p.fronts[key]
+	if sp != nil && sp.compiled {
+		return sp, nil
 	}
-	if err == nil && rewrite == 0 {
-		rewrite = p.unreported[sp]
-		delete(p.unreported, sp)
+	start := time.Now()
+	if sp == nil {
+		var err error
+		if sp, err = p.build(ec, key); err != nil {
+			return nil, err
+		}
 	}
-	return sp, rewrite, err
-}
-
-// unreport hands back the build time of sp by a call that reports no result,
-// so the rewrite phase still reaches exactly one execution's Result.
-func (p *Prepared) unreport(sp *ScatterPlan, rewrite time.Duration) {
-	if rewrite == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.unreported == nil {
-		p.unreported = make(map[*ScatterPlan]time.Duration)
-	}
-	p.unreported[sp] += rewrite
+	// Compiled as the method is first asked for, not as an intermediate
+	// another method's list was derived from: e-MQO's build never compiles
+	// basic's hundred plans, and bills none of basic's build either.
+	sp.compile(p.db)
+	sp.unbilled.Store(int64(time.Since(start)))
+	return sp, nil
 }
 
 // build is FrontHalf with p.mu held.  e-basic clusters basic's list and e-MQO
@@ -134,20 +118,19 @@ func (p *Prepared) unreport(sp *ScatterPlan, rewrite time.Duration) {
 // as it is memoized, so every reader of the verdict reads the one taken here.
 // Builds are memoized on success only, so a build aborted by cancellation
 // retries.
-func (p *Prepared) build(ec *exec.Context, key frontKey) (sp *ScatterPlan, _ time.Duration, err error) {
+func (p *Prepared) build(ec *exec.Context, key frontKey) (sp *ScatterPlan, err error) {
 	if sp := p.fronts[key]; sp != nil {
-		return sp, 0, nil
+		return sp, nil
 	}
-	start := time.Now()
 	switch key.method {
 	case MethodBasic:
 		sp, err = mappingGroups(ec, key.method, p.res, p.maps)
 	case MethodEBasic:
-		if sp, _, err = p.build(ec, frontKey{method: MethodBasic}); err == nil {
+		if sp, err = p.build(ec, frontKey{method: MethodBasic}); err == nil {
 			sp = clusterGroups(sp)
 		}
 	case MethodEMQO:
-		if sp, _, err = p.build(ec, frontKey{method: MethodEBasic}); err == nil {
+		if sp, err = p.build(ec, frontKey{method: MethodEBasic}); err == nil {
 			sp, err = globalGroups(sp)
 		}
 	case MethodQSharing:
@@ -156,13 +139,13 @@ func (p *Prepared) build(ec *exec.Context, key frontKey) (sp *ScatterPlan, _ tim
 		sp, err = planTrace(ec, key.method, p.res, p.maps, p.db, key.strategy, key.seed)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if sp.shape == nil {
 		sp.analyse() // a list's; the planner gave the trace its own
 	}
 	p.fronts[key] = sp
-	return sp, time.Since(start), nil
+	return sp, nil
 }
 
 // Execute runs the prepared query with the given options and returns the
@@ -233,7 +216,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, answerSink, 
 	if opts.TopK > 0 {
 		ec = ec.WithParallelism(1)
 	}
-	sp, rewrite, err := p.FrontHalf(ec, opts)
+	sp, err := p.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,7 +232,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*Result, answerSink, 
 	if err != nil {
 		return nil, nil, err
 	}
-	res := sp.newResult(p.res.Query, rewrite, opts.TopK, []*ShardRun{run})
+	res := sp.newResult(p.res.Query, opts.TopK, []*ShardRun{run})
 	res.AggregateTime = aggTime
 	return res, sink, nil
 }

@@ -52,7 +52,7 @@ func TestPreparedProgramsRunConcurrently(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s serial: %v", label, err)
 				}
-				sp, _, err := prep.FrontHalf(opts.Context(context.Background()), opts)
+				sp, err := prep.FrontHalf(opts.Context(context.Background()), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func TestOSharingOnInstanceMissingARelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := exec.Sequential()
-	sp, _, err := prep.FrontHalf(ec, Options{Method: MethodOSharing})
+	sp, err := prep.FrontHalf(ec, Options{Method: MethodOSharing})
 	if err != nil {
 		t.Fatal(err)
 	}

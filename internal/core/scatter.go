@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"github.com/probdb/urm/internal/engine"
@@ -44,10 +45,11 @@ type ScatterGroup struct {
 // — so probabilities accumulate in one float-addition sequence however the
 // runs are made, and answers stay bit-identical across them.
 //
-// A ScatterPlan is immutable once its Prepared has memoized it: executions on
-// any number of goroutines share it, and a caller that needs a variant
-// (ApplyDelta's per-pass plans) copies Groups.  Memoizing it is also when its
-// shape is decided, once (planShape).
+// A ScatterPlan is immutable once its Prepared has memoized it, but for the
+// build time it holds until a Result reports it (unbilled, an atomic):
+// executions on any number of goroutines share it, and a caller that needs a
+// variant (ApplyDelta's per-pass plans) copies Groups.  Memoizing it is also
+// when its shape is decided, once (planShape).
 //
 // o-sharing's front half is a ScatterPlan too, run by the same runner into the
 // same consumers and merged by the same Merge: its groups are its u-trace's
@@ -79,6 +81,10 @@ type ScatterPlan struct {
 	// compiled is set once its Prepared has compiled the group plans
 	// (compile), under the Prepared's lock.
 	compiled bool
+	// unbilled is the wall time, in nanoseconds, its Prepared spent building
+	// and compiling it that no Result has reported yet: set as the plan is
+	// first handed out, taken by the first Result made from it (newResult).
+	unbilled atomic.Int64
 	// trace is o-sharing's u-trace; nil on the plan methods.
 	trace *uTrace
 }
@@ -360,10 +366,10 @@ func (sp *ScatterPlan) executeInto(ec *exec.Context, db *engine.Instance, run *S
 
 // newResult is the one place a Result is assembled from runs of a group
 // list: the front half's bookkeeping, one executed query per covering group
-// and run, the runs' statistics and CPU time, and the wall time the front half
-// took when this evaluation's call built it.  A positive k labels a top-k
-// run's.  Answers are the caller's to add — from its sink, or through Result.
-func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, k int, runs []*ShardRun) *Result {
+// and run, the runs' statistics and CPU time, and the front half's build time
+// when no Result has reported it yet.  A positive k labels a top-k run's.
+// Answers are the caller's to add — from its sink, or through Result.
+func (sp *ScatterPlan) newResult(q *query.Query, k int, runs []*ShardRun) *Result {
 	res := &Result{
 		Query:            q,
 		Method:           sp.Method,
@@ -371,7 +377,7 @@ func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, k int, r
 		Stats:            engine.NewStats(),
 		RewrittenQueries: sp.Rewritten,
 		Partitions:       sp.Partitions,
-		RewriteTime:      rewrite,
+		RewriteTime:      time.Duration(sp.unbilled.Swap(0)),
 	}
 	if k > 0 {
 		res.Method = MethodTopK
@@ -392,9 +398,9 @@ func (sp *ScatterPlan) newResult(q *query.Query, rewrite time.Duration, k int, r
 // DeltaState's maintained one — into the method's Result through Merge: the
 // whole distribution, or the top k answers when k is positive.  TotalTime is
 // the caller's to set.
-func (sp *ScatterPlan) Result(q *query.Query, rewrite time.Duration, k int, runs ...*ShardRun) *Result {
+func (sp *ScatterPlan) Result(q *query.Query, k int, runs ...*ShardRun) *Result {
 	start := time.Now()
-	res := sp.newResult(q, rewrite, k, runs)
+	res := sp.newResult(q, k, runs)
 	res.Answers, res.EmptyProb = sp.Merge(k, runs...)
 	res.AggregateTime = time.Since(start)
 	return res

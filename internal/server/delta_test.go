@@ -66,7 +66,7 @@ func TestDeltaMaintainsCachedAnswers(t *testing.T) {
 		t.Fatalf("cache hit ran %d new evaluations", got-evalsBefore)
 	}
 
-	cold, err := sc.EvaluatePrepared(context.Background(), mustPrepare(t, sc, deltaQuery), core.Options{Method: core.MethodEBasic})
+	cold, _, err := sc.Evaluate(context.Background(), mustPrepare(t, sc, deltaQuery), core.Options{Method: core.MethodEBasic}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestDeltaMaintainedAnswersSurviveRestart(t *testing.T) {
 	if sc2.Epoch() != sc.Epoch() {
 		t.Fatalf("recovered epoch %d, want %d", sc2.Epoch(), sc.Epoch())
 	}
-	cold, err := sc2.EvaluatePrepared(ctx, mustPrepare(t, sc2, deltaQuery), core.Options{Method: core.MethodEBasic})
+	cold, _, err := sc2.Evaluate(ctx, mustPrepare(t, sc2, deltaQuery), core.Options{Method: core.MethodEBasic}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestDeltaConcurrentAppendQuery(t *testing.T) {
 	wg.Wait()
 	srv.ConvergeDelta("test")
 	final := doQuery(t, srv, deltaQuery)
-	cold, err := sc.EvaluatePrepared(context.Background(), mustPrepare(t, sc, deltaQuery), core.Options{Method: core.MethodEBasic})
+	cold, _, err := sc.Evaluate(context.Background(), mustPrepare(t, sc, deltaQuery), core.Options{Method: core.MethodEBasic}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

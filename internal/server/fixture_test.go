@@ -190,5 +190,6 @@ func evaluateFresh(ctx context.Context, sc *Scenario, q *query.Query, topK int, 
 		return nil, err
 	}
 	opts.TopK = topK
-	return sc.EvaluatePrepared(ctx, prep, opts)
+	res, _, err := sc.Evaluate(ctx, prep, opts, false)
+	return res, err
 }

@@ -87,7 +87,7 @@ func TestReformulateStageOnDeltaFallback(t *testing.T) {
 
 // TestReformulateStageWithoutCache is the same observation on a server with
 // the answer cache off, where no maintainer runs and every request evaluates
-// through EvaluatePrepared: the first evaluation builds the front half and
+// without a delta state: the first evaluation builds the front half and
 // records its time, the second reuses the memoized plan and records none.
 func TestReformulateStageWithoutCache(t *testing.T) {
 	srv, _ := newTestServer(t, 60, Config{CacheBytes: -1})

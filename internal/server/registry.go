@@ -18,6 +18,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -347,41 +348,38 @@ func (s *Scenario) rememberLocked(text string, e *preparedEntry) {
 	s.byCanon[e.canonical] = e
 }
 
-// EvaluatePrepared runs a prepared query while holding the scenario's
-// evaluation lock as a reader, so AppendRows cannot mutate relation data
-// mid-scan.  The method's group list (or o-sharing's walk) feeds the
-// aggregator, or top-k's bounds when opts.TopK is set: answers are taken in
-// as the groups finish and nothing is kept.  The server evaluates this way
-// when no maintainer runs or the delta cannot maintain the evaluation.
-func (s *Scenario) EvaluatePrepared(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, error) {
+// Evaluate runs a prepared query under the scenario's evaluation lock, held
+// as a reader once for the whole call, so AppendRows cannot mutate relation
+// data mid-scan.  With maintain set it first tries core.Prepared.Maintain,
+// which runs the full evaluation keeping each group's distinct tuples and
+// returns that state for the answer cache to keep beside the result.  A plan
+// Maintain refuses (core.ErrNotDeltaMaintainable: aggregates, self-joins,
+// top-k), like every call without maintain, is evaluated the ordinary way —
+// answers taken into the aggregator or top-k's bounds, nothing kept — and
+// returns no state.  Answers are bit-identical either way.
+func (s *Scenario) Evaluate(ctx context.Context, prep *core.Prepared, opts core.Options, maintain bool) (*core.Result, *core.DeltaState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return prep.ExecuteContext(ctx, opts)
-}
-
-// EvaluateDelta evaluates a prepared query as the maintaining consumer of the
-// same group list: core.Prepared.Maintain (failing fast with
-// core.ErrNotDeltaMaintainable for plan shapes and methods the delta cannot
-// maintain) runs the full evaluation once keeping each group's distinct
-// tuples, and the result comes back together with that maintained state,
-// which the answer cache keeps beside it.  Answers are bit-identical to
-// EvaluatePrepared's for the same options.
-func (s *Scenario) EvaluateDelta(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, *core.DeltaState, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	start := time.Now()
-	st, err := prep.Maintain(opts.Context(ctx), opts)
-	if err != nil {
-		return nil, nil, err
+	if maintain {
+		start := time.Now()
+		st, err := prep.Maintain(opts.Context(ctx), opts)
+		switch {
+		case err == nil:
+			res := st.Result()
+			// An evaluation that ends past its deadline fails rather than
+			// answering late, whether or not the deadline's timer has fired
+			// (exec.Expired).
+			if err := exec.Expired(ctx); err != nil {
+				return nil, nil, err
+			}
+			res.TotalTime = time.Since(start)
+			return res, st, nil
+		case !errors.Is(err, core.ErrNotDeltaMaintainable):
+			return nil, nil, err
+		}
 	}
-	res := st.Result()
-	// An evaluation that ends past its deadline fails rather than answering
-	// late, whether or not the deadline's timer has fired (exec.Expired).
-	if err := exec.Expired(ctx); err != nil {
-		return nil, nil, err
-	}
-	res.TotalTime = time.Since(start)
-	return res, st, nil
+	res, err := prep.ExecuteContext(ctx, opts)
+	return res, nil, err
 }
 
 // Parse parses an ad-hoc query against the scenario's target schema.

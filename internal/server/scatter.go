@@ -260,7 +260,7 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 
 	opts := core.Options{Method: method, Strategy: strategy, Parallelism: s.cfg.Parallelism}
 	ec := opts.Context(ctx)
-	sp, _, err := prep.FrontHalf(ec, opts)
+	sp, err := prep.FrontHalf(ec, opts)
 	if err != nil {
 		atomic.AddInt64(&s.counters.EvalErrors, 1)
 		return nil, err
@@ -269,7 +269,7 @@ func (s *Server) Scatter(ctx context.Context, req ScatterRequest) (*ScatterRespo
 		return nil, apiErr(http.StatusUnprocessableEntity,
 			fmt.Errorf("%w: a reformulated plan self-joins or aggregates the partitioned relation %q", ErrNotDistributable, sh.Relation))
 	}
-	// The scan holds the evaluation lock as EvaluatePrepared does, since a
+	// The scan holds the evaluation lock as Scenario.Evaluate does, since a
 	// shard node takes appends directly, and the epoch is the locked one
 	// its rows are from.
 	var (

@@ -71,7 +71,7 @@ func naiveGroupRows(t *testing.T, node *Server, query string, method core.Method
 		t.Fatal(err)
 	}
 	ec := exec.Sequential()
-	sp, _, err := prep.FrontHalf(ec, core.Options{Method: method, Parallelism: 1})
+	sp, err := prep.FrontHalf(ec, core.Options{Method: method, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

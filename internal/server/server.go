@@ -573,21 +573,14 @@ func (s *Server) evaluate(ctx context.Context, sc *Scenario, prep *core.Prepared
 	}
 	evalStart := s.clock.Now()
 	opts := core.Options{Method: key.Method, Strategy: key.Strategy, Parallelism: s.cfg.Parallelism, TopK: key.TopK}
-	var res *core.Result
-	var st *core.DeltaState
-	if s.maintainer != nil {
-		// Delta-first: evaluate through the scatter form and keep the per-group
-		// state in the cached answer, so later appends refresh it instead of
-		// making it miss.  What the delta cannot maintain (non-SPJ plans,
-		// self-joins, top-k) falls through to the ordinary evaluator and is
-		// counted as a fallback.
-		res, st, err = sc.EvaluateDelta(ctx, prep, opts)
-		if errors.Is(err, core.ErrNotDeltaMaintainable) {
-			atomic.AddInt64(&s.counters.DeltaFallbacks, 1)
-			res, err = sc.EvaluatePrepared(ctx, prep, opts)
-		}
-	} else {
-		res, err = sc.EvaluatePrepared(ctx, prep, opts)
+	// Delta-first: with a maintainer running, the per-group state rides in the
+	// cached answer, so later appends refresh it instead of making it miss.
+	// What the delta cannot maintain (non-SPJ plans, self-joins, top-k) is
+	// evaluated the ordinary way in the same call and counted as a fallback.
+	maintain := s.maintainer != nil
+	res, st, err := sc.Evaluate(ctx, prep, opts, maintain)
+	if maintain && err == nil && st == nil {
+		atomic.AddInt64(&s.counters.DeltaFallbacks, 1)
 	}
 	if err != nil {
 		atomic.AddInt64(&s.counters.EvalErrors, 1)

@@ -94,18 +94,13 @@ func (ev *Evaluator) noteFallback() {
 func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core.Options) (*core.Result, error) {
 	start := time.Now()
 	ec := opts.Context(ctx)
-	sp, rewrite, err := prep.FrontHalf(ec, opts)
+	sp, err := prep.FrontHalf(ec, opts)
 	if err != nil {
 		return nil, err
 	}
 	if !sp.DistributesOver(ev.part.Spec().Relation) {
-		// Evaluate unsharded, reporting the front half this call built.
 		ev.noteFallback()
-		res, err := prep.ExecuteContext(ctx, opts)
-		if err == nil {
-			res.RewriteTime += rewrite
-		}
-		return res, err
+		return prep.ExecuteContext(ctx, opts)
 	}
 	shards, err := ev.instances()
 	if err != nil {
@@ -115,7 +110,12 @@ func (ev *Evaluator) Execute(ctx context.Context, prep *core.Prepared, opts core
 	if err != nil {
 		return nil, err
 	}
-	res := sp.Result(prep.Query(), rewrite, opts.TopK, runs...)
+	res := sp.Result(prep.Query(), opts.TopK, runs...)
+	// An evaluation that ends past its deadline fails rather than answering
+	// late, whether or not the deadline's timer has fired (exec.Expired).
+	if err := exec.Expired(ctx); err != nil {
+		return nil, err
+	}
 	res.TotalTime = time.Since(start)
 	return res, nil
 }

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/probdb/urm/internal/core"
 	"github.com/probdb/urm/internal/datagen"
@@ -251,7 +253,7 @@ func TestShardedPruneMarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Q%d %s unsharded: %v", qid, st, err)
 			}
-			sp, _, err := prep.FrontHalf(ec, opts)
+			sp, err := prep.FrontHalf(ec, opts)
 			if err != nil {
 				t.Fatalf("Q%d %s front half: %v", qid, st, err)
 			}
@@ -272,7 +274,7 @@ func TestShardedPruneMarks(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Q%d %s %s/%d: %v", qid, st, kind, n, err)
 					}
-					identical(t, fmt.Sprintf("Q%d %s %s/%d", qid, st, kind, n), want, sp.Result(q, 0, 0, runs...))
+					identical(t, fmt.Sprintf("Q%d %s %s/%d", qid, st, kind, n), want, sp.Result(q, 0, runs...))
 					// The internal nodes the merge visits, by how many shards
 					// pruned them at or above.
 					for gi := 0; gi < len(sp.Groups); gi++ {
@@ -409,7 +411,7 @@ func TestShardErrorFailsCleanly(t *testing.T) {
 		t.Fatalf("prepare: %v", err)
 	}
 	ec := exec.NewContext(context.Background(), 2)
-	sp, _, err := prep.FrontHalf(ec, core.Options{Method: core.MethodEBasic})
+	sp, err := prep.FrontHalf(ec, core.Options{Method: core.MethodEBasic})
 	if err != nil {
 		t.Fatalf("scatter: %v", err)
 	}
@@ -428,5 +430,41 @@ func TestShardErrorFailsCleanly(t *testing.T) {
 	}
 	if runs != nil {
 		t.Fatalf("scatter over a broken shard returned partial runs alongside the error")
+	}
+}
+
+// lateTimer is a context whose deadline has passed but whose timer has not
+// fired: Done stays open and Err nil, as for a real deadline while every
+// processor is busy evaluating.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestShardedLateDeadlineTimerFails: a sharded execution whose deadline passed
+// before it finished fails with context.DeadlineExceeded even if the
+// deadline's timer never fired, as an unsharded one does, and the same
+// execution under a live context answers — on the sharded branch, not the
+// unsharded fallback.
+func TestShardedLateDeadlineTimerFails(t *testing.T) {
+	ds := testDataset(t, 12, 7)
+	prep, err := core.NewEvaluator(ds.DB, ds.Mappings()).Prepare(datagen.MustWorkloadQuery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(ds.DB, testSpec(KindHash, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []core.Method{core.MethodEBasic, core.MethodOSharing} {
+		opts := core.Options{Method: m}
+		if _, err := ev.Execute(lateTimer{context.Background()}, prep, opts); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: Execute err = %v, want context.DeadlineExceeded", m, err)
+		}
+		if _, err := ev.Execute(context.Background(), prep, opts); err != nil {
+			t.Errorf("%s: %v", m, err)
+		}
+	}
+	if n := ev.Fallbacks(); n != 0 {
+		t.Errorf("Q1 fell back to unsharded evaluation %d times, want 0", n)
 	}
 }

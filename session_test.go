@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/probdb/urm/internal/core"
 )
@@ -277,6 +278,36 @@ func TestSessionWithShards(t *testing.T) {
 	}
 	if _, err := sess.Stream(ctx, text, WithShards(spec)); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Stream with shards: err = %v, want ErrBadOptions", err)
+	}
+}
+
+// lateTimer is a context whose deadline has passed but whose timer has not
+// fired: Done stays open and Err nil, as for a real deadline while every
+// processor is busy evaluating.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestPreparedLateDeadlineWithShards: a prepared execution whose deadline
+// passed before it finished fails with context.DeadlineExceeded even if the
+// deadline's timer never fired, sharded or not, and the same execution under
+// a live context answers.
+func TestPreparedLateDeadlineWithShards(t *testing.T) {
+	sess, _, _ := sessionFixture(t)
+	pq, err := sess.Prepare("SELECT addr FROM Person WHERE phone = '123'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ShardSpec{Relation: "Customer", Column: "cid", Shards: 2, Kind: HashSharding}
+	for _, method := range []Method{EBasic, OSharing} {
+		for _, opts := range [][]Option{{WithMethod(method)}, {WithMethod(method), WithShards(spec)}} {
+			if _, err := pq.Execute(lateTimer{context.Background()}, opts...); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%v (%d options): err = %v, want context.DeadlineExceeded", method, len(opts), err)
+			}
+			if _, err := pq.Execute(context.Background(), opts...); err != nil {
+				t.Errorf("%v (%d options): %v", method, len(opts), err)
+			}
+		}
 	}
 }
 
